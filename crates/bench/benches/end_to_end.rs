@@ -320,7 +320,7 @@ fn main() {
         let block = 8_192u64;
         for blk in 0..(size / block) {
             for (i, fh) in fhs.iter().enumerate() {
-                w.read(now, *fh, blk * block, block, (i as u64) << 32 | blk);
+                w.read_from(0, now, *fh, blk * block, block, (i as u64) << 32 | blk);
                 while let Some(t) = w.next_event() {
                     let done = w.advance(t);
                     now = now.max(t);

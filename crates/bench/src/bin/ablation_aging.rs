@@ -42,7 +42,7 @@ fn run(aging: f64, policy: ReadaheadPolicy, readers: usize, total_mb: u64) -> f6
 
     let mut offsets = vec![0u64; readers];
     for (i, fh) in fhs.iter().enumerate() {
-        world.read(SimTime::ZERO, *fh, 0, 8_192, i as u64);
+        world.read_from(0, SimTime::ZERO, *fh, 0, 8_192, i as u64);
         offsets[i] = 8_192;
     }
     let mut end = SimTime::ZERO;
@@ -56,7 +56,7 @@ fn run(aging: f64, policy: ReadaheadPolicy, readers: usize, total_mb: u64) -> f6
                 active -= 1;
                 continue;
             }
-            world.read(d.done_at, fhs[i], offsets[i], 8_192, d.tag);
+            world.read_from(0, d.done_at, fhs[i], offsets[i], 8_192, d.tag);
             offsets[i] += 8_192;
         }
     }

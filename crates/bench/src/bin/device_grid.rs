@@ -134,7 +134,7 @@ fn run_cell(rig: Rig, mode: Mode, workload: Workload, file_mb: u64, seed: u64) -
         Workload::Sequential | Workload::MetaNoise => {
             for blk in 0..blocks {
                 for fh in &fhs {
-                    w.read(now, *fh, blk * BLOCK, BLOCK, tag);
+                    w.read_from(0, now, *fh, blk * BLOCK, BLOCK, tag);
                     tag += 1;
                     data_bytes += BLOCK;
                 }
@@ -142,10 +142,10 @@ fn run_cell(rig: Rig, mode: Mode, workload: Workload, file_mb: u64, seed: u64) -
                 if workload == Workload::MetaNoise {
                     for _ in 0..2 {
                         let nf = noise[wrng.gen_range(0usize..noise.len())];
-                        w.getattr(now, nf, tag);
+                        w.getattr_from(0, now, nf, tag);
                         tag += 1;
                         let nblk = wrng.gen_range(0u64..4);
-                        w.read(now, nf, nblk * BLOCK, BLOCK, tag);
+                        w.read_from(0, now, nf, nblk * BLOCK, BLOCK, tag);
                         tag += 1;
                         data_bytes += BLOCK;
                         issued += 2;
@@ -159,7 +159,7 @@ fn run_cell(rig: Rig, mode: Mode, workload: Workload, file_mb: u64, seed: u64) -
             for _ in 0..blocks {
                 for fh in &fhs {
                     let blk = wrng.gen_range(0u64..blocks);
-                    w.read(now, *fh, blk * BLOCK, BLOCK, tag);
+                    w.read_from(0, now, *fh, blk * BLOCK, BLOCK, tag);
                     tag += 1;
                     data_bytes += BLOCK;
                 }

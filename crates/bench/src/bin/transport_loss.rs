@@ -37,7 +37,7 @@ fn run_cell(transport: TransportKind, frame_loss: f64, total_mb: u64) -> Cell {
     cfg.link.frame_loss = frame_loss;
     let mut b = NfsBench::new(Rig::ide(1), cfg, &[READERS], total_mb, BASE_SEED);
     let mbs = b.run(READERS).throughput_mbs;
-    let s = b.world().client_stats();
+    let s = b.world().client_stats_for(0);
     Cell {
         mbs,
         rpc_retransmits: s.retransmits,

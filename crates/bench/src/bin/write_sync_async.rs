@@ -71,14 +71,14 @@ fn run_cell(stable_how: StableHow, gather_window: SimDuration, blocks: u64) -> C
     let mut now = SimTime::ZERO;
     let mut last_write = SimTime::ZERO;
     for i in 0..blocks {
-        w.write(now, fh, i * BS, BS, i);
+        w.write_from(0, now, fh, i * BS, BS, i);
         last_write = drive_next(&mut w, &mut now);
         now = now.max(last_write);
     }
-    let id = w.close(now, fh, blocks);
+    let id = w.close_from(0, now, fh, blocks);
     let durable_at = drive_op(&mut w, id);
     let mb = (blocks * BS) as f64 / (1024.0 * 1024.0);
-    let c = w.client_stats();
+    let c = w.client_stats_for(0);
     let s = w.server_stats();
     Cell {
         apparent_mbs: mb / last_write.as_secs_f64(),

@@ -198,6 +198,11 @@ impl FileSystem {
         self.alloc.extend_file(inode, new_size, rng);
     }
 
+    /// Bytes still free for file data on the partition.
+    pub fn free_bytes(&self) -> u64 {
+        self.alloc.free_bytes()
+    }
+
     /// Looks up an inode.
     pub fn inode(&self, ino: u64) -> Option<&Inode> {
         self.inodes.get(&ino)

@@ -25,6 +25,7 @@
 //! bit-identical to the historical single-client world (client 0's RNG
 //! stream label *is* the old world stream).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use ffs::{BufferCache, FileSystem};
@@ -54,8 +55,9 @@ const FLUSH_KEY_BIT: u64 = 1 << 63;
 
 /// Bit 62 of a routing key marks a call injected by an *external* ingress
 /// (the real-socket `nfsd` endpoint) rather than a simulated client host.
-/// External calls flow through the same nfsd pool, `nfsheur` table, dirty
-/// pool, and disk as simulated ones, but their replies land in
+/// External calls take the same admission step, nfsd pool, `nfsheur`
+/// table, dirty pool, disk, and reply builder as simulated ones; only
+/// delivery differs — their replies land in
 /// [`NfsWorld::take_external_replies`] instead of a simulated transport.
 const EXT_KEY_BIT: u64 = 1 << 62;
 
@@ -133,7 +135,7 @@ impl OpOutcome {
 /// A completed process-level operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpDone {
-    /// The id returned by [`NfsWorld::read`].
+    /// The id returned by [`NfsWorld::read_from`] (or any other op).
     pub id: OpId,
     /// The client host that issued the operation.
     pub client: usize,
@@ -159,8 +161,6 @@ pub struct ExtReply {
     pub xid: u32,
     /// Simulated instant the reply left the server.
     pub at: SimTime,
-    /// Whether the reply carries `NFS3ERR_IO`.
-    pub eio: bool,
     /// The reply body.
     pub reply: NfsReply,
 }
@@ -398,7 +398,6 @@ struct Rpc {
     /// Per-file submission sequence, for server-side reorder accounting.
     submit_seq: u64,
     attempt: u32,
-    outstanding: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -427,8 +426,8 @@ struct AttrEntry {
 /// Caller-declared shape of an outstanding READDIR(PLUS) chunk, keyed by
 /// xid. The simulated namespace lives in the workload layer (directories
 /// are ordinary handles), so the caller passes the chunk's entry count and
-/// children down and the server's reply builder reads them from here —
-/// the same peek-the-client trick the READ reply uses for file sizes.
+/// children down and the server's reply builder reads them from here. An
+/// external caller declares no shape and gets an empty, final chunk.
 #[derive(Debug)]
 struct ReaddirPending {
     /// Directory entries in this chunk.
@@ -450,6 +449,30 @@ struct OpState {
     timed_out: Option<u32>,
     /// Set when a reply this op depended on carried `NFS3ERR_IO`.
     eio: Option<u32>,
+}
+
+impl OpState {
+    /// Records that the RPC `xid` this op depended on ended in `end` (a
+    /// reply records nothing).
+    fn fail(&mut self, xid: u32, end: RpcEnd) {
+        match end {
+            RpcEnd::Reply { .. } => {}
+            RpcEnd::Eio => self.eio = Some(xid),
+            RpcEnd::TimedOut => self.timed_out = Some(xid),
+        }
+    }
+}
+
+/// How an outstanding RPC ended for the client that sent it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RpcEnd {
+    /// A successful reply; `verf` is its write verifier (0 unless the
+    /// call was a WRITE or COMMIT).
+    Reply { verf: u64 },
+    /// A reply carrying `NFS3ERR_IO`.
+    Eio,
+    /// Retransmissions exhausted, or the TCP stream gave up on it.
+    TimedOut,
 }
 
 /// Where a write-behind block stands in the client's dirty cache.
@@ -603,10 +626,11 @@ struct ServerHost {
     nfsd_total: usize,
     nfsd_busy: usize,
     call_queue: VecDeque<(SimTime, u64)>,
-    /// Call keys accepted and not yet replied to (the in-progress half of a
-    /// duplicate request cache; reads are idempotent so completed calls
-    /// need no replay cache in this model).
-    in_service: HashSet<u64>,
+    /// Calls accepted and not yet replied to, by routing key: the
+    /// in-progress half of a duplicate request cache (reads are idempotent
+    /// so completed calls need no replay cache in this model) and the
+    /// server's own copy of what it executes and answers.
+    in_service: HashMap<u64, NfsCall>,
     cpu_free: SimTime,
     arrived_seq: HashMap<u64, u64>,
     stats: ServerStats,
@@ -688,10 +712,6 @@ pub struct NfsWorld {
     contention: Vec<ContentionStats>,
     /// Number of external-ingress connections registered.
     ext_clients: usize,
-    /// Calls injected by an external ingress, by full routing key, held
-    /// until their reply is produced (the external analogue of
-    /// `ClientHost::rpcs`).
-    ext_rpcs: HashMap<u64, NfsCall>,
     /// Replies to external calls awaiting collection.
     ext_outbox: Vec<ExtReply>,
     /// Order-sensitive server action log; `None` (the default) records
@@ -784,7 +804,7 @@ impl NfsWorld {
                 nfsd_total: config.nfsds,
                 nfsd_busy: 0,
                 call_queue: VecDeque::new(),
-                in_service: HashSet::new(),
+                in_service: HashMap::new(),
                 cpu_free: SimTime::ZERO,
                 arrived_seq: HashMap::new(),
                 stats: ServerStats::default(),
@@ -809,7 +829,6 @@ impl NfsWorld {
             ino_owner: HashMap::new(),
             contention,
             ext_clients: 0,
-            ext_rpcs: HashMap::new(),
             ext_outbox: Vec::new(),
             server_events: None,
             config,
@@ -885,11 +904,12 @@ impl NfsWorld {
     // External ingress (real-socket endpoint).
     //
     // The `nfsd` crate feeds calls decoded off real TCP connections into
-    // the simulated server half through these hooks. External calls share
-    // the nfsd pool, duplicate cache, `nfsheur` table, dirty pool, and
-    // disk with simulated traffic, but never touch a simulated client
-    // host, so a world that registers no external connection behaves
-    // bit-identically to one built before these hooks existed.
+    // the simulated server half through these hooks. External calls take
+    // the same admission step and reply builder as simulated ones and
+    // share the nfsd pool, duplicate cache, `nfsheur` table, dirty pool,
+    // and disk with simulated traffic; they never touch a simulated
+    // client host, so a world that registers no external connection
+    // behaves bit-identically to one built before these hooks existed.
     // ------------------------------------------------------------------
 
     /// Registers an external connection (one real TCP client), returning
@@ -920,29 +940,17 @@ impl NfsWorld {
     /// Injects a call from external connection `ext` arriving at the
     /// server at `now`. The reply appears in
     /// [`NfsWorld::take_external_replies`] once the server half finishes
-    /// (immediately for metadata and UNSTABLE writes, after disk I/O for
-    /// reads, sync writes, and COMMITs). A retransmitted xid still in
-    /// service is dropped, as the duplicate request cache would.
+    /// (immediately for metadata, UNSTABLE writes, and calls answered
+    /// without I/O; after disk I/O for reads, sync writes, and COMMITs).
+    /// A retransmitted xid still in service is dropped, as the duplicate
+    /// request cache would. Any decodable call gets an RFC 1813 answer: an
+    /// unknown handle is `NFS3ERR_STALE`, a READ at or past EOF is a short
+    /// read with `eof` set, a zero-count WRITE is a no-op `NFS3_OK`, and a
+    /// WRITE range that overflows or outgrows the partition is
+    /// `NFS3ERR_INVAL` or `NFS3ERR_NOSPC`.
     pub fn external_call(&mut self, now: SimTime, ext: usize, xid: u32, call: NfsCall) {
         assert!(ext < self.ext_clients, "unregistered external connection");
-        let key = ext_key(ext, xid);
-        if !self.server.in_service.insert(key) {
-            self.server.stats.duplicates_dropped += 1;
-            self.contention[self.clients.len() + ext].duplicate_cache_hits += 1;
-            return;
-        }
-        if let NfsCall::Read { .. } = &call {
-            self.server.stats.reads += 1;
-        } else {
-            self.server.stats.other_calls += 1;
-        }
-        self.ext_rpcs.insert(key, call.clone());
-        if self.server.nfsd_busy >= self.server.nfsd_total {
-            self.server.call_queue.push_back((now, key));
-            return;
-        }
-        self.server.nfsd_busy += 1;
-        self.nfsd_process(now, key, call);
+        self.admit(now, ext_key(ext, xid), call, None);
     }
 
     /// Drains the replies produced for external calls, in the order the
@@ -978,11 +986,6 @@ impl NfsWorld {
             heur_occupancy: h.occupancy,
             ..self.server.stats
         }
-    }
-
-    /// Client 0 counters (the classic single-client accessor).
-    pub fn client_stats(&self) -> ClientStats {
-        self.client_stats_for(0)
     }
 
     /// Counters for one client host. On TCP mounts the segment engine's
@@ -1149,12 +1152,7 @@ impl NfsWorld {
         cl.s2c.set_profile(profile);
     }
 
-    /// Client 0's current link profile (directions are kept symmetric).
-    pub fn link_profile(&self) -> netsim::LinkProfile {
-        self.link_profile_for(0)
-    }
-
-    /// One host's current link profile.
+    /// One host's current link profile (directions are kept symmetric).
     pub fn link_profile_for(&self, client: usize) -> netsim::LinkProfile {
         self.clients[client].c2s.profile()
     }
@@ -1197,19 +1195,9 @@ impl NfsWorld {
         self.clients[client].set_nfsiods(count);
     }
 
-    /// Client 0's current `nfsiod` pool size.
-    pub fn nfsiods(&self) -> usize {
-        self.nfsiods_for(0)
-    }
-
     /// One host's current `nfsiod` pool size.
     pub fn nfsiods_for(&self, client: usize) -> usize {
         self.clients[client].iod_free.len()
-    }
-
-    /// Where a client-0 cache block stands, without touching LRU state.
-    pub fn block_state(&self, fh: FileHandle, blk: u64) -> BlockState {
-        self.block_state_for(0, fh, blk)
     }
 
     /// Where one host's cache block stands, without touching LRU state.
@@ -1246,19 +1234,9 @@ impl NfsWorld {
         v
     }
 
-    /// Client 0's client→server link counters.
-    pub fn c2s_stats(&self) -> netsim::LinkStats {
-        self.c2s_stats_for(0)
-    }
-
     /// One host's client→server link counters.
     pub fn c2s_stats_for(&self, client: usize) -> netsim::LinkStats {
         self.clients[client].c2s.stats()
-    }
-
-    /// Client 0's server→client link counters.
-    pub fn s2c_stats(&self) -> netsim::LinkStats {
-        self.s2c_stats_for(0)
     }
 
     /// One host's server→client link counters.
@@ -1322,16 +1300,8 @@ impl NfsWorld {
             .sum()
     }
 
-    /// Issues a process-level read of `len` bytes at `offset` on client 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown handle or a read beyond EOF.
-    pub fn read(&mut self, now: SimTime, fh: FileHandle, offset: u64, len: u64, tag: u64) -> OpId {
-        self.read_from(0, now, fh, offset, len, tag)
-    }
-
-    /// Issues a process-level read on the given client host.
+    /// Issues a process-level read of `len` bytes at `offset` on the given
+    /// client host.
     ///
     /// # Panics
     ///
@@ -1354,9 +1324,7 @@ impl NfsWorld {
             .get(&ino)
             .expect("read of unmounted file");
         assert!(offset + len <= file.size, "read beyond EOF");
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        self.clients[client].stats.ops += 1;
+        let id = self.begin_op(client, now, tag, 0);
 
         let first_blk = offset / rsize;
         let last_blk = (offset + len - 1) / rsize;
@@ -1414,36 +1382,20 @@ impl NfsWorld {
             }
         }
 
-        self.ops.insert(
-            id,
-            OpState {
-                client,
-                tag,
-                issued_at: now,
-                outstanding_blocks: outstanding,
-                timed_out: None,
-                eio: None,
-            },
-        );
         if outstanding == 0 {
-            let done_at = now + SimDuration::from_secs_f64(self.cpu.client_complete);
-            self.finish_op(id, done_at);
+            self.finish_op(id, self.local_done(now));
+        } else {
+            self.ops
+                .get_mut(&id)
+                .expect("just begun")
+                .outstanding_blocks = outstanding;
         }
         id
     }
 
-    /// Issues a process-level write of `len` bytes at `offset` on client 0
-    /// (data content is elided, sizes are real). A write past EOF extends
-    /// the file, as real NFS clients do.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown handle.
-    pub fn write(&mut self, now: SimTime, fh: FileHandle, offset: u64, len: u64, tag: u64) -> OpId {
-        self.write_from(0, now, fh, offset, len, tag)
-    }
-
-    /// Issues a process-level write on the given client host.
+    /// Issues a process-level write of `len` bytes at `offset` on the given
+    /// client host (data content is elided, sizes are real). A write past
+    /// EOF extends the file, as real NFS clients do.
     ///
     /// On a FILE_SYNC mount (the default) this is the historical
     /// synchronous write-through path: one WRITE RPC, the op completes
@@ -1466,88 +1418,63 @@ impl NfsWorld {
         tag: u64,
     ) -> OpId {
         assert!(len > 0, "zero-length write");
-        let cpu = self.cpu;
-        let attr_on = self.config.attr_cache_enabled();
-        let cl = &mut self.clients[client];
-        let file = cl.files.get_mut(&fh.ino).expect("write to unmounted file");
+        let file = self.clients[client]
+            .files
+            .get_mut(&fh.ino)
+            .expect("write to unmounted file");
         if offset + len > file.size {
             // Extending write: grow the client's view; the server extends
             // the inode when the WRITE arrives.
             file.size = offset + len;
         }
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        cl.stats.ops += 1;
-        // Write-through the read cache either way: the written blocks'
-        // cached contents are stale.
+        // Either way the written blocks' cached contents are stale, and so
+        // are the cached attributes (size, mtime stand-in): drop them so
+        // the next read and getattr refetch.
         let rsize = u64::from(self.config.rsize);
-        let first_blk = offset / rsize;
-        let last_blk = (offset + len - 1) / rsize;
-        for blk in first_blk..=last_blk {
+        let blocks = offset / rsize..=(offset + len - 1) / rsize;
+        let attr_on = self.config.attr_cache_enabled();
+        let cl = &mut self.clients[client];
+        for blk in blocks.clone() {
             cl.cache.invalidate((fh.ino, blk));
         }
-        // A local write makes the cached attributes (size, mtime stand-in)
-        // wrong: drop the entry so the next getattr refetches.
         if attr_on && cl.attrs.remove(&fh.ino).is_some() {
             cl.stats.attr_invalidations += 1;
         }
-        if self.config.stable_how == StableHow::Unstable {
-            // Async write path: dirty the blocks and return immediately;
-            // durability waits for close(). A block overwritten while a
-            // WRITE for it is in flight drops back to Dirty — the old
-            // in-flight ack must not mark the new data clean.
-            let wbf = cl.wb.entry(fh.ino).or_insert_with(|| WbFile {
-                fh,
-                blocks: BTreeMap::new(),
-                close: None,
-            });
-            for blk in first_blk..=last_blk {
-                wbf.blocks.insert(blk, WbState::Dirty);
-            }
-            self.ops.insert(
-                id,
-                OpState {
+        if self.config.stable_how != StableHow::Unstable {
+            // FILE_SYNC / DATA_SYNC: one write-through RPC; the op waits
+            // for the server's disk ack.
+            let count = u32::try_from(len).expect("write fits u32");
+            let stable = self.config.stable_how;
+            return self
+                .rpc_op(
                     client,
+                    now,
                     tag,
-                    issued_at: now,
-                    outstanding_blocks: 0,
-                    timed_out: None,
-                    eio: None,
-                },
-            );
-            self.finish_op(id, now + SimDuration::from_secs_f64(cpu.client_complete));
-            self.wb_push(client, now, fh.ino);
-            return id;
+                    NfsCall::Write {
+                        fh,
+                        offset,
+                        count,
+                        stable,
+                    },
+                )
+                .0;
         }
-        self.ops.insert(
-            id,
-            OpState {
-                client,
-                tag,
-                issued_at: now,
-                outstanding_blocks: 1,
-                timed_out: None,
-                eio: None,
-            },
-        );
-        let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
-        let xid = self.issue_call(
-            client,
-            send_at,
-            NfsCall::Write {
-                fh,
-                offset,
-                count: u32::try_from(len).expect("write fits u32"),
-                stable: self.config.stable_how,
-            },
-        );
-        self.clients[client].rpc_waiters.insert(xid, id);
+        // Async write path: dirty the blocks and return immediately;
+        // durability waits for close(). A block overwritten while a WRITE
+        // for it is in flight drops back to Dirty — the old in-flight ack
+        // must not mark the new data clean.
+        let wbf = cl.wb.entry(fh.ino).or_insert_with(|| WbFile {
+            fh,
+            blocks: BTreeMap::new(),
+            close: None,
+        });
+        for blk in blocks {
+            wbf.blocks.insert(blk, WbState::Dirty);
+        }
+        let id = self.begin_op(client, now, tag, 0);
+        self.finish_op(id, self.local_done(now));
+        self.wb_push(client, now, fh.ino);
         id
-    }
-
-    /// Closes `fh` on client 0 (see [`NfsWorld::close_from`]).
-    pub fn close(&mut self, now: SimTime, fh: FileHandle, tag: u64) -> OpId {
-        self.close_from(0, now, fh, tag)
     }
 
     /// Closes `fh` on the given client host: close-to-open consistency.
@@ -1567,31 +1494,19 @@ impl NfsWorld {
     ///
     /// Panics on an unknown handle.
     pub fn close_from(&mut self, client: usize, now: SimTime, fh: FileHandle, tag: u64) -> OpId {
-        let cpu = self.cpu;
         let attr_on = self.config.attr_cache_enabled();
+        assert!(
+            self.clients[client].files.contains_key(&fh.ino),
+            "close of unmounted file"
+        );
+        let id = self.begin_op(client, now, tag, 0);
         let cl = &mut self.clients[client];
-        assert!(cl.files.contains_key(&fh.ino), "close of unmounted file");
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        cl.stats.ops += 1;
         cl.stats.closes += 1;
         // Close-to-open: the closing side discards its attribute trust so
         // the next open revalidates against whatever this close flushed.
         if attr_on && cl.attrs.remove(&fh.ino).is_some() {
             cl.stats.attr_invalidations += 1;
         }
-        self.ops.insert(
-            id,
-            OpState {
-                client,
-                tag,
-                issued_at: now,
-                outstanding_blocks: 0,
-                timed_out: None,
-                eio: None,
-            },
-        );
-        let cl = &mut self.clients[client];
         match cl.wb.get_mut(&fh.ino) {
             Some(wbf) if !wbf.blocks.is_empty() => {
                 assert!(
@@ -1608,23 +1523,14 @@ impl NfsWorld {
             _ => {
                 // Nothing outstanding: close is a local no-op.
                 cl.wb.remove(&fh.ino);
-                self.finish_op(id, now + SimDuration::from_secs_f64(cpu.client_complete));
+                self.finish_op(id, self.local_done(now));
             }
         }
         id
     }
 
-    /// Issues a GETATTR on client 0 (metadata round trip; no data
-    /// transfer).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown handle.
-    pub fn getattr(&mut self, now: SimTime, fh: FileHandle, tag: u64) -> OpId {
-        self.getattr_from(0, now, fh, tag)
-    }
-
-    /// Issues a GETATTR on the given client host.
+    /// Issues a GETATTR on the given client host (a metadata round trip;
+    /// no data transfer).
     ///
     /// With the attribute cache armed ([`WorldConfig::attr_cache_enabled`])
     /// a live cache entry answers locally — no RPC, no RNG draw; an
@@ -1636,31 +1542,14 @@ impl NfsWorld {
     ///
     /// Panics on an unknown handle.
     pub fn getattr_from(&mut self, client: usize, now: SimTime, fh: FileHandle, tag: u64) -> OpId {
-        let cpu = self.cpu;
-        assert!(
-            self.clients[client].files.contains_key(&fh.ino),
-            "getattr on unmounted file"
-        );
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        self.clients[client].stats.ops += 1;
+        let cl = &mut self.clients[client];
+        assert!(cl.files.contains_key(&fh.ino), "getattr on unmounted file");
         if self.config.attr_cache_enabled() {
-            let cl = &mut self.clients[client];
             if cl.attrs.get(&fh.ino).is_some_and(|e| now < e.valid_until) {
                 // Served from the cache: the op completes locally.
                 cl.stats.attr_cache_hits += 1;
-                self.ops.insert(
-                    id,
-                    OpState {
-                        client,
-                        tag,
-                        issued_at: now,
-                        outstanding_blocks: 0,
-                        timed_out: None,
-                        eio: None,
-                    },
-                );
-                self.finish_op(id, now + SimDuration::from_secs_f64(cpu.client_complete));
+                let id = self.begin_op(client, now, tag, 0);
+                self.finish_op(id, self.local_done(now));
                 return id;
             }
             if cl.attrs.contains_key(&fh.ino) {
@@ -1669,7 +1558,7 @@ impl NfsWorld {
                 cl.stats.attr_cache_misses += 1;
             }
         }
-        self.getattr_rpc(client, now, fh, tag, id)
+        self.getattr_rpc(client, now, fh, tag)
     }
 
     /// Opens `fh` on the given client host: close-to-open consistency's
@@ -1684,47 +1573,19 @@ impl NfsWorld {
     ///
     /// Panics on an unknown handle.
     pub fn open_from(&mut self, client: usize, now: SimTime, fh: FileHandle, tag: u64) -> OpId {
-        assert!(
-            self.clients[client].files.contains_key(&fh.ino),
-            "open of unmounted file"
-        );
-        let id = OpId(self.next_op);
-        self.next_op += 1;
         let cl = &mut self.clients[client];
-        cl.stats.ops += 1;
+        assert!(cl.files.contains_key(&fh.ino), "open of unmounted file");
         if self.config.attr_cache_enabled() {
             cl.stats.attr_revalidations += 1;
         }
-        self.getattr_rpc(client, now, fh, tag, id)
+        self.getattr_rpc(client, now, fh, tag)
     }
 
     /// The shared wire half of getattr/open: one GETATTR RPC, op completes
     /// on the reply.
-    fn getattr_rpc(
-        &mut self,
-        client: usize,
-        now: SimTime,
-        fh: FileHandle,
-        tag: u64,
-        id: OpId,
-    ) -> OpId {
-        let cpu = self.cpu;
+    fn getattr_rpc(&mut self, client: usize, now: SimTime, fh: FileHandle, tag: u64) -> OpId {
         self.clients[client].stats.getattr_rpcs += 1;
-        self.ops.insert(
-            id,
-            OpState {
-                client,
-                tag,
-                issued_at: now,
-                outstanding_blocks: 1,
-                timed_out: None,
-                eio: None,
-            },
-        );
-        let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
-        let xid = self.issue_call(client, send_at, NfsCall::Getattr { fh });
-        self.clients[client].rpc_waiters.insert(xid, id);
-        id
+        self.rpc_op(client, now, tag, NfsCall::Getattr { fh }).0
     }
 
     /// Issues a LOOKUP of a `name_len`-byte component in directory `dir`
@@ -1743,32 +1604,15 @@ impl NfsWorld {
         name_len: u32,
         tag: u64,
     ) -> OpId {
-        let cpu = self.cpu;
+        let cl = &mut self.clients[client];
         assert!(
-            self.clients[client].files.contains_key(&dir.ino),
+            cl.files.contains_key(&dir.ino),
             "lookup in unmounted directory"
         );
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        let cl = &mut self.clients[client];
-        cl.stats.ops += 1;
         cl.stats.lookup_rpcs += 1;
-        self.ops.insert(
-            id,
-            OpState {
-                client,
-                tag,
-                issued_at: now,
-                outstanding_blocks: 1,
-                timed_out: None,
-                eio: None,
-            },
-        );
-        let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
         let name = "x".repeat(name_len.max(1) as usize);
-        let xid = self.issue_call(client, send_at, NfsCall::Lookup { dir, name });
-        self.clients[client].rpc_waiters.insert(xid, id);
-        id
+        self.rpc_op(client, now, tag, NfsCall::Lookup { dir, name })
+            .0
     }
 
     /// Issues a READDIR chunk on directory `dir`: `entries` entries
@@ -1791,17 +1635,13 @@ impl NfsWorld {
         eof: bool,
         tag: u64,
     ) -> OpId {
-        self.readdir_op(
-            client,
-            now,
+        let call = NfsCall::Readdir {
             dir,
             cookie,
-            entries,
-            eof,
-            Vec::new(),
-            false,
-            tag,
-        )
+            cookieverf: 0,
+            count: self.config.rsize,
+        };
+        self.readdir_op(client, now, call, entries, eof, Vec::new(), tag)
     }
 
     /// Issues a READDIRPLUS chunk on directory `dir`. Like
@@ -1824,74 +1664,38 @@ impl NfsWorld {
         tag: u64,
     ) -> OpId {
         let entries = u32::try_from(children.len()).expect("chunk fits u32");
-        self.readdir_op(
-            client,
-            now,
+        let count = self.config.rsize;
+        let call = NfsCall::Readdirplus {
             dir,
             cookie,
-            entries,
-            eof,
-            children.to_vec(),
-            true,
-            tag,
-        )
+            cookieverf: 0,
+            dircount: count.min(4_096),
+            maxcount: count,
+        };
+        self.readdir_op(client, now, call, entries, eof, children.to_vec(), tag)
     }
 
+    /// The shared half of readdir/readdirplus: one RPC whose chunk shape
+    /// is parked for the server's reply builder.
     #[allow(clippy::too_many_arguments)]
     fn readdir_op(
         &mut self,
         client: usize,
         now: SimTime,
-        dir: FileHandle,
-        cookie: u64,
+        call: NfsCall,
         entries: u32,
         eof: bool,
         children: Vec<FileHandle>,
-        plus: bool,
         tag: u64,
     ) -> OpId {
-        let cpu = self.cpu;
+        let cl = &mut self.clients[client];
         assert!(
-            self.clients[client].files.contains_key(&dir.ino),
+            cl.files.contains_key(&call.fh().ino),
             "readdir on unmounted directory"
         );
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        let cl = &mut self.clients[client];
-        cl.stats.ops += 1;
         cl.stats.readdir_rpcs += 1;
-        self.ops.insert(
-            id,
-            OpState {
-                client,
-                tag,
-                issued_at: now,
-                outstanding_blocks: 1,
-                timed_out: None,
-                eio: None,
-            },
-        );
-        let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
-        let count = self.config.rsize;
-        let call = if plus {
-            NfsCall::Readdirplus {
-                dir,
-                cookie,
-                cookieverf: 0,
-                dircount: count.min(4_096),
-                maxcount: count,
-            }
-        } else {
-            NfsCall::Readdir {
-                dir,
-                cookie,
-                cookieverf: 0,
-                count,
-            }
-        };
-        let xid = self.issue_call(client, send_at, call);
-        let cl = &mut self.clients[client];
-        cl.rd_pending.insert(
+        let (id, xid) = self.rpc_op(client, now, tag, call);
+        self.clients[client].rd_pending.insert(
             xid,
             ReaddirPending {
                 entries,
@@ -1899,7 +1703,6 @@ impl NfsWorld {
                 children,
             },
         );
-        cl.rpc_waiters.insert(xid, id);
         id
     }
 
@@ -1939,7 +1742,14 @@ impl NfsWorld {
             if fnext.is_some_and(|f| qnext.is_none_or(|q| f <= q)) {
                 let fs_done = self.server.fs.advance(fnext.expect("checked"));
                 for d in fs_done {
-                    self.server_fs_done(d.tag, d.done_at, !d.status.is_ok());
+                    let eio = !d.status.is_ok();
+                    if d.tag & FLUSH_KEY_BIT != 0 {
+                        // A gathered-write flush the server issued on its
+                        // own behalf: no nfsd or reply is involved.
+                        self.server_flush_done(d.tag, d.done_at, eio);
+                    } else {
+                        self.server_reply(d.tag, d.done_at, io_status(eio));
+                    }
                 }
             } else {
                 let (at, ev) = self.queue.pop().expect("peeked");
@@ -1963,6 +1773,43 @@ impl NfsWorld {
     // ------------------------------------------------------------------
     // Client internals.
     // ------------------------------------------------------------------
+
+    /// Starts a process-level op on `client`: allocates its (global) id,
+    /// counts it, and records it as waiting on `outstanding` blocks.
+    fn begin_op(&mut self, client: usize, now: SimTime, tag: u64, outstanding: usize) -> OpId {
+        let id = OpId(self.next_op);
+        self.next_op += 1;
+        self.clients[client].stats.ops += 1;
+        self.ops.insert(
+            id,
+            OpState {
+                client,
+                tag,
+                issued_at: now,
+                outstanding_blocks: outstanding,
+                timed_out: None,
+                eio: None,
+            },
+        );
+        id
+    }
+
+    /// Starts an op that waits on exactly one RPC: `call` is marshalled
+    /// in process context and the op completes on its reply. Returns the
+    /// op and the call's xid.
+    fn rpc_op(&mut self, client: usize, now: SimTime, tag: u64, call: NfsCall) -> (OpId, u32) {
+        let id = self.begin_op(client, now, tag, 1);
+        let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, self.cpu);
+        let xid = self.issue_call(client, send_at, call);
+        self.clients[client].rpc_waiters.insert(xid, id);
+        (id, xid)
+    }
+
+    /// When an op whose last dependency resolved at `at` returns to its
+    /// process: the client's completion cost later.
+    fn local_done(&self, at: SimTime) -> SimTime {
+        at + SimDuration::from_secs_f64(self.cpu.client_complete)
+    }
 
     fn issue_rpc(
         &mut self,
@@ -1996,7 +1843,6 @@ impl NfsWorld {
             call,
             submit_seq,
             attempt: 0,
-            outstanding: true,
         };
         cl.rpcs.insert(xid, rpc);
         self.queue.schedule_at(
@@ -2103,7 +1949,7 @@ impl NfsWorld {
             if wbf.blocks.is_empty() {
                 let op = close.op;
                 cl.wb.remove(&ino);
-                self.finish_op(op, now + SimDuration::from_secs_f64(cpu.client_complete));
+                self.finish_op(op, self.local_done(now));
                 return;
             }
         }
@@ -2160,29 +2006,24 @@ impl NfsWorld {
 
     /// Fails an active close (soft-mount semantics) and drops the file's
     /// write-behind tracking.
-    fn fail_close(&mut self, client: usize, at: SimTime, ino: u64, xid: u32, timeout: bool) {
-        let cpu = self.cpu;
+    fn fail_close(&mut self, client: usize, at: SimTime, ino: u64, xid: u32, end: RpcEnd) {
         let Some(wbf) = self.clients[client].wb.remove(&ino) else {
             return;
         };
         let Some(close) = wbf.close else { return };
         if let Some(op) = self.ops.get_mut(&close.op) {
-            if timeout {
-                op.timed_out = Some(xid);
-            } else {
-                op.eio = Some(xid);
-            }
-            self.finish_op(
-                close.op,
-                at + SimDuration::from_secs_f64(cpu.client_complete),
-            );
+            op.fail(xid, end);
+            self.finish_op(close.op, self.local_done(at));
         }
     }
 
-    /// An UNSTABLE WRITE reply landed: blocks still in flight under this
-    /// xid become uncommitted-under-`verf` (or fail the close on EIO).
+    /// An UNSTABLE WRITE ended. Acked: blocks still in flight under this
+    /// xid become uncommitted-under-`verf`. Failed (EIO or timeout): with
+    /// a close active the close fails soft-mount style; otherwise the
+    /// blocks drop back to dirty so the eventual close retries them (and
+    /// surfaces the error if it persists).
     #[allow(clippy::too_many_arguments)]
-    fn wb_write_reply(
+    fn wb_write_done(
         &mut self,
         at: SimTime,
         client: usize,
@@ -2190,33 +2031,23 @@ impl NfsWorld {
         ino: u64,
         offset: u64,
         count: u32,
-        eio: bool,
-        verf: u64,
+        end: RpcEnd,
     ) {
         let rsize = u64::from(self.config.rsize);
-        let cl = &mut self.clients[client];
-        let Some(wbf) = cl.wb.get_mut(&ino) else {
+        let Some(wbf) = self.clients[client].wb.get_mut(&ino) else {
             return;
         };
-        let first = offset / rsize;
-        let last = (offset + u64::from(count) - 1) / rsize;
-        if eio {
-            if wbf.close.is_some() {
-                self.fail_close(client, at, ino, xid, false);
-            } else {
-                // Write-behind error outside a close: re-dirty so the
-                // close retries (and surfaces the error if it persists).
-                for blk in first..=last {
-                    if wbf.blocks.get(&blk) == Some(&WbState::InFlight { xid }) {
-                        wbf.blocks.insert(blk, WbState::Dirty);
-                    }
-                }
+        let next = match end {
+            RpcEnd::Reply { verf } => WbState::Uncommitted { verf },
+            _ if wbf.close.is_some() => {
+                self.fail_close(client, at, ino, xid, end);
+                return;
             }
-            return;
-        }
-        for blk in first..=last {
+            _ => WbState::Dirty,
+        };
+        for blk in offset / rsize..=(offset + u64::from(count) - 1) / rsize {
             if wbf.blocks.get(&blk) == Some(&WbState::InFlight { xid }) {
-                wbf.blocks.insert(blk, WbState::Uncommitted { verf });
+                wbf.blocks.insert(blk, next);
             }
         }
         if wbf.close.is_some() {
@@ -2224,49 +2055,12 @@ impl NfsWorld {
         }
     }
 
-    /// An UNSTABLE WRITE exhausted its retransmissions: with a close
-    /// active the close fails soft-mount style; otherwise the blocks
-    /// drop back to dirty for the eventual close to retry.
-    fn wb_write_timeout(
-        &mut self,
-        at: SimTime,
-        client: usize,
-        xid: u32,
-        ino: u64,
-        offset: u64,
-        count: u32,
-    ) {
-        let rsize = u64::from(self.config.rsize);
-        let cl = &mut self.clients[client];
-        let Some(wbf) = cl.wb.get_mut(&ino) else {
-            return;
-        };
-        if wbf.close.is_some() {
-            self.fail_close(client, at, ino, xid, true);
-            return;
-        }
-        let first = offset / rsize;
-        let last = (offset + u64::from(count) - 1) / rsize;
-        for blk in first..=last {
-            if wbf.blocks.get(&blk) == Some(&WbState::InFlight { xid }) {
-                wbf.blocks.insert(blk, WbState::Dirty);
-            }
-        }
-    }
-
-    /// A COMMIT reply landed: snapshot blocks whose ack verifier matches
-    /// the server's are durable and leave the tracking map; a mismatch
-    /// means the server rebooted with the data in its dirty pool — those
-    /// blocks re-dirty, count as rewrites, and the close loops.
-    fn wb_commit_reply(
-        &mut self,
-        at: SimTime,
-        client: usize,
-        xid: u32,
-        ino: u64,
-        eio: bool,
-        verf: u64,
-    ) {
+    /// A COMMIT ended. A failure fails the close it served. On a reply,
+    /// snapshot blocks whose ack verifier matches the server's are durable
+    /// and leave the tracking map; a mismatch means the server rebooted
+    /// with the data in its dirty pool — those blocks re-dirty, count as
+    /// rewrites, and the close loops.
+    fn wb_commit_done(&mut self, at: SimTime, client: usize, xid: u32, ino: u64, end: RpcEnd) {
         let cl = &mut self.clients[client];
         let Some(wbf) = cl.wb.get_mut(&ino) else {
             return;
@@ -2281,10 +2075,10 @@ impl NfsWorld {
             close.commit_xid = None;
             std::mem::take(&mut close.snapshot)
         };
-        if eio {
-            self.fail_close(client, at, ino, xid, false);
+        let RpcEnd::Reply { verf } = end else {
+            self.fail_close(client, at, ino, xid, end);
             return;
-        }
+        };
         let mut rewrites = 0u64;
         for (blk, v) in snapshot {
             if wbf.blocks.get(&blk) != Some(&WbState::Uncommitted { verf: v }) {
@@ -2387,9 +2181,6 @@ impl NfsWorld {
         let Some(rpc) = cl.rpcs.get(&key_xid(key)) else {
             return; // Completed while a retransmission was marshalling.
         };
-        if !rpc.outstanding {
-            return;
-        }
         let wire = rpc.call.wire_bytes();
         let attempt = rpc.attempt;
         cl.stats.transmissions += 1;
@@ -2420,7 +2211,7 @@ impl NfsWorld {
         let Some(rpc) = cl.rpcs.get_mut(&key_xid(key)) else {
             return;
         };
-        if !rpc.outstanding || rpc.attempt != attempt {
+        if rpc.attempt != attempt {
             return;
         }
         if attempt >= max_retries {
@@ -2435,86 +2226,17 @@ impl NfsWorld {
         self.queue.schedule_at(send_at, Ev::Send { key });
     }
 
-    /// An RPC exhausted its retries: retire it, clear the client-cache
-    /// blocks it was fetching (so later reads can retry them), and fail
-    /// every operation that was waiting on it.
+    /// An RPC exhausted its retries: count it and retire it as failed.
     fn rpc_timed_out(&mut self, at: SimTime, key: u64) {
-        let client = key_client(key);
-        let xid = key_xid(key);
-        let cl = &mut self.clients[client];
-        let Rpc { call, encoded, .. } = cl.rpcs.remove(&xid).expect("caller checked presence");
-        cl.recycle_buf(encoded);
-        cl.rd_pending.remove(&xid);
-        cl.stats.rpc_timeouts += 1;
-        let done = at + SimDuration::from_secs_f64(self.cpu.client_complete);
-        if let Some(id) = self.clients[client].rpc_waiters.remove(&xid) {
-            if let Some(op) = self.ops.get_mut(&id) {
-                op.timed_out = Some(xid);
-                self.finish_op(id, done);
-            }
-            return;
-        }
-        match call {
-            NfsCall::Write {
-                fh,
-                offset,
-                count,
-                stable: StableHow::Unstable,
-            } => {
-                self.wb_write_timeout(at, client, xid, fh.ino, offset, count);
-                return;
-            }
-            NfsCall::Commit { fh, .. } => {
-                let committing = self.clients[client]
-                    .wb
-                    .get(&fh.ino)
-                    .and_then(|w| w.close.as_ref())
-                    .is_some_and(|c| c.commit_xid == Some(xid));
-                if committing {
-                    self.fail_close(client, at, fh.ino, xid, true);
-                }
-                return;
-            }
-            _ => {}
-        }
-        let NfsCall::Read { fh, offset, count } = call else {
-            return;
-        };
-        let rsize = u64::from(self.config.rsize);
-        let first = offset / rsize;
-        let last = (offset + u64::from(count) - 1) / rsize;
-        for blk in first..=last {
-            let bkey = (fh.ino, blk);
-            let cl = &mut self.clients[client];
-            cl.cache.discard(bkey);
-            let Some(waiting) = cl.op_waiters.remove(&bkey) else {
-                continue;
-            };
-            for id in waiting {
-                let Some(op) = self.ops.get_mut(&id) else {
-                    continue;
-                };
-                op.timed_out = Some(xid);
-                op.outstanding_blocks = op.outstanding_blocks.saturating_sub(1);
-                if op.outstanding_blocks == 0 {
-                    self.finish_op(id, done);
-                }
-            }
-        }
+        self.clients[key_client(key)].stats.rpc_timeouts += 1;
+        self.rpc_done(at, key, RpcEnd::TimedOut);
     }
 
     fn client_reply_arrive(&mut self, at: SimTime, key: u64, eio: bool, verf: u64) {
-        let client = key_client(key);
-        let xid = key_xid(key);
-        let cpu = self.cpu;
-        let cl = &mut self.clients[client];
-        let Some(rpc) = cl.rpcs.get(&xid) else {
+        let cl = &mut self.clients[key_client(key)];
+        if !cl.rpcs.contains_key(&key_xid(key)) {
             // Duplicate reply after a retransmission raced, or the client
             // already gave up on this xid.
-            cl.stats.duplicate_replies += 1;
-            return;
-        };
-        if !rpc.outstanding {
             cl.stats.duplicate_replies += 1;
             return;
         }
@@ -2522,92 +2244,75 @@ impl NfsWorld {
         if eio {
             cl.stats.eio_replies += 1;
         }
-        let Rpc { call, encoded, .. } = cl.rpcs.remove(&xid).expect("just observed");
+        let end = if eio {
+            RpcEnd::Eio
+        } else {
+            RpcEnd::Reply { verf }
+        };
+        self.rpc_done(at, key, end);
+    }
+
+    /// The one client-side path that retires an outstanding RPC, however
+    /// it ended, and settles what waited on it: the op awaiting it
+    /// directly, the write-behind state it carried, or the cache blocks
+    /// it fetched (filled on a reply; released on a failure, so a later
+    /// read can retry them) and every op waiting on those blocks.
+    fn rpc_done(&mut self, at: SimTime, key: u64, end: RpcEnd) {
+        let client = key_client(key);
+        let xid = key_xid(key);
+        let done = self.local_done(at);
+        let cl = &mut self.clients[client];
+        let Rpc { call, encoded, .. } = cl.rpcs.remove(&xid).expect("outstanding rpc");
         cl.recycle_buf(encoded);
         if let Some(id) = cl.rpc_waiters.remove(&xid) {
             // A non-READ operation (or a directly-awaited RPC) completes.
-            let done = at + SimDuration::from_secs_f64(cpu.client_complete);
-            if eio {
-                if let Some(op) = self.ops.get_mut(&id) {
-                    op.eio = Some(xid);
-                }
-            } else {
-                self.attr_reply_install(client, at, xid, &call);
+            match end {
+                RpcEnd::Reply { .. } => self.attr_reply_install(client, at, xid, &call),
+                _ => self.ops.get_mut(&id).expect("awaited op").fail(xid, end),
             }
             self.clients[client].rd_pending.remove(&xid);
             self.finish_op(id, done);
             return;
         }
-        match call {
+        let (fh, offset, count) = match call {
             NfsCall::Write {
                 fh,
                 offset,
                 count,
                 stable: StableHow::Unstable,
-            } => {
-                self.wb_write_reply(at, client, xid, fh.ino, offset, count, eio, verf);
-                return;
-            }
-            NfsCall::Commit { fh, .. } => {
-                self.wb_commit_reply(at, client, xid, fh.ino, eio, verf);
-                return;
-            }
-            _ => {}
-        }
-        let NfsCall::Read { fh, offset, count } = call else {
-            return;
+            } => return self.wb_write_done(at, client, xid, fh.ino, offset, count, end),
+            NfsCall::Commit { fh, .. } => return self.wb_commit_done(at, client, xid, fh.ino, end),
+            NfsCall::Read { fh, offset, count } => (fh, offset, count),
+            _ => return,
         };
-        let rsize = u64::from(self.config.rsize);
-        let first = offset / rsize;
-        let last = (offset + u64::from(count) - 1) / rsize;
-        if eio {
-            // No data came back. Release the pending marks (a later read
-            // may retry the range, which succeeds once the server's disk
-            // remapped it) and fail every waiting operation, mirroring the
-            // RPC-timeout path.
-            let done = at + SimDuration::from_secs_f64(cpu.client_complete);
-            for blk in first..=last {
-                let bkey = (fh.ino, blk);
-                let cl = &mut self.clients[client];
-                cl.cache.discard(bkey);
-                let Some(waiting) = cl.op_waiters.remove(&bkey) else {
-                    continue;
-                };
-                for id in waiting {
-                    let Some(op) = self.ops.get_mut(&id) else {
-                        continue;
-                    };
-                    op.eio = Some(xid);
-                    op.outstanding_blocks = op.outstanding_blocks.saturating_sub(1);
-                    if op.outstanding_blocks == 0 {
-                        self.finish_op(id, done);
-                    }
-                }
-            }
-            return;
-        }
+        let ok = matches!(end, RpcEnd::Reply { .. });
         let hot = &mut self.hot[client];
         let busy_loops = self.host_cfgs[hot.cfg as usize].busy_loops;
-        let wake_jitter = if busy_loops > 0 {
+        let wake_jitter = if ok && busy_loops > 0 {
             SimDuration::from_secs_f64(hot.rng.uniform01() * 60e-6 * f64::from(busy_loops))
         } else {
             SimDuration::ZERO
         };
-        for blk in first..=last {
+        let rsize = u64::from(self.config.rsize);
+        for blk in offset / rsize..=(offset + u64::from(count) - 1) / rsize {
             let bkey = (fh.ino, blk);
             let cl = &mut self.clients[client];
-            cl.cache.fill(bkey);
-            if let Some(waiting) = cl.op_waiters.remove(&bkey) {
-                for id in waiting {
-                    let Some(op) = self.ops.get_mut(&id) else {
-                        continue;
-                    };
-                    op.outstanding_blocks = op.outstanding_blocks.saturating_sub(1);
-                    if op.outstanding_blocks == 0 {
-                        let done =
-                            at + SimDuration::from_secs_f64(cpu.client_complete) + wake_jitter;
-                        self.finish_op(id, done);
-                    }
+            if ok {
+                cl.cache.fill(bkey);
+            } else {
+                cl.cache.discard(bkey);
+            }
+            let Some(waiting) = cl.op_waiters.remove(&bkey) else {
+                continue;
+            };
+            for id in waiting {
+                let Some(op) = self.ops.get_mut(&id) else {
+                    continue;
+                };
+                op.fail(xid, end);
+                op.outstanding_blocks = op.outstanding_blocks.saturating_sub(1);
+                if op.outstanding_blocks == 0 {
+                    self.finish_op(id, done + wake_jitter);
                 }
             }
         }
@@ -2698,10 +2403,10 @@ impl NfsWorld {
     // Server internals.
     // ------------------------------------------------------------------
 
+    /// A simulated call reached the server: decode it from its real wire
+    /// encoding and admit it.
     fn server_call_arrive(&mut self, at: SimTime, key: u64) {
-        let client = key_client(key);
-        // Decode the call from its real wire encoding.
-        let Some(rpc) = self.clients[client].rpcs.get(&key_xid(key)) else {
+        let Some(rpc) = self.clients[key_client(key)].rpcs.get(&key_xid(key)) else {
             // The client abandoned this xid (RPC timeout) before the call
             // arrived; a real server would execute it and get no thanks.
             self.server.stats.orphan_calls += 1;
@@ -2710,45 +2415,104 @@ impl NfsWorld {
         let (decoded_xid, call) = NfsCall::decode(&rpc.encoded).expect("well-formed call");
         debug_assert_eq!(decoded_xid, key_xid(key));
         let submit_seq = rpc.submit_seq;
-        if !self.server.in_service.insert(key) {
+        self.admit(at, key, call, Some(submit_seq));
+    }
+
+    /// The one admission step every call takes, simulated or external:
+    /// the duplicate-request cache, the read/other books (plus reorder
+    /// accounting when the caller stamped a per-file `submit_seq`), then a
+    /// free nfsd or the call queue.
+    fn admit(&mut self, at: SimTime, key: u64, call: NfsCall, submit_seq: Option<u64>) {
+        let Entry::Vacant(slot) = self.server.in_service.entry(key) else {
             // A retransmission of a call we are still working on: drop it
             // (RFC 1813 duplicate request cache behaviour) and charge the
-            // client that burned the slot.
+            // caller that burned the slot.
             self.server.stats.duplicates_dropped += 1;
-            self.contention[client].duplicate_cache_hits += 1;
+            let caller = self.caller_index(key);
+            self.contention[caller].duplicate_cache_hits += 1;
             return;
-        }
+        };
         if let NfsCall::Read { fh, .. } = &call {
             self.server.stats.reads += 1;
-            let seen = self.server.arrived_seq.entry(fh.ino).or_insert(0);
-            if submit_seq < *seen {
-                self.server.stats.reordered += 1;
-            } else {
-                *seen = submit_seq;
+            if let Some(seq) = submit_seq {
+                let seen = self.server.arrived_seq.entry(fh.ino).or_insert(0);
+                if seq < *seen {
+                    self.server.stats.reordered += 1;
+                } else {
+                    *seen = seq;
+                }
             }
         } else {
             self.server.stats.other_calls += 1;
         }
+        slot.insert(call);
         if self.server.nfsd_busy >= self.server.nfsd_total {
             self.server.call_queue.push_back((at, key));
             return;
         }
         self.server.nfsd_busy += 1;
-        self.nfsd_process(at, key, call);
+        self.nfsd_process(at, key);
     }
 
-    fn nfsd_process(&mut self, at: SimTime, key: u64, call: NfsCall) {
+    /// Contention-book index of the caller behind `key`: simulated hosts
+    /// by id, external connections after them.
+    fn caller_index(&self, key: u64) -> usize {
+        if is_ext(key) {
+            self.clients.len() + ext_index(key)
+        } else {
+            key_client(key)
+        }
+    }
+
+    /// Whether the simulated client behind `key` already retired the RPC
+    /// (its reply raced a retransmission, or it timed out). An external
+    /// ingress never retires a call early.
+    fn call_retired(&self, key: u64) -> bool {
+        !is_ext(key)
+            && !self.clients[key_client(key)]
+                .rpcs
+                .contains_key(&key_xid(key))
+    }
+
+    /// An nfsd executes the in-service call `key`. A call the file system
+    /// cannot serve as asked is answered from the server's own inodes and
+    /// never reaches `ffs`: an unknown handle is stale, a READ at or past
+    /// EOF returns no data, a READ running past the file's last block
+    /// shrinks to a short read, a zero-count WRITE is a no-op, a WRITE
+    /// range that overflows is invalid, and one that would grow the file
+    /// past the partition's free space gets no space. Simulated clients
+    /// send none of these, so their schedules are untouched.
+    fn nfsd_process(&mut self, at: SimTime, key: u64) {
         let t1 = self.server.cpu_free.max(at) + SimDuration::from_secs_f64(self.cpu.server_call);
         self.server.cpu_free = t1;
-        match call {
+        let call = self
+            .server
+            .in_service
+            .get_mut(&key)
+            .expect("processed call is in service");
+        let Some((size, held)) = self
+            .server
+            .fs
+            .inode(call.fh().ino)
+            .map(|i| (i.size, i.num_blocks()))
+        else {
+            self.server_reply(key, t1, NfsStatus::Stale);
+            return;
+        };
+        if let NfsCall::Read { offset, count, .. } = call {
+            // The server answers the call it executes: clip the in-service
+            // copy. `ffs` serves whole allocated blocks, so a read may run
+            // past the logical size into the last block.
+            if *offset >= size {
+                *count = 0;
+            } else if *offset + u64::from(*count) > size.max(held * ffs::BLOCK_BYTES) {
+                *count = u32::try_from(size - *offset).expect("less than the asked count");
+            }
+        }
+        match *call {
+            NfsCall::Read { count: 0, .. } => self.server_reply(key, t1, NfsStatus::Ok),
             NfsCall::Read { fh, offset, count } => {
-                // Contention attribution index: simulated hosts by id,
-                // external connections after them.
-                let client = if is_ext(key) {
-                    self.clients.len() + ext_index(key)
-                } else {
-                    key_client(key)
-                };
+                let client = self.caller_index(key);
                 let policy = self.config.policy;
                 let ino_owner = &self.ino_owner;
                 let contention = &mut self.contention;
@@ -2783,13 +2547,23 @@ impl NfsWorld {
                     .fs
                     .read(t1, fh.ino, offset, u64::from(count), seqcount, key);
             }
+            NfsCall::Write { count: 0, .. } => self.server_reply(key, t1, NfsStatus::Ok),
             NfsCall::Write {
                 fh,
                 offset,
                 count,
                 stable,
             } => {
-                self.server_extend(fh.ino, offset + u64::from(count));
+                let Some(end) = offset.checked_add(u64::from(count)) else {
+                    self.server_reply(key, t1, NfsStatus::Inval);
+                    return;
+                };
+                let grow = end.div_ceil(ffs::BLOCK_BYTES).saturating_sub(held);
+                if grow > self.server.fs.free_bytes() / ffs::BLOCK_BYTES {
+                    self.server_reply(key, t1, NfsStatus::NoSpc);
+                    return;
+                }
+                self.server_extend(fh.ino, end);
                 // Every WRITE advances the file's attribute version — the
                 // signal revalidating clients compare against (mtime).
                 *self.server.attr_seq.entry(fh.ino).or_insert(0) += 1;
@@ -2801,10 +2575,8 @@ impl NfsWorld {
                     // COMMIT forces it.
                     self.server.stats.unstable_writes += 1;
                     let bs = u64::from(self.config.rsize);
-                    let first = offset / bs;
-                    let last = (offset + u64::from(count) - 1) / bs;
                     let pool = self.server.dirty.entry(fh.ino).or_default();
-                    for blk in first..=last {
+                    for blk in offset / bs..=(end - 1) / bs {
                         if pool.insert(blk) {
                             self.server.stats.dirty_blocks_stashed += 1;
                         }
@@ -2817,7 +2589,7 @@ impl NfsWorld {
                             Ev::GatherExpire { ino: fh.ino },
                         );
                     }
-                    self.server_fs_done(key, t1, false);
+                    self.server_reply(key, t1, NfsStatus::Ok);
                 } else {
                     // FILE_SYNC / DATA_SYNC: write through to disk; the
                     // reply waits for the platter, as NFSv2 always did.
@@ -2836,7 +2608,7 @@ impl NfsWorld {
                     .is_none_or(|n| *n == 0)
                 {
                     let eio = self.server.flush_errors.remove(&fh.ino);
-                    self.server_fs_done(key, t1, eio);
+                    self.server_reply(key, t1, io_status(eio));
                 } else {
                     // The nfsd parks on the in-flight flush, exactly as a
                     // sync WRITE parks on the disk.
@@ -2850,17 +2622,17 @@ impl NfsWorld {
             NfsCall::Getattr { .. } => {
                 // Metadata served from in-core state: reply immediately.
                 self.server.stats.getattrs += 1;
-                self.server_fs_done(key, t1, false);
+                self.server_reply(key, t1, NfsStatus::Ok);
             }
             NfsCall::Lookup { .. } => {
                 self.server.stats.lookups += 1;
-                self.server_fs_done(key, t1, false);
+                self.server_reply(key, t1, NfsStatus::Ok);
             }
             NfsCall::Readdir { .. } | NfsCall::Readdirplus { .. } => {
                 // Directory pages are in-core too; the reply's wire size
                 // carries the chunk's entry payload.
                 self.server.stats.readdirs += 1;
-                self.server_fs_done(key, t1, false);
+                self.server_reply(key, t1, NfsStatus::Ok);
             }
         }
     }
@@ -2954,125 +2726,56 @@ impl NfsWorld {
                 .unwrap_or_default();
             let e = self.server.flush_errors.remove(&span.ino);
             for k in parked {
-                self.server_fs_done(k, at, e);
+                self.server_reply(k, at, io_status(e));
             }
         }
     }
 
-    fn server_fs_done(&mut self, key: u64, at: SimTime, eio: bool) {
-        if key & FLUSH_KEY_BIT != 0 {
-            // Not a client call: a gathered-write flush the server issued
-            // on its own behalf. No nfsd or reply is involved.
-            self.server_flush_done(key, at, eio);
-            return;
-        }
-        if is_ext(key) {
-            self.ext_fs_done(key, at, eio);
-            return;
-        }
-        let client = key_client(key);
-        let xid = key_xid(key);
+    /// The one reply path, for every caller: builds the answer to the
+    /// in-service call `key` from the server's own state, books it, and
+    /// hands it to the caller's sink — the simulated s2c transport or the
+    /// external outbox.
+    fn server_reply(&mut self, key: u64, at: SimTime, status: NfsStatus) {
         let t = self.server.cpu_free.max(at) + SimDuration::from_secs_f64(self.cpu.server_reply);
         self.server.cpu_free = t;
-        let mut durable_span: Option<(u64, u64, u64)> = None;
-        let cl = &self.clients[client];
-        let reply = match cl.rpcs.get(&xid).map(|r| &r.call) {
-            Some(NfsCall::Read { fh, offset, count }) => {
-                if eio {
-                    // The disk failed the request unrecoverably: an error
-                    // reply carries no data.
-                    NfsReply::Read {
-                        status: NfsStatus::Io,
-                        count: 0,
-                        eof: false,
-                    }
-                } else {
-                    let size = cl.files.get(&fh.ino).map_or(0, |f| f.size);
-                    NfsReply::Read {
-                        status: NfsStatus::Ok,
-                        count: *count,
-                        eof: offset + u64::from(*count) >= size,
-                    }
+        if self.call_retired(key) {
+            // This execution was wasted work. Nothing to send.
+            self.server.stats.stale_drops += 1;
+            self.server.in_service.remove(&key);
+            self.release_nfsd(at);
+            return;
+        }
+        let call = self
+            .server
+            .in_service
+            .remove(&key)
+            .expect("replied call is in service");
+        let xid = key_xid(key);
+        let reply = self.build_reply(key, &call, status);
+        if let NfsCall::Write {
+            fh,
+            offset,
+            count: count @ 1..,
+            stable,
+        } = call
+        {
+            if status == NfsStatus::Ok && stable != StableHow::Unstable {
+                // The platter acked a sync write: stable storage.
+                let bs = u64::from(self.config.rsize);
+                for blk in offset / bs..=(offset + u64::from(count) - 1) / bs {
+                    self.server.durable.insert((fh.ino, blk));
                 }
-            }
-            Some(NfsCall::Write {
-                fh,
-                offset,
-                count,
-                stable,
-            }) => {
-                if !eio && *stable != StableHow::Unstable {
-                    // The platter acked a sync write: stable storage.
-                    let bs = u64::from(self.config.rsize);
-                    durable_span =
-                        Some((fh.ino, offset / bs, (offset + u64::from(*count) - 1) / bs));
-                }
-                NfsReply::Write {
-                    status: if eio { NfsStatus::Io } else { NfsStatus::Ok },
-                    count: if eio { 0 } else { *count },
-                    committed: if *stable == StableHow::Unstable {
-                        StableHow::Unstable
-                    } else {
-                        StableHow::FileSync
-                    },
-                    verf: self.server.verf,
-                }
-            }
-            Some(NfsCall::Commit { .. }) => NfsReply::Commit {
-                status: if eio { NfsStatus::Io } else { NfsStatus::Ok },
-                verf: self.server.verf,
-            },
-            Some(NfsCall::Getattr { fh }) => NfsReply::Getattr {
-                status: NfsStatus::Ok,
-                attrs: Some(nfsproto::Fattr3 {
-                    size: cl.files.get(&fh.ino).map_or(0, |f| f.size),
-                    fileid: fh.ino,
-                }),
-            },
-            Some(NfsCall::Lookup { dir, .. }) => NfsReply::Lookup {
-                status: NfsStatus::Ok,
-                fh: Some(*dir),
-            },
-            Some(call @ (NfsCall::Readdir { .. } | NfsCall::Readdirplus { .. })) => {
-                // The chunk's shape was declared by the caller and parked
-                // in `rd_pending`; the reply carries it back with a wire
-                // size proportional to the entry payload.
-                let plus = matches!(call, NfsCall::Readdirplus { .. });
-                let pend = cl.rd_pending.get(&xid);
-                let entries = pend.map_or(0, |p| p.entries);
-                let eof = pend.is_none_or(|p| p.eof);
-                let per = READDIR_ENTRY_BYTES + if plus { READDIRPLUS_EXTRA_BYTES } else { 0 };
-                NfsReply::Readdir {
-                    status: NfsStatus::Ok,
-                    plus,
-                    cookieverf: self.server.verf,
-                    entries,
-                    bytes: entries * per,
-                    eof,
-                }
-            }
-            None => {
-                // The RPC was retired client-side already (its reply raced
-                // a retransmission, or the client timed out): this
-                // execution was wasted work. Nothing to send.
-                self.server.stats.stale_drops += 1;
-                self.server.in_service.remove(&key);
-                self.release_nfsd(at);
-                return;
-            }
-        };
-        if let Some((ino, first, last)) = durable_span {
-            for blk in first..=last {
-                self.server.durable.insert((ino, blk));
             }
         }
         self.server.stats.replies += 1;
         if let Some(log) = &mut self.server_events {
             log.push(ServerEvent::Reply { xid });
         }
+        let eio = status == NfsStatus::Io;
         if eio {
             self.server.stats.disk_eios += 1;
-            self.contention[client].disk_eios_suffered += 1;
+            let caller = self.caller_index(key);
+            self.contention[caller].disk_eios_suffered += 1;
         }
         // Exercise the codec: encode the reply as it would go on the wire,
         // into a scratch buffer reused across all replies.
@@ -3084,7 +2787,15 @@ impl NfsWorld {
             // Mutation-check hook: the books say "replied" but the wire
             // never sees it.
             self.server.sabotage_drop_replies -= 1;
+        } else if is_ext(key) {
+            self.ext_outbox.push(ExtReply {
+                ext: ext_index(key),
+                xid,
+                at: t,
+                reply,
+            });
         } else {
+            let client = key_client(key);
             let verf = match &reply {
                 NfsReply::Write { verf, .. } | NfsReply::Commit { verf, .. } => *verf,
                 _ => 0,
@@ -3100,115 +2811,65 @@ impl NfsWorld {
                 }
             }
         }
-        self.server.in_service.remove(&key);
         self.release_nfsd(t);
     }
 
-    /// The external twin of the tail of [`NfsWorld::server_fs_done`]:
-    /// builds the reply for an external call (file sizes come from the
-    /// server's own inodes — there is no simulated client to ask) and
-    /// parks it in the outbox instead of a simulated transport.
-    fn ext_fs_done(&mut self, key: u64, at: SimTime, eio: bool) {
-        let ext = ext_index(key);
-        let xid = key_xid(key);
-        let t = self.server.cpu_free.max(at) + SimDuration::from_secs_f64(self.cpu.server_reply);
-        self.server.cpu_free = t;
-        let Some(call) = self.ext_rpcs.remove(&key) else {
-            // Unlike simulated clients, an external ingress never retires
-            // a call early; a missing entry would be a routing bug.
-            debug_assert!(false, "external call vanished before reply");
-            self.server.stats.stale_drops += 1;
-            self.server.in_service.remove(&key);
-            self.release_nfsd(at);
-            return;
-        };
-        let size_of = |fs: &FileSystem, ino: u64| fs.inode(ino).map_or(0, |i| i.size);
-        let reply = match &call {
-            NfsCall::Read { fh, offset, count } => {
-                if eio {
-                    NfsReply::Read {
-                        status: NfsStatus::Io,
-                        count: 0,
-                        eof: false,
-                    }
+    /// The reply to `call` with `status`, read off the server's state: file
+    /// sizes from its inodes, verifiers from its boot epoch, and a READDIR
+    /// chunk's shape from what a simulated caller declared in
+    /// `rd_pending` (an external caller declares none and gets an empty,
+    /// final chunk — a real server's answer for an empty directory).
+    fn build_reply(&self, key: u64, call: &NfsCall, status: NfsStatus) -> NfsReply {
+        let ok = status == NfsStatus::Ok;
+        let size = |ino| self.server.fs.inode(ino).map_or(0, |i| i.size);
+        match *call {
+            NfsCall::Read { fh, offset, count } => NfsReply::Read {
+                status,
+                count: if ok { count } else { 0 },
+                eof: ok && offset + u64::from(count) >= size(fh.ino),
+            },
+            NfsCall::Write { count, stable, .. } => NfsReply::Write {
+                status,
+                count: if ok { count } else { 0 },
+                committed: if stable == StableHow::Unstable {
+                    StableHow::Unstable
                 } else {
-                    let size = size_of(&self.server.fs, fh.ino);
-                    NfsReply::Read {
-                        status: NfsStatus::Ok,
-                        count: *count,
-                        eof: offset + u64::from(*count) >= size,
-                    }
-                }
-            }
-            NfsCall::Write {
-                fh,
-                offset,
-                count,
-                stable,
-            } => {
-                if !eio && *stable != StableHow::Unstable {
-                    let bs = u64::from(self.config.rsize);
-                    for blk in offset / bs..=(offset + u64::from(*count) - 1) / bs {
-                        self.server.durable.insert((fh.ino, blk));
-                    }
-                }
-                NfsReply::Write {
-                    status: if eio { NfsStatus::Io } else { NfsStatus::Ok },
-                    count: if eio { 0 } else { *count },
-                    committed: if *stable == StableHow::Unstable {
-                        StableHow::Unstable
-                    } else {
-                        StableHow::FileSync
-                    },
-                    verf: self.server.verf,
-                }
-            }
+                    StableHow::FileSync
+                },
+                verf: self.server.verf,
+            },
             NfsCall::Commit { .. } => NfsReply::Commit {
-                status: if eio { NfsStatus::Io } else { NfsStatus::Ok },
+                status,
                 verf: self.server.verf,
             },
             NfsCall::Getattr { fh } => NfsReply::Getattr {
-                status: NfsStatus::Ok,
-                attrs: Some(nfsproto::Fattr3 {
-                    size: size_of(&self.server.fs, fh.ino),
+                status,
+                attrs: ok.then(|| nfsproto::Fattr3 {
+                    size: size(fh.ino),
                     fileid: fh.ino,
                 }),
             },
             NfsCall::Lookup { dir, .. } => NfsReply::Lookup {
-                status: NfsStatus::Ok,
-                fh: Some(*dir),
+                status,
+                fh: ok.then_some(dir),
             },
             NfsCall::Readdir { .. } | NfsCall::Readdirplus { .. } => {
-                // External ingress carries no namespace shape: answer an
-                // empty, final chunk (a real server would say the same of
-                // an empty directory).
+                let plus = matches!(call, NfsCall::Readdirplus { .. });
+                let pend = (!is_ext(key))
+                    .then(|| self.clients[key_client(key)].rd_pending.get(&key_xid(key)))
+                    .flatten();
+                let entries = pend.map_or(0, |p| p.entries);
+                let per = READDIR_ENTRY_BYTES + if plus { READDIRPLUS_EXTRA_BYTES } else { 0 };
                 NfsReply::Readdir {
-                    status: NfsStatus::Ok,
-                    plus: matches!(call, NfsCall::Readdirplus { .. }),
+                    status,
+                    plus,
                     cookieverf: self.server.verf,
-                    entries: 0,
-                    bytes: 0,
-                    eof: true,
+                    entries,
+                    bytes: entries * per,
+                    eof: pend.is_none_or(|p| p.eof),
                 }
             }
-        };
-        self.server.stats.replies += 1;
-        if let Some(log) = &mut self.server_events {
-            log.push(ServerEvent::Reply { xid });
         }
-        if eio {
-            self.server.stats.disk_eios += 1;
-            self.contention[self.clients.len() + ext].disk_eios_suffered += 1;
-        }
-        self.ext_outbox.push(ExtReply {
-            ext,
-            xid,
-            at: t,
-            eio,
-            reply,
-        });
-        self.server.in_service.remove(&key);
-        self.release_nfsd(t);
     }
 
     fn release_nfsd(&mut self, at: SimTime) {
@@ -3223,24 +2884,23 @@ impl NfsWorld {
             let Some((arrived, key)) = self.server.call_queue.pop_front() else {
                 return;
             };
-            if is_ext(key) {
-                // External calls are never retired while queued; the
-                // stashed decoded call is the source of truth.
-                let call = self.ext_rpcs.get(&key).expect("queued ext call").clone();
-                self.server.nfsd_busy += 1;
-                self.nfsd_process(at.max(arrived), key, call);
-                continue;
-            }
-            let Some(rpc) = self.clients[key_client(key)].rpcs.get(&key_xid(key)) else {
+            if self.call_retired(key) {
                 self.server.stats.stale_drops += 1;
                 self.server.in_service.remove(&key);
                 continue;
-            };
+            }
             self.server.nfsd_busy += 1;
-            let start = at.max(arrived);
-            let (_, call) = NfsCall::decode(&rpc.encoded).expect("well-formed call");
-            self.nfsd_process(start, key, call);
+            self.nfsd_process(at.max(arrived), key);
         }
+    }
+}
+
+/// The reply status for an I/O that did (`true`) or did not fail.
+fn io_status(eio: bool) -> NfsStatus {
+    if eio {
+        NfsStatus::Io
+    } else {
+        NfsStatus::Ok
     }
 }
 
@@ -3272,7 +2932,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut offset = 0;
         while offset < size {
-            world.read(now, fh, offset, 8_192, 0);
+            world.read_from(0, now, fh, offset, 8_192, 0);
             let mut done = Vec::new();
             while done.is_empty() {
                 let t = world.next_event().expect("pending read must progress");
@@ -3294,7 +2954,7 @@ mod tests {
             (8.0..49.0).contains(&mbs),
             "NFS sequential read at {mbs:.1} MB/s"
         );
-        assert_eq!(w.client_stats().retransmits, 0, "clean LAN");
+        assert_eq!(w.client_stats_for(0).retransmits, 0, "clean LAN");
     }
 
     #[test]
@@ -3302,7 +2962,7 @@ mod tests {
         let mut w = make_world(WorldConfig::default(), 2);
         let fh = w.create_file(4 * 1024 * 1024);
         sequential_read(&mut w, fh, 4 * 1024 * 1024);
-        let s = w.client_stats();
+        let s = w.client_stats_for(0);
         assert!(s.readahead_rpcs > 0, "{s:?}");
         assert!(
             s.cache_hits > 0,
@@ -3316,7 +2976,7 @@ mod tests {
         let size = 2 * 1024 * 1024u64;
         let fh = w.create_file(size);
         sequential_read(&mut w, fh, size);
-        let s = w.client_stats();
+        let s = w.client_stats_for(0);
         // 256 blocks, each fetched by exactly one RPC (demand or
         // read-ahead; pending blocks are never re-requested).
         assert_eq!(s.rpcs, 256, "{s:?}");
@@ -3332,7 +2992,7 @@ mod tests {
         let mut offsets = [0u64; 8];
         let mut pending: HashMap<u64, usize> = HashMap::new();
         for (i, fh) in fhs.iter().enumerate() {
-            w.read(now, *fh, 0, 8_192, i as u64);
+            w.read_from(0, now, *fh, 0, 8_192, i as u64);
             pending.insert(i as u64, i);
             offsets[i] = 8_192;
         }
@@ -3344,7 +3004,7 @@ mod tests {
                 let i = d.tag as usize;
                 pending.remove(&d.tag);
                 if offsets[i] < size {
-                    w.read(d.done_at, fhs[i], offsets[i], 8_192, d.tag);
+                    w.read_from(0, d.done_at, fhs[i], offsets[i], 8_192, d.tag);
                     pending.insert(d.tag, i);
                     offsets[i] += 8_192;
                     remaining -= 1;
@@ -3380,9 +3040,9 @@ mod tests {
         let fh = w.create_file(size);
         sequential_read(&mut w, fh, size);
         assert!(
-            w.client_stats().retransmits > 0,
+            w.client_stats_for(0).retransmits > 0,
             "2% frame loss must trigger RPC retransmission: {:?}",
-            w.client_stats()
+            w.client_stats_for(0)
         );
     }
 
@@ -3401,7 +3061,7 @@ mod tests {
         let fh = w.create_file(size);
         sequential_read(&mut w, fh, size);
         assert_eq!(
-            w.client_stats().retransmits,
+            w.client_stats_for(0).retransmits,
             0,
             "TCP handles loss below the RPC layer"
         );
@@ -3465,7 +3125,7 @@ mod tests {
             };
             let fh = w.create_file(2 * 1024 * 1024);
             let mbs = sequential_read(&mut w, fh, 2 * 1024 * 1024);
-            (mbs.to_bits(), format!("{:?}", w.client_stats()))
+            (mbs.to_bits(), format!("{:?}", w.client_stats_for(0)))
         };
         assert_eq!(run(false), run(true));
     }
@@ -3494,7 +3154,7 @@ mod tests {
     fn read_past_eof_panics() {
         let mut w = make_world(WorldConfig::default(), 10);
         let fh = w.create_file(8_192);
-        w.read(SimTime::ZERO, fh, 8_192, 8_192, 0);
+        w.read_from(0, SimTime::ZERO, fh, 8_192, 8_192, 0);
     }
 
     fn drain_one(w: &mut NfsWorld) -> OpDone {
@@ -3522,7 +3182,7 @@ mod tests {
             let fhs: Vec<FileHandle> = (0..8).map(|_| w.create_file(size)).collect();
             let mut offsets = [0u64; 8];
             for (i, fh) in fhs.iter().enumerate() {
-                w.read(SimTime::ZERO, *fh, 0, 8_192, i as u64);
+                w.read_from(0, SimTime::ZERO, *fh, 0, 8_192, i as u64);
                 offsets[i] = 8_192;
             }
             let mut active = 8;
@@ -3534,7 +3194,7 @@ mod tests {
                         active -= 1;
                         continue;
                     }
-                    w.read(d.done_at, fhs[i], offsets[i], 8_192, d.tag);
+                    w.read_from(0, d.done_at, fhs[i], offsets[i], 8_192, d.tag);
                     offsets[i] += 8_192;
                 }
             }
@@ -3554,17 +3214,17 @@ mod tests {
         let mut w = make_world(WorldConfig::default(), 11);
         let fh = w.create_file(1024 * 1024);
         // Prime the client cache with block 0.
-        w.read(SimTime::ZERO, fh, 0, 8_192, 0);
+        w.read_from(0, SimTime::ZERO, fh, 0, 8_192, 0);
         let d1 = drain_one(&mut w);
         // Write block 0, then re-read: the read must go to the server.
-        w.write(d1.done_at, fh, 0, 8_192, 1);
+        w.write_from(0, d1.done_at, fh, 0, 8_192, 1);
         let d2 = drain_one(&mut w);
         assert!(d2.done_at > d1.done_at);
-        let rpcs_before = w.client_stats().rpcs;
-        w.read(d2.done_at, fh, 0, 8_192, 2);
+        let rpcs_before = w.client_stats_for(0).rpcs;
+        w.read_from(0, d2.done_at, fh, 0, 8_192, 2);
         let d3 = drain_one(&mut w);
         assert!(d3.done_at > d2.done_at, "no client-cache hit after write");
-        assert!(w.client_stats().rpcs > rpcs_before);
+        assert!(w.client_stats_for(0).rpcs > rpcs_before);
         assert_eq!(w.fs().stats().writes, 1);
     }
 
@@ -3572,7 +3232,7 @@ mod tests {
     fn getattr_is_a_fast_metadata_round_trip() {
         let mut w = make_world(WorldConfig::default(), 12);
         let fh = w.create_file(1024 * 1024);
-        w.getattr(SimTime::ZERO, fh, 0);
+        w.getattr_from(0, SimTime::ZERO, fh, 0);
         let d = drain_one(&mut w);
         // No disk access: just network + CPU, well under a millisecond.
         assert!(d.done_at.as_secs_f64() < 2e-3, "getattr took {}", d.done_at);
@@ -3605,7 +3265,7 @@ mod tests {
         let max_retries = cfg.max_retries;
         let mut w = make_world(cfg, 31);
         let fh = w.create_file(64 * 1024);
-        w.read(SimTime::ZERO, fh, 0, 8_192, 7);
+        w.read_from(0, SimTime::ZERO, fh, 0, 8_192, 7);
         let done = drain_all(&mut w);
         assert_eq!(done.len(), 1, "{done:?}");
         let d = done[0];
@@ -3614,20 +3274,20 @@ mod tests {
             "dead link must surface a typed timeout: {d:?}"
         );
         assert_eq!(d.tag, 7);
-        let s = w.client_stats();
+        let s = w.client_stats_for(0);
         assert_eq!(s.rpc_timeouts, 1, "{s:?}");
         assert_eq!(s.retransmits, u64::from(max_retries), "{s:?}");
         // The timed-out block is not wedged pending: a later read can
         // request it afresh (and will itself time out, not hang).
-        assert_eq!(w.block_state(fh, 0), BlockState::Absent);
+        assert_eq!(w.block_state_for(0, fh, 0), BlockState::Absent);
         assert!(w.outstanding_xids().is_empty());
         assert!(w.outstanding_ops().is_empty());
         let now = w.now();
-        w.read(now, fh, 0, 8_192, 8);
+        w.read_from(0, now, fh, 0, 8_192, 8);
         let done = drain_all(&mut w);
         assert_eq!(done.len(), 1);
         assert!(matches!(done[0].outcome, OpOutcome::RpcTimedOut { .. }));
-        assert_eq!(w.client_stats().rpc_timeouts, 2);
+        assert_eq!(w.client_stats_for(0).rpc_timeouts, 2);
     }
 
     #[test]
@@ -3635,13 +3295,13 @@ mod tests {
         let mut w = make_world(WorldConfig::default(), 13);
         let fh = w.create_file(256 * 1024);
         for i in 0..4u64 {
-            w.read(SimTime::ZERO, fh, i * 8_192, 8_192, i);
+            w.read_from(0, SimTime::ZERO, fh, i * 8_192, 8_192, i);
         }
         let done = drain_all(&mut w);
         assert_eq!(done.len(), 4);
         assert!(done.iter().all(|d| d.outcome.is_ok()), "{done:?}");
         assert!(done.iter().all(|d| d.client == 0), "{done:?}");
-        assert_eq!(w.client_stats().rpc_timeouts, 0);
+        assert_eq!(w.client_stats_for(0).rpc_timeouts, 0);
     }
 
     #[test]
@@ -3661,10 +3321,10 @@ mod tests {
         assert_eq!(cl.acquire_iod(t2), Some(t2), "freed exactly at t2");
         // Pool resize: zero slots means read-ahead is always denied.
         w.set_nfsiods(0);
-        assert_eq!(w.nfsiods(), 0);
+        assert_eq!(w.nfsiods_for(0), 0);
         assert_eq!(w.clients[0].acquire_iod(t2), None);
         w.set_nfsiods(3);
-        assert_eq!(w.nfsiods(), 3);
+        assert_eq!(w.nfsiods_for(0), 3);
         assert_eq!(w.clients[0].acquire_iod(t1), Some(t1));
     }
 
@@ -3676,7 +3336,7 @@ mod tests {
             if stall {
                 w.stall_server(SimTime::ZERO, SimDuration::from_millis(250));
             }
-            w.read(SimTime::ZERO, fh, 0, 8_192, 0);
+            w.read_from(0, SimTime::ZERO, fh, 0, 8_192, 0);
             drain_one(&mut w).done_at
         };
         let base = run(false);
@@ -3699,7 +3359,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let read_blocks = |w: &mut NfsWorld, now: &mut SimTime, range: std::ops::Range<u64>| {
             for blk in range {
-                w.read(*now, fh, blk * 8_192, 8_192, blk);
+                w.read_from(0, *now, fh, blk * 8_192, 8_192, blk);
                 let mut got = false;
                 while !got {
                     let t = w.next_event().expect("progress");
@@ -3709,21 +3369,21 @@ mod tests {
             }
         };
         read_blocks(&mut w, &mut now, 0..16);
-        assert_eq!(w.client_stats().retransmits, 0, "clean first half");
+        assert_eq!(w.client_stats_for(0).retransmits, 0, "clean first half");
         w.set_link_profile(netsim::LinkProfile {
             frame_loss: 0.5,
             ..netsim::LinkProfile::gigabit_lan()
         });
         read_blocks(&mut w, &mut now, 16..32);
         assert!(
-            w.client_stats().retransmits > 0,
+            w.client_stats_for(0).retransmits > 0,
             "degraded second half must retransmit: {:?}",
-            w.client_stats()
+            w.client_stats_for(0)
         );
         w.set_link_profile(netsim::LinkProfile::gigabit_lan());
-        let before = w.client_stats().retransmits;
+        let before = w.client_stats_for(0).retransmits;
         read_blocks(&mut w, &mut now, 32..48);
-        assert_eq!(w.client_stats().retransmits, before, "recovered link");
+        assert_eq!(w.client_stats_for(0).retransmits, before, "recovered link");
     }
 
     #[test]
@@ -3733,7 +3393,7 @@ mod tests {
         w.set_nfsds(SimTime::ZERO, 1);
         assert_eq!(w.nfsds(), 1);
         for (i, fh) in fhs.iter().enumerate() {
-            w.read(SimTime::ZERO, *fh, 0, 8_192, i as u64);
+            w.read_from(0, SimTime::ZERO, *fh, 0, 8_192, i as u64);
         }
         let done = drain_all(&mut w);
         assert_eq!(done.len(), 6);
@@ -3742,7 +3402,7 @@ mod tests {
         let now = w.now();
         w.set_nfsds(now, 8);
         for (i, fh) in fhs.iter().enumerate() {
-            w.read(now, *fh, 8_192, 8_192, i as u64);
+            w.read_from(0, now, *fh, 8_192, 8_192, i as u64);
         }
         let done = drain_all(&mut w);
         assert_eq!(done.len(), 6);
@@ -3766,7 +3426,7 @@ mod tests {
         w.set_nfsds(SimTime::ZERO, 0);
         assert_eq!(w.nfsds(), 0);
         for i in 0..3u64 {
-            w.read(SimTime::ZERO, fh, i * 8_192, 8_192, i);
+            w.read_from(0, SimTime::ZERO, fh, i * 8_192, 8_192, i);
         }
         let done = drain_all(&mut w);
         assert_eq!(done.len(), 3, "{done:?}");
@@ -3784,7 +3444,7 @@ mod tests {
         let _ = drain_all(&mut w);
         let now = w.now();
         for i in 0..3u64 {
-            w.read(now, fh, i * 8_192, 8_192, 10 + i);
+            w.read_from(0, now, fh, i * 8_192, 8_192, 10 + i);
         }
         let done = drain_all(&mut w);
         assert_eq!(done.len(), 3);
@@ -3798,10 +3458,10 @@ mod tests {
         let mut w = make_world(WorldConfig::default(), 36);
         let fh = w.create_file(1024 * 1024);
         sequential_read(&mut w, fh, 1024 * 1024);
-        let c = w.client_stats();
-        assert_eq!(c.transmissions, w.c2s_stats().messages);
-        assert_eq!(w.server_stats().replies, w.s2c_stats().messages);
-        let delivered = w.s2c_stats().messages - w.s2c_stats().lost;
+        let c = w.client_stats_for(0);
+        assert_eq!(c.transmissions, w.c2s_stats_for(0).messages);
+        assert_eq!(w.server_stats().replies, w.s2c_stats_for(0).messages);
+        let delivered = w.s2c_stats_for(0).messages - w.s2c_stats_for(0).lost;
         assert_eq!(c.replies_received + c.duplicate_replies, delivered);
     }
 
@@ -3957,7 +3617,7 @@ mod tests {
 
     /// Issues one 8 KB read and drives the world until it completes.
     fn drive_one(w: &mut NfsWorld, now: SimTime, fh: FileHandle, offset: u64) -> OpDone {
-        let id = w.read(now, fh, offset, 8_192, 0);
+        let id = w.read_from(0, now, fh, offset, 8_192, 0);
         loop {
             let t = w.next_event().expect("pending read must progress");
             for d in w.advance(t) {
@@ -3986,7 +3646,7 @@ mod tests {
         );
         let s = w.server_stats();
         assert_eq!(s.disk_eios, 1);
-        assert_eq!(w.client_stats().eio_replies, 1);
+        assert_eq!(w.client_stats_for(0).eio_replies, 1);
         assert_eq!(w.contention_stats(0).disk_eios_suffered, 1);
         let bio = w.bio_stats();
         assert_eq!(bio.hard_errors, 1, "{bio:?}");
@@ -4020,7 +3680,7 @@ mod tests {
         assert_eq!(bio.retries, 1, "{bio:?}");
         assert_eq!(bio.recovered, 1, "{bio:?}");
         assert_eq!(w.server_stats().disk_eios, 0, "retry is invisible to NFS");
-        assert_eq!(w.client_stats().eio_replies, 0);
+        assert_eq!(w.client_stats_for(0).eio_replies, 0);
     }
 
     #[test]
@@ -4035,7 +3695,7 @@ mod tests {
             }
             let fh = w.create_file(1024 * 1024);
             let mbs = sequential_read(&mut w, fh, 1024 * 1024);
-            (mbs.to_bits(), format!("{:?}", w.client_stats()))
+            (mbs.to_bits(), format!("{:?}", w.client_stats_for(0)))
         };
         assert_eq!(run(false), run(true));
     }
@@ -4070,7 +3730,7 @@ mod tests {
         let fh = w.create_file(512 * 1024);
         // Four adjacent 8 KB writes: four WRITE RPCs, but one disk write.
         for i in 0..4u64 {
-            w.write(SimTime::ZERO, fh, i * 8_192, 8_192, i);
+            w.write_from(0, SimTime::ZERO, fh, i * 8_192, 8_192, i);
         }
         let done = w.advance(SimTime::ZERO + SimDuration::from_millis(200));
         assert_eq!(done.len(), 4);
@@ -4097,7 +3757,7 @@ mod tests {
         for blk in 0..4 {
             assert!(w.is_durable(fh, blk), "block {blk} must be on disk");
         }
-        assert_eq!(w.client_stats().write_rpcs, 4);
+        assert_eq!(w.client_stats_for(0).write_rpcs, 4);
     }
 
     #[test]
@@ -4110,7 +3770,7 @@ mod tests {
         let mut w = make_world(cfg, 21);
         let fh = w.create_file(512 * 1024);
         for i in 0..8u64 {
-            w.write(SimTime::ZERO, fh, i * 8_192, 8_192, i);
+            w.write_from(0, SimTime::ZERO, fh, i * 8_192, 8_192, i);
         }
         let now = SimTime::ZERO + SimDuration::from_millis(50);
         w.advance(now);
@@ -4118,10 +3778,10 @@ mod tests {
         assert_eq!(w.client_uncommitted_blocks(0), 8);
         assert_eq!(w.server_dirty_blocks(), 8);
         assert!(!w.is_durable(fh, 0));
-        let id = w.close(now, fh, 99);
+        let id = w.close_from(0, now, fh, 99);
         let d = drive_op(&mut w, id);
         assert!(d.outcome.is_ok(), "{:?}", d.outcome);
-        let c = w.client_stats();
+        let c = w.client_stats_for(0);
         assert_eq!(c.closes, 1);
         assert_eq!(c.commit_rpcs, 1);
         assert_eq!(c.verifier_mismatches, 0);
@@ -4149,7 +3809,7 @@ mod tests {
         let mut w = make_world(cfg, 22);
         let fh = w.create_file(512 * 1024);
         for i in 0..8u64 {
-            w.write(SimTime::ZERO, fh, i * 8_192, 8_192, i);
+            w.write_from(0, SimTime::ZERO, fh, i * 8_192, 8_192, i);
         }
         let now = SimTime::ZERO + SimDuration::from_millis(50);
         w.advance(now);
@@ -4166,10 +3826,10 @@ mod tests {
         assert!(!w.is_durable(fh, 0));
         // close(): COMMIT sees the new verifier, re-dirties every block,
         // rewrites, re-COMMITs, and still returns Ok — no data lost.
-        let id = w.close(now, fh, 99);
+        let id = w.close_from(0, now, fh, 99);
         let d = drive_op(&mut w, id);
         assert!(d.outcome.is_ok(), "{:?}", d.outcome);
-        let c = w.client_stats();
+        let c = w.client_stats_for(0);
         assert_eq!(c.verifier_mismatches, 1, "{c:?}");
         assert_eq!(c.blocks_rewritten, 8, "{c:?}");
         assert_eq!(c.commit_rpcs, 2, "{c:?}");
@@ -4189,11 +3849,11 @@ mod tests {
         let mut w = make_world(async_config(), 23);
         let fh = w.create_file(512 * 1024);
         for i in 0..4u64 {
-            w.write(SimTime::ZERO, fh, i * 8_192, 8_192, i);
+            w.write_from(0, SimTime::ZERO, fh, i * 8_192, 8_192, i);
         }
         let now = SimTime::ZERO + SimDuration::from_millis(50);
         w.advance(now);
-        let id = w.close(now, fh, 99);
+        let id = w.close_from(0, now, fh, 99);
         let d = drive_op(&mut w, id);
         assert!(d.outcome.is_ok(), "{:?}", d.outcome);
         w.restart_server(d.done_at);
@@ -4213,7 +3873,7 @@ mod tests {
         };
         let mut w = make_world(cfg, 24);
         let fh = w.create_file(512 * 1024);
-        w.write(SimTime::ZERO, fh, 0, 8_192, 0);
+        w.write_from(0, SimTime::ZERO, fh, 0, 8_192, 0);
         let now = SimTime::ZERO + SimDuration::from_millis(50);
         w.advance(now);
         assert_eq!(w.client_uncommitted_blocks(0), 1);
@@ -4221,14 +3881,14 @@ mod tests {
         // The WRITE already succeeded (it only reached the pool), so the
         // error must be latched and reported by COMMIT, failing close().
         w.set_disk_fault_model(Some(scripted_fail(diskmodel::DiskErrorKind::HardMedia)));
-        let id = w.close(now, fh, 99);
+        let id = w.close_from(0, now, fh, 99);
         let d = drive_op(&mut w, id);
         assert!(
             matches!(d.outcome, OpOutcome::Eio { .. }),
             "lost async write must surface at COMMIT: {:?}",
             d.outcome
         );
-        assert!(w.client_stats().eio_replies >= 1);
+        assert!(w.client_stats_for(0).eio_replies >= 1);
         // Soft-mount semantics: the failed file's tracking is dropped.
         assert_eq!(w.client_uncommitted_blocks(0), 0);
     }
@@ -4243,20 +3903,20 @@ mod tests {
         };
         let mut w = make_world(cfg, 25);
         let fh = w.create_file(64 * 1024);
-        let id = w.write(SimTime::ZERO, fh, 64 * 1024, 8_192, 0);
+        let id = w.write_from(0, SimTime::ZERO, fh, 64 * 1024, 8_192, 0);
         let d = drive_op(&mut w, id);
         assert!(d.outcome.is_ok(), "extending write: {:?}", d.outcome);
         // The sync write-through put the new block on disk.
         assert!(w.is_durable(fh, 8));
         // And the extended region is readable end to end.
-        let id = w.read(d.done_at, fh, 64 * 1024, 8_192, 1);
+        let id = w.read_from(0, d.done_at, fh, 64 * 1024, 8_192, 1);
         let d = drive_op(&mut w, id);
         assert!(d.outcome.is_ok(), "read of extension: {:?}", d.outcome);
         // On a FILE_SYNC mount close is a local no-op: no COMMIT traffic.
-        let id = w.close(d.done_at, fh, 2);
+        let id = w.close_from(0, d.done_at, fh, 2);
         let d = drive_op(&mut w, id);
         assert!(d.outcome.is_ok(), "{:?}", d.outcome);
-        let c = w.client_stats();
+        let c = w.client_stats_for(0);
         assert_eq!(c.commit_rpcs, 0);
         assert_eq!(c.closes, 1);
         assert_eq!(w.server_stats().commits, 0);
@@ -4272,17 +3932,17 @@ mod tests {
             let mut w = make_world(cfg, seed);
             let fh = w.create_file(512 * 1024);
             for i in 0..16u64 {
-                w.write(SimTime::ZERO, fh, i * 8_192, 8_192, i);
+                w.write_from(0, SimTime::ZERO, fh, i * 8_192, 8_192, i);
             }
             let now = SimTime::ZERO + SimDuration::from_millis(20);
             w.advance(now);
             w.restart_server(now);
-            let id = w.close(now, fh, 99);
+            let id = w.close_from(0, now, fh, 99);
             let d = drive_op(&mut w, id);
             assert!(d.outcome.is_ok(), "{:?}", d.outcome);
             (
                 d.done_at,
-                format!("{:?}", w.client_stats()),
+                format!("{:?}", w.client_stats_for(0)),
                 format!("{:?}", w.server_stats()),
             )
         };

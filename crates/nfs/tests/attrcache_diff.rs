@@ -103,14 +103,14 @@ fn meta_storm(config: WorldConfig, seed: u64) -> (NfsWorld, Vec<FileHandle>) {
                 now = drive_next(&mut w, &mut now);
             }
             if i == 0 {
-                w.write(now, fh, round * 8_192, 8_192, t(&mut tag));
+                w.write_from(0, now, fh, round * 8_192, 8_192, t(&mut tag));
                 now = drive_next(&mut w, &mut now);
             }
             for _ in 0..3 {
                 w.getattr_from(0, now, fh, t(&mut tag));
                 now = drive_next(&mut w, &mut now);
             }
-            w.read(now, fh, (round % 8) * 8_192, 8_192, t(&mut tag));
+            w.read_from(0, now, fh, (round % 8) * 8_192, 8_192, t(&mut tag));
             now = drive_next(&mut w, &mut now);
             w.close_from(0, now, fh, t(&mut tag));
             now = drive_next(&mut w, &mut now);
@@ -123,7 +123,7 @@ fn meta_storm(config: WorldConfig, seed: u64) -> (NfsWorld, Vec<FileHandle>) {
 /// simulated time into one FNV hash. Byte-identical to the capture
 /// program that produced the baseline.
 fn storm_fingerprint(w: &NfsWorld) -> u64 {
-    let c = w.client_stats();
+    let c = w.client_stats_for(0);
     let s = w.server_stats();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [
@@ -179,7 +179,7 @@ fn cache_off_metadata_storm_matches_the_baseline() {
 #[test]
 fn cache_off_world_never_touches_the_attr_machinery() {
     let (w, _) = meta_storm(WorldConfig::default(), 5);
-    let c = w.client_stats();
+    let c = w.client_stats_for(0);
     assert_eq!(c.attr_cache_hits, 0, "{c:?}");
     assert_eq!(c.attr_cache_misses, 0, "{c:?}");
     assert_eq!(c.attr_revalidations, 0, "{c:?}");
@@ -200,8 +200,8 @@ fn armed_cache_cuts_getattr_wire_traffic_and_balances_the_books() {
     for seed in [1u64, 2, 3] {
         let (off, off_files) = meta_storm(WorldConfig::default(), seed);
         let (on, on_files) = meta_storm(armed(3, 60), seed);
-        let co = off.client_stats();
-        let cn = on.client_stats();
+        let co = off.client_stats_for(0);
+        let cn = on.client_stats_for(0);
         // The payoff: >= 5x fewer GETATTR RPCs (the paper's stat-flood).
         assert!(
             cn.getattr_rpcs * 5 <= co.getattr_rpcs,
@@ -257,7 +257,7 @@ fn staleness_is_bounded_by_the_trust_window() {
     // Prime the cache: one wire GETATTR installs the entry.
     w.getattr_from(0, now, fh, 1);
     now = drive_next(&mut w, &mut now);
-    assert_eq!(w.client_stats().attr_cache_misses, 1);
+    assert_eq!(w.client_stats_for(0).attr_cache_misses, 1);
     assert_eq!(w.attr_cache_entries(0), 1);
 
     // An external writer changes the file behind the client's back.
@@ -283,7 +283,7 @@ fn staleness_is_bounded_by_the_trust_window() {
     // hits the cache and never sees the new version.
     w.getattr_from(0, now, fh, 2);
     now = drive_next(&mut w, &mut now);
-    let c = w.client_stats();
+    let c = w.client_stats_for(0);
     assert_eq!(
         c.attr_cache_hits, 1,
         "inside the window: served stale, {c:?}"
@@ -296,7 +296,7 @@ fn staleness_is_bounded_by_the_trust_window() {
     w.getattr_from(0, now, fh, 3);
     let mut end = now;
     drive_next(&mut w, &mut end);
-    let c = w.client_stats();
+    let c = w.client_stats_for(0);
     assert_eq!(
         c.attr_revalidations, 1,
         "past the window: must revalidate, {c:?}"
@@ -330,7 +330,7 @@ fn unchanged_revalidation_doubles_the_trust_window() {
     let mut end = now;
     drive_next(&mut w, &mut end);
 
-    let c = w.client_stats();
+    let c = w.client_stats_for(0);
     assert_eq!(c.attr_cache_misses, 1, "{c:?}");
     assert_eq!(c.attr_revalidations, 1, "{c:?}");
     assert_eq!(
@@ -357,7 +357,7 @@ fn readdirplus_prefills_the_attribute_cache() {
         w.getattr_from(0, now, child, 2 + i as u64);
         now = drive_next(&mut w, &mut now);
     }
-    let c = w.client_stats();
+    let c = w.client_stats_for(0);
     assert_eq!(c.attr_cache_hits, 8, "every child stat must hit: {c:?}");
     assert_eq!(c.getattr_rpcs, 0, "no GETATTR ever hit the wire: {c:?}");
 

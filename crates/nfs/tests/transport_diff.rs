@@ -46,7 +46,7 @@ fn sequential_read(world: &mut NfsWorld, fh: FileHandle, size: u64) -> f64 {
     let mut now = SimTime::ZERO;
     let mut offset = 0;
     while offset < size {
-        world.read(now, fh, offset, 8_192, 0);
+        world.read_from(0, now, fh, offset, 8_192, 0);
         let mut done = Vec::new();
         while done.is_empty() {
             let t = world.next_event().expect("pending read must progress");
@@ -71,7 +71,7 @@ fn world_run(transport: TransportKind, seed: u64) -> (u64, u64) {
     let size = 4 * 1024 * 1024u64;
     let fh = w.create_file(size);
     let mbs = sequential_read(&mut w, fh, size);
-    let s = w.client_stats();
+    let s = w.client_stats_for(0);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [
         s.ops,
@@ -183,7 +183,7 @@ fn zero_loss_world_runs_move_identical_rpc_traffic() {
                 let size = 4 * 1024 * 1024u64;
                 let fh = w.create_file(size);
                 sequential_read(&mut w, fh, size);
-                w.client_stats()
+                w.client_stats_for(0)
             };
             (run(TransportKind::Tcp), run(TransportKind::Udp))
         };

@@ -68,14 +68,14 @@ fn sync_write_run(seed: u64) -> u64 {
     let fh: FileHandle = w.create_file(4 * 1024 * 1024);
     let mut now = SimTime::ZERO;
     for i in 0..256u64 {
-        w.write(now, fh, i * 8_192, 8_192, i);
+        w.write_from(0, now, fh, i * 8_192, 8_192, i);
         now = drive_next(&mut w, &mut now);
     }
     for i in 0..128u64 {
-        w.read(now, fh, i * 8_192, 8_192, 1000 + i);
+        w.read_from(0, now, fh, i * 8_192, 8_192, 1000 + i);
         now = drive_next(&mut w, &mut now);
     }
-    let s = w.client_stats();
+    let s = w.client_stats_for(0);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [
         s.ops,
@@ -107,10 +107,10 @@ fn async_write_run(seed: u64) -> (NfsWorld, SimTime) {
     let fh: FileHandle = w.create_file(4 * 1024 * 1024);
     let mut now = SimTime::ZERO;
     for i in 0..256u64 {
-        w.write(now, fh, i * 8_192, 8_192, i);
+        w.write_from(0, now, fh, i * 8_192, 8_192, i);
         now = drive_next(&mut w, &mut now);
     }
-    let id = w.close(now, fh, 9_999);
+    let id = w.close_from(0, now, fh, 9_999);
     let done = drive_op(&mut w, id);
     (w, done)
 }
@@ -137,10 +137,10 @@ fn file_sync_mount_never_touches_the_async_machinery() {
     let fh = w.create_file(1024 * 1024);
     let mut now = SimTime::ZERO;
     for i in 0..64u64 {
-        w.write(now, fh, i * 8_192, 8_192, i);
+        w.write_from(0, now, fh, i * 8_192, 8_192, i);
         now = drive_next(&mut w, &mut now);
     }
-    let c = w.client_stats();
+    let c = w.client_stats_for(0);
     assert_eq!(c.write_rpcs, 0, "{c:?}");
     assert_eq!(c.commit_rpcs, 0, "{c:?}");
     assert_eq!(c.verifier_mismatches, 0, "{c:?}");
@@ -167,7 +167,7 @@ fn async_run_reaches_the_same_durable_state_faster() {
         let sfh = sw.create_file(4 * 1024 * 1024);
         let mut now = SimTime::ZERO;
         for i in 0..256u64 {
-            sw.write(now, sfh, i * 8_192, 8_192, i);
+            sw.write_from(0, now, sfh, i * 8_192, 8_192, i);
             now = drive_next(&mut sw, &mut now);
         }
         let sync_done = now;

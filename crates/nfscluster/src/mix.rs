@@ -11,9 +11,9 @@ use std::collections::HashMap;
 
 use nfsproto::FileHandle;
 use nfssim::{ClientStats, ContentionStats, NfsWorld, ServerStats};
-use nfstrace::{Trace, TraceOp};
+use nfstrace::Trace;
 use simcore::{SimDuration, SimTime};
-use testbed::{stride_order, Rig};
+use testbed::{create_trace_files, issue_record, stride_order, Rig};
 
 use crate::config::ClusterConfig;
 
@@ -227,23 +227,7 @@ impl MixBench {
                     }
                 }
                 ClientWorkload::Replay(trace) => {
-                    let mut max_end: HashMap<u64, u64> = HashMap::new();
-                    for r in &trace.records {
-                        let end = r.offset + u64::from(r.len).max(1);
-                        let e = max_end.entry(r.fh).or_insert(0);
-                        *e = (*e).max(end);
-                    }
-                    // Sort by trace handle so file creation order — and
-                    // therefore disk layout — is deterministic.
-                    let mut ends: Vec<(u64, u64)> = max_end.into_iter().collect();
-                    ends.sort_unstable();
-                    let handles = ends
-                        .into_iter()
-                        .map(|(fh, end)| {
-                            let size = end.div_ceil(65_536) * 65_536;
-                            (fh, world.create_file_for(c, size))
-                        })
-                        .collect();
+                    let handles = create_trace_files(&mut world, c, trace);
                     Plan::Replay {
                         trace: trace.clone(),
                         handles,
@@ -344,41 +328,11 @@ impl MixBench {
                     outstanding,
                 } = &mut self.plans[c]
                 {
-                    let r = &trace.records[*next];
-                    let fh = handles[&r.fh];
-                    let len = u64::from(r.len).max(1);
                     let tag = *next as u64;
-                    let (offset, op) = (r.offset, r.op);
+                    let r = &trace.records[*next];
                     *next += 1;
                     *outstanding += 1;
-                    match op {
-                        TraceOp::Read => {
-                            self.world.read_from(c, at, fh, offset, len, tag);
-                        }
-                        TraceOp::Write => {
-                            self.world.write_from(c, at, fh, offset, len, tag);
-                        }
-                        TraceOp::Getattr => {
-                            self.world.getattr_from(c, at, fh, tag);
-                        }
-                        TraceOp::Lookup => {
-                            self.world
-                                .lookup_from(c, at, fh, u32::try_from(len).unwrap_or(8), tag);
-                        }
-                        TraceOp::Readdir => {
-                            // len carries the entries requested; a replayed
-                            // chunk stands alone, so it closes its page.
-                            self.world.readdir_from(
-                                c,
-                                at,
-                                fh,
-                                offset,
-                                u32::try_from(len).unwrap_or(64),
-                                true,
-                                tag,
-                            );
-                        }
-                    }
+                    issue_record(&mut self.world, c, at, handles[&r.fh], r, tag);
                 }
                 continue;
             }

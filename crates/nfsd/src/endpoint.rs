@@ -360,27 +360,20 @@ impl Endpoint {
                     };
                     wire::getattr_res(xid, &full)
                 }
-                _ => wire::getattr_res_err(xid, status_code(status)),
+                _ => wire::getattr_res_err(xid, status.code()),
             },
             NfsReply::Read { status, count, eof } => match (status, &attr) {
                 (NfsStatus::Ok, Some(a)) => wire::read_res_ok(xid, a, count, eof),
-                _ => wire::read_res_err(xid, status_code(status), attr.as_ref()),
+                _ => wire::read_res_err(xid, status.code(), attr.as_ref()),
             },
             NfsReply::Write {
                 status,
                 count,
                 committed,
                 verf,
-            } => wire::write_res(
-                xid,
-                status_code(status),
-                attr.as_ref(),
-                count,
-                committed,
-                verf,
-            ),
+            } => wire::write_res(xid, status.code(), attr.as_ref(), count, committed, verf),
             NfsReply::Commit { status, verf } => {
-                wire::commit_res(xid, status_code(status), attr.as_ref(), verf)
+                wire::commit_res(xid, status.code(), attr.as_ref(), verf)
             }
             // The world never answers LOOKUP for external calls (the
             // endpoint resolves names), but encode it defensively.
@@ -394,7 +387,7 @@ impl Endpoint {
                     });
                     wire::lookup_res_ok(xid, &obj, &a, &self.root_attr(conn))
                 }
-                _ => wire::lookup_res_err(xid, status_code(status), None),
+                _ => wire::lookup_res_err(xid, status.code(), None),
             },
             // Never produced for external calls (READDIR is refused at
             // dispatch), but encode defensively as the same refusal.
@@ -447,15 +440,6 @@ impl Endpoint {
     /// Mutable world access (tests enable the server event log with it).
     pub fn world_mut(&mut self) -> &mut NfsWorld {
         &mut self.world
-    }
-}
-
-fn status_code(s: NfsStatus) -> u32 {
-    match s {
-        NfsStatus::Ok => 0,
-        NfsStatus::NoEnt => 2,
-        NfsStatus::Io => 5,
-        NfsStatus::Stale => 70,
     }
 }
 

@@ -1,0 +1,127 @@
+//! Well-framed but hostile NFS calls through `Endpoint::handle_record` and
+//! `pump`: each gets an RFC 1813 answer instead of reaching a file-system
+//! assert (or, for a zero-count UNSTABLE WRITE, spinning forever).
+
+use nfsd::{build_world, wire, Endpoint, ExportSpec};
+use nfsproto::{FileHandle, NfsCall, StableHow};
+use nfssim::WorldConfig;
+use simcore::SimTime;
+
+const FILE_SIZE: u64 = 16 * 8_192;
+const NFS3ERR_STALE: u32 = 70;
+
+fn endpoint() -> (Endpoint, usize, FileHandle) {
+    let mut ep = Endpoint::new(
+        build_world(WorldConfig::default(), 11),
+        ExportSpec {
+            files: 1,
+            file_size: FILE_SIZE,
+        },
+    );
+    let conn = ep.connect();
+    let fh = ep.exports(conn)[0];
+    (ep, conn, fh)
+}
+
+/// Sends one record and pumps until its single reply surfaces.
+fn call(ep: &mut Endpoint, conn: usize, record: &[u8]) -> Vec<u8> {
+    assert!(
+        ep.handle_record(SimTime::ZERO, conn, record).is_empty(),
+        "data-path calls route through the world"
+    );
+    let out = ep.pump(SimTime::from_nanos(60_000_000_000));
+    assert_eq!(out.len(), 1, "exactly one reply per call");
+    assert_eq!(out[0].0, conn);
+    out.into_iter().next().expect("one reply").1
+}
+
+fn read(
+    ep: &mut Endpoint,
+    conn: usize,
+    fh: FileHandle,
+    offset: u64,
+    count: u32,
+) -> wire::ReadReply {
+    let rec = NfsCall::Read { fh, offset, count }.encode(1);
+    wire::decode_read_reply(&call(ep, conn, &rec)).expect("READ3res")
+}
+
+#[test]
+fn calls_on_an_unknown_handle_are_stale() {
+    let (mut ep, conn, fh) = endpoint();
+    let bogus = FileHandle {
+        ino: fh.ino + 1_000,
+        ..fh
+    };
+    let r = read(&mut ep, conn, bogus, 0, 8_192);
+    assert_eq!((r.status, r.count, r.eof), (NFS3ERR_STALE, 0, false));
+    let rec = wire::encode_write_call(2, &bogus, 0, 8_192, StableHow::Unstable);
+    let w = wire::decode_write_reply(&call(&mut ep, conn, &rec)).expect("WRITE3res");
+    assert_eq!((w.status, w.count), (NFS3ERR_STALE, 0));
+    let rec = NfsCall::Commit {
+        fh: bogus,
+        offset: 0,
+        count: 0,
+    }
+    .encode(3);
+    let (_, status, _) = wire::decode_commit_reply(&call(&mut ep, conn, &rec)).expect("COMMIT3res");
+    assert_eq!(status, NFS3ERR_STALE);
+    let s = ep.world().server_stats();
+    assert_eq!((s.unstable_writes, s.dirty_blocks_stashed), (0, 0));
+    assert_eq!(s.replies, s.reads + s.other_calls);
+}
+
+#[test]
+fn reads_at_or_past_eof_are_short_with_eof() {
+    let (mut ep, conn, fh) = endpoint();
+    for offset in [FILE_SIZE, FILE_SIZE + 8_192, u64::MAX - 1] {
+        let r = read(&mut ep, conn, fh, offset, 8_192);
+        assert_eq!((r.status, r.count, r.eof), (0, 0, true), "offset {offset}");
+    }
+    // A read straddling EOF shrinks to what the file holds.
+    let r = read(&mut ep, conn, fh, FILE_SIZE - 4_096, 65_536);
+    assert_eq!((r.status, r.count, r.eof), (0, 4_096, true));
+    // Zero bytes asked: no data. At EOF that is the end of the file; inside
+    // it, RFC 1813 defines eof by offset + count, so it stays clear.
+    let r = read(&mut ep, conn, fh, FILE_SIZE, 0);
+    assert_eq!((r.status, r.count, r.eof), (0, 0, true));
+    let r = read(&mut ep, conn, fh, 0, 0);
+    assert_eq!((r.status, r.count, r.eof), (0, 0, false));
+    assert_eq!(
+        ep.world().fs().stats().sync_reads,
+        1,
+        "only the straddling read hit ffs"
+    );
+}
+
+#[test]
+fn zero_count_writes_are_no_ops() {
+    let (mut ep, conn, fh) = endpoint();
+    for (xid, stable) in [(1, StableHow::Unstable), (2, StableHow::FileSync)] {
+        let rec = wire::encode_write_call(xid, &fh, 0, 0, stable);
+        let w = wire::decode_write_reply(&call(&mut ep, conn, &rec)).expect("WRITE3res");
+        assert_eq!((w.xid, w.status, w.count), (xid, 0, 0));
+    }
+    let s = ep.world().server_stats();
+    assert_eq!((s.unstable_writes, s.dirty_blocks_stashed), (0, 0));
+    assert_eq!(ep.world().server_dirty_blocks(), 0);
+    assert_eq!(ep.world().fs().stats().writes, 0, "no disk I/O");
+    assert_eq!(ep.world().server_attr_version(fh.ino), 0, "nothing changed");
+}
+
+#[test]
+fn write_ranges_past_any_file_are_refused() {
+    let (mut ep, conn, fh) = endpoint();
+    let rec = wire::encode_write_call(1, &fh, u64::MAX - 100, 8_192, StableHow::Unstable);
+    let w = wire::decode_write_reply(&call(&mut ep, conn, &rec)).expect("WRITE3res");
+    assert_eq!((w.status, w.count), (22, 0), "NFS3ERR_INVAL");
+    // In range, but far past what the partition can hold.
+    let rec = wire::encode_write_call(2, &fh, 1 << 50, 8_192, StableHow::FileSync);
+    let w = wire::decode_write_reply(&call(&mut ep, conn, &rec)).expect("WRITE3res");
+    assert_eq!((w.status, w.count), (28, 0), "NFS3ERR_NOSPC");
+    assert_eq!(ep.world().server_dirty_blocks(), 0);
+    assert_eq!(
+        ep.world().fs().inode(fh.ino).map(|i| i.size),
+        Some(FILE_SIZE)
+    );
+}

@@ -172,14 +172,21 @@ pub enum NfsStatus {
     Stale,
     /// I/O error.
     Io,
+    /// Invalid argument (a byte range that overflows).
+    Inval,
+    /// No space left on the device.
+    NoSpc,
 }
 
 impl NfsStatus {
-    fn code(self) -> u32 {
+    /// RFC 1813 `nfsstat3` value.
+    pub fn code(self) -> u32 {
         match self {
             NfsStatus::Ok => 0,
             NfsStatus::NoEnt => 2,
             NfsStatus::Io => 5,
+            NfsStatus::Inval => 22,
+            NfsStatus::NoSpc => 28,
             NfsStatus::Stale => 70,
         }
     }
@@ -189,6 +196,8 @@ impl NfsStatus {
             0 => Some(NfsStatus::Ok),
             2 => Some(NfsStatus::NoEnt),
             5 => Some(NfsStatus::Io),
+            22 => Some(NfsStatus::Inval),
+            28 => Some(NfsStatus::NoSpc),
             70 => Some(NfsStatus::Stale),
             _ => None,
         }

@@ -1,10 +1,10 @@
-//! The discrete-event core: a time-ordered event queue and an executor loop.
+//! The discrete-event core: a time-ordered event queue.
 //!
 //! The engine is deliberately minimal. Components in the other crates are
 //! written as *passive* models (given a request and the current state, they
 //! compute a service time); integration crates drive them by scheduling
-//! events of their own enum type `E` on an [`EventQueue`], or by running a
-//! full [`Executor`] loop with a handler callback.
+//! events of their own enum type `E` on an [`EventQueue`] and popping them
+//! in their own loop.
 //!
 //! Two events scheduled for the same instant are delivered in the order they
 //! were scheduled (FIFO tie-breaking via a sequence number), which keeps runs
@@ -222,86 +222,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Outcome of handling one event in an [`Executor`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Control {
-    /// Keep running.
-    Continue,
-    /// Stop the loop; `Executor::run` returns.
-    Stop,
-}
-
-/// A minimal executor that drains an [`EventQueue`] through a handler.
-///
-/// The handler receives mutable access to shared state `S` and to the queue
-/// itself (to schedule follow-up events). A step budget guards against
-/// accidental infinite event loops in tests.
-pub struct Executor<E, S> {
-    queue: EventQueue<E>,
-    state: S,
-    max_steps: u64,
-}
-
-impl<E, S> Executor<E, S> {
-    /// Creates an executor around `state` with a default budget of one
-    /// billion events.
-    pub fn new(state: S) -> Self {
-        Executor {
-            queue: EventQueue::new(),
-            state,
-            max_steps: 1_000_000_000,
-        }
-    }
-
-    /// Overrides the maximum number of events to deliver in one `run`.
-    pub fn with_max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Returns a mutable reference to the event queue for seeding events.
-    pub fn queue_mut(&mut self) -> &mut EventQueue<E> {
-        &mut self.queue
-    }
-
-    /// Returns a shared reference to the wrapped state.
-    pub fn state(&self) -> &S {
-        &self.state
-    }
-
-    /// Returns a mutable reference to the wrapped state.
-    pub fn state_mut(&mut self) -> &mut S {
-        &mut self.state
-    }
-
-    /// Consumes the executor, returning the final state and clock value.
-    pub fn into_state(self) -> (S, SimTime) {
-        let now = self.queue.now();
-        (self.state, now)
-    }
-
-    /// Runs until the queue drains, the handler returns [`Control::Stop`],
-    /// or the step budget is exhausted.
-    ///
-    /// Returns the number of events delivered by this call.
-    pub fn run<F>(&mut self, mut handler: F) -> u64
-    where
-        F: FnMut(&mut S, &mut EventQueue<E>, SimTime, E) -> Control,
-    {
-        let mut steps = 0;
-        while steps < self.max_steps {
-            let Some((at, ev)) = self.queue.pop() else {
-                break;
-            };
-            steps += 1;
-            if handler(&mut self.state, &mut self.queue, at, ev) == Control::Stop {
-                break;
-            }
-        }
-        steps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,51 +289,5 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.delivered(), 0);
-    }
-
-    #[test]
-    fn executor_runs_chained_events() {
-        // A ping-pong that counts down: each event schedules the next.
-        let mut ex: Executor<u32, Vec<u32>> = Executor::new(Vec::new());
-        ex.queue_mut().schedule_at(SimTime::ZERO, 5);
-        let steps = ex.run(|log, q, _, n| {
-            log.push(n);
-            if n > 0 {
-                q.schedule_after(SimDuration::from_millis(1), n - 1);
-            }
-            Control::Continue
-        });
-        assert_eq!(steps, 6);
-        assert_eq!(ex.state(), &vec![5, 4, 3, 2, 1, 0]);
-        let (_, end) = ex.into_state();
-        assert_eq!(end, SimTime::from_nanos(5_000_000));
-    }
-
-    #[test]
-    fn executor_stop_halts_early() {
-        let mut ex: Executor<u32, u32> = Executor::new(0);
-        for i in 0..10 {
-            ex.queue_mut().schedule_at(SimTime::from_nanos(i), i as u32);
-        }
-        ex.run(|count, _, _, _| {
-            *count += 1;
-            if *count == 3 {
-                Control::Stop
-            } else {
-                Control::Continue
-            }
-        });
-        assert_eq!(*ex.state(), 3);
-    }
-
-    #[test]
-    fn executor_step_budget_bounds_runaway_loops() {
-        let mut ex: Executor<(), ()> = Executor::new(()).with_max_steps(100);
-        ex.queue_mut().schedule_at(SimTime::ZERO, ());
-        let steps = ex.run(|_, q, _, _| {
-            q.schedule_after(SimDuration::from_nanos(1), ());
-            Control::Continue
-        });
-        assert_eq!(steps, 100);
     }
 }

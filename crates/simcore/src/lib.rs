@@ -4,17 +4,23 @@
 //! provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time;
-//! * [`EventQueue`] / [`Executor`] — a time-ordered event queue with FIFO
-//!   tie-breaking and a minimal run loop;
+//! * [`EventQueue`] — a time-ordered event queue with FIFO tie-breaking;
 //! * [`SimRng`] — seedable, stream-splittable randomness so that every
 //!   experiment is bit-reproducible from a single `u64` seed;
-//! * [`OnlineStats`] / [`Summary`] / [`Histogram`] — the statistics used to
+//! * [`OnlineStats`] / [`Summary`] — the statistics used to
 //!   report benchmark results the way the paper does (mean over >= 10 runs
 //!   with standard deviation);
 //! * [`LogHist`] — a streaming log-bucketed latency histogram with bounded
-//!   memory and exact shard merging, for tail quantiles at fleet scale;
-//! * [`Trace`] — diagnostic counters that can be switched off for timed
-//!   runs, mirroring the paper's instrumentation discipline.
+//!   memory and exact shard merging, for tail quantiles at fleet scale.
+//!
+//! # Instrumentation discipline
+//!
+//! The paper stresses that "the diagnostic instrumentation we added to
+//! monitor our algorithms confirmed that they were working as intended" —
+//! and that this instrumentation must be *disabled during timed runs*.
+//! Diagnostics in this workspace follow that rule: they are turned on to
+//! diagnose (e.g. `NfsWorld::enable_server_event_log`), and when off they
+//! cost nothing and leave every fingerprint unchanged.
 //!
 //! Nothing here knows about disks, networks, or NFS; those live in the
 //! `diskmodel`, `netsim`, and `nfssim` crates.
@@ -26,10 +32,8 @@ mod event;
 mod rng;
 mod stats;
 mod time;
-mod trace;
 
-pub use event::{Control, EventQueue, Executor};
+pub use event::EventQueue;
 pub use rng::{SampleRange, SimRng, UniformSample};
-pub use stats::{quantile, Histogram, LogHist, OnlineStats, Summary};
+pub use stats::{quantile, LogHist, OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceLevel};

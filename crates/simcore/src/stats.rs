@@ -3,8 +3,8 @@
 //! The paper reports each point as the mean of at least ten runs with the
 //! standard deviation (Table 1 prints it in parentheses). [`OnlineStats`]
 //! accumulates those moments in one pass (Welford's algorithm);
-//! [`Summary`] is the frozen result. [`Histogram`] supports the
-//! completion-time distributions of Figure 3.
+//! [`Summary`] is the frozen result. [`LogHist`] streams latency
+//! distributions with bounded memory for tail quantiles.
 
 use std::fmt;
 
@@ -146,72 +146,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let i = ((x - self.lo) / w) as usize;
-            let i = i.min(self.bins.len() - 1);
-            self.bins[i] += 1;
-        }
-    }
-
-    /// Total number of observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bin `i`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Counts that fell below `lo` / at or above `hi`.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
 }
 
 /// Number of linear sub-buckets per octave in [`LogHist`] (power of two).
@@ -450,25 +384,6 @@ mod tests {
     fn quantile_is_order_insensitive() {
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(quantile(&xs, 0.5), Some(3.0));
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.7, 9.9, -1.0, 10.0, 25.0] {
-            h.add(x);
-        }
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bin(0), 1);
-        assert_eq!(h.bin(1), 2);
-        assert_eq!(h.bin(9), 1);
-        assert_eq!(h.out_of_range(), (1, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_rejects_zero_bins() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 
     #[test]

@@ -17,6 +17,7 @@ mod replay;
 mod report;
 mod rig;
 mod stride;
+mod trace;
 
 pub use local::{LocalBench, RunResult, READER_COUNTS};
 pub use mixed::{run_mixed, MixRatios, MixedResult};
@@ -28,3 +29,4 @@ pub use report::{
 };
 pub use rig::Rig;
 pub use stride::{stride_order, StrideBench};
+pub use trace::{create_trace_files, issue_record};

@@ -88,14 +88,14 @@ pub fn run_mixed(
         let roll = rng.gen_range(0u32..100);
         if roll < mix.write_pct {
             let blk = rng.gen_range(0..nblocks);
-            world.write(now, p.fh, blk * READ_BYTES, READ_BYTES, i as u64);
+            world.write_from(0, now, p.fh, blk * READ_BYTES, READ_BYTES, i as u64);
         } else if roll < mix.write_pct + mix.getattr_pct {
-            world.getattr(now, p.fh, i as u64);
+            world.getattr_from(0, now, p.fh, i as u64);
         } else {
             if p.read_offset >= size {
                 p.read_offset = 0;
             }
-            world.read(now, p.fh, p.read_offset, READ_BYTES, i as u64);
+            world.read_from(0, now, p.fh, p.read_offset, READ_BYTES, i as u64);
             p.read_offset += READ_BYTES;
             *bytes_read += READ_BYTES;
         }

@@ -88,7 +88,8 @@ impl NfsBench {
             .collect();
 
         for (i, p) in procs.iter_mut().enumerate() {
-            self.world.read(start, p.fh, 0, READ_BYTES, i as u64);
+            self.world
+                .read_from(0, start, p.fh, 0, READ_BYTES, i as u64);
             p.offset = READ_BYTES;
         }
         let mut pending = readers;
@@ -110,7 +111,7 @@ impl NfsBench {
                 }
                 let issue_at = done.done_at + PROC_READ_CPU;
                 self.world
-                    .read(issue_at, p.fh, p.offset, READ_BYTES, i as u64);
+                    .read_from(0, issue_at, p.fh, p.offset, READ_BYTES, i as u64);
                 p.offset += READ_BYTES;
             }
         }

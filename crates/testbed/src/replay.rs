@@ -7,14 +7,12 @@
 //! latency. This is how one would evaluate the paper's heuristics against
 //! a production trace rather than a synthetic benchmark.
 
-use std::collections::HashMap;
-
-use nfsproto::FileHandle;
 use nfssim::{NfsWorld, WorldConfig};
-use nfstrace::{Trace, TraceOp};
+use nfstrace::Trace;
 use simcore::{quantile, SimDuration, SimTime};
 
 use crate::rig::Rig;
+use crate::trace::{create_trace_files, issue_record};
 
 /// Latency statistics from a replay.
 #[derive(Debug, Clone)]
@@ -42,27 +40,15 @@ pub struct ReplayResult {
 
 /// Replays `trace` on a fresh world built from `rig` + `config`.
 ///
-/// Files are sized to cover the trace's largest offset per handle.
+/// Files are sized to cover the trace's largest offset per handle (see
+/// [`crate::create_trace_files`]).
 /// Operations are issued open-loop at `time_us` from the trace; the world
 /// may fall behind under overload, in which case later operations queue
 /// (their latency includes the backlog, as it would in reality).
 pub fn replay(rig: Rig, config: WorldConfig, trace: &Trace, seed: u64) -> ReplayResult {
     let fs = rig.build_fs(seed);
     let mut world = NfsWorld::new(config, fs, seed);
-
-    // Create each file big enough for its largest access.
-    let mut max_end: HashMap<u64, u64> = HashMap::new();
-    for r in &trace.records {
-        let end = r.offset + u64::from(r.len).max(1);
-        let e = max_end.entry(r.fh).or_insert(0);
-        *e = (*e).max(end);
-    }
-    let mut handles: HashMap<u64, FileHandle> = HashMap::new();
-    for (&fh, &end) in &max_end {
-        // Round up to a whole number of 64 KB clusters.
-        let size = end.div_ceil(65_536) * 65_536;
-        handles.insert(fh, world.create_file(size));
-    }
+    let handles = create_trace_files(&mut world, 0, trace);
 
     let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
     let mut outstanding = 0u64;
@@ -80,26 +66,7 @@ pub fn replay(rig: Rig, config: WorldConfig, trace: &Trace, seed: u64) -> Replay
                 outstanding -= 1;
             }
         }
-        let fh = handles[&r.fh];
-        match r.op {
-            TraceOp::Read => {
-                world.read(at, fh, r.offset, u64::from(r.len).max(1), i as u64);
-            }
-            TraceOp::Write => {
-                world.write(at, fh, r.offset, u64::from(r.len).max(1), i as u64);
-            }
-            TraceOp::Getattr => {
-                world.getattr(at, fh, i as u64);
-            }
-            TraceOp::Lookup => {
-                world.lookup_from(0, at, fh, r.len.max(1), i as u64);
-            }
-            TraceOp::Readdir => {
-                // The record's len is the entries requested; a standalone
-                // chunk is its directory's last from the replay's view.
-                world.readdir_from(0, at, fh, r.offset, r.len.max(1), true, i as u64);
-            }
-        }
+        issue_record(&mut world, 0, at, handles[&r.fh], r, i as u64);
         outstanding += 1;
     }
     while outstanding > 0 {
@@ -160,6 +127,32 @@ mod tests {
         assert_eq!(r.ops, total);
         assert!(r.mean_ms > 0.0);
         assert!(r.p99_ms >= r.p50_ms);
+    }
+
+    #[test]
+    fn replays_of_one_multi_file_trace_are_bit_identical() {
+        // Files are created in trace-handle order, not hash order, so the
+        // disk layout — and with it every latency — repeats exactly.
+        let mut rng = SimRng::new(4);
+        let trace = synth::with_metadata_noise(
+            synth::sequential(
+                synth::SequentialSpec {
+                    files: 12,
+                    blocks_per_file: 16,
+                    ..synth::SequentialSpec::default()
+                },
+                &mut rng,
+            ),
+            0.2,
+            &mut rng,
+        );
+        let run = || {
+            format!(
+                "{:?}",
+                replay(Rig::ide(1), cfg(ReadaheadPolicy::Default), &trace, 4)
+            )
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

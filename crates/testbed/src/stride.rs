@@ -70,7 +70,7 @@ impl StrideBench {
         let mut now = start;
         for &blk in &order {
             self.world
-                .read(now, self.fh, blk * READ_BYTES, READ_BYTES, blk);
+                .read_from(0, now, self.fh, blk * READ_BYTES, READ_BYTES, blk);
             // The stride reader is strictly serial: wait for this read.
             loop {
                 let t = self.world.next_event().expect("read pending but no events");

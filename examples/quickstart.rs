@@ -30,7 +30,7 @@ fn main() {
     let mut now = SimTime::ZERO;
     let mut offset = 0;
     while offset < size {
-        world.read(now, fh, offset, 8_192, 0);
+        world.read_from(0, now, fh, offset, 8_192, 0);
         loop {
             let t = world.next_event().expect("read in flight");
             if let Some(done) = world.advance(t).first() {
@@ -49,7 +49,7 @@ fn main() {
     );
     println!("throughput: {:.1} MB/s", size as f64 / 1e6 / secs);
     println!();
-    println!("client: {:?}", world.client_stats());
+    println!("client: {:?}", world.client_stats_for(0));
     println!("server: {:?}", world.server_stats());
     println!(
         "server reorder fraction: {:.2}% of READs arrived out of order",

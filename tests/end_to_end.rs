@@ -7,7 +7,7 @@ fn read_whole_file(world: &mut NfsWorld, fh: nfsproto::FileHandle, size: u64) ->
     let mut now = SimTime::ZERO;
     let mut offset = 0;
     while offset < size {
-        world.read(now, fh, offset, 8_192, 0);
+        world.read_from(0, now, fh, offset, 8_192, 0);
         loop {
             let t = world.next_event().expect("progress");
             if let Some(d) = world.advance(t).first() {
@@ -41,14 +41,14 @@ fn every_transport_policy_combination_completes() {
             let end = read_whole_file(&mut world, fh, size);
             assert!(end > SimTime::ZERO);
             assert_eq!(
-                world.client_stats().retransmits,
+                world.client_stats_for(0).retransmits,
                 0,
                 "{transport:?}/{} on a clean LAN",
                 policy.label()
             );
             // Conservation: 128 blocks fetched exactly once each.
             assert_eq!(
-                world.client_stats().rpcs,
+                world.client_stats_for(0).rpcs,
                 128,
                 "{transport:?}/{}",
                 policy.label()
@@ -82,7 +82,7 @@ fn local_and_nfs_account_for_every_block() {
     assert_eq!(s.cache_hit_blocks + s.miss_blocks, 1_024, "{s:?}");
     let mut nfs = NfsBench::new(Rig::ide(1), WorldConfig::default(), &[2], 8, 3);
     nfs.run(2);
-    let c = nfs.world().client_stats();
+    let c = nfs.world().client_stats_for(0);
     assert_eq!(c.rpcs, 1_024, "each block fetched exactly once: {c:?}");
 }
 
@@ -119,7 +119,7 @@ fn lossy_link_still_completes_via_retransmission() {
     let fh = world.create_file(size);
     read_whole_file(&mut world, fh, size);
     assert!(
-        world.client_stats().retransmits > 0,
+        world.client_stats_for(0).retransmits > 0,
         "loss must trigger retries"
     );
 }

@@ -23,7 +23,7 @@ fn arbitrary_read_interleavings_complete() {
         let mut now = SimTime::ZERO;
         let mut issued = 0u64;
         for (i, &(f, blk)) in ops.iter().enumerate() {
-            world.read(now, fhs[f], blk * 8_192, 8_192, i as u64);
+            world.read_from(0, now, fhs[f], blk * 8_192, 8_192, i as u64);
             issued += 1;
             // Interleave: sometimes let the world progress before issuing.
             if i % 3 == 0 {
@@ -82,13 +82,13 @@ fn arbitrary_mixed_sequences_complete() {
             let blk = rng.gen_range(0u64..64);
             match rng.gen_range(0u8..3) {
                 0 => {
-                    world.read(now, fh, blk * 8_192, 8_192, i as u64);
+                    world.read_from(0, now, fh, blk * 8_192, 8_192, i as u64);
                 }
                 1 => {
-                    world.write(now, fh, blk * 8_192, 8_192, i as u64);
+                    world.write_from(0, now, fh, blk * 8_192, 8_192, i as u64);
                 }
                 _ => {
-                    world.getattr(now, fh, i as u64);
+                    world.getattr_from(0, now, fh, i as u64);
                 }
             }
             pending += 1;
