@@ -178,7 +178,7 @@ fn bench_xdr(out: &mut Vec<BenchResult>, iters: u64) {
     });
 }
 
-fn bench_buffer_cache(out: &mut Vec<BenchResult>, iters: u64) {
+fn bench_buffer_cache(out: &mut Vec<BenchResult>, iters: u64, server_iters: u64) {
     let mut bc = BufferCache::new(4_096);
     for blk in 0..1_024u64 {
         bc.fill((1, blk));
@@ -192,6 +192,19 @@ fn bench_buffer_cache(out: &mut Vec<BenchResult>, iters: u64) {
     let mut bc = BufferCache::new(256);
     let mut blk = 0u64;
     bench(out, "buffer_cache_evicting_fill", iters, || {
+        blk += 1;
+        bc.fill((1, blk));
+    });
+
+    // The server's cache size (`FsConfig::default`), full before timing,
+    // so every timed fill evicts.
+    let mut bc = BufferCache::new(20_000);
+    let mut blk = 0u64;
+    while blk < 20_000 {
+        blk += 1;
+        bc.fill((1, blk));
+    }
+    bench(out, "buffer_cache_evicting_fill_20k", server_iters, || {
         blk += 1;
         bc.fill((1, blk));
     });
@@ -297,7 +310,7 @@ fn main() {
     bench_schedulers(out, slow);
     bench_event_queue(out, slow);
     bench_xdr(out, fast);
-    bench_buffer_cache(out, fast);
+    bench_buffer_cache(out, fast, slow * 10);
     bench_drive_cache(out, fast);
     bench_disk_service(out, slow);
 

@@ -6,8 +6,32 @@
 //! duplicating it. Capacity is counted in blocks, sized from the machine's
 //! RAM (the paper's server has 256 MB, which is why its 1.5 GB benchmark
 //! working set defeats caching, §4.3.1).
+//!
+//! # Eviction
+//!
+//! Eviction is exact LRU: the victim is always the valid entry with the
+//! smallest stamp. Every insert and every hit takes a fresh stamp from a
+//! strictly increasing clock, so stamps are unique. Scanning the map for
+//! that minimum on every eviction costs the whole map per evicted block,
+//! and eviction is the hot path of any run whose working set exceeds the
+//! cache, which is every paper-faithful run (§4.3.1).
+//!
+//! Instead, one scan collects a batch of candidates: the `k` oldest valid
+//! `(stamp, key)` pairs, kept newest first so `pop` yields the oldest.
+//! `k` is `capacity / 32`, clamped to `1..=1024`. The list is never
+//! updated in place. A candidate is *stale* if its entry is gone, pending,
+//! or carries a different stamp; eviction pops past stale candidates and
+//! rescans only when the list runs dry.
+//!
+//! Why the first fresh candidate is the global minimum: a valid entry
+//! outside the list either had a larger stamp than every listed one at
+//! scan time, or was stamped after the scan and so is larger still. A
+//! listed entry that went stale can only come back with a new, larger
+//! stamp. In the worst case every candidate is stale and the cache
+//! rescans once per eviction, which is the cost of the plain scan. The
+//! list adds no per-block memory: it never holds more than `k` pairs.
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Cache key: inode number and file-block index.
 pub type BlockKey = (u64, u64);
@@ -27,11 +51,17 @@ struct Entry {
     stamp: u64,
 }
 
+/// A `(stamp, key)` eviction candidate.
+type Victim = (u64, BlockKey);
+
 /// LRU buffer cache with pending-block pinning.
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
     map: HashMap<BlockKey, Entry>,
+    /// The oldest valid entries as of the last scan, newest first; may
+    /// hold stale candidates (see the module docs).
+    victims: Vec<Victim>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -48,6 +78,7 @@ impl BufferCache {
         BufferCache {
             capacity,
             map: HashMap::new(),
+            victims: Vec::new(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -70,13 +101,15 @@ impl BufferCache {
     }
 
     /// Approximate heap bytes behind this cache (hash-map backing store,
-    /// estimated from its capacity). Used for fleet-scale memory
-    /// accounting; excludes `size_of::<BufferCache>()` itself.
+    /// estimated from its capacity, plus the eviction candidate list).
+    /// Used for fleet-scale memory accounting; excludes
+    /// `size_of::<BufferCache>()` itself.
     pub fn approx_heap_bytes(&self) -> usize {
         self.map.capacity()
             * (std::mem::size_of::<BlockKey>()
                 + std::mem::size_of::<Entry>()
                 + std::mem::size_of::<u64>())
+            + self.victims.capacity() * std::mem::size_of::<Victim>()
     }
 
     /// Looks up a block for a read, bumping LRU on hit.
@@ -161,14 +194,7 @@ impl BufferCache {
 
     fn evict_if_needed(&mut self) {
         while self.map.len() >= self.capacity {
-            // Evict the least recently used *valid* entry.
-            let victim = self
-                .map
-                .iter()
-                .filter(|(_, e)| e.state == State::Valid)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k);
-            match victim {
+            match self.pop_victim() {
                 Some(k) => {
                     self.map.remove(&k);
                 }
@@ -177,6 +203,48 @@ impl BufferCache {
                 None => break,
             }
         }
+    }
+
+    /// The least recently used *valid* key, or `None` if every resident
+    /// block is pending.
+    fn pop_victim(&mut self) -> Option<BlockKey> {
+        loop {
+            while let Some((stamp, key)) = self.victims.pop() {
+                if matches!(self.map.get(&key),
+                    Some(e) if e.state == State::Valid && e.stamp == stamp)
+                {
+                    return Some(key);
+                }
+            }
+            if !self.rescan_victims() {
+                return None;
+            }
+        }
+    }
+
+    /// Refills the empty candidate list with the oldest valid entries in
+    /// one pass over the map (a bounded max-heap on stamp). Returns
+    /// whether any valid entry exists.
+    fn rescan_victims(&mut self) -> bool {
+        let k = (self.capacity / 32).clamp(1, 1_024);
+        // The list is empty here; the heap reuses its allocation.
+        let mut heap = BinaryHeap::from(std::mem::take(&mut self.victims));
+        heap.reserve_exact(k);
+        for (key, e) in &self.map {
+            if e.state != State::Valid {
+                continue;
+            }
+            if heap.len() < k {
+                heap.push((e.stamp, *key));
+            } else if let Some(mut newest) = heap.peek_mut() {
+                if e.stamp < newest.0 {
+                    *newest = (e.stamp, *key);
+                }
+            }
+        }
+        self.victims = heap.into_sorted_vec();
+        self.victims.reverse();
+        !self.victims.is_empty()
     }
 }
 
