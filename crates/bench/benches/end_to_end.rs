@@ -21,6 +21,7 @@ use nfs_bench::perf::{BenchResult, PerfReport};
 use nfscluster::{ClusterBench, ClusterConfig, FleetConfig, FleetReport, FleetWorld};
 use nfssim::WorldConfig;
 use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
+use simtest::{Spec, Workload};
 use testbed::{LocalBench, NfsBench, Rig, StrideBench};
 
 fn bench(out: &mut Vec<BenchResult>, name: &str, iters: u64, mut f: impl FnMut()) {
@@ -127,12 +128,11 @@ fn main() {
     // defect cluster (one surfaced EIO), so the bio retry path and the
     // error propagation stack are on the measured path.
     bench(out, "degraded_simtest/disk_faults_seed0", iters, || {
-        let p = simtest::plan_full(0, simtest::DISK_BATCHES, false, true);
-        let opts = simtest::RunOptions {
+        let spec = Spec {
             disk_faults: true,
-            ..simtest::RunOptions::default()
+            ..Spec::new(0)
         };
-        black_box(simtest::run_plan(&p, opts).expect("oracles hold"));
+        black_box(spec.run().expect("oracles hold"));
     });
 
     bench(
@@ -140,13 +140,13 @@ fn main() {
         "degraded_cluster/overlap_2_clients_seed1",
         iters,
         || {
-            let p = simtest::plan_full(1, simtest::DISK_BATCHES, true, true);
-            let opts = simtest::RunOptions {
+            let spec = Spec {
                 clients: 2,
+                overlap: true,
                 disk_faults: true,
-                ..simtest::RunOptions::default()
+                ..Spec::new(1)
             };
-            black_box(simtest::run_plan(&p, opts).expect("oracles hold"));
+            black_box(spec.run().expect("oracles hold"));
         },
     );
 
@@ -155,12 +155,11 @@ fn main() {
     // of simulating write-behind, gathering, the verifier-mismatch rewrite
     // loop, and the write-loss oracle set on top of the fault schedule.
     bench(out, "degraded_writeloss/crash_seed0", iters, || {
-        let p = simtest::plan(0, simtest::DEFAULT_BATCHES);
-        let opts = simtest::RunOptions {
-            write_loss: true,
-            ..simtest::RunOptions::default()
+        let spec = Spec {
+            workload: Workload::WriteLoss,
+            ..Spec::new(0)
         };
-        black_box(simtest::run_plan(&p, opts).expect("oracles hold"));
+        black_box(spec.run().expect("oracles hold"));
     });
 
     // Forced-TCP end-to-end: the full fault schedule (including the
@@ -168,14 +167,11 @@ fn main() {
     // the cost of simulating RTO backoff ladders, per-segment timers, and
     // blackout abort/recovery with all oracles on.
     bench(out, "degraded_tcp/tcp_blackout_seed0", iters, || {
-        let p = simtest::plan_forced(
-            0,
-            simtest::DEFAULT_BATCHES,
-            false,
-            false,
-            Some(netsim::TransportKind::Tcp),
-        );
-        black_box(simtest::run_plan(&p, simtest::RunOptions::default()).expect("oracles hold"));
+        let spec = Spec {
+            transport: Some(netsim::TransportKind::Tcp),
+            ..Spec::new(0)
+        };
+        black_box(spec.run().expect("oracles hold"));
     });
 
     // Metadata end-to-end: the build-tree walk replayed through the full
@@ -211,12 +207,11 @@ fn main() {
     // under the metadata-heavy workload with the attribute cache armed —
     // the cost of the storm mix plus the attrcache-books oracle set.
     bench(out, "attr_storm/simtest_seed0", iters, || {
-        let p = simtest::plan(0, simtest::DEFAULT_BATCHES);
-        let opts = simtest::RunOptions {
-            meta_storm: true,
-            ..simtest::RunOptions::default()
+        let spec = Spec {
+            workload: Workload::MetaStorm,
+            ..Spec::new(0)
         };
-        black_box(simtest::run_plan(&p, opts).expect("oracles hold"));
+        black_box(spec.run().expect("oracles hold"));
     });
 
     // SSD end-to-end: the same NFS pipeline with the flash backend

@@ -209,7 +209,7 @@ pub enum BlockState {
 }
 
 /// Server-side counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// READ calls received (retransmissions included).
     pub reads: u64,
@@ -278,7 +278,7 @@ impl ServerStats {
 }
 
 /// Client-side counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Process-level reads issued.
     pub ops: u64,

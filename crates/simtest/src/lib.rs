@@ -39,13 +39,17 @@
 //! - **determinism**: the same seed reproduces the bit-exact same run
 //!   fingerprint (TCP runs fold the segment-engine books in too).
 //!
-//! The workload generalises to a cluster: with [`RunOptions::clients`]
+//! One [`Spec`] describes a run completely: the seed plus every mode.
+//! [`Spec::run`], [`Spec::run_checked`], the failure message, and the
+//! command line ([`Spec::args`], [`Spec::from_args`]) all derive from it.
+//!
+//! The workload generalises to a cluster: with [`Spec::clients`]
 //! greater than one, the same seed drives N client hosts (each with its
 //! own files, cursors, and RNG-derived streams inside the world) against
 //! the one shared server, and the conservation oracles reconcile the
 //! *summed* per-host books against the server's.
 //!
-//! With [`RunOptions::write_loss`] the mount switches to the NFSv3 async
+//! With [`Workload::WriteLoss`] the mount switches to the NFSv3 async
 //! write path (UNSTABLE WRITEs, server-side write gathering, COMMIT on
 //! close) and the workload becomes write-heavy with interleaved closes.
 //! Every `nfsd`-outage batch turns into a *crash*: the run drains only a
@@ -63,7 +67,7 @@
 //!   a rewritten block implies a mismatch was detected, and (in clean
 //!   runs) the async machinery never wakes on a FILE_SYNC mount.
 //!
-//! With [`RunOptions::meta_storm`] the workload flips to a
+//! With [`Workload::MetaStorm`] the workload flips to a
 //! metadata-heavy mix (GETATTR pollers, open()-style revalidations,
 //! LOOKUPs, READDIR chunks, occasional writes) and the client attribute
 //! cache arms at the classic `acregmin=3,acregmax=60` timeouts. Two
@@ -76,30 +80,32 @@
 //!   cache disarmed every attribute-cache counter is zero and the cache
 //!   holds no entries — the machinery is provably inert by default.
 //!
-//! Every failure message carries a one-line reproduction command:
-//! `SIMTEST_SEED=<n> cargo run -p simtest -- --seed <n>` (plus
-//! `--clients N` / `--overlap` / `--disk-faults` / `--write-loss` /
-//! `--meta-storm` when those modes were active).
+//! Every failure message carries a one-line reproduction command rendered
+//! from the spec that ran: `SIMTEST_SEED=<n> cargo run -p simtest --
+//! --seed <n> --clients <N>` plus one flag per active mode.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 use diskfault::{FaultPlan, FaultState};
+use ffs::BioStats;
 use netsim::{LinkProfile, LinkStats, TransportKind};
 use nfsproto::{FileHandle, StableHow};
-use nfssim::{BlockState, ClientHostConfig, ClientStats, NfsWorld, OpId, OpOutcome, WorldConfig};
+use nfssim::{
+    BlockState, ClientHostConfig, ClientStats, NfsWorld, OpId, OpOutcome, ServerStats, WorldConfig,
+};
 use simcore::{LogHist, SimDuration, SimRng, SimTime};
 use testbed::Rig;
 
-/// Batches per run with the default options: seven fault batches (one per
+/// Batches per run without disk faults: seven fault batches (one per
 /// [`FaultKind`], shuffled by seed) interleaved with clean batches, plus a
 /// clean tail to observe recovery.
-pub const DEFAULT_BATCHES: usize = 16;
+const DEFAULT_BATCHES: usize = 16;
 
 /// Batches per run when disk faults join the schedule: eleven fault
 /// batches (seven classic kinds + four disk kinds) interleaved with clean
 /// batches, plus a clean tail.
-pub const DISK_BATCHES: usize = 24;
+const DISK_BATCHES: usize = 24;
 
 /// Event budget per run; exhausting it fails the bounded-progress oracle.
 const STEP_BUDGET: u64 = 5_000_000;
@@ -193,132 +199,294 @@ impl FaultKind {
     }
 }
 
-/// Everything a run does, derived purely from the seed.
-#[derive(Debug, Clone)]
-pub struct SimPlan {
-    /// The seed the plan was derived from.
-    pub seed: u64,
-    /// Number of event batches.
-    pub batches: usize,
-    /// Transport under test (3 in 4 seeds use UDP, the paper's default).
-    pub transport: TransportKind,
-    /// `(batch, kind)` fault schedule; each fault lasts until its batch's
-    /// revert. With overlap scheduling two kinds share one batch.
-    pub faults: Vec<(usize, FaultKind)>,
-    /// Whether the schedule packs fault *pairs* into shared batches.
-    pub overlap: bool,
-    /// Whether [`FaultKind::DISK`] kinds were shuffled into the schedule.
-    pub disk_faults: bool,
-    /// Set when the transport axis was forced (`--transport tcp|udp`)
-    /// instead of seed-drawn; forced-TCP plans additionally schedule
-    /// [`FaultKind::TcpBlackout`].
-    pub forced_transport: Option<TransportKind>,
+/// The workload a run drives: its op mix, the mount's `stable_how`, the
+/// attribute-cache timeouts, and which oracle families join the set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// Sequential-cursor reads with random jumps plus occasional writes
+    /// and GETATTR polls, on a FILE_SYNC mount with the attribute cache
+    /// off (the attrcache-dormancy oracle proves it inert).
+    Classic,
+    /// Mount UNSTABLE (the NFSv3 async write path), run a write-heavy mix
+    /// with interleaved closes, and turn every `nfsd`-outage batch into a
+    /// mid-gather server crash (dirty pool lost, write verifier changed).
+    /// Adds the crash-consistency oracle set.
+    WriteLoss,
+    /// A GETATTR/LOOKUP/READDIR-heavy mix with open()-style forced
+    /// revalidations, with the client attribute cache armed at
+    /// `acregmin=3s`/`acregmax=60s`. Adds the attrcache-books oracle.
+    MetaStorm,
 }
 
-/// Knobs that are not part of the seed-derived plan.
-#[derive(Debug, Clone, Copy)]
-pub struct RunOptions {
-    /// Mutation check: this many server replies are counted in the books
-    /// but never transmitted, which a healthy oracle set must catch.
-    pub sabotage_replies: u32,
+/// One run, completely: the seed plus every mode. Runs, reports, failure
+/// messages and command lines are all derived from it, so the printed
+/// reproduction command is the configuration that ran.
+///
+/// ```
+/// use simtest::Spec;
+/// let spec = Spec { clients: 2, overlap: true, ..Spec::new(7) };
+/// assert_eq!(spec.args().join(" "), "--seed 7 --clients 2 --overlap");
+/// assert_eq!(Spec::from_args(&spec.args()), Ok((spec, vec![7])));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spec {
+    /// The seed the plan and every workload draw derive from.
+    pub seed: u64,
     /// Client hosts in the cluster under test (1 = the classic world).
     pub clients: usize,
-    /// Shuffle the [`FaultKind::DISK`] kinds into the fault schedule
-    /// (lengthening the run to [`DISK_BATCHES`]).
+    /// Pack fault *pairs* into shared batches (see [`Spec::plan`]).
+    pub overlap: bool,
+    /// Shuffle the [`FaultKind::DISK`] kinds into the schedule, which
+    /// lengthens the run from 16 to 24 batches so all eleven kinds land.
     pub disk_faults: bool,
-    /// Mount UNSTABLE (the NFSv3 async write path), run a write-heavy
-    /// workload with interleaved closes, and turn every `nfsd`-outage
-    /// batch into a mid-gather server crash (dirty pool lost, write
-    /// verifier changed). Adds the crash-consistency oracle set.
-    pub write_loss: bool,
-    /// Metadata-storm mode: the workload becomes GETATTR/LOOKUP/READDIR
-    /// heavy with open()-style forced revalidations, and the client
-    /// attribute cache arms at `acregmin=3s`/`acregmax=60s`. Adds the
-    /// attrcache-books oracle. Ignored when [`RunOptions::write_loss`] is
-    /// also set (the write workload wins and the cache stays off).
-    pub meta_storm: bool,
+    /// Force the transport instead of drawing it from the seed. Forced
+    /// TCP also schedules [`FaultKind::TcpBlackout`].
+    pub transport: Option<TransportKind>,
+    /// The op mix and mount modes.
+    pub workload: Workload,
     /// Record every operation's latency into a [`LogHist`] alongside an
     /// exact list, and run the latency-histogram oracle at end of run:
     /// counts reconcile, quantiles are monotone, the streaming p50/p99/
     /// p99.9 agree with the exact order statistics within the histogram's
     /// documented relative-error bound, and the tail is inside the run.
     pub hist_oracle: bool,
+    /// Mutation check: this many server replies are counted in the books
+    /// but never transmitted, which a healthy oracle set must catch. Not
+    /// a command-line mode, so [`Spec::args`] does not render it.
+    pub sabotage_replies: u32,
 }
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            sabotage_replies: 0,
+impl Spec {
+    /// The classic run of `seed`: one client, one fault per batch, no
+    /// disk faults, seed-drawn transport, [`Workload::Classic`].
+    pub fn new(seed: u64) -> Self {
+        Spec {
+            seed,
             clients: 1,
+            overlap: false,
             disk_faults: false,
-            write_loss: false,
-            meta_storm: false,
+            transport: None,
+            workload: Workload::Classic,
             hist_oracle: false,
+            sabotage_replies: 0,
         }
+    }
+
+    /// Derives the transport and fault schedule from the seed.
+    ///
+    /// Without overlap one fault lands on each odd batch, each followed by
+    /// a clean recovery batch. With overlap *two* distinct kinds land on
+    /// each odd batch and stay active together until the batch's revert
+    /// (a loss burst during a server stall, an outage during a cache
+    /// flush, ...). The transport draw is always made and a forced
+    /// transport only overrides it, so every mode explores the same
+    /// per-seed kind shuffle, and the disk-free plan draws the identical
+    /// stream it did before disk faults existed. Forced TCP appends
+    /// [`FaultKind::TcpBlackout`] to the shuffle: 8 kinds fit 16 batches,
+    /// 12 fit 24.
+    pub fn plan(&self) -> SimPlan {
+        let batches = if self.disk_faults {
+            DISK_BATCHES
+        } else {
+            DEFAULT_BATCHES
+        };
+        let mut rng = SimRng::from_seed_and_stream(self.seed, 0x53_49_4D_54_45_53_54); // "SIMTEST"
+        let drawn = if rng.gen_range(0u32..4) == 3 {
+            TransportKind::Tcp
+        } else {
+            TransportKind::Udp
+        };
+        let mut kinds = FaultKind::ALL.to_vec();
+        if self.disk_faults {
+            kinds.extend(FaultKind::DISK);
+        }
+        if self.transport == Some(TransportKind::Tcp) {
+            kinds.push(FaultKind::TcpBlackout);
+        }
+        rng.shuffle(&mut kinds);
+        let faults = kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let slot = if self.overlap { i / 2 } else { i };
+                (1 + 2 * slot, k)
+            })
+            .filter(|&(b, _)| b < batches)
+            .collect();
+        SimPlan {
+            batches,
+            transport: self.transport.unwrap_or(drawn),
+            faults,
+        }
+    }
+
+    /// Runs the spec once and checks every oracle. Returns the report of a
+    /// clean run, or the first invariant violation.
+    pub fn run(&self) -> Result<RunReport, OracleFailure> {
+        execute(self)
+    }
+
+    /// Runs the spec twice and adds the determinism oracle: both runs must
+    /// produce the bit-exact same report.
+    pub fn run_checked(&self) -> Result<RunReport, OracleFailure> {
+        let first = self.run()?;
+        let second = self.run()?;
+        if first != second {
+            return Err(self.failure(
+                "determinism",
+                format!(
+                    "same seed diverged: fingerprints {:#x} vs {:#x}",
+                    first.fingerprint, second.fingerprint
+                ),
+            ));
+        }
+        Ok(first)
+    }
+
+    fn failure(&self, oracle: &'static str, detail: String) -> OracleFailure {
+        OracleFailure {
+            spec: *self,
+            oracle,
+            detail,
+        }
+    }
+
+    /// The spec's modes as `(flag, value)` pairs in one fixed order: the
+    /// vocabulary [`Spec::from_args`] parses. [`Spec::args`] renders them
+    /// as `--flag value`, the sweep header as `flag=value`. `clients` is
+    /// always listed, so a reproduction command never picks the cluster
+    /// width up from the environment.
+    pub fn flags(&self) -> Vec<(&'static str, Option<String>)> {
+        let switches = [
+            ("overlap", self.overlap),
+            ("disk-faults", self.disk_faults),
+            ("write-loss", self.workload == Workload::WriteLoss),
+            ("meta-storm", self.workload == Workload::MetaStorm),
+            ("hist-oracle", self.hist_oracle),
+        ];
+        let mut flags = vec![("clients", Some(self.clients.to_string()))];
+        flags.extend(switches.iter().filter(|s| s.1).map(|&(f, _)| (f, None)));
+        flags.extend(self.transport.map(|t| {
+            let name = match t {
+                TransportKind::Udp => "udp",
+                TransportKind::Tcp => "tcp",
+            };
+            ("transport", Some(name.to_string()))
+        }));
+        flags
+    }
+
+    /// The command line that reproduces this spec: `--seed N`, then every
+    /// [`Spec::flags`] entry as `--flag [value]`.
+    pub fn args(&self) -> Vec<String> {
+        let mut args = vec!["--seed".to_string(), self.seed.to_string()];
+        for (flag, value) in self.flags() {
+            args.push(format!("--{flag}"));
+            args.extend(value);
+        }
+        args
+    }
+
+    /// Parses a simtest command line into the spec every seed runs under
+    /// (its `seed` set to the first one) and the seeds to run: `--seed N`
+    /// runs one seed, otherwise `--seeds N` (default 16) starting at
+    /// `--start S` (default 0). An unknown flag, a missing or unparsable
+    /// value, a transport other than `tcp`/`udp`, `--clients 0`, or both
+    /// `--write-loss` and `--meta-storm` is an error.
+    pub fn from_args(args: &[String]) -> Result<(Spec, Vec<u64>), String> {
+        fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse().map_err(|_| format!("{flag} {v:?}: not a number"))
+        }
+        let mut spec = Spec::new(0);
+        let (mut single, mut start, mut count) = (None, 0u64, 16u64);
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--seed" => single = Some(num(flag, value()?)?),
+                "--seeds" => count = num(flag, value()?)?,
+                "--start" => start = num(flag, value()?)?,
+                "--clients" => spec.clients = num(flag, value()?)?,
+                "--transport" => {
+                    spec.transport = Some(match value()?.as_str() {
+                        "tcp" => TransportKind::Tcp,
+                        "udp" => TransportKind::Udp,
+                        other => return Err(format!("--transport {other:?}: expected tcp or udp")),
+                    });
+                }
+                "--overlap" => spec.overlap = true,
+                "--disk-faults" => spec.disk_faults = true,
+                "--hist-oracle" => spec.hist_oracle = true,
+                "--write-loss" | "--meta-storm" => {
+                    let w = if flag == "--write-loss" {
+                        Workload::WriteLoss
+                    } else {
+                        Workload::MetaStorm
+                    };
+                    if ![Workload::Classic, w].contains(&spec.workload) {
+                        return Err("--write-loss and --meta-storm are exclusive".into());
+                    }
+                    spec.workload = w;
+                }
+                other => return Err(format!("unknown flag {other:?}")),
+            }
+        }
+        if spec.clients == 0 {
+            return Err("--clients must be at least 1".into());
+        }
+        let seeds: Vec<u64> = match single {
+            Some(s) => vec![s],
+            None => {
+                let end = start
+                    .checked_add(count)
+                    .ok_or("--start + --seeds overflows")?;
+                (start..end).collect()
+            }
+        };
+        spec.seed = seeds.first().copied().unwrap_or(start);
+        Ok((spec, seeds))
     }
 }
 
-/// Summary of one completed (oracle-clean) run.
+/// What a [`Spec`] derives from its seed rather than states: the batch
+/// count, the transport, and the fault schedule.
+#[derive(Debug, Clone)]
+pub struct SimPlan {
+    /// Number of event batches.
+    pub batches: usize,
+    /// Transport under test (3 in 4 seeds draw UDP, the paper's default).
+    pub transport: TransportKind,
+    /// `(batch, kind)` fault schedule; each fault lasts until its batch's
+    /// revert. With overlap scheduling two kinds share one batch.
+    pub faults: Vec<(usize, FaultKind)>,
+}
+
+/// Summary of one completed (oracle-clean) run. The modes are the
+/// [`Spec`]'s; the report holds only what the run produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
     /// The seed that generated the run.
     pub seed: u64,
     /// Transport used.
     pub transport: TransportKind,
-    /// Operations issued.
-    pub ops: u64,
     /// Operations that completed `Ok`.
     pub ok_ops: u64,
     /// Operations that failed with `RpcTimedOut`.
     pub timed_out_ops: u64,
     /// Operations that failed with `Eio` (server disk gave up).
     pub eio_ops: u64,
-    /// Disk requests the bio layer retried after a transient error.
-    pub disk_retries: u64,
-    /// `EIO`s the server returned after bio-layer recovery gave up.
-    pub disk_eios: u64,
-    /// Client RPC retransmissions.
-    pub retransmits: u64,
-    /// RPCs abandoned after the retry cap.
-    pub rpc_timeouts: u64,
     /// Faults injected, in schedule order.
     pub faults: Vec<FaultKind>,
-    /// Client hosts the run drove.
-    pub clients: usize,
-    /// Whether faults were injected in overlapping pairs.
-    pub overlap: bool,
-    /// Whether disk fault kinds were in the schedule.
-    pub disk_faults: bool,
-    /// Whether the run used the async write path with crash injection.
-    pub write_loss: bool,
-    /// Whether the run used the metadata-storm workload with the
-    /// attribute cache armed.
-    pub meta_storm: bool,
-    /// GETATTR RPCs the clients put on the wire (misses + revalidations).
-    pub getattr_rpcs: u64,
-    /// Getattr-class ops the attribute cache answered locally.
-    pub attr_cache_hits: u64,
-    /// Wire GETATTRs that revalidated an existing (expired or
-    /// open-forced) cache entry.
-    pub attr_revalidations: u64,
-    /// Revalidations that found the server's attributes had moved.
-    pub attr_stale_detected: u64,
-    /// UNSTABLE WRITE calls the server stashed without touching disk.
-    pub unstable_writes: u64,
-    /// COMMIT calls the server received.
-    pub commits: u64,
-    /// Dirty-pool flushes the server submitted (one per coalesced run).
-    pub gather_flushes: u64,
-    /// Blocks dropped from the dirty pool by server crashes.
-    pub dirty_blocks_lost: u64,
-    /// COMMIT replies whose verifier betrayed a server crash window.
-    pub verifier_mismatches: u64,
-    /// Blocks rewritten after a verifier mismatch.
-    pub blocks_rewritten: u64,
-    /// Server restarts injected (each one changes the write verifier).
-    pub restarts: u64,
+    /// Client books summed over every host (`client.ops` is the number of
+    /// operations issued). The per-direction TCP books are not additive and
+    /// stay at default.
+    pub client: ClientStats,
+    /// The shared server's books.
+    pub server: ServerStats,
+    /// The server's block-I/O error books.
+    pub bio: BioStats,
     /// Streaming p99 operation latency, nanoseconds (0 unless the run
-    /// collected the latency histogram — [`RunOptions::hist_oracle`]).
+    /// collected the latency histogram — [`Spec::hist_oracle`]).
     pub lat_p99_ns: u64,
     /// Streaming p99.9 operation latency, nanoseconds (0 unless the run
     /// collected the latency histogram).
@@ -333,191 +501,28 @@ pub struct RunReport {
 /// An invariant violation, carrying everything needed to reproduce it.
 #[derive(Debug, Clone)]
 pub struct OracleFailure {
-    /// The seed that produced the failing run.
-    pub seed: u64,
+    /// The failing run's spec; the reproduction command renders it.
+    pub spec: Spec,
     /// Which oracle tripped.
     pub oracle: &'static str,
     /// What it saw.
     pub detail: String,
-    /// Cluster width of the failing run.
-    pub clients: usize,
-    /// Whether the failing run used overlapping fault pairs.
-    pub overlap: bool,
-    /// Whether the failing run scheduled disk fault kinds.
-    pub disk_faults: bool,
-    /// Whether the failing run used the async write path with crashes.
-    pub write_loss: bool,
-    /// Whether the failing run used the metadata-storm workload.
-    pub meta_storm: bool,
-    /// Whether (and how) the failing run forced the transport axis.
-    pub forced_transport: Option<TransportKind>,
 }
 
 impl fmt::Display for OracleFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "simtest oracle `{}` failed: {}\n  reproduce with: SIMTEST_SEED={} cargo run -p simtest -- --seed {}",
-            self.oracle, self.detail, self.seed, self.seed
-        )?;
-        if self.clients > 1 {
-            write!(f, " --clients {}", self.clients)?;
-        }
-        if self.overlap {
-            write!(f, " --overlap")?;
-        }
-        if self.disk_faults {
-            write!(f, " --disk-faults")?;
-        }
-        if self.write_loss {
-            write!(f, " --write-loss")?;
-        }
-        if self.meta_storm {
-            write!(f, " --meta-storm")?;
-        }
-        match self.forced_transport {
-            Some(TransportKind::Tcp) => write!(f, " --transport tcp")?,
-            Some(TransportKind::Udp) => write!(f, " --transport udp")?,
-            None => {}
-        }
-        Ok(())
+            "simtest oracle `{}` failed: {}\n  reproduce with: SIMTEST_SEED={} cargo run -p simtest -- {}",
+            self.oracle,
+            self.detail,
+            self.spec.seed,
+            self.spec.args().join(" ")
+        )
     }
 }
 
 impl std::error::Error for OracleFailure {}
-
-/// Derives the full run plan from a seed.
-pub fn plan(seed: u64, batches: usize) -> SimPlan {
-    plan_with(seed, batches, false)
-}
-
-/// Derives a run plan, optionally packing faults into overlapping pairs.
-///
-/// With `overlap` false, one fault lands on each odd batch (the classic
-/// schedule, each kind followed by a clean recovery batch). With `overlap`
-/// true, *two* distinct fault kinds land on each odd batch and stay active
-/// together until the batch's revert — the concurrent-failure mode (a loss
-/// burst during a server stall, an outage during a cache flush, ...).
-/// Transport choice and the kind shuffle draw the same RNG stream either
-/// way, so the two modes explore the same per-seed fault orderings.
-pub fn plan_with(seed: u64, batches: usize, overlap: bool) -> SimPlan {
-    plan_full(seed, batches, overlap, false)
-}
-
-/// [`plan_with`] plus disk faults: with `disk_faults` true the
-/// [`FaultKind::DISK`] kinds join the shuffle (pass [`DISK_BATCHES`] so
-/// all eleven kinds land). The disk-free plan draws the identical RNG
-/// stream as before disk faults existed, so pinned fingerprints hold.
-pub fn plan_full(seed: u64, batches: usize, overlap: bool, disk_faults: bool) -> SimPlan {
-    plan_forced(seed, batches, overlap, disk_faults, None)
-}
-
-/// [`plan_full`] with the transport axis forced instead of seed-drawn
-/// (`--transport tcp|udp`). The transport draw is still made — and then
-/// overridden — so the kind shuffle and every later workload draw stay on
-/// the seed's usual stream. Forcing TCP also appends
-/// [`FaultKind::TcpBlackout`] to the shuffle: 8 classic kinds fit the
-/// default 16 batches, 12 fit [`DISK_BATCHES`], so the whole existing
-/// fault matrix runs under TCP *plus* the blackout window the old inline
-/// engine could never survive.
-pub fn plan_forced(
-    seed: u64,
-    batches: usize,
-    overlap: bool,
-    disk_faults: bool,
-    forced: Option<TransportKind>,
-) -> SimPlan {
-    let mut rng = SimRng::from_seed_and_stream(seed, 0x53_49_4D_54_45_53_54); // "SIMTEST"
-    let drawn = if rng.gen_range(0u32..4) == 3 {
-        TransportKind::Tcp
-    } else {
-        TransportKind::Udp
-    };
-    let transport = forced.unwrap_or(drawn);
-    let mut kinds = FaultKind::ALL.to_vec();
-    if disk_faults {
-        kinds.extend(FaultKind::DISK);
-    }
-    if forced == Some(TransportKind::Tcp) {
-        kinds.push(FaultKind::TcpBlackout);
-    }
-    rng.shuffle(&mut kinds);
-    // With the default 16 batches every run exercises all seven classic
-    // kinds (24 fit all eleven when disk kinds are in).
-    let faults = kinds
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| {
-            let slot = if overlap { i / 2 } else { i };
-            (1 + 2 * slot, k)
-        })
-        .filter(|&(b, _)| b < batches)
-        .collect();
-    SimPlan {
-        seed,
-        batches,
-        transport,
-        faults,
-        overlap,
-        disk_faults,
-        forced_transport: forced,
-    }
-}
-
-/// Runs one seed with the default plan and options.
-pub fn run_seed(seed: u64) -> Result<RunReport, OracleFailure> {
-    run_plan(&plan(seed, DEFAULT_BATCHES), RunOptions::default())
-}
-
-/// Runs one seed twice and adds the determinism oracle: both runs must
-/// produce the bit-exact same fingerprint.
-pub fn run_seed_checked(seed: u64) -> Result<RunReport, OracleFailure> {
-    run_seed_checked_with(seed, RunOptions::default(), false)
-}
-
-/// [`run_seed_checked`] with explicit options and overlap scheduling.
-pub fn run_seed_checked_with(
-    seed: u64,
-    opts: RunOptions,
-    overlap: bool,
-) -> Result<RunReport, OracleFailure> {
-    run_seed_checked_forced(seed, opts, overlap, None)
-}
-
-/// [`run_seed_checked_with`] with the transport axis forced
-/// (`--transport tcp|udp`); see [`plan_forced`].
-pub fn run_seed_checked_forced(
-    seed: u64,
-    opts: RunOptions,
-    overlap: bool,
-    forced: Option<TransportKind>,
-) -> Result<RunReport, OracleFailure> {
-    let batches = if opts.disk_faults {
-        DISK_BATCHES
-    } else {
-        DEFAULT_BATCHES
-    };
-    let p = plan_forced(seed, batches, overlap, opts.disk_faults, forced);
-    let first = run_plan(&p, opts)?;
-    let second = run_plan(&p, opts)?;
-    if first != second {
-        return Err(OracleFailure {
-            seed,
-            oracle: "determinism",
-            detail: format!(
-                "same seed diverged: fingerprints {:#x} vs {:#x}",
-                first.fingerprint, second.fingerprint
-            ),
-            clients: opts.clients,
-            overlap,
-            disk_faults: opts.disk_faults,
-            write_loss: opts.write_loss,
-            meta_storm: opts.meta_storm,
-            forced_transport: forced,
-        });
-    }
-    Ok(first)
-}
 
 struct IssueRec {
     tag: u64,
@@ -735,7 +740,7 @@ fn apply_fault(w: &mut NfsWorld, kind: FaultKind, rng: &mut SimRng, base: &World
         }
         FaultKind::NfsdOutage => {
             // Zero daemons: every arriving call queues and nothing is
-            // served. `run_plan` restores the pool once the batch starves
+            // served. `execute` restores the pool once the batch starves
             // to quiescence, so parked calls reconcile before the
             // end-of-batch oracles run.
             w.set_nfsds(now, 0);
@@ -807,36 +812,58 @@ fn disk_fault_plan(
     }
 }
 
-/// Sums one counter struct per client host into cluster-wide books.
+/// Reverts every active fault: the baseline link and pool sizes, and no
+/// disk fault model. A stall simply expires; a flush is one-shot.
+fn revert_faults(w: &mut NfsWorld, base: &WorldConfig) {
+    let now = w.now();
+    w.set_link_profile(base.link);
+    w.set_nfsds(now, base.nfsds);
+    w.set_nfsiods(base.nfsiods);
+    w.set_disk_fault_model(None);
+}
+
+/// Sums one counter struct per client host into cluster-wide books. The
+/// destructuring is exhaustive, so a new counter fails to compile until it
+/// is summed here. The two `TcpStats` fields are not additive (`srtt`,
+/// `max_rto`) and stay at default; TCP runs fold the segment books per
+/// client into the fingerprint at the end of [`execute`].
 fn sum_client_stats(w: &NfsWorld) -> ClientStats {
-    let mut total = ClientStats::default();
-    for c in 0..w.n_clients() {
-        let s = w.client_stats_for(c);
-        total.ops += s.ops;
-        total.cache_hits += s.cache_hits;
-        total.rpcs += s.rpcs;
-        total.readahead_rpcs += s.readahead_rpcs;
-        total.retransmits += s.retransmits;
-        total.iod_starved += s.iod_starved;
-        total.rpc_timeouts += s.rpc_timeouts;
-        total.transmissions += s.transmissions;
-        total.replies_received += s.replies_received;
-        total.duplicate_replies += s.duplicate_replies;
-        total.write_rpcs += s.write_rpcs;
-        total.commit_rpcs += s.commit_rpcs;
-        total.closes += s.closes;
-        total.verifier_mismatches += s.verifier_mismatches;
-        total.blocks_rewritten += s.blocks_rewritten;
-        total.getattr_rpcs += s.getattr_rpcs;
-        total.lookup_rpcs += s.lookup_rpcs;
-        total.readdir_rpcs += s.readdir_rpcs;
-        total.attr_cache_hits += s.attr_cache_hits;
-        total.attr_cache_misses += s.attr_cache_misses;
-        total.attr_revalidations += s.attr_revalidations;
-        total.attr_stale_detected += s.attr_stale_detected;
-        total.attr_invalidations += s.attr_invalidations;
+    macro_rules! summed {
+        ($($field:ident),* $(,)?) => {{
+            let mut total = ClientStats::default();
+            for c in 0..w.n_clients() {
+                let ClientStats { $($field,)* tcp_c2s: _, tcp_s2c: _ } = w.client_stats_for(c);
+                $(total.$field += $field;)*
+            }
+            total
+        }};
     }
-    total
+    summed!(
+        ops,
+        cache_hits,
+        rpcs,
+        readahead_rpcs,
+        retransmits,
+        iod_starved,
+        rpc_timeouts,
+        transmissions,
+        replies_received,
+        duplicate_replies,
+        eio_replies,
+        write_rpcs,
+        commit_rpcs,
+        closes,
+        verifier_mismatches,
+        blocks_rewritten,
+        getattr_rpcs,
+        lookup_rpcs,
+        readdir_rpcs,
+        attr_cache_hits,
+        attr_cache_misses,
+        attr_revalidations,
+        attr_stale_detected,
+        attr_invalidations,
+    )
 }
 
 fn sum_link_stats(per_host: impl Iterator<Item = LinkStats>) -> LinkStats {
@@ -849,52 +876,31 @@ fn sum_link_stats(per_host: impl Iterator<Item = LinkStats>) -> LinkStats {
     total
 }
 
-/// Executes a plan and checks every oracle. Returns the report of a clean
-/// run, or the first invariant violation.
+/// Executes a spec's plan and checks every oracle ([`Spec::run`]).
 #[allow(clippy::too_many_lines)]
-pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFailure> {
-    let seed = plan.seed;
-    let clients = opts.clients.max(1);
-    let overlap = plan.overlap;
-    let disk_faults = plan.disk_faults;
-    let write_loss = opts.write_loss;
-    // The write-loss workload wins when both modes are requested: the storm
-    // arm never runs and the attribute cache stays disarmed, so the
-    // crash-consistency close books keep their exact shape.
-    let meta_storm = opts.meta_storm && !write_loss;
-    let forced_transport = plan.forced_transport;
-    let fail = move |oracle: &'static str, detail: String| OracleFailure {
-        seed,
-        oracle,
-        detail,
-        clients,
-        overlap,
-        disk_faults,
-        write_loss,
-        meta_storm,
-        forced_transport,
-    };
+fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
+    let plan = spec.plan();
+    let seed = spec.seed;
+    let clients = spec.clients.max(1);
+    let fail = |oracle: &'static str, detail: String| spec.failure(oracle, detail);
 
+    // Storm runs arm the attribute cache at the classic NFS client
+    // defaults (acregmin=3s, acregmax=60s); everywhere else both stay
+    // ZERO and the cache machinery must be provably inert.
+    let (stable_how, attr_timeo_min, attr_timeo_max) = match spec.workload {
+        Workload::Classic => (StableHow::FileSync, SimDuration::ZERO, SimDuration::ZERO),
+        Workload::WriteLoss => (StableHow::Unstable, SimDuration::ZERO, SimDuration::ZERO),
+        Workload::MetaStorm => (
+            StableHow::FileSync,
+            SimDuration::from_secs(3),
+            SimDuration::from_secs(60),
+        ),
+    };
     let base = WorldConfig {
         transport: plan.transport,
-        stable_how: if write_loss {
-            StableHow::Unstable
-        } else {
-            StableHow::FileSync
-        },
-        // Storm runs arm the attribute cache at the classic NFS client
-        // defaults (acregmin=3s, acregmax=60s); everywhere else both stay
-        // ZERO and the cache machinery must be provably inert.
-        attr_timeo_min: if meta_storm {
-            SimDuration::from_secs(3)
-        } else {
-            SimDuration::ZERO
-        },
-        attr_timeo_max: if meta_storm {
-            SimDuration::from_secs(60)
-        } else {
-            SimDuration::ZERO
-        },
+        stable_how,
+        attr_timeo_min,
+        attr_timeo_max,
         ..WorldConfig::default()
     };
     let mut rng = SimRng::from_seed_and_stream(seed, 0x574F_524B_4C44); // "WORKLD"
@@ -921,7 +927,7 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
     let mut bk = Books {
         issued: BTreeMap::new(),
         completed: HashSet::new(),
-        lat: opts.hist_oracle.then(|| (LogHist::new(), Vec::new())),
+        lat: spec.hist_oracle.then(|| (LogHist::new(), Vec::new())),
         predicted_demand: 0,
         predicted_getattr_class: 0,
         ok_ops: 0,
@@ -939,15 +945,10 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
     let mut clean_watch: Option<u64> = None;
 
     for batch in 0..plan.batches {
-        // Revert the previous batch's fault(s): restore the baseline link
-        // and pool sizes (a stall simply expires; a flush is one-shot).
-        // One revert must compose over however many faults were active.
+        // Revert the previous batch's fault(s). One revert must compose
+        // over however many faults were active.
         if fault_active {
-            let now = w.now();
-            w.set_link_profile(base.link);
-            w.set_nfsds(now, base.nfsds);
-            w.set_nfsiods(base.nfsiods);
-            w.set_disk_fault_model(None);
+            revert_faults(&mut w, &base);
             fault_active = false;
 
             // Restore-composition oracle: every host back at baseline.
@@ -1033,118 +1034,73 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
             let fh = fhs[cl][f];
             let tag = bk.next_tag;
             bk.next_tag += 1;
-            let id = if write_loss {
-                // Write-heavy async-path mix: sequential dirty runs feed
-                // the server's write gathering, closes force COMMITs (and
-                // verifier comparisons) mid-run, reads keep the demand
-                // books honest. Only write-loss runs take this arm, so the
-                // clean-mode RNG stream — and its pinned fingerprints —
-                // never sees the extra draws.
-                match rng.gen_range(0u32..10) {
-                    0..=3 => {
-                        let len = rng.gen_range(1u64..5);
-                        let start = wcursors[cl][f].min(FILE_BLOCKS - len);
-                        wcursors[cl][f] = (start + len) % FILE_BLOCKS;
-                        shadow
-                            .entry((cl, f))
-                            .or_default()
-                            .extend(start..start + len);
-                        w.write_from(cl, now, fh, start * BS, len * BS, tag)
-                    }
-                    4 if !close_pending.contains(&(cl, f)) => {
-                        close_pending.insert((cl, f));
-                        let snap = shadow.remove(&(cl, f)).unwrap_or_default();
-                        let id = w.close_from(cl, now, fh, tag);
-                        close_ops.insert(id, (cl, f, snap));
-                        id
-                    }
-                    5 => w.getattr_from(cl, now, fh, tag),
-                    _ => {
-                        let len_blocks = rng.gen_range(1u64..4);
-                        let start = if rng.chance(0.7) {
-                            cursors[cl][f]
-                        } else {
-                            rng.gen_range(0u64..FILE_BLOCKS)
-                        }
-                        .min(FILE_BLOCKS - len_blocks);
-                        cursors[cl][f] = (start + len_blocks) % FILE_BLOCKS;
-                        for blk in start..start + len_blocks {
-                            if w.block_state_for(cl, fh, blk) == BlockState::Absent {
-                                bk.predicted_demand += 1;
-                            }
-                        }
-                        w.read_from(cl, now, fh, start * BS, len_blocks * BS, tag)
-                    }
+            // One draw picks the op from the workload's mix; every draw a
+            // mix leaves over is a READ. The write-loss mix is write-heavy:
+            // sequential dirty runs feed the server's write gathering and
+            // closes force COMMITs (and verifier comparisons) mid-run. The
+            // storm mix is a build-tree walker's wire profile: GETATTR
+            // polls dominate, open()-style forced revalidations and
+            // LOOKUP/READDIR traffic ride along, and occasional writes move
+            // the server's attributes so revalidations can detect
+            // staleness. Only those mixes make their extra draws, so the
+            // classic RNG stream — and its pinned fingerprints — never
+            // sees them.
+            let id = match (spec.workload, rng.gen_range(0u32..10)) {
+                (Workload::WriteLoss, 0..=3) => {
+                    let len = rng.gen_range(1u64..5);
+                    let start = wcursors[cl][f].min(FILE_BLOCKS - len);
+                    wcursors[cl][f] = (start + len) % FILE_BLOCKS;
+                    shadow
+                        .entry((cl, f))
+                        .or_default()
+                        .extend(start..start + len);
+                    w.write_from(cl, now, fh, start * BS, len * BS, tag)
                 }
-            } else if meta_storm {
-                // Metadata-storm mix: a build-tree walker's wire profile —
-                // GETATTR polls dominate, open()-style forced revalidations
-                // and LOOKUP/READDIR traffic ride along, occasional writes
-                // move the server's attributes so revalidations can detect
-                // staleness. Only storm runs take this arm, so the classic
-                // stream — and its pinned fingerprints — never sees the
-                // extra draws.
-                match rng.gen_range(0u32..10) {
-                    0 => {
-                        let blk = rng.gen_range(0u64..FILE_BLOCKS);
-                        w.write_from(cl, now, fh, blk * BS, BS, tag)
-                    }
-                    1 => {
-                        let name_len = rng.gen_range(3u32..16);
-                        w.lookup_from(cl, now, fh, name_len, tag)
-                    }
-                    2 => {
-                        let entries = rng.gen_range(4u32..32);
-                        w.readdir_from(cl, now, fh, 0, entries, true, tag)
-                    }
-                    3 | 4 => {
-                        bk.predicted_getattr_class += 1;
-                        w.open_from(cl, now, fh, tag)
-                    }
-                    5..=8 => {
-                        bk.predicted_getattr_class += 1;
-                        w.getattr_from(cl, now, fh, tag)
-                    }
-                    _ => {
-                        let len_blocks = rng.gen_range(1u64..4);
-                        let start = if rng.chance(0.7) {
-                            cursors[cl][f]
-                        } else {
-                            rng.gen_range(0u64..FILE_BLOCKS)
-                        }
-                        .min(FILE_BLOCKS - len_blocks);
-                        cursors[cl][f] = (start + len_blocks) % FILE_BLOCKS;
-                        for blk in start..start + len_blocks {
-                            if w.block_state_for(cl, fh, blk) == BlockState::Absent {
-                                bk.predicted_demand += 1;
-                            }
-                        }
-                        w.read_from(cl, now, fh, start * BS, len_blocks * BS, tag)
-                    }
+                (Workload::WriteLoss, 4) if !close_pending.contains(&(cl, f)) => {
+                    close_pending.insert((cl, f));
+                    let snap = shadow.remove(&(cl, f)).unwrap_or_default();
+                    let id = w.close_from(cl, now, fh, tag);
+                    close_ops.insert(id, (cl, f, snap));
+                    id
                 }
-            } else {
-                match rng.gen_range(0u32..10) {
-                    0 => {
-                        let blk = rng.gen_range(0u64..FILE_BLOCKS);
-                        w.write_from(cl, now, fh, blk * BS, BS, tag)
+                (Workload::WriteLoss, 5) | (Workload::Classic, 1) => {
+                    w.getattr_from(cl, now, fh, tag)
+                }
+                (Workload::Classic | Workload::MetaStorm, 0) => {
+                    let blk = rng.gen_range(0u64..FILE_BLOCKS);
+                    w.write_from(cl, now, fh, blk * BS, BS, tag)
+                }
+                (Workload::MetaStorm, 1) => {
+                    let name_len = rng.gen_range(3u32..16);
+                    w.lookup_from(cl, now, fh, name_len, tag)
+                }
+                (Workload::MetaStorm, 2) => {
+                    let entries = rng.gen_range(4u32..32);
+                    w.readdir_from(cl, now, fh, 0, entries, true, tag)
+                }
+                (Workload::MetaStorm, 3 | 4) => {
+                    bk.predicted_getattr_class += 1;
+                    w.open_from(cl, now, fh, tag)
+                }
+                (Workload::MetaStorm, 5..=8) => {
+                    bk.predicted_getattr_class += 1;
+                    w.getattr_from(cl, now, fh, tag)
+                }
+                _ => {
+                    let len_blocks = rng.gen_range(1u64..4);
+                    let start = if rng.chance(0.7) {
+                        cursors[cl][f]
+                    } else {
+                        rng.gen_range(0u64..FILE_BLOCKS)
                     }
-                    1 => w.getattr_from(cl, now, fh, tag),
-                    _ => {
-                        let len_blocks = rng.gen_range(1u64..4);
-                        let start = if rng.chance(0.7) {
-                            cursors[cl][f]
-                        } else {
-                            rng.gen_range(0u64..FILE_BLOCKS)
+                    .min(FILE_BLOCKS - len_blocks);
+                    cursors[cl][f] = (start + len_blocks) % FILE_BLOCKS;
+                    for blk in start..start + len_blocks {
+                        if w.block_state_for(cl, fh, blk) == BlockState::Absent {
+                            bk.predicted_demand += 1;
                         }
-                        .min(FILE_BLOCKS - len_blocks);
-                        cursors[cl][f] = (start + len_blocks) % FILE_BLOCKS;
-                        for blk in start..start + len_blocks {
-                            if w.block_state_for(cl, fh, blk) == BlockState::Absent {
-                                bk.predicted_demand += 1;
-                            }
-                        }
-                        w.read_from(cl, now, fh, start * BS, len_blocks * BS, tag)
                     }
+                    w.read_from(cl, now, fh, start * BS, len_blocks * BS, tag)
                 }
             };
             bk.issued.insert(id, IssueRec { tag, at: now });
@@ -1157,7 +1113,7 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
         // then (below, once the outage is in force) lose the pool and
         // change the verifier. Data acked UNSTABLE before the crash is
         // exactly the data RFC 1813 lets a server lose.
-        let crash_batch = write_loss
+        let crash_batch = spec.workload == Workload::WriteLoss
             && plan
                 .faults
                 .iter()
@@ -1196,8 +1152,8 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
             // and parked calls survive to be served after the restore.
             w.restart_server(w.now());
         }
-        if batch == 1 && opts.sabotage_replies > 0 {
-            w.sabotage_drop_next_replies(opts.sabotage_replies);
+        if batch == 1 && spec.sabotage_replies > 0 {
+            w.sabotage_drop_next_replies(spec.sabotage_replies);
         }
 
         // Drain to quiescence, checking per-event oracles. A zero-`nfsd`
@@ -1209,7 +1165,7 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
         // end-of-batch oracles run.
         loop {
             let done = drain_until(&mut w, &mut bk, None, batch, &fail)?;
-            if write_loss {
+            if spec.workload == Workload::WriteLoss {
                 settle_closes(
                     &w,
                     &done,
@@ -1289,14 +1245,9 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
     // (rewriting after any crash the run injected) before the end-of-run
     // books are read. Any fault still active from the final batch is
     // reverted first; the closes run against a healthy world.
-    if write_loss {
+    if spec.workload == Workload::WriteLoss {
         if fault_active {
-            let now = w.now();
-            w.set_link_profile(base.link);
-            w.set_nfsds(now, base.nfsds);
-            w.set_nfsiods(base.nfsiods);
-            w.set_disk_fault_model(None);
-            fault_active = false;
+            revert_faults(&mut w, &base);
         }
         let now = w.now();
         for (cl, row) in fhs.iter().enumerate().take(clients) {
@@ -1335,7 +1286,6 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
             }
         }
     }
-    let _ = fault_active;
 
     // ------------------------------------------------------------------
     // End-of-run oracles, over the cluster-wide summed books.
@@ -1497,7 +1447,7 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
             ),
         ));
     }
-    if !plan.disk_faults && (bio.error_completions != 0 || s.disk_eios != 0) {
+    if !spec.disk_faults && (bio.error_completions != 0 || s.disk_eios != 0) {
         return Err(fail(
             "disk-books",
             format!(
@@ -1607,7 +1557,7 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
             ),
         ));
     }
-    if !write_loss
+    if spec.workload != Workload::WriteLoss
         && (s.unstable_writes != 0
             || s.commits != 0
             || s.dirty_blocks_stashed != 0
@@ -1640,7 +1590,7 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
     // staleness detection can only come out of a revalidation. Outside
     // storm mode the cache is disarmed and all of its counters — and its
     // entry table — must be zero: the machinery is provably inert.
-    if meta_storm {
+    if spec.workload == Workload::MetaStorm {
         if c.attr_cache_hits + c.getattr_rpcs != bk.predicted_getattr_class {
             return Err(fail(
                 "attrcache-books",
@@ -1707,14 +1657,14 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
     ] {
         mix(&mut bk.fp, v);
     }
-    if plan.disk_faults {
+    if spec.disk_faults {
         // Disk-fault runs fold the error books into the fingerprint too.
         // Conditional so disk-free fingerprints stay pinned.
         for v in [bio.error_completions, bio.retries, bio.eio, s.disk_eios] {
             mix(&mut bk.fp, v);
         }
     }
-    if write_loss {
+    if spec.workload == Workload::WriteLoss {
         // Write-loss runs fold the async write path's books in, so the
         // determinism oracle covers gathering, crashes, and rewrites too.
         // Conditional so clean-mode fingerprints stay pinned.
@@ -1734,7 +1684,7 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
             mix(&mut bk.fp, v);
         }
     }
-    if meta_storm {
+    if spec.workload == Workload::MetaStorm {
         // Storm runs fold the metadata and attribute-cache books in, so
         // the determinism oracle covers hit/miss/revalidation scheduling.
         // Conditional so classic fingerprints stay pinned.
@@ -1860,31 +1810,13 @@ pub fn run_plan(plan: &SimPlan, opts: RunOptions) -> Result<RunReport, OracleFai
     Ok(RunReport {
         seed,
         transport: plan.transport,
-        ops: c.ops,
         ok_ops: bk.ok_ops,
         timed_out_ops: bk.timed_out_ops,
         eio_ops: bk.eio_ops,
-        disk_retries: bio.retries,
-        disk_eios: s.disk_eios,
-        retransmits: c.retransmits,
-        rpc_timeouts: c.rpc_timeouts,
         faults: fault_log,
-        clients,
-        overlap,
-        disk_faults: plan.disk_faults,
-        write_loss,
-        meta_storm,
-        getattr_rpcs: c.getattr_rpcs,
-        attr_cache_hits: c.attr_cache_hits,
-        attr_revalidations: c.attr_revalidations,
-        attr_stale_detected: c.attr_stale_detected,
-        unstable_writes: s.unstable_writes,
-        commits: s.commits,
-        gather_flushes: s.gather_flushes,
-        dirty_blocks_lost: s.dirty_blocks_lost,
-        verifier_mismatches: c.verifier_mismatches,
-        blocks_rewritten: c.blocks_rewritten,
-        restarts: s.restarts,
+        client: c,
+        server: s,
+        bio,
         lat_p99_ns,
         lat_p999_ns,
         fingerprint: bk.fp,

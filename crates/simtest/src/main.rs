@@ -17,7 +17,8 @@
 //!
 //! Every seed is run twice (the determinism oracle compares fingerprints).
 //! The first oracle failure prints a one-line reproduction command and
-//! exits non-zero.
+//! exits 1. A command line `simtest::Spec::from_args` rejects prints the
+//! usage and exits 2.
 //!
 //! Seeds fan out across `NFS_BENCH_JOBS` worker threads through the
 //! `simfleet` run engine; reports are collected by seed index and printed
@@ -25,66 +26,38 @@
 
 use std::process::ExitCode;
 
-use netsim::TransportKind;
-use simtest::{run_seed_checked_forced, FaultKind, RunOptions};
+use simtest::{FaultKind, Spec, Workload};
 
-fn parse_flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn parse_transport(args: &[String]) -> Option<TransportKind> {
-    let v = args
-        .iter()
-        .position(|a| a == "--transport")
-        .and_then(|i| args.get(i + 1))?;
-    match v.as_str() {
-        "tcp" => Some(TransportKind::Tcp),
-        "udp" => Some(TransportKind::Udp),
-        other => {
-            eprintln!("unknown --transport {other:?} (expected tcp|udp), ignoring");
-            None
-        }
-    }
-}
+const USAGE: &str = "usage: simtest [--seed N | --seeds N [--start N]] [--clients N] [--overlap]
+               [--disk-faults] [--transport tcp|udp] [--write-loss | --meta-storm]
+               [--hist-oracle]
+  SIMTEST_SEED=N stands in for a missing --seed, NFS_CLUSTER_CLIENTS=N for --clients";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let env_seed = std::env::var("SIMTEST_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let single = parse_flag(&args, "--seed").or(env_seed);
-    let start = parse_flag(&args, "--start").unwrap_or(0);
-    let count = parse_flag(&args, "--seeds").unwrap_or(16);
-    let clients = parse_flag(&args, "--clients")
-        .map(|n| (n as usize).max(1))
-        .or_else(nfscluster::clients_from_env)
-        .unwrap_or(1);
-    let overlap = args.iter().any(|a| a == "--overlap");
-    let disk_faults = args.iter().any(|a| a == "--disk-faults");
-    let write_loss = args.iter().any(|a| a == "--write-loss");
-    let meta_storm = args.iter().any(|a| a == "--meta-storm");
-    let hist_oracle = args.iter().any(|a| a == "--hist-oracle");
-    let forced = parse_transport(&args);
-
-    let seeds: Vec<u64> = match single {
-        Some(s) => vec![s],
-        None => (start..start + count).collect(),
-    };
-    let opts = RunOptions {
-        clients,
-        disk_faults,
-        write_loss,
-        meta_storm,
-        hist_oracle,
-        ..RunOptions::default()
+    // Environment defaults become flags, so they are checked like flags;
+    // an explicit flag wins.
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let env_defaults = [
+        ("--seed", std::env::var("SIMTEST_SEED").ok()),
+        (
+            "--clients",
+            nfscluster::clients_from_env().map(|n| n.to_string()),
+        ),
+    ];
+    for (flag, value) in env_defaults {
+        if let Some(v) = value.filter(|_| !args.iter().any(|a| a == flag)) {
+            args.extend([flag.to_string(), v]);
+        }
+    }
+    let (spec, seeds) = match Spec::from_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("simtest: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
 
-    let results = simfleet::map_indexed(&seeds, |&seed| {
-        run_seed_checked_forced(seed, opts, overlap, forced)
-    });
+    let results = simfleet::map_indexed(&seeds, |&seed| Spec { seed, ..spec }.run_checked());
 
     let mut failures = 0u64;
     let mut total_ops = 0u64;
@@ -95,33 +68,29 @@ fn main() -> ExitCode {
     for res in results {
         match res {
             Ok(r) => {
-                total_ops += r.ops;
+                let (c, s) = (&r.client, &r.server);
+                total_ops += c.ops;
                 total_timeouts += r.timed_out_ops;
-                total_lost += r.dirty_blocks_lost;
-                total_rewritten += r.blocks_rewritten;
+                total_lost += s.dirty_blocks_lost;
+                total_rewritten += c.blocks_rewritten;
                 for k in &r.faults {
                     if !kinds_seen.contains(k) {
                         kinds_seen.push(*k);
                     }
                 }
                 let faults: Vec<&str> = r.faults.iter().map(|k| k.label()).collect();
-                let crash = if r.write_loss {
-                    format!(
+                let mode = match spec.workload {
+                    Workload::Classic => String::new(),
+                    Workload::WriteLoss => format!(
                         " lost={:<3} mism={:<2} rewr={:<3}",
-                        r.dirty_blocks_lost, r.verifier_mismatches, r.blocks_rewritten
-                    )
-                } else {
-                    String::new()
-                };
-                let meta = if r.meta_storm {
-                    format!(
+                        s.dirty_blocks_lost, c.verifier_mismatches, c.blocks_rewritten
+                    ),
+                    Workload::MetaStorm => format!(
                         " gattr={:<4} hits={:<4} stale={:<3}",
-                        r.getattr_rpcs, r.attr_cache_hits, r.attr_stale_detected
-                    )
-                } else {
-                    String::new()
+                        c.getattr_rpcs, c.attr_cache_hits, c.attr_stale_detected
+                    ),
                 };
-                let tail = if hist_oracle {
+                let tail = if spec.hist_oracle {
                     format!(
                         " p99={:>7.2}ms p999={:>7.2}ms",
                         r.lat_p99_ns as f64 / 1e6,
@@ -131,17 +100,16 @@ fn main() -> ExitCode {
                     String::new()
                 };
                 println!(
-                    "seed {:>6} [{:?}] ops={:<4} ok={:<4} timeout={:<3} eio={:<3} retx={:<4} rpc_to={:<3}{}{}{} sim={:>8.1}s fp={:#018x} faults={}",
+                    "seed {:>6} [{:?}] ops={:<4} ok={:<4} timeout={:<3} eio={:<3} retx={:<4} rpc_to={:<3}{}{} sim={:>8.1}s fp={:#018x} faults={}",
                     r.seed,
                     r.transport,
-                    r.ops,
+                    c.ops,
                     r.ok_ops,
                     r.timed_out_ops,
                     r.eio_ops,
-                    r.retransmits,
-                    r.rpc_timeouts,
-                    crash,
-                    meta,
+                    c.retransmits,
+                    c.rpc_timeouts,
+                    mode,
                     tail,
                     r.sim_nanos as f64 / 1e9,
                     r.fingerprint,
@@ -154,24 +122,23 @@ fn main() -> ExitCode {
             }
         }
     }
+    let modes: Vec<String> = spec
+        .flags()
+        .into_iter()
+        .map(|(flag, value)| match value {
+            Some(v) => format!("{flag}={v}"),
+            None => flag.to_string(),
+        })
+        .collect();
     let labels: Vec<&str> = kinds_seen.iter().map(|k| k.label()).collect();
     println!(
-        "swept {} seed(s) [clients={clients}{}{}{}{}{}{}]: {} failed, {} ops, {} timed out{}, fault kinds exercised: {}",
+        "swept {} seed(s) [{}]: {} failed, {} ops, {} timed out{}, fault kinds exercised: {}",
         seeds.len(),
-        if overlap { ", overlap" } else { "" },
-        if disk_faults { ", disk-faults" } else { "" },
-        if write_loss { ", write-loss" } else { "" },
-        if meta_storm { ", meta-storm" } else { "" },
-        if hist_oracle { ", hist-oracle" } else { "" },
-        match forced {
-            Some(TransportKind::Tcp) => ", transport=tcp",
-            Some(TransportKind::Udp) => ", transport=udp",
-            None => "",
-        },
+        modes.join(", "),
         failures,
         total_ops,
         total_timeouts,
-        if write_loss {
+        if spec.workload == Workload::WriteLoss {
             format!(", {total_lost} blocks crash-lost, {total_rewritten} rewritten")
         } else {
             String::new()

@@ -6,10 +6,7 @@
 use std::collections::HashSet;
 
 use netsim::TransportKind;
-use simtest::{
-    plan, plan_forced, plan_with, run_plan, run_seed_checked, run_seed_checked_forced,
-    run_seed_checked_with, FaultKind, RunOptions, DEFAULT_BATCHES,
-};
+use simtest::{FaultKind, Spec};
 
 const CI_SEEDS: u64 = 10;
 
@@ -24,14 +21,16 @@ fn bounded_sweep_holds_all_oracles() {
     let mut retransmits = 0u64;
     let mut timed_out = 0u64;
     for seed in 0..CI_SEEDS {
-        let r = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(r.ok_ops + r.timed_out_ops, r.ops, "seed {seed}");
+        let r = Spec::new(seed)
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(r.ok_ops + r.timed_out_ops, r.client.ops, "seed {seed}");
         kinds.extend(r.faults.iter().copied());
         transports.insert(match r.transport {
             TransportKind::Udp => "udp",
             TransportKind::Tcp => "tcp",
         });
-        retransmits += r.retransmits;
+        retransmits += r.client.retransmits;
         timed_out += r.timed_out_ops;
     }
     for required in [
@@ -63,10 +62,10 @@ fn bounded_sweep_holds_all_oracles() {
 /// identical across independent runs.
 #[test]
 fn same_seed_is_bit_exact() {
-    let a = run_seed_checked(3).unwrap_or_else(|e| panic!("{e}"));
-    let b = run_seed_checked(3).unwrap_or_else(|e| panic!("{e}"));
+    let a = Spec::new(3).run_checked().unwrap_or_else(|e| panic!("{e}"));
+    let b = Spec::new(3).run_checked().unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(a, b);
-    let c = run_seed_checked(4).unwrap_or_else(|e| panic!("{e}"));
+    let c = Spec::new(4).run_checked().unwrap_or_else(|e| panic!("{e}"));
     assert_ne!(
         a.fingerprint, c.fingerprint,
         "different seeds should explore different runs"
@@ -82,15 +81,13 @@ fn broken_invariant_is_caught_with_repro_seed() {
     // around the swallowed reply) and the accounting oracle must do the
     // catching, not a hang.
     let seed = (0..100)
-        .find(|&s| plan(s, DEFAULT_BATCHES).transport == TransportKind::Udp)
+        .find(|&s| Spec::new(s).plan().transport == TransportKind::Udp)
         .expect("a UDP seed among the first 100");
-    let err = run_plan(
-        &plan(seed, DEFAULT_BATCHES),
-        RunOptions {
-            sabotage_replies: 1,
-            ..RunOptions::default()
-        },
-    )
+    let err = Spec {
+        sabotage_replies: 1,
+        ..Spec::new(seed)
+    }
+    .run()
     .expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
     assert!(
@@ -108,8 +105,8 @@ fn broken_invariant_is_caught_with_repro_seed() {
 #[test]
 fn plans_are_deterministic_and_complete() {
     for seed in 0..20u64 {
-        let a = plan(seed, DEFAULT_BATCHES);
-        let b = plan(seed, DEFAULT_BATCHES);
+        let a = Spec::new(seed).plan();
+        let b = Spec::new(seed).plan();
         assert_eq!(a.faults, b.faults, "seed {seed}");
         assert_eq!(a.transport, b.transport, "seed {seed}");
         let kinds: HashSet<FaultKind> = a.faults.iter().map(|&(_, k)| k).collect();
@@ -123,8 +120,12 @@ fn plans_are_deterministic_and_complete() {
 #[test]
 fn overlap_plans_pair_up_faults() {
     for seed in 0..20u64 {
-        let classic = plan(seed, DEFAULT_BATCHES);
-        let paired = plan_with(seed, DEFAULT_BATCHES, true);
+        let classic = Spec::new(seed).plan();
+        let paired = Spec {
+            overlap: true,
+            ..Spec::new(seed)
+        }
+        .plan();
         assert_eq!(paired.transport, classic.transport, "seed {seed}");
         let kinds: HashSet<FaultKind> = paired.faults.iter().map(|&(_, k)| k).collect();
         assert_eq!(kinds.len(), 7, "seed {seed}: {:?}", paired.faults);
@@ -148,15 +149,15 @@ fn overlap_plans_pair_up_faults() {
 fn overlapping_faults_hold_all_oracles() {
     for seed in 0..6u64 {
         for clients in [1usize, 2] {
-            let opts = RunOptions {
+            let r = Spec {
                 clients,
-                ..RunOptions::default()
-            };
-            let r = run_seed_checked_with(seed, opts, true).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(r.ok_ops + r.timed_out_ops, r.ops, "seed {seed}");
+                overlap: true,
+                ..Spec::new(seed)
+            }
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(r.ok_ops + r.timed_out_ops, r.client.ops, "seed {seed}");
             assert_eq!(r.faults.len(), 7, "all kinds injected: {:?}", r.faults);
-            assert!(r.overlap);
-            assert_eq!(r.clients, clients);
         }
     }
 }
@@ -166,18 +167,20 @@ fn overlapping_faults_hold_all_oracles() {
 /// counters under every fault kind.
 #[test]
 fn two_client_cluster_sweep_holds_all_oracles() {
-    let opts = RunOptions {
-        clients: 2,
-        ..RunOptions::default()
-    };
     let mut multi_host_issue = false;
     for seed in 0..CI_SEEDS {
-        let r = run_seed_checked_with(seed, opts, false).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(r.ok_ops + r.timed_out_ops, r.ops, "seed {seed}");
-        assert_eq!(r.clients, 2);
+        let r = Spec {
+            clients: 2,
+            ..Spec::new(seed)
+        }
+        .run_checked()
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(r.ok_ops + r.timed_out_ops, r.client.ops, "seed {seed}");
         // The same seed must explore a genuinely different run than the
         // single-client world (the per-op client draw changes the stream).
-        let single = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
+        let single = Spec::new(seed)
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
         if r.fingerprint != single.fingerprint {
             multi_host_issue = true;
         }
@@ -199,13 +202,16 @@ fn forced_tcp_sweep_holds_all_oracles_through_blackouts() {
     let mut kinds: HashSet<FaultKind> = HashSet::new();
     let mut timed_out = 0u64;
     for seed in 0..6u64 {
-        let r =
-            run_seed_checked_forced(seed, RunOptions::default(), false, Some(TransportKind::Tcp))
-                .unwrap_or_else(|e| panic!("{e}"));
+        let r = Spec {
+            transport: Some(TransportKind::Tcp),
+            ..Spec::new(seed)
+        }
+        .run_checked()
+        .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(r.transport, TransportKind::Tcp, "seed {seed}");
-        assert_eq!(r.ok_ops + r.timed_out_ops, r.ops, "seed {seed}");
+        assert_eq!(r.ok_ops + r.timed_out_ops, r.client.ops, "seed {seed}");
         assert_eq!(
-            r.retransmits, 0,
+            r.client.retransmits, 0,
             "seed {seed}: TCP must never retransmit at the RPC layer"
         );
         assert!(
@@ -233,21 +239,16 @@ fn forced_tcp_sweep_holds_all_oracles_through_blackouts() {
 #[test]
 fn forced_transport_overrides_the_draw_only() {
     for seed in 0..20u64 {
-        let drawn = plan(seed, DEFAULT_BATCHES);
-        let tcp = plan_forced(
-            seed,
-            DEFAULT_BATCHES,
-            false,
-            false,
-            Some(TransportKind::Tcp),
-        );
-        let udp = plan_forced(
-            seed,
-            DEFAULT_BATCHES,
-            false,
-            false,
-            Some(TransportKind::Udp),
-        );
+        let forced = |t| {
+            Spec {
+                transport: Some(t),
+                ..Spec::new(seed)
+            }
+            .plan()
+        };
+        let drawn = Spec::new(seed).plan();
+        let tcp = forced(TransportKind::Tcp);
+        let udp = forced(TransportKind::Udp);
         assert_eq!(tcp.transport, TransportKind::Tcp, "seed {seed}");
         assert_eq!(udp.transport, TransportKind::Udp, "seed {seed}");
         let tcp_kinds: HashSet<FaultKind> = tcp.faults.iter().map(|&(_, k)| k).collect();
@@ -271,13 +272,12 @@ fn forced_transport_overrides_the_draw_only() {
 /// never retransmits RPCs), so the no-stuck-ops oracle must catch it.
 #[test]
 fn forced_tcp_failures_print_the_transport_flag() {
-    let err = run_plan(
-        &plan_forced(0, DEFAULT_BATCHES, false, false, Some(TransportKind::Tcp)),
-        RunOptions {
-            sabotage_replies: 1,
-            ..RunOptions::default()
-        },
-    )
+    let err = Spec {
+        transport: Some(TransportKind::Tcp),
+        sabotage_replies: 1,
+        ..Spec::new(0)
+    }
+    .run()
     .expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
     assert!(
@@ -292,16 +292,15 @@ fn forced_tcp_failures_print_the_transport_flag() {
 #[test]
 fn cluster_failures_print_full_repro_flags() {
     let seed = (0..100)
-        .find(|&s| plan(s, DEFAULT_BATCHES).transport == TransportKind::Udp)
+        .find(|&s| Spec::new(s).plan().transport == TransportKind::Udp)
         .expect("a UDP seed among the first 100");
-    let err = run_plan(
-        &plan_with(seed, DEFAULT_BATCHES, true),
-        RunOptions {
-            sabotage_replies: 1,
-            clients: 2,
-            ..RunOptions::default()
-        },
-    )
+    let err = Spec {
+        clients: 2,
+        overlap: true,
+        sabotage_replies: 1,
+        ..Spec::new(seed)
+    }
+    .run()
     .expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
     assert!(msg.contains("--clients 2"), "missing cluster flag: {msg}");

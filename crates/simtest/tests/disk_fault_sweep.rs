@@ -6,17 +6,14 @@
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use simtest::{
-    plan_full, run_seed_checked_with, FaultKind, RunOptions, DEFAULT_BATCHES, DISK_BATCHES,
-};
+use simtest::{FaultKind, Spec};
 
 const CI_SEEDS: u64 = 16;
 
-fn disk_opts(clients: usize) -> RunOptions {
-    RunOptions {
-        clients,
+fn disk_faults(seed: u64) -> Spec {
+    Spec {
         disk_faults: true,
-        ..RunOptions::default()
+        ..Spec::new(seed)
     }
 }
 
@@ -29,17 +26,20 @@ fn disk_fault_sweep_holds_all_oracles() {
     let mut kinds: HashSet<FaultKind> = HashSet::new();
     let mut retries = 0u64;
     let mut eios = 0u64;
+    let mut eio_replies = 0u64;
     for seed in 0..CI_SEEDS {
-        let r = run_seed_checked_with(seed, disk_opts(1), false).unwrap_or_else(|e| panic!("{e}"));
-        assert!(r.disk_faults, "report must carry the disk-faults flag");
+        let r = disk_faults(seed)
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             r.ok_ops + r.timed_out_ops + r.eio_ops,
-            r.ops,
+            r.client.ops,
             "seed {seed}: every op ends Ok, timed out, or EIO"
         );
         kinds.extend(r.faults.iter().copied());
-        retries += r.disk_retries;
-        eios += r.disk_eios;
+        retries += r.bio.retries;
+        eios += r.server.disk_eios;
+        eio_replies += r.client.eio_replies;
     }
     for required in FaultKind::ALL.iter().chain(FaultKind::DISK.iter()) {
         assert!(
@@ -55,6 +55,10 @@ fn disk_fault_sweep_holds_all_oracles() {
         eios > 0,
         "hard sector errors must surface at least one EIO in the sweep"
     );
+    assert!(
+        eio_replies > 0,
+        "the summed client books must count the EIO replies that reached clients"
+    );
 }
 
 /// The oracle set also holds when disk faults overlap with link/pool
@@ -64,11 +68,18 @@ fn disk_fault_sweep_holds_all_oracles() {
 fn disk_faults_overlap_and_cluster_hold_oracles() {
     for seed in 0..6u64 {
         for clients in [1usize, 2] {
-            let r = run_seed_checked_with(seed, disk_opts(clients), true)
-                .unwrap_or_else(|e| panic!("{e}"));
-            assert!(r.overlap && r.disk_faults);
-            assert_eq!(r.clients, clients);
-            assert_eq!(r.ok_ops + r.timed_out_ops + r.eio_ops, r.ops, "seed {seed}");
+            let r = Spec {
+                clients,
+                overlap: true,
+                ..disk_faults(seed)
+            }
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(
+                r.ok_ops + r.timed_out_ops + r.eio_ops,
+                r.client.ops,
+                "seed {seed}"
+            );
         }
     }
 }
@@ -80,14 +91,14 @@ fn disk_faults_overlap_and_cluster_hold_oracles() {
 #[test]
 fn disk_plans_are_deterministic_and_complete() {
     for seed in 0..20u64 {
-        let a = plan_full(seed, DISK_BATCHES, false, true);
-        let b = plan_full(seed, DISK_BATCHES, false, true);
+        let a = disk_faults(seed).plan();
+        let b = disk_faults(seed).plan();
         assert_eq!(a.faults, b.faults, "seed {seed}");
         assert_eq!(a.transport, b.transport, "seed {seed}");
         let kinds: HashSet<FaultKind> = a.faults.iter().map(|&(_, k)| k).collect();
         assert_eq!(kinds.len(), 11, "all kinds scheduled: {:?}", a.faults);
 
-        let classic = plan_full(seed, DEFAULT_BATCHES, false, false);
+        let classic = Spec::new(seed).plan();
         assert_eq!(
             classic.transport, a.transport,
             "seed {seed}: transport draw must not depend on disk_faults"
@@ -118,15 +129,16 @@ fn disk_fault_sweep_is_bit_identical_across_job_counts() {
     let sweep = |jobs| {
         simfleet::set_jobs_override(Some(jobs));
         let out = simfleet::map_indexed(&seeds, |&seed| {
-            let r =
-                run_seed_checked_with(seed, disk_opts(1), false).unwrap_or_else(|e| panic!("{e}"));
+            let r = disk_faults(seed)
+                .run_checked()
+                .unwrap_or_else(|e| panic!("{e}"));
             (
                 r.fingerprint,
-                r.ops,
+                r.client.ops,
                 r.ok_ops,
                 r.eio_ops,
-                r.disk_retries,
-                r.disk_eios,
+                r.bio.retries,
+                r.server.disk_eios,
                 r.sim_nanos,
             )
         });

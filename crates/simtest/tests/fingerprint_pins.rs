@@ -4,7 +4,7 @@
 //! captured from the pre-refactor engine; if one changes, the 1-client
 //! fast path stopped being the old world.
 
-use simtest::run_seed_checked;
+use simtest::Spec;
 use testbed::experiments::{fig6_readahead_potential, Scale};
 
 /// FNV-1a of the figure's Debug rendering (f64 Debug round-trips exactly,
@@ -55,7 +55,8 @@ fn simtest_fingerprints_are_pinned_at_both_job_widths() {
         simfleet::set_jobs_override(Some(jobs));
         let fps: Vec<u64> = (0..8u64)
             .map(|s| {
-                run_seed_checked(s)
+                Spec::new(s)
+                    .run_checked()
                     .unwrap_or_else(|e| panic!("{e}"))
                     .fingerprint
             })

@@ -4,19 +4,21 @@
 //! reported tail quantiles are sane, and turning the oracle on does not
 //! move the world's fingerprint (observation is passive).
 
-use simtest::{run_seed_checked_with, RunOptions};
+use netsim::TransportKind;
+use simtest::Spec;
 
 const CI_SEEDS: u64 = 8;
 
 #[test]
 fn hist_oracle_holds_under_disk_faults() {
     for seed in 0..CI_SEEDS {
-        let opts = RunOptions {
+        let r = Spec {
             disk_faults: true,
             hist_oracle: true,
-            ..RunOptions::default()
-        };
-        let r = run_seed_checked_with(seed, opts, false).unwrap_or_else(|e| panic!("{e}"));
+            ..Spec::new(seed)
+        }
+        .run_checked()
+        .unwrap_or_else(|e| panic!("{e}"));
         assert!(
             r.lat_p99_ns > 0,
             "seed {seed}: a faulted run must have nonzero p99"
@@ -35,20 +37,36 @@ fn hist_oracle_holds_under_disk_faults() {
 #[test]
 fn hist_collection_is_passive() {
     for seed in [0u64, 5] {
-        let off = run_seed_checked_with(seed, RunOptions::default(), false)
+        let off = Spec::new(seed)
+            .run_checked()
             .unwrap_or_else(|e| panic!("{e}"));
-        let on = run_seed_checked_with(
-            seed,
-            RunOptions {
-                hist_oracle: true,
-                ..RunOptions::default()
-            },
-            false,
-        )
+        let on = Spec {
+            hist_oracle: true,
+            ..Spec::new(seed)
+        }
+        .run_checked()
         .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             off.fingerprint, on.fingerprint,
             "seed {seed}: observing latencies must not perturb the world"
         );
     }
+}
+
+/// A failure under `--hist-oracle` prints a reproduction command that
+/// carries `--hist-oracle`, so the printed line runs the same oracle set.
+#[test]
+fn hist_oracle_failures_print_the_mode_flag() {
+    let seed = (0..100)
+        .find(|&s| Spec::new(s).plan().transport == TransportKind::Udp)
+        .expect("a UDP seed among the first 100");
+    let err = Spec {
+        hist_oracle: true,
+        sabotage_replies: 1,
+        ..Spec::new(seed)
+    }
+    .run()
+    .expect_err("a swallowed reply must trip an oracle");
+    let msg = err.to_string();
+    assert!(msg.contains("--hist-oracle"), "missing mode flag: {msg}");
 }

@@ -11,17 +11,14 @@
 use std::sync::Mutex;
 
 use netsim::TransportKind;
-use simtest::{
-    plan, plan_forced, run_plan, run_seed_checked, run_seed_checked_with, RunOptions,
-    DEFAULT_BATCHES,
-};
+use simtest::{FaultKind, Spec, Workload};
 
 const CI_SEEDS: u64 = 10;
 
-fn meta_storm_opts() -> RunOptions {
-    RunOptions {
-        meta_storm: true,
-        ..RunOptions::default()
+fn meta_storm(seed: u64) -> Spec {
+    Spec {
+        workload: Workload::MetaStorm,
+        ..Spec::new(seed)
     }
 }
 
@@ -40,22 +37,23 @@ fn meta_storm_sweep_holds_all_oracles_and_the_cache_fires() {
     let mut revalidations = 0u64;
     let mut stale = 0u64;
     for seed in 0..CI_SEEDS {
-        let r =
-            run_seed_checked_with(seed, meta_storm_opts(), false).unwrap_or_else(|e| panic!("{e}"));
-        assert!(r.meta_storm);
+        let r = meta_storm(seed)
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let c = &r.client;
         assert_eq!(
             r.ok_ops + r.timed_out_ops + r.eio_ops,
-            r.ops,
+            c.ops,
             "seed {seed}: every op completes with a typed outcome"
         );
         assert!(
-            r.getattr_rpcs > 0,
+            c.getattr_rpcs > 0,
             "seed {seed}: a storm run must put GETATTRs on the wire"
         );
-        hits += r.attr_cache_hits;
-        wire += r.getattr_rpcs;
-        revalidations += r.attr_revalidations;
-        stale += r.attr_stale_detected;
+        hits += c.attr_cache_hits;
+        wire += c.getattr_rpcs;
+        revalidations += c.attr_revalidations;
+        stale += c.attr_stale_detected;
     }
     assert!(hits > 0, "the attribute cache must answer some ops locally");
     assert!(
@@ -71,15 +69,17 @@ fn meta_storm_sweep_holds_all_oracles_and_the_cache_fires() {
 
 /// A non-storm run never wakes the attribute cache: the report's cache
 /// counters are all zero, and the in-run `attrcache-dormancy` oracle
-/// backs the same claim inside `run_plan` (including the entry table).
+/// backs the same claim inside `Spec::run` (including the entry table).
 #[test]
 fn clean_runs_keep_the_attr_cache_dormant() {
     for seed in 0..4u64 {
-        let r = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
-        assert!(!r.meta_storm, "seed {seed}");
-        assert_eq!(r.attr_cache_hits, 0, "seed {seed}");
-        assert_eq!(r.attr_revalidations, 0, "seed {seed}");
-        assert_eq!(r.attr_stale_detected, 0, "seed {seed}");
+        let c = Spec::new(seed)
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .client;
+        assert_eq!(c.attr_cache_hits, 0, "seed {seed}");
+        assert_eq!(c.attr_revalidations, 0, "seed {seed}");
+        assert_eq!(c.attr_stale_detected, 0, "seed {seed}");
     }
 }
 
@@ -91,47 +91,47 @@ fn clean_runs_keep_the_attr_cache_dormant() {
 fn meta_storm_composes_with_cluster_and_overlap() {
     let mut diverged = false;
     for seed in 0..4u64 {
-        let single =
-            run_seed_checked_with(seed, meta_storm_opts(), false).unwrap_or_else(|e| panic!("{e}"));
-        let cluster = run_seed_checked_with(
-            seed,
-            RunOptions {
-                clients: 2,
-                ..meta_storm_opts()
-            },
-            false,
-        )
+        let single = meta_storm(seed)
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let cluster = Spec {
+            clients: 2,
+            ..meta_storm(seed)
+        }
+        .run_checked()
         .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(cluster.clients, 2, "seed {seed}");
         if cluster.fingerprint != single.fingerprint {
             diverged = true;
         }
-        let paired =
-            run_seed_checked_with(seed, meta_storm_opts(), true).unwrap_or_else(|e| panic!("{e}"));
-        assert!(paired.overlap, "seed {seed}");
-        assert!(paired.attr_cache_hits > 0, "seed {seed}");
+        let paired = Spec {
+            overlap: true,
+            ..meta_storm(seed)
+        }
+        .run_checked()
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert!(paired.client.attr_cache_hits > 0, "seed {seed}");
     }
     assert!(diverged, "2-client storm runs must explore different runs");
 }
 
 /// Storm mode composes with the disk-fault schedule: the full
-/// `DISK_BATCHES` matrix runs with the cache armed, and both the
+/// 24-batch disk-fault matrix runs with the cache armed, and both the
 /// attrcache books and the disk books hold on every seed.
 #[test]
 fn meta_storm_composes_with_disk_faults() {
     for seed in 0..3u64 {
-        let r = run_seed_checked_with(
-            seed,
-            RunOptions {
-                disk_faults: true,
-                ..meta_storm_opts()
-            },
-            false,
-        )
+        let r = Spec {
+            disk_faults: true,
+            ..meta_storm(seed)
+        }
+        .run_checked()
         .unwrap_or_else(|e| panic!("{e}"));
-        assert!(r.disk_faults, "seed {seed}");
-        assert!(r.meta_storm, "seed {seed}");
-        assert!(r.attr_cache_hits > 0, "seed {seed}");
+        assert!(
+            r.faults.iter().any(|k| FaultKind::DISK.contains(k)),
+            "seed {seed}: {:?}",
+            r.faults
+        );
+        assert!(r.client.attr_cache_hits > 0, "seed {seed}");
     }
 }
 
@@ -141,18 +141,17 @@ fn meta_storm_composes_with_disk_faults() {
 #[test]
 fn meta_storm_holds_under_forced_tcp() {
     for seed in 0..3u64 {
-        let p = plan_forced(
-            seed,
-            DEFAULT_BATCHES,
-            false,
-            false,
-            Some(TransportKind::Tcp),
-        );
-        let r = run_plan(&p, meta_storm_opts()).unwrap_or_else(|e| panic!("{e}"));
+        let r = Spec {
+            transport: Some(TransportKind::Tcp),
+            ..meta_storm(seed)
+        }
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"));
+        let c = &r.client;
         assert_eq!(r.transport, TransportKind::Tcp, "seed {seed}");
-        assert_eq!(r.retransmits, 0, "seed {seed}: TCP never retransmits RPCs");
-        assert!(r.attr_cache_hits > 0, "seed {seed}");
-        assert!(r.getattr_rpcs > 0, "seed {seed}");
+        assert_eq!(c.retransmits, 0, "seed {seed}: TCP never retransmits RPCs");
+        assert!(c.attr_cache_hits > 0, "seed {seed}");
+        assert!(c.getattr_rpcs > 0, "seed {seed}");
     }
 }
 
@@ -162,15 +161,13 @@ fn meta_storm_holds_under_forced_tcp() {
 #[test]
 fn meta_storm_failures_print_the_mode_flag() {
     let seed = (0..100)
-        .find(|&s| plan(s, DEFAULT_BATCHES).transport == TransportKind::Udp)
+        .find(|&s| Spec::new(s).plan().transport == TransportKind::Udp)
         .expect("a UDP seed among the first 100");
-    let err = run_plan(
-        &plan(seed, DEFAULT_BATCHES),
-        RunOptions {
-            sabotage_replies: 1,
-            ..meta_storm_opts()
-        },
-    )
+    let err = Spec {
+        sabotage_replies: 1,
+        ..meta_storm(seed)
+    }
+    .run()
     .expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
     assert!(
@@ -190,14 +187,15 @@ fn meta_storm_sweep_is_bit_identical_across_job_counts() {
         let _guard = JOBS_LOCK.lock().unwrap();
         simfleet::set_jobs_override(Some(jobs));
         let out = simfleet::map_indexed(&seeds, |&seed| {
-            let r = run_seed_checked_with(seed, meta_storm_opts(), false)
+            let r = meta_storm(seed)
+                .run_checked()
                 .unwrap_or_else(|e| panic!("{e}"));
             (
                 r.fingerprint,
-                r.ops,
-                r.getattr_rpcs,
-                r.attr_cache_hits,
-                r.attr_stale_detected,
+                r.client.ops,
+                r.client.getattr_rpcs,
+                r.client.attr_cache_hits,
+                r.client.attr_stale_detected,
                 r.sim_nanos,
             )
         });
@@ -210,24 +208,4 @@ fn meta_storm_sweep_is_bit_identical_across_job_counts() {
         serial, parallel,
         "meta-storm sweep diverged between jobs=1 and jobs=4"
     );
-}
-
-/// `--write-loss` wins when both modes are requested: the workload stays
-/// the crash-consistency mix and the attribute cache stays disarmed, so
-/// the close books keep their exact shape.
-#[test]
-fn write_loss_wins_over_meta_storm() {
-    let r = run_seed_checked_with(
-        0,
-        RunOptions {
-            write_loss: true,
-            ..meta_storm_opts()
-        },
-        false,
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    assert!(r.write_loss);
-    assert!(!r.meta_storm, "the write-loss workload must win");
-    assert_eq!(r.attr_cache_hits, 0);
-    assert!(r.unstable_writes > 0);
 }

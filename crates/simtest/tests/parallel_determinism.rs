@@ -7,7 +7,7 @@
 use std::sync::Mutex;
 
 use netsim::TransportKind;
-use simtest::{run_seed_checked, run_seed_checked_forced, RunOptions};
+use simtest::Spec;
 use testbed::experiments::{fig1_zcav, Scale};
 
 /// The jobs override is process-global; serialize tests that flip it.
@@ -27,8 +27,16 @@ fn simtest_sweep_is_bit_identical_across_job_counts() {
     let sweep = |jobs| {
         with_jobs(jobs, || {
             simfleet::map_indexed(&seeds, |&seed| {
-                let r = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
-                (r.fingerprint, r.ops, r.ok_ops, r.timed_out_ops, r.sim_nanos)
+                let r = Spec::new(seed)
+                    .run_checked()
+                    .unwrap_or_else(|e| panic!("{e}"));
+                (
+                    r.fingerprint,
+                    r.client.ops,
+                    r.ok_ops,
+                    r.timed_out_ops,
+                    r.sim_nanos,
+                )
             })
         })
     };
@@ -48,14 +56,19 @@ fn forced_tcp_sweep_is_bit_identical_across_job_counts() {
     let sweep = |jobs| {
         with_jobs(jobs, || {
             simfleet::map_indexed(&seeds, |&seed| {
-                let r = run_seed_checked_forced(
-                    seed,
-                    RunOptions::default(),
-                    false,
-                    Some(TransportKind::Tcp),
-                )
+                let r = Spec {
+                    transport: Some(TransportKind::Tcp),
+                    ..Spec::new(seed)
+                }
+                .run_checked()
                 .unwrap_or_else(|e| panic!("{e}"));
-                (r.fingerprint, r.ops, r.ok_ops, r.timed_out_ops, r.sim_nanos)
+                (
+                    r.fingerprint,
+                    r.client.ops,
+                    r.ok_ops,
+                    r.timed_out_ops,
+                    r.sim_nanos,
+                )
             })
         })
     };

@@ -9,17 +9,14 @@
 use std::sync::Mutex;
 
 use netsim::TransportKind;
-use simtest::{
-    plan, plan_forced, run_plan, run_seed_checked, run_seed_checked_with, FaultKind, RunOptions,
-    DEFAULT_BATCHES,
-};
+use simtest::{FaultKind, Spec, Workload};
 
 const CI_SEEDS: u64 = 10;
 
-fn write_loss_opts() -> RunOptions {
-    RunOptions {
-        write_loss: true,
-        ..RunOptions::default()
+fn write_loss(seed: u64) -> Spec {
+    Spec {
+        workload: Workload::WriteLoss,
+        ..Spec::new(seed)
     }
 }
 
@@ -39,16 +36,17 @@ fn write_loss_sweep_holds_all_oracles_and_loses_data() {
     let mut unstable = 0u64;
     let mut gathered = 0u64;
     for seed in 0..CI_SEEDS {
-        let r =
-            run_seed_checked_with(seed, write_loss_opts(), false).unwrap_or_else(|e| panic!("{e}"));
-        assert!(r.write_loss);
+        let r = write_loss(seed)
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let s = &r.server;
         assert_eq!(
             r.ok_ops + r.timed_out_ops + r.eio_ops,
-            r.ops,
+            r.client.ops,
             "seed {seed}: every op completes with a typed outcome"
         );
         assert!(
-            r.restarts >= 1,
+            s.restarts >= 1,
             "seed {seed}: the nfsd-outage batch must crash the server"
         );
         assert!(
@@ -56,11 +54,11 @@ fn write_loss_sweep_holds_all_oracles_and_loses_data() {
             "seed {seed}: {:?}",
             r.faults
         );
-        lost += r.dirty_blocks_lost;
-        mismatches += r.verifier_mismatches;
-        rewritten += r.blocks_rewritten;
-        unstable += r.unstable_writes;
-        gathered += r.gather_flushes;
+        lost += s.dirty_blocks_lost;
+        mismatches += r.client.verifier_mismatches;
+        rewritten += r.client.blocks_rewritten;
+        unstable += s.unstable_writes;
+        gathered += s.gather_flushes;
     }
     assert!(unstable > 0, "the workload must send UNSTABLE WRITEs");
     assert!(
@@ -83,19 +81,21 @@ fn write_loss_sweep_holds_all_oracles_and_loses_data() {
 
 /// A clean (FILE_SYNC) run never wakes the async write path: the report's
 /// async counters are all zero, and the in-run `async-dormancy` oracle
-/// backs the same claim inside `run_plan`.
+/// backs the same claim inside `Spec::run`.
 #[test]
 fn clean_runs_keep_the_async_machinery_dormant() {
     for seed in 0..4u64 {
-        let r = run_seed_checked(seed).unwrap_or_else(|e| panic!("{e}"));
-        assert!(!r.write_loss, "seed {seed}");
-        assert_eq!(r.unstable_writes, 0, "seed {seed}");
-        assert_eq!(r.commits, 0, "seed {seed}");
-        assert_eq!(r.gather_flushes, 0, "seed {seed}");
-        assert_eq!(r.dirty_blocks_lost, 0, "seed {seed}");
-        assert_eq!(r.verifier_mismatches, 0, "seed {seed}");
-        assert_eq!(r.blocks_rewritten, 0, "seed {seed}");
-        assert_eq!(r.restarts, 0, "seed {seed}");
+        let r = Spec::new(seed)
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let (c, s) = (&r.client, &r.server);
+        assert_eq!(s.unstable_writes, 0, "seed {seed}");
+        assert_eq!(s.commits, 0, "seed {seed}");
+        assert_eq!(s.gather_flushes, 0, "seed {seed}");
+        assert_eq!(s.dirty_blocks_lost, 0, "seed {seed}");
+        assert_eq!(c.verifier_mismatches, 0, "seed {seed}");
+        assert_eq!(c.blocks_rewritten, 0, "seed {seed}");
+        assert_eq!(s.restarts, 0, "seed {seed}");
     }
 }
 
@@ -107,25 +107,25 @@ fn clean_runs_keep_the_async_machinery_dormant() {
 fn write_loss_composes_with_cluster_and_overlap() {
     let mut diverged = false;
     for seed in 0..4u64 {
-        let single =
-            run_seed_checked_with(seed, write_loss_opts(), false).unwrap_or_else(|e| panic!("{e}"));
-        let cluster = run_seed_checked_with(
-            seed,
-            RunOptions {
-                clients: 2,
-                ..write_loss_opts()
-            },
-            false,
-        )
+        let single = write_loss(seed)
+            .run_checked()
+            .unwrap_or_else(|e| panic!("{e}"));
+        let cluster = Spec {
+            clients: 2,
+            ..write_loss(seed)
+        }
+        .run_checked()
         .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(cluster.clients, 2, "seed {seed}");
         if cluster.fingerprint != single.fingerprint {
             diverged = true;
         }
-        let paired =
-            run_seed_checked_with(seed, write_loss_opts(), true).unwrap_or_else(|e| panic!("{e}"));
-        assert!(paired.overlap, "seed {seed}");
-        assert!(paired.restarts >= 1, "seed {seed}");
+        let paired = Spec {
+            overlap: true,
+            ..write_loss(seed)
+        }
+        .run_checked()
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert!(paired.server.restarts >= 1, "seed {seed}");
     }
     assert!(
         diverged,
@@ -139,18 +139,19 @@ fn write_loss_composes_with_cluster_and_overlap() {
 #[test]
 fn write_loss_holds_under_forced_tcp() {
     for seed in 0..3u64 {
-        let p = plan_forced(
-            seed,
-            DEFAULT_BATCHES,
-            false,
-            false,
-            Some(TransportKind::Tcp),
-        );
-        let r = run_plan(&p, write_loss_opts()).unwrap_or_else(|e| panic!("{e}"));
+        let r = Spec {
+            transport: Some(TransportKind::Tcp),
+            ..write_loss(seed)
+        }
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(r.transport, TransportKind::Tcp, "seed {seed}");
-        assert_eq!(r.retransmits, 0, "seed {seed}: TCP never retransmits RPCs");
-        assert!(r.restarts >= 1, "seed {seed}");
-        assert!(r.unstable_writes > 0, "seed {seed}");
+        assert_eq!(
+            r.client.retransmits, 0,
+            "seed {seed}: TCP never retransmits RPCs"
+        );
+        assert!(r.server.restarts >= 1, "seed {seed}");
+        assert!(r.server.unstable_writes > 0, "seed {seed}");
     }
 }
 
@@ -160,15 +161,13 @@ fn write_loss_holds_under_forced_tcp() {
 #[test]
 fn write_loss_failures_print_the_mode_flag() {
     let seed = (0..100)
-        .find(|&s| plan(s, DEFAULT_BATCHES).transport == TransportKind::Udp)
+        .find(|&s| Spec::new(s).plan().transport == TransportKind::Udp)
         .expect("a UDP seed among the first 100");
-    let err = run_plan(
-        &plan(seed, DEFAULT_BATCHES),
-        RunOptions {
-            sabotage_replies: 1,
-            ..write_loss_opts()
-        },
-    )
+    let err = Spec {
+        sabotage_replies: 1,
+        ..write_loss(seed)
+    }
+    .run()
     .expect_err("a swallowed reply must trip an oracle");
     let msg = err.to_string();
     assert!(
@@ -188,14 +187,15 @@ fn write_loss_sweep_is_bit_identical_across_job_counts() {
         let _guard = JOBS_LOCK.lock().unwrap();
         simfleet::set_jobs_override(Some(jobs));
         let out = simfleet::map_indexed(&seeds, |&seed| {
-            let r = run_seed_checked_with(seed, write_loss_opts(), false)
+            let r = write_loss(seed)
+                .run_checked()
                 .unwrap_or_else(|e| panic!("{e}"));
             (
                 r.fingerprint,
-                r.ops,
-                r.dirty_blocks_lost,
-                r.verifier_mismatches,
-                r.blocks_rewritten,
+                r.client.ops,
+                r.server.dirty_blocks_lost,
+                r.client.verifier_mismatches,
+                r.client.blocks_rewritten,
                 r.sim_nanos,
             )
         });
