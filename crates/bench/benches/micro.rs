@@ -10,8 +10,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use diskmodel::{CacheConfig, DiskRequest, DriveModel, Replacement, SegmentedCache};
-use ffs::BufferCache;
+use diskmodel::{
+    CacheConfig, DiskRequest, DriveModel, PartitionTable, Replacement, SegmentedCache,
+};
+use ffs::{BufferCache, FileSystem, FsConfig};
 use iosched::{IoScheduler, QueuedRequest, SchedulerKind};
 use nfs_bench::perf::{BenchResult, PerfReport};
 use nfsproto::{FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus};
@@ -243,6 +245,50 @@ fn bench_disk_service(out: &mut Vec<BenchResult>, iters: u64) {
     });
 }
 
+fn bench_disk_sptf(out: &mut Vec<BenchResult>, iters: u64) {
+    // A full depth-64 tag queue: each op completes one command, which
+    // dispatches the next by SPTF over the queued ones, and refills it.
+    let mut d = DriveModel::IbmDdysScsi.build(SimRng::new(3));
+    let mut rng = SimRng::new(5);
+    let span = d.geometry().total_sectors() - 16;
+    let mut tag = 0u64;
+    while d.can_accept() {
+        d.submit(
+            SimTime::ZERO,
+            DiskRequest::read(rng.gen_range(0..span), 16, tag),
+        );
+        tag += 1;
+    }
+    bench(out, "disk_sptf_choose_64", iters, || {
+        let t = d.next_completion().expect("queue is full");
+        black_box(d.advance(t));
+        d.submit(t, DiskRequest::read(rng.gen_range(0..span), 16, tag));
+        tag += 1;
+    });
+}
+
+fn bench_fs_read(out: &mut Vec<BenchResult>, iters: u64) {
+    // One cached 8 KB READ of a 16 MB (2,048-block) file and the advance
+    // that delivers it: the file system's per-call cost above the cache.
+    let disk = DriveModel::WdWd200bbIde.build(SimRng::new(11));
+    let part = PartitionTable::quarters(disk.geometry()).get(1);
+    let mut fs = FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default());
+    let blocks = 2_048u64;
+    let ino = fs.create_file(blocks * 8_192, &mut SimRng::new(1));
+    fs.read(SimTime::ZERO, ino, 0, blocks * 8_192, 0, 0);
+    let mut now = SimTime::ZERO;
+    while let Some(t) = fs.next_event() {
+        now = t;
+        fs.advance(t);
+    }
+    let mut blk = 0u64;
+    bench(out, "fs_read_2048_block_file", iters, || {
+        blk = (blk + 1) % blocks;
+        fs.read(now, ino, blk * 8_192, 8_192, 0, blk);
+        black_box(fs.advance(now));
+    });
+}
+
 /// Flags understood by this harness (all optional, combinable):
 ///
 /// * `--test`   — one iteration per case (`cargo test` smoke mode);
@@ -313,6 +359,8 @@ fn main() {
     bench_buffer_cache(out, fast, slow * 10);
     bench_drive_cache(out, fast);
     bench_disk_service(out, slow);
+    bench_disk_sptf(out, slow * 10);
+    bench_fs_read(out, fast);
 
     let mut report = PerfReport {
         suite: "micro".to_string(),

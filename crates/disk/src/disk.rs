@@ -361,36 +361,37 @@ impl Disk {
 
     /// Chooses which arrived command to service next at time `t`.
     fn choose(&self, t: SimTime) -> usize {
-        let arrived: Vec<usize> = (0..self.pending.len())
-            .filter(|&i| self.pending[i].arrived <= t)
-            .collect();
-        let candidates: &[usize] = if arrived.is_empty() {
-            // Everything is in the future; take the earliest arrival.
-            return (0..self.pending.len())
-                .min_by_key(|&i| (self.pending[i].arrived, self.pending[i].seq))
-                .expect("non-empty");
+        let arrived = (0..self.pending.len()).filter(|&i| self.pending[i].arrived <= t);
+        let chosen = if self.tcq.enabled {
+            // SPTF with aging: minimize estimated positioning time minus a
+            // credit proportional to how long the command has waited. Each
+            // candidate is scored once, folded as `min_by` folds: the
+            // first minimum wins, and ties or NaN scores break on `seq`.
+            let mut best: Option<(usize, f64)> = None;
+            for i in arrived {
+                let score = self.sptf_score(t, &self.pending[i]);
+                let replaces = best.is_none_or(|(b, best_score)| {
+                    best_score
+                        .partial_cmp(&score)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(self.pending[b].seq.cmp(&self.pending[i].seq))
+                        .is_gt()
+                });
+                if replaces {
+                    best = Some((i, score));
+                }
+            }
+            best.map(|(i, _)| i)
         } else {
-            &arrived
-        };
-        if !self.tcq.enabled {
             // Host order: FIFO by submission sequence.
-            return *candidates
-                .iter()
-                .min_by_key(|&&i| self.pending[i].seq)
-                .expect("non-empty");
-        }
-        // SPTF with aging: minimize estimated positioning time minus a
-        // credit proportional to how long the command has waited.
-        *candidates
-            .iter()
-            .min_by(|&&a, &&b| {
-                let sa = self.sptf_score(t, &self.pending[a]);
-                let sb = self.sptf_score(t, &self.pending[b]);
-                sa.partial_cmp(&sb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(self.pending[a].seq.cmp(&self.pending[b].seq))
-            })
-            .expect("non-empty")
+            arrived.min_by_key(|&i| self.pending[i].seq)
+        };
+        chosen.unwrap_or_else(|| {
+            // Everything is in the future; take the earliest arrival.
+            (0..self.pending.len())
+                .min_by_key(|&i| (self.pending[i].arrived, self.pending[i].seq))
+                .expect("non-empty")
+        })
     }
 
     /// If the cache will satisfy `req` sooner than the mechanics could,
@@ -761,6 +762,93 @@ mod tests {
         let mut d = test_disk(TcqConfig::disabled(), 0);
         let total = d.geometry().total_sectors();
         d.submit(SimTime::ZERO, DiskRequest::read(total - 8, 16, 0));
+    }
+
+    /// `choose` as it was before it scored each candidate once: `min_by`
+    /// over the arrived indices, scoring both sides of every comparison.
+    fn choose_by_min_by(d: &Disk, t: SimTime) -> usize {
+        let arrived: Vec<usize> = (0..d.pending.len())
+            .filter(|&i| d.pending[i].arrived <= t)
+            .collect();
+        if arrived.is_empty() {
+            return (0..d.pending.len())
+                .min_by_key(|&i| (d.pending[i].arrived, d.pending[i].seq))
+                .expect("non-empty");
+        }
+        if !d.tcq.enabled {
+            return *arrived
+                .iter()
+                .min_by_key(|&&i| d.pending[i].seq)
+                .expect("non-empty");
+        }
+        *arrived
+            .iter()
+            .min_by(|&&a, &&b| {
+                let sa = d.sptf_score(t, &d.pending[a]);
+                let sb = d.sptf_score(t, &d.pending[b]);
+                sa.partial_cmp(&sb)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(d.pending[a].seq.cmp(&d.pending[b].seq))
+            })
+            .expect("non-empty")
+    }
+
+    #[test]
+    fn choose_matches_the_min_by_reference() {
+        let mut rng = SimRng::new(0x5F7F);
+        // Infinite aging scores a command that arrived at `t` as NaN
+        // (0 * inf) and every older one as -inf: the tie-break paths.
+        for aging_factor in [0.0, 2.0, f64::INFINITY] {
+            for enabled in [false, true] {
+                for case in 0..200 {
+                    let tcq = TcqConfig {
+                        enabled,
+                        depth: 64,
+                        aging_factor,
+                    };
+                    let mut d = test_disk(tcq, 4);
+                    // Move the head and fill cache segments, so some
+                    // candidates score 0.0 as cache hits and tie.
+                    let mut cached = Vec::new();
+                    for tag in 0..rng.gen_range(1u64..4) {
+                        let lba = rng.gen_range(0u64..280_000);
+                        d.submit(SimTime::ZERO, DiskRequest::read(lba, 16, tag));
+                        cached.push(lba + 16);
+                        while let Some(done) = d.next_completion() {
+                            d.advance(done);
+                        }
+                    }
+                    let t = ms(200) + SimDuration::from_micros(rng.gen_range(0u64..10_000));
+                    let depth = rng.gen_range(1usize..=64);
+                    let mut seqs: Vec<u64> = (0..depth as u64).collect();
+                    rng.shuffle(&mut seqs);
+                    d.pending.clear();
+                    for (i, seq) in seqs.into_iter().enumerate() {
+                        let lba = if rng.chance(0.3) {
+                            *rng.choose(&cached).expect("primed")
+                        } else {
+                            rng.gen_range(0u64..280_000)
+                        };
+                        let arrived = match rng.gen_range(0u32..4) {
+                            0 => t,
+                            1 => t + SimDuration::from_micros(rng.gen_range(1u64..5_000)),
+                            _ => ms(100) + SimDuration::from_micros(rng.gen_range(0u64..100_000)),
+                        };
+                        d.pending.push(Pending {
+                            id: RequestId(i as u64),
+                            req: DiskRequest::read(lba, 16, i as u64),
+                            arrived,
+                            seq,
+                        });
+                    }
+                    assert_eq!(
+                        d.choose(t),
+                        choose_by_min_by(&d, t),
+                        "aging {aging_factor}, tcq {enabled}, case {case}, depth {depth}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

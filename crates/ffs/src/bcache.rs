@@ -31,7 +31,9 @@
 //! rescans once per eviction, which is the cost of the plain scan. The
 //! list adds no per-block memory: it never holds more than `k` pairs.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+
+use simcore::FastMap;
 
 /// Cache key: inode number and file-block index.
 pub type BlockKey = (u64, u64);
@@ -58,7 +60,7 @@ type Victim = (u64, BlockKey);
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
-    map: HashMap<BlockKey, Entry>,
+    map: FastMap<BlockKey, Entry>,
     /// The oldest valid entries as of the last scan, newest first; may
     /// hold stale candidates (see the module docs).
     victims: Vec<Victim>,
@@ -77,7 +79,7 @@ impl BufferCache {
         assert!(capacity > 0, "cache capacity must be non-zero");
         BufferCache {
             capacity,
-            map: HashMap::new(),
+            map: FastMap::default(),
             victims: Vec::new(),
             clock: 0,
             hits: 0,

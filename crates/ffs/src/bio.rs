@@ -29,8 +29,7 @@ use diskmodel::{
     Completion, DeviceModel, Disk, DiskErrorKind, DiskOutcome, DiskRequest, Lba, TcqConfig,
 };
 use iosched::{AnyScheduler, IoScheduler, QueuedRequest, SchedulerKind};
-use simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
+use simcore::{FastMap, SimDuration, SimTime};
 
 /// Most host-level retries of a transient media error before giving up
 /// with EIO.
@@ -73,7 +72,7 @@ pub struct BioLayer {
     next_seq: u64,
     dispatched: u64,
     /// Retry counts per in-error request tag (absent = no error yet).
-    attempts: HashMap<u64, u32>,
+    attempts: FastMap<u64, u32>,
     /// Retries waiting out their backoff: `(due, request)`.
     deferred: Vec<(SimTime, DiskRequest)>,
     stats: BioStats,
@@ -93,7 +92,7 @@ impl BioLayer {
             head: 0,
             next_seq: 0,
             dispatched: 0,
-            attempts: HashMap::new(),
+            attempts: FastMap::default(),
             deferred: Vec::new(),
             stats: BioStats::default(),
         }

@@ -13,11 +13,9 @@
 //! All operations are asynchronous: [`FileSystem::read`] returns a
 //! [`ReadId`]; completions surface from [`FileSystem::advance`].
 
-use std::collections::HashMap;
-
 use diskmodel::{DeviceModel, Disk, DiskRequest, TcqConfig};
 use iosched::SchedulerKind;
-use simcore::{SimRng, SimTime};
+use simcore::{FastMap, SimRng, SimTime};
 
 use crate::alloc::{AllocConfig, Allocator, Inode, BLOCK_BYTES, BLOCK_SECTORS};
 use crate::bcache::{BlockKey, BufferCache};
@@ -131,12 +129,12 @@ pub struct FileSystem {
     config: FsConfig,
     bio: BioLayer,
     alloc: Allocator,
-    inodes: HashMap<u64, Inode>,
+    inodes: FastMap<u64, Inode>,
     cache: BufferCache,
-    io_spans: HashMap<u64, IoSpan>,
+    io_spans: FastMap<u64, IoSpan>,
     next_io_tag: u64,
-    waiters: HashMap<BlockKey, Vec<ReadId>>,
-    tickets: HashMap<ReadId, Ticket>,
+    waiters: FastMap<BlockKey, Vec<ReadId>>,
+    tickets: FastMap<ReadId, Ticket>,
     ready: Vec<OpDone>,
     next_read_id: u64,
     stats: FsStats,
@@ -163,12 +161,12 @@ impl FileSystem {
         FileSystem {
             bio: BioLayer::with_device(device, sched),
             alloc: Allocator::new(partition, config.alloc),
-            inodes: HashMap::new(),
+            inodes: FastMap::default(),
             cache: BufferCache::new(config.cache_blocks),
-            io_spans: HashMap::new(),
+            io_spans: FastMap::default(),
             next_io_tag: 0,
-            waiters: HashMap::new(),
-            tickets: HashMap::new(),
+            waiters: FastMap::default(),
+            tickets: FastMap::default(),
             ready: Vec::new(),
             next_read_id: 0,
             config,
@@ -277,11 +275,7 @@ impl FileSystem {
         tag: u64,
     ) -> ReadId {
         assert!(bytes > 0, "zero-length read");
-        let inode = self
-            .inodes
-            .get(&ino)
-            .expect("read of unknown inode")
-            .clone();
+        let inode = self.inodes.get(&ino).expect("read of unknown inode");
         assert!(
             offset + bytes <= inode.size.max(inode.num_blocks() * BLOCK_BYTES),
             "read beyond EOF: {offset}+{bytes} > {}",
@@ -318,10 +312,10 @@ impl FileSystem {
                 1
             };
             let run = self
-                .cluster_run(&inode, blk, max_run)
+                .cluster_run(ino, blk, max_run)
                 // Never split a multi-block request into single-block I/Os.
                 .max(
-                    self.cluster_run(&inode, blk, last_blk - blk + 1)
+                    self.cluster_run(ino, blk, last_blk - blk + 1)
                         .min(last_blk - blk + 1),
                 );
             for b in blk..blk + run {
@@ -336,7 +330,7 @@ impl FileSystem {
                 self.waiters.entry((ino, b)).or_default().push(id);
                 outstanding += 1;
             }
-            self.submit_io(now, &inode, blk, run, false);
+            self.submit_io(now, ino, blk, run, false);
             blk += run;
         }
 
@@ -344,7 +338,7 @@ impl FileSystem {
         if seqcount >= self.config.readahead_threshold {
             let window =
                 u64::from(seqcount.min(SEQCOUNT_MAX)).min(self.config.max_readahead_blocks);
-            self.readahead(now, &inode, last_blk + 1, window);
+            self.readahead(now, ino, last_blk + 1, window);
         }
 
         self.tickets.insert(
@@ -370,11 +364,7 @@ impl FileSystem {
     /// Panics if the inode does not exist or the range is beyond EOF.
     pub fn write(&mut self, now: SimTime, ino: u64, offset: u64, bytes: u64, tag: u64) -> ReadId {
         assert!(bytes > 0, "zero-length write");
-        let inode = self
-            .inodes
-            .get(&ino)
-            .expect("write to unknown inode")
-            .clone();
+        let inode = self.inodes.get(&ino).expect("write to unknown inode");
         assert!(
             offset + bytes <= inode.num_blocks() * BLOCK_BYTES,
             "write beyond EOF"
@@ -388,7 +378,7 @@ impl FileSystem {
         while blk <= last_blk {
             self.cache.invalidate((ino, blk));
             let run = self
-                .contiguous_run(&inode, blk)
+                .contiguous_run(inode, blk)
                 .min(last_blk - blk + 1)
                 .min(self.config.cluster_blocks);
             let io_tag = self.next_io_tag;
@@ -472,29 +462,21 @@ impl FileSystem {
                 }
             }
         }
-        let mut out: Vec<OpDone> = Vec::new();
-        let mut keep = Vec::new();
-        for d in self.ready.drain(..) {
-            if d.done_at <= now {
-                out.push(d);
-            } else {
-                keep.push(d);
-            }
-        }
-        self.ready = keep;
+        let mut out: Vec<OpDone> = self.ready.extract_if(.., |d| d.done_at <= now).collect();
         out.sort_by_key(|d| (d.done_at, d.id));
         out
     }
 
     /// Length of the physically contiguous, uncached, unpending run starting
-    /// at `blk`, capped at `max` blocks and the file end.
-    fn cluster_run(&self, inode: &Inode, blk: u64, max: u64) -> u64 {
+    /// at block `blk` of `ino`, capped at `max` blocks and the file end.
+    fn cluster_run(&self, ino: u64, blk: u64, max: u64) -> u64 {
+        let inode = &self.inodes[&ino];
         let mut run = 1;
         while run < max
             && blk + run < inode.num_blocks()
             && inode.contiguous(blk + run - 1)
-            && !self.cache.peek((inode.ino, blk + run))
-            && !self.cache.is_pending((inode.ino, blk + run))
+            && !self.cache.peek((ino, blk + run))
+            && !self.cache.is_pending((ino, blk + run))
         {
             run += 1;
         }
@@ -517,33 +499,34 @@ impl FileSystem {
     /// Read-ahead is issued in cluster-aligned chunks (as FreeBSD's
     /// `cluster_read` does): a sliding 8 KB-granular window would otherwise
     /// degenerate into single-block I/Os at the frontier.
-    fn readahead(&mut self, now: SimTime, inode: &Inode, from: u64, window: u64) {
-        let end = (from + window).min(inode.num_blocks());
+    fn readahead(&mut self, now: SimTime, ino: u64, from: u64, window: u64) {
+        let end = (from + window).min(self.inodes[&ino].num_blocks());
         let cluster = self.config.cluster_blocks;
         // First cluster boundary at or after `from`.
         let mut blk = from.div_ceil(cluster) * cluster;
         while blk < end {
-            let key = (inode.ino, blk);
+            let key = (ino, blk);
             if self.cache.peek(key) || self.cache.is_pending(key) {
                 blk += cluster;
                 continue;
             }
-            let run = self.cluster_run(inode, blk, cluster);
+            let run = self.cluster_run(ino, blk, cluster);
             for b in blk..blk + run {
-                self.cache.mark_pending((inode.ino, b));
+                self.cache.mark_pending((ino, b));
             }
-            self.submit_io(now, inode, blk, run, true);
+            self.submit_io(now, ino, blk, run, true);
             blk += cluster;
         }
     }
 
-    fn submit_io(&mut self, now: SimTime, inode: &Inode, first_blk: u64, nblocks: u64, ra: bool) {
+    fn submit_io(&mut self, now: SimTime, ino: u64, first_blk: u64, nblocks: u64, ra: bool) {
+        let lba = self.inodes[&ino].lba_of(first_blk);
         let io_tag = self.next_io_tag;
         self.next_io_tag += 1;
         self.io_spans.insert(
             io_tag,
             IoSpan {
-                ino: inode.ino,
+                ino,
                 first_blk,
                 nblocks,
             },
@@ -553,10 +536,8 @@ impl FileSystem {
         } else {
             self.stats.sync_reads += 1;
         }
-        self.bio.submit(
-            now,
-            DiskRequest::read(inode.lba_of(first_blk), nblocks * BLOCK_SECTORS, io_tag),
-        );
+        self.bio
+            .submit(now, DiskRequest::read(lba, nblocks * BLOCK_SECTORS, io_tag));
     }
 
     fn block_arrived(&mut self, id: ReadId, at: SimTime, failed: bool) {

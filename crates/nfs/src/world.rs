@@ -26,13 +26,13 @@
 //! stream label *is* the old world stream).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use ffs::{BufferCache, FileSystem};
 use netsim::{TcpEvent, TcpStats, Transport, TransportKind, TxOutcome};
 use nfsproto::{write_verf, FileHandle, NfsCall, NfsReply, NfsStatus, StableHow};
 use readahead_core::NfsHeur;
-use simcore::{EventQueue, SimDuration, SimRng, SimTime};
+use simcore::{EventQueue, FastMap, FastSet, SimDuration, SimRng, SimTime};
 
 use crate::config::{ClientHostConfig, CpuModel, WorldConfig};
 
@@ -546,29 +546,29 @@ struct ClientHost {
     c2s: Transport,
     s2c: Transport,
     cache: BufferCache,
-    files: HashMap<u64, ClientFile>,
-    rpcs: HashMap<u32, Rpc>,
+    files: FastMap<u64, ClientFile>,
+    rpcs: FastMap<u32, Rpc>,
     iod_free: Vec<SimTime>,
-    op_waiters: HashMap<(u64, u64), Vec<OpId>>,
+    op_waiters: FastMap<(u64, u64), Vec<OpId>>,
     /// Non-READ operations waiting directly on an RPC reply.
-    rpc_waiters: HashMap<u32, OpId>,
+    rpc_waiters: FastMap<u32, OpId>,
     stats: ClientStats,
     /// Retired call-encoding buffers, recycled by `issue_call` so the
     /// per-RPC marshal path stops allocating once warm.
     buf_pool: Vec<Vec<u8>>,
     /// TCP only: queued c2s segment seq → call key, resolved by the
     /// segment engine's deferred [`TcpEvent`]s.
-    c2s_seq: HashMap<u64, u64>,
+    c2s_seq: FastMap<u64, u64>,
     /// TCP only: queued s2c segment seq → (call key, eio flag, verifier).
-    s2c_seq: HashMap<u64, (u64, bool, u64)>,
+    s2c_seq: FastMap<u64, (u64, bool, u64)>,
     /// Write-behind dirty cache, by inode (async write path only; always
     /// empty on FILE_SYNC mounts).
-    wb: HashMap<u64, WbFile>,
+    wb: FastMap<u64, WbFile>,
     /// Attribute cache, by inode. Always empty with the cache disabled
     /// (the default), so the cache-off world carries no new state.
-    attrs: HashMap<u64, AttrEntry>,
+    attrs: FastMap<u64, AttrEntry>,
     /// Outstanding READDIR(PLUS) chunk shapes, by xid.
-    rd_pending: HashMap<u32, ReaddirPending>,
+    rd_pending: FastMap<u32, ReaddirPending>,
 }
 
 impl ClientHost {
@@ -630,9 +630,10 @@ struct ServerHost {
     /// in-progress half of a duplicate request cache (reads are idempotent
     /// so completed calls need no replay cache in this model) and the
     /// server's own copy of what it executes and answers.
+    // External keys carry a peer's xid: keep std's keyed hasher (no FastMap).
     in_service: HashMap<u64, NfsCall>,
     cpu_free: SimTime,
-    arrived_seq: HashMap<u64, u64>,
+    arrived_seq: FastMap<u64, u64>,
     stats: ServerStats,
     /// Reply-encoding scratch buffer, reused across every reply the server
     /// sends (replies are encoded, size-checked, and dropped — only their
@@ -653,24 +654,24 @@ struct ServerHost {
     /// flush coalescing and restart loss accounting are deterministic.
     dirty: BTreeMap<u64, BTreeSet<u64>>,
     /// In-flight dirty flush spans, by flush tag (sans [`FLUSH_KEY_BIT`]).
-    flushing: HashMap<u64, FlushSpan>,
+    flushing: FastMap<u64, FlushSpan>,
     next_flush: u64,
     /// Outstanding flush I/Os per ino (COMMIT replies wait on zero).
-    flush_outstanding: HashMap<u64, usize>,
+    flush_outstanding: FastMap<u64, usize>,
     /// Inodes whose async flush hit EIO; latched until the next COMMIT
     /// reports it (RFC 1813: async write errors surface at commit time).
-    flush_errors: HashSet<u64>,
+    flush_errors: FastSet<u64>,
     /// COMMIT call keys parked until their ino's flushes complete.
-    pending_commits: HashMap<u64, Vec<u64>>,
+    pending_commits: FastMap<u64, Vec<u64>>,
     /// Blocks known to be on stable storage, for crash-consistency
     /// oracles: `(ino, blk)` enters on a completed FILE_SYNC write or
     /// dirty flush and never leaves (the model carries no data contents).
-    durable: HashSet<(u64, u64)>,
+    durable: FastSet<(u64, u64)>,
     /// Per-inode attribute version, bumped on every WRITE that reaches
     /// the server. Clients compare the version their cache entry was
     /// fetched under against this at revalidation time — the model's
     /// stand-in for mtime/ctime comparison.
-    attr_seq: HashMap<u64, u64>,
+    attr_seq: FastMap<u64, u64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -699,14 +700,14 @@ pub struct NfsWorld {
     host_cfgs: Vec<ClientHostConfig>,
     server: ServerHost,
     /// Process-level operations across every client (OpIds are global).
-    ops: HashMap<OpId, OpState>,
+    ops: FastMap<OpId, OpState>,
     ready: Vec<OpDone>,
     next_op: u64,
     /// Which client host "owns" (mounted) each inode, for attributing
     /// server-side contention. With one client this maps everything to 0.
     /// External connections own their exports under index
     /// `clients.len() + ext`.
-    ino_owner: HashMap<u64, usize>,
+    ino_owner: FastMap<u64, usize>,
     /// Per-client contention counters, indexed by client id; external
     /// connections append entries after the simulated hosts.
     contention: Vec<ContentionStats>,
@@ -775,18 +776,18 @@ impl NfsWorld {
                 c2s,
                 s2c,
                 cache: BufferCache::new(hc.client_cache_blocks),
-                files: HashMap::new(),
-                rpcs: HashMap::new(),
+                files: FastMap::default(),
+                rpcs: FastMap::default(),
                 iod_free: vec![SimTime::ZERO; hc.nfsiods],
-                op_waiters: HashMap::new(),
-                rpc_waiters: HashMap::new(),
+                op_waiters: FastMap::default(),
+                rpc_waiters: FastMap::default(),
                 stats: ClientStats::default(),
                 buf_pool: Vec::new(),
-                c2s_seq: HashMap::new(),
-                s2c_seq: HashMap::new(),
-                wb: HashMap::new(),
-                attrs: HashMap::new(),
-                rd_pending: HashMap::new(),
+                c2s_seq: FastMap::default(),
+                s2c_seq: FastMap::default(),
+                wb: FastMap::default(),
+                attrs: FastMap::default(),
+                rd_pending: FastMap::default(),
             });
         }
         let contention = vec![ContentionStats::default(); clients.len()];
@@ -806,7 +807,7 @@ impl NfsWorld {
                 call_queue: VecDeque::new(),
                 in_service: HashMap::new(),
                 cpu_free: SimTime::ZERO,
-                arrived_seq: HashMap::new(),
+                arrived_seq: FastMap::default(),
                 stats: ServerStats::default(),
                 reply_scratch: Vec::new(),
                 sabotage_drop_replies: 0,
@@ -815,18 +816,18 @@ impl NfsWorld {
                 verf: write_verf(seed, 0),
                 alloc_rng: SimRng::from_seed_and_stream(seed, SERVER_STREAM),
                 dirty: BTreeMap::new(),
-                flushing: HashMap::new(),
+                flushing: FastMap::default(),
                 next_flush: 0,
-                flush_outstanding: HashMap::new(),
-                flush_errors: HashSet::new(),
-                pending_commits: HashMap::new(),
-                durable: HashSet::new(),
-                attr_seq: HashMap::new(),
+                flush_outstanding: FastMap::default(),
+                flush_errors: FastSet::default(),
+                pending_commits: FastMap::default(),
+                durable: FastSet::default(),
+                attr_seq: FastMap::default(),
             },
-            ops: HashMap::new(),
+            ops: FastMap::default(),
             ready: Vec::new(),
             next_op: 0,
-            ino_owner: HashMap::new(),
+            ino_owner: FastMap::default(),
             contention,
             ext_clients: 0,
             ext_outbox: Vec::new(),
@@ -848,7 +849,7 @@ impl NfsWorld {
     /// this is scale accounting, not allocator truth.
     pub fn client_state_bytes(&self) -> usize {
         use std::mem::size_of;
-        fn map_bytes<K, V>(m: &HashMap<K, V>) -> usize {
+        fn map_bytes<K, V>(m: &FastMap<K, V>) -> usize {
             m.capacity() * (size_of::<K>() + size_of::<V>() + size_of::<u64>())
         }
         let mut total = self.host_cfgs.capacity() * size_of::<ClientHostConfig>()
@@ -1756,16 +1757,7 @@ impl NfsWorld {
                 self.handle(at, ev);
             }
         }
-        let mut out = Vec::new();
-        let mut keep = Vec::new();
-        for d in self.ready.drain(..) {
-            if d.done_at <= now {
-                out.push(d);
-            } else {
-                keep.push(d);
-            }
-        }
-        self.ready = keep;
+        let mut out: Vec<OpDone> = self.ready.extract_if(.., |d| d.done_at <= now).collect();
         out.sort_by_key(|d| (d.done_at, d.id));
         out
     }

@@ -69,6 +69,7 @@ struct Conn {
     root: FileHandle,
     /// Calls in flight in the world, keyed by xid, so the pump can build
     /// full RFC replies (attributes need the target handle).
+    // The peer picks these xids: keep std's keyed hasher (no FastMap).
     pending: HashMap<u32, FileHandle>,
 }
 

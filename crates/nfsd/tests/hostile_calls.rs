@@ -125,3 +125,49 @@ fn write_ranges_past_any_file_are_refused() {
         Some(FILE_SIZE)
     );
 }
+
+#[test]
+fn pipelined_xids_sharing_their_low_bits_each_get_their_own_reply() {
+    // Xids `k << 16` agree in their low 16 bits, so a fixed integer hash
+    // would chain them together in the endpoint's and the server's call
+    // maps. GETATTRs sit in the endpoint's map until the pump; READs of an
+    // uncached block also stay in service in the world until the disk
+    // answers.
+    const CALLS: u32 = 1 << 16;
+    let (mut ep, conn, fh) = endpoint();
+    for k in 0..CALLS {
+        let xid = k << 16;
+        let rec = if k % 2 == 0 {
+            NfsCall::Getattr { fh }.encode(xid)
+        } else {
+            NfsCall::Read {
+                fh,
+                offset: 0,
+                count: 8_192,
+            }
+            .encode(xid)
+        };
+        assert!(ep.handle_record(SimTime::ZERO, conn, &rec).is_empty());
+    }
+    let out = ep.pump(SimTime::from_nanos(3_600_000_000_000));
+    assert_eq!(out.len(), CALLS as usize, "exactly one reply per call");
+    let mut xids: Vec<u32> = out
+        .iter()
+        .map(|(c, reply)| {
+            assert_eq!(*c, conn);
+            // The reply's xid leads the record; even `k` sent a GETATTR.
+            let k = u32::from_be_bytes(reply[..4].try_into().expect("xid")) >> 16;
+            if k % 2 == 0 {
+                let (xid, attr) = wire::decode_getattr_reply(reply).expect("GETATTR3res");
+                assert_eq!(attr.fileid, fh.ino, "xid {xid:#x}");
+                xid
+            } else {
+                let r = wire::decode_read_reply(reply).expect("READ3res");
+                assert_eq!((r.status, r.count), (0, 8_192), "xid {:#x}", r.xid);
+                r.xid
+            }
+        })
+        .collect();
+    xids.sort_unstable();
+    assert!(xids.iter().copied().eq((0..CALLS).map(|k| k << 16)));
+}

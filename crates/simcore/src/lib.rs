@@ -11,7 +11,9 @@
 //!   report benchmark results the way the paper does (mean over >= 10 runs
 //!   with standard deviation);
 //! * [`LogHist`] — a streaming log-bucketed latency histogram with bounded
-//!   memory and exact shard merging, for tail quantiles at fleet scale.
+//!   memory and exact shard merging, for tail quantiles at fleet scale;
+//! * [`FastMap`] / [`FastSet`] — hash containers with a fixed, fast hasher
+//!   for keys the simulator allocates itself.
 //!
 //! # Instrumentation discipline
 //!
@@ -29,11 +31,13 @@
 #![warn(missing_docs)]
 
 mod event;
+mod hash;
 mod rng;
 mod stats;
 mod time;
 
 pub use event::EventQueue;
+pub use hash::{FastMap, FastSet, FxHasher};
 pub use rng::{SampleRange, SimRng, UniformSample};
 pub use stats::{quantile, LogHist, OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};
