@@ -337,7 +337,7 @@ impl Endpoint {
     }
 
     /// The next instant the world has work scheduled (disk completion,
-    /// gather-window expiry). The socket loop sleeps no longer than this.
+    /// gather-window expiry). The serve loop waits no longer than this.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.world.next_event()
     }
