@@ -296,8 +296,9 @@ fn bench_fs_read(out: &mut Vec<BenchResult>, iters: u64) {
 /// * `--json P` — write the measurements to `P` as JSON;
 /// * `--baseline P` — copy `ns_per_op` from the report at `P` into this
 ///   run's output as `baseline_ns_per_op` (before/after provenance);
-/// * `--check P` — exit non-zero if any `event_queue*`/`nfsheur*` case
-///   runs more than 3x slower than the report at `P` records.
+/// * `--check P` — exit non-zero if any [`GATED_PREFIXES`] case runs
+///   more than 3x slower than the report at `P` records, or is recorded
+///   there but did not run.
 struct Options {
     testing: bool,
     quick: bool,
@@ -335,8 +336,11 @@ fn load_report(path: &str) -> PerfReport {
     PerfReport::parse(&text).unwrap_or_else(|e| panic!("cannot parse perf report {path}: {e}"))
 }
 
-/// Hot-path cases gated by `--check`; the tentpole's regression fence.
-const GATED_PREFIXES: &[&str] = &["event_queue", "nfsheur"];
+/// Hot-path cases gated by `--check`. `buffer_cache_evicting` and
+/// `fs_read` fence the server's eviction and per-READ costs: the old
+/// whole-map victim scan ran `buffer_cache_evicting_fill_20k` ~320x
+/// slower, and a per-READ inode copy ran `fs_read_2048_block_file` ~5x.
+const GATED_PREFIXES: &[&str] = &["event_queue", "nfsheur", "buffer_cache_evicting", "fs_read"];
 const GATE_FACTOR: f64 = 3.0;
 
 fn main() {

@@ -1,11 +1,11 @@
 //! Machine-readable perf baselines.
 //!
-//! The micro and end-to-end benches emit their measurements as JSON
-//! (`BENCH_micro.json` / `BENCH_e2e.json` at the repo root) so the repo
-//! carries a perf trajectory instead of numbers buried in CI logs. The
-//! writer and the (deliberately small) reader below are hand-rolled: the
-//! workspace builds with zero external crates, and the only JSON we ever
-//! parse is the JSON we ourselves wrote.
+//! The micro bench emits its measurements as JSON (`BENCH_micro.json` at
+//! the repo root) so the repo carries a per-layer perf trajectory instead
+//! of numbers buried in CI logs; end-to-end performance is measured by
+//! `perfbench/`. The writer and the (deliberately small) reader below are
+//! hand-rolled: the workspace builds with zero external crates, and the
+//! only JSON we ever parse is the JSON we ourselves wrote.
 
 use std::fmt::Write as _;
 
@@ -26,7 +26,7 @@ pub struct BenchResult {
 /// A full bench-suite report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
-    /// Suite name (`micro` or `e2e`).
+    /// Suite name (`micro`).
     pub suite: String,
     /// `full`, `quick`, or `test` — how many iterations were run.
     pub mode: String,
@@ -102,10 +102,10 @@ impl PerfReport {
     }
 
     /// Compares this run against a checked-in report: returns one message
-    /// per case whose name starts with any of `prefixes` and whose
-    /// current ns/op exceeds `factor` times the recorded ns/op. An empty
-    /// vector means the gate passes. Cases present in only one of the two
-    /// reports are ignored (the gate guards regressions, not coverage).
+    /// per recorded case whose name starts with any of `prefixes` and that
+    /// either is missing from this run or whose current ns/op exceeds
+    /// `factor` times the recorded ns/op. An empty vector means the gate
+    /// passes. Cases this run adds are ignored until they are recorded.
     pub fn regressions_vs(
         &self,
         recorded: &PerfReport,
@@ -113,11 +113,15 @@ impl PerfReport {
         factor: f64,
     ) -> Vec<String> {
         let mut out = Vec::new();
-        for b in &self.benches {
-            if !prefixes.iter().any(|p| b.name.starts_with(p)) {
+        for rec in &recorded.benches {
+            if !prefixes.iter().any(|p| rec.name.starts_with(p)) {
                 continue;
             }
-            let Some(rec) = recorded.get(&b.name) else {
+            let Some(b) = self.get(&rec.name) else {
+                out.push(format!(
+                    "{}: recorded at {:.1} ns/op but missing from this run",
+                    rec.name, rec.ns_per_op
+                ));
                 continue;
             };
             if rec.ns_per_op > 0.0 && b.ns_per_op > rec.ns_per_op * factor {
@@ -196,18 +200,30 @@ mod tests {
     #[test]
     fn unknown_cases_are_ignored_by_the_gate() {
         let recorded = sample();
-        let current = PerfReport {
-            suite: "micro".into(),
-            mode: "quick".into(),
-            benches: vec![BenchResult {
-                name: "event_queue_brand_new_case".into(),
-                ns_per_op: 1e9,
-                iters: 1,
-                baseline_ns_per_op: None,
-            }],
-        };
+        let mut current = sample();
+        current.benches.push(BenchResult {
+            name: "event_queue_brand_new_case".into(),
+            ns_per_op: 1e9,
+            iters: 1,
+            baseline_ns_per_op: None,
+        });
         assert!(current
             .regressions_vs(&recorded, &["event_queue"], 3.0)
             .is_empty());
+    }
+
+    #[test]
+    fn a_gated_case_missing_from_the_run_fails_the_gate() {
+        let recorded = sample();
+        let mut renamed = sample();
+        renamed.benches[0].name = "event_queue_schedule_pop_64_renamed".into();
+        let v = renamed.regressions_vs(&recorded, &["event_queue"], 3.0);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("event_queue_schedule_pop_64: "), "{v:?}");
+        assert!(v[0].contains("missing from this run"), "{v:?}");
+        // An ungated case may come and go freely.
+        renamed.benches.truncate(1);
+        let v = renamed.regressions_vs(&recorded, &["event_queue"], 3.0);
+        assert_eq!(v.len(), 1, "{v:?}");
     }
 }

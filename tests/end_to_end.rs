@@ -87,6 +87,20 @@ fn local_and_nfs_account_for_every_block() {
 }
 
 #[test]
+fn nfs_over_flash_finishes_every_reader_from_the_ssd() {
+    let mut nfs = NfsBench::new(Rig::ssd(1), WorldConfig::default(), &[4], 8, 1);
+    let r = nfs.run(4);
+    assert_eq!(r.completion_secs.len(), 4, "every reader finishes");
+    assert!(r.completion_secs.iter().all(|&s| s > 0.0), "{r:?}");
+    let c = nfs.world().client_stats_for(0);
+    assert_eq!(c.rpcs, 1_024, "each block fetched exactly once: {c:?}");
+    let dev = nfs.world().device_report();
+    assert_eq!(dev.kind, "ssd");
+    assert!(dev.reads > 0, "the flash device served the reads: {dev:?}");
+    assert_eq!(dev.media_errors, 0, "{dev:?}");
+}
+
+#[test]
 fn stride_and_sequential_read_the_same_bytes() {
     let cfg = WorldConfig {
         policy: ReadaheadPolicy::cursor(),
