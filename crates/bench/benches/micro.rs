@@ -18,7 +18,7 @@ use iosched::{IoScheduler, QueuedRequest, SchedulerKind};
 use nfs_bench::perf::{BenchResult, PerfReport};
 use nfsproto::{FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus};
 use readahead_core::{HeurRecord, NfsHeur, NfsHeurConfig, ReadaheadPolicy, SharedCursorPool};
-use simcore::{EventQueue, SimRng, SimTime};
+use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 /// Times `iters` runs of `f`, prints mean ns/op, and records the result.
 fn bench(out: &mut Vec<BenchResult>, name: &str, iters: u64, mut f: impl FnMut()) {
@@ -148,6 +148,29 @@ fn bench_event_queue(out: &mut Vec<BenchResult>, iters: u64) {
             acc ^= e;
         }
         black_box(acc);
+    });
+    // UDP's shape: every short event (a send) arms an 800 ms retransmit
+    // check that will fire as a no-op. Four short events are in flight,
+    // each re-armed 10-15 ms out, so about 256 timers stay resident in
+    // the lane while the heap holds only the short events. One op is 64
+    // pops, half short events and half expiring timers.
+    const TIMER: u64 = u64::MAX;
+    let mut q: EventQueue<u64> = EventQueue::new();
+    for i in 0..4u64 {
+        q.schedule_at(SimTime::from_nanos(i * 3_125_000), i);
+    }
+    let mut n = 0u64;
+    bench(out, "event_queue_timer_lane_256", iters, || {
+        for _ in 0..64 {
+            let (now, e) = q.pop().expect("short events never run out");
+            if e != TIMER {
+                n += 1;
+                let delay = 10_000_000 + n * 2_654_435_761 % 5_000_000;
+                q.schedule_at(now + SimDuration::from_nanos(delay), n);
+                q.schedule_in_lane(0, now + SimDuration::from_millis(800), TIMER);
+            }
+        }
+        black_box(q.len());
     });
 }
 

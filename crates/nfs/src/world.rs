@@ -372,6 +372,12 @@ pub struct ContentionStats {
     pub disk_eios_suffered: u64,
 }
 
+/// Timer lanes of [`NfsWorld`]'s event queue (see
+/// [`EventQueue::schedule_in_lane`]). Each family is scheduled a constant
+/// after a non-decreasing instant, so it arrives already sorted.
+const LANE_RETRANSMIT: usize = 0;
+const LANE_GATHER: usize = 1;
+
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Client marshalling finished; hand the call to the transport.
@@ -653,6 +659,9 @@ struct ServerHost {
     /// gather-window flush, COMMIT, or pressure. Ordered both ways so
     /// flush coalescing and restart loss accounting are deterministic.
     dirty: BTreeMap<u64, BTreeSet<u64>>,
+    /// Blocks in `dirty`, kept as a running count for the UNSTABLE WRITE
+    /// path's pressure check.
+    dirty_blocks: u64,
     /// In-flight dirty flush spans, by flush tag (sans [`FLUSH_KEY_BIT`]).
     flushing: FastMap<u64, FlushSpan>,
     next_flush: u64,
@@ -816,6 +825,7 @@ impl NfsWorld {
                 verf: write_verf(seed, 0),
                 alloc_rng: SimRng::from_seed_and_stream(seed, SERVER_STREAM),
                 dirty: BTreeMap::new(),
+                dirty_blocks: 0,
                 flushing: FastMap::default(),
                 next_flush: 0,
                 flush_outstanding: FastMap::default(),
@@ -1265,9 +1275,11 @@ impl NfsWorld {
         self.server.boot_epoch += 1;
         self.server.verf = write_verf(self.server.instance, self.server.boot_epoch);
         self.server.stats.restarts += 1;
+        debug_assert_eq!(self.server.dirty_blocks, self.server_dirty_blocks());
         for (_ino, blks) in std::mem::take(&mut self.server.dirty) {
             self.server.stats.dirty_blocks_lost += blks.len() as u64;
         }
+        self.server.dirty_blocks = 0;
         self.server.flush_errors.clear();
         self.server.fs.flush_caches();
     }
@@ -1286,7 +1298,8 @@ impl NfsWorld {
     }
 
     /// Blocks currently sitting in the server's dirty pool (a gauge; the
-    /// dirty books balance as `stashed == flushed + lost + this`).
+    /// dirty books balance as `stashed == flushed + lost + this`). Sums the
+    /// pool itself, independent of the running count the server keeps.
     pub fn server_dirty_blocks(&self) -> u64 {
         self.server.dirty.values().map(|b| b.len() as u64).sum()
     }
@@ -2191,8 +2204,14 @@ impl NfsWorld {
                 .config
                 .retransmit_timeout
                 .saturating_mul(1 << attempt.min(6));
-            self.queue
-                .schedule_at(at + timeo, Ev::Retransmit { key, attempt });
+            let ev = Ev::Retransmit { key, attempt };
+            if attempt == 0 {
+                // `at` is the popped Send's instant and the timeout is
+                // fixed: first checks arrive in time order.
+                self.queue.schedule_in_lane(LANE_RETRANSMIT, at + timeo, ev);
+            } else {
+                self.queue.schedule_at(at + timeo, ev);
+            }
         }
     }
 
@@ -2571,12 +2590,16 @@ impl NfsWorld {
                     for blk in offset / bs..=(end - 1) / bs {
                         if pool.insert(blk) {
                             self.server.stats.dirty_blocks_stashed += 1;
+                            self.server.dirty_blocks += 1;
                         }
                     }
-                    if self.server_dirty_blocks() > self.config.server_dirty_max_blocks as u64 {
+                    if self.server.dirty_blocks > self.config.server_dirty_max_blocks as u64 {
                         self.server_flush_ino(t1, fh.ino);
                     } else {
-                        self.queue.schedule_at(
+                        // `t1` is the server CPU's free time, which never
+                        // decreases: expiries arrive in time order.
+                        self.queue.schedule_in_lane(
+                            LANE_GATHER,
                             t1 + self.config.gather_window,
                             Ev::GatherExpire { ino: fh.ino },
                         );
@@ -2650,6 +2673,8 @@ impl NfsWorld {
         let Some(pool) = self.server.dirty.remove(&ino) else {
             return; // Already flushed (stale gather timer) or restarted.
         };
+        self.server.dirty_blocks -= pool.len() as u64;
+        debug_assert_eq!(self.server.dirty_blocks, self.server_dirty_blocks());
         let bs = u64::from(self.config.rsize);
         let blocks: Vec<u64> = pool.into_iter().collect();
         if let Some(log) = &mut self.server_events {

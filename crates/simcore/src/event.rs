@@ -9,6 +9,14 @@
 //! Two events scheduled for the same instant are delivered in the order they
 //! were scheduled (FIFO tie-breaking via a sequence number), which keeps runs
 //! bit-reproducible.
+//!
+//! Beside its heap the queue keeps FIFO *timer lanes*
+//! ([`EventQueue::schedule_in_lane`]): a family of events whose times never
+//! decrease (a fixed timeout after "now", say) is already sorted, so it can
+//! wait in a `VecDeque` instead of being sifted through the heap. Lanes
+//! change where an event waits, never when it is delivered.
+
+use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -30,13 +38,14 @@ impl<E> Scheduled<E> {
 
 /// A flat-array 4-ary min-heap.
 ///
-/// The event queue is the hottest structure in the simulator: every RPC,
-/// disk completion, and retransmission check passes through it. A 4-ary
-/// heap halves the tree depth of a binary heap, so `pop` does half the
-/// sift-down levels, and the four children of a node share one or two
-/// cache lines instead of being spread across levels. Ordering is by
-/// `(at, seq)` — identical to the previous `BinaryHeap<Scheduled>`
-/// semantics, pinned by property tests in `tests/heap_properties.rs`.
+/// The event queue is the hottest structure in the simulator: every RPC
+/// and disk completion passes through it (timers that arrive already
+/// sorted wait in [`EventQueue`]'s lanes instead). A 4-ary heap halves the
+/// tree depth of a binary heap, so `pop` does half the sift-down levels,
+/// and the four children of a node share one or two cache lines instead
+/// of being spread across levels. Ordering is by `(at, seq)` — identical
+/// to the previous `BinaryHeap<Scheduled>` semantics, pinned by property
+/// tests in `tests/heap_properties.rs`.
 #[derive(Debug, Clone)]
 struct QuadHeap<E> {
     items: Vec<Scheduled<E>>,
@@ -126,6 +135,14 @@ impl<E> QuadHeap<E> {
 
 /// A deterministic time-ordered event queue.
 ///
+/// Events wait either in a 4-ary min-heap ([`EventQueue::schedule_at`]) or
+/// in a timer lane ([`EventQueue::schedule_in_lane`]). A lane holds its
+/// events in `(at, seq)` order: a push earlier than the lane's tail goes to
+/// the heap instead, so the invariant never depends on the caller. `pop`
+/// takes the smallest `(at, seq)` among the heap top and the lane fronts —
+/// the same total order a single heap gives, so where an event waited never
+/// changes when, or in which order, it is delivered.
+///
 /// # Examples
 ///
 /// ```
@@ -140,6 +157,8 @@ impl<E> QuadHeap<E> {
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: QuadHeap<E>,
+    /// Timer lanes, each sorted by `(at, seq)`; created on first use.
+    lanes: Vec<VecDeque<Scheduled<E>>>,
     now: SimTime,
     next_seq: u64,
     delivered: u64,
@@ -156,6 +175,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: QuadHeap::new(),
+            lanes: Vec::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             delivered: 0,
@@ -168,14 +188,14 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Returns the number of pending events.
+    /// Returns the number of pending events, in the heap and the lanes.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Returns `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
     }
 
     /// Returns the total number of events delivered so far.
@@ -189,10 +209,38 @@ impl<E> EventQueue<E> {
     /// event will be delivered immediately after any events already pending
     /// at `now`.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
+        let s = self.stamp(at, payload);
+        self.heap.push(s);
+    }
+
+    /// Schedules `payload` at absolute time `at` in timer lane `lane`.
+    ///
+    /// Delivery is exactly as if it had been scheduled with
+    /// [`EventQueue::schedule_at`]; the lane only saves the heap's sifting.
+    /// It pays off for a family of events whose times never decrease,
+    /// such as a fixed timeout after each popped event. A push earlier
+    /// than the lane's last event goes to the heap instead. Lanes are
+    /// numbered from zero and created on first use.
+    pub fn schedule_in_lane(&mut self, lane: usize, at: SimTime, payload: E) {
+        let s = self.stamp(at, payload);
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
+        }
+        let q = &mut self.lanes[lane];
+        if q.back().is_some_and(|b| s.at < b.at) {
+            self.heap.push(s);
+        } else {
+            q.push_back(s);
+        }
+    }
+
+    /// Clamps `at` to now and assigns the next sequence number.
+    #[inline]
+    fn stamp(&mut self, at: SimTime, payload: E) -> Scheduled<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, payload });
+        Scheduled { at, seq, payload }
     }
 
     /// Schedules `payload` for delivery `delay` after the current time.
@@ -202,12 +250,39 @@ impl<E> EventQueue<E> {
 
     /// Returns the timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        let mut t = self.heap.peek().map(|s| s.at);
+        for f in self.lanes.iter().filter_map(VecDeque::front) {
+            t = Some(t.map_or(f.at, |t| t.min(f.at)));
+        }
+        t
+    }
+
+    /// The lane whose front comes before the heap top and every other
+    /// lane's front, or `None` when the heap top is next (or all is empty).
+    #[inline]
+    fn next_lane(&self) -> Option<usize> {
+        if self.lanes.is_empty() {
+            return None; // Lane-free queues pay one branch.
+        }
+        let mut best = self.heap.peek().map(Scheduled::key);
+        let mut lane = None;
+        for (i, q) in self.lanes.iter().enumerate() {
+            if let Some(k) = q.front().map(Scheduled::key) {
+                if best.is_none_or(|b| k < b) {
+                    best = Some(k);
+                    lane = Some(i);
+                }
+            }
+        }
+        lane
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
+        let s = match self.next_lane() {
+            None => self.heap.pop()?,
+            Some(i) => self.lanes[i].pop_front().expect("lane front was peeked"),
+        };
         debug_assert!(s.at >= self.now, "event queue time went backwards");
         self.now = s.at;
         self.delivered += 1;
@@ -218,6 +293,7 @@ impl<E> EventQueue<E> {
     /// the clock where it is.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lanes.iter_mut().for_each(VecDeque::clear);
         self.delivered = 0;
     }
 }
@@ -289,5 +365,26 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.delivered(), 0);
+    }
+
+    #[test]
+    fn len_is_empty_and_clear_count_lane_events() {
+        let mut q = EventQueue::new();
+        q.schedule_in_lane(1, SimTime::from_nanos(50), 0);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(50)));
+        q.schedule_at(SimTime::from_nanos(70), 1);
+        q.schedule_in_lane(0, SimTime::from_nanos(60), 2);
+        // Earlier than lane 1's tail: falls back to the heap.
+        q.schedule_in_lane(1, SimTime::from_nanos(40), 3);
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(40), 3)));
+        assert_eq!(q.len(), 3);
+        q.clear();
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests pinning the 4-ary event-queue heap to the semantics of
 //! the original `BinaryHeap` implementation: min-ordering on time with
 //! FIFO tie-breaking, under arbitrary interleavings of schedule and pop.
+//! Timer-lane pushes must be indistinguishable from heap pushes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -96,18 +97,79 @@ fn interleaved_schedule_pop_matches_binary_heap_reference() {
                 next_payload += 1;
             }
         }
-        // Drain both completely.
-        loop {
-            let a = q.pop().map(|(t, e)| (t.as_nanos(), e));
-            let b = reference.pop();
-            let done = a.is_none() && b.is_none();
-            popped.push(a);
-            expected.push(b);
-            if done {
-                break;
-            }
-        }
+        drain(&mut q, &mut reference, &mut popped, &mut expected);
         assert_eq!(popped, expected, "divergence from reference at seed {seed}");
+    }
+}
+
+/// Pops both queues until both are empty, appending every result.
+fn drain(
+    q: &mut EventQueue<u32>,
+    reference: &mut ReferenceQueue,
+    popped: &mut Vec<Option<(u64, u32)>>,
+    expected: &mut Vec<Option<(u64, u32)>>,
+) {
+    loop {
+        let a = q.pop().map(|(t, e)| (t.as_nanos(), e));
+        let b = reference.pop();
+        let done = a.is_none() && b.is_none();
+        popped.push(a);
+        expected.push(b);
+        if done {
+            break;
+        }
+    }
+}
+
+#[test]
+fn lane_pushes_match_binary_heap_reference() {
+    // Random interleavings of heap pushes, lane pushes and pops. Most lane
+    // pushes are monotone (a fixed-ish timeout after now, like a
+    // retransmit timer); about one in eight lands before its lane's tail
+    // and must fall back to the heap; some land in the past and must
+    // clamp to now. The reference sees every push as a plain schedule.
+    const LANES: usize = 3;
+    for seed in 0..48u64 {
+        let mut rng = SimRng::new(seed ^ 0x1a7e);
+        let mut q = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut tails = [0u64; LANES];
+        let mut next_payload = 0u32;
+        let mut popped = Vec::new();
+        let mut expected = Vec::new();
+        for _ in 0..4_000 {
+            let now = q.now().as_nanos();
+            let roll = rng.gen_range(0u32..100);
+            if roll < 40 {
+                popped.push(q.pop().map(|(t, e)| (t.as_nanos(), e)));
+                expected.push(reference.pop());
+                continue;
+            }
+            let payload = next_payload;
+            next_payload += 1;
+            if roll < 60 {
+                let at = now.saturating_sub(8) + rng.gen_range(0u64..32);
+                q.schedule_at(SimTime::from_nanos(at), payload);
+                reference.schedule_at(at, payload);
+                continue;
+            }
+            let lane = rng.gen_range(0..LANES);
+            let at = match rng.gen_range(0u32..16) {
+                0 | 1 => tails[lane].saturating_sub(1 + rng.gen_range(0u64..40)),
+                2 => now.saturating_sub(1 + rng.gen_range(0u64..16)),
+                _ => tails[lane].max(now) + rng.gen_range(0u64..24),
+            };
+            tails[lane] = tails[lane].max(at.max(now));
+            q.schedule_in_lane(lane, SimTime::from_nanos(at), payload);
+            reference.schedule_at(at, payload);
+            assert_eq!(q.len(), reference.heap.len(), "len diverged at seed {seed}");
+        }
+        drain(&mut q, &mut reference, &mut popped, &mut expected);
+        assert!(q.is_empty());
+        assert_eq!(
+            popped, expected,
+            "lane divergence from reference at seed {seed}"
+        );
     }
 }
 

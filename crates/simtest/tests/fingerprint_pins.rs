@@ -4,7 +4,8 @@
 //! captured from the pre-refactor engine; if one changes, the 1-client
 //! fast path stopped being the old world.
 
-use simtest::Spec;
+use netsim::TransportKind;
+use simtest::{Spec, Workload};
 use testbed::experiments::{fig6_readahead_potential, Scale};
 
 /// FNV-1a of the figure's Debug rendering (f64 Debug round-trips exactly,
@@ -34,6 +35,52 @@ const SWEEP_FPS: [u64; 8] = [
     0x02c2_be0f_7bce_7f46,
     0xe48b_576c_c121_3207,
 ];
+
+// The modes whose timers the event queue's lanes carry: `WriteLoss` arms
+// gather windows and retransmits past attempt 0, and forced TCP runs its
+// segment timers beside the queue. Captured from the all-heap queue; the
+// lanes must deliver every event at the same instant in the same order.
+const WRITE_LOSS_FPS: [u64; 4] = [
+    0xe861_aff4_8e2f_b762,
+    0x0a78_1099_35f9_5b8d,
+    0xa315_7431_d31d_490d,
+    0x2567_1b52_62b3_deb3,
+];
+const FORCED_TCP_FPS: [u64; 4] = [
+    0xe257_87ee_9fbc_3140,
+    0x171a_9c6c_3ccd_ae6d,
+    0x53cf_dd64_f0e8_90af,
+    0xa972_dc25_fb67_4d11,
+];
+
+fn fingerprints(spec: impl Fn(u64) -> Spec) -> Vec<u64> {
+    (0..4u64)
+        .map(|s| {
+            spec(s)
+                .run_checked()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .fingerprint
+        })
+        .collect()
+}
+
+#[test]
+fn write_loss_fingerprints_are_pinned() {
+    let fps = fingerprints(|s| Spec {
+        workload: Workload::WriteLoss,
+        ..Spec::new(s)
+    });
+    assert_eq!(fps, WRITE_LOSS_FPS, "write-loss fingerprints moved");
+}
+
+#[test]
+fn forced_tcp_fingerprints_are_pinned() {
+    let fps = fingerprints(|s| Spec {
+        transport: Some(TransportKind::Tcp),
+        ..Spec::new(s)
+    });
+    assert_eq!(fps, FORCED_TCP_FPS, "forced-TCP fingerprints moved");
+}
 
 #[test]
 fn figure6_bits_are_pinned_at_both_job_widths() {
