@@ -19,6 +19,7 @@ use nfs_bench::perf::{BenchResult, PerfReport};
 use nfsproto::{FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus};
 use readahead_core::{HeurRecord, NfsHeur, NfsHeurConfig, ReadaheadPolicy, SharedCursorPool};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
+use simfleet::{run_sharded, ShardWorld};
 
 /// Times `iters` runs of `f`, prints mean ns/op, and records the result.
 fn bench(out: &mut Vec<BenchResult>, name: &str, iters: u64, mut f: impl FnMut()) {
@@ -290,6 +291,35 @@ fn bench_disk_sptf(out: &mut Vec<BenchResult>, iters: u64) {
     });
 }
 
+/// A group with no work but its epoch budget: a run costs only the shard
+/// runner's per-epoch overhead.
+struct IdleGroup {
+    epochs_left: u64,
+}
+
+impl ShardWorld for IdleGroup {
+    type Msg = ();
+    fn step(&mut self, _epoch: u64, _inbox: Vec<()>) -> Vec<(usize, ())> {
+        self.epochs_left -= 1;
+        Vec::new()
+    }
+    fn idle(&self) -> bool {
+        self.epochs_left == 0
+    }
+}
+
+fn bench_shard_epochs(out: &mut Vec<BenchResult>, iters: u64) {
+    // One op is a whole run: 32 no-op groups for 1,000 epochs at width 2,
+    // so the runner's barrier (or thread spawn) cost per epoch dominates.
+    simfleet::set_shards_override(Some(2));
+    bench(out, "shard_epochs_32_groups", iters, || {
+        let mut groups: Vec<IdleGroup> =
+            (0..32).map(|_| IdleGroup { epochs_left: 1_000 }).collect();
+        black_box(run_sharded(&mut groups, u64::MAX));
+    });
+    simfleet::set_shards_override(None);
+}
+
 fn bench_fs_read(out: &mut Vec<BenchResult>, iters: u64) {
     // One cached 8 KB READ of a 16 MB (2,048-block) file and the advance
     // that delivers it: the file system's per-call cost above the cache.
@@ -387,6 +417,7 @@ fn main() {
     bench_drive_cache(out, fast);
     bench_disk_service(out, slow);
     bench_disk_sptf(out, slow * 10);
+    bench_shard_epochs(out, (slow / 20).max(1));
     bench_fs_read(out, fast);
 
     let mut report = PerfReport {

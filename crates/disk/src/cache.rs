@@ -87,6 +87,11 @@ struct Segment {
     fill_rate: f64,
     /// If set, fill stopped at this instant (mechanics were taken away).
     truncated_at: Option<SimTime>,
+    /// The eventual frontier while truncated, `Lba::MAX` while still
+    /// filling: no request ending beyond it can ever hit. Kept beside
+    /// `truncated_at` so a lookup rejects far requests without floating
+    /// point.
+    hi: Lba,
     /// Window capacity in sectors.
     cap: u64,
     /// LRU stamp.
@@ -116,6 +121,12 @@ impl Segment {
             .map(|tr| self.frontier(tr.max(self.fill_start)))
     }
 
+    /// Stops the fill at `at`, fixing the segment's reach.
+    fn truncate(&mut self, at: SimTime) {
+        self.truncated_at = Some(at);
+        self.hi = self.eventual_frontier().expect("just truncated");
+    }
+
     /// Oldest sector still in the window as of `t`.
     fn coverage_lo(&self, t: SimTime) -> Lba {
         self.frontier(t).saturating_sub(self.cap).max(self.origin)
@@ -125,14 +136,10 @@ impl Segment {
     /// overwritten, evaluated for a request arriving at `now`.
     fn ready_time(&self, now: SimTime, lba: Lba, sectors: u64) -> Option<SimTime> {
         let end = lba + sectors;
-        if lba < self.origin || sectors == 0 || sectors > self.cap {
+        if lba < self.origin || end > self.hi || sectors == 0 || sectors > self.cap {
             return None;
         }
-        if let Some(ef) = self.eventual_frontier() {
-            if end > ef {
-                return None;
-            }
-        }
+        debug_assert_eq!(self.hi, self.eventual_frontier().unwrap_or(Lba::MAX));
         // Instant the frontier reaches `end`.
         let already = self.origin + self.base;
         let t_fill = if end <= already {
@@ -192,17 +199,29 @@ impl SegmentedCache {
     }
 
     /// Non-mutating lookup: returns the instant at which the whole range
-    /// will be buffered, or `None` if the range is not covered. Used by the
-    /// drive's internal scheduler to score queued requests without
-    /// disturbing LRU state or counters.
-    pub fn peek(&self, now: SimTime, lba: Lba, sectors: u64) -> Option<SimTime> {
+    /// will be buffered and the segment that serves it (the first of the
+    /// segments with the earliest ready time), or `None` if the range is
+    /// not covered. Used by the drive's internal scheduler to score queued
+    /// requests without disturbing LRU state or counters; pass the slot to
+    /// [`SegmentedCache::hit`] to record a hit without a second walk.
+    pub fn peek_slot(&self, now: SimTime, lba: Lba, sectors: u64) -> Option<(SimTime, usize)> {
         if self.config.segments == 0 {
             return None;
         }
         self.segments
             .iter()
-            .filter_map(|s| s.ready_time(now, lba, sectors))
-            .min()
+            .enumerate()
+            .filter_map(|(i, s)| s.ready_time(now, lba, sectors).map(|t| (t, i)))
+            .min_by_key(|&(t, _)| t)
+    }
+
+    /// Records a hit served from segment `slot` (as returned by
+    /// [`SegmentedCache::peek_slot`]): stamps it most recently used and
+    /// counts the hit.
+    pub fn hit(&mut self, slot: usize) {
+        self.clock += 1;
+        self.segments[slot].last_used = self.clock;
+        self.hits += 1;
     }
 
     /// Looks up a read of `sectors` at `lba`, updating LRU and counters.
@@ -211,19 +230,13 @@ impl SegmentedCache {
             self.misses += 1;
             return CacheOutcome::Miss;
         }
-        self.clock += 1;
-        let best = self
-            .segments
-            .iter_mut()
-            .filter_map(|s| s.ready_time(now, lba, sectors).map(|t| (t, s)))
-            .min_by_key(|(t, _)| *t);
-        match best {
-            Some((ready_at, seg)) => {
-                seg.last_used = self.clock;
-                self.hits += 1;
+        match self.peek_slot(now, lba, sectors) {
+            Some((ready_at, slot)) => {
+                self.hit(slot);
                 CacheOutcome::Hit { ready_at }
             }
             None => {
+                self.clock += 1;
                 self.misses += 1;
                 CacheOutcome::Miss
             }
@@ -242,7 +255,7 @@ impl SegmentedCache {
         if let Some(i) = self.filling.take() {
             if let Some(seg) = self.segments.get_mut(i) {
                 if seg.truncated_at.is_none() {
-                    seg.truncated_at = Some(now.max(seg.fill_start));
+                    seg.truncate(now.max(seg.fill_start));
                 }
             }
         }
@@ -261,37 +274,31 @@ impl SegmentedCache {
         }
         self.clock += 1;
         let reuse = self.segments.iter().position(|s| {
+            // `coverage_lo(now)`, from the one frontier computed here.
             let f = s.frontier(now);
-            lba + sectors >= s.coverage_lo(now) && lba <= f.saturating_add(s.cap)
+            let lo = f.saturating_sub(s.cap).max(s.origin);
+            lba + sectors >= lo && lba <= f.saturating_add(s.cap)
         });
-        let idx = match reuse {
-            Some(i) => i,
-            None => {
-                if self.segments.len() < self.config.segments {
-                    self.segments.push(Segment {
-                        origin: 0,
-                        base: 0,
-                        fill_start: now,
-                        fill_rate: 0.0,
-                        truncated_at: Some(now),
-                        cap: 0,
-                        last_used: 0,
-                    });
-                    self.segments.len() - 1
-                } else {
-                    self.victim()
-                }
-            }
-        };
-        self.segments[idx] = Segment {
+        let seg = Segment {
             origin: lba,
             base: sectors.min(self.config.segment_sectors),
             fill_start: now,
             fill_rate,
             truncated_at: None,
+            hi: Lba::MAX,
             cap: self.config.segment_sectors,
             last_used: self.clock,
         };
+        let idx = match reuse {
+            Some(i) => i,
+            None if self.segments.len() < self.config.segments => self.segments.len(),
+            None => self.victim(),
+        };
+        if idx == self.segments.len() {
+            self.segments.push(seg);
+        } else {
+            self.segments[idx] = seg;
+        }
         self.filling = Some(idx);
     }
 
@@ -303,10 +310,8 @@ impl SegmentedCache {
             .filling
             .and_then(|i| self.segments.get(i))
             .map(|s| s.origin);
-        self.segments.retain(|s| {
-            let hi = s.eventual_frontier().unwrap_or(Lba::MAX);
-            hi <= lba || s.coverage_lo(now) >= end
-        });
+        self.segments
+            .retain(|s| s.hi <= lba || s.coverage_lo(now) >= end);
         // Re-locate the filling segment if it survived.
         self.filling =
             filling_origin.and_then(|o| self.segments.iter().position(|s| s.origin == o));
@@ -567,10 +572,23 @@ mod tests {
     }
 
     #[test]
+    fn a_tied_hit_is_served_by_the_first_segment() {
+        let mut c = cache(4);
+        c.insert_after_read(t(0), 0, 64, 0.0);
+        c.on_mechanical_start(t(0));
+        // A second segment holding the same sectors, so both are ready now.
+        let twin = c.segments[0].clone();
+        c.segments.push(twin);
+        assert_eq!(c.peek_slot(t(1), 0, 16), Some((t(1), 0)));
+        assert_eq!(c.lookup(t(1), 0, 16), CacheOutcome::Hit { ready_at: t(1) });
+        assert!(c.segments[0].last_used > c.segments[1].last_used);
+    }
+
+    #[test]
     fn peek_matches_lookup_without_counting() {
         let mut c = cache(4);
         c.insert_after_read(t(0), 0, 16, 100_000.0);
-        let peeked = c.peek(t(1), 0, 16);
+        let peeked = c.peek_slot(t(1), 0, 16);
         assert!(peeked.is_some());
         let (h, m) = c.hit_miss();
         assert_eq!((h, m), (0, 0), "peek must not count");

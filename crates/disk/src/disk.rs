@@ -20,9 +20,9 @@
 
 use simcore::{SimDuration, SimRng, SimTime};
 
-use crate::cache::{CacheConfig, CacheOutcome, SegmentedCache};
+use crate::cache::{CacheConfig, SegmentedCache};
 use crate::fault::{DiskError, DiskOutcome, FaultDecision, FaultModel};
-use crate::geometry::DiskGeometry;
+use crate::geometry::{Chs, DiskGeometry};
 use crate::seek::SeekModel;
 use crate::types::{Completion, DiskOp, DiskRequest, Lba, RequestId, SECTOR_BYTES};
 
@@ -114,6 +114,30 @@ struct Pending {
     req: DiskRequest,
     arrived: SimTime,
     seq: u64,
+    /// Where `req.lba` sits, and its angle within the track: fixed for the
+    /// request's life, so scoring it on every dispatch maps it only once.
+    chs: Chs,
+    angle: f64,
+}
+
+impl Pending {
+    fn new(
+        geometry: &DiskGeometry,
+        id: RequestId,
+        req: DiskRequest,
+        arrived: SimTime,
+        seq: u64,
+    ) -> Self {
+        let chs = geometry.lba_to_chs(req.lba);
+        Pending {
+            id,
+            req,
+            arrived,
+            seq,
+            chs,
+            angle: geometry.angle_of(chs),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -247,12 +271,7 @@ impl Disk {
         );
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        let p = Pending {
-            id,
-            req,
-            arrived: now,
-            seq: self.next_seq,
-        };
+        let p = Pending::new(&self.geometry, id, req, now, self.next_seq);
         self.next_seq += 1;
         self.pending.push(p);
         if self.in_flight.is_none() {
@@ -331,11 +350,11 @@ impl Disk {
         };
         let (completes, cache_hit, error) = match decision {
             FaultDecision::Ok => {
-                let (done, hit) = self.service(begin, &p.req);
+                let (done, hit) = self.service(begin, &p);
                 (done, hit, None)
             }
             FaultDecision::Slow { stall } => {
-                let (done, hit) = self.service(begin, &p.req);
+                let (done, hit) = self.service(begin, &p);
                 self.stats.breakdown.fault_stall += stall;
                 (done + stall, hit, None)
             }
@@ -394,48 +413,47 @@ impl Disk {
         })
     }
 
-    /// If the cache will satisfy `req` sooner than the mechanics could,
-    /// returns the ready time. A prefetch stream technically "reaches" any
-    /// LBA ahead of it eventually; real firmware aborts the prefetch and
-    /// seeks when that would be faster, so a paced hit only counts when it
-    /// beats the mechanical estimate.
-    fn cache_beats_mechanical(&self, t: SimTime, req: &DiskRequest) -> Option<SimTime> {
+    /// If the cache will satisfy `p` sooner than the mechanics could,
+    /// returns the ready time and the cache segment serving it. A prefetch
+    /// stream technically "reaches" any LBA ahead of it eventually; real
+    /// firmware aborts the prefetch and seeks when that would be faster, so
+    /// a paced hit only counts when it beats the mechanical estimate.
+    fn cache_beats_mechanical(&self, t: SimTime, p: &Pending) -> Option<(SimTime, usize)> {
+        let req = &p.req;
         if req.op != DiskOp::Read {
             return None;
         }
-        let ready = self.cache.peek(t, req.lba, req.sectors)?;
-        let target = self.geometry.lba_to_chs(req.lba);
-        let seek = self.seek.seek_secs(self.head_cyl.abs_diff(target.cylinder));
+        let (ready, slot) = self.cache.peek_slot(t, req.lba, req.sectors)?;
+        let seek = self.seek.seek_secs(self.head_cyl.abs_diff(p.chs.cylinder));
         let mech_estimate = self.mech.command_overhead
             + seek
             + self.geometry.revolution_secs()
-            + req.sectors as f64 * self.geometry.sector_time_secs(target.cylinder);
+            + req.sectors as f64 * self.geometry.sector_time_secs(p.chs.cylinder);
         if ready.saturating_since(t).as_secs_f64() <= mech_estimate {
-            Some(ready)
+            Some((ready, slot))
         } else {
             None
         }
     }
 
     fn sptf_score(&self, t: SimTime, p: &Pending) -> f64 {
-        let positioning = if self.cache_beats_mechanical(t, &p.req).is_some() {
+        let positioning = if self.cache_beats_mechanical(t, p).is_some() {
             0.0
         } else {
-            let target = self.geometry.lba_to_chs(p.req.lba);
-            let seek = self.seek.seek_secs(self.head_cyl.abs_diff(target.cylinder));
+            let seek = self.seek.seek_secs(self.head_cyl.abs_diff(p.chs.cylinder));
             let after_seek = t + SimDuration::from_secs_f64(seek);
-            seek + self.rotation_wait(after_seek, p.req.lba)
+            seek + self.rotation_wait(after_seek, p.angle)
         };
         let wait = t.saturating_since(p.arrived).as_secs_f64();
         positioning - self.tcq.aging_factor * wait
     }
 
-    /// Rotational delay until `lba`'s sector comes under the head at time `t`.
-    fn rotation_wait(&self, t: SimTime, lba: u64) -> f64 {
+    /// Rotational delay until the sector at angle `target` (a request's
+    /// [`Pending::angle`]) comes under the head at time `t`.
+    fn rotation_wait(&self, t: SimTime, target: f64) -> f64 {
         let rev = self.geometry.revolution_secs();
         let rev_ns = rev * 1e9;
         let angle_now = (t.as_nanos() as f64 % rev_ns) / rev_ns;
-        let target = self.geometry.angle_of(lba);
         let mut delta = target - angle_now;
         if delta < 0.0 {
             delta += 1.0;
@@ -444,53 +462,52 @@ impl Disk {
     }
 
     /// Computes the completion time of a request starting service at `t0`.
-    fn service(&mut self, t0: SimTime, req: &DiskRequest) -> (SimTime, bool) {
+    fn service(&mut self, t0: SimTime, p: &Pending) -> (SimTime, bool) {
+        let req = &p.req;
         let host_xfer = req.bytes() as f64 / self.mech.interface_rate;
         match req.op {
             DiskOp::Read => {
-                if let Some(ready_at) = self.cache_beats_mechanical(t0, req) {
+                if let Some((ready_at, slot)) = self.cache_beats_mechanical(t0, p) {
                     // Served from buffer; mechanics stay where they are and
                     // any background fill keeps running. Command decode and
                     // interface transfer overlap the fill (the drive streams
                     // data out as it comes off the media), so the completion
                     // is whichever finishes later.
-                    let outcome = self.cache.lookup(t0, req.lba, req.sectors);
-                    debug_assert!(matches!(outcome, CacheOutcome::Hit { .. }));
+                    self.cache.hit(slot);
                     let processed =
                         t0 + SimDuration::from_secs_f64(self.mech.command_overhead + host_xfer);
                     self.stats.breakdown.transfer += SimDuration::from_secs_f64(host_xfer);
                     return (ready_at.max(processed), true);
                 }
                 self.cache.note_miss();
-                let done = self.mechanical(t0, req, 0.0);
+                let done = self.mechanical(t0, p, 0.0);
                 // The head parks at the end of the transfer and keeps
                 // reading into the cache at that track's media rate.
-                let end_chs = self.geometry.lba_to_chs(req.end() - 1);
-                let fill_rate = self.geometry.media_rate(end_chs.cylinder) / SECTOR_BYTES as f64;
+                let fill_rate = self.geometry.media_rate(self.head_cyl) / SECTOR_BYTES as f64;
                 self.cache
                     .insert_after_read(done, req.lba, req.sectors, fill_rate);
                 (done, false)
             }
             DiskOp::Write => {
                 self.cache.invalidate(t0, req.lba, req.sectors);
-                let done = self.mechanical(t0, req, self.mech.write_settle);
+                let done = self.mechanical(t0, p, self.mech.write_settle);
                 (done, false)
             }
         }
     }
 
     /// Seek + rotate + media transfer, updating head position and stats.
-    fn mechanical(&mut self, t0: SimTime, req: &DiskRequest, extra: f64) -> SimTime {
+    fn mechanical(&mut self, t0: SimTime, p: &Pending, extra: f64) -> SimTime {
+        let req = &p.req;
         self.cache.on_mechanical_start(t0);
-        let target = self.geometry.lba_to_chs(req.lba);
-        let dist = self.head_cyl.abs_diff(target.cylinder);
+        let dist = self.head_cyl.abs_diff(p.chs.cylinder);
         let seek = self.seek.seek_secs(dist);
         if dist > 0 {
             self.stats.seeks += 1;
             self.stats.seek_cylinders += dist;
         }
         let after_seek = t0 + SimDuration::from_secs_f64(self.mech.command_overhead + seek + extra);
-        let rot = self.rotation_wait(after_seek, req.lba);
+        let rot = self.rotation_wait(after_seek, p.angle);
         // Media transfer: sector times along the way plus track switches.
         let mut media = 0.0;
         let mut lba = req.lba;
@@ -834,12 +851,13 @@ mod tests {
                             1 => t + SimDuration::from_micros(rng.gen_range(1u64..5_000)),
                             _ => ms(100) + SimDuration::from_micros(rng.gen_range(0u64..100_000)),
                         };
-                        d.pending.push(Pending {
-                            id: RequestId(i as u64),
-                            req: DiskRequest::read(lba, 16, i as u64),
+                        d.pending.push(Pending::new(
+                            &d.geometry,
+                            RequestId(i as u64),
+                            DiskRequest::read(lba, 16, i as u64),
                             arrived,
                             seq,
-                        });
+                        ));
                     }
                     assert_eq!(
                         d.choose(t),

@@ -219,9 +219,9 @@ impl DiskGeometry {
         self.lba_to_chs(lba).cylinder
     }
 
-    /// Angular position of `lba` within its track, in `[0, 1)`.
-    pub fn angle_of(&self, lba: Lba) -> f64 {
-        let chs = self.lba_to_chs(lba);
+    /// Angular position of the sector at `chs` within its track, in
+    /// `[0, 1)`.
+    pub fn angle_of(&self, chs: Chs) -> f64 {
         chs.sector as f64 / self.sectors_per_track(chs.cylinder) as f64
     }
 
@@ -371,8 +371,8 @@ mod tests {
     #[test]
     fn angle_of_positions() {
         let g = tiny();
-        assert_eq!(g.angle_of(0), 0.0);
-        assert!((g.angle_of(50) - 0.5).abs() < 1e-12);
+        assert_eq!(g.angle_of(g.lba_to_chs(0)), 0.0);
+        assert!((g.angle_of(g.lba_to_chs(50)) - 0.5).abs() < 1e-12);
     }
 
     #[test]

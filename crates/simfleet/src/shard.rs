@@ -15,7 +15,7 @@
 //! 2. Outboxes are collected **per group index**, not per thread.
 //! 3. After the barrier, messages are routed serially in (source group,
 //!    emission order) — a total order independent of which thread ran
-//!    which group, or how groups were packed into shards.
+//!    which group, or in which order the groups were claimed.
 //!
 //! So each group observes an identical message sequence whether the epoch
 //! ran on 1 thread or 16, and induction over epochs gives bit-identical
@@ -27,7 +27,10 @@
 //! [`jobs`](crate::jobs) (shards cost nothing when idle, so defaulting to
 //! the machine width is safe).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 /// Environment variable naming the number of shard worker threads.
 pub const SHARDS_ENV: &str = "NFS_FLEET_SHARDS";
@@ -88,65 +91,191 @@ pub struct ShardRunStats {
 }
 
 /// Runs `groups` to quiescence (or `max_epochs`) with barrier-synchronized
-/// message exchange, on [`shards`]-many scoped threads. Groups are packed
-/// into contiguous index ranges per shard; see the module docs for why the
-/// result is bit-identical at any shard count.
+/// message exchange, on [`shards`]-many threads (resolved once per run).
+///
+/// At width 1 every epoch steps the groups in index order on the calling
+/// thread. Wider, one `thread::scope` lives for the whole run: `width - 1`
+/// pooled workers plus the calling thread. Each epoch they cross a start
+/// barrier, claim group indices from a shared cursor until none are left
+/// (so a slow group does not hold back a fixed share of the others), and
+/// cross an end barrier; the calling thread then routes alone. Each
+/// group's inbox and outbox live in its own slot, so which thread stepped
+/// a group never shows in the result; see the module docs for why it is
+/// bit-identical at any shard count.
 ///
 /// # Panics
 ///
 /// Panics if a message names a destination group out of range, or if any
-/// group's `step` panics (propagated after the scope joins).
+/// group's `step` (or `idle`) panics. A pooled run catches the first
+/// payload, lets every thread reach the end barrier, releases the
+/// workers, and resumes the panic after the scope joins, so a panicking
+/// group never leaves the run waiting at a barrier.
 pub fn run_sharded<W: ShardWorld>(groups: &mut [W], max_epochs: u64) -> ShardRunStats {
-    let n = groups.len();
-    let mut inboxes: Vec<Vec<W::Msg>> = Vec::with_capacity(n);
-    inboxes.resize_with(n, Vec::new);
+    let width = shards().min(groups.len().max(1));
+    let slots: Vec<Mutex<Slot<'_, W>>> = groups
+        .iter_mut()
+        .map(|group| {
+            Mutex::new(Slot {
+                group,
+                inbox: Vec::new(),
+                outbox: Vec::new(),
+            })
+        })
+        .collect();
+    if width <= 1 {
+        return drive(&slots, max_epochs, |epoch| {
+            for slot in &slots {
+                lock(slot).step(epoch);
+            }
+            true
+        });
+    }
+    let pool = Pool {
+        slots: &slots,
+        cursor: AtomicUsize::new(0),
+        start: Barrier::new(width),
+        end: Barrier::new(width),
+        stop: AtomicBool::new(false),
+        panic: Mutex::new(None),
+    };
+    // A panic outside `step` (routing, `idle`) ends `drive` on this
+    // thread while the workers wait at the start barrier.
+    let run = std::thread::scope(|scope| {
+        for _ in 1..width {
+            scope.spawn(|| pool.work());
+        }
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            drive(&slots, max_epochs, |epoch| pool.epoch(epoch))
+        }));
+        // Release the workers waiting at the start barrier.
+        pool.stop.store(true, Ordering::SeqCst);
+        pool.start.wait();
+        run
+    });
+    let step_panic = pool.panic.into_inner().expect("no panic while held");
+    match (run, step_panic) {
+        (Ok(stats), None) => stats,
+        (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+    }
+}
+
+/// One group with the messages it consumes and emits this epoch.
+struct Slot<'a, W: ShardWorld> {
+    group: &'a mut W,
+    inbox: Vec<W::Msg>,
+    outbox: Vec<(usize, W::Msg)>,
+}
+
+impl<W: ShardWorld> Slot<'_, W> {
+    fn step(&mut self, epoch: u64) {
+        self.outbox = self.group.step(epoch, std::mem::take(&mut self.inbox));
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A slot is poisoned only by a panicking `step`, after which the run
+    // stops before touching that slot again.
+    m.lock().expect("slot of a group that panicked")
+}
+
+/// The epoch loop shared by every width: quiescence check, `run_epoch`
+/// (which steps every group once and returns whether the run may go on),
+/// then serial routing in (source group, emission order).
+fn drive<W: ShardWorld>(
+    slots: &[Mutex<Slot<'_, W>>],
+    max_epochs: u64,
+    mut run_epoch: impl FnMut(u64) -> bool,
+) -> ShardRunStats {
+    let n = slots.len();
+    let quiescent = || {
+        slots.iter().all(|s| lock(s).inbox.is_empty()) && slots.iter().all(|s| lock(s).group.idle())
+    };
     let mut stats = ShardRunStats {
         epochs: 0,
         messages: 0,
         completed: false,
     };
     for epoch in 0..max_epochs {
-        if inboxes.iter().all(Vec::is_empty) && groups.iter().all(ShardWorld::idle) {
+        if quiescent() {
             stats.completed = true;
             return stats;
         }
         stats.epochs = epoch + 1;
-        let width = shards().min(n.max(1));
-        let mut outboxes: Vec<Vec<(usize, W::Msg)>> = Vec::with_capacity(n);
-        outboxes.resize_with(n, Vec::new);
-        if width <= 1 || n <= 1 {
-            for (i, g) in groups.iter_mut().enumerate() {
-                outboxes[i] = g.step(epoch, std::mem::take(&mut inboxes[i]));
-            }
-        } else {
-            let chunk = n.div_ceil(width);
-            std::thread::scope(|scope| {
-                for ((gs, ins), outs) in groups
-                    .chunks_mut(chunk)
-                    .zip(inboxes.chunks_mut(chunk))
-                    .zip(outboxes.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for ((g, inbox), out) in gs.iter_mut().zip(ins).zip(outs) {
-                            *out = g.step(epoch, std::mem::take(inbox));
-                        }
-                    });
-                }
-            });
+        if !run_epoch(epoch) {
+            return stats;
         }
         // Serial routing in (source group, emission order): the total
         // order every group's next inbox is built from, independent of
-        // scheduling above.
-        for ob in &mut outboxes {
-            for (dst, msg) in ob.drain(..) {
+        // which thread stepped which group.
+        for src in slots {
+            let outbox = std::mem::take(&mut lock(src).outbox);
+            for (dst, msg) in outbox {
                 assert!(dst < n, "message routed to group {dst} of {n}");
-                inboxes[dst].push(msg);
+                lock(&slots[dst]).inbox.push(msg);
                 stats.messages += 1;
             }
         }
     }
-    stats.completed = inboxes.iter().all(Vec::is_empty) && groups.iter().all(ShardWorld::idle);
+    stats.completed = quiescent();
     stats
+}
+
+/// The persistent worker pool of one wide run.
+struct Pool<'s, 'a, W: ShardWorld> {
+    slots: &'s [Mutex<Slot<'a, W>>],
+    /// Next unclaimed group index this epoch. It publishes nothing (each
+    /// slot's mutex guards its data, the barriers order epochs), so it is
+    /// `Relaxed`.
+    cursor: AtomicUsize,
+    start: Barrier,
+    end: Barrier,
+    /// Set by the calling thread before its last start crossing.
+    stop: AtomicBool,
+    /// The first payload of a panicking `step`, on any thread.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<W: ShardWorld> Pool<'_, '_, W> {
+    /// A pooled worker: one claim pass per epoch until released.
+    fn work(&self) {
+        let mut epoch = 0;
+        loop {
+            self.start.wait();
+            if self.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            self.claim(epoch);
+            self.end.wait();
+            epoch += 1;
+        }
+    }
+
+    /// The calling thread's side of one epoch; `false` once a group
+    /// panicked.
+    fn epoch(&self, epoch: u64) -> bool {
+        self.cursor.store(0, Ordering::Relaxed);
+        self.start.wait();
+        self.claim(epoch);
+        self.end.wait();
+        self.panic.lock().expect("no panic while held").is_none()
+    }
+
+    /// Steps claimed groups until none are left. A panic is caught and
+    /// kept (unless an earlier one was) so this thread still reaches the
+    /// end barrier.
+    fn claim(&self, epoch: u64) {
+        let pass = catch_unwind(AssertUnwindSafe(|| loop {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.slots.get(i) else { break };
+            lock(slot).step(epoch);
+        }));
+        if let Err(payload) = pass {
+            self.panic
+                .lock()
+                .expect("no panic while held")
+                .get_or_insert(payload);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -209,17 +338,107 @@ mod tests {
 
     #[test]
     fn shard_counts_agree_bitwise() {
-        let run = |s: usize| {
-            with_shards(s, || {
-                let mut gs = fleet(13);
-                let stats = run_sharded(&mut gs, 1_000);
-                assert!(stats.completed);
-                (stats, gs.iter().map(|g| g.state).collect::<Vec<_>>())
-            })
+        // Group counts that none of the pooled widths divide, plus the
+        // degenerate fleets; widths beyond the group count clamp.
+        for n in [0, 1, 7, 11, 13] {
+            let run = |s: usize| {
+                with_shards(s, || {
+                    let mut gs = fleet(n);
+                    let stats = run_sharded(&mut gs, 1_000);
+                    assert!(stats.completed);
+                    (stats, gs.iter().map(|g| g.state).collect::<Vec<_>>())
+                })
+            };
+            let base = run(1);
+            for s in [2, 3, 4, 5, 7, n.max(1), n + 3] {
+                assert_eq!(run(s), base, "groups={n} shards={s}");
+            }
+        }
+    }
+
+    /// The payload [`Faulty`] panics with.
+    #[derive(Debug, PartialEq)]
+    struct Boom {
+        epoch: u64,
+        group: usize,
+    }
+
+    /// A group that passes a token to its neighbour every epoch and panics
+    /// with [`Boom`] at `panic_at`, or routes out of range at `misroute_at`.
+    struct Faulty {
+        id: usize,
+        n: usize,
+        epochs_left: u64,
+        panic_at: Option<u64>,
+        misroute_at: Option<u64>,
+    }
+
+    impl ShardWorld for Faulty {
+        type Msg = u64;
+        fn step(&mut self, epoch: u64, _inbox: Vec<u64>) -> Vec<(usize, u64)> {
+            if self.panic_at == Some(epoch) {
+                std::panic::panic_any(Boom {
+                    epoch,
+                    group: self.id,
+                });
+            }
+            self.epochs_left = self.epochs_left.saturating_sub(1);
+            let dst = if self.misroute_at == Some(epoch) {
+                self.n
+            } else {
+                (self.id + 1) % self.n
+            };
+            vec![(dst, epoch)]
+        }
+        fn idle(&self) -> bool {
+            self.epochs_left == 0
+        }
+    }
+
+    /// Runs `groups` at width `s` on another thread and returns the panic
+    /// payload, failing if the run returns normally or does not finish
+    /// within a bound (a thread stuck at a barrier never would).
+    fn panic_of(s: usize, mut groups: Vec<Faulty>) -> Box<dyn Any + Send> {
+        with_shards(s, || {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let r = catch_unwind(AssertUnwindSafe(|| run_sharded(&mut groups, 100)));
+                tx.send(r).expect("test waits for the run");
+            });
+            let r = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("shards={s}: run hung instead of panicking"));
+            r.expect_err("run must panic")
+        })
+    }
+
+    #[test]
+    fn a_panicking_group_propagates_at_every_width() {
+        let n = 7;
+        let groups = |panic_at: Option<(u64, usize)>, misroute_at: Option<(u64, usize)>| {
+            (0..n)
+                .map(|id| Faulty {
+                    id,
+                    n,
+                    epochs_left: 10,
+                    panic_at: panic_at.filter(|&(_, g)| g == id).map(|(e, _)| e),
+                    misroute_at: misroute_at.filter(|&(_, g)| g == id).map(|(e, _)| e),
+                })
+                .collect::<Vec<_>>()
         };
-        let base = run(1);
-        for s in [2, 4, 7] {
-            assert_eq!(run(s), base, "shards={s}");
+        for s in [1, 2, 3, 5] {
+            for (epoch, group) in [(0, 0), (3, 4), (6, n - 1)] {
+                let payload = panic_of(s, groups(Some((epoch, group)), None));
+                assert_eq!(
+                    payload.downcast_ref::<Boom>(),
+                    Some(&Boom { epoch, group }),
+                    "shards={s}"
+                );
+            }
+            // Routing runs on the calling thread while the workers wait.
+            let payload = panic_of(s, groups(None, Some((2, 3))));
+            let msg = payload.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("routed to group 7 of 7"), "shards={s}: {msg}");
         }
     }
 
