@@ -204,7 +204,7 @@ fn bench_xdr(out: &mut Vec<BenchResult>, iters: u64) {
     });
 }
 
-fn bench_buffer_cache(out: &mut Vec<BenchResult>, iters: u64, server_iters: u64) {
+fn bench_buffer_cache(out: &mut Vec<BenchResult>, iters: u64, evict_iters: u64) {
     let mut bc = BufferCache::new(4_096);
     for blk in 0..1_024u64 {
         bc.fill((1, blk));
@@ -217,7 +217,7 @@ fn bench_buffer_cache(out: &mut Vec<BenchResult>, iters: u64, server_iters: u64)
 
     let mut bc = BufferCache::new(256);
     let mut blk = 0u64;
-    bench(out, "buffer_cache_evicting_fill", iters, || {
+    bench(out, "buffer_cache_evicting_fill", evict_iters, || {
         blk += 1;
         bc.fill((1, blk));
     });
@@ -230,10 +230,35 @@ fn bench_buffer_cache(out: &mut Vec<BenchResult>, iters: u64, server_iters: u64)
         blk += 1;
         bc.fill((1, blk));
     }
-    bench(out, "buffer_cache_evicting_fill_20k", server_iters, || {
+    bench(out, "buffer_cache_evicting_fill_20k", evict_iters, || {
         blk += 1;
         bc.fill((1, blk));
     });
+
+    // `read_stream`'s shape: 16 sequential readers of 2,048-block files
+    // through the server's cache, full before timing. Each op marks the
+    // next block of one reader pending (evicting the oldest), fills it and
+    // reads it.
+    let mut bc = BufferCache::new(20_000);
+    let mut next = [0u64; 16];
+    let mut reader = 0;
+    let mut churn = || {
+        let key = (reader as u64 + 1, next[reader]);
+        bc.mark_pending(key);
+        bc.fill(key);
+        black_box(bc.lookup(key));
+        next[reader] = (next[reader] + 1) % 2_048;
+        reader = (reader + 1) % next.len();
+    };
+    for _ in 0..20_000 {
+        churn();
+    }
+    bench(
+        out,
+        "buffer_cache_evicting_churn_16_files",
+        evict_iters,
+        churn,
+    );
 }
 
 fn bench_drive_cache(out: &mut Vec<BenchResult>, iters: u64) {
@@ -345,7 +370,8 @@ fn bench_fs_read(out: &mut Vec<BenchResult>, iters: u64) {
 /// Flags understood by this harness (all optional, combinable):
 ///
 /// * `--test`   — one iteration per case (`cargo test` smoke mode);
-/// * `--quick`  — 10x fewer iterations (CI perf-smoke mode);
+/// * `--quick`  — 10x fewer iterations (CI perf-smoke mode), except for
+///   the evicting buffer-cache cases;
 /// * `--json P` — write the measurements to `P` as JSON;
 /// * `--baseline P` — copy `ns_per_op` from the report at `P` into this
 ///   run's output as `baseline_ns_per_op` (before/after provenance);
@@ -413,7 +439,10 @@ fn main() {
     bench_schedulers(out, slow);
     bench_event_queue(out, slow);
     bench_xdr(out, fast);
-    bench_buffer_cache(out, fast, slow * 10);
+    // The gated evicting cases take 30–45 ns an op, so they run 200,000
+    // ops even in quick mode (6–9 ms each): one preemption on a shared
+    // runner cannot triple them.
+    bench_buffer_cache(out, fast, if o.testing { 1 } else { 200_000 });
     bench_drive_cache(out, fast);
     bench_disk_service(out, slow);
     bench_disk_sptf(out, slow * 10);

@@ -7,70 +7,149 @@
 //! RAM (the paper's server has 256 MB, which is why its 1.5 GB benchmark
 //! working set defeats caching, §4.3.1).
 //!
-//! # Eviction
+//! # Layout
 //!
-//! Eviction is exact LRU: the victim is always the valid entry with the
-//! smallest stamp. Every insert and every hit takes a fresh stamp from a
-//! strictly increasing clock, so stamps are unique. Scanning the map for
-//! that minimum on every eviction costs the whole map per evicted block,
-//! and eviction is the hot path of any run whose working set exceeds the
-//! cache, which is every paper-faithful run (§4.3.1).
+//! Eviction is the hot path of any run whose working set exceeds the
+//! cache, which is every paper-faithful run (§4.3.1), so no block lookup
+//! hashes a `(ino, blk)` key and no eviction scans anything:
 //!
-//! Instead, one scan collects a batch of candidates: the `k` oldest valid
-//! `(stamp, key)` pairs, kept newest first so `pop` yields the oldest.
-//! `k` is `capacity / 32`, clamped to `1..=1024`. The list is never
-//! updated in place. A candidate is *stale* if its entry is gone, pending,
-//! or carries a different stamp; eviction pops past stale candidates and
-//! rescans only when the list runs dry.
-//!
-//! Why the first fresh candidate is the global minimum: a valid entry
-//! outside the list either had a larger stamp than every listed one at
-//! scan time, or was stamped after the scan and so is larger still. A
-//! listed entry that went stale can only come back with a new, larger
-//! stamp. In the worst case every candidate is stale and the cache
-//! rescans once per eviction, which is the cost of the plain scan. The
-//! list adds no per-block memory: it never holds more than `k` pairs.
-
-use std::collections::BinaryHeap;
+//! * **Slot arena.** Each cached block lives in a 16-byte [`Slot`] of one
+//!   `Vec`, recycled through a free list threaded through the slots.
+//! * **Per-file index.** A map from inode to file number and, per file, a
+//!   table from block number to slot. A file's table is inline up to
+//!   [`INLINE`] blocks and a power-of-two heap table past that. File
+//!   entries are never removed, so the inode map never churns.
+//! * **Exact LRU as a list.** Valid slots form a doubly linked list, oldest
+//!   at the head. A hit or a fill moves the slot to the tail, marking it
+//!   pending unlinks it, and eviction pops the head. The list is therefore
+//!   ordered by last use, and its head is the least recently used valid
+//!   block: the victim a scan for the oldest use stamp would pick.
 
 use simcore::FastMap;
 
 /// Cache key: inode number and file-block index.
 pub type BlockKey = (u64, u64);
 
-/// State of a cached block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Contents valid.
-    Valid,
-    /// Disk read in flight; pinned (not evictable).
-    Pending,
+/// No slot: an empty index entry, or the end of a list.
+const NIL: u32 = u32::MAX;
+/// `Slot::prev` of a pending block (pinned, off the LRU list).
+const PENDING: u32 = u32::MAX - 1;
+/// `Slot::prev` of a free slot; its `next` chains the free list.
+const FREE: u32 = u32::MAX - 2;
+
+/// Files of up to this many blocks keep their index inline.
+const INLINE: usize = 4;
+/// Smallest heap index, in blocks.
+const HEAP_MIN: usize = 16;
+
+/// One cached block, or a free arena entry.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// File number (index into `BufferCache::files`).
+    file: u32,
+    /// Block number within the file.
+    blk: u32,
+    /// Older neighbour on the LRU list, or [`PENDING`] / [`FREE`].
+    prev: u32,
+    /// Newer neighbour on the LRU list, or the next free slot.
+    next: u32,
 }
 
+/// A file's block → slot table; [`NIL`] where the block is not cached.
 #[derive(Debug)]
-struct Entry {
-    state: State,
-    stamp: u64,
+enum Index {
+    Inline([u32; INLINE]),
+    Heap(Vec<u32>),
 }
 
-/// A `(stamp, key)` eviction candidate.
-type Victim = (u64, BlockKey);
+impl Index {
+    fn slots(&self) -> &[u32] {
+        match self {
+            Index::Inline(a) => a,
+            Index::Heap(v) => v,
+        }
+    }
+
+    fn slots_mut(&mut self) -> &mut [u32] {
+        match self {
+            Index::Inline(a) => a,
+            Index::Heap(v) => v,
+        }
+    }
+
+    /// The slot caching `blk`, if any.
+    fn get(&self, blk: u32) -> Option<u32> {
+        self.slots()
+            .get(blk as usize)
+            .copied()
+            .filter(|&s| s != NIL)
+    }
+
+    /// The entry for `blk`, growing the table to the next power of two
+    /// (at least [`HEAP_MIN`]) if it is too short.
+    fn entry(&mut self, blk: u32) -> &mut u32 {
+        let i = blk as usize;
+        let len = self.slots().len();
+        if i >= len {
+            let want = (i + 1).next_power_of_two().max(HEAP_MIN);
+            match self {
+                Index::Inline(a) => {
+                    let mut v = vec![NIL; want];
+                    v[..INLINE].copy_from_slice(a);
+                    *self = Index::Heap(v);
+                }
+                Index::Heap(v) => v.resize(want, NIL),
+            }
+        }
+        &mut self.slots_mut()[i]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Index::Inline(_) => 0,
+            Index::Heap(v) => v.capacity() * std::mem::size_of::<u32>(),
+        }
+    }
+}
+
+/// A block number as a slot stores it.
+///
+/// # Panics
+///
+/// Panics if `blk` needs more than 32 bits. Peer input cannot reach this:
+/// only `mark_pending` and `fill` call it, and a block reaches them only
+/// inside a file's extent. The server checks every READ and WRITE against
+/// EOF before it touches the cache, and a file lives on a partition of
+/// fewer than 2³² blocks. A client caches blocks of files it reads within
+/// their size, and those are server files.
+fn slot_blk(blk: u64) -> u32 {
+    u32::try_from(blk).expect("buffer cache block number exceeds 32 bits")
+}
 
 /// LRU buffer cache with pending-block pinning.
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
-    map: FastMap<BlockKey, Entry>,
-    /// The oldest valid entries as of the last scan, newest first; may
-    /// hold stale candidates (see the module docs).
-    victims: Vec<Victim>,
-    clock: u64,
+    /// Resident blocks (valid + pending).
+    len: usize,
+    slots: Vec<Slot>,
+    /// First free slot, or [`NIL`].
+    free: u32,
+    /// Least recently used valid slot, or [`NIL`].
+    head: u32,
+    /// Most recently used valid slot, or [`NIL`].
+    tail: u32,
+    /// Inode → file number.
+    inos: FastMap<u64, u32>,
+    /// Block index per file number.
+    files: Vec<Index>,
     hits: u64,
     misses: u64,
 }
 
 impl BufferCache {
-    /// Creates a cache holding up to `capacity` blocks.
+    /// Creates a cache holding up to `capacity` blocks. Nothing is
+    /// allocated until the first block arrives.
     ///
     /// # Panics
     ///
@@ -79,9 +158,13 @@ impl BufferCache {
         assert!(capacity > 0, "cache capacity must be non-zero");
         BufferCache {
             capacity,
-            map: FastMap::default(),
-            victims: Vec::new(),
-            clock: 0,
+            len: 0,
+            slots: Vec::new(),
+            free: NIL,
+            head: NIL,
+            tail: NIL,
+            inos: FastMap::default(),
+            files: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -89,12 +172,12 @@ impl BufferCache {
 
     /// Number of resident blocks (valid + pending).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Hit/miss counters (lookups only).
@@ -102,25 +185,28 @@ impl BufferCache {
         (self.hits, self.misses)
     }
 
-    /// Approximate heap bytes behind this cache (hash-map backing store,
-    /// estimated from its capacity, plus the eviction candidate list).
-    /// Used for fleet-scale memory accounting; excludes
-    /// `size_of::<BufferCache>()` itself.
+    /// Approximate heap bytes behind this cache: the slot arena (free
+    /// slots included), the inode map (estimated from its capacity), the
+    /// file table and every heap index, all at capacity. Used for
+    /// fleet-scale memory accounting; excludes `size_of::<BufferCache>()`
+    /// itself.
     pub fn approx_heap_bytes(&self) -> usize {
-        self.map.capacity()
-            * (std::mem::size_of::<BlockKey>()
-                + std::mem::size_of::<Entry>()
-                + std::mem::size_of::<u64>())
-            + self.victims.capacity() * std::mem::size_of::<Victim>()
+        use std::mem::size_of;
+        self.slots.capacity() * size_of::<Slot>()
+            + self.inos.capacity() * (size_of::<u64>() + size_of::<u32>() + size_of::<u64>())
+            + self.files.capacity() * size_of::<Index>()
+            + self.files.iter().map(Index::heap_bytes).sum::<usize>()
     }
 
     /// Looks up a block for a read, bumping LRU on hit.
     /// Returns `true` if the block is valid in cache.
     pub fn lookup(&mut self, key: BlockKey) -> bool {
-        self.clock += 1;
-        match self.map.get_mut(&key) {
-            Some(e) if e.state == State::Valid => {
-                e.stamp = self.clock;
+        match self.slot_of(key) {
+            Some(s) if self.slots[s as usize].prev != PENDING => {
+                if s != self.tail {
+                    self.unlink(s);
+                    self.push_tail(s);
+                }
                 self.hits += 1;
                 true
             }
@@ -133,50 +219,58 @@ impl BufferCache {
 
     /// Whether a read for this block is already in flight.
     pub fn is_pending(&self, key: BlockKey) -> bool {
-        matches!(self.map.get(&key), Some(e) if e.state == State::Pending)
+        matches!(self.slot_of(key), Some(s) if self.slots[s as usize].prev == PENDING)
     }
 
     /// Whether the block is valid, without touching LRU or counters.
     pub fn peek(&self, key: BlockKey) -> bool {
-        matches!(self.map.get(&key), Some(e) if e.state == State::Valid)
+        matches!(self.slot_of(key), Some(s) if self.slots[s as usize].prev != PENDING)
     }
 
     /// Marks a block as having a read in flight (pins it).
     pub fn mark_pending(&mut self, key: BlockKey) {
-        self.clock += 1;
+        let (file, blk) = (self.file_of(key.0), slot_blk(key.1));
+        // A full cache makes room even when the block is already resident
+        // (it may be the victim itself).
         self.evict_if_needed();
-        self.map.insert(
-            key,
-            Entry {
-                state: State::Pending,
-                stamp: self.clock,
-            },
-        );
+        let s = match self.files[file as usize].get(blk) {
+            Some(s) if self.slots[s as usize].prev == PENDING => return,
+            Some(s) => {
+                self.unlink(s);
+                s
+            }
+            None => self.insert(file, blk),
+        };
+        self.slots[s as usize].prev = PENDING;
     }
 
     /// Completes a pending read: the block becomes valid.
     /// Inserting a block that was never pending is also allowed (e.g.
     /// read-ahead data arriving for a block nobody asked about yet).
     pub fn fill(&mut self, key: BlockKey) {
-        self.clock += 1;
-        if !self.map.contains_key(&key) {
-            self.evict_if_needed();
-        }
-        self.map.insert(
-            key,
-            Entry {
-                state: State::Valid,
-                stamp: self.clock,
-            },
-        );
+        let (file, blk) = (self.file_of(key.0), slot_blk(key.1));
+        let s = match self.files[file as usize].get(blk) {
+            Some(s) => {
+                if self.slots[s as usize].prev != PENDING {
+                    self.unlink(s);
+                }
+                s
+            }
+            None => {
+                self.evict_if_needed();
+                self.insert(file, blk)
+            }
+        };
+        self.push_tail(s);
     }
 
     /// Invalidates one block (e.g. overwritten by a write that bypasses the
     /// cache in our model). Pending blocks stay pending.
     pub fn invalidate(&mut self, key: BlockKey) {
-        if let Some(e) = self.map.get(&key) {
-            if e.state == State::Valid {
-                self.map.remove(&key);
+        if let Some(s) = self.slot_of(key) {
+            if self.slots[s as usize].prev != PENDING {
+                self.unlink(s);
+                self.release(s);
             }
         }
     }
@@ -185,74 +279,184 @@ impl BufferCache {
     /// fill will never come (the fetching RPC timed out). The block can be
     /// requested afresh afterwards.
     pub fn discard(&mut self, key: BlockKey) {
-        self.map.remove(&key);
+        if let Some(s) = self.slot_of(key) {
+            if self.slots[s as usize].prev != PENDING {
+                self.unlink(s);
+            }
+            self.release(s);
+        }
     }
 
     /// Empties the cache of valid blocks (benchmark flush discipline);
     /// pending blocks survive because their I/O is still in flight.
     pub fn flush(&mut self) {
-        self.map.retain(|_, e| e.state == State::Pending);
+        let mut s = self.head;
+        while s != NIL {
+            let next = self.slots[s as usize].next;
+            self.release(s);
+            s = next;
+        }
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    /// The slot caching `key`, valid or pending. Never grows anything.
+    fn slot_of(&self, (ino, blk): BlockKey) -> Option<u32> {
+        let file = *self.inos.get(&ino)?;
+        self.files[file as usize].get(u32::try_from(blk).ok()?)
+    }
+
+    /// The file number of `ino`, registering the file on first sight.
+    fn file_of(&mut self, ino: u64) -> u32 {
+        if let Some(&file) = self.inos.get(&ino) {
+            return file;
+        }
+        let file =
+            u32::try_from(self.files.len()).expect("buffer cache file count exceeds 32 bits");
+        self.files.push(Index::Inline([NIL; INLINE]));
+        self.inos.insert(ino, file);
+        file
+    }
+
+    /// Takes a slot for `(file, blk)` and indexes it. The slot is returned
+    /// off the list; the caller links it or marks it pending.
+    fn insert(&mut self, file: u32, blk: u32) -> u32 {
+        let slot = Slot {
+            file,
+            blk,
+            prev: PENDING,
+            next: NIL,
+        };
+        let s = if self.free != NIL {
+            let s = self.free;
+            self.free = self.slots[s as usize].next;
+            self.slots[s as usize] = slot;
+            s
+        } else {
+            let s = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&s| s < FREE)
+                .expect("buffer cache slot count exceeds 32 bits");
+            self.slots.push(slot);
+            s
+        };
+        *self.files[file as usize].entry(blk) = s;
+        self.len += 1;
+        s
+    }
+
+    /// Unindexes slot `s` (already off the list) and frees it.
+    fn release(&mut self, s: u32) {
+        let slot = &mut self.slots[s as usize];
+        self.files[slot.file as usize].slots_mut()[slot.blk as usize] = NIL;
+        slot.prev = FREE;
+        slot.next = self.free;
+        self.free = s;
+        self.len -= 1;
+    }
+
+    /// Takes valid slot `s` off the LRU list.
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+    }
+
+    /// Links slot `s` at the tail, as the most recently used.
+    fn push_tail(&mut self, s: u32) {
+        let tail = self.tail;
+        let slot = &mut self.slots[s as usize];
+        slot.prev = tail;
+        slot.next = NIL;
+        if tail == NIL {
+            self.head = s;
+        } else {
+            self.slots[tail as usize].next = s;
+        }
+        self.tail = s;
     }
 
     fn evict_if_needed(&mut self) {
-        while self.map.len() >= self.capacity {
-            match self.pop_victim() {
-                Some(k) => {
-                    self.map.remove(&k);
-                }
-                // Everything is pending; allow temporary overflow rather
-                // than dropping in-flight state.
-                None => break,
-            }
+        // When every resident block is pending the list is empty: allow
+        // temporary overflow rather than dropping in-flight state.
+        while self.len >= self.capacity && self.head != NIL {
+            let s = self.head;
+            self.unlink(s);
+            self.release(s);
         }
-    }
-
-    /// The least recently used *valid* key, or `None` if every resident
-    /// block is pending.
-    fn pop_victim(&mut self) -> Option<BlockKey> {
-        loop {
-            while let Some((stamp, key)) = self.victims.pop() {
-                if matches!(self.map.get(&key),
-                    Some(e) if e.state == State::Valid && e.stamp == stamp)
-                {
-                    return Some(key);
-                }
-            }
-            if !self.rescan_victims() {
-                return None;
-            }
-        }
-    }
-
-    /// Refills the empty candidate list with the oldest valid entries in
-    /// one pass over the map (a bounded max-heap on stamp). Returns
-    /// whether any valid entry exists.
-    fn rescan_victims(&mut self) -> bool {
-        let k = (self.capacity / 32).clamp(1, 1_024);
-        // The list is empty here; the heap reuses its allocation.
-        let mut heap = BinaryHeap::from(std::mem::take(&mut self.victims));
-        heap.reserve_exact(k);
-        for (key, e) in &self.map {
-            if e.state != State::Valid {
-                continue;
-            }
-            if heap.len() < k {
-                heap.push((e.stamp, *key));
-            } else if let Some(mut newest) = heap.peek_mut() {
-                if e.stamp < newest.0 {
-                    *newest = (e.stamp, *key);
-                }
-            }
-        }
-        self.victims = heap.into_sorted_vec();
-        self.victims.reverse();
-        !self.victims.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimRng;
+
+    impl BufferCache {
+        /// Walks every structure and panics on the first broken
+        /// invariant: the list is consistent in both directions and holds
+        /// only valid, indexed slots; free slots are unindexed; every
+        /// index entry points back at its own slot; `len` counts the
+        /// indexed slots.
+        fn check_invariants(&self) {
+            let n = self.slots.len();
+            let indexed = |s: u32| {
+                let slot = self.slots[s as usize];
+                self.files[slot.file as usize].get(slot.blk) == Some(s)
+            };
+            let mut linked = 0;
+            let (mut prev, mut s) = (NIL, self.head);
+            while s != NIL {
+                assert!(linked < n, "LRU list has a cycle");
+                let slot = self.slots[s as usize];
+                assert_eq!(slot.prev, prev, "slot {s}: prev link broken");
+                assert!(indexed(s), "linked slot {s} is not indexed");
+                linked += 1;
+                (prev, s) = (s, slot.next);
+            }
+            assert_eq!(self.tail, prev, "tail is not the last linked slot");
+            let mut free = 0;
+            let mut s = self.free;
+            while s != NIL {
+                assert!(free < n, "free list has a cycle");
+                assert_eq!(
+                    self.slots[s as usize].prev, FREE,
+                    "slot {s} on the free list"
+                );
+                assert!(!indexed(s), "free slot {s} is indexed");
+                free += 1;
+                s = self.slots[s as usize].next;
+            }
+            let pending = self.slots.iter().filter(|x| x.prev == PENDING).count();
+            assert_eq!(linked + free + pending, n, "slots lost or double-counted");
+            let mut entries = 0;
+            for (f, index) in self.files.iter().enumerate() {
+                for (b, &s) in index.slots().iter().enumerate() {
+                    if s == NIL {
+                        continue;
+                    }
+                    let slot = self.slots[s as usize];
+                    assert_eq!((slot.file as usize, slot.blk as usize), (f, b));
+                    assert_ne!(slot.prev, FREE, "index points at free slot {s}");
+                    entries += 1;
+                }
+            }
+            assert_eq!(entries, self.len, "len is not the indexed count");
+            assert_eq!(linked + pending, self.len);
+            assert_eq!(self.inos.len(), self.files.len());
+            let mut numbers: Vec<u32> = self.inos.values().copied().collect();
+            numbers.sort_unstable();
+            assert!(numbers.iter().enumerate().all(|(i, &f)| f as usize == i));
+        }
+    }
 
     #[test]
     fn miss_then_fill_then_hit() {
@@ -328,6 +532,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exceeds 32 bits")]
+    fn a_block_number_past_32_bits_is_rejected() {
+        BufferCache::new(8).fill((1, 1 << 32));
+    }
+
+    #[test]
+    fn a_block_number_past_32_bits_is_never_cached() {
+        let mut c = BufferCache::new(8);
+        c.fill((1, 0));
+        let key = (1, 1 << 32);
+        assert!(!c.lookup(key) && !c.peek(key) && !c.is_pending(key));
+        c.invalidate(key);
+        c.discard(key);
+        assert!(c.peek((1, 0)));
+    }
+
+    #[test]
+    fn new_allocates_nothing() {
+        let c = BufferCache::new(120_000);
+        assert_eq!(c.approx_heap_bytes(), 0);
+    }
+
+    #[test]
     fn distinct_inodes_do_not_collide() {
         let mut c = BufferCache::new(8);
         c.fill((1, 5));
@@ -350,5 +577,38 @@ mod tests {
         let (hits, misses) = c.hit_miss();
         assert_eq!(hits, 0, "LRU cycling gives zero hits");
         assert_eq!(misses, 300);
+    }
+
+    /// A seeded op loop whose files range from one block (inline index) to
+    /// 76 (heap index), checking every invariant after every op. Key
+    /// shapes and the comparison with a reference cache are in
+    /// `tests/bcache_lru_model.rs`.
+    #[test]
+    fn invariants_hold_after_every_op() {
+        for capacity in [1, 7, 24, 64] {
+            let mut rng = SimRng::new(capacity as u64);
+            let mut c = BufferCache::new(capacity);
+            for _ in 0..4_000 {
+                let ino = rng.gen_range(0..6u64);
+                let k = (ino, rng.gen_range(0..=3 * ino * ino));
+                match rng.gen_range(0..100u32) {
+                    0..=29 => {
+                        c.lookup(k);
+                    }
+                    30..=54 => c.fill(k),
+                    55..=79 => c.mark_pending(k),
+                    80..=89 => c.invalidate(k),
+                    90..=98 => c.discard(k),
+                    _ => c.flush(),
+                }
+                c.check_invariants();
+            }
+        }
+    }
+
+    #[test]
+    fn the_cache_is_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<BufferCache>();
     }
 }

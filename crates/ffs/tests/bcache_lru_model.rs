@@ -1,27 +1,85 @@
-//! Differential model test for the buffer cache's batched exact-LRU
-//! eviction. `BufferCache` keeps a list of eviction candidates instead of
-//! scanning the whole map on every eviction; it must still answer every
-//! query exactly as the plain scan does. The reference [`Model`] below is
-//! that scan-based cache.
+//! Differential model test for the buffer cache's exact-LRU eviction.
+//! `BufferCache` keeps its valid blocks on an intrusive list in use order
+//! and finds blocks through per-file indexes instead of a map keyed by
+//! `(ino, blk)`; it must still answer every query exactly as a plain
+//! scan-based cache does. The reference [`Model`] below is that cache.
 //!
 //! Seeded random sequences of `lookup`/`mark_pending`/`fill`/`invalidate`/
 //! `discard`/`flush` run on both caches, over capacities 1–64 plus a
-//! larger one where one scan collects several candidates, with key spaces
-//! 2–4× the capacity and phases that pin every key so the cache overflows.
-//! After every op both must agree on `len`, `hit_miss`, and
+//! larger one, with key spaces 2–4× the capacity and phases that pin every
+//! key so the cache overflows. Three key shapes: two inodes with dense
+//! block numbers; 40 inodes, most of up to 4 blocks (inline indexes) and
+//! every fourth larger (heap indexes); and three inodes with sparse block
+//! numbers below 2²⁰. Now and then an op names a key that is never
+//! inserted (an unknown inode, a block past any file, a block past 32
+//! bits); it must change nothing, and `approx_heap_bytes` must not move.
+//! After every op both caches must agree on `len`, `hit_miss`, and
 //! `peek`/`is_pending` for every key. Two mutant models (evict the newest
 //! valid entry; evict pending entries too) show that the sequences catch a
-//! wrong victim.
+//! wrong victim. The cache's own structural invariants are walked after
+//! every op by a unit test in `src/bcache.rs`.
 
 use std::collections::HashMap;
 
 use ffs::{BlockKey, BufferCache};
 use simcore::SimRng;
 
-/// Capacities driven by every test: 1–64 (one or two candidates per
-/// scan), then 128 (four).
+/// Capacities driven for the dense shape: 1–64, then 128.
 fn capacities() -> impl Iterator<Item = usize> {
     (1..=64).chain([128])
+}
+
+/// Capacities driven for the other shapes.
+const SOME_CAPACITIES: [usize; 11] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 64, 128];
+
+/// How a sequence's keys are laid out over inodes and blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Two inodes, so equal block numbers of different files interleave.
+    Dense,
+    /// 40 inodes: most of 1–4 blocks, every fourth larger.
+    ManyFiles,
+    /// Three inodes with random block numbers below 2²⁰.
+    Sparse,
+}
+
+impl Shape {
+    /// About `n` distinct keys of this shape.
+    fn keys(self, n: u64, rng: &mut SimRng) -> Vec<BlockKey> {
+        match self {
+            Shape::Dense => (0..n).map(|i| (1 + i % 2, i / 2)).collect(),
+            Shape::ManyFiles => {
+                let sizes: Vec<u64> = (0..40u64)
+                    .map(|j| {
+                        if j % 4 == 0 {
+                            // Ten large files share what the small ones leave.
+                            (n.saturating_sub(75) / 10).max(5)
+                        } else {
+                            rng.gen_range(1..=4u64)
+                        }
+                    })
+                    .collect();
+                (0..40u64)
+                    .flat_map(|j| (0..sizes[j as usize]).map(move |b| (1_000 + 37 * j, b)))
+                    .collect()
+            }
+            Shape::Sparse => {
+                let mut keys: Vec<BlockKey> = (0..n)
+                    .map(|i| (7 + i % 3, rng.gen_range(0..1u64 << 20)))
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                keys
+            }
+        }
+    }
+}
+
+/// Keys that no sequence ever inserts: an unknown inode, a block past
+/// every file, a block past 32 bits.
+fn ghosts(keys: &[BlockKey]) -> Vec<BlockKey> {
+    let ino = keys[0].0;
+    vec![(u64::MAX, 0), (ino, (1 << 21) + 5), (ino, 1 << 40), (0, 3)]
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,11 +234,12 @@ fn compare(real: &BufferCache, model: &Model, keys: &[BlockKey]) -> Result<(), S
 
 /// Runs one seeded op sequence on `BufferCache` and on the model and
 /// returns the first disagreement, naming the step that caused it.
-fn first_divergence(capacity: usize, seed: u64, mutant: Mutant) -> Option<String> {
+fn first_divergence(shape: Shape, capacity: usize, seed: u64, mutant: Mutant) -> Option<String> {
     let mut rng = SimRng::new(seed);
     let n_keys = capacity as u64 * rng.gen_range(2..=4u64);
-    // Two inodes, so equal block numbers of different files interleave.
-    let keys: Vec<BlockKey> = (0..n_keys).map(|i| (1 + i % 2, i / 2)).collect();
+    let keys = shape.keys(n_keys, &mut rng);
+    let ghosts = ghosts(&keys);
+    assert!(ghosts.iter().all(|g| !keys.contains(g)));
     let mut real = BufferCache::new(capacity);
     let mut model = Model::new(capacity, mutant);
     let ops = 1_500.max(8 * keys.len());
@@ -207,6 +266,47 @@ fn first_divergence(capacity: usize, seed: u64, mutant: Mutant) -> Option<String
             rng.shuffle(&mut pin);
             script.extend(pin.into_iter().map(|k| (Op::MarkPending, k)));
             in_flight.clear();
+        }
+        // One op in 20 names a never-inserted key; removals and lookups of
+        // it must not grow any index.
+        if script.is_empty() && rng.chance(0.05) {
+            let g = ghosts[rng.gen_range(0..ghosts.len())];
+            let before = real.approx_heap_bytes();
+            let op = match rng.gen_range(0..5u32) {
+                0 => {
+                    let (r, m) = (real.lookup(g), model.lookup(g));
+                    if r || m {
+                        return Some(format!("step {step}: lookup of ghost {g:?} hit"));
+                    }
+                    "lookup"
+                }
+                1 => {
+                    real.invalidate(g);
+                    model.invalidate(g);
+                    "invalidate"
+                }
+                2 => {
+                    real.discard(g);
+                    model.discard(g);
+                    "discard"
+                }
+                _ => {
+                    if real.peek(g) || real.is_pending(g) {
+                        return Some(format!("step {step}: ghost {g:?} is resident"));
+                    }
+                    "peek"
+                }
+            };
+            if real.approx_heap_bytes() != before {
+                return Some(format!(
+                    "step {step}: {op} of ghost {g:?} moved approx_heap_bytes {before} -> {}",
+                    real.approx_heap_bytes()
+                ));
+            }
+            if let Err(e) = compare(&real, &model, &keys) {
+                return Some(format!("step {step}: {op} of ghost {g:?}: {e}"));
+            }
+            continue;
         }
         let (op, k) = script.pop().unwrap_or_else(|| {
             // Reads complete about as often as they start, and removals
@@ -269,31 +369,64 @@ fn first_divergence(capacity: usize, seed: u64, mutant: Mutant) -> Option<String
     None
 }
 
-fn seed_for(capacity: usize) -> u64 {
-    0x00BC_AC4E ^ (capacity as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+fn seed_for(shape: Shape, capacity: usize) -> u64 {
+    let salt = match shape {
+        Shape::Dense => 0,
+        Shape::ManyFiles => 0x5A1E_0001,
+        Shape::Sparse => 0x5A1E_0002,
+    };
+    0x00BC_AC4E ^ salt ^ (capacity as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-#[test]
-fn victim_list_matches_the_scan_on_every_sequence() {
-    for cap in capacities() {
-        let seed = seed_for(cap);
-        if let Some(e) = first_divergence(cap, seed, Mutant::None) {
-            panic!("capacity {cap}, seed {seed:#x}: {e}");
+fn shape_capacities(shape: Shape) -> Vec<usize> {
+    match shape {
+        Shape::Dense => capacities().collect(),
+        _ => SOME_CAPACITIES.to_vec(),
+    }
+}
+
+fn matches_the_scan(shape: Shape) {
+    for cap in shape_capacities(shape) {
+        let seed = seed_for(shape, cap);
+        if let Some(e) = first_divergence(shape, cap, seed, Mutant::None) {
+            panic!("{shape:?}, capacity {cap}, seed {seed:#x}: {e}");
         }
     }
 }
 
-#[test]
-fn the_sequences_catch_both_mutants() {
+fn catches_both_mutants(shape: Shape) {
     for mutant in [Mutant::EvictNewest, Mutant::EvictPending] {
         // At capacity 1 the newest valid entry is the oldest one.
-        let missed: Vec<usize> = capacities()
+        let missed: Vec<usize> = shape_capacities(shape)
+            .into_iter()
             .filter(|&cap| cap >= 2)
-            .filter(|&cap| first_divergence(cap, seed_for(cap), mutant).is_none())
+            .filter(|&cap| first_divergence(shape, cap, seed_for(shape, cap), mutant).is_none())
             .collect();
         assert!(
             missed.is_empty(),
-            "{mutant:?} survived at capacities {missed:?}"
+            "{shape:?}: {mutant:?} survived at capacities {missed:?}"
         );
+    }
+}
+
+#[test]
+fn dense_keys_match_the_scan_on_every_sequence() {
+    matches_the_scan(Shape::Dense);
+}
+
+#[test]
+fn many_files_match_the_scan_on_every_sequence() {
+    matches_the_scan(Shape::ManyFiles);
+}
+
+#[test]
+fn sparse_blocks_match_the_scan_on_every_sequence() {
+    matches_the_scan(Shape::Sparse);
+}
+
+#[test]
+fn the_sequences_catch_both_mutants() {
+    for shape in [Shape::Dense, Shape::ManyFiles, Shape::Sparse] {
+        catches_both_mutants(shape);
     }
 }
