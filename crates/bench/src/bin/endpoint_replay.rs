@@ -77,12 +77,11 @@ fn main() {
         let endpoint = server.join().expect("server thread");
         let real = HeurBooks::from_stats(&endpoint.world().server_stats());
 
-        let mut world = build_world(config, seed);
-        let ext = world.register_external_client();
-        let exports: Vec<_> = (0..8)
-            .map(|_| world.create_export_file(ext, blocks * 8_192))
-            .collect();
-        let sim = sim_replay(&mut world, &exports, &trace, stable);
+        let sim = sim_replay(
+            Endpoint::new(build_world(config, seed), export),
+            &trace,
+            stable,
+        );
         let report = DiffReport::diff(&sim, &real);
 
         println!("## {name} — {} calls", stats.calls);

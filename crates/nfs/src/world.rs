@@ -353,15 +353,15 @@ pub struct ClientStats {
 pub struct ContentionStats {
     /// `nfsheur` ejections this client's READs caused (any victim).
     pub heur_ejections_caused: u64,
-    /// Live `nfsheur` entries for this client's files that some READ
-    /// (its own or another client's) ejected.
+    /// Live `nfsheur` entries this client read last that some READ (its
+    /// own or another client's) ejected.
     pub heur_ejections_suffered: u64,
-    /// Of the ejections this client caused, how many evicted *another*
-    /// client's file — the cross-client interference the paper's enlarged
-    /// table is meant to eliminate.
+    /// Of the ejections this client caused, how many evicted an entry
+    /// *another* client read last — the cross-client interference the
+    /// paper's enlarged table is meant to eliminate.
     pub cross_client_ejections: u64,
     /// Probe-window scans by this client's READs that walked over a live
-    /// entry belonging to a different client (hash-neighbourhood sharing).
+    /// entry a different client read last (hash-neighbourhood sharing).
     pub cross_client_probe_collisions: u64,
     /// Duplicate calls from this client dropped by the server's
     /// duplicate-request cache while the original was in service.
@@ -712,11 +712,11 @@ pub struct NfsWorld {
     ops: FastMap<OpId, OpState>,
     ready: Vec<OpDone>,
     next_op: u64,
-    /// Which client host "owns" (mounted) each inode, for attributing
-    /// server-side contention. With one client this maps everything to 0.
-    /// External connections own their exports under index
-    /// `clients.len() + ext`.
-    ino_owner: FastMap<u64, usize>,
+    /// The contention-book index of the caller whose READ last reached
+    /// each inode, for attributing server-side contention: an `nfsheur`
+    /// entry belongs to whoever read it last. External connections read
+    /// under index `clients.len() + ext`.
+    last_reader: FastMap<u64, usize>,
     /// Per-client contention counters, indexed by client id; external
     /// connections append entries after the simulated hosts.
     contention: Vec<ContentionStats>,
@@ -837,7 +837,7 @@ impl NfsWorld {
             ops: FastMap::default(),
             ready: Vec::new(),
             next_op: 0,
-            ino_owner: FastMap::default(),
+            last_reader: FastMap::default(),
             contention,
             ext_clients: 0,
             ext_outbox: Vec::new(),
@@ -903,7 +903,6 @@ impl NfsWorld {
                 submit_counter: 0,
             },
         );
-        self.ino_owner.insert(ino, client);
         FileHandle {
             fsid: self.server.fsid,
             ino,
@@ -933,14 +932,12 @@ impl NfsWorld {
         ext
     }
 
-    /// Creates a file on the server owned by external connection `ext`
-    /// (layout draws come from the server's own RNG stream, so exports
-    /// never perturb simulated client schedules), returning its handle.
-    pub fn create_export_file(&mut self, ext: usize, size: u64) -> FileHandle {
-        assert!(ext < self.ext_clients, "unregistered external connection");
-        let mut alloc_rng = self.server.alloc_rng.derive(0xE4_90_27 ^ ext as u64);
+    /// Creates a server-level file no host owns, returning its handle.
+    /// Layout draws come from the server's own RNG stream, so the export
+    /// never perturbs simulated client schedules.
+    pub fn create_server_file(&mut self, size: u64) -> FileHandle {
+        let mut alloc_rng = self.server.alloc_rng.derive(0xE4_90_27);
         let ino = self.server.fs.create_file(size, &mut alloc_rng);
-        self.ino_owner.insert(ino, self.clients.len() + ext);
         FileHandle {
             fsid: self.server.fsid,
             ino,
@@ -2524,8 +2521,9 @@ impl NfsWorld {
             NfsCall::Read { count: 0, .. } => self.server_reply(key, t1, NfsStatus::Ok),
             NfsCall::Read { fh, offset, count } => {
                 let client = self.caller_index(key);
+                self.last_reader.insert(fh.ino, client);
                 let policy = self.config.policy;
-                let ino_owner = &self.ino_owner;
+                let last_reader = &self.last_reader;
                 let contention = &mut self.contention;
                 let (seqcount, probe) = self.server.heur.observe_traced(
                     fh.ino,
@@ -2533,18 +2531,19 @@ impl NfsWorld {
                     u64::from(count),
                     &policy,
                     |scanned| {
-                        if ino_owner.get(&scanned).is_some_and(|&o| o != client) {
+                        if last_reader[&scanned] != client {
                             contention[client].cross_client_probe_collisions += 1;
                         }
                     },
                 );
                 if let Some(victim) = probe.ejected {
                     self.contention[client].heur_ejections_caused += 1;
-                    if let Some(&owner) = self.ino_owner.get(&victim) {
-                        self.contention[owner].heur_ejections_suffered += 1;
-                        if owner != client {
-                            self.contention[client].cross_client_ejections += 1;
-                        }
+                    // Every live entry was put there by a READ, which
+                    // recorded its reader.
+                    let reader = self.last_reader[&victim];
+                    self.contention[reader].heur_ejections_suffered += 1;
+                    if reader != client {
+                        self.contention[client].cross_client_ejections += 1;
                     }
                 }
                 if let Some(log) = &mut self.server_events {

@@ -94,13 +94,11 @@ fn main() {
     );
 
     // --- Real side: endpoint on loopback, closed-loop socket replay. ---
-    let endpoint = Endpoint::new(
-        build_world(config, seed),
-        ExportSpec {
-            files: files as usize,
-            file_size,
-        },
-    );
+    let export = ExportSpec {
+        files: files as usize,
+        file_size,
+    };
+    let endpoint = Endpoint::new(build_world(config, seed), export);
     let (listener, local) = bind("127.0.0.1:0").expect("bind loopback");
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
@@ -119,12 +117,11 @@ fn main() {
     println!("{}", testbed::render_endpoint_line("write", &replay.write));
 
     // --- Sim side: identical trace, pure virtual clock. ---
-    let mut world = build_world(config, seed);
-    let ext = world.register_external_client();
-    let exports: Vec<_> = (0..files)
-        .map(|_| world.create_export_file(ext, file_size))
-        .collect();
-    let sim = sim_replay(&mut world, &exports, &trace, stable);
+    let sim = sim_replay(
+        Endpoint::new(build_world(config, seed), export),
+        &trace,
+        stable,
+    );
 
     let report = DiffReport::diff(&sim, &real);
     print!("{}", report.render());

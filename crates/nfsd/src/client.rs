@@ -268,9 +268,9 @@ impl NfsClient {
                     (&mut stats.meta, 0)
                 }
                 TraceOp::Lookup | TraceOp::Readdir => {
-                    // The real endpoint's export namespace is flat (no
-                    // directories beyond the root), so namespace ops lower
-                    // to the same class of small metadata round trip.
+                    // Not `TraceRecord::to_call`: the endpoint answers LOOKUP
+                    // itself and refuses READDIR, so only a GETATTR reaches the
+                    // world as the one non-READ call `sim_replay` counts.
                     self.getattr(fh)?;
                     (&mut stats.meta, 0)
                 }

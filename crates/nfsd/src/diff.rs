@@ -26,8 +26,10 @@
 
 use nfsproto::StableHow;
 use nfssim::{NfsWorld, ServerStats};
-use nfstrace::{TraceOp, TraceRecord};
+use nfstrace::TraceRecord;
 use simcore::{SimDuration, SimTime};
+
+use crate::endpoint::Endpoint;
 
 /// The heuristic-and-write-path books the harness compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,51 +175,25 @@ impl DiffReport {
     }
 }
 
-/// Replays `trace` through a fresh world on the pure virtual clock using
-/// the same external-ingress path the endpoint uses, mirroring the
-/// client's closed-loop order: each call is injected when the previous
-/// reply has been produced, so the server sees the identical sequence the
-/// socket replay produces. Returns the settled books.
+/// Replays `trace` on the pure virtual clock through the same
+/// external-ingress path the endpoint uses, mirroring the client's
+/// closed-loop order: each call is injected when the previous reply has
+/// been produced, so the server sees the identical sequence the socket
+/// replay produces. Returns the settled books.
 ///
-/// `world` must be fresh (same seed and config as the endpoint's) with
-/// export files for connection 0 already created by the caller, handed
-/// over in `exports` in `f{i}` order.
-pub fn sim_replay(
-    world: &mut NfsWorld,
-    exports: &[nfsproto::FileHandle],
-    trace: &[TraceRecord],
-    stable: StableHow,
-) -> HeurBooks {
+/// `sim` must be fresh, built with the same
+/// `Endpoint::new(build_world(config, seed), spec)` as the real side so
+/// both export the same files; the replay connects to it once. Trace
+/// handles (`0x1000 + i` from the synthesizers) map to export file `f{i}`.
+pub fn sim_replay(mut sim: Endpoint, trace: &[TraceRecord], stable: StableHow) -> HeurBooks {
+    let conn = sim.connect();
     let mut now = SimTime::ZERO;
     let mut xid = 0u32;
     for rec in trace {
         xid = xid.wrapping_add(1).max(1);
-        let fh = exports[rec.fh.saturating_sub(0x1000) as usize];
-        let call = match rec.op {
-            TraceOp::Read => nfsproto::NfsCall::Read {
-                fh,
-                offset: rec.offset,
-                count: rec.len,
-            },
-            TraceOp::Write => nfsproto::NfsCall::Write {
-                fh,
-                offset: rec.offset,
-                count: rec.len,
-                stable,
-            },
-            TraceOp::Getattr => nfsproto::NfsCall::Getattr { fh },
-            TraceOp::Lookup => nfsproto::NfsCall::Lookup {
-                dir: fh,
-                name: "x".repeat(rec.len.max(1) as usize),
-            },
-            TraceOp::Readdir => nfsproto::NfsCall::Readdir {
-                dir: fh,
-                cookie: rec.offset,
-                cookieverf: 0,
-                count: rec.len.max(1),
-            },
-        };
-        world.external_call(now, 0, xid, call);
+        let fh = sim.exports()[rec.fh.saturating_sub(0x1000) as usize];
+        let world = sim.world_mut();
+        world.external_call(now, conn, xid, rec.to_call(fh, stable));
         // Closed loop: run the world until the reply for this call lands.
         loop {
             let replies = world.take_external_replies();
@@ -235,6 +211,7 @@ pub fn sim_replay(
         }
     }
     // Quiesce: let gather windows expire and flushes finish.
+    let world = sim.world_mut();
     settle(world, now);
     HeurBooks::from_stats(&world.server_stats())
 }
@@ -256,7 +233,7 @@ pub fn settle(world: &mut NfsWorld, from: SimTime) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::build_world;
+    use crate::endpoint::{build_world, ExportSpec};
     use nfssim::WorldConfig;
     use nfstrace::synth::{self, SequentialSpec};
     use simcore::SimRng;
@@ -272,12 +249,12 @@ mod tests {
     }
 
     fn replay_books(seed: u64) -> HeurBooks {
-        let mut world = build_world(WorldConfig::default(), seed);
-        let ext = world.register_external_client();
-        let exports: Vec<_> = (0..4)
-            .map(|_| world.create_export_file(ext, 24 * 8_192))
-            .collect();
-        sim_replay(&mut world, &exports, &trace(seed), StableHow::FileSync)
+        let spec = ExportSpec {
+            files: 4,
+            file_size: 24 * 8_192,
+        };
+        let sim = Endpoint::new(build_world(WorldConfig::default(), seed), spec);
+        sim_replay(sim, &trace(seed), StableHow::FileSync)
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! records off real TCP connections and a wall clock, the loopback tests
 //! feed it the same records with a [`crate::ManualClock`], and both get
 //! byte-identical replies. Each TCP connection maps to one *external
-//! client* of the [`NfsWorld`] — it shares the `nfsd` pool, duplicate
-//! request cache, `nfsheur` table, write-gathering dirty pool, and disk
-//! with any simulated traffic, which is exactly what makes the
-//! sim-vs-real differential harness meaningful.
+//! client* of the [`NfsWorld`] — it shares the one export (as every
+//! NFSv3 mount of a server does), `nfsd` pool, duplicate request cache,
+//! `nfsheur` table, write-gathering dirty pool, and disk with any
+//! simulated traffic, which is what makes the sim-vs-real differential
+//! harness meaningful.
 
 use std::collections::HashMap;
 
@@ -33,7 +34,7 @@ pub const EXPORT_PATH: &str = "/export";
 /// Shape of the export every connection sees.
 #[derive(Debug, Clone, Copy)]
 pub struct ExportSpec {
-    /// Files created per connection, named `f0`, `f1`, ….
+    /// Files in the export, named `f0`, `f1`, ….
     pub files: usize,
     /// Size of each file in bytes.
     pub file_size: u64,
@@ -63,10 +64,6 @@ pub struct EndpointStats {
 }
 
 struct Conn {
-    /// Export files for this connection, index `i` answering to name `f{i}`.
-    exports: Vec<FileHandle>,
-    /// Root directory handle handed out by MOUNT.
-    root: FileHandle,
     /// Calls in flight in the world, keyed by xid, so the pump can build
     /// full RFC replies (attributes need the target handle).
     // The peer picks these xids: keep std's keyed hasher (no FastMap).
@@ -88,39 +85,43 @@ pub fn build_world(config: WorldConfig, seed: u64) -> NfsWorld {
 /// The record-in, records-out NFSv3 endpoint over a simulated world.
 pub struct Endpoint {
     world: NfsWorld,
-    spec: ExportSpec,
+    /// Export files, index `i` answering to name `f{i}`.
+    exports: Vec<FileHandle>,
+    /// Root directory handle handed out by MOUNT.
+    root: FileHandle,
     conns: Vec<Conn>,
     stats: EndpointStats,
 }
 
 impl Endpoint {
-    /// Wraps a world. The world may already carry simulated clients;
-    /// external connections ride alongside them.
-    pub fn new(world: NfsWorld, spec: ExportSpec) -> Self {
-        Endpoint {
-            world,
-            spec,
-            conns: Vec::new(),
-            stats: EndpointStats::default(),
-        }
-    }
-
-    /// Registers a new TCP connection, creating its export files.
-    /// Returns the connection id used by [`Endpoint::handle_record`].
-    pub fn connect(&mut self) -> usize {
-        let ext = self.world.register_external_client();
-        debug_assert_eq!(ext, self.conns.len());
-        let exports: Vec<FileHandle> = (0..self.spec.files)
-            .map(|_| self.world.create_export_file(ext, self.spec.file_size))
+    /// Wraps a world and creates the export in it. The world may
+    /// already carry simulated clients; external connections ride
+    /// alongside them.
+    pub fn new(mut world: NfsWorld, spec: ExportSpec) -> Self {
+        let exports: Vec<FileHandle> = (0..spec.files)
+            .map(|_| world.create_server_file(spec.file_size))
             .collect();
         let root = FileHandle {
             fsid: exports.first().map_or(0, |fh| fh.fsid),
             ino: ROOT_INO,
             generation: 1,
         };
-        self.conns.push(Conn {
+        Endpoint {
+            world,
             exports,
             root,
+            conns: Vec::new(),
+            stats: EndpointStats::default(),
+        }
+    }
+
+    /// Registers a new TCP connection on the shared export. It allocates
+    /// nothing in the world but the connection's contention books.
+    /// Returns the connection id used by [`Endpoint::handle_record`].
+    pub fn connect(&mut self) -> usize {
+        let ext = self.world.register_external_client();
+        debug_assert_eq!(ext, self.conns.len());
+        self.conns.push(Conn {
             pending: HashMap::new(),
         });
         ext
@@ -144,7 +145,7 @@ impl Endpoint {
         };
         self.stats.calls += 1;
         match hdr.prog {
-            wire::MOUNT_PROGRAM => vec![self.handle_mount(conn, &hdr, &mut d)],
+            wire::MOUNT_PROGRAM => vec![self.handle_mount(&hdr, &mut d)],
             nfsproto::NFS_PROGRAM => self
                 .handle_nfs(now, conn, &hdr, &mut d)
                 .map_or_else(Vec::new, |r| vec![r]),
@@ -155,7 +156,7 @@ impl Endpoint {
         }
     }
 
-    fn handle_mount(&mut self, conn: usize, hdr: &CallHeader, d: &mut XdrDecoder<'_>) -> Vec<u8> {
+    fn handle_mount(&mut self, hdr: &CallHeader, d: &mut XdrDecoder<'_>) -> Vec<u8> {
         if hdr.vers != wire::MOUNT_VERSION {
             self.stats.rpc_errors += 1;
             return wire::accept_error_res(
@@ -174,7 +175,7 @@ impl Endpoint {
             wire::MOUNTPROC_MNT => match d.get_string() {
                 Ok(path) if path == EXPORT_PATH => {
                     self.stats.immediate_replies += 1;
-                    wire::mnt_res_ok(hdr.xid, &self.conns[conn].root)
+                    wire::mnt_res_ok(hdr.xid, &self.root)
                 }
                 Ok(_) => {
                     self.stats.immediate_replies += 1;
@@ -222,7 +223,7 @@ impl Endpoint {
                     _ => return Some(self.garbage(hdr.xid)),
                 };
                 self.stats.immediate_replies += 1;
-                match self.attr_for(conn, &fh) {
+                match self.attr_for(&fh) {
                     Some(a) => Some(wire::access_res(hdr.xid, &a, bits & wire::ACCESS_ALL)),
                     None => Some(wire::read_res_err(hdr.xid, 70, None)), // same shape as ACCESS3resfail
                 }
@@ -233,9 +234,7 @@ impl Endpoint {
                     Err(_) => return Some(self.garbage(hdr.xid)),
                 };
                 self.stats.immediate_replies += 1;
-                let a = self
-                    .attr_for(conn, &fh)
-                    .unwrap_or_else(|| self.root_attr(conn));
+                let a = self.attr_for(&fh).unwrap_or_else(|| self.root_attr());
                 Some(match hdr.proc_num {
                     wire::NFSPROC_FSINFO => wire::fsinfo_res(hdr.xid, &a, 8_192),
                     wire::NFSPROC_FSSTAT => wire::fsstat_res(hdr.xid, &a),
@@ -276,30 +275,30 @@ impl Endpoint {
                 let idx = name
                     .strip_prefix('f')
                     .and_then(|n| n.parse::<usize>().ok())
-                    .filter(|&i| i < self.conns[conn].exports.len());
+                    .filter(|&i| i < self.exports.len());
                 match idx {
                     Some(i) => {
-                        let fh = self.conns[conn].exports[i];
-                        let obj = self.attr_for(conn, &fh).unwrap_or(wire::FileAttr {
+                        let fh = self.exports[i];
+                        let obj = self.attr_for(&fh).unwrap_or(wire::FileAttr {
                             fileid: fh.ino,
                             size: 0,
                             fsid: u64::from(fh.fsid),
                             is_dir: false,
                         });
-                        let dir_attr = self.root_attr(conn);
+                        let dir_attr = self.root_attr();
                         Some(wire::lookup_res_ok(xid, &fh, &obj, &dir_attr))
                     }
                     None => Some(wire::lookup_res_err(
                         xid,
                         2, // NFS3ERR_NOENT
-                        Some(&self.root_attr(conn)),
+                        Some(&self.root_attr()),
                     )),
                 }
             }
             // GETATTR on the synthetic root is also endpoint business.
             NfsCall::Getattr { fh } if fh.ino == ROOT_INO => {
                 self.stats.immediate_replies += 1;
-                Some(wire::getattr_res(xid, &self.root_attr(conn)))
+                Some(wire::getattr_res(xid, &self.root_attr()))
             }
             // Everything else is the data path: into the world, sharing
             // nfsds, the heuristic table, and the disk.
@@ -331,7 +330,7 @@ impl Endpoint {
         let mut out = Vec::with_capacity(replies.len());
         for r in replies {
             let fh = self.conns[r.ext].pending.remove(&r.xid);
-            out.push((r.ext, self.encode_reply(r.ext, r.xid, fh, &r.reply)));
+            out.push((r.ext, self.encode_reply(r.xid, fh, &r.reply)));
         }
         out
     }
@@ -342,14 +341,8 @@ impl Endpoint {
         self.world.next_event()
     }
 
-    fn encode_reply(
-        &self,
-        conn: usize,
-        xid: u32,
-        fh: Option<FileHandle>,
-        reply: &NfsReply,
-    ) -> Vec<u8> {
-        let attr = fh.and_then(|fh| self.attr_for(conn, &fh));
+    fn encode_reply(&self, xid: u32, fh: Option<FileHandle>, reply: &NfsReply) -> Vec<u8> {
+        let attr = fh.and_then(|fh| self.attr_for(&fh));
         match *reply {
             NfsReply::Getattr { status, attrs } => match (status, attrs) {
                 (NfsStatus::Ok, Some(a)) => {
@@ -380,13 +373,13 @@ impl Endpoint {
             // endpoint resolves names), but encode it defensively.
             NfsReply::Lookup { status, fh: obj } => match obj {
                 Some(obj) if status == NfsStatus::Ok => {
-                    let a = self.attr_for(conn, &obj).unwrap_or(wire::FileAttr {
+                    let a = self.attr_for(&obj).unwrap_or(wire::FileAttr {
                         fileid: obj.ino,
                         size: 0,
                         fsid: u64::from(obj.fsid),
                         is_dir: false,
                     });
-                    wire::lookup_res_ok(xid, &obj, &a, &self.root_attr(conn))
+                    wire::lookup_res_ok(xid, &obj, &a, &self.root_attr())
                 }
                 _ => wire::lookup_res_err(xid, status.code(), None),
             },
@@ -396,9 +389,9 @@ impl Endpoint {
         }
     }
 
-    fn attr_for(&self, conn: usize, fh: &FileHandle) -> Option<wire::FileAttr> {
+    fn attr_for(&self, fh: &FileHandle) -> Option<wire::FileAttr> {
         if fh.ino == ROOT_INO {
-            return Some(self.root_attr(conn));
+            return Some(self.root_attr());
         }
         let inode = self.world.fs().inode(fh.ino)?;
         Some(wire::FileAttr {
@@ -409,11 +402,11 @@ impl Endpoint {
         })
     }
 
-    fn root_attr(&self, conn: usize) -> wire::FileAttr {
+    fn root_attr(&self) -> wire::FileAttr {
         wire::FileAttr {
             fileid: ROOT_INO,
             size: 4_096,
-            fsid: u64::from(self.conns[conn].root.fsid),
+            fsid: u64::from(self.root.fsid),
             is_dir: true,
         }
     }
@@ -428,9 +421,10 @@ impl Endpoint {
         self.stats
     }
 
-    /// The export files of a connection (what LOOKUP `f{i}` resolves to).
-    pub fn exports(&self, conn: usize) -> &[FileHandle] {
-        &self.conns[conn].exports
+    /// The export files (what LOOKUP `f{i}` resolves to on every
+    /// connection).
+    pub fn exports(&self) -> &[FileHandle] {
+        &self.exports
     }
 
     /// The world under the endpoint (heuristic books, server stats).
@@ -475,7 +469,7 @@ mod tests {
         };
         let replies = ep.handle_record(SimTime::ZERO, conn, &call.encode(2));
         let (_, fh, attr) = wire::decode_lookup_reply(&replies[0]).unwrap();
-        assert_eq!(fh, ep.exports(conn)[1]);
+        assert_eq!(fh, ep.exports()[1]);
         assert_eq!(attr.unwrap().size, 64 * 8_192);
         // READ routes into the world; the reply surfaces from pump().
         let call = NfsCall::Read {
@@ -495,6 +489,44 @@ mod tests {
     }
 
     #[test]
+    fn ejections_are_charged_to_the_connection_that_read_last() {
+        // A one-slot table: any READ of another file ejects the entry.
+        let mut config = WorldConfig::default();
+        config.heur.slots = 1;
+        config.heur.probes = 1;
+        let spec = ExportSpec {
+            files: 2,
+            file_size: 64 * 8_192,
+        };
+        let mut ep = Endpoint::new(build_world(config, 7), spec);
+        let (a, b) = (ep.connect(), ep.connect());
+        let (f0, f1) = (ep.exports()[0], ep.exports()[1]);
+        // B reads f0 first, A reads it last, then B's read of f1 ejects it.
+        for (i, (conn, fh)) in [(b, f0), (a, f0), (b, f1)].into_iter().enumerate() {
+            let at = SimTime::from_nanos(i as u64 * 10_000_000_000);
+            let call = NfsCall::Read {
+                fh,
+                offset: 0,
+                count: 8_192,
+            };
+            ep.handle_record(at, conn, &call.encode(i as u32 + 1));
+            let out = ep.pump(at + simcore::SimDuration::from_secs(5));
+            assert_eq!(out.len(), 1, "READ {i} answered");
+        }
+        let w = ep.world();
+        assert_eq!(w.server_stats().heur_ejections, 1);
+        let (sa, sb) = (
+            w.contention_stats(w.n_clients() + a),
+            w.contention_stats(w.n_clients() + b),
+        );
+        assert_eq!(sa.heur_ejections_suffered, 1, "A read f0 last: {sa:?}");
+        assert_eq!(sa.heur_ejections_caused, 0, "{sa:?}");
+        assert_eq!(sb.heur_ejections_suffered, 0, "{sb:?}");
+        assert_eq!(sb.heur_ejections_caused, 1, "{sb:?}");
+        assert_eq!(sb.cross_client_ejections, 1, "{sb:?}");
+    }
+
+    #[test]
     fn unknown_program_and_proc_get_rpc_errors() {
         let mut ep = endpoint();
         let conn = ep.connect();
@@ -502,7 +534,7 @@ mod tests {
         let replies = ep.handle_record(SimTime::ZERO, conn, &rec);
         assert_eq!(replies.len(), 1);
         assert!(wire::decode_mnt_reply(&replies[0]).is_err());
-        let rec = wire::encode_fh_call(6, 17, &ep.exports(conn)[0]); // READDIRPLUS-ish: unmodelled
+        let rec = wire::encode_fh_call(6, 17, &ep.exports()[0]); // READDIRPLUS-ish: unmodelled
         let replies = ep.handle_record(SimTime::ZERO, conn, &rec);
         assert_eq!(replies.len(), 1);
         assert_eq!(ep.stats().rpc_errors, 2);
@@ -512,7 +544,7 @@ mod tests {
     fn unstable_write_then_commit_reuses_gather_machinery() {
         let mut ep = endpoint();
         let conn = ep.connect();
-        let fh = ep.exports(conn)[0];
+        let fh = ep.exports()[0];
         let w = NfsCall::Write {
             fh,
             offset: 0,

@@ -77,9 +77,9 @@ fn world_with_exports() -> (NfsWorld, Vec<FileHandle>) {
         ..WorldConfig::default()
     };
     let mut world = build_world(config, 77);
-    let ext = world.register_external_client();
+    world.register_external_client();
     let exports: Vec<_> = (0..3)
-        .map(|_| world.create_export_file(ext, 64 * 8_192))
+        .map(|_| world.create_server_file(64 * 8_192))
         .collect();
     world.enable_server_event_log();
     (world, exports)

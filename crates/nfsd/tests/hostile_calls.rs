@@ -19,7 +19,7 @@ fn endpoint() -> (Endpoint, usize, FileHandle) {
         },
     );
     let conn = ep.connect();
-    let fh = ep.exports(conn)[0];
+    let fh = ep.exports()[0];
     (ep, conn, fh)
 }
 
@@ -170,4 +170,19 @@ fn pipelined_xids_sharing_their_low_bits_each_get_their_own_reply() {
         .collect();
     xids.sort_unstable();
     assert!(xids.iter().copied().eq((0..CALLS).map(|k| k << 16)));
+}
+
+#[test]
+fn connects_share_the_export_and_allocate_no_disk() {
+    // Connections share one export, so a peer that reconnects in a loop
+    // cannot fill the partition and crash the server.
+    let mut ep = Endpoint::new(
+        build_world(WorldConfig::default(), 1),
+        ExportSpec::default(),
+    );
+    let free = ep.world().fs().free_bytes();
+    for _ in 0..10_000 {
+        ep.connect();
+    }
+    assert_eq!(ep.world().fs().free_bytes(), free);
 }

@@ -55,12 +55,11 @@ fn socket_replay_matches_virtual_replay() {
     let real = HeurBooks::from_stats(&endpoint.world().server_stats());
 
     // Sim side.
-    let mut world = build_world(config, SEED);
-    let ext = world.register_external_client();
-    let exports: Vec<_> = (0..FILES)
-        .map(|_| world.create_export_file(ext, BLOCKS * 8_192))
-        .collect();
-    let sim = sim_replay(&mut world, &exports, &trace(), StableHow::FileSync);
+    let sim = sim_replay(
+        Endpoint::new(build_world(config, SEED), spec),
+        &trace(),
+        StableHow::FileSync,
+    );
 
     let report = DiffReport::diff(&sim, &real);
     assert!(report.passed(), "diff failed:\n{}", report.render());

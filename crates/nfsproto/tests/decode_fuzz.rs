@@ -130,31 +130,7 @@ fn trace_record_to_call(r: &nfstrace::TraceRecord, xid: u32) -> Vec<u8> {
         ino: r.fh,
         generation: 1,
     };
-    let call = match r.op {
-        nfstrace::TraceOp::Read => NfsCall::Read {
-            fh,
-            offset: r.offset,
-            count: r.len,
-        },
-        nfstrace::TraceOp::Write => NfsCall::Write {
-            fh,
-            offset: r.offset,
-            count: r.len,
-            stable: StableHow::Unstable,
-        },
-        nfstrace::TraceOp::Getattr => NfsCall::Getattr { fh },
-        nfstrace::TraceOp::Lookup => NfsCall::Lookup {
-            dir: fh,
-            name: "x".repeat(r.len.max(1) as usize),
-        },
-        nfstrace::TraceOp::Readdir => NfsCall::Readdir {
-            dir: fh,
-            cookie: r.offset,
-            cookieverf: 0,
-            count: r.len,
-        },
-    };
-    call.encode(xid)
+    r.to_call(fh, StableHow::Unstable).encode(xid)
 }
 
 fn imported_corpus() -> Vec<Vec<u8>> {

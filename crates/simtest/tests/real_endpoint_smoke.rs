@@ -59,12 +59,11 @@ fn real_endpoint_books_match_sim_replay() {
     let real = HeurBooks::from_stats(&endpoint.world().server_stats());
 
     // Sim: identical trace, virtual clock.
-    let mut world = build_world(config, SEED);
-    let ext = world.register_external_client();
-    let exports: Vec<_> = (0..FILES)
-        .map(|_| world.create_export_file(ext, BLOCKS * 8_192))
-        .collect();
-    let sim = sim_replay(&mut world, &exports, &trace.records, StableHow::Unstable);
+    let sim = sim_replay(
+        Endpoint::new(build_world(config, SEED), export),
+        &trace.records,
+        StableHow::Unstable,
+    );
 
     let report = DiffReport::diff(&sim, &real);
     assert!(

@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use nfsproto::{FileHandle, NfsCall, StableHow};
+
 /// Operation kind in a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceOp {
@@ -78,6 +80,36 @@ impl TraceRecord {
             fh,
             offset,
             len,
+        }
+    }
+
+    /// The NFSv3 call this record stands for, addressed to `fh`. A WRITE
+    /// carries `stable`; a LOOKUP asks for a `len`-byte name and a
+    /// READDIR for `len` entries, each at least one.
+    pub fn to_call(self, fh: FileHandle, stable: StableHow) -> NfsCall {
+        match self.op {
+            TraceOp::Read => NfsCall::Read {
+                fh,
+                offset: self.offset,
+                count: self.len,
+            },
+            TraceOp::Write => NfsCall::Write {
+                fh,
+                offset: self.offset,
+                count: self.len,
+                stable,
+            },
+            TraceOp::Getattr => NfsCall::Getattr { fh },
+            TraceOp::Lookup => NfsCall::Lookup {
+                dir: fh,
+                name: "x".repeat(self.len.max(1) as usize),
+            },
+            TraceOp::Readdir => NfsCall::Readdir {
+                dir: fh,
+                cookie: self.offset,
+                cookieverf: 0,
+                count: self.len.max(1),
+            },
         }
     }
 }
