@@ -17,6 +17,7 @@ use ffs::{BufferCache, FileSystem, FsConfig};
 use iosched::{IoScheduler, QueuedRequest, SchedulerKind};
 use nfs_bench::perf::{BenchResult, PerfReport};
 use nfsproto::{FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus};
+use nfssim::{NfsWorld, WorldConfig};
 use readahead_core::{HeurRecord, NfsHeur, NfsHeurConfig, ReadaheadPolicy, SharedCursorPool};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use simfleet::{run_sharded, ShardWorld};
@@ -367,11 +368,51 @@ fn bench_fs_read(out: &mut Vec<BenchResult>, iters: u64) {
     });
 }
 
+fn bench_world_step(out: &mut Vec<BenchResult>, iters: u64) {
+    // One step of the simulator's event loop (`next_event`, then
+    // `advance_into`, then reissuing each finished read) in a
+    // `read_stream`-shaped world: one UDP client, 16 closed-loop
+    // sequential 8 KB readers over 256 MB, more than the 20,000-block
+    // server cache and the 4,096-block client cache, so both keep
+    // evicting. Readers wrap to offset 0 at the end of their file, so
+    // the loop never drains.
+    const READERS: usize = 16;
+    const PER_READER: u64 = 16 * 1024 * 1024;
+    const READ: u64 = 8_192;
+    let disk = DriveModel::WdWd200bbIde.build(SimRng::new(3));
+    let part = PartitionTable::quarters(disk.geometry()).get(1);
+    let fs = FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default());
+    let config = WorldConfig {
+        client_cache_blocks: 4_096,
+        ..WorldConfig::default()
+    };
+    let mut world = NfsWorld::new(config, fs, 3);
+    let fhs: Vec<FileHandle> = (0..READERS)
+        .map(|_| world.create_file(PER_READER))
+        .collect();
+    for (i, &fh) in fhs.iter().enumerate() {
+        world.read_from(0, SimTime::ZERO, fh, 0, READ, i as u64);
+    }
+    let mut next_offset = [READ; READERS];
+    let mut done = Vec::new();
+    bench(out, "world_step_read_stream", iters, || {
+        let t = world.next_event().expect("readers never drain");
+        world.advance_into(t, &mut done);
+        for d in done.drain(..) {
+            let i = d.tag as usize;
+            let offset = next_offset[i];
+            next_offset[i] = (offset + READ) % PER_READER;
+            let at = d.done_at + SimDuration::from_micros(15);
+            world.read_from(0, at, fhs[i], offset, READ, d.tag);
+        }
+    });
+}
+
 /// Flags understood by this harness (all optional, combinable):
 ///
 /// * `--test`   — one iteration per case (`cargo test` smoke mode);
 /// * `--quick`  — 10x fewer iterations (CI perf-smoke mode), except for
-///   the evicting buffer-cache cases;
+///   the evicting buffer-cache cases and the world step;
 /// * `--json P` — write the measurements to `P` as JSON;
 /// * `--baseline P` — copy `ns_per_op` from the report at `P` into this
 ///   run's output as `baseline_ns_per_op` (before/after provenance);
@@ -419,7 +460,15 @@ fn load_report(path: &str) -> PerfReport {
 /// `fs_read` fence the server's eviction and per-READ costs: the old
 /// whole-map victim scan ran `buffer_cache_evicting_fill_20k` ~320x
 /// slower, and a per-READ inode copy ran `fs_read_2048_block_file` ~5x.
-const GATED_PREFIXES: &[&str] = &["event_queue", "nfsheur", "buffer_cache_evicting", "fs_read"];
+/// `world_step` fences the fixed cost of one event-loop step (deadline
+/// polling, completion hand-off, per-id lookups).
+const GATED_PREFIXES: &[&str] = &[
+    "event_queue",
+    "nfsheur",
+    "buffer_cache_evicting",
+    "fs_read",
+    "world_step",
+];
 const GATE_FACTOR: f64 = 3.0;
 
 fn main() {
@@ -448,6 +497,9 @@ fn main() {
     bench_disk_sptf(out, slow * 10);
     bench_shard_epochs(out, (slow / 20).max(1));
     bench_fs_read(out, fast);
+    // A step takes well under a microsecond: 200,000 steps even in quick
+    // mode keep the gated loop far above timer and preemption noise.
+    bench_world_step(out, if o.testing { 1 } else { 200_000 });
 
     let mut report = PerfReport {
         suite: "micro".to_string(),

@@ -92,9 +92,7 @@ fn run_cell(sched: SchedulerKind, mode: Mode, per_mb: u64) -> Cell {
         }
     };
     if !plan.is_empty() {
-        fs.bio_mut()
-            .disk_mut()
-            .set_fault_model(Some(Box::new(FaultState::new(plan))));
+        fs.set_fault_model(Some(Box::new(FaultState::new(plan))));
     }
 
     let mut tag = 0u64;

@@ -73,8 +73,10 @@ impl DeviceReport {
 ///
 /// * `submit` accepts a request at an explicit time and returns the
 ///   device-assigned id; the device may internally queue and reorder.
-/// * `next_completion` is the earliest instant `advance` would produce a
-///   completion; `advance(now)` retires everything due at or before `now`.
+/// * `next_completion` is the earliest instant `advance_into` would produce
+///   a completion; `advance_into(now, out)` retires everything due at or
+///   before `now` and appends it to the caller's buffer, so a steady-state
+///   caller that reuses its buffer does not allocate.
 /// * `can_accept` is the host-visible queue-slot gate; integration layers
 ///   respect it, tests may overqueue.
 /// * `set_fault_model`/`remap` compose with `diskfault` plans: decisions
@@ -86,8 +88,9 @@ pub trait DeviceModel: std::fmt::Debug + Send {
     /// When the next command will finish, if any is in service.
     fn next_completion(&self) -> Option<SimTime>;
 
-    /// Completes every command that finishes at or before `now`.
-    fn advance(&mut self, now: SimTime) -> Vec<Completion>;
+    /// Completes every command that finishes at or before `now`, appending
+    /// the completions to `out` in completion order.
+    fn advance_into(&mut self, now: SimTime, out: &mut Vec<Completion>);
 
     /// Whether the host may send another command.
     fn can_accept(&self) -> bool;
@@ -136,8 +139,8 @@ impl DeviceModel for crate::Disk {
         crate::Disk::next_completion(self)
     }
 
-    fn advance(&mut self, now: SimTime) -> Vec<Completion> {
-        crate::Disk::advance(self, now)
+    fn advance_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
+        crate::Disk::advance_into(self, now, out)
     }
 
     fn can_accept(&self) -> bool {
@@ -241,7 +244,8 @@ mod tests {
         assert!(!d.can_accept());
         assert_eq!(d.outstanding(), 1);
         let t = d.next_completion().expect("in service");
-        let done = d.advance(t);
+        let mut done = Vec::new();
+        d.advance_into(t, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].request.tag, 7);
         let r = d.report();
@@ -268,7 +272,7 @@ mod tests {
         let mut d = boxed_disk();
         d.submit(SimTime::ZERO, DiskRequest::read(100_000, 16, 0));
         let t = d.next_completion().unwrap();
-        d.advance(t);
+        d.advance_into(t, &mut Vec::new());
         let r = d.report();
         let stats = d.as_any().downcast_ref::<Disk>().unwrap().stats();
         assert_eq!(r.reads, stats.reads);

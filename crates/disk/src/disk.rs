@@ -289,15 +289,21 @@ impl Disk {
     /// follow-on commands as the mechanics free up.
     pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
         let mut done = Vec::new();
+        self.advance_into(now, &mut done);
+        done
+    }
+
+    /// [`Disk::advance`] into a caller-owned buffer: the completions are
+    /// appended to `done`.
+    pub fn advance_into(&mut self, now: SimTime, done: &mut Vec<Completion>) {
         while let Some(f) = self.in_flight {
             if f.completes > now {
                 break;
             }
             self.in_flight = None;
-            self.finish(&mut done, f);
+            self.finish(done, f);
             self.start_next(f.completes);
         }
-        done
     }
 
     fn finish(&mut self, done: &mut Vec<Completion>, f: InFlight) {

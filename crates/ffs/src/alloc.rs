@@ -71,6 +71,10 @@ impl Default for AllocConfig {
     }
 }
 
+/// The first file's inode number: inode 0 is invalid and 1 is the root.
+/// Numbers are dense from here, in creation order.
+pub(crate) const FIRST_INO: u64 = 2;
+
 /// A bump allocator with cylinder-group awareness and optional aging.
 #[derive(Debug)]
 pub struct Allocator {
@@ -88,7 +92,7 @@ impl Allocator {
             partition,
             config,
             cursor: 0,
-            next_ino: 2, // Inode 0 is invalid, 1 is the root, files start at 2.
+            next_ino: FIRST_INO,
         }
     }
 

@@ -227,6 +227,12 @@ impl BufferCache {
         matches!(self.slot_of(key), Some(s) if self.slots[s as usize].prev != PENDING)
     }
 
+    /// Whether the block is valid or pending (`peek || is_pending` in one
+    /// index probe), without touching LRU or counters.
+    pub fn holds(&self, key: BlockKey) -> bool {
+        self.slot_of(key).is_some()
+    }
+
     /// Marks a block as having a read in flight (pins it).
     pub fn mark_pending(&mut self, key: BlockKey) {
         let (file, blk) = (self.file_of(key.0), slot_blk(key.1));

@@ -75,6 +75,8 @@ pub struct BioLayer {
     attempts: FastMap<u64, u32>,
     /// Retries waiting out their backoff: `(due, request)`.
     deferred: Vec<(SimTime, DiskRequest)>,
+    /// Scratch for the drive's completions in `advance_into`.
+    drive_done: Vec<Completion>,
     stats: BioStats,
 }
 
@@ -94,6 +96,7 @@ impl BioLayer {
             dispatched: 0,
             attempts: FastMap::default(),
             deferred: Vec::new(),
+            drive_done: Vec::new(),
             stats: BioStats::default(),
         }
     }
@@ -193,48 +196,52 @@ impl BioLayer {
         }
     }
 
-    /// Collects final completions up to `now`, refilling the drive as
-    /// commands retire. Transient errors are consumed here and retried;
-    /// only terminal outcomes (success or EIO) are returned.
+    /// Collects final completions up to `now` into a fresh `Vec` (see
+    /// [`BioLayer::advance_into`]).
     pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
         let mut out = Vec::new();
-        loop {
-            let released = self.release_due_retries(now);
-            let done = self.device.advance(now);
-            if done.is_empty() && !released {
-                break;
-            }
-            for c in done {
-                self.retire(c, &mut out);
-            }
-            self.kick(now);
-        }
-        // A final kick in case advance() freed queue slots without any new
-        // completion (defensive; harmless when redundant).
-        self.kick(now);
+        self.advance_into(now, &mut out);
         out
     }
 
-    /// Moves due retries from the backoff list back into the scheduler.
+    /// Collects final completions up to `now`, refilling the drive as
+    /// commands retire, and appends them to `out`. Transient errors are
+    /// consumed here and retried; only terminal outcomes (success or EIO)
+    /// are delivered.
+    pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
+        let mut done = std::mem::take(&mut self.drive_done);
+        loop {
+            let released = self.release_due_retries(now);
+            self.device.advance_into(now, &mut done);
+            if done.is_empty() && !released {
+                break;
+            }
+            for c in done.drain(..) {
+                self.retire(c, out);
+            }
+            self.kick(now);
+        }
+        self.drive_done = done;
+        // A final kick in case advance() freed queue slots without any new
+        // completion (defensive; harmless when redundant).
+        self.kick(now);
+    }
+
+    /// Moves due retries from the backoff list back into the scheduler in
+    /// one pass. The list is appended in completion order, and extraction
+    /// keeps that order, so the requeue order and `seq` stamps are
+    /// deterministic.
     fn release_due_retries(&mut self, now: SimTime) -> bool {
         let mut released = false;
-        let mut i = 0;
-        // The list is appended in completion order, so draining in place
-        // preserves a deterministic requeue order.
-        while i < self.deferred.len() {
-            if self.deferred[i].0 <= now {
-                let (due, req) = self.deferred.remove(i);
-                let qr = QueuedRequest {
-                    req,
-                    queued_at: due,
-                    seq: self.next_seq,
-                };
-                self.next_seq += 1;
-                self.sched.requeue(qr);
-                released = true;
-            } else {
-                i += 1;
-            }
+        for (due, req) in self.deferred.extract_if(.., |(due, _)| *due <= now) {
+            let qr = QueuedRequest {
+                req,
+                queued_at: due,
+                seq: self.next_seq,
+            };
+            self.next_seq += 1;
+            self.sched.requeue(qr);
+            released = true;
         }
         released
     }

@@ -11,13 +11,21 @@
 //! because stateless NFS has no open file descriptor to carry one.
 //!
 //! All operations are asynchronous: [`FileSystem::read`] returns a
-//! [`ReadId`]; completions surface from [`FileSystem::advance`].
+//! [`ReadId`]; completions surface from [`FileSystem::advance_into`].
+//!
+//! The file system reports its next deadline rather than being polled for
+//! it: every `&mut self` method that can move the deadline (`read`,
+//! `write`, `advance_into`, `flush_caches`, `set_scheduler`, `set_tcq`,
+//! `set_fault_model`) recomputes it at its end, and
+//! [`FileSystem::next_event`] reads the cached value. Nothing outside the
+//! file system can reach the drive mutably, so nothing can move the
+//! deadline behind its back.
 
-use diskmodel::{DeviceModel, Disk, DiskRequest, TcqConfig};
+use diskmodel::{Completion, DeviceModel, Disk, DiskRequest, FaultModel, TcqConfig};
 use iosched::SchedulerKind;
-use simcore::{FastMap, SimRng, SimTime};
+use simcore::{FastMap, IdWindow, SimRng, SimTime, Waitlist};
 
-use crate::alloc::{AllocConfig, Allocator, Inode, BLOCK_BYTES, BLOCK_SECTORS};
+use crate::alloc::{AllocConfig, Allocator, Inode, BLOCK_BYTES, BLOCK_SECTORS, FIRST_INO};
 use crate::bcache::{BlockKey, BufferCache};
 use crate::bio::BioLayer;
 
@@ -123,21 +131,41 @@ struct Ticket {
     failed: bool,
 }
 
+/// The earlier of two optional instants.
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// An FFS-like file system on one partition of one drive.
 #[derive(Debug)]
 pub struct FileSystem {
     config: FsConfig,
     bio: BioLayer,
     alloc: Allocator,
-    inodes: FastMap<u64, Inode>,
+    /// Inode `ino` at index `ino - FIRST_INO` (numbers are dense).
+    inodes: Vec<Inode>,
     cache: BufferCache,
-    io_spans: FastMap<u64, IoSpan>,
+    /// Disk I/Os in flight, by io tag.
+    io_spans: IdWindow<IoSpan>,
     next_io_tag: u64,
-    waiters: FastMap<BlockKey, Vec<ReadId>>,
-    tickets: FastMap<ReadId, Ticket>,
+    waiters: FastMap<BlockKey, Waitlist<ReadId>>,
+    /// Unfinished operations, by `ReadId`.
+    tickets: IdWindow<Ticket>,
     ready: Vec<OpDone>,
     next_read_id: u64,
     stats: FsStats,
+    /// Scratch for the bio layer's completions in `advance_into`.
+    bio_done: Vec<Completion>,
+    /// `bio.next_event()` as of the last refresh.
+    bio_next: Option<SimTime>,
+    /// The earliest `done_at` on the ready list as of the last refresh.
+    ready_next: Option<SimTime>,
+    /// Set by `set_tcq`: the next `advance_into` must reach the bio layer
+    /// even with nothing due, so it fills the slots a deeper queue opened.
+    bio_kick: bool,
 }
 
 impl FileSystem {
@@ -161,24 +189,52 @@ impl FileSystem {
         FileSystem {
             bio: BioLayer::with_device(device, sched),
             alloc: Allocator::new(partition, config.alloc),
-            inodes: FastMap::default(),
+            inodes: Vec::new(),
             cache: BufferCache::new(config.cache_blocks),
-            io_spans: FastMap::default(),
+            io_spans: IdWindow::default(),
             next_io_tag: 0,
             waiters: FastMap::default(),
-            tickets: FastMap::default(),
+            tickets: IdWindow::default(),
             ready: Vec::new(),
             next_read_id: 0,
             config,
             stats: FsStats::default(),
+            bio_done: Vec::new(),
+            bio_next: None,
+            ready_next: None,
+            bio_kick: false,
         }
+    }
+
+    /// The index of `ino` in `inodes`, if it can be a file's number.
+    #[inline]
+    fn slot(ino: u64) -> Option<usize> {
+        usize::try_from(ino.checked_sub(FIRST_INO)?).ok()
+    }
+
+    /// `(bio layer's next event, earliest ready completion)`, computed
+    /// afresh.
+    fn deadlines(&self) -> (Option<SimTime>, Option<SimTime>) {
+        let ready = self.ready.iter().map(|d| d.done_at).min();
+        (self.bio.next_event(), ready)
+    }
+
+    /// Recomputes the cached deadlines; every `&mut self` method that can
+    /// move them ends with this call.
+    fn refresh_deadline(&mut self) {
+        (self.bio_next, self.ready_next) = self.deadlines();
     }
 
     /// Creates a file of `size` bytes and returns its inode number.
     pub fn create_file(&mut self, size: u64, rng: &mut SimRng) -> u64 {
         let inode = self.alloc.create_file(size, rng);
         let ino = inode.ino;
-        self.inodes.insert(ino, inode);
+        assert_eq!(
+            Self::slot(ino),
+            Some(self.inodes.len()),
+            "inode numbers are dense"
+        );
+        self.inodes.push(inode);
         ino
     }
 
@@ -192,7 +248,9 @@ impl FileSystem {
     ///
     /// Panics if the inode does not exist.
     pub fn extend_file(&mut self, ino: u64, new_size: u64, rng: &mut SimRng) {
-        let inode = self.inodes.get_mut(&ino).expect("extend of unknown inode");
+        let inode = Self::slot(ino)
+            .and_then(|i| self.inodes.get_mut(i))
+            .expect("extend of unknown inode");
         self.alloc.extend_file(inode, new_size, rng);
     }
 
@@ -201,9 +259,11 @@ impl FileSystem {
         self.alloc.free_bytes()
     }
 
-    /// Looks up an inode.
+    /// Looks up an inode (`None` for a number no file has, 0 and 1
+    /// included).
+    #[inline]
     pub fn inode(&self, ino: u64) -> Option<&Inode> {
-        self.inodes.get(&ino)
+        self.inodes.get(Self::slot(ino)?)
     }
 
     /// Counters.
@@ -222,14 +282,16 @@ impl FileSystem {
         &self.bio
     }
 
-    /// Mutable access to the block-I/O layer.
-    pub fn bio_mut(&mut self) -> &mut BioLayer {
-        &mut self.bio
-    }
-
     /// Switches the kernel disk scheduler at runtime.
     pub fn set_scheduler(&mut self, kind: SchedulerKind) {
         self.bio.set_scheduler(kind);
+        self.refresh_deadline();
+    }
+
+    /// Installs (or clears, with `None`) the drive's fault model.
+    pub fn set_fault_model(&mut self, model: Option<Box<dyn FaultModel>>) {
+        self.bio.device_mut().set_fault_model(model);
+        self.refresh_deadline();
     }
 
     /// The current tuning parameters.
@@ -244,9 +306,12 @@ impl FileSystem {
         self.config.max_readahead_blocks = blocks;
     }
 
-    /// Reconfigures the drive's tagged command queue.
+    /// Reconfigures the drive's tagged command queue. Queue slots a
+    /// deeper queue opens are filled at the next [`FileSystem::advance_into`].
     pub fn set_tcq(&mut self, tcq: TcqConfig) {
         self.bio.set_tcq(tcq);
+        self.bio_kick = true;
+        self.refresh_deadline();
     }
 
     /// Drops all cached data, in the kernel and in the drive (§4.3.1's
@@ -254,6 +319,7 @@ impl FileSystem {
     pub fn flush_caches(&mut self) {
         self.cache.flush();
         self.bio.device_mut().flush_cache();
+        self.refresh_deadline();
     }
 
     /// Starts a read of `bytes` at byte `offset` of `ino`.
@@ -275,7 +341,7 @@ impl FileSystem {
         tag: u64,
     ) -> ReadId {
         assert!(bytes > 0, "zero-length read");
-        let inode = self.inodes.get(&ino).expect("read of unknown inode");
+        let inode = self.inode(ino).expect("read of unknown inode");
         assert!(
             offset + bytes <= inode.size.max(inode.num_blocks() * BLOCK_BYTES),
             "read beyond EOF: {offset}+{bytes} > {}",
@@ -297,7 +363,7 @@ impl FileSystem {
             }
             if self.cache.is_pending(key) {
                 self.stats.miss_blocks += 1;
-                self.waiters.entry(key).or_default().push(id);
+                Waitlist::push_to(&mut self.waiters, key, id);
                 outstanding += 1;
                 blk += 1;
                 continue;
@@ -322,12 +388,12 @@ impl FileSystem {
                 self.cache.mark_pending((ino, b));
             }
             self.stats.miss_blocks += 1;
-            self.waiters.entry(key).or_default().push(id);
+            Waitlist::push_to(&mut self.waiters, key, id);
             outstanding += 1;
             // Blocks of this cluster that the read also needs get waiters.
             for b in (blk + 1)..(blk + run).min(last_blk + 1) {
                 self.stats.miss_blocks += 1;
-                self.waiters.entry((ino, b)).or_default().push(id);
+                Waitlist::push_to(&mut self.waiters, (ino, b), id);
                 outstanding += 1;
             }
             self.submit_io(now, ino, blk, run, false);
@@ -342,7 +408,7 @@ impl FileSystem {
         }
 
         self.tickets.insert(
-            id,
+            id.0,
             Ticket {
                 tag,
                 issued_at: now,
@@ -353,6 +419,7 @@ impl FileSystem {
         if outstanding == 0 {
             self.complete(id, now);
         }
+        self.refresh_deadline();
         id
     }
 
@@ -364,7 +431,10 @@ impl FileSystem {
     /// Panics if the inode does not exist or the range is beyond EOF.
     pub fn write(&mut self, now: SimTime, ino: u64, offset: u64, bytes: u64, tag: u64) -> ReadId {
         assert!(bytes > 0, "zero-length write");
-        let inode = self.inodes.get(&ino).expect("write to unknown inode");
+        // Borrows only `inodes`: the loop below updates other fields.
+        let inode = Self::slot(ino)
+            .and_then(|i| self.inodes.get(i))
+            .expect("write to unknown inode");
         assert!(
             offset + bytes <= inode.num_blocks() * BLOCK_BYTES,
             "write beyond EOF"
@@ -393,7 +463,7 @@ impl FileSystem {
             );
             // Writes complete the ticket directly via io_spans; reuse the
             // waiter list on the first block of each span.
-            self.waiters.entry((u64::MAX, io_tag)).or_default().push(id);
+            Waitlist::push_to(&mut self.waiters, (u64::MAX, io_tag), id);
             outstanding += 1;
             self.bio.submit(
                 now,
@@ -403,7 +473,7 @@ impl FileSystem {
             blk += run;
         }
         self.tickets.insert(
-            id,
+            id.0,
             Ticket {
                 tag,
                 issued_at: now,
@@ -414,69 +484,97 @@ impl FileSystem {
         if outstanding == 0 {
             self.complete(id, now);
         }
+        self.refresh_deadline();
         id
     }
 
-    /// Earliest instant at which `advance` will produce a completion.
+    /// Earliest instant at which `advance_into` will produce a completion
+    /// (a cached value; see the module docs).
+    #[inline]
     pub fn next_event(&self) -> Option<SimTime> {
-        let ready = self.ready.iter().map(|d| d.done_at).min();
-        match (ready, self.bio.next_event()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        debug_assert_eq!(
+            (self.bio_next, self.ready_next),
+            self.deadlines(),
+            "cached deadline is stale"
+        );
+        earliest(self.bio_next, self.ready_next)
     }
 
-    /// Delivers every operation that finishes at or before `now`.
+    /// Delivers every operation that finishes at or before `now` into a
+    /// fresh `Vec` (see [`FileSystem::advance_into`]).
     pub fn advance(&mut self, now: SimTime) -> Vec<OpDone> {
-        for c in self.bio.advance(now) {
-            let span = self
-                .io_spans
-                .remove(&c.request.tag)
-                .expect("completion for unknown io tag");
-            let failed = !c.is_ok();
-            match c.request.op {
-                diskmodel::DiskOp::Read => {
-                    for b in span.first_blk..span.first_blk + span.nblocks {
-                        let key = (span.ino, b);
-                        if failed {
-                            // No data arrived: release the pending marks so
-                            // a later read can retry the disk (which now
-                            // succeeds if the range was remapped).
-                            self.cache.discard(key);
-                        } else {
-                            self.cache.fill(key);
-                        }
-                        if let Some(waiting) = self.waiters.remove(&key) {
-                            for id in waiting {
-                                self.block_arrived(id, c.completed_at, failed);
-                            }
-                        }
+        let mut out = Vec::new();
+        self.advance_into(now, &mut out);
+        out
+    }
+
+    /// Delivers every operation that finishes at or before `now`,
+    /// appending them to `out` in `(done_at, id)` order.
+    pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<OpDone>) {
+        // With nothing due below, the bio layer's advance would find no
+        // completion, no due retry and no free slot to fill.
+        if self.bio_kick || self.bio_next.is_some_and(|t| t <= now) {
+            self.bio_kick = false;
+            let mut done = std::mem::take(&mut self.bio_done);
+            self.bio.advance_into(now, &mut done);
+            for c in done.drain(..) {
+                self.io_done(c);
+            }
+            self.bio_done = done;
+        }
+        if self.ready_next.is_some_and(|t| t <= now) {
+            let first = out.len();
+            out.extend(self.ready.extract_if(.., |d| d.done_at <= now));
+            out[first..].sort_by_key(|d| (d.done_at, d.id));
+        }
+        self.refresh_deadline();
+    }
+
+    /// Routes one finished disk I/O to the operations waiting on it.
+    fn io_done(&mut self, c: Completion) {
+        let span = self
+            .io_spans
+            .remove(c.request.tag)
+            .expect("completion for unknown io tag");
+        let failed = !c.is_ok();
+        match c.request.op {
+            diskmodel::DiskOp::Read => {
+                for b in span.first_blk..span.first_blk + span.nblocks {
+                    let key = (span.ino, b);
+                    if failed {
+                        // No data arrived: release the pending marks so a
+                        // later read can retry the disk (which now succeeds
+                        // if the range was remapped).
+                        self.cache.discard(key);
+                    } else {
+                        self.cache.fill(key);
                     }
-                }
-                diskmodel::DiskOp::Write => {
-                    if let Some(waiting) = self.waiters.remove(&(u64::MAX, c.request.tag)) {
+                    if let Some(waiting) = self.waiters.remove(&key) {
                         for id in waiting {
                             self.block_arrived(id, c.completed_at, failed);
                         }
                     }
                 }
             }
+            diskmodel::DiskOp::Write => {
+                if let Some(waiting) = self.waiters.remove(&(u64::MAX, c.request.tag)) {
+                    for id in waiting {
+                        self.block_arrived(id, c.completed_at, failed);
+                    }
+                }
+            }
         }
-        let mut out: Vec<OpDone> = self.ready.extract_if(.., |d| d.done_at <= now).collect();
-        out.sort_by_key(|d| (d.done_at, d.id));
-        out
     }
 
     /// Length of the physically contiguous, uncached, unpending run starting
     /// at block `blk` of `ino`, capped at `max` blocks and the file end.
     fn cluster_run(&self, ino: u64, blk: u64, max: u64) -> u64 {
-        let inode = &self.inodes[&ino];
+        let inode = self.inode(ino).expect("known inode");
         let mut run = 1;
         while run < max
             && blk + run < inode.num_blocks()
             && inode.contiguous(blk + run - 1)
-            && !self.cache.peek((ino, blk + run))
-            && !self.cache.is_pending((ino, blk + run))
+            && !self.cache.holds((ino, blk + run))
         {
             run += 1;
         }
@@ -500,13 +598,13 @@ impl FileSystem {
     /// `cluster_read` does): a sliding 8 KB-granular window would otherwise
     /// degenerate into single-block I/Os at the frontier.
     fn readahead(&mut self, now: SimTime, ino: u64, from: u64, window: u64) {
-        let end = (from + window).min(self.inodes[&ino].num_blocks());
+        let end = (from + window).min(self.inode(ino).expect("known inode").num_blocks());
         let cluster = self.config.cluster_blocks;
         // First cluster boundary at or after `from`.
         let mut blk = from.div_ceil(cluster) * cluster;
         while blk < end {
             let key = (ino, blk);
-            if self.cache.peek(key) || self.cache.is_pending(key) {
+            if self.cache.holds(key) {
                 blk += cluster;
                 continue;
             }
@@ -520,7 +618,7 @@ impl FileSystem {
     }
 
     fn submit_io(&mut self, now: SimTime, ino: u64, first_blk: u64, nblocks: u64, ra: bool) {
-        let lba = self.inodes[&ino].lba_of(first_blk);
+        let lba = self.inode(ino).expect("known inode").lba_of(first_blk);
         let io_tag = self.next_io_tag;
         self.next_io_tag += 1;
         self.io_spans.insert(
@@ -541,7 +639,7 @@ impl FileSystem {
     }
 
     fn block_arrived(&mut self, id: ReadId, at: SimTime, failed: bool) {
-        let Some(t) = self.tickets.get_mut(&id) else {
+        let Some(t) = self.tickets.get_mut(id.0) else {
             return;
         };
         if failed {
@@ -554,7 +652,7 @@ impl FileSystem {
     }
 
     fn complete(&mut self, id: ReadId, at: SimTime) {
-        let t = self.tickets.remove(&id).expect("double completion");
+        let t = self.tickets.remove(id.0).expect("double completion");
         let status = if t.failed {
             self.stats.io_errors += 1;
             IoStatus::Eio
@@ -596,6 +694,105 @@ mod tests {
             }
         }
         done
+    }
+
+    /// Fails the next `n` commands with a transient media error.
+    #[derive(Debug)]
+    struct FailNext(u32);
+
+    impl FaultModel for FailNext {
+        fn decide(&mut self, _now: SimTime, _req: &DiskRequest) -> diskmodel::FaultDecision {
+            if self.0 == 0 {
+                return diskmodel::FaultDecision::Ok;
+            }
+            self.0 -= 1;
+            diskmodel::FaultDecision::Fail {
+                kind: diskmodel::DiskErrorKind::TransientMedia,
+                stall: simcore::SimDuration::from_millis(5),
+            }
+        }
+    }
+
+    #[track_caller]
+    fn assert_fresh(fs: &FileSystem) {
+        assert_eq!(
+            (fs.bio_next, fs.ready_next),
+            fs.deadlines(),
+            "stale deadline"
+        );
+    }
+
+    #[test]
+    fn cached_deadline_tracks_every_state_change() {
+        let mut fs = make_fs();
+        let mut rng = SimRng::new(1);
+        let ino = fs.create_file(4 * 1024 * 1024, &mut rng);
+        assert_eq!(fs.next_event(), None);
+        fs.set_fault_model(Some(Box::new(FailNext(2))));
+        assert_fresh(&fs);
+        // Six scattered single-block reads: one in the drive, five queued
+        // in the kernel (no tagged queueing yet).
+        for i in 0..6u64 {
+            fs.read(SimTime::ZERO, ino, i * 64 * BLOCK_BYTES, BLOCK_BYTES, 0, i);
+            assert_fresh(&fs);
+        }
+        assert_eq!(fs.bio().queued(), 5);
+
+        // The first command fails transiently: its retry waits out its
+        // backoff in the bio layer, and the deadline must include it.
+        let mut done = Vec::new();
+        let t1 = fs.next_event().expect("a read is in the drive");
+        fs.advance_into(t1, &mut done);
+        assert_fresh(&fs);
+        assert!(done.is_empty());
+        assert_eq!(fs.bio().deferred_retries(), 1);
+
+        // A deeper tagged queue: the next advance fills it even though
+        // nothing is due at `t1`.
+        fs.set_tcq(TcqConfig {
+            enabled: true,
+            depth: 8,
+            aging_factor: 0.0,
+        });
+        assert_fresh(&fs);
+        fs.advance_into(t1, &mut done);
+        assert_fresh(&fs);
+        assert_eq!(
+            fs.bio().queued(),
+            0,
+            "the kernel queue drained into the drive"
+        );
+        assert!(fs.bio().disk().outstanding() > 1);
+
+        fs.flush_caches();
+        assert_fresh(&fs);
+        fs.set_scheduler(SchedulerKind::NCscan);
+        assert_fresh(&fs);
+
+        let mut steps = 0;
+        while let Some(t) = fs.next_event() {
+            steps += 1;
+            assert!(steps < 1_000, "event loop stuck");
+            fs.advance_into(t, &mut done);
+            assert_fresh(&fs);
+        }
+        assert_eq!(done.len(), 6);
+        assert!(done.iter().all(|d| d.status.is_ok()));
+        assert_eq!(fs.bio().stats().retries, 2);
+        assert_eq!(fs.bio().deferred_retries(), 0);
+    }
+
+    #[test]
+    fn unknown_inode_numbers_are_absent() {
+        let mut fs = make_fs();
+        let mut rng = SimRng::new(1);
+        let a = fs.create_file(8192, &mut rng);
+        let b = fs.create_file(8192, &mut rng);
+        assert_eq!((a, b), (2, 3), "numbers are dense from 2");
+        assert_eq!(fs.inode(b).map(|i| i.ino), Some(b));
+        for ino in [0, 1, 4, u64::MAX] {
+            assert!(fs.inode(ino).is_none(), "ino {ino}");
+        }
     }
 
     #[test]

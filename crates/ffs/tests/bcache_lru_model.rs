@@ -14,9 +14,9 @@
 //! inserted (an unknown inode, a block past any file, a block past 32
 //! bits); it must change nothing, and `approx_heap_bytes` must not move.
 //! After every op both caches must agree on `len`, `hit_miss`, and
-//! `peek`/`is_pending` for every key. Two mutant models (evict the newest
-//! valid entry; evict pending entries too) show that the sequences catch a
-//! wrong victim. The cache's own structural invariants are walked after
+//! `peek`/`is_pending`/`holds` for every key. Two mutant models (evict
+//! the newest valid entry; evict pending entries too) show that the
+//! sequences catch a wrong victim. The cache's own structural invariants are walked after
 //! every op by a unit test in `src/bcache.rs`.
 
 use std::collections::HashMap;
@@ -227,6 +227,9 @@ fn compare(real: &BufferCache, model: &Model, keys: &[BlockKey]) -> Result<(), S
             return Err(format!(
                 "key {k:?}: peek/is_pending {rp}/{rq} vs model {mp}/{mq}"
             ));
+        }
+        if real.holds(k) != (mp || mq) {
+            return Err(format!("key {k:?}: holds disagrees with the model"));
         }
     }
     Ok(())

@@ -62,9 +62,7 @@ fn every_scheduler_recovers_from_degraded_disk() {
             ],
             ..FaultPlan::default()
         };
-        fs.bio_mut()
-            .disk_mut()
-            .set_fault_model(Some(Box::new(FaultState::new(plan))));
+        fs.set_fault_model(Some(Box::new(FaultState::new(plan))));
 
         for blk in 0..BLOCKS {
             fs.read(SimTime::ZERO, ino, blk * BS, BS, 1, blk);

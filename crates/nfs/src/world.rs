@@ -32,7 +32,7 @@ use ffs::{BufferCache, FileSystem};
 use netsim::{TcpEvent, TcpStats, Transport, TransportKind, TxOutcome};
 use nfsproto::{write_verf, FileHandle, NfsCall, NfsReply, NfsStatus, StableHow};
 use readahead_core::NfsHeur;
-use simcore::{EventQueue, FastMap, FastSet, SimDuration, SimRng, SimTime};
+use simcore::{EventQueue, FastMap, FastSet, IdWindow, SimDuration, SimRng, SimTime, Waitlist};
 
 use crate::config::{ClientHostConfig, CpuModel, WorldConfig};
 
@@ -555,7 +555,7 @@ struct ClientHost {
     files: FastMap<u64, ClientFile>,
     rpcs: FastMap<u32, Rpc>,
     iod_free: Vec<SimTime>,
-    op_waiters: FastMap<(u64, u64), Vec<OpId>>,
+    op_waiters: FastMap<(u64, u64), Waitlist<OpId>>,
     /// Non-READ operations waiting directly on an RPC reply.
     rpc_waiters: FastMap<u32, OpId>,
     stats: ClientStats,
@@ -708,9 +708,14 @@ pub struct NfsWorld {
     /// indexes this. A uniform cluster of any size stores one entry.
     host_cfgs: Vec<ClientHostConfig>,
     server: ServerHost,
-    /// Process-level operations across every client (OpIds are global).
-    ops: FastMap<OpId, OpState>,
+    /// Process-level operations across every client (OpIds are global),
+    /// by `OpId`.
+    ops: IdWindow<OpState>,
     ready: Vec<OpDone>,
+    /// The earliest `done_at` on `ready` (`None` when it is empty).
+    ready_next: Option<SimTime>,
+    /// Scratch for the file system's completions in `advance_into`.
+    fs_done: Vec<ffs::OpDone>,
     next_op: u64,
     /// The contention-book index of the caller whose READ last reached
     /// each inode, for attributing server-side contention: an `nfsheur`
@@ -834,8 +839,10 @@ impl NfsWorld {
                 durable: FastSet::default(),
                 attr_seq: FastMap::default(),
             },
-            ops: FastMap::default(),
+            ops: IdWindow::default(),
             ready: Vec::new(),
+            ready_next: None,
+            fs_done: Vec::new(),
             next_op: 0,
             last_reader: FastMap::default(),
             contention,
@@ -1048,7 +1055,7 @@ impl NfsWorld {
     /// drive. Fault kinds and plans live outside this crate — anything
     /// implementing [`diskmodel::FaultModel`] plugs in here.
     pub fn set_disk_fault_model(&mut self, model: Option<Box<dyn diskmodel::FaultModel>>) {
-        self.server.fs.bio_mut().device_mut().set_fault_model(model);
+        self.server.fs.set_fault_model(model);
     }
 
     /// Whether a disk fault model is currently installed on the server.
@@ -1224,9 +1231,7 @@ impl NfsWorld {
     /// Operations issued and not yet surfaced through [`NfsWorld::advance`]
     /// (sorted; empty at quiescence).
     pub fn outstanding_ops(&self) -> Vec<OpId> {
-        let mut v: Vec<OpId> = self.ops.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.ops.ids().map(OpId).collect()
     }
 
     /// RPCs not yet retired by a reply or a timeout, as `(client, xid)`
@@ -1348,13 +1353,13 @@ impl NfsWorld {
                 continue;
             }
             if cl.cache.is_pending(key) {
-                cl.op_waiters.entry(key).or_default().push(id);
+                Waitlist::push_to(&mut cl.op_waiters, key, id);
                 outstanding += 1;
                 continue;
             }
             // Demand RPC, marshalled in process context.
             cl.cache.mark_pending(key);
-            cl.op_waiters.entry(key).or_default().push(id);
+            Waitlist::push_to(&mut cl.op_waiters, key, id);
             outstanding += 1;
             let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
             self.issue_rpc(client, send_at, fh, blk * rsize, self.config.rsize, false);
@@ -1378,7 +1383,7 @@ impl NfsWorld {
             for blk in (last_blk + 1)..=(last_blk + window).min(max_blk) {
                 let key = (ino, blk);
                 let cl = &mut self.clients[client];
-                if cl.cache.peek(key) || cl.cache.is_pending(key) {
+                if cl.cache.holds(key) {
                     continue;
                 }
                 // Read-ahead needs a free nfsiod; otherwise it is skipped.
@@ -1397,7 +1402,7 @@ impl NfsWorld {
             self.finish_op(id, self.local_done(now));
         } else {
             self.ops
-                .get_mut(&id)
+                .get_mut(id.0)
                 .expect("just begun")
                 .outstanding_blocks = outstanding;
         }
@@ -1729,47 +1734,63 @@ impl NfsWorld {
         if let Some(f) = self.server.fs.next_event() {
             t = Some(t.map_or(f, |q| q.min(f)));
         }
-        if let Some(r) = self.ready.iter().map(|d| d.done_at).min() {
+        debug_assert_eq!(self.ready_next, self.ready.iter().map(|d| d.done_at).min());
+        if let Some(r) = self.ready_next {
             t = Some(t.map_or(r, |q| q.min(r)));
         }
         t
     }
 
     /// Processes everything scheduled at or before `now`, returning the
-    /// process-level operations that completed.
+    /// process-level operations that completed (see
+    /// [`NfsWorld::advance_into`]).
     pub fn advance(&mut self, now: SimTime) -> Vec<OpDone> {
+        let mut out = Vec::new();
+        self.advance_into(now, &mut out);
+        out
+    }
+
+    /// Processes everything scheduled at or before `now` and appends the
+    /// process-level operations that completed to `out`, in
+    /// `(done_at, id)` order. A caller that reuses `out` does not allocate
+    /// here once warm.
+    pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<OpDone>) {
+        let mut fs_done = std::mem::take(&mut self.fs_done);
         loop {
-            let qnext = self.queue.peek_time();
+            // The queue goes first when its next event is due and strictly
+            // earlier than the file system's; on a tie the file system wins.
             let fnext = self.server.fs.next_event();
-            let next = match (qnext, fnext) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let Some(t) = next else { break };
-            if t > now {
-                break;
-            }
-            self.clock = self.clock.max(t);
-            if fnext.is_some_and(|f| qnext.is_none_or(|q| f <= q)) {
-                let fs_done = self.server.fs.advance(fnext.expect("checked"));
-                for d in fs_done {
-                    let eio = !d.status.is_ok();
-                    if d.tag & FLUSH_KEY_BIT != 0 {
-                        // A gathered-write flush the server issued on its
-                        // own behalf: no nfsd or reply is involved.
-                        self.server_flush_done(d.tag, d.done_at, eio);
-                    } else {
-                        self.server_reply(d.tag, d.done_at, io_status(eio));
-                    }
-                }
-            } else {
-                let (at, ev) = self.queue.pop().expect("peeked");
+            if let Some((at, ev)) = self
+                .queue
+                .pop_if(|q| q <= now && fnext.is_none_or(|f| q < f))
+            {
+                self.clock = self.clock.max(at);
                 self.handle(at, ev);
+                continue;
+            }
+            let Some(t) = fnext.filter(|&f| f <= now) else {
+                break;
+            };
+            self.clock = self.clock.max(t);
+            self.server.fs.advance_into(t, &mut fs_done);
+            for d in fs_done.drain(..) {
+                let eio = !d.status.is_ok();
+                if d.tag & FLUSH_KEY_BIT != 0 {
+                    // A gathered-write flush the server issued on its
+                    // own behalf: no nfsd or reply is involved.
+                    self.server_flush_done(d.tag, d.done_at, eio);
+                } else {
+                    self.server_reply(d.tag, d.done_at, io_status(eio));
+                }
             }
         }
-        let mut out: Vec<OpDone> = self.ready.extract_if(.., |d| d.done_at <= now).collect();
-        out.sort_by_key(|d| (d.done_at, d.id));
-        out
+        self.fs_done = fs_done;
+        if self.ready_next.is_some_and(|t| t <= now) {
+            let first = out.len();
+            out.extend(self.ready.extract_if(.., |d| d.done_at <= now));
+            out[first..].sort_by_key(|d| (d.done_at, d.id));
+            self.ready_next = self.ready.iter().map(|d| d.done_at).min();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1783,7 +1804,7 @@ impl NfsWorld {
         self.next_op += 1;
         self.clients[client].stats.ops += 1;
         self.ops.insert(
-            id,
+            id.0,
             OpState {
                 client,
                 tag,
@@ -2013,7 +2034,7 @@ impl NfsWorld {
             return;
         };
         let Some(close) = wbf.close else { return };
-        if let Some(op) = self.ops.get_mut(&close.op) {
+        if let Some(op) = self.ops.get_mut(close.op.0) {
             op.fail(xid, end);
             self.finish_op(close.op, self.local_done(at));
         }
@@ -2276,7 +2297,7 @@ impl NfsWorld {
             // A non-READ operation (or a directly-awaited RPC) completes.
             match end {
                 RpcEnd::Reply { .. } => self.attr_reply_install(client, at, xid, &call),
-                _ => self.ops.get_mut(&id).expect("awaited op").fail(xid, end),
+                _ => self.ops.get_mut(id.0).expect("awaited op").fail(xid, end),
             }
             self.clients[client].rd_pending.remove(&xid);
             self.finish_op(id, done);
@@ -2314,7 +2335,7 @@ impl NfsWorld {
                 continue;
             };
             for id in waiting {
-                let Some(op) = self.ops.get_mut(&id) else {
+                let Some(op) = self.ops.get_mut(id.0) else {
                     continue;
                 };
                 op.fail(xid, end);
@@ -2389,7 +2410,7 @@ impl NfsWorld {
     }
 
     fn finish_op(&mut self, id: OpId, done_at: SimTime) {
-        let op = self.ops.remove(&id).expect("op completed twice");
+        let op = self.ops.remove(id.0).expect("op completed twice");
         // A timeout outranks an EIO: if any dependency hung past its
         // retries the process saw ETIMEDOUT first.
         let outcome = match (op.timed_out, op.eio) {
@@ -2405,6 +2426,7 @@ impl NfsWorld {
             done_at,
             outcome,
         });
+        self.ready_next = Some(self.ready_next.map_or(done_at, |t| t.min(done_at)));
     }
 
     // ------------------------------------------------------------------

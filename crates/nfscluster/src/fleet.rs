@@ -26,7 +26,7 @@
 use crate::config::ClusterConfig;
 use diskfault::{FaultPlan, FaultState};
 use nfsproto::FileHandle;
-use nfssim::{NfsWorld, OpOutcome, WorldConfig};
+use nfssim::{NfsWorld, OpDone, OpOutcome, WorldConfig};
 use simcore::{LogHist, SimDuration, SimRng, SimTime};
 use simfleet::{run_sharded, ShardRunStats, ShardWorld};
 use testbed::Rig;
@@ -236,6 +236,8 @@ struct FleetGroup {
     fp: u64,
     epoch_lat_sum: u128,
     epoch_lat_n: u64,
+    /// Completion buffer the epoch loop reuses across `advance_into` calls.
+    done: Vec<OpDone>,
 }
 
 impl FleetGroup {
@@ -378,7 +380,9 @@ impl ShardWorld for FleetGroup {
                 continue;
             }
             let Some(t) = next_ev else { break };
-            for done in self.world.advance(t) {
+            let mut completed = std::mem::take(&mut self.done);
+            self.world.advance_into(t, &mut completed);
+            for done in completed.drain(..) {
                 let slot = done.tag as usize;
                 self.fp = fnv(self.fp, u64::from(self.arena.id[slot]));
                 self.fp = fnv(self.fp, done.done_at.as_nanos());
@@ -406,6 +410,7 @@ impl ShardWorld for FleetGroup {
                     }
                 }
             }
+            self.done = completed;
         }
 
         // 4. Load shed: if this epoch ran hot, push future arrivals to
@@ -573,6 +578,7 @@ impl FleetWorld {
                     fp: 0xcbf2_9ce4_8422_2325,
                     epoch_lat_sum: 0,
                     epoch_lat_n: 0,
+                    done: Vec::new(),
                 }
             })
             .collect();

@@ -279,8 +279,24 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = match self.next_lane() {
-            None => self.heap.pop()?,
+        self.pop_if(|_| true)
+    }
+
+    /// Pops the next event if `due` accepts its timestamp, advancing the
+    /// clock to it. One look at the heap top and the lane fronts serves
+    /// both the test and the pop.
+    #[inline]
+    pub fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
+        let lane = self.next_lane();
+        let at = match lane {
+            None => self.heap.peek()?.at,
+            Some(i) => self.lanes[i].front().expect("next_lane found a front").at,
+        };
+        if !due(at) {
+            return None;
+        }
+        let s = match lane {
+            None => self.heap.pop().expect("heap top was peeked"),
             Some(i) => self.lanes[i].pop_front().expect("lane front was peeked"),
         };
         debug_assert!(s.at >= self.now, "event queue time went backwards");
@@ -310,6 +326,24 @@ mod tests {
         q.schedule_at(SimTime::from_nanos(20), 2);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn pop_if_tests_only_the_next_event() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(20), "heap");
+        q.schedule_in_lane(0, SimTime::from_nanos(10), "lane");
+        assert_eq!(q.pop_if(|t| t < SimTime::from_nanos(10)), None);
+        assert_eq!(
+            (q.len(), q.now()),
+            (2, SimTime::ZERO),
+            "a refusal pops nothing"
+        );
+        let due = |t| t <= SimTime::from_nanos(10);
+        assert_eq!(q.pop_if(due), Some((SimTime::from_nanos(10), "lane")));
+        assert_eq!(q.pop_if(due), None);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "heap")));
+        assert_eq!(q.pop_if(|_| true), None);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * [`LogHist`] — a streaming log-bucketed latency histogram with bounded
 //!   memory and exact shard merging, for tail quantiles at fleet scale;
 //! * [`FastMap`] / [`FastSet`] — hash containers with a fixed, fast hasher
-//!   for keys the simulator allocates itself.
+//!   for keys the simulator allocates itself;
+//! * [`IdWindow`] / [`Waitlist`] — an indexed map for ids issued in
+//!   increasing order, and a wait list whose first entry lives inline.
 //!
 //! # Instrumentation discipline
 //!
@@ -35,9 +37,11 @@ mod hash;
 mod rng;
 mod stats;
 mod time;
+mod window;
 
 pub use event::EventQueue;
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use rng::{SampleRange, SimRng, UniformSample};
 pub use stats::{quantile, LogHist, OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};
+pub use window::{IdWindow, Waitlist};

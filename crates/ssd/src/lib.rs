@@ -137,6 +137,8 @@ pub struct Ssd {
     dies: Vec<Die>,
     chan_free: Vec<SimTime>,
     in_flight: Vec<InFlight>,
+    /// Scratch for `advance_into`: the commands due in one call.
+    due: Vec<InFlight>,
     next_id: u64,
     next_seq: u64,
     stats: SsdStats,
@@ -170,6 +172,7 @@ impl Ssd {
             chan_free: vec![SimTime::ZERO; p.channels as usize],
             dies,
             in_flight: Vec::new(),
+            due: Vec::new(),
             next_id: 0,
             next_seq: 0,
             stats: SsdStats::default(),
@@ -199,6 +202,14 @@ impl Ssd {
     /// Counters.
     pub fn stats(&self) -> SsdStats {
         self.stats
+    }
+
+    /// Completes every command due at or before `now` into a fresh `Vec`
+    /// (see [`DeviceModel::advance_into`]).
+    pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
+        let mut out = Vec::new();
+        self.advance_into(now, &mut out);
+        out
     }
 
     /// Number of NAND dies.
@@ -387,8 +398,8 @@ impl DeviceModel for Ssd {
         self.in_flight.iter().map(|f| f.completes).min()
     }
 
-    fn advance(&mut self, now: SimTime) -> Vec<Completion> {
-        let mut due: Vec<InFlight> = Vec::new();
+    fn advance_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
+        let due = &mut self.due;
         self.in_flight.retain(|f| {
             if f.completes <= now {
                 due.push(*f);
@@ -398,28 +409,26 @@ impl DeviceModel for Ssd {
             }
         });
         due.sort_by_key(|f| (f.completes, f.seq));
-        due.into_iter()
-            .map(|f| {
-                match f.req.op {
-                    DiskOp::Read => self.stats.reads += 1,
-                    DiskOp::Write => self.stats.writes += 1,
-                }
-                if f.error.is_some() {
-                    self.stats.media_errors += 1;
-                }
-                Completion {
-                    id: f.id,
-                    request: f.req,
-                    submitted_at: f.arrived,
-                    completed_at: f.completes,
-                    cache_hit: false,
-                    outcome: match f.error {
-                        None => DiskOutcome::Ok,
-                        Some(e) => DiskOutcome::Error(e),
-                    },
-                }
-            })
-            .collect()
+        for f in due.drain(..) {
+            match f.req.op {
+                DiskOp::Read => self.stats.reads += 1,
+                DiskOp::Write => self.stats.writes += 1,
+            }
+            if f.error.is_some() {
+                self.stats.media_errors += 1;
+            }
+            out.push(Completion {
+                id: f.id,
+                request: f.req,
+                submitted_at: f.arrived,
+                completed_at: f.completes,
+                cache_hit: false,
+                outcome: match f.error {
+                    None => DiskOutcome::Ok,
+                    Some(e) => DiskOutcome::Error(e),
+                },
+            });
+        }
     }
 
     fn can_accept(&self) -> bool {

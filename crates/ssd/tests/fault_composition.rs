@@ -73,9 +73,7 @@ fn sector_error_plan_composes_on_flash() {
             ],
             ..FaultPlan::default()
         };
-        fs.bio_mut()
-            .device_mut()
-            .set_fault_model(Some(Box::new(FaultState::new(plan))));
+        fs.set_fault_model(Some(Box::new(FaultState::new(plan))));
 
         for blk in 0..BLOCKS {
             fs.read(SimTime::ZERO, ino, blk * BS, BS, 1, blk);
