@@ -7,7 +7,7 @@
 use nfs_bench::BASE_SEED;
 use nfssim::WorldConfig;
 use readahead_core::NfsHeurConfig;
-use testbed::{NfsBench, Rig};
+use testbed::{ClusterBench, ClusterConfig, Rig};
 
 fn main() {
     let readers = 16;
@@ -34,7 +34,8 @@ fn main() {
             heur: NfsHeurConfig { slots, probes },
             ..WorldConfig::default()
         };
-        let mut b = NfsBench::new(Rig::ide(1), cfg, &[readers], total_mb, BASE_SEED);
+        let cluster = ClusterConfig::uniform(cfg, 1);
+        let mut b = ClusterBench::new(Rig::ide(1), &cluster, &[readers], total_mb, BASE_SEED);
         let r = b.run(readers);
         (r.throughput_mbs, b.world().heur().stats().ejections)
     });

@@ -9,7 +9,7 @@
 use nfs_bench::BASE_SEED;
 use nfssim::WorldConfig;
 use readahead_core::{NfsHeurConfig, ReadaheadPolicy, SlowDownConfig};
-use testbed::{NfsBench, Rig};
+use testbed::{ClusterBench, ClusterConfig, Rig};
 
 fn main() {
     let readers = 16;
@@ -29,7 +29,8 @@ fn main() {
             busy_loops: 4,
             ..WorldConfig::default()
         };
-        let mut b = NfsBench::new(Rig::ide(1), cfg, &[readers], total_mb, BASE_SEED);
+        let cluster = ClusterConfig::uniform(cfg, 1);
+        let mut b = ClusterBench::new(Rig::ide(1), &cluster, &[readers], total_mb, BASE_SEED);
         b.run(readers).throughput_mbs
     });
     for (&window_kb, &m) in windows.iter().zip(&mbs) {

@@ -13,7 +13,7 @@
 use netsim::TransportKind;
 use nfs_bench::BASE_SEED;
 use nfssim::WorldConfig;
-use testbed::{render_tcp_line, NfsBench, Rig};
+use testbed::{render_tcp_line, ClusterBench, ClusterConfig, Rig};
 
 const READERS: usize = 2;
 
@@ -35,7 +35,8 @@ fn run_cell(transport: TransportKind, frame_loss: f64, total_mb: u64) -> Cell {
         ..WorldConfig::default()
     };
     cfg.link.frame_loss = frame_loss;
-    let mut b = NfsBench::new(Rig::ide(1), cfg, &[READERS], total_mb, BASE_SEED);
+    let cluster = ClusterConfig::uniform(cfg, 1);
+    let mut b = ClusterBench::new(Rig::ide(1), &cluster, &[READERS], total_mb, BASE_SEED);
     let mbs = b.run(READERS).throughput_mbs;
     let s = b.world().client_stats_for(0);
     Cell {

@@ -11,7 +11,7 @@ use netsim::LinkProfile;
 use nfs_bench::BASE_SEED;
 use nfssim::WorldConfig;
 use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
-use testbed::{NfsBench, Rig};
+use testbed::{ClusterBench, ClusterConfig, Rig};
 
 fn main() {
     let readers = 8;
@@ -38,7 +38,8 @@ fn main() {
                 retransmit_timeout: simcore::SimDuration::from_millis(100),
                 ..WorldConfig::default()
             };
-            let mut b = NfsBench::new(Rig::ide(1), cfg, &[readers], total_mb, BASE_SEED);
+            let cluster = ClusterConfig::uniform(cfg, 1);
+            let mut b = ClusterBench::new(Rig::ide(1), &cluster, &[readers], total_mb, BASE_SEED);
             let t = b.run(readers).throughput_mbs;
             let reorder = b.world().server_stats().reorder_fraction();
             (t, reorder)

@@ -14,9 +14,7 @@ use nfssim::WorldConfig;
 use readahead_core::NfsHeurConfig;
 use simcore::{OnlineStats, Summary};
 
-use crate::bench::ClusterBench;
-use crate::config::ClusterConfig;
-use testbed::Rig;
+use testbed::{ClusterBench, ClusterConfig, Rig};
 
 /// Sizing for the contention grid.
 #[derive(Debug, Clone, Copy)]

@@ -1,6 +1,6 @@
 //! Fleet scale: one sharded world of up to 100 000 NFS clients.
 //!
-//! [`ClusterBench`](crate::ClusterBench) models every reader as a full
+//! [`testbed::ClusterBench`] models every reader as a full
 //! [`nfssim::NfsWorld`] client host — kilobytes of cache, transport, and
 //! bookkeeping state per reader. That is the right fidelity for the
 //! paper's 8-host testbed and hopeless for a fleet: 100 000 hosts of
@@ -23,16 +23,15 @@
 //! mutation). Per `run_sharded`'s contract the result is bit-identical at
 //! any shard count, which [`FleetReport::fingerprint`] pins.
 
-use crate::config::ClusterConfig;
 use diskfault::{FaultPlan, FaultState};
 use nfsproto::FileHandle;
 use nfssim::{NfsWorld, OpDone, OpOutcome, WorldConfig};
 use simcore::{LogHist, SimDuration, SimRng, SimTime};
 use simfleet::{run_sharded, ShardRunStats, ShardWorld};
-use testbed::Rig;
+use testbed::{ClusterConfig, Rig};
 
 /// Per-op client CPU cost between a completion and the next issue
-/// (same figure [`crate::ClusterBench`] charges its reader processes).
+/// (same figure [`testbed::ClusterBench`] charges its reader processes).
 const PROC_READ_CPU: SimDuration = SimDuration::from_micros(15);
 
 /// Fleet clients read in 8 KB ops, the v2-era wire size.

@@ -8,16 +8,13 @@
 //! seeded RNG stream) sharing one server, one heuristics table, one
 //! duplicate-request cache, and one disk — and measures who evicted whom.
 //!
-//! Layers:
+//! The cluster harnesses themselves live in `testbed`, on its one event
+//! loop: `testbed::ClusterConfig` (a shared [`nfssim::WorldConfig`] plus
+//! one [`nfssim::ClientHostConfig`] per host), `testbed::ClusterBench`
+//! (the §4.2 concurrent-reader benchmark run from every host at once) and
+//! `testbed::MixBench` (heterogeneous per-host workloads). This crate
+//! adds:
 //!
-//! - [`config`]: [`ClusterConfig`] — a shared [`nfssim::WorldConfig`] plus
-//!   one [`nfssim::ClientHostConfig`] per host.
-//! - [`bench`]: [`ClusterBench`] — the §4.2 concurrent-reader benchmark
-//!   run from every host at once; with one host it is bit-identical to
-//!   `testbed::NfsBench`.
-//! - [`mix`]: [`ClientWorkload`] — heterogeneous per-host workloads
-//!   (sequential readers, stride readers, trace replay) multiplexed on
-//!   the one event clock.
 //! - [`experiments`]: the client-count × table-size grid behind the
 //!   `EXPERIMENTS.md` contention table.
 //! - [`fleet`]: [`FleetWorld`] — the 100k-client scale tier: fleet
@@ -27,7 +24,7 @@
 //!   migration and streaming [`simcore::LogHist`] tail latencies.
 //!
 //! Determinism contract: a cluster run is a pure function of
-//! `(ClusterConfig, seed)`. Each host derives its RNG stream from the
+//! `(testbed::ClusterConfig, seed)`. Each host derives its RNG stream from the
 //! world seed with a splitmix-style per-client gamma, so adding host N+1
 //! never perturbs hosts 0..N's private randomness, and host 0's stream is
 //! exactly the classic single-client world's stream.
@@ -35,13 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
-pub mod config;
 pub mod experiments;
 pub mod fleet;
-pub mod mix;
 
-pub use bench::{ClientReport, ClusterBench, ClusterRunResult};
-pub use config::{clients_from_env, ClusterConfig, CLIENTS_ENV};
 pub use fleet::{FleetConfig, FleetMem, FleetReport, FleetWorld, Migrant};
-pub use mix::{ClientWorkload, MixBench, MixResult};

@@ -6,7 +6,6 @@
 //! SIMTEST_SEED=17 cargo run -p simtest --release     # same, via env
 //! cargo run -p simtest -- --seeds 50 --start 1000    # shifted sweep
 //! cargo run -p simtest -- --seeds 50 --clients 2     # 2-host cluster
-//! NFS_CLUSTER_CLIENTS=4 cargo run -p simtest         # same, via env
 //! cargo run -p simtest -- --seeds 50 --overlap       # fault pairs
 //! cargo run -p simtest -- --seeds 50 --disk-faults   # + disk faults
 //! cargo run -p simtest -- --seeds 50 --transport tcp # force TCP (+blackout)
@@ -31,23 +30,17 @@ use simtest::{FaultKind, Spec, Workload};
 const USAGE: &str = "usage: simtest [--seed N | --seeds N [--start N]] [--clients N] [--overlap]
                [--disk-faults] [--transport tcp|udp] [--write-loss | --meta-storm]
                [--hist-oracle]
-  SIMTEST_SEED=N stands in for a missing --seed, NFS_CLUSTER_CLIENTS=N for --clients";
+  SIMTEST_SEED=N stands in for a missing --seed";
 
 fn main() -> ExitCode {
-    // Environment defaults become flags, so they are checked like flags;
-    // an explicit flag wins.
+    // SIMTEST_SEED becomes a flag, so it is checked like one; an explicit
+    // --seed wins.
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let env_defaults = [
-        ("--seed", std::env::var("SIMTEST_SEED").ok()),
-        (
-            "--clients",
-            nfscluster::clients_from_env().map(|n| n.to_string()),
-        ),
-    ];
-    for (flag, value) in env_defaults {
-        if let Some(v) = value.filter(|_| !args.iter().any(|a| a == flag)) {
-            args.extend([flag.to_string(), v]);
-        }
+    if let Some(v) = std::env::var("SIMTEST_SEED")
+        .ok()
+        .filter(|_| !args.iter().any(|a| a == "--seed"))
+    {
+        args.extend(["--seed".to_string(), v]);
     }
     let (spec, seeds) = match Spec::from_args(&args) {
         Ok(parsed) => parsed,

@@ -135,9 +135,7 @@ fn rejects_two_workloads() {
 fn binary_exits_2_without_running_a_seed() {
     let run = |line: &str, seed_env: Option<&str>| {
         let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_simtest"));
-        cmd.args(line.split_whitespace())
-            .env_remove("SIMTEST_SEED")
-            .env_remove("NFS_CLUSTER_CLIENTS");
+        cmd.args(line.split_whitespace()).env_remove("SIMTEST_SEED");
         if let Some(v) = seed_env {
             cmd.env("SIMTEST_SEED", v);
         }

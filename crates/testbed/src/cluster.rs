@@ -1,26 +1,21 @@
-//! The §4.2 concurrent-reader benchmark generalised to a cluster.
+//! The §4.2 concurrent-reader benchmark (Figures 4–7), from one or many
+//! client hosts.
 //!
-//! [`ClusterBench`] is `testbed::NfsBench` with N client hosts: each host
-//! runs `readers` closed-loop sequential reader processes over its own
-//! files, all multiplexed onto the one shared server. With one host the
-//! issue order, tags, and event schedule are *identical* to `NfsBench` —
-//! the single-client identity test pins this bit-for-bit.
+//! [`ClusterBench`] runs `readers` closed-loop sequential reader processes
+//! on every client host, each over its own file, all multiplexed onto the
+//! one shared server; every read crosses the simulated network into the
+//! `nfsd` pool. With one host (`ClusterConfig::uniform(config, 1)`) it is
+//! the paper's benchmark over NFS. The interesting knobs are the
+//! transport (UDP vs TCP), the server's read-ahead policy and `nfsheur`
+//! geometry, tagged queueing, and the busy-client switch.
 
 use std::collections::HashMap;
 
 use nfsproto::FileHandle;
 use nfssim::{ClientStats, ContentionStats, NfsWorld, ServerStats};
-use simcore::{SimDuration, SimTime};
-use testbed::Rig;
 
-use crate::config::ClusterConfig;
-
-/// Per-read CPU cost charged to a client reader process (as in
-/// `testbed::NfsBench`).
-const PROC_READ_CPU: SimDuration = SimDuration::from_micros(15);
-
-/// NFS read size used by the reader processes (= rsize).
-const READ_BYTES: u64 = 8_192;
+use crate::harness::{drive, Plan};
+use crate::rig::{ClusterConfig, Rig};
 
 /// One client host's share of a cluster run.
 #[derive(Debug, Clone)]
@@ -198,10 +193,6 @@ impl ClusterBench {
     /// for every reader count. Each client reads `total_mb_per_client` in
     /// every run, split across its readers — so server load scales with
     /// the client count, as it does when real hosts are added to a rack.
-    ///
-    /// With `cluster.clients() == 1` this constructs byte-for-byte the
-    /// same world and files as
-    /// `NfsBench::new(rig, cluster.world, reader_counts, total_mb_per_client, seed)`.
     pub fn new(
         rig: Rig,
         cluster: &ClusterConfig,
@@ -209,8 +200,7 @@ impl ClusterBench {
         total_mb_per_client: u64,
         seed: u64,
     ) -> Self {
-        let fs = rig.build_fs(seed);
-        let mut world = NfsWorld::new_cluster(cluster.world, &cluster.hosts, fs, seed);
+        let mut world = cluster.build_world(rig, seed);
         let clients = cluster.clients();
         let mut file_sets = HashMap::new();
         for &n in reader_counts {
@@ -242,11 +232,14 @@ impl ClusterBench {
     /// Runs one iteration: every host drives `readers` concurrent reader
     /// processes over its own files until all of them finish.
     pub fn run(&mut self, readers: usize) -> ClusterRunResult {
-        let sets = self
+        let per = self.per_client_bytes / readers as u64;
+        let mut plans: Vec<Plan> = self
             .file_sets
             .get(&readers)
             .unwrap_or_else(|| panic!("no file set for {readers} readers"))
-            .clone();
+            .iter()
+            .map(|fhs| Plan::sequential(fhs, per))
+            .collect();
         self.world.flush_all_caches();
         self.world.reset_client_heuristics();
         let before_client: Vec<ClientStats> = (0..self.clients)
@@ -257,71 +250,16 @@ impl ClusterBench {
             .collect();
         let before_server = self.world.server_stats();
         let start = self.world.now();
-
-        struct Proc {
-            fh: FileHandle,
-            size: u64,
-            offset: u64,
-            finished: Option<SimTime>,
-        }
-        let per = self.per_client_bytes / readers as u64;
-        // Global process index = client * readers + reader, used as the
-        // operation tag; for one client this is the reader index, exactly
-        // the `NfsBench` tag.
-        let mut procs: Vec<Proc> = sets
-            .iter()
-            .flat_map(|fhs| fhs.iter())
-            .map(|&fh| Proc {
-                fh,
-                size: per,
-                offset: 0,
-                finished: None,
-            })
-            .collect();
-        for (p, proc_) in procs.iter_mut().enumerate() {
-            let c = p / readers;
-            self.world
-                .read_from(c, start, proc_.fh, 0, READ_BYTES, p as u64);
-            proc_.offset = READ_BYTES;
-        }
-        let mut pending = self.clients * readers;
-        let mut guard: u64 = 0;
-        while pending > 0 {
-            guard += 1;
-            assert!(guard < 200_000_000, "cluster benchmark event loop stuck");
-            let t = self
-                .world
-                .next_event()
-                .expect("readers pending but no events");
-            for done in self.world.advance(t) {
-                let p = done.tag as usize;
-                let proc_ = &mut procs[p];
-                if proc_.offset >= proc_.size {
-                    proc_.finished = Some(done.done_at);
-                    pending -= 1;
-                    continue;
-                }
-                let issue_at = done.done_at + PROC_READ_CPU;
-                self.world.read_from(
-                    done.client,
-                    issue_at,
-                    proc_.fh,
-                    proc_.offset,
-                    READ_BYTES,
-                    done.tag,
-                );
-                proc_.offset += READ_BYTES;
-            }
-        }
+        let runs = drive(&mut self.world, start, &mut plans);
 
         let mut clients_out = Vec::with_capacity(self.clients);
         let mut last = 0.0f64;
-        for c in 0..self.clients {
-            let mut completion_secs: Vec<f64> = procs[c * readers..(c + 1) * readers]
+        for (c, run) in runs.iter().enumerate() {
+            let mut completion_secs: Vec<f64> = run
+                .finished
                 .iter()
-                .map(|p| {
-                    p.finished
-                        .expect("all finished")
+                .map(|f| {
+                    f.expect("all finished")
                         .saturating_since(start)
                         .as_secs_f64()
                 })
@@ -349,8 +287,9 @@ impl ClusterBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::TransportKind;
     use nfssim::WorldConfig;
-    use readahead_core::NfsHeurConfig;
+    use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
 
     #[test]
     fn every_client_reads_its_bytes() {
@@ -400,5 +339,68 @@ mod tests {
         );
         assert!(big.cross_client_ejections() > 0);
         assert_eq!(small.cross_client_ejections(), 0, "one host cannot cross");
+    }
+
+    fn quick(cfg: WorldConfig, rig: Rig, readers: usize) -> f64 {
+        let cluster = ClusterConfig::uniform(cfg, 1);
+        let mut b = ClusterBench::new(rig, &cluster, &[readers], 16, 7);
+        b.run(readers).throughput_mbs
+    }
+
+    #[test]
+    fn nfs_is_slower_than_local() {
+        let nfs = quick(WorldConfig::default(), Rig::ide(1), 1);
+        let mut local = crate::local::LocalBench::new(Rig::ide(1), &[1], 16, 7);
+        let loc = local.run(1).throughput_mbs;
+        assert!(
+            loc > nfs * 1.3,
+            "RPC overhead halves throughput: local {loc:.1} vs NFS {nfs:.1}"
+        );
+    }
+
+    #[test]
+    fn udp_beats_tcp_for_one_reader() {
+        let udp = quick(WorldConfig::default(), Rig::ide(1), 1);
+        let tcp = quick(
+            WorldConfig {
+                transport: TransportKind::Tcp,
+                ..WorldConfig::default()
+            },
+            Rig::ide(1),
+            1,
+        );
+        assert!(udp > tcp * 1.3, "udp {udp:.1} vs tcp {tcp:.1}");
+    }
+
+    #[test]
+    fn always_readahead_with_big_table_beats_default_at_many_readers() {
+        let default = quick(WorldConfig::default(), Rig::ide(1), 16);
+        let always = quick(
+            WorldConfig {
+                policy: ReadaheadPolicy::Always,
+                heur: NfsHeurConfig::improved(),
+                ..WorldConfig::default()
+            },
+            Rig::ide(1),
+            16,
+        );
+        assert!(
+            always > default * 1.1,
+            "always {always:.1} vs default {default:.1} at 16 readers"
+        );
+    }
+
+    #[test]
+    fn busy_client_lowers_throughput() {
+        let idle = quick(WorldConfig::default(), Rig::ide(1), 4);
+        let busy = quick(
+            WorldConfig {
+                busy_loops: 4,
+                ..WorldConfig::default()
+            },
+            Rig::ide(1),
+            4,
+        );
+        assert!(busy < idle, "busy {busy:.1} vs idle {idle:.1}");
     }
 }

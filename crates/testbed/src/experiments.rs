@@ -11,10 +11,10 @@ use nfssim::WorldConfig;
 use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
 use simcore::{OnlineStats, Summary};
 
+use crate::cluster::ClusterBench;
 use crate::local::LocalBench;
-use crate::nfs::NfsBench;
 use crate::report::{Figure, Series};
-use crate::rig::Rig;
+use crate::rig::{ClusterConfig, Rig};
 use crate::stride::StrideBench;
 use iosched::SchedulerKind;
 
@@ -237,7 +237,8 @@ fn nfs_figure(scale: Scale, seed: u64, title: &str, transport: TransportKind) ->
     .map(|(rig, cfg, l)| ((rig, cfg), l.to_string()))
     .into();
     let series = throughput_matrix(scale, &configs, |(rig, cfg), n, r| {
-        let mut b = NfsBench::new(*rig, *cfg, scale.readers, scale.total_mb, seed + r);
+        let cluster = ClusterConfig::uniform(*cfg, 1);
+        let mut b = ClusterBench::new(*rig, &cluster, scale.readers, scale.total_mb, seed + r);
         b.run(n).throughput_mbs
     });
     Figure {
@@ -275,7 +276,14 @@ pub fn fig6_readahead_potential(scale: Scale, seed: u64) -> Figure {
     .map(|(c, l)| (c, l.to_string()))
     .into();
     let series = throughput_matrix(scale, &configs, |cfg, n, r| {
-        let mut b = NfsBench::new(Rig::ide(1), *cfg, scale.readers, scale.total_mb, seed + r);
+        let cluster = ClusterConfig::uniform(*cfg, 1);
+        let mut b = ClusterBench::new(
+            Rig::ide(1),
+            &cluster,
+            scale.readers,
+            scale.total_mb,
+            seed + r,
+        );
         b.run(n).throughput_mbs
     });
     Figure {
@@ -315,7 +323,14 @@ pub fn fig7_slowdown_nfsheur(scale: Scale, seed: u64) -> Figure {
     .map(|(c, l)| (c, l.to_string()))
     .into();
     let series = throughput_matrix(scale, &configs, |cfg, n, r| {
-        let mut b = NfsBench::new(Rig::ide(1), *cfg, scale.readers, scale.total_mb, seed + r);
+        let cluster = ClusterConfig::uniform(*cfg, 1);
+        let mut b = ClusterBench::new(
+            Rig::ide(1),
+            &cluster,
+            scale.readers,
+            scale.total_mb,
+            seed + r,
+        );
         b.run(n).throughput_mbs
     });
     Figure {

@@ -7,14 +7,10 @@
 //! reads sequentially but intersperses WRITEs and GETATTRs, and we measure
 //! whether the heuristics still pay off when the request stream is noisy.
 
-use nfsproto::FileHandle;
 use nfssim::{NfsWorld, WorldConfig};
-use simcore::{SimDuration, SimRng, SimTime};
 
+use crate::harness::{drive, ClientWorkload, Plan};
 use crate::rig::Rig;
-
-const READ_BYTES: u64 = 8_192;
-const PROC_CPU: SimDuration = SimDuration::from_micros(15);
 
 /// Operation mix (percentages must sum to <= 100; remainder is reads).
 #[derive(Debug, Clone, Copy)]
@@ -54,94 +50,31 @@ pub fn run_mixed(
     mix: MixRatios,
     seed: u64,
 ) -> MixedResult {
-    assert!(mix.write_pct + mix.getattr_pct <= 100);
     let fs = rig.build_fs(seed);
     let mut world = NfsWorld::new(config, fs, seed);
-    let size = file_mb * 1024 * 1024;
-    let fhs: Vec<FileHandle> = (0..readers).map(|_| world.create_file(size)).collect();
-    let mut rng = SimRng::from_seed_and_stream(seed, 0x3B1D);
-
-    struct Proc {
-        fh: FileHandle,
-        read_offset: u64,
-        remaining: u64,
-        finished: Option<SimTime>,
-    }
-    let mut procs: Vec<Proc> = fhs
-        .iter()
-        .map(|&fh| Proc {
-            fh,
-            read_offset: 0,
-            remaining: ops_per_proc,
-            finished: None,
-        })
-        .collect();
-    let nblocks = size / READ_BYTES;
-
-    let mut bytes_read = 0u64;
-    let issue = |world: &mut NfsWorld,
-                 p: &mut Proc,
-                 rng: &mut SimRng,
-                 now: SimTime,
-                 i: usize,
-                 bytes_read: &mut u64| {
-        let roll = rng.gen_range(0u32..100);
-        if roll < mix.write_pct {
-            let blk = rng.gen_range(0..nblocks);
-            world.write_from(0, now, p.fh, blk * READ_BYTES, READ_BYTES, i as u64);
-        } else if roll < mix.write_pct + mix.getattr_pct {
-            world.getattr_from(0, now, p.fh, i as u64);
-        } else {
-            if p.read_offset >= size {
-                p.read_offset = 0;
-            }
-            world.read_from(0, now, p.fh, p.read_offset, READ_BYTES, i as u64);
-            p.read_offset += READ_BYTES;
-            *bytes_read += READ_BYTES;
-        }
-        p.remaining -= 1;
+    let workload = ClientWorkload::Mixed {
+        readers,
+        file_mb,
+        ops_per_proc,
+        mix,
     };
-
+    let mut plans = [Plan::build(&mut world, 0, &workload, seed)];
     let start = world.now();
-    for (i, p) in procs.iter_mut().enumerate() {
-        issue(&mut world, p, &mut rng, start, i, &mut bytes_read);
-    }
-    let mut pending = readers;
-    let mut guard = 0u64;
-    while pending > 0 {
-        guard += 1;
-        assert!(guard < 200_000_000, "mixed workload stuck");
-        let t = world.next_event().expect("ops pending");
-        for done in world.advance(t) {
-            let i = done.tag as usize;
-            let p = &mut procs[i];
-            if p.remaining == 0 {
-                if p.finished.is_none() {
-                    p.finished = Some(done.done_at);
-                    pending -= 1;
-                }
-                continue;
-            }
-            issue(
-                &mut world,
-                p,
-                &mut rng,
-                done.done_at + PROC_CPU,
-                i,
-                &mut bytes_read,
-            );
-        }
-    }
-    let elapsed = procs
+    let runs = drive(&mut world, start, &mut plans);
+    let elapsed = runs[0]
+        .finished
         .iter()
-        .map(|p| p.finished.expect("finished"))
+        .map(|f| f.expect("finished"))
         .max()
         .expect("non-empty")
         .saturating_since(start)
         .as_secs_f64();
+    let Plan::Mixed(host) = &plans[0] else {
+        unreachable!("a mixed workload builds a mixed plan")
+    };
     MixedResult {
         ops_per_sec: (readers as u64 * ops_per_proc) as f64 / elapsed,
-        read_mbs: bytes_read as f64 / 1e6 / elapsed,
+        read_mbs: host.read_bytes as f64 / 1e6 / elapsed,
     }
 }
 

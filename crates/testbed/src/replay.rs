@@ -9,10 +9,10 @@
 
 use nfssim::{NfsWorld, WorldConfig};
 use nfstrace::Trace;
-use simcore::{quantile, SimDuration, SimTime};
+use simcore::{quantile, SimTime};
 
+use crate::harness::{drive, Plan};
 use crate::rig::Rig;
-use crate::trace::{create_trace_files, issue_record};
 
 /// Latency statistics from a replay.
 #[derive(Debug, Clone)]
@@ -40,51 +40,25 @@ pub struct ReplayResult {
 
 /// Replays `trace` on a fresh world built from `rig` + `config`.
 ///
-/// Files are sized to cover the trace's largest offset per handle (see
-/// [`crate::create_trace_files`]).
+/// One file is created per trace handle, sized to cover its largest
+/// access rounded up to a 64 KB cluster, in trace-handle order.
 /// Operations are issued open-loop at `time_us` from the trace; the world
 /// may fall behind under overload, in which case later operations queue
 /// (their latency includes the backlog, as it would in reality).
 pub fn replay(rig: Rig, config: WorldConfig, trace: &Trace, seed: u64) -> ReplayResult {
     let fs = rig.build_fs(seed);
     let mut world = NfsWorld::new(config, fs, seed);
-    let handles = create_trace_files(&mut world, 0, trace);
-
-    let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
-    let mut outstanding = 0u64;
-    let mut end_time = SimTime::ZERO;
-    for (i, r) in trace.records.iter().enumerate() {
-        let at = SimTime::ZERO + SimDuration::from_micros(r.time_us);
-        // Drain everything scheduled before this arrival.
-        while let Some(t) = world.next_event() {
-            if t > at {
-                break;
-            }
-            for d in world.advance(t) {
-                latencies.push(d.done_at.since(d.issued_at).as_millis_f64());
-                end_time = end_time.max(d.done_at);
-                outstanding -= 1;
-            }
-        }
-        issue_record(&mut world, 0, at, handles[&r.fh], r, i as u64);
-        outstanding += 1;
-    }
-    while outstanding > 0 {
-        let t = world.next_event().expect("ops outstanding");
-        for d in world.advance(t) {
-            latencies.push(d.done_at.since(d.issued_at).as_millis_f64());
-            end_time = end_time.max(d.done_at);
-            outstanding -= 1;
-        }
-    }
+    let mut plans = [Plan::replay(&mut world, 0, trace)];
+    let runs = drive(&mut world, SimTime::ZERO, &mut plans);
+    let latencies = &runs[0].latencies_ms;
     let mean = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
     let cs = world.client_stats_for(0);
     ReplayResult {
         ops: latencies.len() as u64,
         mean_ms: mean,
-        p50_ms: quantile(&latencies, 0.5).unwrap_or(0.0),
-        p99_ms: quantile(&latencies, 0.99).unwrap_or(0.0),
-        elapsed_secs: end_time.as_secs_f64(),
+        p50_ms: quantile(latencies, 0.5).unwrap_or(0.0),
+        p99_ms: quantile(latencies, 0.99).unwrap_or(0.0),
+        elapsed_secs: runs[0].last_done.as_secs_f64(),
         getattr_rpcs: cs.getattr_rpcs,
         attr_cache_hits: cs.attr_cache_hits,
         lookup_rpcs: cs.lookup_rpcs,

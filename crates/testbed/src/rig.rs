@@ -3,12 +3,14 @@
 //! A [`Rig`] names one server storage configuration: which drive, which of
 //! its four partitions, whether tagged queueing is on, and which kernel
 //! disk scheduler is loaded. `scsi1`, `ide4`, etc. in the figures are
-//! exactly these rigs.
+//! exactly these rigs. A [`ClusterConfig`] names the client side: the
+//! shared server's [`WorldConfig`] and one host config per client.
 
 use diskmodel::{DriveModel, PartitionTable, TcqConfig};
 use ffs::{FileSystem, FsConfig};
 use iosched::SchedulerKind;
-use simcore::SimRng;
+use nfssim::{ClientHostConfig, NfsWorld, WorldConfig};
+use simcore::{SimDuration, SimRng};
 
 /// One server storage configuration.
 #[derive(Debug, Clone, Copy)]
@@ -116,6 +118,54 @@ impl Rig {
     }
 }
 
+/// A cluster: one [`WorldConfig`] describing the shared server side
+/// (nfsd pool, `nfsheur` geometry, policy, transport, rsize) and one
+/// [`ClientHostConfig`] per client host.
+#[derive(Debug, Clone)]
+pub struct ClusterConfig {
+    /// Shared server and protocol parameters.
+    pub world: WorldConfig,
+    /// Per-host client parameters, one entry per client.
+    pub hosts: Vec<ClientHostConfig>,
+}
+
+impl ClusterConfig {
+    /// `clients` identical hosts, each configured exactly as the classic
+    /// single-client world would be. `uniform(w, 1)` therefore describes
+    /// a cluster bit-identical to `NfsWorld::new(w, ..)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clients` is zero.
+    pub fn uniform(world: WorldConfig, clients: usize) -> Self {
+        assert!(clients > 0, "a cluster needs at least one client");
+        ClusterConfig {
+            world,
+            hosts: vec![ClientHostConfig::from_world(&world); clients],
+        }
+    }
+
+    /// Number of client hosts.
+    pub fn clients(&self) -> usize {
+        self.hosts.len()
+    }
+
+    /// Staggers per-host RTT: host `i` gets the base RTT plus `i * step`
+    /// (a rack of clients at different switch depths). Host 0 keeps the
+    /// classic RTT, preserving single-client identity.
+    pub fn with_rtt_spread(mut self, step: SimDuration) -> Self {
+        for (i, h) in self.hosts.iter_mut().enumerate() {
+            h.rtt += step.saturating_mul(i as u64);
+        }
+        self
+    }
+
+    /// Builds this cluster's world on a freshly formatted `rig`.
+    pub(crate) fn build_world(&self, rig: Rig, seed: u64) -> NfsWorld {
+        NfsWorld::new_cluster(self.world, &self.hosts, rig.build_fs(seed), seed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,5 +224,33 @@ mod tests {
         let r1 = g1.media_rate(g1.cylinder_of(lba1));
         let r4 = g1.media_rate(g1.cylinder_of(lba4));
         assert!(r1 > r4, "partition 1 must be on faster cylinders");
+    }
+
+    #[test]
+    fn uniform_hosts_match_the_classic_world_client() {
+        let w = WorldConfig::default();
+        let c = ClusterConfig::uniform(w, 3);
+        assert_eq!(c.clients(), 3);
+        for h in &c.hosts {
+            assert_eq!(h.nfsiods, w.nfsiods);
+            assert_eq!(h.client_cache_blocks, w.client_cache_blocks);
+            assert_eq!(h.client_readahead_blocks, w.client_readahead_blocks);
+            assert_eq!(h.busy_loops, w.busy_loops);
+        }
+    }
+
+    #[test]
+    fn rtt_spread_leaves_host_zero_alone() {
+        let c = ClusterConfig::uniform(WorldConfig::default(), 3)
+            .with_rtt_spread(SimDuration::from_micros(50));
+        assert_eq!(c.hosts[0].rtt, SimDuration::from_micros(200));
+        assert_eq!(c.hosts[1].rtt, SimDuration::from_micros(250));
+        assert_eq!(c.hosts[2].rtt, SimDuration::from_micros(300));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one client")]
+    fn zero_clients_rejected() {
+        let _ = ClusterConfig::uniform(WorldConfig::default(), 0);
     }
 }

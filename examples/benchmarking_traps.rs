@@ -22,7 +22,8 @@ fn nfs(transport: TransportKind) -> f64 {
         transport,
         ..WorldConfig::default()
     };
-    let mut b = NfsBench::new(Rig::ide(1), config, &[READERS], TOTAL_MB, 99);
+    let cluster = ClusterConfig::uniform(config, 1);
+    let mut b = ClusterBench::new(Rig::ide(1), &cluster, &[READERS], TOTAL_MB, 99);
     b.run(READERS).throughput_mbs
 }
 

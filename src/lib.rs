@@ -21,8 +21,8 @@
 //! | [`nfsproto`] | XDR + NFS v3 message subset |
 //! | [`readahead_core`] | **the paper's contribution** |
 //! | [`nfssim`] | NFS client (nfsiods) + server (nfsds) event loop |
-//! | [`testbed`] | the paper's benchmarks and per-figure experiments |
-//! | [`nfscluster`] | N-client clusters sharing one server, contention accounting |
+//! | [`testbed`] | the paper's benchmarks, one- and N-client, on one event loop; per-figure experiments |
+//! | [`nfscluster`] | the cluster contention grid and the sharded 100k-client fleet |
 //!
 //! ## Quickstart
 //!
@@ -59,12 +59,11 @@ pub mod prelude {
     pub use diskmodel::{DriveModel, TcqConfig};
     pub use iosched::SchedulerKind;
     pub use netsim::{LinkProfile, TransportKind};
-    pub use nfscluster::{ClusterBench, ClusterConfig};
     pub use nfsproto::StableHow;
     pub use nfssim::{NfsWorld, WorldConfig};
     pub use readahead_core::{NfsHeur, NfsHeurConfig, ReadaheadPolicy, SharedCursorPool};
     pub use simcore::{SimDuration, SimRng, SimTime};
-    pub use testbed::{LocalBench, NfsBench, Rig, StrideBench};
+    pub use testbed::{ClusterBench, ClusterConfig, LocalBench, Rig, StrideBench};
 }
 
 #[cfg(test)]

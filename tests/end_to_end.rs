@@ -64,7 +64,8 @@ fn identical_seeds_are_bit_identical_across_the_whole_stack() {
             busy_loops: 4, // Exercise all jitter paths.
             ..WorldConfig::default()
         };
-        let mut b = NfsBench::new(Rig::ide(1), config, &[4], 8, seed);
+        let cluster = ClusterConfig::uniform(config, 1);
+        let mut b = ClusterBench::new(Rig::ide(1), &cluster, &[4], 8, seed);
         b.run(4).throughput_mbs
     };
     assert_eq!(run(9).to_bits(), run(9).to_bits());
@@ -80,7 +81,8 @@ fn local_and_nfs_account_for_every_block() {
     local.run(2);
     let s = local.fs_mut().stats();
     assert_eq!(s.cache_hit_blocks + s.miss_blocks, 1_024, "{s:?}");
-    let mut nfs = NfsBench::new(Rig::ide(1), WorldConfig::default(), &[2], 8, 3);
+    let cluster = ClusterConfig::uniform(WorldConfig::default(), 1);
+    let mut nfs = ClusterBench::new(Rig::ide(1), &cluster, &[2], 8, 3);
     nfs.run(2);
     let c = nfs.world().client_stats_for(0);
     assert_eq!(c.rpcs, 1_024, "each block fetched exactly once: {c:?}");
@@ -88,10 +90,12 @@ fn local_and_nfs_account_for_every_block() {
 
 #[test]
 fn nfs_over_flash_finishes_every_reader_from_the_ssd() {
-    let mut nfs = NfsBench::new(Rig::ssd(1), WorldConfig::default(), &[4], 8, 1);
+    let cluster = ClusterConfig::uniform(WorldConfig::default(), 1);
+    let mut nfs = ClusterBench::new(Rig::ssd(1), &cluster, &[4], 8, 1);
     let r = nfs.run(4);
-    assert_eq!(r.completion_secs.len(), 4, "every reader finishes");
-    assert!(r.completion_secs.iter().all(|&s| s > 0.0), "{r:?}");
+    let completion_secs = &r.clients[0].completion_secs;
+    assert_eq!(completion_secs.len(), 4, "every reader finishes");
+    assert!(completion_secs.iter().all(|&s| s > 0.0), "{r:?}");
     let c = nfs.world().client_stats_for(0);
     assert_eq!(c.rpcs, 1_024, "each block fetched exactly once: {c:?}");
     let dev = nfs.world().device_report();

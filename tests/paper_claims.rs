@@ -6,7 +6,8 @@ use nfs_tricks::prelude::*;
 const SEED: u64 = 2003;
 
 fn nfs_throughput(config: WorldConfig, rig: Rig, readers: usize, total_mb: u64) -> f64 {
-    let mut b = NfsBench::new(rig, config, &[readers], total_mb, SEED);
+    let cluster = ClusterConfig::uniform(config, 1);
+    let mut b = ClusterBench::new(rig, &cluster, &[readers], total_mb, SEED);
     b.run(readers).throughput_mbs
 }
 

@@ -113,7 +113,8 @@ fn throughput_respects_physical_bounds() {
     let mut rng = SimRng::new(0x92_09_03);
     for case in 0..8u64 {
         let seed = rng.gen_range(0u64..200);
-        let mut b = NfsBench::new(Rig::ide(1), WorldConfig::default(), &[1], 4, seed);
+        let cluster = ClusterConfig::uniform(WorldConfig::default(), 1);
+        let mut b = ClusterBench::new(Rig::ide(1), &cluster, &[1], 4, seed);
         let t = b.run(1).throughput_mbs;
         assert!(t < 49.0, "case {case}: faster than the wire: {t}");
         assert!(t > 0.2, "case {case}: slower than worst-case disk: {t}");
