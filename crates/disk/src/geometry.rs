@@ -173,11 +173,6 @@ impl DiskGeometry {
         self.zones[self.zone_of_cyl(cyl)].sectors_per_track
     }
 
-    /// Sectors in one full cylinder at `cyl`.
-    pub fn cylinder_sectors(&self, cyl: u64) -> u64 {
-        self.sectors_per_track(cyl) * self.heads
-    }
-
     /// Media transfer rate in bytes per second at cylinder `cyl`: one
     /// track's worth of data per revolution. This is the ZCAV effect.
     pub fn media_rate(&self, cyl: u64) -> f64 {

@@ -19,7 +19,6 @@ pub struct SeekModel {
     /// linear regime: `a2 + b2 * d` seconds.
     a2: f64,
     b2: f64,
-    track_to_track: f64,
 }
 
 impl SeekModel {
@@ -52,7 +51,6 @@ impl SeekModel {
             b1,
             a2,
             b2,
-            track_to_track,
         }
     }
 
@@ -68,11 +66,6 @@ impl SeekModel {
         } else {
             self.a2 + self.b2 * d
         }
-    }
-
-    /// The calibrated track-to-track (single-cylinder) seek time.
-    pub fn track_to_track_secs(&self) -> f64 {
-        self.track_to_track
     }
 
     /// Number of cylinders this model was calibrated for.

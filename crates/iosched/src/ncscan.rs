@@ -29,11 +29,6 @@ impl NCscan {
     pub fn new() -> Self {
         NCscan::default()
     }
-
-    /// Number of requests in the frozen sweep (diagnostics).
-    pub fn current_sweep_len(&self) -> usize {
-        self.current.len()
-    }
 }
 
 impl IoScheduler for NCscan {

@@ -45,29 +45,6 @@ impl LinkProfile {
         }
     }
 
-    /// The testbed's 100 Mb/s management network.
-    pub fn fast_ethernet() -> Self {
-        LinkProfile {
-            bandwidth: 11.5e6,
-            latency: SimDuration::from_micros(60),
-            mtu: 1_500,
-            frame_loss: 0.0,
-            jitter: 5e-6,
-        }
-    }
-
-    /// A lossy, jittery path in the spirit of the wireless-NFS work the
-    /// paper cites (Dube et al.): used by the SlowDown ablation.
-    pub fn lossy_wireless() -> Self {
-        LinkProfile {
-            bandwidth: 600e3,
-            latency: SimDuration::from_millis(3),
-            mtu: 1_500,
-            frame_loss: 0.005,
-            jitter: 2e-3,
-        }
-    }
-
     /// Number of frames needed for a payload.
     pub fn frames_for(&self, bytes: u64) -> u64 {
         bytes.max(1).div_ceil(self.mtu)

@@ -142,16 +142,17 @@ impl ClientHostConfig {
 /// of readers.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuModel {
-    /// Client-side marshal cost per call, seconds.
+    /// Client-side marshal cost per call, seconds (a jitter is added to
+    /// it before the sum rounds to nanoseconds).
     pub client_marshal: f64,
     /// Mean of the exponential jitter added to marshalling, seconds.
     pub client_jitter_mean: f64,
-    /// Client-side completion (copyout + wakeup) cost, seconds.
-    pub client_complete: f64,
-    /// Server-side per-call processing, seconds.
-    pub server_call: f64,
-    /// Server-side per-reply processing, seconds.
-    pub server_reply: f64,
+    /// Client-side completion (copyout + wakeup) cost.
+    pub client_complete: SimDuration,
+    /// Server-side per-call processing.
+    pub server_call: SimDuration,
+    /// Server-side per-reply processing.
+    pub server_reply: SimDuration,
 }
 
 impl CpuModel {
@@ -161,16 +162,16 @@ impl CpuModel {
             TransportKind::Udp => CpuModel {
                 client_marshal: 25e-6,
                 client_jitter_mean: 18e-6,
-                client_complete: 20e-6,
-                server_call: 130e-6,
-                server_reply: 220e-6,
+                client_complete: SimDuration::from_micros(20),
+                server_call: SimDuration::from_micros(130),
+                server_reply: SimDuration::from_micros(220),
             },
             TransportKind::Tcp => CpuModel {
                 client_marshal: 60e-6,
                 client_jitter_mean: 10e-6,
-                client_complete: 45e-6,
-                server_call: 250e-6,
-                server_reply: 350e-6,
+                client_complete: SimDuration::from_micros(45),
+                server_call: SimDuration::from_micros(250),
+                server_reply: SimDuration::from_micros(350),
             },
         }
     }

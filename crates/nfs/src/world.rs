@@ -397,13 +397,69 @@ enum Ev {
     GatherExpire { ino: u64 },
 }
 
+/// An outstanding RPC, as the client that sent it books it.
 #[derive(Debug)]
 struct Rpc {
     call: NfsCall,
-    encoded: Vec<u8>,
     /// Per-file submission sequence, for server-side reorder accounting.
     submit_seq: u64,
     attempt: u32,
+    /// The op that completes on this RPC's reply (metadata, sync writes);
+    /// `None` for READs, which settle cache blocks, and write-behind.
+    waiter: Option<OpId>,
+    /// READDIR(PLUS) only: the chunk shape the caller declared.
+    readdir: Option<ReaddirPending>,
+}
+
+/// One client's outstanding RPCs, indexed by xid.
+///
+/// Xids run 1, 2, …, `u32::MAX`, 1, … (0 is never issued), so each RPC
+/// sits in an [`IdWindow`] under a serial that keeps counting across the
+/// wrap. Live RPCs span far less than a lap, so the serial an xid maps
+/// to is exact.
+#[derive(Debug, Default)]
+struct RpcBook {
+    window: IdWindow<Rpc>,
+    /// Serial and xid of the newest RPC booked.
+    newest: u64,
+    newest_xid: u32,
+}
+
+impl RpcBook {
+    /// Books `rpc` under `xid`, the xid issued after the newest one.
+    fn insert(&mut self, xid: u32, rpc: Rpc) {
+        // Counting up across the wrap skips xid 0.
+        let lead = xid.wrapping_sub(self.newest_xid) - u32::from(xid < self.newest_xid);
+        self.newest += u64::from(lead);
+        self.newest_xid = xid;
+        self.window.insert(self.newest, rpc);
+    }
+
+    fn serial(&self, xid: u32) -> Option<u64> {
+        let lag = self.newest_xid.wrapping_sub(xid) - u32::from(xid > self.newest_xid);
+        self.newest.checked_sub(u64::from(lag))
+    }
+
+    fn get(&self, xid: u32) -> Option<&Rpc> {
+        self.window.get(self.serial(xid)?)
+    }
+
+    fn get_mut(&mut self, xid: u32) -> Option<&mut Rpc> {
+        self.window.get_mut(self.serial(xid)?)
+    }
+
+    fn remove(&mut self, xid: u32) -> Option<Rpc> {
+        self.window.remove(self.serial(xid)?)
+    }
+
+    /// The outstanding xids, oldest first.
+    fn xids(&self) -> impl Iterator<Item = u32> + '_ {
+        const LAP: u64 = u32::MAX as u64;
+        self.window.ids().map(move |serial| {
+            let lag = self.newest - serial;
+            ((u64::from(self.newest_xid) + LAP - 1 - lag) % LAP + 1) as u32
+        })
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -429,8 +485,8 @@ struct AttrEntry {
     timeo: SimDuration,
 }
 
-/// Caller-declared shape of an outstanding READDIR(PLUS) chunk, keyed by
-/// xid. The simulated namespace lives in the workload layer (directories
+/// Caller-declared shape of an outstanding READDIR(PLUS) chunk, held in
+/// its [`Rpc`]. The simulated namespace lives in the workload layer (directories
 /// are ordinary handles), so the caller passes the chunk's entry count and
 /// children down and the server's reply builder reads them from here. An
 /// external caller declares no shape and gets an empty, final chunk.
@@ -553,15 +609,10 @@ struct ClientHost {
     s2c: Transport,
     cache: BufferCache,
     files: FastMap<u64, ClientFile>,
-    rpcs: FastMap<u32, Rpc>,
+    rpcs: RpcBook,
     iod_free: Vec<SimTime>,
     op_waiters: FastMap<(u64, u64), Waitlist<OpId>>,
-    /// Non-READ operations waiting directly on an RPC reply.
-    rpc_waiters: FastMap<u32, OpId>,
     stats: ClientStats,
-    /// Retired call-encoding buffers, recycled by `issue_call` so the
-    /// per-RPC marshal path stops allocating once warm.
-    buf_pool: Vec<Vec<u8>>,
     /// TCP only: queued c2s segment seq → call key, resolved by the
     /// segment engine's deferred [`TcpEvent`]s.
     c2s_seq: FastMap<u64, u64>,
@@ -573,14 +624,9 @@ struct ClientHost {
     /// Attribute cache, by inode. Always empty with the cache disabled
     /// (the default), so the cache-off world carries no new state.
     attrs: FastMap<u64, AttrEntry>,
-    /// Outstanding READDIR(PLUS) chunk shapes, by xid.
-    rd_pending: FastMap<u32, ReaddirPending>,
 }
 
 impl ClientHost {
-    /// Caps the recycled-buffer pool; beyond this, retired buffers drop.
-    const BUF_POOL_MAX: usize = 256;
-
     /// Returns `Some(now)` iff an nfsiod slot is free at `now`. (A slot
     /// whose busy-until time has passed is usable immediately; there is no
     /// future reservation, so the acquisition instant is always `now`.)
@@ -614,12 +660,6 @@ impl ClientHost {
             self.iod_free.push(SimTime::ZERO);
         }
     }
-
-    fn recycle_buf(&mut self, buf: Vec<u8>) {
-        if self.buf_pool.len() < Self::BUF_POOL_MAX && buf.capacity() > 0 {
-            self.buf_pool.push(buf);
-        }
-    }
 }
 
 /// The shared server: one nfsd pool, one CPU, one `nfsheur` table, one
@@ -641,10 +681,11 @@ struct ServerHost {
     cpu_free: SimTime,
     arrived_seq: FastMap<u64, u64>,
     stats: ServerStats,
-    /// Reply-encoding scratch buffer, reused across every reply the server
-    /// sends (replies are encoded, size-checked, and dropped — only their
-    /// wire size travels — so one buffer serves the whole run).
-    reply_scratch: Vec<u8>,
+    /// Debug builds only: the one buffer every simulated call and every
+    /// reply is XDR-encoded into for the codec check in
+    /// [`NfsWorld::server_call_arrive`] and [`NfsWorld::server_reply`].
+    /// Release builds never touch it; only wire sizes travel.
+    wire_scratch: Vec<u8>,
     /// Test hook: number of upcoming replies to count but not transmit.
     sabotage_drop_replies: u32,
     /// Server identity folded into the write verifier.
@@ -791,17 +832,14 @@ impl NfsWorld {
                 s2c,
                 cache: BufferCache::new(hc.client_cache_blocks),
                 files: FastMap::default(),
-                rpcs: FastMap::default(),
+                rpcs: RpcBook::default(),
                 iod_free: vec![SimTime::ZERO; hc.nfsiods],
                 op_waiters: FastMap::default(),
-                rpc_waiters: FastMap::default(),
                 stats: ClientStats::default(),
-                buf_pool: Vec::new(),
                 c2s_seq: FastMap::default(),
                 s2c_seq: FastMap::default(),
                 wb: FastMap::default(),
                 attrs: FastMap::default(),
-                rd_pending: FastMap::default(),
             });
         }
         let contention = vec![ContentionStats::default(); clients.len()];
@@ -823,7 +861,7 @@ impl NfsWorld {
                 cpu_free: SimTime::ZERO,
                 arrived_seq: FastMap::default(),
                 stats: ServerStats::default(),
-                reply_scratch: Vec::new(),
+                wire_scratch: Vec::new(),
                 sabotage_drop_replies: 0,
                 instance: seed,
                 boot_epoch: 0,
@@ -860,7 +898,7 @@ impl NfsWorld {
 
     /// Approximate resident bytes of per-client state across the cluster:
     /// the cold [`ClientHost`] bulk, the packed hot array, and each host's
-    /// heap (block cache, tracking maps, recycled marshal buffers). The
+    /// heap (block cache, RPC books, tracking maps). The
     /// flyweight config arena is counted once, however many hosts share
     /// it. Hash-map backing stores are estimated from `capacity()`, so
     /// this is scale accounting, not allocator truth.
@@ -875,16 +913,13 @@ impl NfsWorld {
         for cl in &self.clients {
             total += cl.cache.approx_heap_bytes()
                 + cl.iod_free.capacity() * size_of::<SimTime>()
-                + cl.buf_pool.iter().map(Vec::capacity).sum::<usize>()
+                + cl.rpcs.window.capacity() * size_of::<Option<Rpc>>()
                 + map_bytes(&cl.files)
-                + map_bytes(&cl.rpcs)
                 + map_bytes(&cl.op_waiters)
-                + map_bytes(&cl.rpc_waiters)
                 + map_bytes(&cl.c2s_seq)
                 + map_bytes(&cl.s2c_seq)
                 + map_bytes(&cl.wb)
-                + map_bytes(&cl.attrs)
-                + map_bytes(&cl.rd_pending);
+                + map_bytes(&cl.attrs);
         }
         total
     }
@@ -1104,11 +1139,6 @@ impl NfsWorld {
         self.server.fs.set_max_readahead_blocks(blocks);
     }
 
-    /// The server file system's current read-ahead window ceiling.
-    pub fn server_readahead_blocks(&self) -> u64 {
-        self.server.fs.config().max_readahead_blocks
-    }
-
     /// Rebuilds the server's `nfsheur` table with a new geometry — the
     /// runtime analogue of patching `NFS_HEURISTIC_SLOTS` and rebooting.
     /// As on a real reboot, accumulated table state (entries and their
@@ -1205,11 +1235,6 @@ impl NfsWorld {
         }
     }
 
-    /// Resizes one host's `nfsiod` pool.
-    pub fn set_nfsiods_for(&mut self, client: usize, count: usize) {
-        self.clients[client].set_nfsiods(count);
-    }
-
     /// One host's current `nfsiod` pool size.
     pub fn nfsiods_for(&self, client: usize) -> usize {
         self.clients[client].iod_free.len()
@@ -1241,7 +1266,7 @@ impl NfsWorld {
             .clients
             .iter()
             .enumerate()
-            .flat_map(|(i, cl)| cl.rpcs.keys().map(move |&x| (i, x)))
+            .flat_map(|(i, cl)| cl.rpcs.xids().map(move |x| (i, x)))
             .collect();
         v.sort_unstable();
         v
@@ -1711,14 +1736,12 @@ impl NfsWorld {
         );
         cl.stats.readdir_rpcs += 1;
         let (id, xid) = self.rpc_op(client, now, tag, call);
-        self.clients[client].rd_pending.insert(
-            xid,
-            ReaddirPending {
-                entries,
-                eof,
-                children,
-            },
-        );
+        let rpc = self.clients[client].rpcs.get_mut(xid).expect("issued");
+        rpc.readdir = Some(ReaddirPending {
+            entries,
+            eof,
+            children,
+        });
         id
     }
 
@@ -1824,14 +1847,15 @@ impl NfsWorld {
         let id = self.begin_op(client, now, tag, 1);
         let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, self.cpu);
         let xid = self.issue_call(client, send_at, call);
-        self.clients[client].rpc_waiters.insert(xid, id);
+        let rpc = self.clients[client].rpcs.get_mut(xid).expect("issued");
+        rpc.waiter = Some(id);
         (id, xid)
     }
 
     /// When an op whose last dependency resolved at `at` returns to its
     /// process: the client's completion cost later.
     fn local_done(&self, at: SimTime) -> SimTime {
-        at + SimDuration::from_secs_f64(self.cpu.client_complete)
+        at + self.cpu.client_complete
     }
 
     fn issue_rpc(
@@ -1860,12 +1884,12 @@ impl NfsWorld {
         let f = cl.files.get_mut(&ino).expect("mounted");
         f.submit_counter += 1;
         let submit_seq = f.submit_counter;
-        let scratch = cl.buf_pool.pop().unwrap_or_default();
         let rpc = Rpc {
-            encoded: call.encode_into(xid, scratch),
             call,
             submit_seq,
             attempt: 0,
+            waiter: None,
+            readdir: None,
         };
         cl.rpcs.insert(xid, rpc);
         self.queue.schedule_at(
@@ -2190,7 +2214,7 @@ impl NfsWorld {
                     } else {
                         cl.s2c_seq.remove(&seq).expect("queued seq mapped").0
                     };
-                    if cl.rpcs.contains_key(&key_xid(key)) {
+                    if cl.rpcs.get(key_xid(key)).is_some() {
                         self.rpc_timed_out(at, key);
                     }
                 }
@@ -2201,7 +2225,7 @@ impl NfsWorld {
 
     fn do_send(&mut self, at: SimTime, key: u64) {
         let cl = &mut self.clients[key_client(key)];
-        let Some(rpc) = cl.rpcs.get(&key_xid(key)) else {
+        let Some(rpc) = cl.rpcs.get(key_xid(key)) else {
             return; // Completed while a retransmission was marshalling.
         };
         let wire = rpc.call.wire_bytes();
@@ -2237,7 +2261,7 @@ impl NfsWorld {
         let cpu = self.cpu;
         let max_retries = self.config.max_retries;
         let cl = &mut self.clients[key_client(key)];
-        let Some(rpc) = cl.rpcs.get_mut(&key_xid(key)) else {
+        let Some(rpc) = cl.rpcs.get_mut(key_xid(key)) else {
             return;
         };
         if rpc.attempt != attempt {
@@ -2263,7 +2287,7 @@ impl NfsWorld {
 
     fn client_reply_arrive(&mut self, at: SimTime, key: u64, eio: bool, verf: u64) {
         let cl = &mut self.clients[key_client(key)];
-        if !cl.rpcs.contains_key(&key_xid(key)) {
+        if cl.rpcs.get(key_xid(key)).is_none() {
             // Duplicate reply after a retransmission raced, or the client
             // already gave up on this xid.
             cl.stats.duplicate_replies += 1;
@@ -2291,19 +2315,17 @@ impl NfsWorld {
         let xid = key_xid(key);
         let done = self.local_done(at);
         let cl = &mut self.clients[client];
-        let Rpc { call, encoded, .. } = cl.rpcs.remove(&xid).expect("outstanding rpc");
-        cl.recycle_buf(encoded);
-        if let Some(id) = cl.rpc_waiters.remove(&xid) {
+        let rpc = cl.rpcs.remove(xid).expect("outstanding rpc");
+        if let Some(id) = rpc.waiter {
             // A non-READ operation (or a directly-awaited RPC) completes.
             match end {
-                RpcEnd::Reply { .. } => self.attr_reply_install(client, at, xid, &call),
+                RpcEnd::Reply { .. } => self.attr_reply_install(client, at, rpc),
                 _ => self.ops.get_mut(id.0).expect("awaited op").fail(xid, end),
             }
-            self.clients[client].rd_pending.remove(&xid);
             self.finish_op(id, done);
             return;
         }
-        let (fh, offset, count) = match call {
+        let (fh, offset, count) = match rpc.call {
             NfsCall::Write {
                 fh,
                 offset,
@@ -2355,20 +2377,16 @@ impl NfsWorld {
     /// The server's attribute version is peeked at reply-arrival time
     /// (the sim owns both ends, so this is the value the reply carried);
     /// `Ev::ReplyArrive` stays layout-compatible with the pre-cache world.
-    fn attr_reply_install(&mut self, client: usize, at: SimTime, xid: u32, call: &NfsCall) {
+    fn attr_reply_install(&mut self, client: usize, at: SimTime, rpc: Rpc) {
         if !self.config.attr_cache_enabled() {
             return;
         }
-        match call {
+        match rpc.call {
             NfsCall::Getattr { fh } => self.attr_refresh(client, at, fh.ino),
             NfsCall::Readdirplus { .. } => {
-                let children: Vec<u64> = self.clients[client]
-                    .rd_pending
-                    .get(&xid)
-                    .map(|p| p.children.iter().map(|c| c.ino).collect())
-                    .unwrap_or_default();
+                let children = rpc.readdir.map(|p| p.children).unwrap_or_default();
                 let min = self.config.attr_timeo_min;
-                for ino in children {
+                for FileHandle { ino, .. } in children {
                     let version = self.server.attr_seq.get(&ino).copied().unwrap_or(0);
                     // Prefill only: an existing entry (live or mid-decay)
                     // keeps its adaptive state.
@@ -2433,17 +2451,29 @@ impl NfsWorld {
     // Server internals.
     // ------------------------------------------------------------------
 
-    /// A simulated call reached the server: decode it from its real wire
-    /// encoding and admit it.
+    /// A simulated call reached the server: admit the server's own copy.
+    /// Release builds clone the client's call. Debug builds encode it to
+    /// XDR in `wire_scratch`, decode it, check that xid and call survive
+    /// the round trip and admit the decoded copy, so every debug test and
+    /// simtest sweep checks the codec on every simulated call.
     fn server_call_arrive(&mut self, at: SimTime, key: u64) {
-        let Some(rpc) = self.clients[key_client(key)].rpcs.get(&key_xid(key)) else {
+        let xid = key_xid(key);
+        let Some(rpc) = self.clients[key_client(key)].rpcs.get(xid) else {
             // The client abandoned this xid (RPC timeout) before the call
             // arrived; a real server would execute it and get no thanks.
             self.server.stats.orphan_calls += 1;
             return;
         };
-        let (decoded_xid, call) = NfsCall::decode(&rpc.encoded).expect("well-formed call");
-        debug_assert_eq!(decoded_xid, key_xid(key));
+        let call = if cfg!(debug_assertions) {
+            let scratch = std::mem::take(&mut self.server.wire_scratch);
+            let wire = rpc.call.encode_into(xid, scratch);
+            let (wire_xid, decoded) = NfsCall::decode(&wire).expect("well-formed call");
+            assert_eq!((wire_xid, &decoded), (xid, &rpc.call));
+            self.server.wire_scratch = wire;
+            decoded
+        } else {
+            rpc.call.clone()
+        };
         let submit_seq = rpc.submit_seq;
         self.admit(at, key, call, Some(submit_seq));
     }
@@ -2499,9 +2529,10 @@ impl NfsWorld {
     /// ingress never retires a call early.
     fn call_retired(&self, key: u64) -> bool {
         !is_ext(key)
-            && !self.clients[key_client(key)]
+            && self.clients[key_client(key)]
                 .rpcs
-                .contains_key(&key_xid(key))
+                .get(key_xid(key))
+                .is_none()
     }
 
     /// An nfsd executes the in-service call `key`. A call the file system
@@ -2513,7 +2544,7 @@ impl NfsWorld {
     /// past the partition's free space gets no space. Simulated clients
     /// send none of these, so their schedules are untouched.
     fn nfsd_process(&mut self, at: SimTime, key: u64) {
-        let t1 = self.server.cpu_free.max(at) + SimDuration::from_secs_f64(self.cpu.server_call);
+        let t1 = self.server.cpu_free.max(at) + self.cpu.server_call;
         self.server.cpu_free = t1;
         let call = self
             .server
@@ -2774,7 +2805,7 @@ impl NfsWorld {
     /// hands it to the caller's sink — the simulated s2c transport or the
     /// external outbox.
     fn server_reply(&mut self, key: u64, at: SimTime, status: NfsStatus) {
-        let t = self.server.cpu_free.max(at) + SimDuration::from_secs_f64(self.cpu.server_reply);
+        let t = self.server.cpu_free.max(at) + self.cpu.server_reply;
         self.server.cpu_free = t;
         if self.call_retired(key) {
             // This execution was wasted work. Nothing to send.
@@ -2815,12 +2846,15 @@ impl NfsWorld {
             let caller = self.caller_index(key);
             self.contention[caller].disk_eios_suffered += 1;
         }
-        // Exercise the codec: encode the reply as it would go on the wire,
-        // into a scratch buffer reused across all replies.
-        let scratch = std::mem::take(&mut self.server.reply_scratch);
-        let encoded = reply.encode_into(xid, scratch);
-        debug_assert!(!encoded.is_empty());
-        self.server.reply_scratch = encoded;
+        if cfg!(debug_assertions) {
+            // The codec check on the way back (see `server_call_arrive`):
+            // release builds send only the reply's wire size.
+            let scratch = std::mem::take(&mut self.server.wire_scratch);
+            let wire = reply.encode_into(xid, scratch);
+            let (wire_xid, decoded) = NfsReply::decode(call.proc(), &wire).expect("reply");
+            assert_eq!((wire_xid, &decoded), (xid, &reply));
+            self.server.wire_scratch = wire;
+        }
         if self.server.sabotage_drop_replies > 0 {
             // Mutation-check hook: the books say "replied" but the wire
             // never sees it.
@@ -2854,8 +2888,8 @@ impl NfsWorld {
 
     /// The reply to `call` with `status`, read off the server's state: file
     /// sizes from its inodes, verifiers from its boot epoch, and a READDIR
-    /// chunk's shape from what a simulated caller declared in
-    /// `rd_pending` (an external caller declares none and gets an empty,
+    /// chunk's shape from what a simulated caller declared in its
+    /// [`Rpc::readdir`] (an external caller declares none and gets an empty,
     /// final chunk — a real server's answer for an empty directory).
     fn build_reply(&self, key: u64, call: &NfsCall, status: NfsStatus) -> NfsReply {
         let ok = status == NfsStatus::Ok;
@@ -2894,8 +2928,9 @@ impl NfsWorld {
             NfsCall::Readdir { .. } | NfsCall::Readdirplus { .. } => {
                 let plus = matches!(call, NfsCall::Readdirplus { .. });
                 let pend = (!is_ext(key))
-                    .then(|| self.clients[key_client(key)].rd_pending.get(&key_xid(key)))
-                    .flatten();
+                    .then(|| self.clients[key_client(key)].rpcs.get(key_xid(key)))
+                    .flatten()
+                    .and_then(|rpc| rpc.readdir.as_ref());
                 let entries = pend.map_or(0, |p| p.entries);
                 let per = READDIR_ENTRY_BYTES + if plus { READDIRPLUS_EXTRA_BYTES } else { 0 };
                 NfsReply::Readdir {
@@ -3340,6 +3375,72 @@ mod tests {
         assert!(done.iter().all(|d| d.outcome.is_ok()), "{done:?}");
         assert!(done.iter().all(|d| d.client == 0), "{done:?}");
         assert_eq!(w.client_stats_for(0).rpc_timeouts, 0);
+    }
+
+    /// What a run of UDP reads did when client 0's xids start at
+    /// `first_xid`: each completion, and after every step the outstanding
+    /// xids, raw and as offsets from `first_xid` along the lap.
+    #[allow(clippy::type_complexity)]
+    fn reads_from_xid(first_xid: u32) -> (Vec<(u64, SimTime, OpOutcome)>, Vec<Vec<(u32, u64)>>) {
+        const SIZE: u64 = 128 * 1024;
+        let cfg = WorldConfig {
+            retransmit_timeout: SimDuration::from_millis(20),
+            ..WorldConfig::default()
+        };
+        let mut w = make_world(cfg, 41);
+        w.hot[0].next_xid = first_xid;
+        let fh = [w.create_file(SIZE), w.create_file(SIZE)];
+        // The first reply is lost, so its call goes out again 20 ms later.
+        w.sabotage_drop_next_replies(1);
+        for (r, &f) in fh.iter().enumerate() {
+            w.read_from(0, SimTime::ZERO, f, 0, 8_192, r as u64);
+        }
+        let mut next = [8_192u64; 2];
+        let (mut done, mut outstanding) = (Vec::new(), Vec::new());
+        while let Some(t) = w.next_event() {
+            for d in w.advance(t) {
+                done.push((d.tag, d.done_at, d.outcome));
+                let r = d.tag as usize;
+                if next[r] < SIZE {
+                    w.read_from(0, d.done_at, fh[r], next[r], 8_192, d.tag);
+                    next[r] += 8_192;
+                }
+            }
+            let mut xids: Vec<(u32, u64)> = w
+                .outstanding_xids()
+                .into_iter()
+                .map(|(_, x)| {
+                    let lap = u64::from(x.wrapping_sub(first_xid)) - u64::from(x < first_xid);
+                    (x, lap)
+                })
+                .collect();
+            xids.sort_unstable_by_key(|&(_, lap)| lap);
+            outstanding.push(xids);
+        }
+        assert_eq!(w.client_stats_for(0).retransmits, 1);
+        assert!(w.outstanding_xids().is_empty());
+        (done, outstanding)
+    }
+
+    #[test]
+    fn rpc_books_survive_the_xid_wrap() {
+        let (done, outstanding) = reads_from_xid(1);
+        let (wrapped_done, wrapped_outstanding) = reads_from_xid(u32::MAX - 4);
+        assert_eq!(done.len(), 32);
+        assert!(done.iter().all(|d| d.2.is_ok()), "{done:?}");
+        assert_eq!(wrapped_done, done);
+        let laps = |v: &[Vec<(u32, u64)>]| -> Vec<Vec<u64>> {
+            v.iter().map(|s| s.iter().map(|x| x.1).collect()).collect()
+        };
+        assert_eq!(laps(&wrapped_outstanding), laps(&outstanding));
+        // The lost call is retransmitted while xids past the wrap are out.
+        assert!(
+            wrapped_outstanding.iter().any(|s| {
+                s.first().is_some_and(|x| x.0 == u32::MAX - 4)
+                    && s.last().is_some_and(|x| x.0 < 100)
+            }),
+            "no step held xids from both sides of the wrap"
+        );
     }
 
     #[test]

@@ -359,21 +359,6 @@ pub fn encode_null_call(xid: u32, prog: u32, vers: u32) -> Vec<u8> {
     e.finish()
 }
 
-/// Encodes an NFSPROC3_ACCESS call.
-pub fn encode_access_call(xid: u32, fh: &FileHandle, access: u32) -> Vec<u8> {
-    let mut e = XdrEncoder::new();
-    CallHeader {
-        xid,
-        prog: nfsproto::NFS_PROGRAM,
-        vers: nfsproto::NFS_VERSION,
-        proc_num: NFSPROC_ACCESS,
-    }
-    .encode(&mut e);
-    fh.encode(&mut e);
-    e.put_u32(access);
-    e.finish()
-}
-
 /// Encodes an FSINFO/FSSTAT/PATHCONF call (they all take one handle).
 pub fn encode_fh_call(xid: u32, proc_num: u32, fh: &FileHandle) -> Vec<u8> {
     let mut e = XdrEncoder::new();

@@ -84,13 +84,11 @@ impl SimDuration {
 
     /// Creates a duration from fractional seconds, rounding to nanoseconds.
     ///
-    /// Negative inputs clamp to zero: physical service times are never
-    /// negative, and clamping keeps jittered-model arithmetic total.
+    /// Negative inputs and NaN clamp to zero: physical service times are
+    /// never negative, and clamping keeps jittered-model arithmetic total.
+    /// Inputs beyond `u64::MAX` nanoseconds saturate.
     pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            return SimDuration(0);
-        }
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_nanos(s * 1e9))
     }
 
     /// Creates a duration from fractional milliseconds.
@@ -137,6 +135,15 @@ impl SimDuration {
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
+}
+
+/// `x.round() as u64` without libm. The cast truncates (NaN and
+/// negatives to 0, saturating at `u64::MAX`) and the fraction it drops,
+/// `x - t`, is exact, so adding one from ½ rounds half away from zero.
+#[inline]
+fn round_nanos(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -236,6 +243,85 @@ mod tests {
     #[test]
     fn negative_float_duration_clamps_to_zero() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
+    }
+
+    /// The libm reference: `f64::round`, then the saturating cast.
+    fn libm_nanos(s: f64) -> u64 {
+        (s * 1e9).round() as u64
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_edge_values() {
+        let below_half = 0.5f64.next_down();
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            -0.4,
+            -0.5,
+            -0.6,
+            -1.0,
+            -1e300,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            below_half,
+            0.5,
+            1.5,
+            2.5,
+            1e9 + 0.5,
+            2f64.powi(63),
+            2f64.powi(64),
+            u64::MAX as f64,
+            1e30,
+            f64::MAX,
+        ];
+        // Each .5 tie and the value just below it, up to where f64 still
+        // carries a half.
+        for k in [1u64, 2, 3, 1_000, 123_456_789, 1 << 40, (1 << 52) - 1] {
+            let tie = k as f64 + 0.5;
+            xs.extend([tie, tie.next_down(), tie.next_up()]);
+        }
+        for p in [52, 53] {
+            let c = 2f64.powi(p);
+            xs.extend([c - 1.0, c, c + 1.0, c.next_down(), c.next_up()]);
+        }
+        for x in xs {
+            assert_eq!(round_nanos(x), x.round() as u64, "x = {x:e}");
+            // The same values as seconds, through the public constructor.
+            let s = x / 1e9;
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_nanos(),
+                libm_nanos(s),
+                "s = {s:e}"
+            );
+        }
+        assert_eq!(round_nanos(below_half), 0);
+        assert_eq!(round_nanos(2.5), 3, "ties round away from zero");
+        assert_eq!(round_nanos(1e30), u64::MAX, "saturates");
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_random_values() {
+        let mut rng = crate::SimRng::new(0x0D_5EC5);
+        for i in 0..1_000_000u32 {
+            let s = match i % 4 {
+                // Every bit pattern: NaNs, infinities, subnormals, huge.
+                0 => f64::from_bits(rng.next_u64()),
+                // The simulator's range: nanoseconds to minutes.
+                1 => rng.uniform01() * 100.0,
+                2 => rng.uniform01() * 1e-6,
+                // Exactly on a half nanosecond.
+                _ => (rng.next_u64() >> 12) as f64 * 0.5e-9 + 0.5e-9,
+            };
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_nanos(),
+                libm_nanos(s),
+                "s = {s:e} (bits {:#x})",
+                s.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -60,6 +60,12 @@ impl<T> IdWindow<T> {
         self.slots.push_back(Some(value));
     }
 
+    /// The state of `id`, if it is live.
+    #[inline]
+    pub fn get(&self, id: u64) -> Option<&T> {
+        self.slots[self.index(id)?].as_ref()
+    }
+
     /// Mutable access to the state of `id`, if it is live.
     #[inline]
     pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
@@ -77,6 +83,11 @@ impl<T> IdWindow<T> {
             self.base += 1;
         }
         Some(value)
+    }
+
+    /// Slots the window holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
     }
 
     /// The live ids, in increasing order.
@@ -150,6 +161,7 @@ mod tests {
         assert_eq!(w.remove(15), Some(30));
         assert_eq!(w.remove(15), None, "retired twice");
         assert_eq!(w.get_mut(15), None);
+        assert_eq!(w.get(16), Some(&32));
         assert_eq!(w.remove(10), Some(20));
         assert_eq!(
             w.ids().collect::<Vec<_>>(),
@@ -171,6 +183,7 @@ mod tests {
         w.insert(5, 'a');
         w.insert(8, 'b'); // a gap
         for id in [0, 4, 6, 7, 9, u64::MAX] {
+            assert_eq!(w.get(id), None, "id {id}");
             assert_eq!(w.get_mut(id), None, "id {id}");
             assert_eq!(w.remove(id), None, "id {id}");
         }

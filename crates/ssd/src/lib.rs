@@ -212,11 +212,6 @@ impl Ssd {
         out
     }
 
-    /// Number of NAND dies.
-    pub fn die_count(&self) -> usize {
-        self.dies.len()
-    }
-
     fn die_of(&self, page: u64) -> usize {
         (page % self.dies.len() as u64) as usize
     }
