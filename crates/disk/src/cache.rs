@@ -208,11 +208,21 @@ impl SegmentedCache {
         if self.config.segments == 0 {
             return None;
         }
-        self.segments
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.ready_time(now, lba, sectors).map(|t| (t, i)))
-            .min_by_key(|&(t, _)| t)
+        // Most segments follow other streams: reject them on their sector
+        // range before any timing arithmetic. Ties keep the first segment.
+        let end = lba + sectors;
+        let mut best: Option<(SimTime, usize)> = None;
+        for (i, s) in self.segments.iter().enumerate() {
+            if lba < s.origin || end > s.hi {
+                continue;
+            }
+            if let Some(t) = s.ready_time(now, lba, sectors) {
+                if best.is_none_or(|(b, _)| t < b) {
+                    best = Some((t, i));
+                }
+            }
+        }
+        best
     }
 
     /// Records a hit served from segment `slot` (as returned by

@@ -106,6 +106,11 @@ pub struct DiskStats {
     pub media_errors: u64,
     /// Sectors reallocated to spares by host remap commands.
     pub remapped_sectors: u64,
+    /// Queued commands the tagged-queue scheduler scored (SPTF).
+    pub sptf_scores: u64,
+    /// Cache segments examined to decide whether the cache can serve a
+    /// read (every live segment per decision).
+    pub cache_probes: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -139,6 +144,11 @@ impl Pending {
         }
     }
 }
+
+/// Whether the cache serves a queued read sooner than the mechanics:
+/// the ready time and the serving segment, or `None` for a mechanical
+/// access (see [`Disk::cache_beats_mechanical`]).
+type CacheVerdict = Option<(SimTime, usize)>;
 
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
@@ -347,20 +357,21 @@ impl Disk {
         if earliest > at {
             start = earliest;
         }
-        let idx = self.choose(start);
+        let (idx, verdict) = self.choose(start);
         let p = self.pending.swap_remove(idx);
         let begin = start.max(p.arrived);
+        debug_assert!(verdict.is_none() || begin == start, "scored before arrival");
         let decision = match self.fault.as_mut() {
             Some(f) => f.decide(begin, &p.req),
             None => FaultDecision::Ok,
         };
         let (completes, cache_hit, error) = match decision {
             FaultDecision::Ok => {
-                let (done, hit) = self.service(begin, &p);
+                let (done, hit) = self.service(begin, &p, verdict);
                 (done, hit, None)
             }
             FaultDecision::Slow { stall } => {
-                let (done, hit) = self.service(begin, &p);
+                let (done, hit) = self.service(begin, &p, verdict);
                 self.stats.breakdown.fault_stall += stall;
                 (done + stall, hit, None)
             }
@@ -384,39 +395,79 @@ impl Disk {
         });
     }
 
-    /// Chooses which arrived command to service next at time `t`.
-    fn choose(&self, t: SimTime) -> usize {
-        let arrived = (0..self.pending.len()).filter(|&i| self.pending[i].arrived <= t);
-        let chosen = if self.tcq.enabled {
-            // SPTF with aging: minimize estimated positioning time minus a
-            // credit proportional to how long the command has waited. Each
-            // candidate is scored once, folded as `min_by` folds: the
-            // first minimum wins, and ties or NaN scores break on `seq`.
-            let mut best: Option<(usize, f64)> = None;
-            for i in arrived {
-                let score = self.sptf_score(t, &self.pending[i]);
-                let replaces = best.is_none_or(|(b, best_score)| {
-                    best_score
-                        .partial_cmp(&score)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(self.pending[b].seq.cmp(&self.pending[i].seq))
-                        .is_gt()
-                });
-                if replaces {
-                    best = Some((i, score));
-                }
-            }
-            best.map(|(i, _)| i)
-        } else {
+    /// Chooses which arrived command to service next at time `t`, with the
+    /// cache verdict it was scored on, if it was scored.
+    ///
+    /// Only a choice among two or more arrived commands with tags on
+    /// needs scores: a lone arrived command, or the earliest future one
+    /// when none has arrived, is taken unscored. Every candidate is
+    /// scored once, and the winner's verdict goes to
+    /// [`Disk::service`]: it starts at `t`, so the verdict still holds.
+    fn choose(&mut self, t: SimTime) -> (usize, Option<CacheVerdict>) {
+        let n = self.pending.len();
+        if !self.tcq.enabled {
             // Host order: FIFO by submission sequence.
-            arrived.min_by_key(|&i| self.pending[i].seq)
-        };
-        chosen.unwrap_or_else(|| {
-            // Everything is in the future; take the earliest arrival.
-            (0..self.pending.len())
-                .min_by_key(|&i| (self.pending[i].arrived, self.pending[i].seq))
-                .expect("non-empty")
-        })
+            let fifo = (0..n)
+                .filter(|&i| self.pending[i].arrived <= t)
+                .min_by_key(|&i| self.pending[i].seq);
+            return (fifo.unwrap_or_else(|| self.earliest_arrival()), None);
+        }
+        // SPTF with aging: minimize estimated positioning time minus a
+        // credit proportional to how long the command has waited, folded
+        // as `min_by` folds: the first minimum wins, and ties or NaN
+        // scores break on `seq`.
+        let mut lone = None;
+        let mut best: Option<(usize, f64, CacheVerdict)> = None;
+        for i in 0..n {
+            if self.pending[i].arrived > t {
+                continue;
+            }
+            let Some(first) = lone else {
+                lone = Some(i);
+                continue;
+            };
+            let held = match best {
+                Some(held) => held,
+                None => self.score(t, first),
+            };
+            let candidate = self.score(t, i);
+            let replaces = held
+                .1
+                .partial_cmp(&candidate.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(self.pending[held.0].seq.cmp(&self.pending[i].seq))
+                .is_gt();
+            best = Some(if replaces { candidate } else { held });
+        }
+        match (best, lone) {
+            (Some((i, _, verdict)), _) => (i, Some(verdict)),
+            (None, Some(i)) => (i, None),
+            (None, None) => (self.earliest_arrival(), None),
+        }
+    }
+
+    /// The pending command that arrives first (FIFO among equal arrivals).
+    fn earliest_arrival(&self) -> usize {
+        (0..self.pending.len())
+            .min_by_key(|&i| (self.pending[i].arrived, self.pending[i].seq))
+            .expect("non-empty")
+    }
+
+    /// Scores pending command `i` at `t`, counting the work.
+    fn score(&mut self, t: SimTime, i: usize) -> (usize, f64, CacheVerdict) {
+        let p = self.pending[i];
+        self.count_probe(&p);
+        self.stats.sptf_scores += 1;
+        let (score, verdict) = self.sptf_score(t, &p);
+        (i, score, verdict)
+    }
+
+    /// Counts one cache verdict for `p`: a read's lookup examines every
+    /// live segment, a write's none.
+    fn count_probe(&mut self, p: &Pending) {
+        if p.req.op == DiskOp::Read {
+            self.stats.cache_probes += self.cache.live_segments() as u64;
+        }
     }
 
     /// If the cache will satisfy `p` sooner than the mechanics could,
@@ -424,7 +475,7 @@ impl Disk {
     /// stream technically "reaches" any LBA ahead of it eventually; real
     /// firmware aborts the prefetch and seeks when that would be faster, so
     /// a paced hit only counts when it beats the mechanical estimate.
-    fn cache_beats_mechanical(&self, t: SimTime, p: &Pending) -> Option<(SimTime, usize)> {
+    fn cache_beats_mechanical(&self, t: SimTime, p: &Pending) -> CacheVerdict {
         let req = &p.req;
         if req.op != DiskOp::Read {
             return None;
@@ -442,8 +493,10 @@ impl Disk {
         }
     }
 
-    fn sptf_score(&self, t: SimTime, p: &Pending) -> f64 {
-        let positioning = if self.cache_beats_mechanical(t, p).is_some() {
+    /// The SPTF score of `p` at `t`, and the cache verdict it rests on.
+    fn sptf_score(&self, t: SimTime, p: &Pending) -> (f64, CacheVerdict) {
+        let verdict = self.cache_beats_mechanical(t, p);
+        let positioning = if verdict.is_some() {
             0.0
         } else {
             let seek = self.seek.seek_secs(self.head_cyl.abs_diff(p.chs.cylinder));
@@ -451,7 +504,7 @@ impl Disk {
             seek + self.rotation_wait(after_seek, p.angle)
         };
         let wait = t.saturating_since(p.arrived).as_secs_f64();
-        positioning - self.tcq.aging_factor * wait
+        (positioning - self.tcq.aging_factor * wait, verdict)
     }
 
     /// Rotational delay until the sector at angle `target` (a request's
@@ -468,12 +521,23 @@ impl Disk {
     }
 
     /// Computes the completion time of a request starting service at `t0`.
-    fn service(&mut self, t0: SimTime, p: &Pending) -> (SimTime, bool) {
+    /// `verdict` is the cache verdict `choose` scored `p` on at `t0`, if
+    /// it did; otherwise the cache is asked here.
+    fn service(
+        &mut self,
+        t0: SimTime,
+        p: &Pending,
+        verdict: Option<CacheVerdict>,
+    ) -> (SimTime, bool) {
         let req = &p.req;
         let host_xfer = req.bytes() as f64 / self.mech.interface_rate;
         match req.op {
             DiskOp::Read => {
-                if let Some((ready_at, slot)) = self.cache_beats_mechanical(t0, p) {
+                let verdict = verdict.unwrap_or_else(|| {
+                    self.count_probe(p);
+                    self.cache_beats_mechanical(t0, p)
+                });
+                if let Some((ready_at, slot)) = verdict {
                     // Served from buffer; mechanics stay where they are and
                     // any background fill keeps running. Command decode and
                     // interface transfer overlap the fill (the drive streams
@@ -807,8 +871,8 @@ mod tests {
         *arrived
             .iter()
             .min_by(|&&a, &&b| {
-                let sa = d.sptf_score(t, &d.pending[a]);
-                let sb = d.sptf_score(t, &d.pending[b]);
+                let sa = d.sptf_score(t, &d.pending[a]).0;
+                let sb = d.sptf_score(t, &d.pending[b]).0;
                 sa.partial_cmp(&sb)
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(d.pending[a].seq.cmp(&d.pending[b].seq))
@@ -816,9 +880,33 @@ mod tests {
             .expect("non-empty")
     }
 
+    /// Checks `choose` at `t` against the `min_by` reference, and the
+    /// verdict it hands to `service` against a fresh cache verdict at the
+    /// instant service would begin. Returns how many commands had arrived.
+    fn check_choice(d: &mut Disk, t: SimTime, what: &str) -> usize {
+        let arrived = d.pending.iter().filter(|p| p.arrived <= t).count();
+        let reference = choose_by_min_by(d, t);
+        let scores = d.stats.sptf_scores;
+        let (idx, verdict) = d.choose(t);
+        assert_eq!(idx, reference, "{what}");
+        let p = d.pending[idx];
+        let begin = t.max(p.arrived);
+        let scored = d.tcq.enabled && arrived >= 2;
+        assert_eq!(verdict.is_some(), scored, "scored only to pick, {what}");
+        let expect_scores = if scored { arrived as u64 } else { 0 };
+        assert_eq!(d.stats.sptf_scores - scores, expect_scores, "{what}");
+        if let Some(verdict) = verdict {
+            assert_eq!(begin, t, "a scored command has arrived, {what}");
+            assert_eq!(verdict, d.cache_beats_mechanical(begin, &p), "{what}");
+        }
+        arrived
+    }
+
     #[test]
     fn choose_matches_the_min_by_reference() {
         let mut rng = SimRng::new(0x5F7F);
+        // Arrived-candidate counts seen per TCQ setting: none, one, many.
+        let mut seen = [[false; 3]; 2];
         // Infinite aging scores a command that arrived at `t` as NaN
         // (0 * inf) and every older one as -inf: the tie-break paths.
         for aging_factor in [0.0, 2.0, f64::INFINITY] {
@@ -842,7 +930,12 @@ mod tests {
                         }
                     }
                     let t = ms(200) + SimDuration::from_micros(rng.gen_range(0u64..10_000));
-                    let depth = rng.gen_range(1usize..=64);
+                    // Shallow queues often hold one arrived command, or none.
+                    let depth = if rng.chance(0.3) {
+                        rng.gen_range(1usize..=3)
+                    } else {
+                        rng.gen_range(1usize..=64)
+                    };
                     let mut seqs: Vec<u64> = (0..depth as u64).collect();
                     rng.shuffle(&mut seqs);
                     d.pending.clear();
@@ -865,14 +958,14 @@ mod tests {
                             seq,
                         ));
                     }
-                    assert_eq!(
-                        d.choose(t),
-                        choose_by_min_by(&d, t),
-                        "aging {aging_factor}, tcq {enabled}, case {case}, depth {depth}"
-                    );
+                    let what =
+                        format!("aging {aging_factor}, tcq {enabled}, case {case}, depth {depth}");
+                    let arrived = check_choice(&mut d, t, &what);
+                    seen[usize::from(enabled)][arrived.min(2)] = true;
                 }
             }
         }
+        assert_eq!(seen, [[true; 3]; 2], "every case shape ran");
     }
 
     #[test]

@@ -15,17 +15,18 @@
 //!
 //! * **Slot arena.** Each cached block lives in a 16-byte [`Slot`] of one
 //!   `Vec`, recycled through a free list threaded through the slots.
-//! * **Per-file index.** A map from inode to file number and, per file, a
-//!   table from block number to slot. A file's table is inline up to
-//!   [`INLINE`] blocks and a power-of-two heap table past that. File
-//!   entries are never removed, so the inode map never churns.
+//! * **Per-file index.** A table from inode number to file number and,
+//!   per file, a table from block number to slot. The file system hands
+//!   out inode numbers densely, so the inode table is a plain `Vec`
+//!   indexed by inode number; it grows only when a block of a new inode
+//!   is inserted. A file's block table is inline up to [`INLINE`] blocks
+//!   and a power-of-two heap table past that. File entries are never
+//!   removed, so neither table churns.
 //! * **Exact LRU as a list.** Valid slots form a doubly linked list, oldest
 //!   at the head. A hit or a fill moves the slot to the tail, marking it
 //!   pending unlinks it, and eviction pops the head. The list is therefore
 //!   ordered by last use, and its head is the least recently used valid
 //!   block: the victim a scan for the oldest use stamp would pick.
-
-use simcore::FastMap;
 
 /// Cache key: inode number and file-block index.
 pub type BlockKey = (u64, u64);
@@ -139,8 +140,8 @@ pub struct BufferCache {
     head: u32,
     /// Most recently used valid slot, or [`NIL`].
     tail: u32,
-    /// Inode → file number.
-    inos: FastMap<u64, u32>,
+    /// File number by inode number; [`NIL`] for an inode with no file.
+    inos: Vec<u32>,
     /// Block index per file number.
     files: Vec<Index>,
     hits: u64,
@@ -163,7 +164,7 @@ impl BufferCache {
             free: NIL,
             head: NIL,
             tail: NIL,
-            inos: FastMap::default(),
+            inos: Vec::new(),
             files: Vec::new(),
             hits: 0,
             misses: 0,
@@ -186,14 +187,14 @@ impl BufferCache {
     }
 
     /// Approximate heap bytes behind this cache: the slot arena (free
-    /// slots included), the inode map (estimated from its capacity), the
-    /// file table and every heap index, all at capacity. Used for
+    /// slots included), the inode table, the file table and every heap
+    /// index, all at capacity. Used for
     /// fleet-scale memory accounting; excludes `size_of::<BufferCache>()`
     /// itself.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.slots.capacity() * size_of::<Slot>()
-            + self.inos.capacity() * (size_of::<u64>() + size_of::<u32>() + size_of::<u64>())
+            + self.inos.capacity() * size_of::<u32>()
             + self.files.capacity() * size_of::<Index>()
             + self.files.iter().map(Index::heap_bytes).sum::<usize>()
     }
@@ -306,22 +307,39 @@ impl BufferCache {
         self.tail = NIL;
     }
 
-    /// The slot caching `key`, valid or pending. Never grows anything.
+    /// The slot caching `key`, valid or pending. Never grows anything: an
+    /// unknown or out-of-range inode misses.
+    #[inline]
     fn slot_of(&self, (ino, blk): BlockKey) -> Option<u32> {
-        let file = *self.inos.get(&ino)?;
+        let file = *self.inos.get(usize::try_from(ino).ok()?)?;
+        if file == NIL {
+            return None;
+        }
         self.files[file as usize].get(u32::try_from(blk).ok()?)
     }
 
     /// The file number of `ino`, registering the file on first sight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ino` needs more than 32 bits. The inode table is as long
+    /// as the largest inode cached, which the file system keeps small by
+    /// numbering inodes densely (see [`slot_blk`] for why peers cannot
+    /// pick the keys).
     fn file_of(&mut self, ino: u64) -> u32 {
-        if let Some(&file) = self.inos.get(&ino) {
-            return file;
+        let i = u32::try_from(ino).expect("buffer cache inode number exceeds 32 bits") as usize;
+        if i >= self.inos.len() {
+            self.inos.resize((i + 1).next_power_of_two(), NIL);
         }
-        let file =
-            u32::try_from(self.files.len()).expect("buffer cache file count exceeds 32 bits");
-        self.files.push(Index::Inline([NIL; INLINE]));
-        self.inos.insert(ino, file);
-        file
+        if self.inos[i] == NIL {
+            let file = u32::try_from(self.files.len())
+                .ok()
+                .filter(|&f| f < NIL)
+                .expect("buffer cache file count exceeds 32 bits");
+            self.files.push(Index::Inline([NIL; INLINE]));
+            self.inos[i] = file;
+        }
+        self.inos[i]
     }
 
     /// Takes a slot for `(file, blk)` and indexes it. The slot is returned
@@ -457,9 +475,9 @@ mod tests {
             }
             assert_eq!(entries, self.len, "len is not the indexed count");
             assert_eq!(linked + pending, self.len);
-            assert_eq!(self.inos.len(), self.files.len());
-            let mut numbers: Vec<u32> = self.inos.values().copied().collect();
+            let mut numbers: Vec<u32> = self.inos.iter().copied().filter(|&f| f != NIL).collect();
             numbers.sort_unstable();
+            assert_eq!(numbers.len(), self.files.len());
             assert!(numbers.iter().enumerate().all(|(i, &f)| f as usize == i));
         }
     }
@@ -552,6 +570,27 @@ mod tests {
         c.invalidate(key);
         c.discard(key);
         assert!(c.peek((1, 0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "inode number exceeds 32 bits")]
+    fn an_inode_number_past_32_bits_is_rejected() {
+        BufferCache::new(8).mark_pending((1 << 32, 0));
+    }
+
+    #[test]
+    fn probes_of_unknown_inodes_miss_and_allocate_nothing() {
+        let mut c = BufferCache::new(8);
+        c.fill((3, 0));
+        let bytes = c.approx_heap_bytes();
+        for ino in [0, 2, 4, 1 << 20, 1 << 32, u64::MAX] {
+            let key = (ino, 0);
+            assert!(!c.lookup(key) && !c.peek(key) && !c.is_pending(key) && !c.holds(key));
+            c.invalidate(key);
+            c.discard(key);
+        }
+        assert_eq!(c.approx_heap_bytes(), bytes, "a probe grew the inode table");
+        assert!(c.peek((3, 0)));
     }
 
     #[test]

@@ -462,6 +462,18 @@ pub struct FleetMem {
     pub reduction: f64,
 }
 
+/// Drive work summed over every group's disk: the counts behind the
+/// fleet's per-command scheduling cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DriveWork {
+    /// Commands the drives completed (reads and writes).
+    pub commands: u64,
+    /// Queued commands the tagged-queue scheduler scored.
+    pub sptf_scores: u64,
+    /// Cache segments examined to decide cache hits.
+    pub cache_probes: u64,
+}
+
 /// What a fleet run produced.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
@@ -493,6 +505,8 @@ pub struct FleetReport {
     pub shard_stats: ShardRunStats,
     /// The memory claim, measured not asserted.
     pub mem: FleetMem,
+    /// Drive scheduling work over the whole run.
+    pub drive: DriveWork,
 }
 
 impl FleetReport {
@@ -604,6 +618,7 @@ impl FleetWorld {
         let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
         let mut sim_secs = 0.0f64;
         let mut fleet_bytes = 0usize;
+        let mut drive = DriveWork::default();
         for g in &self.groups {
             hist.merge(&g.hist);
             books.issued += g.books.issued;
@@ -619,6 +634,10 @@ impl FleetWorld {
             fingerprint = fnv(fingerprint, g.hist.fingerprint());
             sim_secs = sim_secs.max(g.world.now().as_secs_f64());
             fleet_bytes += g.world.client_state_bytes() + g.arena.heap_bytes() + g.hist.bytes();
+            let d = g.world.disk_stats();
+            drive.commands += d.reads + d.writes;
+            drive.sptf_scores += d.sptf_scores;
+            drive.cache_probes += d.cache_probes;
         }
         debug_assert_eq!(books.migrated_in, books.migrated_out);
 
@@ -648,6 +667,7 @@ impl FleetWorld {
                 full_host_bytes,
                 reduction: full_host_bytes as f64 / per_client_bytes as f64,
             },
+            drive,
         }
     }
 }

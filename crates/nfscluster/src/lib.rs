@@ -35,4 +35,4 @@
 pub mod experiments;
 pub mod fleet;
 
-pub use fleet::{FleetConfig, FleetMem, FleetReport, FleetWorld, Migrant};
+pub use fleet::{DriveWork, FleetConfig, FleetMem, FleetReport, FleetWorld, Migrant};

@@ -14,14 +14,16 @@
 //! ([`EventQueue::schedule_in_lane`]): a family of events whose times never
 //! decrease (a fixed timeout after "now", say) is already sorted, so it can
 //! wait in a `VecDeque` instead of being sifted through the heap. Lanes
-//! change where an event waits, never when it is delivered.
+//! change where an event waits, never when it is delivered. The queue
+//! remembers the key of its next event and where that event waits, so
+//! asking when the next event is due never searches.
 
 use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
 
 /// An event queued for delivery at a specific simulated instant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
@@ -46,12 +48,18 @@ impl<E> Scheduled<E> {
 /// of being spread across levels. Ordering is by `(at, seq)` — identical
 /// to the previous `BinaryHeap<Scheduled>` semantics, pinned by property
 /// tests in `tests/heap_properties.rs`.
+///
+/// A pop sifts the last item down by moving a hole rather than swapping
+/// at every level: the item is held aside, each displaced child is copied
+/// once into the hole, and the held item is written once where the hole
+/// stops. That makes the same comparisons as swapping, so the heap's
+/// layout is unchanged, but it needs `E: Copy` to stay free of `unsafe`.
 #[derive(Debug, Clone)]
 struct QuadHeap<E> {
     items: Vec<Scheduled<E>>,
 }
 
-impl<E> QuadHeap<E> {
+impl<E: Copy> QuadHeap<E> {
     const ARITY: usize = 4;
 
     fn new() -> Self {
@@ -60,10 +68,6 @@ impl<E> QuadHeap<E> {
 
     fn len(&self) -> usize {
         self.items.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     fn peek(&self) -> Option<&Scheduled<E>> {
@@ -80,18 +84,17 @@ impl<E> QuadHeap<E> {
     }
 
     fn pop(&mut self) -> Option<Scheduled<E>> {
+        let last = self.items.pop()?;
         if self.items.is_empty() {
-            return None;
+            return Some(last);
         }
-        let last = self.items.len() - 1;
-        self.items.swap(0, last);
-        let s = self.items.pop();
-        if !self.items.is_empty() {
-            self.sift_down(0);
-        }
-        s
+        let top = self.items[0];
+        self.sift_down(last);
+        Some(top)
     }
 
+    /// Moves the item at `i` up to its place. A push seldom climbs more
+    /// than a level, so swapping beats holding the item aside here.
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
@@ -105,9 +108,12 @@ impl<E> QuadHeap<E> {
         }
     }
 
+    /// Places `item` by walking a hole down from the root.
     #[inline]
-    fn sift_down(&mut self, mut i: usize) {
+    fn sift_down(&mut self, item: Scheduled<E>) {
+        let key = item.key();
         let len = self.items.len();
+        let mut i = 0;
         loop {
             let first_child = i * Self::ARITY + 1;
             if first_child >= len {
@@ -123,13 +129,30 @@ impl<E> QuadHeap<E> {
                     min_key = k;
                 }
             }
-            if min_key < self.items[i].key() {
-                self.items.swap(i, min);
+            if min_key < key {
+                self.items[i] = self.items[min];
                 i = min;
             } else {
                 break;
             }
         }
+        self.items[i] = item;
+    }
+}
+
+/// The next event's key and where it waits: the heap (`lane: None`) or
+/// a timer lane.
+#[derive(Debug, Clone, Copy)]
+struct Next {
+    at: SimTime,
+    seq: u64,
+    lane: Option<usize>,
+}
+
+impl Next {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
@@ -142,6 +165,12 @@ impl<E> QuadHeap<E> {
 /// takes the smallest `(at, seq)` among the heap top and the lane fronts —
 /// the same total order a single heap gives, so where an event waited never
 /// changes when, or in which order, it is delivered.
+///
+/// The queue remembers that smallest key and where it waits. A schedule
+/// updates it with one comparison and a pop looks for the next one once,
+/// so [`EventQueue::peek_time`] and a refused [`EventQueue::pop_if`] read
+/// it without looking at the heap or the lanes. Payloads are `Copy`
+/// (see the heap's sifting).
 ///
 /// # Examples
 ///
@@ -159,23 +188,26 @@ pub struct EventQueue<E> {
     heap: QuadHeap<E>,
     /// Timer lanes, each sorted by `(at, seq)`; created on first use.
     lanes: Vec<VecDeque<Scheduled<E>>>,
+    /// The least pending key, or `None` when nothing is pending.
+    next: Option<Next>,
     now: SimTime,
     next_seq: u64,
     delivered: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue with the clock at time zero.
     pub fn new() -> Self {
         EventQueue {
             heap: QuadHeap::new(),
             lanes: Vec::new(),
+            next: None,
             now: SimTime::ZERO,
             next_seq: 0,
             delivered: 0,
@@ -195,7 +227,7 @@ impl<E> EventQueue<E> {
 
     /// Returns `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
+        self.next.is_none()
     }
 
     /// Returns the total number of events delivered so far.
@@ -210,6 +242,7 @@ impl<E> EventQueue<E> {
     /// at `now`.
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         let s = self.stamp(at, payload);
+        self.offer(&s, None);
         self.heap.push(s);
     }
 
@@ -226,11 +259,12 @@ impl<E> EventQueue<E> {
         if lane >= self.lanes.len() {
             self.lanes.resize_with(lane + 1, VecDeque::new);
         }
-        let q = &mut self.lanes[lane];
-        if q.back().is_some_and(|b| s.at < b.at) {
+        if self.lanes[lane].back().is_some_and(|b| s.at < b.at) {
+            self.offer(&s, None);
             self.heap.push(s);
         } else {
-            q.push_back(s);
+            self.offer(&s, Some(lane));
+            self.lanes[lane].push_back(s);
         }
     }
 
@@ -243,38 +277,50 @@ impl<E> EventQueue<E> {
         Scheduled { at, seq, payload }
     }
 
+    /// Makes `s`, about to wait in `lane` (`None`: the heap), the next
+    /// event if it comes before the current one.
+    #[inline]
+    fn offer(&mut self, s: &Scheduled<E>, lane: Option<usize>) {
+        if self.next.is_none_or(|n| s.key() < n.key()) {
+            self.next = Some(Next {
+                at: s.at,
+                seq: s.seq,
+                lane,
+            });
+        }
+    }
+
     /// Schedules `payload` for delivery `delay` after the current time.
     pub fn schedule_after(&mut self, delay: SimDuration, payload: E) {
         self.schedule_at(self.now + delay, payload);
     }
 
     /// Returns the timestamp of the next pending event, if any.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        let mut t = self.heap.peek().map(|s| s.at);
-        for f in self.lanes.iter().filter_map(VecDeque::front) {
-            t = Some(t.map_or(f.at, |t| t.min(f.at)));
-        }
-        t
+        self.next.map(|n| n.at)
     }
 
-    /// The lane whose front comes before the heap top and every other
-    /// lane's front, or `None` when the heap top is next (or all is empty).
+    /// The least key among the heap top and the lane fronts, found afresh.
     #[inline]
-    fn next_lane(&self) -> Option<usize> {
-        if self.lanes.is_empty() {
-            return None; // Lane-free queues pay one branch.
-        }
-        let mut best = self.heap.peek().map(Scheduled::key);
-        let mut lane = None;
+    fn find_next(&self) -> Option<Next> {
+        let mut best = self.heap.peek().map(|s| Next {
+            at: s.at,
+            seq: s.seq,
+            lane: None,
+        });
         for (i, q) in self.lanes.iter().enumerate() {
-            if let Some(k) = q.front().map(Scheduled::key) {
-                if best.is_none_or(|b| k < b) {
-                    best = Some(k);
-                    lane = Some(i);
+            if let Some(f) = q.front() {
+                if best.is_none_or(|b| f.key() < b.key()) {
+                    best = Some(Next {
+                        at: f.at,
+                        seq: f.seq,
+                        lane: Some(i),
+                    });
                 }
             }
         }
-        lane
+        best
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -283,23 +329,22 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the next event if `due` accepts its timestamp, advancing the
-    /// clock to it. One look at the heap top and the lane fronts serves
-    /// both the test and the pop.
+    /// clock to it. A refusal costs one read of the remembered next key.
     #[inline]
     pub fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
-        let lane = self.next_lane();
-        let at = match lane {
-            None => self.heap.peek()?.at,
-            Some(i) => self.lanes[i].front().expect("next_lane found a front").at,
-        };
-        if !due(at) {
+        let next = self.next?;
+        if !due(next.at) {
             return None;
         }
-        let s = match lane {
-            None => self.heap.pop().expect("heap top was peeked"),
-            Some(i) => self.lanes[i].pop_front().expect("lane front was peeked"),
+        let s = match next.lane {
+            None => self.heap.pop().expect("the next event is in the heap"),
+            Some(i) => self.lanes[i]
+                .pop_front()
+                .expect("the next event is at the lane's front"),
         };
+        debug_assert_eq!(s.key(), next.key(), "the remembered next key was stale");
         debug_assert!(s.at >= self.now, "event queue time went backwards");
+        self.next = self.find_next();
         self.now = s.at;
         self.delivered += 1;
         Some((s.at, s.payload))
@@ -310,6 +355,7 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.heap.clear();
         self.lanes.iter_mut().for_each(VecDeque::clear);
+        self.next = None;
         self.delivered = 0;
     }
 }

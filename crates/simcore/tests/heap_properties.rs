@@ -1,10 +1,12 @@
 //! Property tests pinning the 4-ary event-queue heap to the semantics of
 //! the original `BinaryHeap` implementation: min-ordering on time with
 //! FIFO tie-breaking, under arbitrary interleavings of schedule and pop.
-//! Timer-lane pushes must be indistinguishable from heap pushes.
+//! Timer-lane pushes must be indistinguishable from heap pushes, and the
+//! queue's remembered next key must match a sorted-map model after every
+//! operation.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use simcore::{EventQueue, SimRng, SimTime};
 
@@ -196,4 +198,118 @@ fn pop_stream_is_sorted_and_heap_survives_large_random_load() {
         count += 1;
     }
     assert_eq!(count, 20_000);
+}
+
+/// Ordered-map model of the whole queue: every pending event keyed by
+/// `(at, seq)`, the clock, and the delivered count.
+#[derive(Default)]
+struct MapModel {
+    pending: BTreeMap<(u64, u64), u32>,
+    now: u64,
+    next_seq: u64,
+    delivered: u64,
+}
+
+impl MapModel {
+    fn schedule(&mut self, at: u64, payload: u32) {
+        let at = at.max(self.now);
+        self.pending.insert((at, self.next_seq), payload);
+        self.next_seq += 1;
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.pending.keys().next().map(|&(at, _)| at)
+    }
+
+    fn pop_if(&mut self, due: impl FnOnce(u64) -> bool) -> Option<(u64, u32)> {
+        let (&(at, seq), _) = self.pending.iter().next()?;
+        if !due(at) {
+            return None;
+        }
+        let payload = self.pending.remove(&(at, seq)).expect("just seen");
+        self.now = at;
+        self.delivered += 1;
+        Some((at, payload))
+    }
+
+    fn clear(&mut self) {
+        self.pending.clear();
+        self.delivered = 0;
+    }
+}
+
+#[test]
+fn remembered_next_key_matches_an_ordered_map_step_by_step() {
+    // Heap pushes, lane pushes (some before their lane's tail, some in the
+    // past), pops, pops refused by their deadline, peeks and rare clears,
+    // compared with the model after every step.
+    const LANES: usize = 3;
+    for seed in 0..64u64 {
+        let mut rng = SimRng::new(seed ^ 0x4e_3c);
+        let mut q = EventQueue::new();
+        let mut model = MapModel::default();
+        let mut tails = [0u64; LANES];
+        let mut next_payload = 0u32;
+        for step in 0..3_000 {
+            let now = q.now().as_nanos();
+            let payload = next_payload;
+            match rng.gen_range(0u32..100) {
+                0..=24 => {
+                    let at = now.saturating_sub(8) + rng.gen_range(0u64..40);
+                    q.schedule_at(SimTime::from_nanos(at), payload);
+                    model.schedule(at, payload);
+                    next_payload += 1;
+                }
+                25..=49 => {
+                    let lane = rng.gen_range(0..LANES);
+                    let at = match rng.gen_range(0u32..8) {
+                        0 => tails[lane].saturating_sub(1 + rng.gen_range(0u64..40)),
+                        1 => now.saturating_sub(1 + rng.gen_range(0u64..16)),
+                        _ => tails[lane].max(now) + rng.gen_range(0u64..24),
+                    };
+                    tails[lane] = tails[lane].max(at.max(now));
+                    q.schedule_in_lane(lane, SimTime::from_nanos(at), payload);
+                    model.schedule(at, payload);
+                    next_payload += 1;
+                }
+                50..=79 => {
+                    // A deadline near now: about half of these refuse.
+                    let limit = now + rng.gen_range(0u64..24);
+                    let got = q
+                        .pop_if(|t| t.as_nanos() <= limit)
+                        .map(|(t, e)| (t.as_nanos(), e));
+                    assert_eq!(got, model.pop_if(|t| t <= limit), "seed {seed} step {step}");
+                }
+                80..=89 => {
+                    let got = q.pop().map(|(t, e)| (t.as_nanos(), e));
+                    assert_eq!(got, model.pop_if(|_| true), "seed {seed} step {step}");
+                }
+                90..=98 => {}
+                _ => {
+                    q.clear();
+                    model.clear();
+                }
+            }
+            assert_eq!(
+                q.peek_time().map(SimTime::as_nanos),
+                model.peek_time(),
+                "peek_time, seed {seed} step {step}"
+            );
+            assert_eq!(q.len(), model.pending.len(), "len, seed {seed} step {step}");
+            assert_eq!(q.is_empty(), model.pending.is_empty());
+            assert_eq!(
+                q.now().as_nanos(),
+                model.now,
+                "now, seed {seed} step {step}"
+            );
+            assert_eq!(q.delivered(), model.delivered);
+        }
+        while let Some((t, e)) = q.pop() {
+            assert_eq!(Some((t.as_nanos(), e)), model.pop_if(|_| true));
+        }
+        assert!(
+            model.pending.is_empty(),
+            "seed {seed}: the queue lost events"
+        );
+    }
 }
