@@ -64,10 +64,7 @@ fn run(aging: f64, policy: ReadaheadPolicy, readers: usize, total_mb: u64) -> f6
 }
 
 fn main() {
-    let (readers, total_mb) = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => (8, 32),
-        _ => (8, 128),
-    };
+    let (readers, total_mb) = nfs_bench::by_scale((8, 32), (8, 128));
     println!("file-system aging ablation: ide1, NFS/UDP, {readers} readers");
     println!(
         "{:>8} | {:>12} | {:>12} | {:>12}",

@@ -12,10 +12,7 @@ use readahead_core::{CursorConfig, NfsHeurConfig, ReadaheadPolicy};
 use testbed::{Rig, StrideBench};
 
 fn main() {
-    let file_mb = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 32,
-        _ => 256,
-    };
+    let file_mb = nfs_bench::by_scale(32, 256);
     println!("cursor-limit ablation: scsi1, NFS/UDP, {file_mb} MB stride reads");
     println!(
         "{:>12} | {:>8} {:>8} {:>8}",

@@ -11,10 +11,7 @@ use testbed::{ClusterBench, ClusterConfig, Rig};
 
 fn main() {
     let readers = 16;
-    let total_mb = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 32,
-        _ => 256,
-    };
+    let total_mb = nfs_bench::by_scale(32, 256);
     println!("nfsheur geometry ablation: ide1, NFS/UDP, {readers} readers, Default heuristic");
     println!(
         "{:>7} {:>7} | {:>12} | {:>10}",

@@ -9,10 +9,7 @@ use nfs_bench::BASE_SEED;
 use testbed::{LocalBench, Rig};
 
 fn main() {
-    let per_mb = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 4,
-        _ => 32,
-    };
+    let per_mb = nfs_bench::by_scale(4, 32);
     let readers = 8;
     println!("scheduler matrix: local, {readers} readers x {per_mb} MB");
     println!(

@@ -13,10 +13,7 @@ use testbed::{ClusterBench, ClusterConfig, Rig};
 
 fn main() {
     let readers = 16;
-    let total_mb = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 32,
-        _ => 256,
-    };
+    let total_mb = nfs_bench::by_scale(32, 256);
     println!("SlowDown window ablation: ide1, NFS/UDP, busy client, {readers} readers");
     println!("{:>12} | {:>12}", "window", "MB/s");
     let windows = [8u64, 16, 32, 64, 128, 256];

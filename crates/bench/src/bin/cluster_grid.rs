@@ -12,10 +12,7 @@
 use nfscluster::experiments::{contention_grid, GridScale};
 
 fn main() {
-    let scale = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => GridScale::quick(),
-        _ => GridScale::full(),
-    };
+    let scale = nfs_bench::by_scale(GridScale::quick(), GridScale::full());
     println!(
         "cluster contention grid: ide1, NFS/UDP, {} readers x {} MB per client, {} runs per cell",
         scale.readers, scale.per_client_mb, scale.runs

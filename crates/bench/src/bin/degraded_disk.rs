@@ -138,10 +138,7 @@ fn run_cell(sched: SchedulerKind, mode: Mode, per_mb: u64) -> Cell {
 }
 
 fn main() {
-    let per_mb = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 2,
-        _ => 8,
-    };
+    let per_mb = nfs_bench::by_scale(2, 8);
     println!("degraded-disk matrix: ide1, {READERS} readers x {per_mb} MB, seed {BASE_SEED}");
     println!(
         "{:<10} {:<14} | {:>8} | {:>7} | {:>9} | {:>4} | {:>12}",

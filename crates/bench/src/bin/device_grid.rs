@@ -190,10 +190,7 @@ fn run_cell(rig: Rig, mode: Mode, workload: Workload, file_mb: u64, seed: u64) -
 }
 
 fn main() {
-    let file_mb = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 1,
-        _ => 2,
-    };
+    let file_mb = nfs_bench::by_scale(1, 2);
     println!("device grid: {STREAMS} streams x {file_mb} MB per workload, UDP, seed {BASE_SEED}");
     println!(
         "{:<6} {:<13} {:<11} | {:>8} | {:>9} | note",

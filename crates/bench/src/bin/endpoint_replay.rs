@@ -45,10 +45,7 @@ fn workloads(blocks: u64) -> Vec<(&'static str, StableHow, Vec<TraceRecord>)> {
 }
 
 fn main() {
-    let blocks = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 32,
-        _ => 128,
-    };
+    let blocks = nfs_bench::by_scale(32, 128);
     println!("# Real-socket endpoint replay (loopback TCP, {blocks} blocks/file)\n");
 
     for (i, (name, stable, trace)) in workloads(blocks).into_iter().enumerate() {

@@ -50,8 +50,8 @@ fn row(r: &testbed::ReplayResult) -> String {
 }
 
 fn main() {
-    let spec = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => BuildSpec {
+    let spec = nfs_bench::by_scale(
+        BuildSpec {
             depth: 2,
             dirs_per_dir: 3,
             files_per_dir: 4,
@@ -61,12 +61,12 @@ fn main() {
             inter_arrival_us: 4_000.0,
             ..BuildSpec::default()
         },
-        _ => BuildSpec {
+        BuildSpec {
             clients: 8,
             inter_arrival_us: 4_000.0,
             ..BuildSpec::default()
         },
-    };
+    );
     let mut rng = SimRng::new(BASE_SEED);
     let tree = build_tree(&spec, &mut rng);
     let walk: Trace = tree_walk(&tree, &spec, &mut rng);

@@ -6,10 +6,7 @@ use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
 use testbed::{run_mixed, MixRatios, Rig};
 
 fn main() {
-    let (ops, file_mb) = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => (300, 8),
-        _ => (2_000, 64),
-    };
+    let (ops, file_mb) = nfs_bench::by_scale((300, 8), (2_000, 64));
     println!("mixed workload (70% read / 10% write / 20% getattr), 8 readers, ide1/UDP");
     println!("{:<12} | {:>10} | {:>12}", "policy", "ops/s", "read MB/s");
     for policy in [

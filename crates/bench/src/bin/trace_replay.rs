@@ -34,10 +34,7 @@ fn traces(scale_blocks: u64) -> Vec<(&'static str, Trace)> {
 }
 
 fn main() {
-    let blocks = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 128,
-        _ => 512,
-    };
+    let blocks = nfs_bench::by_scale(128, 512);
     println!("open-loop trace replay: ide1, NFS/UDP, improved nfsheur");
     println!(
         "{:<16} {:<10} | {:>8} | {:>9} {:>9} {:>9}",

@@ -51,10 +51,7 @@ fn run_cell(transport: TransportKind, frame_loss: f64, total_mb: u64) -> Cell {
 }
 
 fn main() {
-    let total_mb = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 4,
-        _ => 16,
-    };
+    let total_mb = nfs_bench::by_scale(4, 16);
     println!(
         "transport-loss matrix: ide1, {READERS} readers x {} MB each, seed {BASE_SEED}",
         total_mb / READERS as u64

@@ -15,10 +15,7 @@ use testbed::{ClusterBench, ClusterConfig, Rig};
 
 fn main() {
     let readers = 8;
-    let total_mb = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 16,
-        _ => 64,
-    };
+    let total_mb = nfs_bench::by_scale(16, 64);
     println!("lossy-network extension: ide1, NFS/UDP, {readers} readers");
     println!(
         "{:>10} {:>8} | {:>12} {:>12} {:>10} | {:>9}",

@@ -104,10 +104,7 @@ fn print_row(label: &str, c: &Cell) {
 }
 
 fn main() {
-    let blocks: u64 = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => 256, // 2 MB
-        _ => 1024,          // 8 MB
-    };
+    let blocks: u64 = nfs_bench::by_scale(256, 1024); // 2 MB or 8 MB
     let mb = (blocks * BS) as f64 / (1024.0 * 1024.0);
     println!("sync-vs-async write trap: ide1, {mb:.0} MB sequential 8 KB writes, seed {BASE_SEED}");
     println!(

@@ -20,6 +20,16 @@ use testbed::Figure;
 /// Base seed for all experiments; per-run seeds are derived from it.
 pub const BASE_SEED: u64 = 20030609; // The conference's opening day.
 
+/// Picks a bin's workload size: `quick` when `NFS_BENCH_SCALE=quick`,
+/// `default` otherwise.
+pub fn by_scale<T>(quick: T, default: T) -> T {
+    if std::env::var("NFS_BENCH_SCALE").as_deref() == Ok("quick") {
+        quick
+    } else {
+        default
+    }
+}
+
 /// Prints a regenerated figure followed by the paper's reference block.
 pub fn emit(fig: &Figure, paper_reference: &str) {
     println!("{}", fig.render());

@@ -13,6 +13,6 @@ mod transport;
 
 pub use link::{Delivery, LinkProfile, LinkStats, OneWayLink, FRAME_HEADER_BYTES};
 pub use transport::{
-    RtoEstimator, TcpEvent, TcpStats, TcpStream, Transport, TransportKind, TxOutcome, UdpChannel,
+    RtoEstimator, TcpEvent, TcpStats, TcpStream, Transport, TransportKind, TxOutcome,
     TCP_DUP_ACK_THRESHOLD, TCP_MAX_SEGMENT_RETRIES, TCP_RTO_MAX, TCP_RTO_MIN,
 };

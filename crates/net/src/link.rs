@@ -65,15 +65,17 @@ pub enum Delivery {
     Lost,
 }
 
-/// Counters for a link direction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LinkStats {
-    /// Messages handed to the link.
-    pub messages: u64,
-    /// Messages dropped due to frame loss.
-    pub lost: u64,
-    /// Payload bytes successfully delivered.
-    pub bytes_delivered: u64,
+simcore::counters! {
+    /// Counters for a link direction.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct LinkStats {
+        /// Messages handed to the link.
+        pub messages: u64,
+        /// Messages dropped due to frame loss.
+        pub lost: u64,
+        /// Payload bytes successfully delivered.
+        pub bytes_delivered: u64,
+    }
 }
 
 /// One direction of a full-duplex link.

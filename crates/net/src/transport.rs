@@ -54,41 +54,6 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// A one-way UDP path.
-#[derive(Debug)]
-pub struct UdpChannel {
-    link: OneWayLink,
-}
-
-impl UdpChannel {
-    /// Creates a UDP channel over the given link.
-    pub fn new(profile: LinkProfile, rng: SimRng) -> Self {
-        UdpChannel {
-            link: OneWayLink::new(profile, rng),
-        }
-    }
-
-    /// Sends a datagram; it either arrives whole or not at all.
-    pub fn send(&mut self, now: SimTime, bytes: u64) -> Delivery {
-        self.link.send(now, bytes)
-    }
-
-    /// Link counters.
-    pub fn stats(&self) -> LinkStats {
-        self.link.stats()
-    }
-
-    /// The current link profile.
-    pub fn profile(&self) -> LinkProfile {
-        self.link.profile()
-    }
-
-    /// Replaces the link profile at runtime (fault injection).
-    pub fn set_profile(&mut self, profile: LinkProfile) {
-        self.link.set_profile(profile);
-    }
-}
-
 /// SRTT/RTTVAR retransmission-timeout estimator (RFC 6298).
 ///
 /// `srtt = 7/8·srtt + 1/8·sample`, `rttvar = 3/4·rttvar + 1/4·|srtt −
@@ -176,39 +141,44 @@ impl RtoEstimator {
     }
 }
 
-/// Counters a [`TcpStream`] keeps about its own retransmission machinery.
-///
-/// Books invariant (checked by simtest's TCP oracles): `segments_sent ==
-/// acked + in_flight + lost_tracked` at all times — every segment is
-/// either acknowledged, still outstanding (delivered-but-unacked or queued
-/// for retransmission), or abandoned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TcpStats {
-    /// Messages accepted by [`TcpStream::send`].
-    pub segments_sent: u64,
-    /// Segments handed to the receiver (in order, exactly once each).
-    pub delivered: u64,
-    /// Segments whose acknowledgement has come back.
-    pub acked: u64,
-    /// Segments sent but not yet acked or abandoned.
-    pub in_flight: u64,
-    /// Segments abandoned after [`TCP_MAX_SEGMENT_RETRIES`].
-    pub lost_tracked: u64,
-    /// Retransmission attempts (timer-driven resends).
-    pub retransmits: u64,
-    /// Retransmissions pulled forward by the dup-ack proxy.
-    pub fast_retransmits: u64,
-    /// Expired retransmission timers (including the abandoning one).
-    pub timeouts: u64,
-    /// Times the RTO doubled because a retransmission was lost too.
-    pub rto_backoffs: u64,
-    /// Largest backed-off RTO ever armed.
-    pub max_rto: SimDuration,
-    /// Current smoothed round-trip estimate (zero until the first sample).
-    pub srtt: SimDuration,
-    /// Deliveries that violated seq or time order (always zero unless the
-    /// engine is broken — an oracle hook, not an expected counter).
-    pub order_violations: u64,
+simcore::counters! {
+    /// Counters a [`TcpStream`] keeps about its own retransmission machinery.
+    ///
+    /// Books invariant (checked by simtest's TCP oracles): `segments_sent ==
+    /// acked + in_flight + lost_tracked` at all times — every segment is
+    /// either acknowledged, still outstanding (delivered-but-unacked or queued
+    /// for retransmission), or abandoned.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TcpStats {
+        /// Messages accepted by [`TcpStream::send`].
+        pub segments_sent: u64,
+        /// Segments handed to the receiver (in order, exactly once each).
+        pub delivered: u64,
+        /// Segments whose acknowledgement has come back.
+        pub acked: u64,
+        /// Segments sent but not yet acked or abandoned.
+        #[level]
+        pub in_flight: u64,
+        /// Segments abandoned after [`TCP_MAX_SEGMENT_RETRIES`].
+        pub lost_tracked: u64,
+        /// Retransmission attempts (timer-driven resends).
+        pub retransmits: u64,
+        /// Retransmissions pulled forward by the dup-ack proxy.
+        pub fast_retransmits: u64,
+        /// Expired retransmission timers (including the abandoning one).
+        pub timeouts: u64,
+        /// Times the RTO doubled because a retransmission was lost too.
+        pub rto_backoffs: u64,
+        /// Largest backed-off RTO ever armed.
+        #[level]
+        pub max_rto: SimDuration,
+        /// Current smoothed round-trip estimate (zero until the first sample).
+        #[level]
+        pub srtt: SimDuration,
+        /// Deliveries that violated seq or time order (always zero unless the
+        /// engine is broken — an oracle hook, not an expected counter).
+        pub order_violations: u64,
+    }
 }
 
 /// What [`Transport::send`] (and [`TcpStream::send`]) did with a message.
@@ -540,12 +510,6 @@ impl TcpStream {
         out
     }
 
-    /// Retransmission attempts so far (kept for source compatibility with
-    /// the inline engine; same as [`TcpStats::retransmits`]).
-    pub fn retransmits(&self) -> u64 {
-        self.stats.retransmits
-    }
-
     /// The stream's own retransmission counters.
     pub fn tcp_stats(&self) -> TcpStats {
         self.stats
@@ -579,8 +543,8 @@ impl TcpStream {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Transport {
-    /// See [`UdpChannel`].
-    Udp(UdpChannel),
+    /// A one-way UDP path: each datagram arrives whole or not at all.
+    Udp(OneWayLink),
     /// See [`TcpStream`].
     Tcp(TcpStream),
 }
@@ -591,7 +555,7 @@ impl Transport {
     /// retransmission handles full blackouts.
     pub fn new(kind: TransportKind, profile: LinkProfile, rtt: SimDuration, rng: SimRng) -> Self {
         match kind {
-            TransportKind::Udp => Transport::Udp(UdpChannel::new(profile, rng)),
+            TransportKind::Udp => Transport::Udp(OneWayLink::new(profile, rng)),
             TransportKind::Tcp => Transport::Tcp(TcpStream::new(profile, rtt, rng)),
         }
     }
@@ -698,7 +662,7 @@ mod tests {
 
     #[test]
     fn udp_on_clean_lan_never_loses() {
-        let mut u = UdpChannel::new(LinkProfile::gigabit_lan(), SimRng::new(1));
+        let mut u = OneWayLink::new(LinkProfile::gigabit_lan(), SimRng::new(1));
         for i in 0..1_000u64 {
             let d = u.send(SimTime::from_nanos(i * 1_000_000), 8_300);
             assert!(matches!(d, Delivery::At(_)));
@@ -707,7 +671,7 @@ mod tests {
 
     #[test]
     fn udp_on_lossy_path_loses_datagrams() {
-        let mut u = UdpChannel::new(lossy(), SimRng::new(2));
+        let mut u = OneWayLink::new(lossy(), SimRng::new(2));
         let lost = (0..2_000u64)
             .filter(|i| u.send(SimTime::from_nanos(i * 1_000_000), 8_300) == Delivery::Lost)
             .count();

@@ -159,6 +159,9 @@ pub struct ExtReply {
     pub ext: usize,
     /// RPC transaction id of the call this answers.
     pub xid: u32,
+    /// The file handle of the call this answers, from the server's
+    /// in-service copy (the endpoint encodes its post-op attributes).
+    pub fh: FileHandle,
     /// Simulated instant the reply left the server.
     pub at: SimTime,
     /// The reply body.
@@ -208,62 +211,65 @@ pub enum BlockState {
     Absent,
 }
 
-/// Server-side counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// READ calls received (retransmissions included).
-    pub reads: u64,
-    /// Non-READ calls received.
-    pub other_calls: u64,
-    /// READ calls that arrived out of client submission order.
-    pub reordered: u64,
-    /// RPC replies sent.
-    pub replies: u64,
-    /// Duplicate calls dropped on arrival while the original was still in
-    /// service (the duplicate-request-cache behaviour of real NFS servers).
-    pub duplicates_dropped: u64,
-    /// Accepted calls dropped *after* acceptance because the client had
-    /// already retired the RPC (its reply raced a retransmission, or the
-    /// client timed out). Counted against `reads`/`other_calls`, so at
-    /// quiescence `replies + stale_drops == reads + other_calls`.
-    pub stale_drops: u64,
-    /// Calls that arrived for an RPC the client had already abandoned
-    /// entirely (post-timeout retransmissions). Never counted in
-    /// `reads`/`other_calls`.
-    pub orphan_calls: u64,
-    /// `nfsheur` lookups that found the file's live entry.
-    pub heur_hits: u64,
-    /// `nfsheur` lookups that found no entry (first access or ejected).
-    pub heur_misses: u64,
-    /// Live `nfsheur` entries ejected to make room — each one a file whose
-    /// sequentiality state the server forgot (§6.3).
-    pub heur_ejections: u64,
-    /// Live `nfsheur` entries right now (a gauge).
-    pub heur_occupancy: u64,
-    /// Replies sent with `NFS3ERR_IO` because the disk failed the request.
-    pub disk_eios: u64,
-    /// UNSTABLE WRITE calls stashed in the dirty pool (no disk wait).
-    pub unstable_writes: u64,
-    /// COMMIT calls received.
-    pub commits: u64,
-    /// Dirty-pool flushes submitted to the disk (one per coalesced run).
-    pub gather_flushes: u64,
-    /// Blocks that entered the dirty pool (a block re-dirtied after a
-    /// flush counts again; a block dirtied twice before flushing doesn't).
-    pub dirty_blocks_stashed: u64,
-    /// Blocks the dirty pool submitted to disk.
-    pub dirty_blocks_flushed: u64,
-    /// Blocks dropped from the dirty pool by a server restart — the data
-    /// a crash loses, which clients must detect via the verifier.
-    pub dirty_blocks_lost: u64,
-    /// Server restarts (each one changes the write verifier).
-    pub restarts: u64,
-    /// GETATTR calls served.
-    pub getattrs: u64,
-    /// LOOKUP calls served.
-    pub lookups: u64,
-    /// READDIR and READDIRPLUS calls served.
-    pub readdirs: u64,
+simcore::counters! {
+    /// Server-side counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServerStats {
+        /// READ calls received (retransmissions included).
+        pub reads: u64,
+        /// Non-READ calls received.
+        pub other_calls: u64,
+        /// READ calls that arrived out of client submission order.
+        pub reordered: u64,
+        /// RPC replies sent.
+        pub replies: u64,
+        /// Duplicate calls dropped on arrival while the original was still in
+        /// service (the duplicate-request-cache behaviour of real NFS servers).
+        pub duplicates_dropped: u64,
+        /// Accepted calls dropped *after* acceptance because the client had
+        /// already retired the RPC (its reply raced a retransmission, or the
+        /// client timed out). Counted against `reads`/`other_calls`, so at
+        /// quiescence `replies + stale_drops == reads + other_calls`.
+        pub stale_drops: u64,
+        /// Calls that arrived for an RPC the client had already abandoned
+        /// entirely (post-timeout retransmissions). Never counted in
+        /// `reads`/`other_calls`.
+        pub orphan_calls: u64,
+        /// `nfsheur` lookups that found the file's live entry.
+        pub heur_hits: u64,
+        /// `nfsheur` lookups that found no entry (first access or ejected).
+        pub heur_misses: u64,
+        /// Live `nfsheur` entries ejected to make room — each one a file whose
+        /// sequentiality state the server forgot (§6.3).
+        pub heur_ejections: u64,
+        /// Live `nfsheur` entries right now (a gauge).
+        #[level]
+        pub heur_occupancy: u64,
+        /// Replies sent with `NFS3ERR_IO` because the disk failed the request.
+        pub disk_eios: u64,
+        /// UNSTABLE WRITE calls stashed in the dirty pool (no disk wait).
+        pub unstable_writes: u64,
+        /// COMMIT calls received.
+        pub commits: u64,
+        /// Dirty-pool flushes submitted to the disk (one per coalesced run).
+        pub gather_flushes: u64,
+        /// Blocks that entered the dirty pool (a block re-dirtied after a
+        /// flush counts again; a block dirtied twice before flushing doesn't).
+        pub dirty_blocks_stashed: u64,
+        /// Blocks the dirty pool submitted to disk.
+        pub dirty_blocks_flushed: u64,
+        /// Blocks dropped from the dirty pool by a server restart — the data
+        /// a crash loses, which clients must detect via the verifier.
+        pub dirty_blocks_lost: u64,
+        /// Server restarts (each one changes the write verifier).
+        pub restarts: u64,
+        /// GETATTR calls served.
+        pub getattrs: u64,
+        /// LOOKUP calls served.
+        pub lookups: u64,
+        /// READDIR and READDIRPLUS calls served.
+        pub readdirs: u64,
+    }
 }
 
 impl ServerStats {
@@ -277,99 +283,103 @@ impl ServerStats {
     }
 }
 
-/// Client-side counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Process-level reads issued.
-    pub ops: u64,
-    /// Blocks served from the client cache.
-    pub cache_hits: u64,
-    /// READ RPCs sent (first transmissions).
-    pub rpcs: u64,
-    /// Read-ahead RPCs among them.
-    pub readahead_rpcs: u64,
-    /// RPC retransmissions.
-    pub retransmits: u64,
-    /// Read-aheads skipped because no nfsiod was free.
-    pub iod_starved: u64,
-    /// RPCs abandoned after `max_retries` retransmissions.
-    pub rpc_timeouts: u64,
-    /// Messages handed to the client→server transport (first transmissions
-    /// plus retransmissions; equals the c2s link's `messages` counter).
-    pub transmissions: u64,
-    /// Replies that retired an outstanding RPC.
-    pub replies_received: u64,
-    /// Replies for RPCs already retired (a retransmission's extra reply).
-    pub duplicate_replies: u64,
-    /// Replies that carried `NFS3ERR_IO` and failed the waiting operation.
-    pub eio_replies: u64,
-    /// UNSTABLE WRITE RPCs sent by the write-behind machinery (first
-    /// transmissions; zero outside the async write path).
-    pub write_rpcs: u64,
-    /// COMMIT RPCs sent (first transmissions).
-    pub commit_rpcs: u64,
-    /// `close()` operations issued.
-    pub closes: u64,
-    /// COMMIT replies whose verifier did not match the one stored with
-    /// the uncommitted blocks — each one a detected server crash window.
-    pub verifier_mismatches: u64,
-    /// Blocks re-dirtied and rewritten after a verifier mismatch.
-    pub blocks_rewritten: u64,
-    /// TCP segment-engine books for the client→server stream (all zero
-    /// on UDP mounts).
-    pub tcp_c2s: TcpStats,
-    /// TCP segment-engine books for the server→client stream (all zero
-    /// on UDP mounts).
-    pub tcp_s2c: TcpStats,
-    /// GETATTR RPCs sent (first transmissions: cache misses,
-    /// revalidations, and — with the cache off — every getattr op).
-    pub getattr_rpcs: u64,
-    /// LOOKUP RPCs sent (first transmissions).
-    pub lookup_rpcs: u64,
-    /// READDIR/READDIRPLUS RPCs sent (first transmissions).
-    pub readdir_rpcs: u64,
-    /// getattr() ops answered from the attribute cache — no RPC. Always
-    /// zero with the cache off.
-    pub attr_cache_hits: u64,
-    /// getattr() ops that found no cache entry and fetched over the wire.
-    /// Always zero with the cache off.
-    pub attr_cache_misses: u64,
-    /// GETATTRs sent to revalidate an expired entry or at open()
-    /// (close-to-open consistency). Always zero with the cache off.
-    pub attr_revalidations: u64,
-    /// Revalidations whose reply showed the server's attributes had
-    /// changed under a live entry — the staleness window closing.
-    pub attr_stale_detected: u64,
-    /// Attribute entries dropped by this client's own writes and closes.
-    pub attr_invalidations: u64,
+simcore::counters! {
+    /// Client-side counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ClientStats {
+        /// Process-level reads issued.
+        pub ops: u64,
+        /// Blocks served from the client cache.
+        pub cache_hits: u64,
+        /// READ RPCs sent (first transmissions).
+        pub rpcs: u64,
+        /// Read-ahead RPCs among them.
+        pub readahead_rpcs: u64,
+        /// RPC retransmissions.
+        pub retransmits: u64,
+        /// Read-aheads skipped because no nfsiod was free.
+        pub iod_starved: u64,
+        /// RPCs abandoned after `max_retries` retransmissions.
+        pub rpc_timeouts: u64,
+        /// Messages handed to the client→server transport (first transmissions
+        /// plus retransmissions; equals the c2s link's `messages` counter).
+        pub transmissions: u64,
+        /// Replies that retired an outstanding RPC.
+        pub replies_received: u64,
+        /// Replies for RPCs already retired (a retransmission's extra reply).
+        pub duplicate_replies: u64,
+        /// Replies that carried `NFS3ERR_IO` and failed the waiting operation.
+        pub eio_replies: u64,
+        /// UNSTABLE WRITE RPCs sent by the write-behind machinery (first
+        /// transmissions; zero outside the async write path).
+        pub write_rpcs: u64,
+        /// COMMIT RPCs sent (first transmissions).
+        pub commit_rpcs: u64,
+        /// `close()` operations issued.
+        pub closes: u64,
+        /// COMMIT replies whose verifier did not match the one stored with
+        /// the uncommitted blocks — each one a detected server crash window.
+        pub verifier_mismatches: u64,
+        /// Blocks re-dirtied and rewritten after a verifier mismatch.
+        pub blocks_rewritten: u64,
+        /// TCP segment-engine books for the client→server stream (all zero
+        /// on UDP mounts).
+        pub tcp_c2s: TcpStats,
+        /// TCP segment-engine books for the server→client stream (all zero
+        /// on UDP mounts).
+        pub tcp_s2c: TcpStats,
+        /// GETATTR RPCs sent (first transmissions: cache misses,
+        /// revalidations, and — with the cache off — every getattr op).
+        pub getattr_rpcs: u64,
+        /// LOOKUP RPCs sent (first transmissions).
+        pub lookup_rpcs: u64,
+        /// READDIR/READDIRPLUS RPCs sent (first transmissions).
+        pub readdir_rpcs: u64,
+        /// getattr() ops answered from the attribute cache — no RPC. Always
+        /// zero with the cache off.
+        pub attr_cache_hits: u64,
+        /// getattr() ops that found no cache entry and fetched over the wire.
+        /// Always zero with the cache off.
+        pub attr_cache_misses: u64,
+        /// GETATTRs sent to revalidate an expired entry or at open()
+        /// (close-to-open consistency). Always zero with the cache off.
+        pub attr_revalidations: u64,
+        /// Revalidations whose reply showed the server's attributes had
+        /// changed under a live entry — the staleness window closing.
+        pub attr_stale_detected: u64,
+        /// Attribute entries dropped by this client's own writes and closes.
+        pub attr_invalidations: u64,
+    }
 }
 
-/// Per-client contention at the shared server, attributable by client id.
-///
-/// All counters are maintained by the server as it serves calls, so the
-/// contention experiment reads straight off the stats instead of ad-hoc
-/// probes of the table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ContentionStats {
-    /// `nfsheur` ejections this client's READs caused (any victim).
-    pub heur_ejections_caused: u64,
-    /// Live `nfsheur` entries this client read last that some READ (its
-    /// own or another client's) ejected.
-    pub heur_ejections_suffered: u64,
-    /// Of the ejections this client caused, how many evicted an entry
-    /// *another* client read last — the cross-client interference the
-    /// paper's enlarged table is meant to eliminate.
-    pub cross_client_ejections: u64,
-    /// Probe-window scans by this client's READs that walked over a live
-    /// entry a different client read last (hash-neighbourhood sharing).
-    pub cross_client_probe_collisions: u64,
-    /// Duplicate calls from this client dropped by the server's
-    /// duplicate-request cache while the original was in service.
-    pub duplicate_cache_hits: u64,
-    /// `NFS3ERR_IO` replies this client received — disk faults are a
-    /// shared-server phenomenon too: one client's remap storm is another
-    /// client's latency, so the books attribute every EIO to its victim.
-    pub disk_eios_suffered: u64,
+simcore::counters! {
+    /// Per-client contention at the shared server, attributable by client id.
+    ///
+    /// All counters are maintained by the server as it serves calls, so the
+    /// contention experiment reads straight off the stats instead of ad-hoc
+    /// probes of the table.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ContentionStats {
+        /// `nfsheur` ejections this client's READs caused (any victim).
+        pub heur_ejections_caused: u64,
+        /// Live `nfsheur` entries this client read last that some READ (its
+        /// own or another client's) ejected.
+        pub heur_ejections_suffered: u64,
+        /// Of the ejections this client caused, how many evicted an entry
+        /// *another* client read last — the cross-client interference the
+        /// paper's enlarged table is meant to eliminate.
+        pub cross_client_ejections: u64,
+        /// Probe-window scans by this client's READs that walked over a live
+        /// entry a different client read last (hash-neighbourhood sharing).
+        pub cross_client_probe_collisions: u64,
+        /// Duplicate calls from this client dropped by the server's
+        /// duplicate-request cache while the original was in service.
+        pub duplicate_cache_hits: u64,
+        /// `NFS3ERR_IO` replies this client received — disk faults are a
+        /// shared-server phenomenon too: one client's remap storm is another
+        /// client's latency, so the books attribute every EIO to its victim.
+        pub disk_eios_suffered: u64,
+    }
 }
 
 /// Timer lanes of [`NfsWorld`]'s event queue (see
@@ -2863,6 +2873,7 @@ impl NfsWorld {
             self.ext_outbox.push(ExtReply {
                 ext: ext_index(key),
                 xid,
+                fh: call.fh(),
                 at: t,
                 reply,
             });

@@ -10,7 +10,7 @@
 use diskmodel::{DriveModel, PartitionTable};
 use ffs::FsConfig;
 use iosched::SchedulerKind;
-use netsim::{LinkProfile, TcpStream, Transport, TransportKind, TxOutcome, UdpChannel};
+use netsim::{LinkProfile, OneWayLink, TcpStream, Transport, TransportKind, TxOutcome};
 use nfsproto::FileHandle;
 use nfssim::{NfsWorld, WorldConfig};
 use simcore::{SimDuration, SimRng, SimTime};
@@ -130,8 +130,8 @@ fn zero_loss_tcp_stream_delivery_times_match_the_pre_engine_baseline() {
         assert_eq!(t.next_timer(), None, "send {i}: clean stream armed a timer");
     }
     assert_eq!(h, PRE_ENGINE_STREAM_FP, "delivery schedule moved");
-    assert_eq!(t.retransmits(), 0);
     let s = t.tcp_stats();
+    assert_eq!(s.retransmits, 0);
     assert_eq!(s.segments_sent, 200);
     assert_eq!(s.delivered, 200);
     assert_eq!(s.lost_tracked, 0);
@@ -147,7 +147,7 @@ fn zero_loss_tcp_and_udp_deliver_identically() {
     let profile = LinkProfile::gigabit_lan();
     let rtt = SimDuration::from_micros(200);
     let mut tcp = TcpStream::new(profile, rtt, SimRng::new(7));
-    let mut udp = UdpChannel::new(profile, SimRng::new(7));
+    let mut udp = OneWayLink::new(profile, SimRng::new(7));
     for i in 0..500u64 {
         let bytes = if i % 3 == 0 { 8_300 } else { 180 };
         let now = SimTime::from_nanos(i * 250_000);

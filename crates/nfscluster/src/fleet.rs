@@ -26,7 +26,7 @@
 use diskfault::{FaultPlan, FaultState};
 use nfsproto::FileHandle;
 use nfssim::{NfsWorld, OpDone, OpOutcome, WorldConfig};
-use simcore::{LogHist, SimDuration, SimRng, SimTime};
+use simcore::{LogHist, SimDuration, SimRng, SimTime, Tally};
 use simfleet::{run_sharded, ShardRunStats, ShardWorld};
 use testbed::{ClusterConfig, Rig};
 
@@ -194,17 +194,19 @@ impl ClientArena {
     }
 }
 
-/// Per-group outcome counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct GroupBooks {
-    issued: u64,
-    meta: u64,
-    ok: u64,
-    eio: u64,
-    timed_out: u64,
-    migrated_in: u64,
-    migrated_out: u64,
-    shed_events: u64,
+simcore::counters! {
+    /// Per-group outcome counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct GroupBooks {
+        issued: u64,
+        meta: u64,
+        ok: u64,
+        eio: u64,
+        timed_out: u64,
+        migrated_in: u64,
+        migrated_out: u64,
+        shed_events: u64,
+    }
 }
 
 /// One group of the fleet: a full [`NfsWorld`] (hosts + server + disk)
@@ -621,14 +623,7 @@ impl FleetWorld {
         let mut drive = DriveWork::default();
         for g in &self.groups {
             hist.merge(&g.hist);
-            books.issued += g.books.issued;
-            books.meta += g.books.meta;
-            books.ok += g.books.ok;
-            books.eio += g.books.eio;
-            books.timed_out += g.books.timed_out;
-            books.migrated_in += g.books.migrated_in;
-            books.migrated_out += g.books.migrated_out;
-            books.shed_events += g.books.shed_events;
+            books.tally(&g.books);
             fingerprint = fnv(fingerprint, g.gid as u64);
             fingerprint = fnv(fingerprint, g.fp);
             fingerprint = fnv(fingerprint, g.hist.fingerprint());

@@ -12,8 +12,6 @@
 //! simulated traffic, which is what makes the sim-vs-real differential
 //! harness meaningful.
 
-use std::collections::HashMap;
-
 use ffs::{FileSystem, FsConfig};
 use iosched::SchedulerKind;
 use nfsproto::{AcceptStat, CallHeader, FileHandle, NfsCall, NfsReply, NfsStatus, XdrDecoder};
@@ -63,13 +61,6 @@ pub struct EndpointStats {
     pub rpc_errors: u64,
 }
 
-struct Conn {
-    /// Calls in flight in the world, keyed by xid, so the pump can build
-    /// full RFC replies (attributes need the target handle).
-    // The peer picks these xids: keep std's keyed hasher (no FastMap).
-    pending: HashMap<u32, FileHandle>,
-}
-
 /// Builds the standard benchmarking world the endpoint serves: the
 /// paper's WD WD200BB IDE disk, the second quarter partition, an elevator
 /// scheduler, and the given [`WorldConfig`]. The differential harness
@@ -89,7 +80,6 @@ pub struct Endpoint {
     exports: Vec<FileHandle>,
     /// Root directory handle handed out by MOUNT.
     root: FileHandle,
-    conns: Vec<Conn>,
     stats: EndpointStats,
 }
 
@@ -110,7 +100,6 @@ impl Endpoint {
             world,
             exports,
             root,
-            conns: Vec::new(),
             stats: EndpointStats::default(),
         }
     }
@@ -119,12 +108,7 @@ impl Endpoint {
     /// nothing in the world but the connection's contention books.
     /// Returns the connection id used by [`Endpoint::handle_record`].
     pub fn connect(&mut self) -> usize {
-        let ext = self.world.register_external_client();
-        debug_assert_eq!(ext, self.conns.len());
-        self.conns.push(Conn {
-            pending: HashMap::new(),
-        });
-        ext
+        self.world.register_external_client()
     }
 
     /// Handles one reassembled RPC record from connection `conn` arriving
@@ -302,12 +286,11 @@ impl Endpoint {
             }
             // Everything else is the data path: into the world, sharing
             // nfsds, the heuristic table, and the disk.
-            NfsCall::Getattr { fh }
-            | NfsCall::Read { fh, .. }
-            | NfsCall::Write { fh, .. }
-            | NfsCall::Commit { fh, .. } => {
+            NfsCall::Getattr { .. }
+            | NfsCall::Read { .. }
+            | NfsCall::Write { .. }
+            | NfsCall::Commit { .. } => {
                 self.stats.routed_calls += 1;
-                self.conns[conn].pending.insert(xid, fh);
                 self.world.external_call(now, conn, xid, call);
                 None
             }
@@ -327,12 +310,10 @@ impl Endpoint {
     pub fn pump(&mut self, now: SimTime) -> Vec<(usize, Vec<u8>)> {
         self.world.advance(now);
         let replies = self.world.take_external_replies();
-        let mut out = Vec::with_capacity(replies.len());
-        for r in replies {
-            let fh = self.conns[r.ext].pending.remove(&r.xid);
-            out.push((r.ext, self.encode_reply(r.xid, fh, &r.reply)));
-        }
-        out
+        replies
+            .into_iter()
+            .map(|r| (r.ext, self.encode_reply(r.xid, r.fh, &r.reply)))
+            .collect()
     }
 
     /// The next instant the world has work scheduled (disk completion,
@@ -341,15 +322,15 @@ impl Endpoint {
         self.world.next_event()
     }
 
-    fn encode_reply(&self, xid: u32, fh: Option<FileHandle>, reply: &NfsReply) -> Vec<u8> {
-        let attr = fh.and_then(|fh| self.attr_for(&fh));
+    fn encode_reply(&self, xid: u32, fh: FileHandle, reply: &NfsReply) -> Vec<u8> {
+        let attr = self.attr_for(&fh);
         match *reply {
             NfsReply::Getattr { status, attrs } => match (status, attrs) {
                 (NfsStatus::Ok, Some(a)) => {
                     let full = wire::FileAttr {
                         fileid: a.fileid,
                         size: a.size,
-                        fsid: fh.map_or(0, |fh| u64::from(fh.fsid)),
+                        fsid: u64::from(fh.fsid),
                         is_dir: false,
                     };
                     wire::getattr_res(xid, &full)

@@ -129,9 +129,8 @@ fn write_ranges_past_any_file_are_refused() {
 #[test]
 fn pipelined_xids_sharing_their_low_bits_each_get_their_own_reply() {
     // Xids `k << 16` agree in their low 16 bits, so a fixed integer hash
-    // would chain them together in the endpoint's and the server's call
-    // maps. GETATTRs sit in the endpoint's map until the pump; READs of an
-    // uncached block also stay in service in the world until the disk
+    // would chain them together in the server's call map. READs of an
+    // uncached block stay in service in the world until the disk
     // answers.
     const CALLS: u32 = 1 << 16;
     let (mut ep, conn, fh) = endpoint();
@@ -170,6 +169,46 @@ fn pipelined_xids_sharing_their_low_bits_each_get_their_own_reply() {
         .collect();
     xids.sort_unstable();
     assert!(xids.iter().copied().eq((0..CALLS).map(|k| k << 16)));
+}
+
+#[test]
+fn a_reused_xid_is_answered_with_the_first_calls_attributes() {
+    // The peer reuses xid 7 for a READ of another file while the first is
+    // still in service. The server drops the second call as a duplicate,
+    // and the one reply carries the file the first call read.
+    let mut ep = Endpoint::new(
+        build_world(WorldConfig::default(), 11),
+        ExportSpec {
+            files: 2,
+            file_size: FILE_SIZE,
+        },
+    );
+    let conn = ep.connect();
+    let (f0, f1) = (ep.exports()[0], ep.exports()[1]);
+    for fh in [f0, f1] {
+        let rec = NfsCall::Read {
+            fh,
+            offset: 0,
+            count: 8_192,
+        }
+        .encode(7);
+        assert!(ep.handle_record(SimTime::ZERO, conn, &rec).is_empty());
+    }
+    let out = ep.pump(SimTime::from_nanos(60_000_000_000));
+    assert_eq!(out.len(), 1, "one reply for the one call served");
+    assert_eq!(ep.world().server_stats().duplicates_dropped, 1);
+    let attr = wire::FileAttr {
+        fileid: f0.ino,
+        size: FILE_SIZE,
+        fsid: u64::from(f0.fsid),
+        is_dir: false,
+    };
+    assert_eq!(out[0].0, conn);
+    assert!(
+        out[0].1 == wire::read_res_ok(7, &attr, 8_192, false),
+        "the reply must carry f0's post-op attributes (fileid {})",
+        f0.ino
+    );
 }
 
 #[test]

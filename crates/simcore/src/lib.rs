@@ -15,7 +15,9 @@
 //! * [`FastMap`] / [`FastSet`] — hash containers with a fixed, fast hasher
 //!   for keys the simulator allocates itself;
 //! * [`IdWindow`] / [`Waitlist`] — an indexed map for ids issued in
-//!   increasing order, and a wait list whose first entry lives inline.
+//!   increasing order, and a wait list whose first entry lives inline;
+//! * [`counters!`] / [`Tally`] — stats structs declared once, with the
+//!   per-host difference and the cluster sum derived from their fields.
 //!
 //! # Instrumentation discipline
 //!
@@ -36,6 +38,7 @@ mod event;
 mod hash;
 mod rng;
 mod stats;
+mod tally;
 mod time;
 mod window;
 
@@ -43,5 +46,6 @@ pub use event::EventQueue;
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use rng::{SampleRange, SimRng, UniformSample};
 pub use stats::{quantile, LogHist, OnlineStats, Summary};
+pub use tally::Tally;
 pub use time::{SimDuration, SimTime};
 pub use window::{IdWindow, Waitlist};

@@ -94,7 +94,7 @@ use nfsproto::{FileHandle, StableHow};
 use nfssim::{
     BlockState, ClientHostConfig, ClientStats, NfsWorld, OpId, OpOutcome, ServerStats, WorldConfig,
 };
-use simcore::{LogHist, SimDuration, SimRng, SimTime};
+use simcore::{LogHist, SimDuration, SimRng, SimTime, Tally};
 use testbed::Rig;
 
 /// Batches per run without disk faults: seven fault batches (one per
@@ -822,58 +822,12 @@ fn revert_faults(w: &mut NfsWorld, base: &WorldConfig) {
     w.set_disk_fault_model(None);
 }
 
-/// Sums one counter struct per client host into cluster-wide books. The
-/// destructuring is exhaustive, so a new counter fails to compile until it
-/// is summed here. The two `TcpStats` fields are not additive (`srtt`,
-/// `max_rto`) and stay at default; TCP runs fold the segment books per
-/// client into the fingerprint at the end of [`execute`].
-fn sum_client_stats(w: &NfsWorld) -> ClientStats {
-    macro_rules! summed {
-        ($($field:ident),* $(,)?) => {{
-            let mut total = ClientStats::default();
-            for c in 0..w.n_clients() {
-                let ClientStats { $($field,)* tcp_c2s: _, tcp_s2c: _ } = w.client_stats_for(c);
-                $(total.$field += $field;)*
-            }
-            total
-        }};
-    }
-    summed!(
-        ops,
-        cache_hits,
-        rpcs,
-        readahead_rpcs,
-        retransmits,
-        iod_starved,
-        rpc_timeouts,
-        transmissions,
-        replies_received,
-        duplicate_replies,
-        eio_replies,
-        write_rpcs,
-        commit_rpcs,
-        closes,
-        verifier_mismatches,
-        blocks_rewritten,
-        getattr_rpcs,
-        lookup_rpcs,
-        readdir_rpcs,
-        attr_cache_hits,
-        attr_cache_misses,
-        attr_revalidations,
-        attr_stale_detected,
-        attr_invalidations,
-    )
-}
-
-fn sum_link_stats(per_host: impl Iterator<Item = LinkStats>) -> LinkStats {
-    let mut total = LinkStats::default();
-    for s in per_host {
-        total.messages += s.messages;
-        total.lost += s.lost;
-        total.bytes_delivered += s.bytes_delivered;
-    }
-    total
+/// Sums one stats struct per client host into cluster-wide books.
+fn summed<T: Tally + Default>(per_host: impl Iterator<Item = T>) -> T {
+    per_host.fold(T::default(), |mut total, s| {
+        total.tally(&s);
+        total
+    })
 }
 
 /// Executes a spec's plan and checks every oracle ([`Spec::run`]).
@@ -1290,10 +1244,10 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
     // ------------------------------------------------------------------
     // End-of-run oracles, over the cluster-wide summed books.
     // ------------------------------------------------------------------
-    let c = sum_client_stats(&w);
+    let c: ClientStats = summed((0..w.n_clients()).map(|i| w.client_stats_for(i)));
     let s = w.server_stats();
-    let c2s = sum_link_stats((0..clients).map(|i| w.c2s_stats_for(i)));
-    let s2c = sum_link_stats((0..clients).map(|i| w.s2c_stats_for(i)));
+    let c2s: LinkStats = summed((0..clients).map(|i| w.c2s_stats_for(i)));
+    let s2c: LinkStats = summed((0..clients).map(|i| w.s2c_stats_for(i)));
 
     if bk.issued.len() != bk.completed.len() {
         let hung: Vec<&OpId> = bk
@@ -1705,23 +1659,12 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
         }
     }
     if plan.transport == TransportKind::Tcp {
-        // TCP runs fold the summed segment books in as well, so the
-        // determinism oracle covers the retransmission engine's internal
-        // schedule, not just RPC-visible outcomes. Conditional so UDP
-        // fingerprints stay pinned.
-        let mut tsum = netsim::TcpStats::default();
-        for cl in 0..clients {
-            if let Some((a, b)) = w.tcp_stats_for(cl) {
-                for t in [a, b] {
-                    tsum.segments_sent += t.segments_sent;
-                    tsum.retransmits += t.retransmits;
-                    tsum.fast_retransmits += t.fast_retransmits;
-                    tsum.timeouts += t.timeouts;
-                    tsum.rto_backoffs += t.rto_backoffs;
-                    tsum.lost_tracked += t.lost_tracked;
-                }
-            }
-        }
+        // TCP runs fold the summed segment books in as well (both
+        // directions of every host), so the determinism oracle covers the
+        // retransmission engine's internal schedule, not just RPC-visible
+        // outcomes. Conditional so UDP fingerprints stay pinned.
+        let mut tsum = c.tcp_c2s;
+        tsum.tally(&c.tcp_s2c);
         for v in [
             tsum.segments_sent,
             tsum.retransmits,

@@ -13,6 +13,7 @@ use std::collections::HashMap;
 
 use nfsproto::FileHandle;
 use nfssim::{ClientStats, ContentionStats, NfsWorld, ServerStats};
+use simcore::Tally;
 
 use crate::harness::{drive, Plan};
 use crate::rig::{ClusterConfig, Rig};
@@ -84,95 +85,6 @@ impl ClusterRunResult {
             .iter()
             .map(|c| c.contention.cross_client_ejections)
             .sum()
-    }
-}
-
-fn diff_tcp(after: netsim::TcpStats, before: netsim::TcpStats) -> netsim::TcpStats {
-    netsim::TcpStats {
-        segments_sent: after.segments_sent - before.segments_sent,
-        delivered: after.delivered - before.delivered,
-        acked: after.acked - before.acked,
-        lost_tracked: after.lost_tracked - before.lost_tracked,
-        retransmits: after.retransmits - before.retransmits,
-        fast_retransmits: after.fast_retransmits - before.fast_retransmits,
-        timeouts: after.timeouts - before.timeouts,
-        rto_backoffs: after.rto_backoffs - before.rto_backoffs,
-        order_violations: after.order_violations - before.order_violations,
-        // Gauges, not counters: report the end-of-run values.
-        in_flight: after.in_flight,
-        max_rto: after.max_rto,
-        srtt: after.srtt,
-    }
-}
-
-fn diff_client(after: ClientStats, before: ClientStats) -> ClientStats {
-    ClientStats {
-        ops: after.ops - before.ops,
-        cache_hits: after.cache_hits - before.cache_hits,
-        rpcs: after.rpcs - before.rpcs,
-        readahead_rpcs: after.readahead_rpcs - before.readahead_rpcs,
-        retransmits: after.retransmits - before.retransmits,
-        iod_starved: after.iod_starved - before.iod_starved,
-        rpc_timeouts: after.rpc_timeouts - before.rpc_timeouts,
-        transmissions: after.transmissions - before.transmissions,
-        replies_received: after.replies_received - before.replies_received,
-        duplicate_replies: after.duplicate_replies - before.duplicate_replies,
-        eio_replies: after.eio_replies - before.eio_replies,
-        write_rpcs: after.write_rpcs - before.write_rpcs,
-        commit_rpcs: after.commit_rpcs - before.commit_rpcs,
-        closes: after.closes - before.closes,
-        verifier_mismatches: after.verifier_mismatches - before.verifier_mismatches,
-        blocks_rewritten: after.blocks_rewritten - before.blocks_rewritten,
-        tcp_c2s: diff_tcp(after.tcp_c2s, before.tcp_c2s),
-        tcp_s2c: diff_tcp(after.tcp_s2c, before.tcp_s2c),
-        getattr_rpcs: after.getattr_rpcs - before.getattr_rpcs,
-        lookup_rpcs: after.lookup_rpcs - before.lookup_rpcs,
-        readdir_rpcs: after.readdir_rpcs - before.readdir_rpcs,
-        attr_cache_hits: after.attr_cache_hits - before.attr_cache_hits,
-        attr_cache_misses: after.attr_cache_misses - before.attr_cache_misses,
-        attr_revalidations: after.attr_revalidations - before.attr_revalidations,
-        attr_stale_detected: after.attr_stale_detected - before.attr_stale_detected,
-        attr_invalidations: after.attr_invalidations - before.attr_invalidations,
-    }
-}
-
-fn diff_contention(after: ContentionStats, before: ContentionStats) -> ContentionStats {
-    ContentionStats {
-        heur_ejections_caused: after.heur_ejections_caused - before.heur_ejections_caused,
-        heur_ejections_suffered: after.heur_ejections_suffered - before.heur_ejections_suffered,
-        cross_client_ejections: after.cross_client_ejections - before.cross_client_ejections,
-        cross_client_probe_collisions: after.cross_client_probe_collisions
-            - before.cross_client_probe_collisions,
-        duplicate_cache_hits: after.duplicate_cache_hits - before.duplicate_cache_hits,
-        disk_eios_suffered: after.disk_eios_suffered - before.disk_eios_suffered,
-    }
-}
-
-fn diff_server(after: ServerStats, before: ServerStats) -> ServerStats {
-    ServerStats {
-        reads: after.reads - before.reads,
-        other_calls: after.other_calls - before.other_calls,
-        reordered: after.reordered - before.reordered,
-        replies: after.replies - before.replies,
-        duplicates_dropped: after.duplicates_dropped - before.duplicates_dropped,
-        stale_drops: after.stale_drops - before.stale_drops,
-        orphan_calls: after.orphan_calls - before.orphan_calls,
-        heur_hits: after.heur_hits - before.heur_hits,
-        heur_misses: after.heur_misses - before.heur_misses,
-        heur_ejections: after.heur_ejections - before.heur_ejections,
-        disk_eios: after.disk_eios - before.disk_eios,
-        unstable_writes: after.unstable_writes - before.unstable_writes,
-        commits: after.commits - before.commits,
-        gather_flushes: after.gather_flushes - before.gather_flushes,
-        dirty_blocks_stashed: after.dirty_blocks_stashed - before.dirty_blocks_stashed,
-        dirty_blocks_flushed: after.dirty_blocks_flushed - before.dirty_blocks_flushed,
-        dirty_blocks_lost: after.dirty_blocks_lost - before.dirty_blocks_lost,
-        restarts: after.restarts - before.restarts,
-        getattrs: after.getattrs - before.getattrs,
-        lookups: after.lookups - before.lookups,
-        readdirs: after.readdirs - before.readdirs,
-        // A gauge, not a counter: report the end-of-run value.
-        heur_occupancy: after.heur_occupancy,
     }
 }
 
@@ -270,8 +182,8 @@ impl ClusterBench {
             clients_out.push(ClientReport {
                 throughput_mbs: self.per_client_bytes as f64 / 1e6 / elapsed,
                 completion_secs,
-                stats: diff_client(self.world.client_stats_for(c), before_client[c]),
-                contention: diff_contention(self.world.contention_stats(c), before_cont[c]),
+                stats: self.world.client_stats_for(c).since(&before_client[c]),
+                contention: self.world.contention_stats(c).since(&before_cont[c]),
             });
         }
         let total_bytes = self.per_client_bytes * self.clients as u64;
@@ -279,7 +191,7 @@ impl ClusterBench {
             throughput_mbs: total_bytes as f64 / 1e6 / last,
             elapsed_secs: last,
             clients: clients_out,
-            server: diff_server(self.world.server_stats(), before_server),
+            server: self.world.server_stats().since(&before_server),
         }
     }
 }
@@ -290,6 +202,7 @@ mod tests {
     use netsim::TransportKind;
     use nfssim::WorldConfig;
     use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
+    use simcore::SimDuration;
 
     #[test]
     fn every_client_reads_its_bytes() {
@@ -316,6 +229,29 @@ mod tests {
         // Same per-run op counts: the reports are deltas, not lifetimes.
         assert_eq!(r1.clients[0].stats.ops, r2.clients[0].stats.ops);
         assert_eq!(r1.server.reads > 0, r2.server.reads > 0);
+    }
+
+    #[test]
+    fn run_deltas_keep_levels_at_their_end_of_run_values() {
+        let cfg = WorldConfig {
+            transport: TransportKind::Tcp,
+            ..WorldConfig::default()
+        };
+        let mut b = ClusterBench::new(Rig::ide(1), &ClusterConfig::uniform(cfg, 1), &[1], 4, 18);
+        b.run(1);
+        let r = b.run(1);
+        let (server, client) = (b.world().server_stats(), b.world().client_stats_for(0));
+        assert!(server.heur_occupancy > 0 && client.tcp_s2c.srtt > SimDuration::ZERO);
+        assert_eq!(r.server.heur_occupancy, server.heur_occupancy);
+        let tcp = r.clients[0].stats.tcp_s2c;
+        assert_eq!(
+            (tcp.srtt, tcp.max_rto),
+            (client.tcp_s2c.srtt, client.tcp_s2c.max_rto)
+        );
+        assert!(
+            tcp.segments_sent < client.tcp_s2c.segments_sent,
+            "a counter is a delta"
+        );
     }
 
     #[test]

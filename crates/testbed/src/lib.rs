@@ -33,8 +33,7 @@ pub use local::{LocalBench, RunResult, READER_COUNTS};
 pub use mixed::{run_mixed, MixRatios, MixedResult};
 pub use replay::{replay, ReplayResult};
 pub use report::{
-    render_device_line, render_disk_line, render_endpoint_line, render_heur_line, render_tcp_line,
-    Figure, Series,
+    render_device_line, render_endpoint_line, render_heur_line, render_tcp_line, Figure, Series,
 };
 pub use rig::{ClusterConfig, Rig};
 pub use stride::{stride_order, StrideBench};

@@ -1,7 +1,7 @@
 //! Result containers and plain-text rendering for the regenerated
 //! figures and tables.
 
-use diskmodel::{DeviceReport, DiskStats};
+use diskmodel::DeviceReport;
 use netsim::TcpStats;
 use nfssim::ServerStats;
 use simcore::{LogHist, Summary};
@@ -139,12 +139,6 @@ pub fn render_device_line(report: &DeviceReport) -> String {
     line
 }
 
-/// Renders a spinning drive's breakdown line. Kept as the HDD-typed
-/// entry point; delegates to the device-agnostic [`render_device_line`].
-pub fn render_disk_line(stats: &DiskStats) -> String {
-    render_device_line(&stats.report())
-}
-
 /// Renders one operation class of a real-socket endpoint replay as a
 /// one-line summary: call volume and the wall-clock latency quantiles
 /// the client measured ([`LogHist`] in microseconds, the same histogram
@@ -193,6 +187,7 @@ pub fn render_tcp_line(dir: &str, stats: &TcpStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diskmodel::DiskStats;
 
     fn fig() -> Figure {
         Figure {
@@ -257,7 +252,7 @@ mod tests {
         s.breakdown.rotation = SimDuration::from_millis(100);
         s.breakdown.transfer = SimDuration::from_millis(500);
         s.breakdown.fault_stall = SimDuration::from_millis(50);
-        let line = render_disk_line(&s);
+        let line = render_device_line(&s.report());
         assert!(line.contains("100 cmds"), "{line}");
         assert!(line.contains("seek 25.0%"), "{line}");
         assert!(line.contains("transfer 50.0%"), "{line}");
@@ -265,13 +260,13 @@ mod tests {
         assert!(!line.contains("media errors"), "healthy drive: {line}");
         s.media_errors = 3;
         s.remapped_sectors = 16;
-        let line = render_disk_line(&s);
+        let line = render_device_line(&s.report());
         assert!(
             line.contains("3 media errors, 16 sectors remapped"),
             "{line}"
         );
         assert!(
-            !render_disk_line(&DiskStats::default()).contains("NaN"),
+            !render_device_line(&DiskStats::default().report()).contains("NaN"),
             "idle drive must not divide by zero"
         );
     }
