@@ -80,23 +80,6 @@ pub struct TuneConfig {
     /// Windows with fewer completed operations than this are held (no
     /// decision): the sample is too thin to trust.
     pub min_ops: u64,
-    /// Relative improvement a trial must show to be accepted (hysteresis
-    /// against accepting noise).
-    pub tolerance: f64,
-    /// Read-ahead ceiling bounds, blocks (inclusive).
-    pub readahead_bounds: (u64, u64),
-    /// `nfsheur` slot bounds (inclusive, powers of two recommended).
-    pub heur_bounds: (usize, usize),
-    /// Tail-latency discount scale, milliseconds: a window whose p99
-    /// equals this scores half its raw throughput.
-    pub tail_ms_scale: f64,
-    /// Consecutive reverted trials before the climber concludes it is
-    /// sitting at a local optimum and cools off.
-    pub patience: u64,
-    /// Windows to sit still (measure only, no proposals) after patience
-    /// runs out — the exploration tax is paid in degraded trial windows,
-    /// so a settled controller must stop burning them.
-    pub cooldown: u64,
 }
 
 impl Default for TuneConfig {
@@ -104,15 +87,32 @@ impl Default for TuneConfig {
         TuneConfig {
             window: SimDuration::from_millis(250),
             min_ops: 16,
-            tolerance: 0.02,
-            readahead_bounds: (4, 64),
-            heur_bounds: (8, 4096),
-            tail_ms_scale: 100.0,
-            patience: 4,
-            cooldown: 12,
         }
     }
 }
+
+/// Relative improvement a trial must show to be accepted (hysteresis
+/// against accepting noise).
+const TOLERANCE: f64 = 0.02;
+
+/// Read-ahead ceiling bounds, blocks (inclusive).
+const READAHEAD_BOUNDS: (u64, u64) = (4, 64);
+
+/// `nfsheur` slot bounds (inclusive, powers of two).
+const HEUR_BOUNDS: (usize, usize) = (8, 4096);
+
+/// Tail-latency discount scale, milliseconds: a window whose p99 equals
+/// this scores half its raw throughput.
+const TAIL_MS_SCALE: f64 = 100.0;
+
+/// Consecutive reverted trials before the climber concludes it is
+/// sitting at a local optimum and cools off.
+const PATIENCE: u64 = 4;
+
+/// Windows to sit still (measure only, no proposals) after patience runs
+/// out — the exploration tax is paid in degraded trial windows, so a
+/// settled controller must stop burning them.
+const COOLDOWN: u64 = 12;
 
 /// One window's worth of observations, handed to
 /// [`Controller::observe`].
@@ -250,7 +250,7 @@ impl Controller {
         }
         let rate = obs.ops as f64 / secs;
         let p99_ms = obs.hist.quantile(0.99).unwrap_or(0) as f64 / 1e6;
-        rate / (1.0 + p99_ms / self.cfg.tail_ms_scale)
+        rate / (1.0 + p99_ms / TAIL_MS_SCALE)
     }
 
     /// Consumes one closed window. Returns the knobs the caller must now
@@ -271,7 +271,7 @@ impl Controller {
                 self.push(ActionKind::Measure, score);
             }
             Some(t) => {
-                if score > t.prev_score * (1.0 + self.cfg.tolerance) {
+                if score > t.prev_score * (1.0 + TOLERANCE) {
                     self.baseline = Some(score);
                     self.consecutive_reverts = 0;
                     self.push(ActionKind::Accept, score);
@@ -284,11 +284,11 @@ impl Controller {
             }
         }
         // Every reverted trial was a window run on bad knobs. After
-        // `patience` straight losses, stop proposing for a while — the
+        // `PATIENCE` straight losses, stop proposing for a while — the
         // climber is at a local optimum and exploration is pure tax.
-        if self.consecutive_reverts >= self.cfg.patience {
+        if self.consecutive_reverts >= PATIENCE {
             self.consecutive_reverts = 0;
-            self.cooldown_left = self.cfg.cooldown;
+            self.cooldown_left = COOLDOWN;
         }
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
@@ -311,7 +311,7 @@ impl Controller {
     fn mutate(&mut self) -> KnobKind {
         match self.rng.gen_range(0u32..3) {
             0 => {
-                let (lo, hi) = self.cfg.readahead_bounds;
+                let (lo, hi) = READAHEAD_BOUNDS;
                 let cur = self.knobs.readahead_blocks;
                 let up = self.rng.chance(0.5);
                 let next = if up { cur * 2 } else { cur / 2 }.clamp(lo, hi);
@@ -339,7 +339,7 @@ impl Controller {
                 KnobKind::Scheduler
             }
             _ => {
-                let (lo, hi) = self.cfg.heur_bounds;
+                let (lo, hi) = HEUR_BOUNDS;
                 let cur = self.knobs.heur_slots;
                 let up = self.rng.chance(0.5);
                 let next = if up { cur * 2 } else { cur / 2 }.clamp(lo, hi);
@@ -569,8 +569,7 @@ mod tests {
 
     #[test]
     fn knob_bounds_are_respected_over_many_windows() {
-        let cfg = TuneConfig::default();
-        let mut c = Controller::new(cfg, Knobs::stock(), SimRng::new(11));
+        let mut c = Controller::new(TuneConfig::default(), Knobs::stock(), SimRng::new(11));
         for i in 0..500u64 {
             // Alternate good/bad so both accept and revert paths run.
             let (lat, ops) = if i % 3 == 0 {
@@ -581,11 +580,11 @@ mod tests {
             feed(&mut c, lat, ops);
             let k = c.knobs();
             assert!(
-                (cfg.readahead_bounds.0..=cfg.readahead_bounds.1).contains(&k.readahead_blocks),
+                (READAHEAD_BOUNDS.0..=READAHEAD_BOUNDS.1).contains(&k.readahead_blocks),
                 "readahead {k:?}"
             );
             assert!(
-                (cfg.heur_bounds.0..=cfg.heur_bounds.1).contains(&k.heur_slots),
+                (HEUR_BOUNDS.0..=HEUR_BOUNDS.1).contains(&k.heur_slots),
                 "slots {k:?}"
             );
         }

@@ -57,7 +57,6 @@ fn tuned_trace(seed: u64) -> (u64, u64, usize) {
     let cfg = TuneConfig {
         window: simcore::SimDuration::from_millis(2),
         min_ops: 4,
-        ..TuneConfig::default()
     };
     let controller = Controller::new(cfg, Knobs::stock(), SimRng::from_seed_and_stream(seed, 0x7));
     let mut tuner = WindowedTuner::new(controller);
@@ -103,6 +102,21 @@ fn tuner_changes_knobs_and_stays_deterministic() {
     assert!(n1 > 4, "the run must close enough windows to tune ({n1})");
     let (w3, t3, _) = tuned_trace(43);
     assert!(w3 != w1 || t3 != t1, "a different seed must move something");
+}
+
+/// Pins two seeds' traces. The tests above only compare runs with each
+/// other, so only a pin catches a changed tolerance, patience, cooldown,
+/// knob bound or tail scale.
+#[test]
+fn tuned_traces_are_pinned() {
+    assert_eq!(
+        tuned_trace(42),
+        (0x5980_64a8_0da8_4319, 0xbcfe_256a_6f8c_e4d4, 87)
+    );
+    assert_eq!(
+        tuned_trace(43),
+        (0x4cc0_770d_315b_96a2, 0x2ef8_bb36_b8a5_d9b5, 87)
+    );
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! the Always-vs-Default read-ahead gap should widen as aging increases.
 
 use diskmodel::{DriveModel, PartitionTable};
-use ffs::{AllocConfig, FileSystem, FsConfig};
+use ffs::{FileSystem, FsConfig};
 use iosched::SchedulerKind;
 use nfs_bench::BASE_SEED;
 use nfsproto::FileHandle;
@@ -24,10 +24,7 @@ fn run(aging: f64, policy: ReadaheadPolicy, readers: usize, total_mb: u64) -> f6
     let disk = DriveModel::WdWd200bbIde.build(SimRng::new(BASE_SEED));
     let part = PartitionTable::quarters(disk.geometry()).get(1);
     let config = FsConfig {
-        alloc: AllocConfig {
-            aging,
-            ..AllocConfig::default()
-        },
+        aging,
         ..FsConfig::default()
     };
     let fs = FileSystem::format(disk, part, SchedulerKind::Elevator, config);

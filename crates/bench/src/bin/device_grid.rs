@@ -91,7 +91,6 @@ fn run_cell(rig: Rig, mode: Mode, workload: Workload, file_mb: u64, seed: u64) -
             TuneConfig {
                 window: SimDuration::from_millis(40),
                 min_ops: 16,
-                ..TuneConfig::default()
             },
             Knobs::stock(),
             SimRng::from_seed_and_stream(seed, 0x7u64),

@@ -37,9 +37,14 @@ pub fn emit(fig: &Figure, paper_reference: &str) {
     println!("{paper_reference}");
 }
 
-/// The scale selected by the environment.
+/// The figure scale selected by `NFS_BENCH_SCALE`: `quick`, `report`, or
+/// anything else (paper scale).
 pub fn scale() -> Scale {
-    let s = Scale::from_env();
+    let s = match std::env::var("NFS_BENCH_SCALE").as_deref() {
+        Ok("quick") => Scale::quick(),
+        Ok("report") => Scale::report(),
+        _ => Scale::paper(),
+    };
     eprintln!(
         "# scale: {} MB/iteration, {} runs/point (set NFS_BENCH_SCALE=quick for a fast pass)",
         s.total_mb, s.runs

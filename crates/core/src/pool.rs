@@ -26,8 +26,8 @@ pub struct PoolStats {
 
 /// A fixed-size cursor pool shared across every active file handle.
 ///
-/// Stored structure-of-arrays: the scan that dominates [`observe`]
-/// (`SharedCursorPool::observe`) walks the packed `keys` array and only
+/// Stored structure-of-arrays: the scan that dominates
+/// [`observe`](Self::observe) walks the packed `keys` array and only
 /// touches a cursor when its key matches, instead of striding over
 /// key+cursor pairs.
 #[derive(Debug)]

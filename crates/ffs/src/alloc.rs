@@ -50,26 +50,15 @@ impl Inode {
     }
 }
 
-/// Allocator configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AllocConfig {
-    /// Cylinder-group size in bytes (FFS defaults are tens of MB).
-    pub cg_bytes: u64,
-    /// Fraction of cluster-sized runs that get displaced, 0.0 = fresh.
-    pub aging: f64,
-    /// Gap (in blocks) inserted when a run is displaced.
-    pub aging_gap_blocks: u64,
-}
+/// Blocks per cluster: the unit of a cluster read and of an allocation
+/// run (FreeBSD: 64 KB / 8 KB = 8).
+pub(crate) const CLUSTER_BLOCKS: u64 = 8;
 
-impl Default for AllocConfig {
-    fn default() -> Self {
-        AllocConfig {
-            cg_bytes: 32 * 1024 * 1024,
-            aging: 0.0,
-            aging_gap_blocks: 64,
-        }
-    }
-}
+/// Cylinder-group size in bytes (FFS defaults are tens of MB).
+const CG_BYTES: u64 = 32 * 1024 * 1024;
+
+/// Gap (in blocks) inserted when aging displaces a run.
+const AGING_GAP_BLOCKS: u64 = 64;
 
 /// The first file's inode number: inode 0 is invalid and 1 is the root.
 /// Numbers are dense from here, in creation order.
@@ -79,18 +68,20 @@ pub(crate) const FIRST_INO: u64 = 2;
 #[derive(Debug)]
 pub struct Allocator {
     partition: Partition,
-    config: AllocConfig,
+    /// Fraction of cluster-sized runs that get displaced, 0.0 = fresh.
+    aging: f64,
     /// Next free sector, relative to the partition.
     cursor: u64,
     next_ino: u64,
 }
 
 impl Allocator {
-    /// Creates an allocator over a partition.
-    pub fn new(partition: Partition, config: AllocConfig) -> Self {
+    /// Creates an allocator over a partition that displaces the given
+    /// fraction of runs (0.0 for a fresh file system).
+    pub fn new(partition: Partition, aging: f64) -> Self {
         Allocator {
             partition,
-            config,
+            aging,
             cursor: 0,
             next_ino: FIRST_INO,
         }
@@ -119,16 +110,14 @@ impl Allocator {
     pub fn create_file(&mut self, size: u64, rng: &mut SimRng) -> Inode {
         let nblocks = size.div_ceil(BLOCK_BYTES);
         let mut blocks = Vec::with_capacity(usize::try_from(nblocks).expect("fits"));
-        // Allocate in cluster-sized runs of 8 blocks so aging displaces
-        // realistic units.
-        let run = 8u64;
+        // Allocate in cluster-sized runs so aging displaces realistic units.
         let mut remaining = nblocks;
         while remaining > 0 {
-            let take = remaining.min(run);
-            if self.config.aging > 0.0 && rng.chance(self.config.aging) {
+            let take = remaining.min(CLUSTER_BLOCKS);
+            if self.aging > 0.0 && rng.chance(self.aging) {
                 // Displace this run: leave a gap as if intervening files
                 // occupied the space.
-                self.cursor += self.config.aging_gap_blocks * BLOCK_SECTORS;
+                self.cursor += AGING_GAP_BLOCKS * BLOCK_SECTORS;
             }
             for _ in 0..take {
                 let abs = self.partition.abs(self.cursor, BLOCK_SECTORS);
@@ -157,12 +146,11 @@ impl Allocator {
     /// Panics if the partition has insufficient space.
     pub fn extend_file(&mut self, inode: &mut Inode, new_size: u64, rng: &mut SimRng) {
         let nblocks = new_size.div_ceil(BLOCK_BYTES);
-        let run = 8u64;
         let mut remaining = nblocks.saturating_sub(inode.num_blocks());
         while remaining > 0 {
-            let take = remaining.min(run);
-            if self.config.aging > 0.0 && rng.chance(self.config.aging) {
-                self.cursor += self.config.aging_gap_blocks * BLOCK_SECTORS;
+            let take = remaining.min(CLUSTER_BLOCKS);
+            if self.aging > 0.0 && rng.chance(self.aging) {
+                self.cursor += AGING_GAP_BLOCKS * BLOCK_SECTORS;
             }
             for _ in 0..take {
                 let abs = self.partition.abs(self.cursor, BLOCK_SECTORS);
@@ -177,7 +165,7 @@ impl Allocator {
     /// Cylinder-group index of a partition-relative byte offset
     /// (diagnostics; layout policy keeps whole files inside few groups).
     pub fn cg_of(&self, rel_bytes: u64) -> u64 {
-        rel_bytes / self.config.cg_bytes
+        rel_bytes / CG_BYTES
     }
 }
 
@@ -194,7 +182,7 @@ mod tests {
 
     #[test]
     fn fresh_files_are_contiguous() {
-        let mut a = Allocator::new(part(), AllocConfig::default());
+        let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
         let f = a.create_file(1024 * 1024, &mut rng); // 128 blocks
         assert_eq!(f.num_blocks(), 128);
@@ -206,7 +194,7 @@ mod tests {
 
     #[test]
     fn files_do_not_overlap() {
-        let mut a = Allocator::new(part(), AllocConfig::default());
+        let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
         let f1 = a.create_file(64 * 1024, &mut rng);
         let f2 = a.create_file(64 * 1024, &mut rng);
@@ -217,7 +205,7 @@ mod tests {
 
     #[test]
     fn size_rounds_up_to_blocks() {
-        let mut a = Allocator::new(part(), AllocConfig::default());
+        let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
         let f = a.create_file(BLOCK_BYTES + 1, &mut rng);
         assert_eq!(f.num_blocks(), 2);
@@ -226,11 +214,7 @@ mod tests {
 
     #[test]
     fn aging_fragments_layout() {
-        let cfg = AllocConfig {
-            aging: 0.5,
-            ..AllocConfig::default()
-        };
-        let mut a = Allocator::new(part(), cfg);
+        let mut a = Allocator::new(part(), 0.5);
         let mut rng = SimRng::new(42);
         let f = a.create_file(4 * 1024 * 1024, &mut rng); // 512 blocks
         let discontinuities = (0..f.num_blocks() - 1)
@@ -242,9 +226,27 @@ mod tests {
         );
     }
 
+    /// Pins an aged layout: aging is the only path that reads the gap,
+    /// and no other test pins an aged file system.
+    #[test]
+    fn aged_layout_is_pinned() {
+        let mut a = Allocator::new(part(), 0.5);
+        let mut rng = SimRng::new(42);
+        let mut f = a.create_file(4 * 1024 * 1024, &mut rng);
+        let g = a.create_file(64 * 1024, &mut rng);
+        a.extend_file(&mut f, 5 * 1024 * 1024, &mut rng);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for lba in f.blocks.iter().chain(&g.blocks) {
+            for b in lba.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0xd1ed_5568_d331_715d);
+    }
+
     #[test]
     fn extend_of_last_file_is_contiguous() {
-        let mut a = Allocator::new(part(), AllocConfig::default());
+        let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
         let mut f = a.create_file(64 * 1024, &mut rng); // 8 blocks
         a.extend_file(&mut f, 128 * 1024, &mut rng); // +8 blocks
@@ -257,7 +259,7 @@ mod tests {
 
     #[test]
     fn extend_after_other_allocation_fragments() {
-        let mut a = Allocator::new(part(), AllocConfig::default());
+        let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
         let mut f1 = a.create_file(64 * 1024, &mut rng);
         let f2 = a.create_file(64 * 1024, &mut rng);
@@ -273,7 +275,7 @@ mod tests {
 
     #[test]
     fn extend_within_current_blocks_allocates_nothing() {
-        let mut a = Allocator::new(part(), AllocConfig::default());
+        let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
         let mut f = a.create_file(BLOCK_BYTES + 1, &mut rng); // 2 blocks
         let free_before = a.free_bytes();
@@ -288,8 +290,8 @@ mod tests {
 
     #[test]
     fn fresh_extend_ignores_rng() {
-        let mut a1 = Allocator::new(part(), AllocConfig::default());
-        let mut a2 = Allocator::new(part(), AllocConfig::default());
+        let mut a1 = Allocator::new(part(), 0.0);
+        let mut a2 = Allocator::new(part(), 0.0);
         let mut f1 = a1.create_file(64 * 1024, &mut SimRng::new(1));
         let mut f2 = a2.create_file(64 * 1024, &mut SimRng::new(999));
         a1.extend_file(&mut f1, 256 * 1024, &mut SimRng::new(2));
@@ -299,8 +301,8 @@ mod tests {
 
     #[test]
     fn fresh_allocation_ignores_rng() {
-        let mut a1 = Allocator::new(part(), AllocConfig::default());
-        let mut a2 = Allocator::new(part(), AllocConfig::default());
+        let mut a1 = Allocator::new(part(), 0.0);
+        let mut a2 = Allocator::new(part(), 0.0);
         let f1 = a1.create_file(1024 * 1024, &mut SimRng::new(1));
         let f2 = a2.create_file(1024 * 1024, &mut SimRng::new(999));
         assert_eq!(f1.blocks, f2.blocks);
@@ -308,7 +310,7 @@ mod tests {
 
     #[test]
     fn free_bytes_decreases() {
-        let mut a = Allocator::new(part(), AllocConfig::default());
+        let mut a = Allocator::new(part(), 0.0);
         let before = a.free_bytes();
         a.create_file(1024 * 1024, &mut SimRng::new(1));
         assert_eq!(before - a.free_bytes(), 1024 * 1024);
@@ -321,13 +323,13 @@ mod tests {
             start: 0,
             sectors: 32,
         };
-        let mut a = Allocator::new(small, AllocConfig::default());
+        let mut a = Allocator::new(small, 0.0);
         a.create_file(1024 * 1024, &mut SimRng::new(1));
     }
 
     #[test]
     fn cg_index() {
-        let a = Allocator::new(part(), AllocConfig::default());
+        let a = Allocator::new(part(), 0.0);
         assert_eq!(a.cg_of(0), 0);
         assert_eq!(a.cg_of(32 * 1024 * 1024), 1);
     }

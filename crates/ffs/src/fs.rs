@@ -25,7 +25,7 @@ use diskmodel::{Completion, DeviceModel, Disk, DiskRequest, FaultModel, TcqConfi
 use iosched::SchedulerKind;
 use simcore::{FastMap, IdWindow, SimRng, SimTime, Waitlist};
 
-use crate::alloc::{AllocConfig, Allocator, Inode, BLOCK_BYTES, BLOCK_SECTORS, FIRST_INO};
+use crate::alloc::{Allocator, Inode, BLOCK_BYTES, BLOCK_SECTORS, CLUSTER_BLOCKS, FIRST_INO};
 use crate::bcache::{BlockKey, BufferCache};
 use crate::bio::BioLayer;
 
@@ -34,29 +34,27 @@ use crate::bio::BioLayer;
 /// the lower levels of the operating system").
 pub const SEQCOUNT_MAX: u32 = 127;
 
+/// Minimum `seqcount` at which clustering and read-ahead kick in.
+const READAHEAD_THRESHOLD: u32 = 2;
+
 /// File-system tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct FsConfig {
-    /// Blocks per cluster read (FreeBSD: 64 KB / 8 KB = 8).
-    pub cluster_blocks: u64,
     /// Ceiling on the read-ahead window, in blocks.
     pub max_readahead_blocks: u64,
     /// Buffer-cache capacity in blocks (sized from machine RAM).
     pub cache_blocks: usize,
-    /// Minimum `seqcount` at which read-ahead kicks in.
-    pub readahead_threshold: u32,
-    /// Allocation policy.
-    pub alloc: AllocConfig,
+    /// Fraction of cluster-sized allocation runs that get displaced, as
+    /// on a file system aged by create/delete traffic; 0.0 = fresh.
+    pub aging: f64,
 }
 
 impl Default for FsConfig {
     fn default() -> Self {
         FsConfig {
-            cluster_blocks: 8,
             max_readahead_blocks: 32,
             cache_blocks: 20_000, // ~160 MB of a 256 MB server
-            readahead_threshold: 2,
-            alloc: AllocConfig::default(),
+            aging: 0.0,
         }
     }
 }
@@ -188,7 +186,7 @@ impl FileSystem {
     ) -> Self {
         FileSystem {
             bio: BioLayer::with_device(device, sched),
-            alloc: Allocator::new(partition, config.alloc),
+            alloc: Allocator::new(partition, config.aging),
             inodes: Vec::new(),
             cache: BufferCache::new(config.cache_blocks),
             io_spans: IdWindow::default(),
@@ -372,8 +370,8 @@ impl FileSystem {
             // cluster read; with no sequentiality evidence FreeBSD reads
             // the one block it was asked for — this is precisely the cost
             // of a collapsed seqcount (§6 of the paper).
-            let max_run = if seqcount >= self.config.readahead_threshold {
-                self.config.cluster_blocks
+            let max_run = if seqcount >= READAHEAD_THRESHOLD {
+                CLUSTER_BLOCKS
             } else {
                 1
             };
@@ -401,7 +399,7 @@ impl FileSystem {
         }
 
         // Read-ahead beyond the requested range, scaled by seqcount.
-        if seqcount >= self.config.readahead_threshold {
+        if seqcount >= READAHEAD_THRESHOLD {
             let window =
                 u64::from(seqcount.min(SEQCOUNT_MAX)).min(self.config.max_readahead_blocks);
             self.readahead(now, ino, last_blk + 1, window);
@@ -450,7 +448,7 @@ impl FileSystem {
             let run = self
                 .contiguous_run(inode, blk)
                 .min(last_blk - blk + 1)
-                .min(self.config.cluster_blocks);
+                .min(CLUSTER_BLOCKS);
             let io_tag = self.next_io_tag;
             self.next_io_tag += 1;
             self.io_spans.insert(
@@ -599,7 +597,7 @@ impl FileSystem {
     /// degenerate into single-block I/Os at the frontier.
     fn readahead(&mut self, now: SimTime, ino: u64, from: u64, window: u64) {
         let end = (from + window).min(self.inode(ino).expect("known inode").num_blocks());
-        let cluster = self.config.cluster_blocks;
+        let cluster = CLUSTER_BLOCKS;
         // First cluster boundary at or after `from`.
         let mut blk = from.div_ceil(cluster) * cluster;
         while blk < end {

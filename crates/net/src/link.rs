@@ -16,6 +16,9 @@ use simcore::{SimDuration, SimRng, SimTime};
 /// Ethernet + IP + UDP header bytes charged per frame.
 pub const FRAME_HEADER_BYTES: u64 = 18 + 20 + 8;
 
+/// Maximum transmission unit: payload bytes per frame (standard Ethernet).
+const MTU: u64 = 1_500;
+
 /// Link parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProfile {
@@ -23,8 +26,6 @@ pub struct LinkProfile {
     pub bandwidth: f64,
     /// One-way propagation + switch latency.
     pub latency: SimDuration,
-    /// Maximum transmission unit (payload bytes per frame).
-    pub mtu: u64,
     /// Independent per-frame loss probability.
     pub frame_loss: f64,
     /// Maximum uniform extra per-message delay, seconds (0 on a quiet
@@ -39,7 +40,6 @@ impl LinkProfile {
         LinkProfile {
             bandwidth: 49e6,
             latency: SimDuration::from_micros(30),
-            mtu: 1_500,
             frame_loss: 0.0,
             jitter: 2e-6,
         }
@@ -47,7 +47,7 @@ impl LinkProfile {
 
     /// Number of frames needed for a payload.
     pub fn frames_for(&self, bytes: u64) -> u64 {
-        bytes.max(1).div_ceil(self.mtu)
+        bytes.max(1).div_ceil(MTU)
     }
 
     /// Total wire bytes for a payload, headers included.

@@ -5,6 +5,16 @@ use nfsproto::StableHow;
 use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
 use simcore::SimDuration;
 
+/// NFS read and write size in bytes (rsize/wsize; 8 KB for v2-era
+/// setups). Equal to the file-system block, so one READ is one block.
+pub const RSIZE: u32 = 8_192;
+const _: () = assert!(RSIZE as u64 == ffs::BLOCK_BYTES);
+
+/// Concurrent `nfsd` server daemons a world starts with ("the server runs
+/// eight nfsds instead of the default four", §4.1).
+/// [`crate::NfsWorld::set_nfsds`] resizes the pool at runtime.
+pub const NFSDS: usize = 8;
+
 /// Everything tunable about one client/server world.
 #[derive(Debug, Clone, Copy)]
 pub struct WorldConfig {
@@ -17,14 +27,9 @@ pub struct WorldConfig {
     pub policy: ReadaheadPolicy,
     /// Geometry of the server's `nfsheur` table.
     pub heur: NfsHeurConfig,
-    /// Concurrent `nfsd` server daemons ("the server runs eight nfsds
-    /// instead of the default four", §4.1).
-    pub nfsds: usize,
     /// Client `nfsiod` daemons available for asynchronous read-ahead
     /// ("the clients run eight nfsiods instead of the default four").
     pub nfsiods: usize,
-    /// NFS read size in bytes (rsize; 8 KB for v2-era setups).
-    pub rsize: u32,
     /// Client read-ahead depth in blocks when a file looks sequential.
     pub client_readahead_blocks: u64,
     /// Client block-cache capacity in blocks (the clients have 1 GB RAM).
@@ -34,8 +39,6 @@ pub struct WorldConfig {
     pub busy_loops: u32,
     /// Initial RPC retransmission timeout (UDP only; doubled per retry).
     pub retransmit_timeout: SimDuration,
-    /// Maximum retransmissions before the mount is declared dead.
-    pub max_retries: u32,
     /// Stability level clients request on WRITE. [`StableHow::FileSync`]
     /// is the historical synchronous write-through path;
     /// [`StableHow::Unstable`] enables the NFSv3 async write path: the
@@ -46,12 +49,6 @@ pub struct WorldConfig {
     /// adjacent writes before flushing to disk (the write-gathering
     /// window; FreeBSD's syncer ticks at 30 ms granularity).
     pub gather_window: SimDuration,
-    /// Server dirty-pool ceiling in blocks; above it the written file is
-    /// flushed immediately instead of waiting out the gather window.
-    pub server_dirty_max_blocks: usize,
-    /// Client write-behind ceiling in blocks; above it dirty runs are
-    /// pushed in process context even when every nfsiod is busy.
-    pub client_dirty_max_blocks: usize,
     /// Attribute-cache floor (`acregmin`): a freshly fetched attribute is
     /// trusted at least this long. [`SimDuration::ZERO`] (the default)
     /// disables the attribute cache entirely — every GETATTR goes to the
@@ -78,37 +75,28 @@ impl Default for WorldConfig {
             link: LinkProfile::gigabit_lan(),
             policy: ReadaheadPolicy::Default,
             heur: NfsHeurConfig::freebsd_default(),
-            nfsds: 8,
             nfsiods: 8,
-            rsize: 8_192,
             client_readahead_blocks: 4,
             client_cache_blocks: 120_000, // ~0.9 GB of the client's 1 GB
             busy_loops: 0,
             retransmit_timeout: SimDuration::from_millis(800),
-            max_retries: 8,
             stable_how: StableHow::FileSync,
             gather_window: SimDuration::from_millis(30),
-            server_dirty_max_blocks: 512,
-            client_dirty_max_blocks: 64,
             attr_timeo_min: SimDuration::ZERO,
             attr_timeo_max: SimDuration::ZERO,
         }
     }
 }
 
-/// Everything that can differ between client *hosts* sharing one server.
+/// The client-host parameters a [`WorldConfig`] implies.
 ///
-/// A multi-client world ([`crate::NfsWorld::new_cluster`]) takes one of
-/// these per host; the single-client constructor derives one from the
-/// [`WorldConfig`] via [`ClientHostConfig::from_world`], so a 1-host
-/// cluster is configured — and behaves — exactly like the classic world.
+/// [`crate::NfsWorld::new_cluster`] takes one per host, and every entry
+/// must be [`ClientHostConfig::from_world`] of the world's config: all
+/// hosts of a world share its one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientHostConfig {
     /// This host's link to the server (both directions are symmetric).
     pub link: LinkProfile,
-    /// Round-trip estimate used by the transports (retransmission
-    /// penalties on TCP). The classic single-client world uses 200 µs.
-    pub rtt: SimDuration,
     /// This host's `nfsiod` pool size.
     pub nfsiods: usize,
     /// Infinite-loop processes competing for this host's CPU.
@@ -120,12 +108,11 @@ pub struct ClientHostConfig {
 }
 
 impl ClientHostConfig {
-    /// The host configuration implied by a [`WorldConfig`] — what
-    /// [`crate::NfsWorld::new`] has always built its single client from.
+    /// The host configuration implied by a [`WorldConfig`]: the one entry
+    /// [`crate::NfsWorld::new_cluster`] accepts for each host.
     pub fn from_world(config: &WorldConfig) -> Self {
         ClientHostConfig {
             link: config.link,
-            rtt: SimDuration::from_micros(200),
             nfsiods: config.nfsiods,
             busy_loops: config.busy_loops,
             client_cache_blocks: config.client_cache_blocks,
@@ -184,9 +171,9 @@ mod tests {
     #[test]
     fn defaults_match_the_paper_testbed() {
         let c = WorldConfig::default();
-        assert_eq!(c.nfsds, 8);
+        assert_eq!(NFSDS, 8);
         assert_eq!(c.nfsiods, 8);
-        assert_eq!(c.rsize, 8_192);
+        assert_eq!(RSIZE, 8_192);
         assert_eq!(c.transport, TransportKind::Udp);
         assert_eq!(c.busy_loops, 0);
         // The default write path is the historical synchronous one; the

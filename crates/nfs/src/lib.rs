@@ -19,7 +19,7 @@
 mod config;
 mod world;
 
-pub use config::{ClientHostConfig, CpuModel, WorldConfig};
+pub use config::{ClientHostConfig, CpuModel, WorldConfig, NFSDS, RSIZE};
 pub use world::{
     BlockState, ClientStats, ContentionStats, ExtReply, NfsWorld, OpDone, OpId, OpOutcome,
     ServerEvent, ServerStats,

@@ -28,13 +28,13 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use ffs::{BufferCache, FileSystem};
+use ffs::{BufferCache, FileSystem, LocalFd};
 use netsim::{TcpEvent, TcpStats, Transport, TransportKind, TxOutcome};
 use nfsproto::{write_verf, FileHandle, NfsCall, NfsReply, NfsStatus, StableHow};
 use readahead_core::NfsHeur;
 use simcore::{EventQueue, FastMap, FastSet, IdWindow, SimDuration, SimRng, SimTime, Waitlist};
 
-use crate::config::{ClientHostConfig, CpuModel, WorldConfig};
+use crate::config::{ClientHostConfig, CpuModel, WorldConfig, NFSDS, RSIZE};
 
 /// RNG stream label of client 0 — the historical single-client world
 /// stream ("NFSIM"), so a 1-host cluster replays the exact old schedule.
@@ -60,6 +60,22 @@ const FLUSH_KEY_BIT: u64 = 1 << 63;
 /// delivery differs — their replies land in
 /// [`NfsWorld::take_external_replies`] instead of a simulated transport.
 const EXT_KEY_BIT: u64 = 1 << 62;
+
+/// Round-trip estimate the transports start from (retransmission
+/// penalties on TCP).
+const CLIENT_RTT: SimDuration = SimDuration::from_micros(200);
+
+/// Retransmissions of one UDP call before the mount is declared dead and
+/// the call fails with [`OpOutcome::RpcTimedOut`].
+const MAX_RETRIES: u32 = 8;
+
+/// Server dirty-pool ceiling in blocks; above it the written file is
+/// flushed immediately instead of waiting out the gather window.
+const SERVER_DIRTY_MAX_BLOCKS: u64 = 512;
+
+/// Client write-behind ceiling in blocks; above it dirty runs are pushed
+/// in process context even when every nfsiod is busy.
+const CLIENT_DIRTY_MAX_BLOCKS: usize = 64;
 
 /// Modeled wire bytes per plain READDIR entry: fileid + padded name +
 /// cookie (RFC 1813 `entry3`; names average a dozen bytes padded to 4).
@@ -475,8 +491,9 @@ impl RpcBook {
 #[derive(Debug, Clone, Copy)]
 struct ClientFile {
     size: u64,
-    next_offset: u64,
-    seqcount: u32,
+    /// The client's own sequentiality count for this file, which sizes
+    /// its read-ahead window.
+    fd: LocalFd,
     submit_counter: u64,
 }
 
@@ -587,15 +604,11 @@ struct CloseState {
 /// counter and RNG, and the TCP tick guards are read on every timer, so
 /// packing them structure-of-arrays keeps the per-call working set to one
 /// cache line per client instead of striding over the ~full [`ClientHost`]
-/// (transports, caches, maps). The host's *configuration* is a flyweight:
-/// `cfg` indexes `NfsWorld::host_cfgs`, where equal configs share one
-/// entry — a uniform 100k-host fleet stores one config, not 100k.
+/// (transports, caches, maps).
 #[derive(Debug)]
 struct ClientHot {
     rng: SimRng,
     next_xid: u32,
-    /// Index into `NfsWorld::host_cfgs`.
-    cfg: u32,
     /// Earliest [`Ev::TcpTick`] currently scheduled per direction
     /// (`SimTime::MAX` = none), so redundant ticks stay bounded.
     c2s_tick: SimTime,
@@ -603,16 +616,15 @@ struct ClientHot {
 }
 
 impl ClientHot {
-    fn marshal_delay(&mut self, cfgs: &[ClientHostConfig], cpu: CpuModel) -> SimDuration {
-        let busy_factor = 1.0 + f64::from(cfgs[self.cfg as usize].busy_loops) * 0.9;
-        let jitter = self.rng.exponential(cpu.client_jitter_mean * busy_factor);
+    fn marshal_delay(&mut self, cpu: CpuModel) -> SimDuration {
+        let jitter = self.rng.exponential(cpu.client_jitter_mean);
         SimDuration::from_secs_f64(cpu.client_marshal + jitter)
     }
 }
 
 /// One client host's cold bulk: mount state, caches, daemons, links.
-/// The per-call hot fields live in [`ClientHot`]; the shared config in
-/// `NfsWorld::host_cfgs`.
+/// The per-call hot fields live in [`ClientHot`]; the configuration is
+/// the world's.
 #[derive(Debug)]
 struct ClientHost {
     c2s: Transport,
@@ -745,6 +757,8 @@ struct FlushSpan {
 #[derive(Debug)]
 pub struct NfsWorld {
     config: WorldConfig,
+    /// The transport's CPU costs, with the client marshalling jitter
+    /// already scaled by the busy loops competing for the client CPU.
     cpu: CpuModel,
     queue: EventQueue<Ev>,
     /// Latest event instant processed by [`NfsWorld::advance`]. The RPC
@@ -755,9 +769,6 @@ pub struct NfsWorld {
     /// Hot per-client fields (RNG, xid, TCP tick guards), parallel to
     /// `clients` and packed contiguously — see [`ClientHot`].
     hot: Vec<ClientHot>,
-    /// Deduplicated host configurations (flyweight); `ClientHot::cfg`
-    /// indexes this. A uniform cluster of any size stores one entry.
-    host_cfgs: Vec<ClientHostConfig>,
     server: ServerHost,
     /// Process-level operations across every client (OpIds are global),
     /// by `OpId`.
@@ -787,15 +798,15 @@ pub struct NfsWorld {
 
 impl NfsWorld {
     /// Builds a classic single-client world around an already-formatted
-    /// server file system. Exactly equivalent to a 1-host cluster whose
-    /// host config is [`ClientHostConfig::from_world`].
+    /// server file system: a 1-host cluster.
     pub fn new(config: WorldConfig, fs: FileSystem, seed: u64) -> Self {
-        Self::new_cluster(config, &[ClientHostConfig::from_world(&config)], fs, seed)
+        Self::build(config, 1, fs, seed)
     }
 
     /// Builds a cluster: one host per entry of `hosts`, all sharing the
     /// server described by `config` (nfsd pool, `nfsheur` geometry, policy,
-    /// transport, rsize) and the given file system.
+    /// transport) and the given file system. Every host is configured by
+    /// `config`; the entries only count the hosts.
     ///
     /// Each host gets its own RNG stream derived from `seed` and its index
     /// (splitmix-style: stream `BASE + i·GAMMA`), so adding a host never
@@ -804,46 +815,46 @@ impl NfsWorld {
     ///
     /// # Panics
     ///
-    /// Panics if `hosts` is empty.
+    /// Panics if `hosts` is empty, or if an entry is not
+    /// [`ClientHostConfig::from_world`] of `config`.
     pub fn new_cluster(
         config: WorldConfig,
         hosts: &[ClientHostConfig],
         fs: FileSystem,
         seed: u64,
     ) -> Self {
-        assert!(!hosts.is_empty(), "a cluster needs at least one client");
-        let mut host_cfgs: Vec<ClientHostConfig> = Vec::new();
-        let mut clients: Vec<ClientHost> = Vec::with_capacity(hosts.len());
-        let mut hot: Vec<ClientHot> = Vec::with_capacity(hosts.len());
-        for (i, hc) in hosts.iter().enumerate() {
-            // Flyweight: equal host configs share one arena entry.
-            let cfg = match host_cfgs.iter().position(|c| c == hc) {
-                Some(j) => j as u32,
-                None => {
-                    host_cfgs.push(*hc);
-                    (host_cfgs.len() - 1) as u32
-                }
-            };
+        let world_host = ClientHostConfig::from_world(&config);
+        assert!(
+            hosts.iter().all(|h| *h == world_host),
+            "every host must be ClientHostConfig::from_world(&config)"
+        );
+        Self::build(config, hosts.len(), fs, seed)
+    }
+
+    fn build(config: WorldConfig, n_clients: usize, fs: FileSystem, seed: u64) -> Self {
+        assert!(n_clients > 0, "a cluster needs at least one client");
+        let mut clients: Vec<ClientHost> = Vec::with_capacity(n_clients);
+        let mut hot: Vec<ClientHot> = Vec::with_capacity(n_clients);
+        for i in 0..n_clients {
             let mut rng = SimRng::from_seed_and_stream(
                 seed,
                 CLIENT_STREAM_BASE.wrapping_add(CLIENT_STREAM_GAMMA.wrapping_mul(i as u64)),
             );
-            let c2s = Transport::new(config.transport, hc.link, hc.rtt, rng.derive(1));
-            let s2c = Transport::new(config.transport, hc.link, hc.rtt, rng.derive(2));
+            let c2s = Transport::new(config.transport, config.link, CLIENT_RTT, rng.derive(1));
+            let s2c = Transport::new(config.transport, config.link, CLIENT_RTT, rng.derive(2));
             hot.push(ClientHot {
                 rng,
                 next_xid: 1,
-                cfg,
                 c2s_tick: SimTime::MAX,
                 s2c_tick: SimTime::MAX,
             });
             clients.push(ClientHost {
                 c2s,
                 s2c,
-                cache: BufferCache::new(hc.client_cache_blocks),
+                cache: BufferCache::new(config.client_cache_blocks),
                 files: FastMap::default(),
                 rpcs: RpcBook::default(),
-                iod_free: vec![SimTime::ZERO; hc.nfsiods],
+                iod_free: vec![SimTime::ZERO; config.nfsiods],
                 op_waiters: FastMap::default(),
                 stats: ClientStats::default(),
                 c2s_seq: FastMap::default(),
@@ -852,19 +863,21 @@ impl NfsWorld {
                 attrs: FastMap::default(),
             });
         }
+        // Busy loops stretch the marshalling jitter of every client call.
+        let mut cpu = CpuModel::for_transport(config.transport);
+        cpu.client_jitter_mean *= 1.0 + f64::from(config.busy_loops) * 0.9;
         let contention = vec![ContentionStats::default(); clients.len()];
         NfsWorld {
-            cpu: CpuModel::for_transport(config.transport),
+            cpu,
             queue: EventQueue::new(),
             clock: SimTime::ZERO,
             clients,
             hot,
-            host_cfgs,
             server: ServerHost {
                 fs,
                 fsid: 1,
                 heur: NfsHeur::new(config.heur),
-                nfsd_total: config.nfsds,
+                nfsd_total: NFSDS,
                 nfsd_busy: 0,
                 call_queue: VecDeque::new(),
                 in_service: HashMap::new(),
@@ -907,18 +920,16 @@ impl NfsWorld {
     }
 
     /// Approximate resident bytes of per-client state across the cluster:
-    /// the cold [`ClientHost`] bulk, the packed hot array, and each host's
-    /// heap (block cache, RPC books, tracking maps). The
-    /// flyweight config arena is counted once, however many hosts share
-    /// it. Hash-map backing stores are estimated from `capacity()`, so
-    /// this is scale accounting, not allocator truth.
+    /// each host's fixed-size state, hot and cold, and its heap (block
+    /// cache, RPC books, tracking maps). Hash-map backing stores are
+    /// estimated from `capacity()`, so this is scale accounting, not
+    /// allocator truth.
     pub fn client_state_bytes(&self) -> usize {
         use std::mem::size_of;
         fn map_bytes<K, V>(m: &FastMap<K, V>) -> usize {
             m.capacity() * (size_of::<K>() + size_of::<V>() + size_of::<u64>())
         }
-        let mut total = self.host_cfgs.capacity() * size_of::<ClientHostConfig>()
-            + self.hot.capacity() * size_of::<ClientHot>()
+        let mut total = self.hot.capacity() * size_of::<ClientHot>()
             + self.clients.capacity() * size_of::<ClientHost>();
         for cl in &self.clients {
             total += cl.cache.approx_heap_bytes()
@@ -950,8 +961,7 @@ impl NfsWorld {
             ino,
             ClientFile {
                 size,
-                next_offset: 0,
-                seqcount: 1,
+                fd: LocalFd::new(),
                 submit_counter: 0,
             },
         );
@@ -1180,8 +1190,7 @@ impl NfsWorld {
     pub fn reset_client_heuristics(&mut self) {
         for cl in &mut self.clients {
             for f in cl.files.values_mut() {
-                f.next_offset = 0;
-                f.seqcount = 1;
+                f.fd = LocalFd::new();
             }
         }
     }
@@ -1367,7 +1376,7 @@ impl NfsWorld {
         tag: u64,
     ) -> OpId {
         assert!(len > 0, "zero-length read");
-        let rsize = u64::from(self.config.rsize);
+        let rsize = u64::from(RSIZE);
         let cpu = self.cpu;
         let ino = fh.ino;
         let file = *self.clients[client]
@@ -1396,24 +1405,17 @@ impl NfsWorld {
             cl.cache.mark_pending(key);
             Waitlist::push_to(&mut cl.op_waiters, key, id);
             outstanding += 1;
-            let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
-            self.issue_rpc(client, send_at, fh, blk * rsize, self.config.rsize, false);
+            let send_at = now + self.hot[client].marshal_delay(cpu);
+            self.issue_rpc(client, send_at, fh, blk * rsize, RSIZE, false);
         }
 
         // Client-side sequential heuristic drives client read-ahead
         // through the nfsiod pool.
         let cl = &mut self.clients[client];
         let f = cl.files.get_mut(&ino).expect("checked above");
-        if offset == f.next_offset {
-            f.seqcount = (f.seqcount + 1).min(ffs::SEQCOUNT_MAX);
-        } else {
-            f.seqcount = 1;
-        }
-        f.next_offset = offset + len;
-        let seqcount = f.seqcount;
+        let seqcount = f.fd.observe(offset, len);
         if seqcount >= 2 {
-            let ra_blocks = self.host_cfgs[self.hot[client].cfg as usize].client_readahead_blocks;
-            let window = u64::from(seqcount).min(ra_blocks);
+            let window = u64::from(seqcount).min(self.config.client_readahead_blocks);
             let max_blk = (file.size - 1) / rsize;
             for blk in (last_blk + 1)..=(last_blk + window).min(max_blk) {
                 let key = (ino, blk);
@@ -1426,10 +1428,10 @@ impl NfsWorld {
                     cl.stats.iod_starved += 1;
                     break;
                 };
-                let send_at = iod + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
+                let send_at = iod + self.hot[client].marshal_delay(cpu);
                 cl.set_iod_busy_until(send_at);
                 cl.cache.mark_pending(key);
-                self.issue_rpc(client, send_at, fh, blk * rsize, self.config.rsize, true);
+                self.issue_rpc(client, send_at, fh, blk * rsize, RSIZE, true);
             }
         }
 
@@ -1481,7 +1483,7 @@ impl NfsWorld {
         // Either way the written blocks' cached contents are stale, and so
         // are the cached attributes (size, mtime stand-in): drop them so
         // the next read and getattr refetch.
-        let rsize = u64::from(self.config.rsize);
+        let rsize = u64::from(RSIZE);
         let blocks = offset / rsize..=(offset + len - 1) / rsize;
         let attr_on = self.config.attr_cache_enabled();
         let cl = &mut self.clients[client];
@@ -1690,7 +1692,7 @@ impl NfsWorld {
             dir,
             cookie,
             cookieverf: 0,
-            count: self.config.rsize,
+            count: RSIZE,
         };
         self.readdir_op(client, now, call, entries, eof, Vec::new(), tag)
     }
@@ -1715,7 +1717,7 @@ impl NfsWorld {
         tag: u64,
     ) -> OpId {
         let entries = u32::try_from(children.len()).expect("chunk fits u32");
-        let count = self.config.rsize;
+        let count = RSIZE;
         let call = NfsCall::Readdirplus {
             dir,
             cookie,
@@ -1855,7 +1857,7 @@ impl NfsWorld {
     /// op and the call's xid.
     fn rpc_op(&mut self, client: usize, now: SimTime, tag: u64, call: NfsCall) -> (OpId, u32) {
         let id = self.begin_op(client, now, tag, 1);
-        let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, self.cpu);
+        let send_at = now + self.hot[client].marshal_delay(self.cpu);
         let xid = self.issue_call(client, send_at, call);
         let rpc = self.clients[client].rpcs.get_mut(xid).expect("issued");
         rpc.waiter = Some(id);
@@ -1929,7 +1931,7 @@ impl NfsWorld {
     /// Sends one UNSTABLE WRITE covering blocks `first..=last` of `ino`,
     /// marking them in flight. `send_at` already includes marshalling.
     fn wb_issue_write(&mut self, client: usize, send_at: SimTime, ino: u64, first: u64, last: u64) {
-        let rsize = u64::from(self.config.rsize);
+        let rsize = u64::from(RSIZE);
         let cl = &mut self.clients[client];
         let fh = cl.wb.get(&ino).expect("write-behind file present").fh;
         cl.stats.write_rpcs += 1;
@@ -1959,7 +1961,6 @@ impl NfsWorld {
     /// (the writing process throttles itself).
     fn wb_push(&mut self, client: usize, now: SimTime, ino: u64) {
         let cpu = self.cpu;
-        let max_dirty = self.config.client_dirty_max_blocks;
         loop {
             let cl = &mut self.clients[client];
             let dirty_total: usize = cl
@@ -1971,7 +1972,7 @@ impl NfsWorld {
             let Some((first, last)) = Self::first_dirty_run(wbf) else {
                 return;
             };
-            let pressure = dirty_total > max_dirty;
+            let pressure = dirty_total > CLIENT_DIRTY_MAX_BLOCKS;
             let base = if pressure {
                 now
             } else if let Some(iod) = cl.acquire_iod(now) {
@@ -1980,7 +1981,7 @@ impl NfsWorld {
                 cl.stats.iod_starved += 1;
                 return;
             };
-            let send_at = base + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
+            let send_at = base + self.hot[client].marshal_delay(cpu);
             if !pressure {
                 self.clients[client].set_iod_busy_until(send_at);
             }
@@ -2016,7 +2017,7 @@ impl NfsWorld {
             let Some((first, last)) = Self::first_dirty_run(wbf) else {
                 break;
             };
-            let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
+            let send_at = now + self.hot[client].marshal_delay(cpu);
             self.wb_issue_write(client, send_at, ino, first, last);
         }
         let cl = &mut self.clients[client];
@@ -2039,7 +2040,7 @@ impl NfsWorld {
                 _ => unreachable!("no dirty or in-flight blocks remain"),
             })
             .collect();
-        let send_at = now + self.hot[client].marshal_delay(&self.host_cfgs, cpu);
+        let send_at = now + self.hot[client].marshal_delay(cpu);
         cl.stats.commit_rpcs += 1;
         let xid = self.issue_call(
             client,
@@ -2090,7 +2091,7 @@ impl NfsWorld {
         count: u32,
         end: RpcEnd,
     ) {
-        let rsize = u64::from(self.config.rsize);
+        let rsize = u64::from(RSIZE);
         let Some(wbf) = self.clients[client].wb.get_mut(&ino) else {
             return;
         };
@@ -2269,7 +2270,6 @@ impl NfsWorld {
 
     fn check_retransmit(&mut self, at: SimTime, key: u64, attempt: u32) {
         let cpu = self.cpu;
-        let max_retries = self.config.max_retries;
         let cl = &mut self.clients[key_client(key)];
         let Some(rpc) = cl.rpcs.get_mut(key_xid(key)) else {
             return;
@@ -2277,7 +2277,7 @@ impl NfsWorld {
         if rpc.attempt != attempt {
             return;
         }
-        if attempt >= max_retries {
+        if attempt >= MAX_RETRIES {
             // Soft-mount semantics: give up and fail the waiting
             // operations with a typed outcome instead of panicking.
             self.rpc_timed_out(at, key);
@@ -2285,7 +2285,7 @@ impl NfsWorld {
         }
         rpc.attempt += 1;
         cl.stats.retransmits += 1;
-        let send_at = at + self.hot[key_client(key)].marshal_delay(&self.host_cfgs, cpu);
+        let send_at = at + self.hot[key_client(key)].marshal_delay(cpu);
         self.queue.schedule_at(send_at, Ev::Send { key });
     }
 
@@ -2348,13 +2348,13 @@ impl NfsWorld {
         };
         let ok = matches!(end, RpcEnd::Reply { .. });
         let hot = &mut self.hot[client];
-        let busy_loops = self.host_cfgs[hot.cfg as usize].busy_loops;
+        let busy_loops = self.config.busy_loops;
         let wake_jitter = if ok && busy_loops > 0 {
             SimDuration::from_secs_f64(hot.rng.uniform01() * 60e-6 * f64::from(busy_loops))
         } else {
             SimDuration::ZERO
         };
-        let rsize = u64::from(self.config.rsize);
+        let rsize = u64::from(RSIZE);
         for blk in offset / rsize..=(offset + u64::from(count) - 1) / rsize {
             let bkey = (fh.ino, blk);
             let cl = &mut self.clients[client];
@@ -2647,7 +2647,7 @@ impl NfsWorld {
                     // window expires, the pool hits its ceiling, or a
                     // COMMIT forces it.
                     self.server.stats.unstable_writes += 1;
-                    let bs = u64::from(self.config.rsize);
+                    let bs = u64::from(RSIZE);
                     let pool = self.server.dirty.entry(fh.ino).or_default();
                     for blk in offset / bs..=(end - 1) / bs {
                         if pool.insert(blk) {
@@ -2655,7 +2655,7 @@ impl NfsWorld {
                             self.server.dirty_blocks += 1;
                         }
                     }
-                    if self.server.dirty_blocks > self.config.server_dirty_max_blocks as u64 {
+                    if self.server.dirty_blocks > SERVER_DIRTY_MAX_BLOCKS {
                         self.server_flush_ino(t1, fh.ino);
                     } else {
                         // `t1` is the server CPU's free time, which never
@@ -2737,7 +2737,7 @@ impl NfsWorld {
         };
         self.server.dirty_blocks -= pool.len() as u64;
         debug_assert_eq!(self.server.dirty_blocks, self.server_dirty_blocks());
-        let bs = u64::from(self.config.rsize);
+        let bs = u64::from(RSIZE);
         let blocks: Vec<u64> = pool.into_iter().collect();
         if let Some(log) = &mut self.server_events {
             log.push(ServerEvent::GatherFlush {
@@ -2840,7 +2840,7 @@ impl NfsWorld {
         {
             if status == NfsStatus::Ok && stable != StableHow::Unstable {
                 // The platter acked a sync write: stable storage.
-                let bs = u64::from(self.config.rsize);
+                let bs = u64::from(RSIZE);
                 for blk in offset / bs..=(offset + u64::from(count) - 1) / bs {
                     self.server.durable.insert((fh.ino, blk));
                 }
@@ -2996,19 +2996,27 @@ mod tests {
     use iosched::SchedulerKind;
     use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
 
-    fn make_world(config: WorldConfig, seed: u64) -> NfsWorld {
+    fn ide_fs(seed: u64) -> FileSystem {
         let disk = DriveModel::WdWd200bbIde.build(SimRng::new(seed));
         let part = PartitionTable::quarters(disk.geometry()).get(1);
-        let fs = FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default());
-        NfsWorld::new(config, fs, seed)
+        FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default())
+    }
+
+    fn make_world(config: WorldConfig, seed: u64) -> NfsWorld {
+        NfsWorld::new(config, ide_fs(seed), seed)
     }
 
     fn make_cluster(config: WorldConfig, n: usize, seed: u64) -> NfsWorld {
-        let disk = DriveModel::WdWd200bbIde.build(SimRng::new(seed));
-        let part = PartitionTable::quarters(disk.geometry()).get(1);
-        let fs = FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default());
-        let hosts = vec![ClientHostConfig::from_world(&config); n];
-        NfsWorld::new_cluster(config, &hosts, fs, seed)
+        NfsWorld::build(config, n, ide_fs(seed), seed)
+    }
+
+    #[test]
+    #[should_panic(expected = "ClientHostConfig::from_world")]
+    fn new_cluster_rejects_hosts_whose_configs_differ() {
+        let config = WorldConfig::default();
+        let host = ClientHostConfig::from_world(&config);
+        let odd = ClientHostConfig { nfsiods: 2, ..host };
+        let _ = NfsWorld::new_cluster(config, &[host, odd], ide_fs(1), 1);
     }
 
     /// Reads a file sequentially, one 8 KB block at a time, returning MB/s.
@@ -3346,7 +3354,6 @@ mod tests {
             ..WorldConfig::default()
         };
         cfg.client_readahead_blocks = 0;
-        let max_retries = cfg.max_retries;
         let mut w = make_world(cfg, 31);
         let fh = w.create_file(64 * 1024);
         w.read_from(0, SimTime::ZERO, fh, 0, 8_192, 7);
@@ -3360,7 +3367,7 @@ mod tests {
         assert_eq!(d.tag, 7);
         let s = w.client_stats_for(0);
         assert_eq!(s.rpc_timeouts, 1, "{s:?}");
-        assert_eq!(s.retransmits, u64::from(max_retries), "{s:?}");
+        assert_eq!(s.retransmits, u64::from(MAX_RETRIES), "{s:?}");
         // The timed-out block is not wedged pending: a later read can
         // request it afresh (and will itself time out, not hang).
         assert_eq!(w.block_state_for(0, fh, 0), BlockState::Absent);

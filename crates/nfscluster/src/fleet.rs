@@ -28,14 +28,13 @@ use nfsproto::FileHandle;
 use nfssim::{NfsWorld, OpDone, OpOutcome, WorldConfig};
 use simcore::{LogHist, SimDuration, SimRng, SimTime, Tally};
 use simfleet::{run_sharded, ShardRunStats, ShardWorld};
-use testbed::{ClusterConfig, Rig};
+use testbed::{ClusterConfig, Rig, PROC_CPU};
 
-/// Per-op client CPU cost between a completion and the next issue
-/// (same figure [`testbed::ClusterBench`] charges its reader processes).
-const PROC_READ_CPU: SimDuration = SimDuration::from_micros(15);
+/// Fleet clients read in rsize ops (8 KB, the v2-era wire size).
+const READ_BYTES: u64 = nfssim::RSIZE as u64;
 
-/// Fleet clients read in 8 KB ops, the v2-era wire size.
-const READ_BYTES: u64 = 8_192;
+/// Full client hosts per group that the fleet multiplexes onto.
+const HOSTS_PER_GROUP: usize = 32;
 
 /// RNG stream offset for fleet-level draws (arrival jitter, fault plans);
 /// far from the per-client gamma streams the worlds use internally.
@@ -68,8 +67,6 @@ pub struct FleetConfig {
     /// Independent groups (each a full server + host set). More groups =
     /// more shard parallelism and more aggregate disk throughput.
     pub groups: usize,
-    /// Full client hosts per group that the fleet multiplexes onto.
-    pub hosts_per_group: usize,
     /// Pre-created files per host that clients read from.
     pub files_per_host: usize,
     /// Size of each file in 8 KB blocks.
@@ -120,7 +117,6 @@ impl FleetConfig {
             world,
             clients,
             groups,
-            hosts_per_group: 32,
             files_per_host: 2,
             file_blocks: 512,
             ops_per_client: 4,
@@ -225,7 +221,6 @@ struct FleetGroup {
     next_serial: u32,
     file_blocks: u64,
     files_per_host: usize,
-    hosts: usize,
     meta_ratio_pct: u8,
     barrier: SimDuration,
     shed_threshold: SimDuration,
@@ -247,8 +242,8 @@ impl FleetGroup {
     fn admit(&mut self, id: u32, remaining: u32) -> usize {
         let serial = self.next_serial;
         self.next_serial += 1;
-        let host = (serial as usize) % self.hosts;
-        let file = (serial as usize / self.hosts) % self.files_per_host;
+        let host = (serial as usize) % HOSTS_PER_GROUP;
+        let file = (serial as usize / HOSTS_PER_GROUP) % self.files_per_host;
         let start_blk = (mix64(u64::from(id) ^ 0x5EED) % self.file_blocks) as u32;
         let slot = self.arena.alloc();
         self.arena.id[slot] = id;
@@ -316,7 +311,7 @@ impl FleetGroup {
             self.arena.release(slot);
             self.inflight -= 1;
         } else {
-            self.issue(slot, done_at + PROC_READ_CPU);
+            self.issue(slot, done_at + PROC_CPU);
         }
     }
 }
@@ -534,7 +529,7 @@ impl FleetWorld {
     /// construction is independent of shard count by construction.
     pub fn new(cfg: &FleetConfig, seed: u64) -> Self {
         assert!(cfg.clients > 0, "a fleet needs at least one client");
-        assert!(cfg.groups > 0 && cfg.hosts_per_group > 0);
+        assert!(cfg.groups > 0);
         assert!(cfg.file_blocks > 0 && cfg.files_per_host > 0);
         assert!(cfg.ops_per_client > 0);
         let window_ns = cfg.arrival_window.as_nanos().max(1);
@@ -555,10 +550,9 @@ impl FleetWorld {
             .enumerate()
             .map(|(gid, schedule)| {
                 let gseed = seed.wrapping_add((gid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let cluster = ClusterConfig::uniform(cfg.world, cfg.hosts_per_group);
-                let fs = Rig::scsi(1).build_fs(gseed);
-                let mut world = NfsWorld::new_cluster(cluster.world, &cluster.hosts, fs, gseed);
-                let files: Vec<Vec<FileHandle>> = (0..cfg.hosts_per_group)
+                let cluster = ClusterConfig::uniform(cfg.world, HOSTS_PER_GROUP);
+                let mut world = cluster.build_world(Rig::scsi(1), gseed);
+                let files: Vec<Vec<FileHandle>> = (0..HOSTS_PER_GROUP)
                     .map(|h| {
                         (0..cfg.files_per_host)
                             .map(|_| world.create_file_for(h, cfg.file_blocks * READ_BYTES))
@@ -583,7 +577,6 @@ impl FleetWorld {
                     next_serial: 0,
                     file_blocks: cfg.file_blocks,
                     files_per_host: cfg.files_per_host,
-                    hosts: cfg.hosts_per_group,
                     meta_ratio_pct: cfg.meta_ratio_pct,
                     barrier: cfg.barrier,
                     shed_threshold: cfg.shed_threshold,

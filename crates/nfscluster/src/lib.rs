@@ -4,13 +4,13 @@
 //! one client hammers a server: every client's working set competes for
 //! the same fixed-size `nfsheur` table, so a table that was merely tight
 //! for one host thrashes for eight. This crate builds *clusters* — N
-//! deterministic client hosts (own `nfsiod` pool, cache, RTT profile,
-//! seeded RNG stream) sharing one server, one heuristics table, one
+//! deterministic client hosts (own `nfsiod` pool, cache, links, seeded
+//! RNG stream) sharing one server, one heuristics table, one
 //! duplicate-request cache, and one disk — and measures who evicted whom.
 //!
 //! The cluster harnesses themselves live in `testbed`, on its one event
-//! loop: `testbed::ClusterConfig` (a shared [`nfssim::WorldConfig`] plus
-//! one [`nfssim::ClientHostConfig`] per host), `testbed::ClusterBench`
+//! loop: `testbed::ClusterConfig` (one [`nfssim::WorldConfig`] for the
+//! server and every host, plus the host count), `testbed::ClusterBench`
 //! (the §4.2 concurrent-reader benchmark run from every host at once) and
 //! `testbed::MixBench` (heterogeneous per-host workloads). This crate
 //! adds:

@@ -51,7 +51,7 @@ fn main() {
         world,
         ExportSpec {
             files,
-            file_size: file_blocks * u64::from(config.rsize),
+            file_size: file_blocks * u64::from(nfssim::RSIZE),
         },
     );
 

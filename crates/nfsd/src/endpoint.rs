@@ -220,7 +220,7 @@ impl Endpoint {
                 self.stats.immediate_replies += 1;
                 let a = self.attr_for(&fh).unwrap_or_else(|| self.root_attr());
                 Some(match hdr.proc_num {
-                    wire::NFSPROC_FSINFO => wire::fsinfo_res(hdr.xid, &a, 8_192),
+                    wire::NFSPROC_FSINFO => wire::fsinfo_res(hdr.xid, &a, nfssim::RSIZE),
                     wire::NFSPROC_FSSTAT => wire::fsstat_res(hdr.xid, &a),
                     _ => wire::pathconf_res(hdr.xid, &a),
                 })

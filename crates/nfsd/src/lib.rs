@@ -11,7 +11,8 @@
 //! the virtual axis so gather windows and SlowDown stalls fire on real
 //! schedule.
 //!
-//! The payoff is the differential harness ([`diff`]): replay one
+//! The payoff is the differential harness ([`sim_replay`],
+//! [`DiffReport`]): replay one
 //! seed-derived trace both purely virtually and over a real socket, then
 //! diff the servers' heuristic books. Order-driven counters must match
 //! exactly; only time-driven gather flushing gets tolerance. That closes

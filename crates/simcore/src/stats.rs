@@ -157,10 +157,10 @@ const LOG_BUCKETS: usize = (SUB as usize) * (64 - LOG_SUB as usize + 1);
 /// A streaming log-bucketed histogram over `u64` values (e.g. latency in
 /// nanoseconds) with bounded memory and exact, order-independent merging.
 ///
-/// Values below [`SUB`] are counted exactly; every octave `[2^m, 2^(m+1))`
-/// above that is split into [`SUB`] linear sub-buckets, so the bucket width
-/// never exceeds `value / SUB` — quantiles carry a relative error of at
-/// most `1/SUB` (~1.6 %). All state is integer counters: merging shard
+/// Values below 64 are counted exactly; every octave `[2^m, 2^(m+1))`
+/// above that is split into 64 linear sub-buckets, so the bucket width
+/// never exceeds `value / 64` — quantiles carry a relative error of at
+/// most 1/64 (~1.6 %). All state is integer counters: merging shard
 /// histograms is element-wise addition, which makes `merge` commutative and
 /// associative and a merged histogram bit-identical to one built
 /// sequentially from the same observations in any order.

@@ -91,11 +91,9 @@ use diskfault::{FaultPlan, FaultState};
 use ffs::BioStats;
 use netsim::{LinkProfile, LinkStats, TransportKind};
 use nfsproto::{FileHandle, StableHow};
-use nfssim::{
-    BlockState, ClientHostConfig, ClientStats, NfsWorld, OpId, OpOutcome, ServerStats, WorldConfig,
-};
+use nfssim::{BlockState, ClientStats, NfsWorld, OpId, OpOutcome, ServerStats, WorldConfig, NFSDS};
 use simcore::{LogHist, SimDuration, SimRng, SimTime, Tally};
-use testbed::Rig;
+use testbed::{ClusterConfig, Rig};
 
 /// Batches per run without disk faults: seven fault batches (one per
 /// [`FaultKind`], shuffled by seed) interleaved with clean batches, plus a
@@ -817,7 +815,7 @@ fn disk_fault_plan(
 fn revert_faults(w: &mut NfsWorld, base: &WorldConfig) {
     let now = w.now();
     w.set_link_profile(base.link);
-    w.set_nfsds(now, base.nfsds);
+    w.set_nfsds(now, NFSDS);
     w.set_nfsiods(base.nfsiods);
     w.set_disk_fault_model(None);
 }
@@ -858,9 +856,7 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
         ..WorldConfig::default()
     };
     let mut rng = SimRng::from_seed_and_stream(seed, 0x574F_524B_4C44); // "WORKLD"
-    let fs = Rig::scsi(1).build_fs(seed);
-    let hosts = vec![ClientHostConfig::from_world(&base); clients];
-    let mut w = NfsWorld::new_cluster(base, &hosts, fs, seed);
+    let mut w = ClusterConfig::uniform(base, clients).build_world(Rig::scsi(1), seed);
     let fhs: Vec<Vec<FileHandle>> = (0..clients)
         .map(|c| {
             (0..FILES)
@@ -928,14 +924,10 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
                     ));
                 }
             }
-            if w.nfsds() != base.nfsds {
+            if w.nfsds() != NFSDS {
                 return Err(fail(
                     "restore-composition",
-                    format!(
-                        "batch {batch}: nfsds {} != baseline {}",
-                        w.nfsds(),
-                        base.nfsds
-                    ),
+                    format!("batch {batch}: nfsds {} != baseline {}", w.nfsds(), NFSDS),
                 ));
             }
             if w.disk_fault_active() {
@@ -1132,7 +1124,7 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
             }
             if outage_pending {
                 outage_pending = false;
-                w.set_nfsds(w.now(), base.nfsds);
+                w.set_nfsds(w.now(), NFSDS);
                 continue;
             }
             break;

@@ -67,16 +67,6 @@ impl Scale {
             readers: &[1, 2, 4, 8, 16, 32],
         }
     }
-
-    /// Selects the scale from the `NFS_BENCH_SCALE` environment variable:
-    /// `quick`, `report`, or anything else (paper scale).
-    pub fn from_env() -> Self {
-        match std::env::var("NFS_BENCH_SCALE") {
-            Ok(v) if v == "quick" => Scale::quick(),
-            Ok(v) if v == "report" => Scale::report(),
-            _ => Scale::paper(),
-        }
-    }
 }
 
 /// Runs every (config, reader-count, run) cell of a throughput figure

@@ -24,12 +24,12 @@ use crate::mixed::MixRatios;
 use crate::rig::{ClusterConfig, Rig};
 use crate::stride::stride_order;
 
-/// Read size of every closed-loop process (= rsize).
-const READ_BYTES: u64 = 8_192;
+/// Read size of every closed-loop process.
+const READ_BYTES: u64 = nfssim::RSIZE as u64;
 
 /// CPU a client process spends between one operation's completion and
 /// its next issue.
-pub(crate) const PROC_CPU: SimDuration = SimDuration::from_micros(15);
+pub const PROC_CPU: SimDuration = SimDuration::from_micros(15);
 
 /// RNG stream of a [`ClientWorkload::Mixed`] host 0; host `c` draws from
 /// `MIXED_STREAM + c`.

@@ -28,7 +28,7 @@ mod rig;
 mod stride;
 
 pub use cluster::{ClientReport, ClusterBench, ClusterRunResult};
-pub use harness::{ClientWorkload, MixBench, MixClientResult, MixResult};
+pub use harness::{ClientWorkload, MixBench, MixClientResult, MixResult, PROC_CPU};
 pub use local::{LocalBench, RunResult, READER_COUNTS};
 pub use mixed::{run_mixed, MixRatios, MixedResult};
 pub use replay::{replay, ReplayResult};

@@ -12,12 +12,10 @@
 use std::collections::HashMap;
 
 use ffs::{FileSystem, LocalFd, BLOCK_BYTES};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimRng, SimTime};
 
+use crate::harness::PROC_CPU;
 use crate::rig::Rig;
-
-/// Per-read CPU cost charged to a reader process (syscall + copyout).
-const PROC_READ_CPU: SimDuration = SimDuration::from_micros(15);
 
 /// The reader counts the paper sweeps.
 pub const READER_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -125,7 +123,7 @@ impl LocalBench {
                     pending -= 1;
                     continue;
                 }
-                let issue_at = done.done_at + PROC_READ_CPU;
+                let issue_at = done.done_at + PROC_CPU;
                 let seq = p.fd.observe(p.offset, BLOCK_BYTES);
                 self.fs
                     .read(issue_at, p.ino, p.offset, BLOCK_BYTES, seq, i as u64);

@@ -4,13 +4,13 @@
 //! its four partitions, whether tagged queueing is on, and which kernel
 //! disk scheduler is loaded. `scsi1`, `ide4`, etc. in the figures are
 //! exactly these rigs. A [`ClusterConfig`] names the client side: the
-//! shared server's [`WorldConfig`] and one host config per client.
+//! world's [`WorldConfig`] and how many client hosts share the server.
 
 use diskmodel::{DriveModel, PartitionTable, TcqConfig};
 use ffs::{FileSystem, FsConfig};
 use iosched::SchedulerKind;
 use nfssim::{ClientHostConfig, NfsWorld, WorldConfig};
-use simcore::{SimDuration, SimRng};
+use simcore::SimRng;
 
 /// One server storage configuration.
 #[derive(Debug, Clone, Copy)]
@@ -119,18 +119,17 @@ impl Rig {
 }
 
 /// A cluster: one [`WorldConfig`] describing the shared server side
-/// (nfsd pool, `nfsheur` geometry, policy, transport, rsize) and one
-/// [`ClientHostConfig`] per client host.
-#[derive(Debug, Clone)]
+/// (nfsd pool, `nfsheur` geometry, policy, transport) and every client
+/// host, and how many client hosts there are.
+#[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
-    /// Shared server and protocol parameters.
+    /// Shared server, protocol and client-host parameters.
     pub world: WorldConfig,
-    /// Per-host client parameters, one entry per client.
-    pub hosts: Vec<ClientHostConfig>,
+    clients: usize,
 }
 
 impl ClusterConfig {
-    /// `clients` identical hosts, each configured exactly as the classic
+    /// `clients` hosts, each configured exactly as the classic
     /// single-client world would be. `uniform(w, 1)` therefore describes
     /// a cluster bit-identical to `NfsWorld::new(w, ..)`.
     ///
@@ -139,30 +138,18 @@ impl ClusterConfig {
     /// Panics if `clients` is zero.
     pub fn uniform(world: WorldConfig, clients: usize) -> Self {
         assert!(clients > 0, "a cluster needs at least one client");
-        ClusterConfig {
-            world,
-            hosts: vec![ClientHostConfig::from_world(&world); clients],
-        }
+        ClusterConfig { world, clients }
     }
 
     /// Number of client hosts.
     pub fn clients(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Staggers per-host RTT: host `i` gets the base RTT plus `i * step`
-    /// (a rack of clients at different switch depths). Host 0 keeps the
-    /// classic RTT, preserving single-client identity.
-    pub fn with_rtt_spread(mut self, step: SimDuration) -> Self {
-        for (i, h) in self.hosts.iter_mut().enumerate() {
-            h.rtt += step.saturating_mul(i as u64);
-        }
-        self
+        self.clients
     }
 
     /// Builds this cluster's world on a freshly formatted `rig`.
-    pub(crate) fn build_world(&self, rig: Rig, seed: u64) -> NfsWorld {
-        NfsWorld::new_cluster(self.world, &self.hosts, rig.build_fs(seed), seed)
+    pub fn build_world(&self, rig: Rig, seed: u64) -> NfsWorld {
+        let hosts = vec![ClientHostConfig::from_world(&self.world); self.clients];
+        NfsWorld::new_cluster(self.world, &hosts, rig.build_fs(seed), seed)
     }
 }
 
@@ -231,21 +218,11 @@ mod tests {
         let w = WorldConfig::default();
         let c = ClusterConfig::uniform(w, 3);
         assert_eq!(c.clients(), 3);
-        for h in &c.hosts {
-            assert_eq!(h.nfsiods, w.nfsiods);
-            assert_eq!(h.client_cache_blocks, w.client_cache_blocks);
-            assert_eq!(h.client_readahead_blocks, w.client_readahead_blocks);
-            assert_eq!(h.busy_loops, w.busy_loops);
+        let world = c.build_world(Rig::ide(1), 1);
+        assert_eq!(world.n_clients(), 3);
+        for h in 0..3 {
+            assert_eq!(world.nfsiods_for(h), w.nfsiods);
         }
-    }
-
-    #[test]
-    fn rtt_spread_leaves_host_zero_alone() {
-        let c = ClusterConfig::uniform(WorldConfig::default(), 3)
-            .with_rtt_spread(SimDuration::from_micros(50));
-        assert_eq!(c.hosts[0].rtt, SimDuration::from_micros(200));
-        assert_eq!(c.hosts[1].rtt, SimDuration::from_micros(250));
-        assert_eq!(c.hosts[2].rtt, SimDuration::from_micros(300));
     }
 
     #[test]
