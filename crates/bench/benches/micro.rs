@@ -16,7 +16,7 @@ use diskmodel::{
 use ffs::{BufferCache, FileSystem, FsConfig};
 use iosched::{IoScheduler, QueuedRequest, SchedulerKind};
 use nfs_bench::perf::{BenchResult, PerfReport};
-use nfsproto::{FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus};
+use nfsproto::{FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus, StableHow};
 use nfssim::{NfsWorld, WorldConfig};
 use readahead_core::{HeurRecord, NfsHeur, NfsHeurConfig, ReadaheadPolicy, SharedCursorPool};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
@@ -408,6 +408,44 @@ fn bench_world_step(out: &mut Vec<BenchResult>, iters: u64) {
     });
 }
 
+fn bench_world_step_write_commit(out: &mut Vec<BenchResult>, iters: u64) {
+    // One step of the event loop in a world whose server does write
+    // gathering: one client on an UNSTABLE mount streams 8 KB writes
+    // through a 4 MB file and closes it (one COMMIT) after every
+    // `PER_COMMIT` blocks, wrapping to offset 0 at the end, so the loop
+    // never drains. Each step touches the server's in-service table, dirty
+    // pool, flush spans, parked COMMITs and durable blocks.
+    const FILE: u64 = 4 * 1024 * 1024;
+    const WRITE: u64 = 8_192;
+    const PER_COMMIT: u64 = 8;
+    let disk = DriveModel::WdWd200bbIde.build(SimRng::new(5));
+    let part = PartitionTable::quarters(disk.geometry()).get(1);
+    let fs = FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default());
+    let config = WorldConfig {
+        stable_how: StableHow::Unstable,
+        ..WorldConfig::default()
+    };
+    let mut world = NfsWorld::new(config, fs, 5);
+    let fh = world.create_file(FILE);
+    world.write_from(0, SimTime::ZERO, fh, 0, WRITE, 0);
+    let mut written = 1u64;
+    let mut done = Vec::new();
+    bench(out, "world_step_write_commit", iters, || {
+        let t = world.next_event().expect("the writer never drains");
+        world.advance_into(t, &mut done);
+        for d in done.drain(..) {
+            let at = d.done_at + SimDuration::from_micros(15);
+            if written.is_multiple_of(PER_COMMIT) && d.tag == 0 {
+                world.close_from(0, at, fh, 1);
+            } else {
+                let offset = written * WRITE % FILE;
+                world.write_from(0, at, fh, offset, WRITE, 0);
+                written += 1;
+            }
+        }
+    });
+}
+
 /// Flags understood by this harness (all optional, combinable):
 ///
 /// * `--test`   — one iteration per case (`cargo test` smoke mode);
@@ -500,6 +538,7 @@ fn main() {
     // A step takes well under a microsecond: 200,000 steps even in quick
     // mode keep the gated loop far above timer and preemption noise.
     bench_world_step(out, if o.testing { 1 } else { 200_000 });
+    bench_world_step_write_commit(out, if o.testing { 1 } else { 200_000 });
 
     let mut report = PerfReport {
         suite: "micro".to_string(),

@@ -62,7 +62,7 @@ const AGING_GAP_BLOCKS: u64 = 64;
 
 /// The first file's inode number: inode 0 is invalid and 1 is the root.
 /// Numbers are dense from here, in creation order.
-pub(crate) const FIRST_INO: u64 = 2;
+pub const FIRST_INO: u64 = 2;
 
 /// A bump allocator with cylinder-group awareness and optional aging.
 #[derive(Debug)]
@@ -119,11 +119,7 @@ impl Allocator {
                 // occupied the space.
                 self.cursor += AGING_GAP_BLOCKS * BLOCK_SECTORS;
             }
-            for _ in 0..take {
-                let abs = self.partition.abs(self.cursor, BLOCK_SECTORS);
-                blocks.push(abs);
-                self.cursor += BLOCK_SECTORS;
-            }
+            self.allocate_run(take, &mut blocks);
             remaining -= take;
         }
         let ino = self.next_ino;
@@ -152,14 +148,18 @@ impl Allocator {
             if self.aging > 0.0 && rng.chance(self.aging) {
                 self.cursor += AGING_GAP_BLOCKS * BLOCK_SECTORS;
             }
-            for _ in 0..take {
-                let abs = self.partition.abs(self.cursor, BLOCK_SECTORS);
-                inode.blocks.push(abs);
-                self.cursor += BLOCK_SECTORS;
-            }
+            self.allocate_run(take, &mut inode.blocks);
             remaining -= take;
         }
         inode.size = inode.size.max(new_size);
+    }
+
+    /// Appends the `take` blocks at the cursor to `blocks` and moves the
+    /// cursor past them, checking the run against the partition once.
+    fn allocate_run(&mut self, take: u64, blocks: &mut Vec<Lba>) {
+        let first = self.partition.abs(self.cursor, take * BLOCK_SECTORS);
+        blocks.extend((0..take).map(|i| first + i * BLOCK_SECTORS));
+        self.cursor += take * BLOCK_SECTORS;
     }
 
     /// Cylinder-group index of a partition-relative byte offset

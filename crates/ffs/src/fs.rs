@@ -118,6 +118,9 @@ struct IoSpan {
     ino: u64,
     first_blk: u64,
     nblocks: u64,
+    /// The write operation this span belongs to; `None` for reads, whose
+    /// waiters sit on each block in `waiters`.
+    writer: Option<ReadId>,
 }
 
 #[derive(Debug)]
@@ -262,6 +265,12 @@ impl FileSystem {
     #[inline]
     pub fn inode(&self, ino: u64) -> Option<&Inode> {
         self.inodes.get(Self::slot(ino)?)
+    }
+
+    /// Files created so far: their numbers run from [`FIRST_INO`] to
+    /// `FIRST_INO + file_count() - 1`.
+    pub fn file_count(&self) -> usize {
+        self.inodes.len()
     }
 
     /// Counters.
@@ -457,11 +466,9 @@ impl FileSystem {
                     ino,
                     first_blk: blk,
                     nblocks: run,
+                    writer: Some(id),
                 },
             );
-            // Writes complete the ticket directly via io_spans; reuse the
-            // waiter list on the first block of each span.
-            Waitlist::push_to(&mut self.waiters, (u64::MAX, io_tag), id);
             outstanding += 1;
             self.bio.submit(
                 now,
@@ -555,10 +562,8 @@ impl FileSystem {
                 }
             }
             diskmodel::DiskOp::Write => {
-                if let Some(waiting) = self.waiters.remove(&(u64::MAX, c.request.tag)) {
-                    for id in waiting {
-                        self.block_arrived(id, c.completed_at, failed);
-                    }
+                if let Some(id) = span.writer {
+                    self.block_arrived(id, c.completed_at, failed);
                 }
             }
         }
@@ -625,6 +630,7 @@ impl FileSystem {
                 ino,
                 first_blk,
                 nblocks,
+                writer: None,
             },
         );
         if ra {

@@ -16,7 +16,7 @@ mod bcache;
 mod bio;
 mod fs;
 
-pub use alloc::{Allocator, Inode, BLOCK_BYTES, BLOCK_SECTORS};
+pub use alloc::{Allocator, Inode, BLOCK_BYTES, BLOCK_SECTORS, FIRST_INO};
 pub use bcache::{BlockKey, BufferCache};
 pub use bio::{BioLayer, BioStats, MAX_IO_RETRIES};
 pub use fs::{FileSystem, FsConfig, FsStats, IoStatus, OpDone, ReadId, SEQCOUNT_MAX};

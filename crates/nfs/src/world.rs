@@ -25,15 +25,15 @@
 //! bit-identical to the historical single-client world (client 0's RNG
 //! stream label *is* the old world stream).
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use ffs::{BufferCache, FileSystem, LocalFd};
 use netsim::{TcpEvent, TcpStats, Transport, TransportKind, TxOutcome};
 use nfsproto::{write_verf, FileHandle, NfsCall, NfsReply, NfsStatus, StableHow};
 use readahead_core::NfsHeur;
-use simcore::{EventQueue, FastMap, FastSet, IdWindow, SimDuration, SimRng, SimTime, Waitlist};
+use simcore::{EventQueue, FastMap, IdWindow, SimDuration, SimRng, SimTime, Waitlist};
 
+use crate::books::{InService, ServerInodes, ServiceTable};
 use crate::config::{ClientHostConfig, CpuModel, WorldConfig, NFSDS, RSIZE};
 
 /// RNG stream label of client 0 — the historical single-client world
@@ -49,8 +49,8 @@ const CLIENT_STREAM_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 const SERVER_STREAM: u64 = 0x4E46_5352_5600; // "NFSRV"
 
 /// High bit of a file-system routing tag marking a server-initiated dirty
-/// flush (write gathering / COMMIT), not a client RPC. Client call keys
-/// are `client << 32 | xid` with small client indices, so bit 63 is free.
+/// flush (write gathering / COMMIT). Any other tag is the service slot of
+/// the call the I/O serves, which is far below bit 63.
 const FLUSH_KEY_BIT: u64 = 1 << 63;
 
 /// Bit 62 of a routing key marks a call injected by an *external* ingress
@@ -85,9 +85,8 @@ const READDIR_ENTRY_BYTES: u32 = 32;
 /// and post-op file handle (`entryplus3` over `entry3`).
 const READDIRPLUS_EXTRA_BYTES: u32 = 44;
 
-/// Packs a client index and an RPC xid into one event/FS routing key.
-/// Client 0 keys are numerically equal to the bare xid, which keeps the
-/// single-client world's disk-event tags identical to the historical ones.
+/// Packs a client index and an RPC xid into one event routing key (the
+/// file system sees the call's service slot instead).
 fn call_key(client: usize, xid: u32) -> u64 {
     ((client as u64) << 32) | u64::from(xid)
 }
@@ -503,7 +502,7 @@ struct ClientFile {
 /// toward `attr_timeo_max` while a changed one resets it to the floor.
 #[derive(Debug, Clone, Copy)]
 struct AttrEntry {
-    /// Server attribute version (`ServerHost::attr_seq`) the entry was
+    /// Server attribute version (`ServerInode::attr_seq`) the entry was
     /// fetched under; a mismatch at revalidation is detected staleness.
     version: u64,
     /// Trusted strictly before this instant.
@@ -693,15 +692,13 @@ struct ServerHost {
     heur: NfsHeur,
     nfsd_total: usize,
     nfsd_busy: usize,
-    call_queue: VecDeque<(SimTime, u64)>,
-    /// Calls accepted and not yet replied to, by routing key: the
-    /// in-progress half of a duplicate request cache (reads are idempotent
-    /// so completed calls need no replay cache in this model) and the
-    /// server's own copy of what it executes and answers.
-    // External keys carry a peer's xid: keep std's keyed hasher (no FastMap).
-    in_service: HashMap<u64, NfsCall>,
+    /// Admitted calls waiting for an nfsd: arrival instant and service
+    /// slot.
+    call_queue: VecDeque<(SimTime, u32)>,
+    /// Calls accepted and not yet replied to, by service slot, with the
+    /// duplicate-request check.
+    in_service: ServiceTable,
     cpu_free: SimTime,
-    arrived_seq: FastMap<u64, u64>,
     stats: ServerStats,
     /// Debug builds only: the one buffer every simulated call and every
     /// reply is XDR-encoded into for the codec check in
@@ -718,32 +715,15 @@ struct ServerHost {
     verf: u64,
     /// Layout draws for file extension (aging only; fresh fs never draws).
     alloc_rng: SimRng,
-    /// Dirty pool: ino → blocks stashed by UNSTABLE WRITEs awaiting a
-    /// gather-window flush, COMMIT, or pressure. Ordered both ways so
-    /// flush coalescing and restart loss accounting are deterministic.
-    dirty: BTreeMap<u64, BTreeSet<u64>>,
-    /// Blocks in `dirty`, kept as a running count for the UNSTABLE WRITE
-    /// path's pressure check.
+    /// Per-file books (reorder and contention accounting, attribute
+    /// version, dirty pool, flushes, parked COMMITs, durable blocks).
+    inodes: ServerInodes,
+    /// Blocks in every file's dirty pool, kept as a running count for the
+    /// UNSTABLE WRITE path's pressure check.
     dirty_blocks: u64,
     /// In-flight dirty flush spans, by flush tag (sans [`FLUSH_KEY_BIT`]).
-    flushing: FastMap<u64, FlushSpan>,
+    flushing: IdWindow<FlushSpan>,
     next_flush: u64,
-    /// Outstanding flush I/Os per ino (COMMIT replies wait on zero).
-    flush_outstanding: FastMap<u64, usize>,
-    /// Inodes whose async flush hit EIO; latched until the next COMMIT
-    /// reports it (RFC 1813: async write errors surface at commit time).
-    flush_errors: FastSet<u64>,
-    /// COMMIT call keys parked until their ino's flushes complete.
-    pending_commits: FastMap<u64, Vec<u64>>,
-    /// Blocks known to be on stable storage, for crash-consistency
-    /// oracles: `(ino, blk)` enters on a completed FILE_SYNC write or
-    /// dirty flush and never leaves (the model carries no data contents).
-    durable: FastSet<(u64, u64)>,
-    /// Per-inode attribute version, bumped on every WRITE that reaches
-    /// the server. Clients compare the version their cache entry was
-    /// fetched under against this at revalidation time — the model's
-    /// stand-in for mtime/ctime comparison.
-    attr_seq: FastMap<u64, u64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -779,13 +759,9 @@ pub struct NfsWorld {
     /// Scratch for the file system's completions in `advance_into`.
     fs_done: Vec<ffs::OpDone>,
     next_op: u64,
-    /// The contention-book index of the caller whose READ last reached
-    /// each inode, for attributing server-side contention: an `nfsheur`
-    /// entry belongs to whoever read it last. External connections read
-    /// under index `clients.len() + ext`.
-    last_reader: FastMap<u64, usize>,
     /// Per-client contention counters, indexed by client id; external
-    /// connections append entries after the simulated hosts.
+    /// connections append entries after the simulated hosts (the index
+    /// `ServerInode::last_reader` records).
     contention: Vec<ContentionStats>,
     /// Number of external-ingress connections registered.
     ext_clients: usize,
@@ -867,6 +843,7 @@ impl NfsWorld {
         let mut cpu = CpuModel::for_transport(config.transport);
         cpu.client_jitter_mean *= 1.0 + f64::from(config.busy_loops) * 0.9;
         let contention = vec![ContentionStats::default(); clients.len()];
+        let inodes = ServerInodes::with_files(fs.file_count());
         NfsWorld {
             cpu,
             queue: EventQueue::new(),
@@ -880,9 +857,8 @@ impl NfsWorld {
                 nfsd_total: NFSDS,
                 nfsd_busy: 0,
                 call_queue: VecDeque::new(),
-                in_service: HashMap::new(),
+                in_service: ServiceTable::default(),
                 cpu_free: SimTime::ZERO,
-                arrived_seq: FastMap::default(),
                 stats: ServerStats::default(),
                 wire_scratch: Vec::new(),
                 sabotage_drop_replies: 0,
@@ -890,22 +866,16 @@ impl NfsWorld {
                 boot_epoch: 0,
                 verf: write_verf(seed, 0),
                 alloc_rng: SimRng::from_seed_and_stream(seed, SERVER_STREAM),
-                dirty: BTreeMap::new(),
+                inodes,
                 dirty_blocks: 0,
-                flushing: FastMap::default(),
+                flushing: IdWindow::default(),
                 next_flush: 0,
-                flush_outstanding: FastMap::default(),
-                flush_errors: FastSet::default(),
-                pending_commits: FastMap::default(),
-                durable: FastSet::default(),
-                attr_seq: FastMap::default(),
             },
             ops: IdWindow::default(),
             ready: Vec::new(),
             ready_next: None,
             fs_done: Vec::new(),
             next_op: 0,
-            last_reader: FastMap::default(),
             contention,
             ext_clients: 0,
             ext_outbox: Vec::new(),
@@ -957,6 +927,7 @@ impl NfsWorld {
     pub fn create_file_for(&mut self, client: usize, size: u64) -> FileHandle {
         let mut alloc_rng = self.hot[client].rng.derive(0xA110C);
         let ino = self.server.fs.create_file(size, &mut alloc_rng);
+        self.server.inodes.add_file(ino);
         self.clients[client].files.insert(
             ino,
             ClientFile {
@@ -1000,6 +971,7 @@ impl NfsWorld {
     pub fn create_server_file(&mut self, size: u64) -> FileHandle {
         let mut alloc_rng = self.server.alloc_rng.derive(0xE4_90_27);
         let ino = self.server.fs.create_file(size, &mut alloc_rng);
+        self.server.inodes.add_file(ino);
         FileHandle {
             fsid: self.server.fsid,
             ino,
@@ -1093,7 +1065,7 @@ impl NfsWorld {
     /// Test oracles compare this against what a client acted on to bound
     /// staleness by the configured timeout.
     pub fn server_attr_version(&self, ino: u64) -> u64 {
-        self.server.attr_seq.get(&ino).copied().unwrap_or(0)
+        self.server.inodes.get(ino).map_or(0, |i| i.attr_seq)
     }
 
     /// The server file system (disk and cache statistics).
@@ -1322,11 +1294,17 @@ impl NfsWorld {
         self.server.verf = write_verf(self.server.instance, self.server.boot_epoch);
         self.server.stats.restarts += 1;
         debug_assert_eq!(self.server.dirty_blocks, self.server_dirty_blocks());
-        for (_ino, blks) in std::mem::take(&mut self.server.dirty) {
-            self.server.stats.dirty_blocks_lost += blks.len() as u64;
+        for writes in self
+            .server
+            .inodes
+            .iter_mut()
+            .filter_map(|i| i.writes.as_mut())
+        {
+            self.server.stats.dirty_blocks_lost += writes.dirty.len() as u64;
+            writes.dirty.clear();
+            writes.flush_error = false;
         }
         self.server.dirty_blocks = 0;
-        self.server.flush_errors.clear();
         self.server.fs.flush_caches();
     }
 
@@ -1340,14 +1318,22 @@ impl NfsWorld {
     /// becomes durable when a FILE_SYNC/DATA_SYNC write or a dirty-pool
     /// flush covering it completes without error.
     pub fn is_durable(&self, fh: FileHandle, blk: u64) -> bool {
-        self.server.durable.contains(&(fh.ino, blk))
+        self.server
+            .inodes
+            .get(fh.ino)
+            .is_some_and(|i| i.is_durable(blk))
     }
 
     /// Blocks currently sitting in the server's dirty pool (a gauge; the
     /// dirty books balance as `stashed == flushed + lost + this`). Sums the
     /// pool itself, independent of the running count the server keeps.
     pub fn server_dirty_blocks(&self) -> u64 {
-        self.server.dirty.values().map(|b| b.len() as u64).sum()
+        self.server
+            .inodes
+            .iter()
+            .filter_map(|i| i.writes.as_ref())
+            .map(|w| w.dirty.len() as u64)
+            .sum()
     }
 
     /// Blocks in one client's write-behind cache not yet known committed
@@ -1815,7 +1801,8 @@ impl NfsWorld {
                     // own behalf: no nfsd or reply is involved.
                     self.server_flush_done(d.tag, d.done_at, eio);
                 } else {
-                    self.server_reply(d.tag, d.done_at, io_status(eio));
+                    let slot = u32::try_from(d.tag).expect("a service slot");
+                    self.server_reply(slot, d.done_at, io_status(eio));
                 }
             }
         }
@@ -2397,7 +2384,7 @@ impl NfsWorld {
                 let children = rpc.readdir.map(|p| p.children).unwrap_or_default();
                 let min = self.config.attr_timeo_min;
                 for FileHandle { ino, .. } in children {
-                    let version = self.server.attr_seq.get(&ino).copied().unwrap_or(0);
+                    let version = self.server_attr_version(ino);
                     // Prefill only: an existing entry (live or mid-decay)
                     // keeps its adaptive state.
                     self.clients[client].attrs.entry(ino).or_insert(AttrEntry {
@@ -2415,7 +2402,7 @@ impl NfsWorld {
     /// version doubles the trust window toward `attr_timeo_max`, a changed
     /// one is detected staleness and resets it to `attr_timeo_min`.
     fn attr_refresh(&mut self, client: usize, at: SimTime, ino: u64) {
-        let version = self.server.attr_seq.get(&ino).copied().unwrap_or(0);
+        let version = self.server_attr_version(ino);
         let cl = &mut self.clients[client];
         let timeo = match cl.attrs.get(&ino) {
             Some(e) if e.version == version => {
@@ -2493,7 +2480,11 @@ impl NfsWorld {
     /// accounting when the caller stamped a per-file `submit_seq`), then a
     /// free nfsd or the call queue.
     fn admit(&mut self, at: SimTime, key: u64, call: NfsCall, submit_seq: Option<u64>) {
-        let Entry::Vacant(slot) = self.server.in_service.entry(key) else {
+        let read_ino = match &call {
+            NfsCall::Read { fh, .. } => Some(fh.ino),
+            _ => None,
+        };
+        let Some(slot) = self.server.in_service.admit(key, call) else {
             // A retransmission of a call we are still working on: drop it
             // (RFC 1813 duplicate request cache behaviour) and charge the
             // caller that burned the slot.
@@ -2502,26 +2493,26 @@ impl NfsWorld {
             self.contention[caller].duplicate_cache_hits += 1;
             return;
         };
-        if let NfsCall::Read { fh, .. } = &call {
+        if let Some(ino) = read_ino {
             self.server.stats.reads += 1;
-            if let Some(seq) = submit_seq {
-                let seen = self.server.arrived_seq.entry(fh.ino).or_insert(0);
-                if seq < *seen {
+            // Only simulated clients stamp a sequence, and they read only
+            // files the server holds.
+            if let Some((seq, inode)) = submit_seq.zip(self.server.inodes.get_mut(ino)) {
+                if seq < inode.arrived_seq {
                     self.server.stats.reordered += 1;
                 } else {
-                    *seen = seq;
+                    inode.arrived_seq = seq;
                 }
             }
         } else {
             self.server.stats.other_calls += 1;
         }
-        slot.insert(call);
         if self.server.nfsd_busy >= self.server.nfsd_total {
-            self.server.call_queue.push_back((at, key));
+            self.server.call_queue.push_back((at, slot));
             return;
         }
         self.server.nfsd_busy += 1;
-        self.nfsd_process(at, key);
+        self.nfsd_process(at, slot);
     }
 
     /// Contention-book index of the caller behind `key`: simulated hosts
@@ -2545,7 +2536,7 @@ impl NfsWorld {
                 .is_none()
     }
 
-    /// An nfsd executes the in-service call `key`. A call the file system
+    /// An nfsd executes the call in service `slot`. A call the file system
     /// cannot serve as asked is answered from the server's own inodes and
     /// never reaches `ffs`: an unknown handle is stale, a READ at or past
     /// EOF returns no data, a READ running past the file's last block
@@ -2553,21 +2544,19 @@ impl NfsWorld {
     /// range that overflows is invalid, and one that would grow the file
     /// past the partition's free space gets no space. Simulated clients
     /// send none of these, so their schedules are untouched.
-    fn nfsd_process(&mut self, at: SimTime, key: u64) {
+    fn nfsd_process(&mut self, at: SimTime, slot: u32) {
         let t1 = self.server.cpu_free.max(at) + self.cpu.server_call;
         self.server.cpu_free = t1;
-        let call = self
-            .server
-            .in_service
-            .get_mut(&key)
-            .expect("processed call is in service");
+        let held_call = self.server.in_service.get_mut(slot);
+        let key = held_call.key;
+        let call = &mut held_call.call;
         let Some((size, held)) = self
             .server
             .fs
             .inode(call.fh().ino)
             .map(|i| (i.size, i.num_blocks()))
         else {
-            self.server_reply(key, t1, NfsStatus::Stale);
+            self.server_reply(slot, t1, NfsStatus::Stale);
             return;
         };
         if let NfsCall::Read { offset, count, .. } = call {
@@ -2581,12 +2570,19 @@ impl NfsWorld {
             }
         }
         match *call {
-            NfsCall::Read { count: 0, .. } => self.server_reply(key, t1, NfsStatus::Ok),
+            NfsCall::Read { count: 0, .. } => self.server_reply(slot, t1, NfsStatus::Ok),
             NfsCall::Read { fh, offset, count } => {
                 let client = self.caller_index(key);
-                self.last_reader.insert(fh.ino, client);
+                let reader = u32::try_from(client).expect("fewer than 2^32 callers");
+                self.server.inodes.file(fh.ino).last_reader = Some(reader);
                 let policy = self.config.policy;
-                let last_reader = &self.last_reader;
+                // Every live `nfsheur` entry was put there by a READ, which
+                // recorded its reader.
+                let inodes = &self.server.inodes;
+                let reader_of = |ino: u64| {
+                    let reader = inodes.get(ino).and_then(|i| i.last_reader);
+                    reader.expect("a READ recorded the reader") as usize
+                };
                 let contention = &mut self.contention;
                 let (seqcount, probe) = self.server.heur.observe_traced(
                     fh.ino,
@@ -2594,16 +2590,14 @@ impl NfsWorld {
                     u64::from(count),
                     &policy,
                     |scanned| {
-                        if last_reader[&scanned] != client {
+                        if reader_of(scanned) != client {
                             contention[client].cross_client_probe_collisions += 1;
                         }
                     },
                 );
                 if let Some(victim) = probe.ejected {
                     self.contention[client].heur_ejections_caused += 1;
-                    // Every live entry was put there by a READ, which
-                    // recorded its reader.
-                    let reader = self.last_reader[&victim];
+                    let reader = reader_of(victim);
                     self.contention[reader].heur_ejections_suffered += 1;
                     if reader != client {
                         self.contention[client].cross_client_ejections += 1;
@@ -2616,11 +2610,16 @@ impl NfsWorld {
                         ejected: probe.ejected.is_some(),
                     });
                 }
-                self.server
-                    .fs
-                    .read(t1, fh.ino, offset, u64::from(count), seqcount, key);
+                self.server.fs.read(
+                    t1,
+                    fh.ino,
+                    offset,
+                    u64::from(count),
+                    seqcount,
+                    u64::from(slot),
+                );
             }
-            NfsCall::Write { count: 0, .. } => self.server_reply(key, t1, NfsStatus::Ok),
+            NfsCall::Write { count: 0, .. } => self.server_reply(slot, t1, NfsStatus::Ok),
             NfsCall::Write {
                 fh,
                 offset,
@@ -2628,33 +2627,30 @@ impl NfsWorld {
                 stable,
             } => {
                 let Some(end) = offset.checked_add(u64::from(count)) else {
-                    self.server_reply(key, t1, NfsStatus::Inval);
+                    self.server_reply(slot, t1, NfsStatus::Inval);
                     return;
                 };
                 let grow = end.div_ceil(ffs::BLOCK_BYTES).saturating_sub(held);
                 if grow > self.server.fs.free_bytes() / ffs::BLOCK_BYTES {
-                    self.server_reply(key, t1, NfsStatus::NoSpc);
+                    self.server_reply(slot, t1, NfsStatus::NoSpc);
                     return;
                 }
                 self.server_extend(fh.ino, end);
                 // Every WRITE advances the file's attribute version — the
                 // signal revalidating clients compare against (mtime).
-                *self.server.attr_seq.entry(fh.ino).or_insert(0) += 1;
+                let inode = self.server.inodes.file(fh.ino);
+                inode.attr_seq += 1;
                 if stable == StableHow::Unstable {
                     // Async write: stash the blocks in the dirty pool and
                     // reply immediately — that early reply *is* the NFSv3
                     // async win. The data reaches disk when the gather
                     // window expires, the pool hits its ceiling, or a
                     // COMMIT forces it.
-                    self.server.stats.unstable_writes += 1;
                     let bs = u64::from(RSIZE);
-                    let pool = self.server.dirty.entry(fh.ino).or_default();
-                    for blk in offset / bs..=(end - 1) / bs {
-                        if pool.insert(blk) {
-                            self.server.stats.dirty_blocks_stashed += 1;
-                            self.server.dirty_blocks += 1;
-                        }
-                    }
+                    let stashed = inode.writes_mut().stash_dirty(offset / bs, (end - 1) / bs);
+                    self.server.stats.unstable_writes += 1;
+                    self.server.stats.dirty_blocks_stashed += stashed;
+                    self.server.dirty_blocks += stashed;
                     if self.server.dirty_blocks > SERVER_DIRTY_MAX_BLOCKS {
                         self.server_flush_ino(t1, fh.ino);
                     } else {
@@ -2666,50 +2662,42 @@ impl NfsWorld {
                             Ev::GatherExpire { ino: fh.ino },
                         );
                     }
-                    self.server_reply(key, t1, NfsStatus::Ok);
+                    self.server_reply(slot, t1, NfsStatus::Ok);
                 } else {
                     // FILE_SYNC / DATA_SYNC: write through to disk; the
                     // reply waits for the platter, as NFSv2 always did.
                     self.server
                         .fs
-                        .write(t1, fh.ino, offset, u64::from(count), key);
+                        .write(t1, fh.ino, offset, u64::from(count), u64::from(slot));
                 }
             }
             NfsCall::Commit { fh, .. } => {
                 self.server.stats.commits += 1;
                 self.server_flush_ino(t1, fh.ino);
-                if self
-                    .server
-                    .flush_outstanding
-                    .get(&fh.ino)
-                    .is_none_or(|n| *n == 0)
-                {
-                    let eio = self.server.flush_errors.remove(&fh.ino);
-                    self.server_reply(key, t1, io_status(eio));
+                let writes = self.server.inodes.file(fh.ino).writes_mut();
+                if writes.flush_outstanding == 0 {
+                    let eio = std::mem::take(&mut writes.flush_error);
+                    self.server_reply(slot, t1, io_status(eio));
                 } else {
                     // The nfsd parks on the in-flight flush, exactly as a
                     // sync WRITE parks on the disk.
-                    self.server
-                        .pending_commits
-                        .entry(fh.ino)
-                        .or_default()
-                        .push(key);
+                    writes.pending_commits.push(slot);
                 }
             }
             NfsCall::Getattr { .. } => {
                 // Metadata served from in-core state: reply immediately.
                 self.server.stats.getattrs += 1;
-                self.server_reply(key, t1, NfsStatus::Ok);
+                self.server_reply(slot, t1, NfsStatus::Ok);
             }
             NfsCall::Lookup { .. } => {
                 self.server.stats.lookups += 1;
-                self.server_reply(key, t1, NfsStatus::Ok);
+                self.server_reply(slot, t1, NfsStatus::Ok);
             }
             NfsCall::Readdir { .. } | NfsCall::Readdirplus { .. } => {
                 // Directory pages are in-core too; the reply's wire size
                 // carries the chunk's entry payload.
                 self.server.stats.readdirs += 1;
-                self.server_reply(key, t1, NfsStatus::Ok);
+                self.server_reply(slot, t1, NfsStatus::Ok);
             }
         }
     }
@@ -2732,19 +2720,21 @@ impl NfsWorld {
     /// Flushes `ino`'s gathered dirty blocks to disk as coalesced runs
     /// (write gathering: adjacent UNSTABLE writes become one disk write).
     fn server_flush_ino(&mut self, at: SimTime, ino: u64) {
-        let Some(pool) = self.server.dirty.remove(&ino) else {
+        let writes = self.server.inodes.file(ino).writes_mut();
+        if writes.dirty.is_empty() {
             return; // Already flushed (stale gather timer) or restarted.
-        };
-        self.server.dirty_blocks -= pool.len() as u64;
+        }
+        let mut blocks = std::mem::take(&mut writes.dirty);
+        self.server.dirty_blocks -= blocks.len() as u64;
         debug_assert_eq!(self.server.dirty_blocks, self.server_dirty_blocks());
         let bs = u64::from(RSIZE);
-        let blocks: Vec<u64> = pool.into_iter().collect();
         if let Some(log) = &mut self.server_events {
             log.push(ServerEvent::GatherFlush {
                 ino,
                 blocks: blocks.len() as u64,
             });
         }
+        let mut runs = 0;
         let mut i = 0;
         while i < blocks.len() {
             let mut j = i;
@@ -2763,7 +2753,7 @@ impl NfsWorld {
                     nblocks,
                 },
             );
-            *self.server.flush_outstanding.entry(ino).or_insert(0) += 1;
+            runs += 1;
             self.server.stats.gather_flushes += 1;
             self.server.stats.dirty_blocks_flushed += nblocks;
             self.server
@@ -2771,64 +2761,57 @@ impl NfsWorld {
                 .write(at, ino, first_blk * bs, nblocks * bs, FLUSH_KEY_BIT | tag);
             i = j + 1;
         }
+        // Hand the emptied pool back, so the next stash reuses its buffer.
+        blocks.clear();
+        let writes = self.server.inodes.file(ino).writes_mut();
+        writes.flush_outstanding += runs;
+        writes.dirty = blocks;
     }
 
     /// A server-initiated flush finished: mark its span durable (or latch
     /// the error for the next COMMIT) and, once the inode has no flushes
-    /// left in flight, release any COMMITs parked on it.
+    /// left in flight, release any COMMITs parked on it. With none parked
+    /// the error stays latched for the next COMMIT to report.
     fn server_flush_done(&mut self, key: u64, at: SimTime, eio: bool) {
         let tag = key & !FLUSH_KEY_BIT;
-        let span = self
-            .server
-            .flushing
-            .remove(&tag)
-            .expect("unknown flush tag");
+        let span = self.server.flushing.remove(tag).expect("unknown flush tag");
+        let writes = self.server.inodes.file(span.ino).writes_mut();
         if eio {
-            self.server.flush_errors.insert(span.ino);
+            writes.flush_error = true;
         } else {
-            for blk in span.first_blk..span.first_blk + span.nblocks {
-                self.server.durable.insert((span.ino, blk));
-            }
+            writes.mark_durable(span.first_blk, span.nblocks);
         }
-        let n = self
-            .server
-            .flush_outstanding
-            .get_mut(&span.ino)
-            .expect("flush accounted");
-        *n -= 1;
-        if *n == 0 {
-            self.server.flush_outstanding.remove(&span.ino);
-            let parked = self
-                .server
-                .pending_commits
-                .remove(&span.ino)
-                .unwrap_or_default();
-            let e = self.server.flush_errors.remove(&span.ino);
-            for k in parked {
-                self.server_reply(k, at, io_status(e));
-            }
+        writes.flush_outstanding -= 1;
+        if writes.flush_outstanding > 0 || writes.pending_commits.is_empty() {
+            return;
+        }
+        let mut parked = std::mem::take(&mut writes.pending_commits);
+        let e = std::mem::take(&mut writes.flush_error);
+        for &slot in &parked {
+            self.server_reply(slot, at, io_status(e));
+        }
+        // Hand the buffer back unless a COMMIT parked anew meanwhile.
+        parked.clear();
+        let writes = self.server.inodes.file(span.ino).writes_mut();
+        if writes.pending_commits.is_empty() {
+            writes.pending_commits = parked;
         }
     }
 
     /// The one reply path, for every caller: builds the answer to the
-    /// in-service call `key` from the server's own state, books it, and
+    /// call in service `slot` from the server's own state, books it, and
     /// hands it to the caller's sink — the simulated s2c transport or the
     /// external outbox.
-    fn server_reply(&mut self, key: u64, at: SimTime, status: NfsStatus) {
+    fn server_reply(&mut self, slot: u32, at: SimTime, status: NfsStatus) {
         let t = self.server.cpu_free.max(at) + self.cpu.server_reply;
         self.server.cpu_free = t;
+        let InService { key, call, .. } = self.server.in_service.remove(slot);
         if self.call_retired(key) {
             // This execution was wasted work. Nothing to send.
             self.server.stats.stale_drops += 1;
-            self.server.in_service.remove(&key);
             self.release_nfsd(at);
             return;
         }
-        let call = self
-            .server
-            .in_service
-            .remove(&key)
-            .expect("replied call is in service");
         let xid = key_xid(key);
         let reply = self.build_reply(key, &call, status);
         if let NfsCall::Write {
@@ -2841,9 +2824,12 @@ impl NfsWorld {
             if status == NfsStatus::Ok && stable != StableHow::Unstable {
                 // The platter acked a sync write: stable storage.
                 let bs = u64::from(RSIZE);
-                for blk in offset / bs..=(offset + u64::from(count) - 1) / bs {
-                    self.server.durable.insert((fh.ino, blk));
-                }
+                let (first, last) = (offset / bs, (offset + u64::from(count) - 1) / bs);
+                self.server
+                    .inodes
+                    .file(fh.ino)
+                    .writes_mut()
+                    .mark_durable(first, last - first + 1);
             }
         }
         self.server.stats.replies += 1;
@@ -2965,16 +2951,16 @@ impl NfsWorld {
     /// entries whose RPC the client already retired.
     fn drain_call_queue(&mut self, at: SimTime) {
         while self.server.nfsd_busy < self.server.nfsd_total {
-            let Some((arrived, key)) = self.server.call_queue.pop_front() else {
+            let Some((arrived, slot)) = self.server.call_queue.pop_front() else {
                 return;
             };
-            if self.call_retired(key) {
+            if self.call_retired(self.server.in_service.get(slot).key) {
                 self.server.stats.stale_drops += 1;
-                self.server.in_service.remove(&key);
+                self.server.in_service.remove(slot);
                 continue;
             }
             self.server.nfsd_busy += 1;
-            self.nfsd_process(at.max(arrived), key);
+            self.nfsd_process(at.max(arrived), slot);
         }
     }
 }
@@ -2990,6 +2976,8 @@ fn io_status(eio: bool) -> NfsStatus {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use diskmodel::{DriveModel, PartitionTable};
     use ffs::FsConfig;
@@ -4048,6 +4036,117 @@ mod tests {
         assert!(w.client_stats_for(0).eio_replies >= 1);
         // Soft-mount semantics: the failed file's tracking is dropped.
         assert_eq!(w.client_uncommitted_blocks(0), 0);
+    }
+
+    #[test]
+    fn a_failed_gather_flush_stays_latched_until_a_commit_reports_it() {
+        // The gather window, not a COMMIT, flushes the block, and the
+        // flush fails with no COMMIT parked on it. The error must wait
+        // for the next COMMIT instead of vanishing with the flush.
+        let cfg = WorldConfig {
+            gather_window: SimDuration::from_millis(5),
+            ..async_config()
+        };
+        let mut w = make_world(cfg, 26);
+        let fh = w.create_file(512 * 1024);
+        w.set_disk_fault_model(Some(scripted_fail(diskmodel::DiskErrorKind::HardMedia)));
+        w.write_from(0, SimTime::ZERO, fh, 0, 8_192, 0);
+        let now = SimTime::ZERO + SimDuration::from_secs(1);
+        w.advance(now);
+        let s = w.server_stats();
+        assert_eq!((s.gather_flushes, s.commits), (1, 0));
+        assert_eq!(w.bio_stats().eio, 1, "the gather flush failed");
+        assert!(!w.is_durable(fh, 0));
+        assert_eq!(w.client_uncommitted_blocks(0), 1);
+        let id = w.close_from(0, now, fh, 99);
+        let d = drive_op(&mut w, id);
+        assert!(
+            matches!(d.outcome, OpOutcome::Eio { .. }),
+            "a failed async flush must surface at the next COMMIT: {:?}",
+            d.outcome
+        );
+        assert_eq!(w.client_uncommitted_blocks(0), 0);
+        // Reported once: the latch is clear for the next COMMIT.
+        w.write_from(0, d.done_at, fh, 8_192, 8_192, 0);
+        let id = w.close_from(0, d.done_at, fh, 100);
+        let d = drive_op(&mut w, id);
+        assert!(d.outcome.is_ok(), "{:?}", d.outcome);
+        assert!(w.is_durable(fh, 1));
+    }
+
+    fn reply_status(reply: &NfsReply) -> NfsStatus {
+        match *reply {
+            NfsReply::Getattr { status, .. }
+            | NfsReply::Lookup { status, .. }
+            | NfsReply::Read { status, .. }
+            | NfsReply::Write { status, .. }
+            | NfsReply::Readdir { status, .. }
+            | NfsReply::Commit { status, .. } => status,
+        }
+    }
+
+    #[test]
+    fn unknown_inode_numbers_are_stale_and_grow_no_server_books() {
+        let mut w = make_world(WorldConfig::default(), 27);
+        let files = [w.create_file(64 * 1024), w.create_server_file(64 * 1024)];
+        let past_last = files[1].ino + 1;
+        let ext = w.register_external_client();
+        let mut xid = 0;
+        for ino in [0, 1, past_last, u64::MAX] {
+            let fh = FileHandle {
+                fsid: 1,
+                ino,
+                generation: 1,
+            };
+            let calls = [
+                NfsCall::Getattr { fh },
+                NfsCall::Read {
+                    fh,
+                    offset: 0,
+                    count: 8_192,
+                },
+                NfsCall::Write {
+                    fh,
+                    offset: 0,
+                    count: 8_192,
+                    stable: StableHow::Unstable,
+                },
+                NfsCall::Write {
+                    fh,
+                    offset: 0,
+                    count: 8_192,
+                    stable: StableHow::FileSync,
+                },
+                NfsCall::Commit {
+                    fh,
+                    offset: 0,
+                    count: 0,
+                },
+            ];
+            for call in calls {
+                xid += 1;
+                w.external_call(w.now(), ext, xid, call);
+            }
+        }
+        while let Some(t) = w.next_event() {
+            w.advance(t);
+        }
+        let replies = w.take_external_replies();
+        assert_eq!(replies.len(), 20);
+        for r in &replies {
+            assert_eq!(reply_status(&r.reply), NfsStatus::Stale, "{r:?}");
+        }
+        assert_eq!(w.server.inodes.len(), files.len());
+        assert_eq!(w.server.inodes.len(), w.fs().file_count());
+        assert_eq!(w.server_dirty_blocks(), 0);
+        assert_eq!(w.server_attr_version(past_last), 0);
+        assert!(!w.is_durable(
+            FileHandle {
+                ino: u64::MAX,
+                ..files[0]
+            },
+            0
+        ));
     }
 
     #[test]

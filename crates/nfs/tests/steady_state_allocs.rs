@@ -13,9 +13,13 @@
 //!   cache on, each cycling LOOKUP, GETATTR, READ, WRITE and CLOSE over
 //!   its own files.
 //!
-//! The bounds are pinned a little above the counts measured when the
-//! file system, bio layer and drive began handing completions through
-//! caller-owned buffers (see CHANGES.md for the counts before that).
+//! The bounds are pinned a little above the counts measured: 0.007 per
+//! read since the file system, bio layer and drive began handing
+//! completions through caller-owned buffers, and 0.800 per `build_tree`
+//! op since the server's dirty pools, durable blocks and parked COMMITs
+//! keep their buffers per file (1.400 before; see CHANGES.md). Half of
+//! what is left is the LOOKUP name: the client allocates it and the
+//! server's copy of the call allocates it again.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -187,5 +191,5 @@ fn build_tree_steady_state_allocations_are_bounded() {
         issue(w, d.client, d.done_at + THINK);
     });
     println!("build_tree: {per_op:.3} allocations per op");
-    assert!(per_op <= 1.5, "{per_op:.3} allocations per op");
+    assert!(per_op <= 0.85, "{per_op:.3} allocations per op");
 }
