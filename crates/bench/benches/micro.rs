@@ -5,7 +5,8 @@
 //! Hand-rolled harness (no external bench crate, so the workspace builds
 //! offline): each case is warmed up, then timed over enough iterations to
 //! smooth scheduler noise. Run with `cargo bench -p nfs-bench --bench micro`.
-//! Under `cargo test` each case runs once as a smoke test.
+//! Without the `--bench` flag that `cargo bench` passes (so under
+//! `cargo test`) each case runs once as a smoke test.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -349,11 +350,24 @@ fn bench_shard_epochs(out: &mut Vec<BenchResult>, iters: u64) {
 fn bench_fs_read(out: &mut Vec<BenchResult>, iters: u64) {
     // One cached 8 KB READ of a 16 MB (2,048-block) file and the advance
     // that delivers it: the file system's per-call cost above the cache.
+    // The aged file (half its runs displaced, so ~130 runs in its block
+    // map) must cost the same per call as the one-run fresh file.
+    fs_read_case(out, "fs_read_2048_block_file", 0.0, iters);
+    fs_read_case(out, "fs_read_aged_2048_block_file", 0.5, iters);
+}
+
+fn fs_read_case(out: &mut Vec<BenchResult>, name: &str, aging: f64, iters: u64) {
     let disk = DriveModel::WdWd200bbIde.build(SimRng::new(11));
     let part = PartitionTable::quarters(disk.geometry()).get(1);
-    let mut fs = FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default());
+    let config = FsConfig {
+        aging,
+        ..FsConfig::default()
+    };
+    let mut fs = FileSystem::format(disk, part, SchedulerKind::Elevator, config);
     let blocks = 2_048u64;
-    let ino = fs.create_file(blocks * 8_192, &mut SimRng::new(1));
+    let ino = fs
+        .create_file(blocks * 8_192, &mut SimRng::new(1))
+        .expect("the partition holds every file");
     fs.read(SimTime::ZERO, ino, 0, blocks * 8_192, 0, 0);
     let mut now = SimTime::ZERO;
     while let Some(t) = fs.next_event() {
@@ -361,7 +375,7 @@ fn bench_fs_read(out: &mut Vec<BenchResult>, iters: u64) {
         fs.advance(t);
     }
     let mut blk = 0u64;
-    bench(out, "fs_read_2048_block_file", iters, || {
+    bench(out, name, iters, || {
         blk = (blk + 1) % blocks;
         fs.read(now, ino, blk * 8_192, 8_192, 0, blk);
         black_box(fs.advance(now));
@@ -448,7 +462,8 @@ fn bench_world_step_write_commit(out: &mut Vec<BenchResult>, iters: u64) {
 
 /// Flags understood by this harness (all optional, combinable):
 ///
-/// * `--test`   — one iteration per case (`cargo test` smoke mode);
+/// * `--bench`  — time the cases (`cargo bench` passes it); without it
+///   each case runs once (`cargo test` smoke mode);
 /// * `--quick`  — 10x fewer iterations (CI perf-smoke mode), except for
 ///   the evicting buffer-cache cases and the world step;
 /// * `--json P` — write the measurements to `P` as JSON;
@@ -467,7 +482,7 @@ struct Options {
 
 fn parse_options() -> Options {
     let mut o = Options {
-        testing: false,
+        testing: true,
         quick: false,
         json_out: None,
         baseline: None,
@@ -476,12 +491,11 @@ fn parse_options() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--test" => o.testing = true,
+            "--bench" => o.testing = false,
             "--quick" => o.quick = true,
             "--json" => o.json_out = args.next(),
             "--baseline" => o.baseline = args.next(),
             "--check" => o.check = args.next(),
-            "--bench" => {} // passed through by `cargo bench`
             other => eprintln!("# ignoring unknown argument: {other}"),
         }
     }
@@ -511,12 +525,14 @@ const GATE_FACTOR: f64 = 3.0;
 
 fn main() {
     let o = parse_options();
-    let (fast, slow) = if o.testing {
-        (1, 1)
+    // `steady`: the sub-microsecond gated cases below keep their full
+    // count in quick mode.
+    let (fast, slow, steady) = if o.testing {
+        (1, 1, 1)
     } else if o.quick {
-        (20_000, 200)
+        (20_000, 200, 200_000)
     } else {
-        (200_000, 2_000)
+        (200_000, 2_000, 200_000)
     };
     let mut results = Vec::new();
     let out = &mut results;
@@ -529,16 +545,16 @@ fn main() {
     // The gated evicting cases take 30–45 ns an op, so they run 200,000
     // ops even in quick mode (6–9 ms each): one preemption on a shared
     // runner cannot triple them.
-    bench_buffer_cache(out, fast, if o.testing { 1 } else { 200_000 });
+    bench_buffer_cache(out, fast, steady);
     bench_drive_cache(out, fast);
     bench_disk_service(out, slow);
-    bench_disk_sptf(out, slow * 10);
+    bench_disk_sptf(out, if o.testing { 1 } else { slow * 10 });
     bench_shard_epochs(out, (slow / 20).max(1));
     bench_fs_read(out, fast);
     // A step takes well under a microsecond: 200,000 steps even in quick
     // mode keep the gated loop far above timer and preemption noise.
-    bench_world_step(out, if o.testing { 1 } else { 200_000 });
-    bench_world_step_write_commit(out, if o.testing { 1 } else { 200_000 });
+    bench_world_step(out, steady);
+    bench_world_step_write_commit(out, steady);
 
     let mut report = PerfReport {
         suite: "micro".to_string(),

@@ -61,7 +61,10 @@ fn run_cell(sched: SchedulerKind, mode: Mode, per_mb: u64) -> Cell {
     let mut rng = SimRng::from_seed_and_stream(BASE_SEED, 0xD15C);
     let blocks = per_mb * (1 << 20) / BLOCK_BYTES;
     let inos: Vec<u64> = (0..READERS)
-        .map(|_| fs.create_file(blocks * BLOCK_BYTES, &mut rng))
+        .map(|_| {
+            fs.create_file(blocks * BLOCK_BYTES, &mut rng)
+                .expect("the partition holds every file")
+        })
         .collect();
 
     let plan = match mode {

@@ -18,20 +18,49 @@ pub const BLOCK_SECTORS: u64 = 16;
 pub const BLOCK_BYTES: u64 = BLOCK_SECTORS * diskmodel::SECTOR_BYTES;
 
 /// An inode: a file's identity, size, and block map.
+///
+/// The block map is a list of runs, each a stretch of file blocks at
+/// consecutive disk addresses. The first run lives inline, so a file laid
+/// out as one run (every file of a fresh file system) owns no heap; each
+/// later run is a `(first file block, first LBA)` pair. Runs that touch on
+/// disk are merged as they are appended, so every run boundary is a
+/// physical discontinuity.
 #[derive(Debug, Clone)]
 pub struct Inode {
     /// Inode number (also used as the NFS file-handle payload).
     pub ino: u64,
     /// File length in bytes.
     pub size: u64,
-    /// Absolute disk LBA of each 8 KB file block, in file order.
-    pub blocks: Vec<Lba>,
+    /// Blocks allocated to the file.
+    nblocks: u64,
+    /// Absolute disk LBA of file block 0 (meaningless while `nblocks` is 0).
+    first_lba: Lba,
+    /// Every run after the first, in file order.
+    runs: Vec<(u64, Lba)>,
 }
 
 impl Inode {
+    /// An inode with no blocks.
+    fn empty(ino: u64, size: u64) -> Self {
+        Inode {
+            ino,
+            size,
+            nblocks: 0,
+            first_lba: 0,
+            runs: Vec::new(),
+        }
+    }
+
     /// Number of blocks in the file.
+    #[inline]
     pub fn num_blocks(&self) -> u64 {
-        self.blocks.len() as u64
+        self.nblocks
+    }
+
+    /// Index into `runs` of the first run starting after block `fblk`.
+    #[inline]
+    fn runs_through(&self, fblk: u64) -> usize {
+        self.runs.partition_point(|&(start, _)| start <= fblk)
     }
 
     /// The disk address of file block `fblk`.
@@ -40,15 +69,61 @@ impl Inode {
     ///
     /// Panics if `fblk` is beyond the end of the file.
     pub fn lba_of(&self, fblk: u64) -> Lba {
-        self.blocks[usize::try_from(fblk).expect("block index fits usize")]
+        assert!(
+            fblk < self.nblocks,
+            "block {fblk} beyond the file's {} blocks",
+            self.nblocks
+        );
+        let (start, lba) = match self.runs_through(fblk) {
+            0 => (0, self.first_lba),
+            i => self.runs[i - 1],
+        };
+        lba + (fblk - start) * BLOCK_SECTORS
+    }
+
+    /// The block just past the physically contiguous run holding file
+    /// block `fblk` (the file's block count for its last run).
+    #[inline]
+    pub fn run_end(&self, fblk: u64) -> u64 {
+        self.runs
+            .get(self.runs_through(fblk))
+            .map_or(self.nblocks, |&(start, _)| start)
     }
 
     /// Whether file blocks `a` and `a + 1` are physically adjacent.
     pub fn contiguous(&self, a: u64) -> bool {
-        let a = a as usize;
-        a + 1 < self.blocks.len() && self.blocks[a + 1] == self.blocks[a] + BLOCK_SECTORS
+        a < self.nblocks.saturating_sub(1) && self.run_end(a) > a + 1
+    }
+
+    /// Heap bytes the block map holds beyond the inode itself.
+    pub fn heap_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<(u64, Lba)>()
+    }
+
+    /// Appends `n` blocks at `lba`, merging them into the last run when
+    /// they continue it on disk.
+    fn push_run(&mut self, lba: Lba, n: u64) {
+        let (start, run_lba) = self.runs.last().copied().unwrap_or((0, self.first_lba));
+        if self.nblocks == 0 {
+            self.first_lba = lba;
+        } else if lba != run_lba + (self.nblocks - start) * BLOCK_SECTORS {
+            self.runs.push((self.nblocks, lba));
+        }
+        self.nblocks += n;
+    }
+
+    /// Drops every block from `nblocks` on.
+    fn truncate(&mut self, nblocks: u64) {
+        self.runs
+            .truncate(self.runs.partition_point(|&(start, _)| start < nblocks));
+        self.nblocks = nblocks;
     }
 }
+
+/// The partition cannot hold an allocation. The allocator and the inode
+/// it was growing are left as they were before the call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoSpace;
 
 /// Blocks per cluster: the unit of a cluster read and of an allocation
 /// run (FreeBSD: 64 KB / 8 KB = 8).
@@ -104,27 +179,15 @@ impl Allocator {
     /// `rng` drives aging decisions only; a fresh file system (aging 0)
     /// never consults it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the partition has insufficient space.
-    pub fn create_file(&mut self, size: u64, rng: &mut SimRng) -> Inode {
-        let nblocks = size.div_ceil(BLOCK_BYTES);
-        let mut blocks = Vec::with_capacity(usize::try_from(nblocks).expect("fits"));
-        // Allocate in cluster-sized runs so aging displaces realistic units.
-        let mut remaining = nblocks;
-        while remaining > 0 {
-            let take = remaining.min(CLUSTER_BLOCKS);
-            if self.aging > 0.0 && rng.chance(self.aging) {
-                // Displace this run: leave a gap as if intervening files
-                // occupied the space.
-                self.cursor += AGING_GAP_BLOCKS * BLOCK_SECTORS;
-            }
-            self.allocate_run(take, &mut blocks);
-            remaining -= take;
-        }
-        let ino = self.next_ino;
+    /// [`NoSpace`] if the partition cannot hold the file; no inode number
+    /// or block is used up.
+    pub fn create_file(&mut self, size: u64, rng: &mut SimRng) -> Result<Inode, NoSpace> {
+        let mut inode = Inode::empty(self.next_ino, size);
+        self.append_blocks(&mut inode, size.div_ceil(BLOCK_BYTES), rng)?;
         self.next_ino += 1;
-        Inode { ino, size, blocks }
+        Ok(inode)
     }
 
     /// Extends an inode to cover at least `new_size` bytes, allocating the
@@ -137,29 +200,58 @@ impl Allocator {
     /// not modelled). `rng` drives aging decisions only; a fresh file
     /// system never consults it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the partition has insufficient space.
-    pub fn extend_file(&mut self, inode: &mut Inode, new_size: u64, rng: &mut SimRng) {
-        let nblocks = new_size.div_ceil(BLOCK_BYTES);
-        let mut remaining = nblocks.saturating_sub(inode.num_blocks());
-        while remaining > 0 {
-            let take = remaining.min(CLUSTER_BLOCKS);
-            if self.aging > 0.0 && rng.chance(self.aging) {
-                self.cursor += AGING_GAP_BLOCKS * BLOCK_SECTORS;
-            }
-            self.allocate_run(take, &mut inode.blocks);
-            remaining -= take;
-        }
+    /// [`NoSpace`] if the partition cannot hold the new blocks; the inode
+    /// and the allocator are unchanged.
+    pub fn extend_file(
+        &mut self,
+        inode: &mut Inode,
+        new_size: u64,
+        rng: &mut SimRng,
+    ) -> Result<(), NoSpace> {
+        let more = new_size.div_ceil(BLOCK_BYTES).saturating_sub(inode.nblocks);
+        self.append_blocks(inode, more, rng)?;
         inode.size = inode.size.max(new_size);
+        Ok(())
     }
 
-    /// Appends the `take` blocks at the cursor to `blocks` and moves the
-    /// cursor past them, checking the run against the partition once.
-    fn allocate_run(&mut self, take: u64, blocks: &mut Vec<Lba>) {
-        let first = self.partition.abs(self.cursor, take * BLOCK_SECTORS);
-        blocks.extend((0..take).map(|i| first + i * BLOCK_SECTORS));
-        self.cursor += take * BLOCK_SECTORS;
+    /// Appends `nblocks` blocks at the cursor to `inode`, in cluster-sized
+    /// runs so aging displaces realistic units. Each run, its aging gap
+    /// included, is checked against the partition before the cursor
+    /// moves; on [`NoSpace`] the cursor and the inode roll back.
+    fn append_blocks(
+        &mut self,
+        inode: &mut Inode,
+        nblocks: u64,
+        rng: &mut SimRng,
+    ) -> Result<(), NoSpace> {
+        // Gaps only add to a request, so one larger than all the space
+        // left (a peer's WRITE at a huge offset) fails before any draw.
+        if nblocks * BLOCK_SECTORS > self.partition.sectors - self.cursor {
+            return Err(NoSpace);
+        }
+        let (cursor, held) = (self.cursor, inode.nblocks);
+        let mut remaining = nblocks;
+        while remaining > 0 {
+            let take = remaining.min(CLUSTER_BLOCKS);
+            let mut at = self.cursor;
+            if self.aging > 0.0 && rng.chance(self.aging) {
+                // Displace this run: leave a gap as if intervening files
+                // occupied the space.
+                at += AGING_GAP_BLOCKS * BLOCK_SECTORS;
+            }
+            let span = take * BLOCK_SECTORS;
+            if at + span > self.partition.sectors {
+                self.cursor = cursor;
+                inode.truncate(held);
+                return Err(NoSpace);
+            }
+            inode.push_run(self.partition.abs(at, span), take);
+            self.cursor = at + span;
+            remaining -= take;
+        }
+        Ok(())
     }
 
     /// Cylinder-group index of a partition-relative byte offset
@@ -180,11 +272,16 @@ mod tests {
         }
     }
 
+    /// The file's block map, one address per block.
+    fn layout(f: &Inode) -> Vec<Lba> {
+        (0..f.num_blocks()).map(|b| f.lba_of(b)).collect()
+    }
+
     #[test]
     fn fresh_files_are_contiguous() {
         let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
-        let f = a.create_file(1024 * 1024, &mut rng); // 128 blocks
+        let f = a.create_file(1024 * 1024, &mut rng).unwrap(); // 128 blocks
         assert_eq!(f.num_blocks(), 128);
         for i in 0..127 {
             assert!(f.contiguous(i), "block {i} not contiguous");
@@ -196,8 +293,8 @@ mod tests {
     fn files_do_not_overlap() {
         let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
-        let f1 = a.create_file(64 * 1024, &mut rng);
-        let f2 = a.create_file(64 * 1024, &mut rng);
+        let f1 = a.create_file(64 * 1024, &mut rng).unwrap();
+        let f2 = a.create_file(64 * 1024, &mut rng).unwrap();
         let f1_end = f1.lba_of(f1.num_blocks() - 1) + BLOCK_SECTORS;
         assert!(f2.lba_of(0) >= f1_end);
         assert_ne!(f1.ino, f2.ino);
@@ -207,7 +304,7 @@ mod tests {
     fn size_rounds_up_to_blocks() {
         let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
-        let f = a.create_file(BLOCK_BYTES + 1, &mut rng);
+        let f = a.create_file(BLOCK_BYTES + 1, &mut rng).unwrap();
         assert_eq!(f.num_blocks(), 2);
         assert_eq!(f.size, BLOCK_BYTES + 1);
     }
@@ -216,7 +313,7 @@ mod tests {
     fn aging_fragments_layout() {
         let mut a = Allocator::new(part(), 0.5);
         let mut rng = SimRng::new(42);
-        let f = a.create_file(4 * 1024 * 1024, &mut rng); // 512 blocks
+        let f = a.create_file(4 * 1024 * 1024, &mut rng).unwrap(); // 512 blocks
         let discontinuities = (0..f.num_blocks() - 1)
             .filter(|&i| !f.contiguous(i))
             .count();
@@ -232,11 +329,11 @@ mod tests {
     fn aged_layout_is_pinned() {
         let mut a = Allocator::new(part(), 0.5);
         let mut rng = SimRng::new(42);
-        let mut f = a.create_file(4 * 1024 * 1024, &mut rng);
-        let g = a.create_file(64 * 1024, &mut rng);
-        a.extend_file(&mut f, 5 * 1024 * 1024, &mut rng);
+        let mut f = a.create_file(4 * 1024 * 1024, &mut rng).unwrap();
+        let g = a.create_file(64 * 1024, &mut rng).unwrap();
+        a.extend_file(&mut f, 5 * 1024 * 1024, &mut rng).unwrap();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for lba in f.blocks.iter().chain(&g.blocks) {
+        for lba in layout(&f).into_iter().chain(layout(&g)) {
             for b in lba.to_le_bytes() {
                 h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
             }
@@ -248,8 +345,8 @@ mod tests {
     fn extend_of_last_file_is_contiguous() {
         let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
-        let mut f = a.create_file(64 * 1024, &mut rng); // 8 blocks
-        a.extend_file(&mut f, 128 * 1024, &mut rng); // +8 blocks
+        let mut f = a.create_file(64 * 1024, &mut rng).unwrap(); // 8 blocks
+        a.extend_file(&mut f, 128 * 1024, &mut rng).unwrap(); // +8 blocks
         assert_eq!(f.num_blocks(), 16);
         assert_eq!(f.size, 128 * 1024);
         for i in 0..15 {
@@ -261,9 +358,9 @@ mod tests {
     fn extend_after_other_allocation_fragments() {
         let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
-        let mut f1 = a.create_file(64 * 1024, &mut rng);
-        let f2 = a.create_file(64 * 1024, &mut rng);
-        a.extend_file(&mut f1, 128 * 1024, &mut rng);
+        let mut f1 = a.create_file(64 * 1024, &mut rng).unwrap();
+        let f2 = a.create_file(64 * 1024, &mut rng).unwrap();
+        a.extend_file(&mut f1, 128 * 1024, &mut rng).unwrap();
         // The extension skipped over f2's blocks: a discontinuity at the
         // old tail, and no overlap with f2.
         assert!(!f1.contiguous(7), "old tail should not touch the extension");
@@ -277,14 +374,14 @@ mod tests {
     fn extend_within_current_blocks_allocates_nothing() {
         let mut a = Allocator::new(part(), 0.0);
         let mut rng = SimRng::new(1);
-        let mut f = a.create_file(BLOCK_BYTES + 1, &mut rng); // 2 blocks
+        let mut f = a.create_file(BLOCK_BYTES + 1, &mut rng).unwrap(); // 2 blocks
         let free_before = a.free_bytes();
-        a.extend_file(&mut f, 2 * BLOCK_BYTES, &mut rng);
+        a.extend_file(&mut f, 2 * BLOCK_BYTES, &mut rng).unwrap();
         assert_eq!(f.num_blocks(), 2);
         assert_eq!(f.size, 2 * BLOCK_BYTES, "size still grows");
         assert_eq!(a.free_bytes(), free_before, "no new blocks");
         // A shrink is a no-op.
-        a.extend_file(&mut f, 1, &mut rng);
+        a.extend_file(&mut f, 1, &mut rng).unwrap();
         assert_eq!(f.size, 2 * BLOCK_BYTES);
     }
 
@@ -292,39 +389,87 @@ mod tests {
     fn fresh_extend_ignores_rng() {
         let mut a1 = Allocator::new(part(), 0.0);
         let mut a2 = Allocator::new(part(), 0.0);
-        let mut f1 = a1.create_file(64 * 1024, &mut SimRng::new(1));
-        let mut f2 = a2.create_file(64 * 1024, &mut SimRng::new(999));
-        a1.extend_file(&mut f1, 256 * 1024, &mut SimRng::new(2));
-        a2.extend_file(&mut f2, 256 * 1024, &mut SimRng::new(777));
-        assert_eq!(f1.blocks, f2.blocks);
+        let mut f1 = a1.create_file(64 * 1024, &mut SimRng::new(1)).unwrap();
+        let mut f2 = a2.create_file(64 * 1024, &mut SimRng::new(999)).unwrap();
+        a1.extend_file(&mut f1, 256 * 1024, &mut SimRng::new(2))
+            .unwrap();
+        a2.extend_file(&mut f2, 256 * 1024, &mut SimRng::new(777))
+            .unwrap();
+        assert_eq!(layout(&f1), layout(&f2));
     }
 
     #[test]
     fn fresh_allocation_ignores_rng() {
         let mut a1 = Allocator::new(part(), 0.0);
         let mut a2 = Allocator::new(part(), 0.0);
-        let f1 = a1.create_file(1024 * 1024, &mut SimRng::new(1));
-        let f2 = a2.create_file(1024 * 1024, &mut SimRng::new(999));
-        assert_eq!(f1.blocks, f2.blocks);
+        let f1 = a1.create_file(1024 * 1024, &mut SimRng::new(1)).unwrap();
+        let f2 = a2.create_file(1024 * 1024, &mut SimRng::new(999)).unwrap();
+        assert_eq!(layout(&f1), layout(&f2));
     }
 
     #[test]
     fn free_bytes_decreases() {
         let mut a = Allocator::new(part(), 0.0);
         let before = a.free_bytes();
-        a.create_file(1024 * 1024, &mut SimRng::new(1));
+        a.create_file(1024 * 1024, &mut SimRng::new(1)).unwrap();
         assert_eq!(before - a.free_bytes(), 1024 * 1024);
     }
 
     #[test]
-    #[should_panic(expected = "beyond partition")]
-    fn overflow_panics() {
+    fn overflow_is_no_space() {
         let small = Partition {
             start: 0,
             sectors: 32,
         };
         let mut a = Allocator::new(small, 0.0);
-        a.create_file(1024 * 1024, &mut SimRng::new(1));
+        let err = a.create_file(1024 * 1024, &mut SimRng::new(1));
+        assert_eq!(err.map(|f| f.ino), Err(NoSpace));
+        assert_eq!(a.free_bytes(), 32 * diskmodel::SECTOR_BYTES);
+        let f = a.create_file(2 * BLOCK_BYTES, &mut SimRng::new(1)).unwrap();
+        assert_eq!(f.ino, FIRST_INO, "a failed create uses no inode number");
+        assert_eq!(a.free_bytes(), 0);
+        // A request above all the space left fails before any aging draw
+        // (a peer's WRITE at a huge offset costs no per-run walk).
+        let mut aged = Allocator::new(small, 1.0);
+        let mut rng = SimRng::new(3);
+        let mut twin = rng.clone();
+        let err = aged.create_file(u64::MAX / 2, &mut rng);
+        assert_eq!(err.map(|f| f.ino), Err(NoSpace));
+        assert_eq!(rng.next_u64(), twin.next_u64(), "no draw");
+    }
+
+    /// An aged allocation can fail although `free_bytes` covers it: the
+    /// aging gap lands first. The allocator checks each run, gap
+    /// included, and leaves the cursor and the inode as they were.
+    #[test]
+    fn aged_extend_past_the_end_is_no_space_and_rolls_back() {
+        let part = Partition {
+            start: 0,
+            sectors: 1_152 + 28 * BLOCK_SECTORS,
+        };
+        let mut a = Allocator::new(part, 1.0);
+        let mut rng = SimRng::new(1);
+        // 8 blocks after a 64-block gap: the cursor ends at sector 1,152.
+        let mut f = a.create_file(8 * BLOCK_BYTES, &mut rng).unwrap();
+        assert_eq!(a.free_bytes(), 28 * BLOCK_BYTES);
+        let before = layout(&f);
+        let err = a.extend_file(&mut f, 16 * BLOCK_BYTES, &mut rng);
+        assert_eq!(err, Err(NoSpace));
+        assert_eq!(a.free_bytes(), 28 * BLOCK_BYTES, "the cursor rolled back");
+        assert_eq!(layout(&f), before, "the inode rolled back");
+        assert_eq!(f.size, 8 * BLOCK_BYTES);
+        // A two-run extension whose second gap overflows drops its first
+        // run too, inline slot included.
+        let mut b = Allocator::new(part, 1.0);
+        let mut g = b.create_file(0, &mut rng).unwrap();
+        assert_eq!(
+            b.extend_file(&mut g, 16 * BLOCK_BYTES, &mut rng),
+            Err(NoSpace)
+        );
+        assert_eq!(
+            (g.num_blocks(), g.size, b.free_bytes()),
+            (0, 0, part.sectors * diskmodel::SECTOR_BYTES)
+        );
     }
 
     #[test]

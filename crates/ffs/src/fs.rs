@@ -25,7 +25,9 @@ use diskmodel::{Completion, DeviceModel, Disk, DiskRequest, FaultModel, TcqConfi
 use iosched::SchedulerKind;
 use simcore::{FastMap, IdWindow, SimRng, SimTime, Waitlist};
 
-use crate::alloc::{Allocator, Inode, BLOCK_BYTES, BLOCK_SECTORS, CLUSTER_BLOCKS, FIRST_INO};
+use crate::alloc::{
+    Allocator, Inode, NoSpace, BLOCK_BYTES, BLOCK_SECTORS, CLUSTER_BLOCKS, FIRST_INO,
+};
 use crate::bcache::{BlockKey, BufferCache};
 use crate::bio::BioLayer;
 
@@ -227,8 +229,12 @@ impl FileSystem {
     }
 
     /// Creates a file of `size` bytes and returns its inode number.
-    pub fn create_file(&mut self, size: u64, rng: &mut SimRng) -> u64 {
-        let inode = self.alloc.create_file(size, rng);
+    ///
+    /// # Errors
+    ///
+    /// [`NoSpace`] if the partition cannot hold the file.
+    pub fn create_file(&mut self, size: u64, rng: &mut SimRng) -> Result<u64, NoSpace> {
+        let inode = self.alloc.create_file(size, rng)?;
         let ino = inode.ino;
         assert_eq!(
             Self::slot(ino),
@@ -236,7 +242,7 @@ impl FileSystem {
             "inode numbers are dense"
         );
         self.inodes.push(inode);
-        ino
+        Ok(ino)
     }
 
     /// Extends `ino` to cover at least `new_size` bytes (an extending
@@ -245,14 +251,24 @@ impl FileSystem {
     /// Growing to a size the file already covers is a no-op. `rng` drives
     /// aging decisions only; a fresh file system never consults it.
     ///
+    /// # Errors
+    ///
+    /// [`NoSpace`] if the partition cannot hold the new blocks; the file
+    /// keeps its old size and blocks.
+    ///
     /// # Panics
     ///
     /// Panics if the inode does not exist.
-    pub fn extend_file(&mut self, ino: u64, new_size: u64, rng: &mut SimRng) {
+    pub fn extend_file(
+        &mut self,
+        ino: u64,
+        new_size: u64,
+        rng: &mut SimRng,
+    ) -> Result<(), NoSpace> {
         let inode = Self::slot(ino)
             .and_then(|i| self.inodes.get_mut(i))
             .expect("extend of unknown inode");
-        self.alloc.extend_file(inode, new_size, rng);
+        self.alloc.extend_file(inode, new_size, rng)
     }
 
     /// Bytes still free for file data on the partition.
@@ -271,6 +287,15 @@ impl FileSystem {
     /// `FIRST_INO + file_count() - 1`.
     pub fn file_count(&self) -> usize {
         self.inodes.len()
+    }
+
+    /// Approximate heap bytes of the inode table, the block maps and the
+    /// buffer cache, estimated from capacities (scale accounting, not
+    /// allocator truth).
+    pub fn approx_heap_bytes(&self) -> usize {
+        self.inodes.capacity() * std::mem::size_of::<Inode>()
+            + self.inodes.iter().map(Inode::heap_bytes).sum::<usize>()
+            + self.cache.approx_heap_bytes()
     }
 
     /// Counters.
@@ -454,8 +479,7 @@ impl FileSystem {
         let mut blk = first_blk;
         while blk <= last_blk {
             self.cache.invalidate((ino, blk));
-            let run = self
-                .contiguous_run(inode, blk)
+            let run = (inode.run_end(blk) - blk)
                 .min(last_blk - blk + 1)
                 .min(CLUSTER_BLOCKS);
             let io_tag = self.next_io_tag;
@@ -573,22 +597,9 @@ impl FileSystem {
     /// at block `blk` of `ino`, capped at `max` blocks and the file end.
     fn cluster_run(&self, ino: u64, blk: u64, max: u64) -> u64 {
         let inode = self.inode(ino).expect("known inode");
+        let end = inode.run_end(blk).min(blk.saturating_add(max));
         let mut run = 1;
-        while run < max
-            && blk + run < inode.num_blocks()
-            && inode.contiguous(blk + run - 1)
-            && !self.cache.holds((ino, blk + run))
-        {
-            run += 1;
-        }
-        run
-    }
-
-    /// Length of the physically contiguous run starting at `blk` (ignores
-    /// cache state; used by the write path).
-    fn contiguous_run(&self, inode: &Inode, blk: u64) -> u64 {
-        let mut run = 1;
-        while blk + run < inode.num_blocks() && inode.contiguous(blk + run - 1) {
+        while blk + run < end && !self.cache.holds((ino, blk + run)) {
             run += 1;
         }
         run
@@ -730,7 +741,7 @@ mod tests {
     fn cached_deadline_tracks_every_state_change() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(4 * 1024 * 1024, &mut rng);
+        let ino = fs.create_file(4 * 1024 * 1024, &mut rng).unwrap();
         assert_eq!(fs.next_event(), None);
         fs.set_fault_model(Some(Box::new(FailNext(2))));
         assert_fresh(&fs);
@@ -790,8 +801,8 @@ mod tests {
     fn unknown_inode_numbers_are_absent() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let a = fs.create_file(8192, &mut rng);
-        let b = fs.create_file(8192, &mut rng);
+        let a = fs.create_file(8192, &mut rng).unwrap();
+        let b = fs.create_file(8192, &mut rng).unwrap();
         assert_eq!((a, b), (2, 3), "numbers are dense from 2");
         assert_eq!(fs.inode(b).map(|i| i.ino), Some(b));
         for ino in [0, 1, 4, u64::MAX] {
@@ -803,7 +814,7 @@ mod tests {
     fn read_of_uncached_block_hits_disk() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(1024 * 1024, &mut rng);
+        let ino = fs.create_file(1024 * 1024, &mut rng).unwrap();
         fs.read(SimTime::ZERO, ino, 0, 8192, 0, 7);
         let done = run_until(&mut fs, 1);
         assert_eq!(done[0].tag, 7);
@@ -815,7 +826,7 @@ mod tests {
     fn cached_read_completes_at_issue_time() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(1024 * 1024, &mut rng);
+        let ino = fs.create_file(1024 * 1024, &mut rng).unwrap();
         fs.read(SimTime::ZERO, ino, 0, 8192, 0, 0);
         let done = run_until(&mut fs, 1);
         let t1 = done[0].done_at;
@@ -830,7 +841,7 @@ mod tests {
     fn cluster_read_covers_following_blocks() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(1024 * 1024, &mut rng);
+        let ino = fs.create_file(1024 * 1024, &mut rng).unwrap();
         // seqcount 2 = sequential evidence, so the demand read clusters.
         fs.read(SimTime::ZERO, ino, 0, 8192, 2, 0);
         let done = run_until(&mut fs, 1);
@@ -845,7 +856,7 @@ mod tests {
     fn high_seqcount_triggers_readahead() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(4 * 1024 * 1024, &mut rng);
+        let ino = fs.create_file(4 * 1024 * 1024, &mut rng).unwrap();
         fs.read(SimTime::ZERO, ino, 0, 8192, 127, 0);
         run_until(&mut fs, 1);
         assert!(
@@ -868,7 +879,7 @@ mod tests {
     fn zero_seqcount_reads_no_ahead() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(1024 * 1024, &mut rng);
+        let ino = fs.create_file(1024 * 1024, &mut rng).unwrap();
         fs.read(SimTime::ZERO, ino, 0, 8192, 0, 0);
         run_until(&mut fs, 1);
         assert_eq!(fs.stats().readahead_reads, 0);
@@ -878,7 +889,7 @@ mod tests {
     fn concurrent_readers_of_same_block_share_one_io() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(1024 * 1024, &mut rng);
+        let ino = fs.create_file(1024 * 1024, &mut rng).unwrap();
         fs.read(SimTime::ZERO, ino, 0, 8192, 0, 0);
         fs.read(SimTime::ZERO, ino, 0, 8192, 0, 1);
         let done = run_until(&mut fs, 2);
@@ -891,7 +902,7 @@ mod tests {
     fn multi_block_read_waits_for_all() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(1024 * 1024, &mut rng);
+        let ino = fs.create_file(1024 * 1024, &mut rng).unwrap();
         // 64 KB read spanning 8 blocks.
         fs.read(SimTime::ZERO, ino, 0, 65_536, 0, 0);
         let done = run_until(&mut fs, 1);
@@ -903,7 +914,7 @@ mod tests {
     fn flush_caches_forces_disk_again() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(1024 * 1024, &mut rng);
+        let ino = fs.create_file(1024 * 1024, &mut rng).unwrap();
         fs.read(SimTime::ZERO, ino, 0, 8192, 0, 0);
         let done = run_until(&mut fs, 1);
         fs.flush_caches();
@@ -917,7 +928,7 @@ mod tests {
     fn write_completes_and_invalidates() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(1024 * 1024, &mut rng);
+        let ino = fs.create_file(1024 * 1024, &mut rng).unwrap();
         fs.read(SimTime::ZERO, ino, 0, 8192, 0, 0);
         let done = run_until(&mut fs, 1);
         fs.write(done[0].done_at, ino, 0, 8192, 1);
@@ -933,8 +944,8 @@ mod tests {
     fn write_into_extended_region_succeeds() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(64 * 1024, &mut rng); // 8 blocks
-        fs.extend_file(ino, 128 * 1024, &mut rng);
+        let ino = fs.create_file(64 * 1024, &mut rng).unwrap(); // 8 blocks
+        fs.extend_file(ino, 128 * 1024, &mut rng).unwrap();
         assert_eq!(fs.inode(ino).unwrap().size, 128 * 1024);
         // A write past the old EOF lands on the newly allocated blocks.
         fs.write(SimTime::ZERO, ino, 64 * 1024, 16_384, 1);
@@ -948,7 +959,7 @@ mod tests {
     fn write_past_eof_without_extend_panics() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(8192, &mut rng);
+        let ino = fs.create_file(8192, &mut rng).unwrap();
         fs.write(SimTime::ZERO, ino, 16_384, 8192, 0);
     }
 
@@ -957,7 +968,7 @@ mod tests {
     fn read_past_eof_panics() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(8192, &mut rng);
+        let ino = fs.create_file(8192, &mut rng).unwrap();
         fs.read(SimTime::ZERO, ino, 16_384, 8192, 0, 0);
     }
 
@@ -965,7 +976,7 @@ mod tests {
     fn sequential_stream_is_mostly_cache_hits() {
         let mut fs = make_fs();
         let mut rng = SimRng::new(1);
-        let ino = fs.create_file(2 * 1024 * 1024, &mut rng); // 256 blocks
+        let ino = fs.create_file(2 * 1024 * 1024, &mut rng).unwrap(); // 256 blocks
         let mut now = SimTime::ZERO;
         let mut seq: u32 = 1;
         for b in 0..256u64 {

@@ -40,7 +40,7 @@ fn every_scheduler_recovers_from_degraded_disk() {
     for sched in SCHEDULERS {
         let mut fs = make_fs(11, sched);
         let mut frng = SimRng::new(11);
-        let ino = fs.create_file(BLOCKS * BS, &mut frng);
+        let ino = fs.create_file(BLOCKS * BS, &mut frng).unwrap();
         let transient_lba = fs.inode(ino).expect("created").lba_of(5);
         let hard_lba = fs.inode(ino).expect("created").lba_of(40);
         let plan = FaultPlan {

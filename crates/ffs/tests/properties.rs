@@ -38,7 +38,7 @@ fn reads_complete_exactly_once() {
         let sched = *rng.choose(&SCHEDULERS).expect("non-empty");
         let mut fs = make_fs(7, sched);
         let mut frng = SimRng::new(7);
-        let ino = fs.create_file(128 * 8_192, &mut frng);
+        let ino = fs.create_file(128 * 8_192, &mut frng).unwrap();
         let n = rng.gen_range(1usize..80);
         for i in 0..n {
             let blk = rng.gen_range(0u64..128);
@@ -61,7 +61,7 @@ fn mixed_ops_conserve() {
     for case in 0..32 {
         let mut fs = make_fs(8, SchedulerKind::Elevator);
         let mut frng = SimRng::new(8);
-        let ino = fs.create_file(64 * 8_192, &mut frng);
+        let ino = fs.create_file(64 * 8_192, &mut frng).unwrap();
         let n = rng.gen_range(1usize..60);
         let mut writes = 0u64;
         for i in 0..n {
@@ -87,7 +87,7 @@ fn cache_accounting_balances() {
     for case in 0..32 {
         let mut fs = make_fs(9, SchedulerKind::Elevator);
         let mut frng = SimRng::new(9);
-        let ino = fs.create_file(64 * 8_192, &mut frng);
+        let ino = fs.create_file(64 * 8_192, &mut frng).unwrap();
         let n = rng.gen_range(1usize..80);
         let mut now = SimTime::ZERO;
         for i in 0..n {
@@ -113,7 +113,7 @@ fn rereads_are_never_slower() {
         let seq = rng.gen_range(0u32..=127);
         let mut fs = make_fs(10, SchedulerKind::Elevator);
         let mut frng = SimRng::new(10);
-        let ino = fs.create_file(64 * 8_192, &mut frng);
+        let ino = fs.create_file(64 * 8_192, &mut frng).unwrap();
         fs.read(SimTime::ZERO, ino, blk * 8_192, 8_192, seq, 0);
         let first = drain(&mut fs).pop().expect("completes");
         let d1 = first.done_at.since(first.issued_at);

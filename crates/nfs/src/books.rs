@@ -12,6 +12,7 @@
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::mem::size_of;
 
 use nfsproto::NfsCall;
 
@@ -138,6 +139,15 @@ impl ServiceTable {
     pub(crate) fn len(&self) -> usize {
         self.by_key.len()
     }
+
+    /// Approximate heap bytes: slots, free list and the duplicate check,
+    /// from capacities. The check is counted at one entry per slot: its
+    /// own `capacity()` moves with its keyed hashes from run to run.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.slots.capacity()
+            * (size_of::<Option<InService>>() + size_of::<HashedKey>() + size_of::<u32>())
+            + self.free.capacity() * size_of::<u32>()
+    }
 }
 
 /// What the server keeps per file beside the file system's inode. The
@@ -223,6 +233,13 @@ impl FileWrites {
         }
     }
 
+    /// Heap bytes of the box and its buffers, from capacities.
+    fn heap_bytes(&self) -> usize {
+        size_of::<Self>()
+            + self.pending_commits.capacity() * size_of::<u32>()
+            + (self.dirty.capacity() + self.durable.capacity()) * size_of::<u64>()
+    }
+
     /// Whether block `blk` is known to be on stable storage.
     fn is_durable(&self, blk: u64) -> bool {
         usize::try_from(blk / 64)
@@ -279,6 +296,17 @@ impl ServerInodes {
     #[inline]
     pub(crate) fn file(&mut self, ino: u64) -> &mut ServerInode {
         self.get_mut(ino).expect("the server holds this file")
+    }
+
+    /// Approximate heap bytes of the records and their write books.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.records.capacity() * size_of::<ServerInode>()
+            + self
+                .records
+                .iter()
+                .filter_map(|r| r.writes.as_deref())
+                .map(FileWrites::heap_bytes)
+                .sum::<usize>()
     }
 
     /// Every record, in inode order.

@@ -915,6 +915,18 @@ impl NfsWorld {
         total
     }
 
+    /// Approximate resident bytes of the server half's growing state: the
+    /// file system's inode table, block maps and buffer cache, the
+    /// server's per-file books, its in-service table and its call queue.
+    /// Estimated from capacities, like [`NfsWorld::client_state_bytes`].
+    pub fn server_state_bytes(&self) -> usize {
+        let s = &self.server;
+        s.fs.approx_heap_bytes()
+            + s.inodes.heap_bytes()
+            + s.in_service.heap_bytes()
+            + s.call_queue.capacity() * std::mem::size_of::<(SimTime, u32)>()
+    }
+
     /// Creates a file on the server and "mounts" it on client 0,
     /// returning the handle processes read through.
     pub fn create_file(&mut self, size: u64) -> FileHandle {
@@ -926,7 +938,11 @@ impl NfsWorld {
     /// file placement is independent of the others'.
     pub fn create_file_for(&mut self, client: usize, size: u64) -> FileHandle {
         let mut alloc_rng = self.hot[client].rng.derive(0xA110C);
-        let ino = self.server.fs.create_file(size, &mut alloc_rng);
+        let ino = self
+            .server
+            .fs
+            .create_file(size, &mut alloc_rng)
+            .expect("the server's partition holds the file");
         self.server.inodes.add_file(ino);
         self.clients[client].files.insert(
             ino,
@@ -970,7 +986,11 @@ impl NfsWorld {
     /// never perturbs simulated client schedules.
     pub fn create_server_file(&mut self, size: u64) -> FileHandle {
         let mut alloc_rng = self.server.alloc_rng.derive(0xE4_90_27);
-        let ino = self.server.fs.create_file(size, &mut alloc_rng);
+        let ino = self
+            .server
+            .fs
+            .create_file(size, &mut alloc_rng)
+            .expect("the server's partition holds the file");
         self.server.inodes.add_file(ino);
         FileHandle {
             fsid: self.server.fsid,
@@ -2541,8 +2561,8 @@ impl NfsWorld {
     /// never reaches `ffs`: an unknown handle is stale, a READ at or past
     /// EOF returns no data, a READ running past the file's last block
     /// shrinks to a short read, a zero-count WRITE is a no-op, a WRITE
-    /// range that overflows is invalid, and one that would grow the file
-    /// past the partition's free space gets no space. Simulated clients
+    /// range that overflows is invalid, and one whose new blocks the
+    /// allocator cannot place gets no space. Simulated clients
     /// send none of these, so their schedules are untouched.
     fn nfsd_process(&mut self, at: SimTime, slot: u32) {
         let t1 = self.server.cpu_free.max(at) + self.cpu.server_call;
@@ -2630,12 +2650,16 @@ impl NfsWorld {
                     self.server_reply(slot, t1, NfsStatus::Inval);
                     return;
                 };
-                let grow = end.div_ceil(ffs::BLOCK_BYTES).saturating_sub(held);
-                if grow > self.server.fs.free_bytes() / ffs::BLOCK_BYTES {
+                // A WRITE past EOF extends the file (RFC 1813 §3.3.7); the
+                // allocator alone decides whether the new blocks fit.
+                let grown = self
+                    .server
+                    .fs
+                    .extend_file(fh.ino, end, &mut self.server.alloc_rng);
+                if grown.is_err() {
                     self.server_reply(slot, t1, NfsStatus::NoSpc);
                     return;
                 }
-                self.server_extend(fh.ino, end);
                 // Every WRITE advances the file's attribute version — the
                 // signal revalidating clients compare against (mtime).
                 let inode = self.server.inodes.file(fh.ino);
@@ -2699,21 +2723,6 @@ impl NfsWorld {
                 self.server.stats.readdirs += 1;
                 self.server_reply(slot, t1, NfsStatus::Ok);
             }
-        }
-    }
-
-    /// Grows the server's inode to cover `end_bytes` — NFSv3 WRITEs past
-    /// EOF extend the file (RFC 1813 §3.3.7).
-    fn server_extend(&mut self, ino: u64, end_bytes: u64) {
-        if self
-            .server
-            .fs
-            .inode(ino)
-            .is_some_and(|i| end_bytes > i.size)
-        {
-            self.server
-                .fs
-                .extend_file(ino, end_bytes, &mut self.server.alloc_rng);
         }
     }
 

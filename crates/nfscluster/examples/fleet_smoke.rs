@@ -41,12 +41,13 @@ fn main() {
         r.shed_events
     );
     eprintln!(
-        "p50={:.2}ms p99={:.2}ms p99.9={:.2}ms mem/client={}B full-host={}B reduction={:.1}x fp={:#x} completed={}",
+        "p50={:.2}ms p99={:.2}ms p99.9={:.2}ms mem/client={}B full-host={}B server={}B reduction={:.1}x fp={:#x} completed={}",
         r.latency_ms(0.50).unwrap_or(0.0),
         r.latency_ms(0.99).unwrap_or(0.0),
         r.latency_ms(0.999).unwrap_or(0.0),
         r.mem.per_client_bytes,
         r.mem.full_host_bytes,
+        r.mem.server_bytes,
         r.mem.reduction,
         r.fingerprint,
         r.shard_stats.completed

@@ -452,6 +452,10 @@ pub struct FleetMem {
     pub fleet_bytes: usize,
     /// `fleet_bytes / clients`.
     pub per_client_bytes: usize,
+    /// Resident bytes of every group's server half (file system inode
+    /// table, block maps and buffer cache, server books): the layer the
+    /// client figures above leave out.
+    pub server_bytes: usize,
     /// Measured bytes of one full client host in this fleet's worlds —
     /// what the pre-SoA representation would charge *each* client.
     pub full_host_bytes: usize,
@@ -613,6 +617,7 @@ impl FleetWorld {
         let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
         let mut sim_secs = 0.0f64;
         let mut fleet_bytes = 0usize;
+        let mut server_bytes = 0usize;
         let mut drive = DriveWork::default();
         for g in &self.groups {
             hist.merge(&g.hist);
@@ -622,6 +627,7 @@ impl FleetWorld {
             fingerprint = fnv(fingerprint, g.hist.fingerprint());
             sim_secs = sim_secs.max(g.world.now().as_secs_f64());
             fleet_bytes += g.world.client_state_bytes() + g.arena.heap_bytes() + g.hist.bytes();
+            server_bytes += g.world.server_state_bytes();
             let d = g.world.disk_stats();
             drive.commands += d.reads + d.writes;
             drive.sptf_scores += d.sptf_scores;
@@ -652,6 +658,7 @@ impl FleetWorld {
             mem: FleetMem {
                 fleet_bytes,
                 per_client_bytes,
+                server_bytes,
                 full_host_bytes,
                 reduction: full_host_bytes as f64 / per_client_bytes as f64,
             },

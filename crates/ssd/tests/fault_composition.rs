@@ -51,7 +51,7 @@ fn sector_error_plan_composes_on_flash() {
     for sched in [SchedulerKind::Fcfs, SchedulerKind::NCscan] {
         let mut fs = make_fs(17, sched);
         let mut frng = SimRng::new(17);
-        let ino = fs.create_file(BLOCKS * BS, &mut frng);
+        let ino = fs.create_file(BLOCKS * BS, &mut frng).unwrap();
         let transient_lba = fs.inode(ino).expect("created").lba_of(5);
         let hard_lba = fs.inode(ino).expect("created").lba_of(40);
         let plan = FaultPlan {
@@ -127,7 +127,7 @@ fn flash_reads_are_much_faster_than_a_seeking_disk_would_be() {
     // stack finish in well under a second of simulated time.
     let mut fs = make_fs(23, SchedulerKind::NCscan);
     let mut frng = SimRng::new(23);
-    let ino = fs.create_file(BLOCKS * BS, &mut frng);
+    let ino = fs.create_file(BLOCKS * BS, &mut frng).unwrap();
     let mut order: Vec<u64> = (0..BLOCKS).collect();
     frng.shuffle(&mut order);
     for (i, blk) in order.iter().enumerate() {

@@ -53,7 +53,12 @@ impl LocalBench {
                 "reader count {n} must divide {total_mb}"
             );
             let per = total_mb / n as u64 * 1024 * 1024;
-            let inos: Vec<u64> = (0..n).map(|_| fs.create_file(per, &mut rng)).collect();
+            let inos: Vec<u64> = (0..n)
+                .map(|_| {
+                    fs.create_file(per, &mut rng)
+                        .expect("the partition holds every file")
+                })
+                .collect();
             file_sets.insert(n, inos);
         }
         LocalBench {

@@ -204,8 +204,8 @@ mod tests {
         let mut fs1 = f1;
         let mut fs4 = f4;
         let mut rng = SimRng::new(1);
-        let i1 = fs1.create_file(8_192, &mut rng);
-        let i4 = fs4.create_file(8_192, &mut rng);
+        let i1 = fs1.create_file(8_192, &mut rng).unwrap();
+        let i4 = fs4.create_file(8_192, &mut rng).unwrap();
         let lba1 = fs1.inode(i1).unwrap().lba_of(0);
         let lba4 = fs4.inode(i4).unwrap().lba_of(0);
         let r1 = g1.media_rate(g1.cylinder_of(lba1));
