@@ -366,13 +366,8 @@ impl Controller {
     /// of the same seeded world produce the same fingerprint iff the
     /// controller saw identical windows and drew identical mutations.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = simcore::FNV_BASIS;
+        let mut fold = |x: u64| h = simcore::fnv1a(h, &x.to_le_bytes());
         for d in &self.log {
             fold(d.window);
             fold(match d.action {

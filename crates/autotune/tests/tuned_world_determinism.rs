@@ -8,15 +8,8 @@ use autotune::{Controller, Knobs, TuneConfig, WindowedTuner};
 use diskmodel::{DeviceModel, PartitionTable, SsdParams};
 use ffs::{FileSystem, FsConfig};
 use nfssim::{NfsWorld, WorldConfig};
-use simcore::{SimRng, SimTime};
+use simcore::{fnv1a, SimRng, SimTime, FNV_BASIS};
 use ssd::Ssd;
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 fn small_ssd() -> SsdParams {
     SsdParams {
@@ -61,7 +54,7 @@ fn tuned_trace(seed: u64) -> (u64, u64, usize) {
     let controller = Controller::new(cfg, Knobs::stock(), SimRng::from_seed_and_stream(seed, 0x7));
     let mut tuner = WindowedTuner::new(controller);
 
-    let mut world_fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut world_fp = FNV_BASIS;
     let mut now = SimTime::ZERO;
     let block = 8_192u64;
     // Interleave the four streams block-by-block so the nfsheur table and
@@ -75,8 +68,8 @@ fn tuned_trace(seed: u64) -> (u64, u64, usize) {
                 let mut empty = done.is_empty();
                 for d in &done {
                     tuner.record(d);
-                    fnv(&mut world_fp, d.tag);
-                    fnv(&mut world_fp, d.done_at.as_nanos());
+                    world_fp = fnv1a(world_fp, &d.tag.to_le_bytes());
+                    world_fp = fnv1a(world_fp, &d.done_at.as_nanos().to_le_bytes());
                     empty = false;
                 }
                 tuner.poll(now, &mut w);

@@ -9,10 +9,11 @@
 //! full grid printed in EXPERIMENTS.md. Output is a markdown table and is
 //! byte-identical at any `NFS_BENCH_JOBS` width.
 
+use crate::Level;
 use nfscluster::experiments::{contention_grid, GridScale};
 
-fn main() {
-    let scale = nfs_bench::by_scale(GridScale::quick(), GridScale::full());
+pub fn run(level: Level) {
+    let scale = level.pick(GridScale::quick(), GridScale::full());
     println!(
         "cluster contention grid: ide1, NFS/UDP, {} readers x {} MB per client, {} runs per cell",
         scale.readers, scale.per_client_mb, scale.runs

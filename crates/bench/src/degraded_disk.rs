@@ -10,23 +10,15 @@
 //! count) proving errors are absorbed below the file system within the
 //! bounded retry budget (`MAX_IO_RETRIES`).
 
+use crate::{Level, BASE_SEED, SCHEDULERS};
 use diskfault::{FaultPlan, FaultState};
 use diskmodel::{DriveModel, PartitionTable};
 use ffs::{FileSystem, FsConfig, IoStatus, OpDone, BLOCK_BYTES, MAX_IO_RETRIES};
 use iosched::SchedulerKind;
-use nfs_bench::BASE_SEED;
 use simcore::{SimRng, SimTime};
 use testbed::render_device_line;
 
 const READERS: usize = 4;
-
-const SCHEDULERS: [SchedulerKind; 5] = [
-    SchedulerKind::Fcfs,
-    SchedulerKind::Elevator,
-    SchedulerKind::Scan,
-    SchedulerKind::NCscan,
-    SchedulerKind::Sstf,
-];
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -140,8 +132,8 @@ fn run_cell(sched: SchedulerKind, mode: Mode, per_mb: u64) -> Cell {
     }
 }
 
-fn main() {
-    let per_mb = nfs_bench::by_scale(2, 8);
+pub fn run(level: Level) {
+    let per_mb = level.pick(2, 8);
     println!("degraded-disk matrix: ide1, {READERS} readers x {per_mb} MB, seed {BASE_SEED}");
     println!(
         "{:<10} {:<14} | {:>8} | {:>7} | {:>9} | {:>4} | {:>12}",

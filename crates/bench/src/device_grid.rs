@@ -12,8 +12,8 @@
 //! "Autotune" starts from stock and lets the online hill-climber
 //! (crates/autotune) find its own knobs while the benchmark runs.
 
+use crate::{Level, BASE_SEED};
 use autotune::{Controller, Knobs, TuneConfig, WindowedTuner};
-use nfs_bench::BASE_SEED;
 use nfssim::{NfsWorld, WorldConfig};
 use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
 use simcore::{LogHist, SimDuration, SimRng, SimTime};
@@ -62,7 +62,7 @@ struct Cell {
     note: String,
 }
 
-fn build_world(rig: Rig, mode: Mode, seed: u64) -> NfsWorld {
+fn run_cell(rig: Rig, mode: Mode, workload: Workload, file_mb: u64, seed: u64) -> Cell {
     let cfg = match mode {
         Mode::Static => WorldConfig {
             policy: ReadaheadPolicy::slowdown(),
@@ -71,12 +71,7 @@ fn build_world(rig: Rig, mode: Mode, seed: u64) -> NfsWorld {
         },
         _ => WorldConfig::default(),
     };
-    let fs = rig.build_fs(seed);
-    NfsWorld::new(cfg, fs, seed)
-}
-
-fn run_cell(rig: Rig, mode: Mode, workload: Workload, file_mb: u64, seed: u64) -> Cell {
-    let mut w = build_world(rig, mode, seed);
+    let mut w = NfsWorld::new(cfg, rig.build_fs(seed), seed);
     let size = file_mb * (1 << 20);
     let fhs: Vec<_> = (0..STREAMS).map(|_| w.create_file(size)).collect();
     // Metadata noise: a population of small files whose GETATTR+READ
@@ -188,8 +183,8 @@ fn run_cell(rig: Rig, mode: Mode, workload: Workload, file_mb: u64, seed: u64) -
     Cell { mbs, p99_ms, note }
 }
 
-fn main() {
-    let file_mb = nfs_bench::by_scale(1, 2);
+pub fn run(level: Level) {
+    let file_mb = level.pick(1, 2);
     println!("device grid: {STREAMS} streams x {file_mb} MB per workload, UDP, seed {BASE_SEED}");
     println!(
         "{:<6} {:<13} {:<11} | {:>8} | {:>9} | note",
@@ -220,18 +215,14 @@ fn main() {
 
     // The SlowDown-on-SSD verdict: compare the static paper tricks
     // against stock on each device for the sequential workload.
-    let get = |rig_label: &str, mode: Mode, wl: Workload| {
-        cells
-            .iter()
-            .zip(&rows)
-            .find(|((r, m, w), _)| r.label() == rig_label && *m == mode && *w == wl)
-            .map(|(_, c)| c.mbs)
-            .expect("cell present")
+    let seq = |rig: &str, mode| {
+        let at = |(r, m, w): &(Rig, Mode, Workload)| {
+            r.label() == rig && *m == mode && *w == Workload::Sequential
+        };
+        rows[cells.iter().position(at).expect("cell present")].mbs
     };
-    let hdd_gain = get("ide1", Mode::Static, Workload::Sequential)
-        / get("ide1", Mode::Stock, Workload::Sequential);
-    let ssd_gain = get("tlc1", Mode::Static, Workload::Sequential)
-        / get("tlc1", Mode::Stock, Workload::Sequential);
+    let hdd_gain = seq("ide1", Mode::Static) / seq("ide1", Mode::Stock);
+    let ssd_gain = seq("tlc1", Mode::Static) / seq("tlc1", Mode::Stock);
     println!();
     println!(
         "paper-tricks sequential gain: HDD {hdd_gain:.2}x, SSD {ssd_gain:.2}x — \

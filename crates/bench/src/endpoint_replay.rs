@@ -2,7 +2,7 @@
 //! loopback TCP, with the sim-vs-real differential check inline.
 //!
 //! Where `trace_replay` measures the *simulated* installation end to
-//! end, this binary runs the same server stack behind a real ONC RPC /
+//! end, this experiment runs the same server stack behind a real ONC RPC /
 //! TCP endpoint (`nfsd`), replays seed-derived traces through a real
 //! socket client, and reports two things per workload: the wall-clock
 //! latency the client measured, and whether the server's heuristic and
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use nfs_bench::BASE_SEED;
+use crate::{Level, BASE_SEED};
 use nfsd::{
     bind, build_world, serve, sim_replay, DiffReport, Endpoint, ExportSpec, HeurBooks, NfsClient,
     WallClock,
@@ -44,8 +44,8 @@ fn workloads(blocks: u64) -> Vec<(&'static str, StableHow, Vec<TraceRecord>)> {
     ]
 }
 
-fn main() {
-    let blocks = nfs_bench::by_scale(32, 128);
+pub fn run(level: Level) {
+    let blocks = level.pick(32, 128);
     println!("# Real-socket endpoint replay (loopback TCP, {blocks} blocks/file)\n");
 
     for (i, (name, stable, trace)) in workloads(blocks).into_iter().enumerate() {

@@ -1,137 +1,138 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! The paper's experiments: one registry, run by the `nfs-bench` binary.
 //!
-//! Each `fig*` binary regenerates one figure or table from the paper's
-//! evaluation, prints the measured series, and then prints the paper's
-//! published numbers (exact for Table 1, qualitative landmarks for the
-//! plot-only figures) so the shapes can be compared side by side.
-//!
-//! Scale control: set `NFS_BENCH_SCALE=quick` for an 8x-reduced smoke run;
-//! the default reproduces the paper's workload sizes (256 MB per
-//! iteration, >= 10 runs per point).
+//! [`EXPERIMENTS`] names the paper's Figures 1-8 (`fig8` also prints
+//! Table 1), the ablations and the extensions. Run one, several or `all`
+//! with `cargo run --release -p nfs-bench -- <name>...`; `NFS_BENCH_SCALE`
+//! picks the [`Level`]. Every experiment starts from [`BASE_SEED`], so its
+//! stdout depends on the level alone, except the lines its entry marks
+//! as wall-clock; `tests/quick_transcript.rs` pins each quick transcript.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod perf;
 
-use testbed::experiments::Scale;
-use testbed::Figure;
+mod ablations;
+mod cluster_grid;
+mod degraded_disk;
+mod device_grid;
+mod endpoint_replay;
+mod figures;
+mod metadata_grid;
+mod mixed_workload;
+mod trace_analysis;
+mod trace_replay;
+mod transport_loss;
+mod wireless_slowdown;
+mod write_sync_async;
+
+use figures::*;
+use iosched::SchedulerKind;
+use testbed::experiments as ex;
 
 /// Base seed for all experiments; per-run seeds are derived from it.
 pub const BASE_SEED: u64 = 20030609; // The conference's opening day.
 
-/// Picks a bin's workload size: `quick` when `NFS_BENCH_SCALE=quick`,
-/// `default` otherwise.
-pub fn by_scale<T>(quick: T, default: T) -> T {
-    if std::env::var("NFS_BENCH_SCALE").as_deref() == Ok("quick") {
-        quick
-    } else {
-        default
+/// Every kernel disk scheduler, in the order the scheduler tables print.
+const SCHEDULERS: [SchedulerKind; 5] = [
+    SchedulerKind::Fcfs,
+    SchedulerKind::Elevator,
+    SchedulerKind::Scan,
+    SchedulerKind::NCscan,
+    SchedulerKind::Sstf,
+];
+
+/// How much work an experiment does, from `NFS_BENCH_SCALE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Level {
+    /// `quick`: an 8x-reduced smoke pass (seconds).
+    Quick,
+    /// `report`: half-size figures over the full reader sweep; every
+    /// other experiment at full size.
+    Report,
+    /// `paper` or unset: the paper's sizes (256 MB per iteration, >= 10
+    /// runs per point; minutes).
+    Paper,
+}
+
+impl Level {
+    /// The values `NFS_BENCH_SCALE` accepts.
+    pub const ACCEPTED: &'static str = "unset, quick, report or paper";
+
+    /// Reads `NFS_BENCH_SCALE`. Any value not in [`Level::ACCEPTED`] is an
+    /// error, so a typo cannot silently run paper scale.
+    pub fn from_env() -> Result<Level, String> {
+        match std::env::var("NFS_BENCH_SCALE").as_deref() {
+            Err(std::env::VarError::NotPresent) | Ok("paper") => Ok(Level::Paper),
+            Ok("quick") => Ok(Level::Quick),
+            Ok("report") => Ok(Level::Report),
+            Ok(v) => Err(format!("NFS_BENCH_SCALE={v:?} is not {}", Level::ACCEPTED)),
+            Err(e) => Err(format!("NFS_BENCH_SCALE: {e}")),
+        }
+    }
+
+    /// An experiment's size: `quick` at [`Level::Quick`], else `full`.
+    pub fn pick<T>(self, quick: T, full: T) -> T {
+        if self == Level::Quick {
+            quick
+        } else {
+            full
+        }
     }
 }
 
-/// Prints a regenerated figure followed by the paper's reference block.
-pub fn emit(fig: &Figure, paper_reference: &str) {
-    println!("{}", fig.render());
-    println!("--- paper reference ---");
-    println!("{paper_reference}");
+/// One registered experiment.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The name `nfs-bench` takes on its command line.
+    pub name: &'static str,
+    /// Runs the experiment, printing its transcript to stdout.
+    pub run: fn(Level),
+    /// Prefixes of the stdout lines that report wall-clock measurements
+    /// and so vary between runs; every other line is deterministic.
+    pub wall_clock: &'static [&'static str],
 }
 
-/// The figure scale selected by `NFS_BENCH_SCALE`: `quick`, `report`, or
-/// anything else (paper scale).
-pub fn scale() -> Scale {
-    let s = match std::env::var("NFS_BENCH_SCALE").as_deref() {
-        Ok("quick") => Scale::quick(),
-        Ok("report") => Scale::report(),
-        _ => Scale::paper(),
-    };
-    eprintln!(
-        "# scale: {} MB/iteration, {} runs/point (set NFS_BENCH_SCALE=quick for a fast pass)",
-        s.total_mb, s.runs
-    );
-    s
-}
-
-/// Paper landmarks for Figure 1.
-pub const FIG1_REF: &str = "\
-Figure 1 (plot): ide1 is the fastest curve and ide4 clearly below it
-(outer vs inner cylinders, ~2:3 ZCAV ratio). scsi1/scsi4 sit much lower
-than the IDE curves for >1 reader because tagged queueing is on by
-default, and the ZCAV gap between them is partly obscured. For both
-drives the ZCAV effect exceeds any small filesystem tweak.";
-
-/// Paper landmarks for Figure 2.
-pub const FIG2_REF: &str = "\
-Figure 2 (plot): with tagged queues the single-reader case spikes and
-then falls to ~15 MB/s (scsi1); with tags disabled throughput 'barely
-dips below 27 MB/s' and decreases only slowly with reader count. For
-this workload the kernel elevator beats the on-disk scheduler.";
-
-/// Paper landmarks for Figure 3.
-pub const FIG3_REF: &str = "\
-Figure 3 (plot, 8 readers x 32 MB, 34 runs): Elevator finishes readers
-one after another - ide1 means 1.04s, 1.98s, 2.94s, ... 5.97s (almost a
-factor 6 first-to-last; scsi1/no-tags 1.18s..8.54s). N-CSCAN is nearly
-flat (spread < 20%) but all jobs are much slower: the slowest elevator
-reader still beats the fastest N-CSCAN reader by ~50%. Tagged queues
-are fairer than N-CSCAN but worse in total throughput.";
-
-/// Paper landmarks for Figure 4.
-pub const FIG4_REF: &str = "\
-Figure 4 (plot): NFS/UDP starts around 20+ MB/s for one reader (about
-half the local rate) and drops steadily as readers increase; the ZCAV
-effect is still visible (ide1 above ide4). Disabling tagged queues
-improves scsi1 relative to ide1 as concurrency grows.";
-
-/// Paper landmarks for Figure 5.
-pub const FIG5_REF: &str = "\
-Figure 5 (plot): NFS/TCP is substantially slower than UDP for small
-numbers of readers (roughly 12-15 MB/s) but relatively constant as
-readers increase, roughly paralleling the local filesystem's shape.
-(The paper's unexplained ide 2-reader spike and 1-reader TCP anomaly -
-suspected TCP flow control - are not modelled.)";
-
-/// Paper landmarks for Figure 6.
-pub const FIG6_REF: &str = "\
-Figure 6 (plot, ide1/UDP): Always-Read-ahead and Default coincide up to
-4 readers and diverge beyond - the default heuristic loses read-ahead
-under reordering and nfsheur ejection. On a busy client (4 infinite
-loops) overall throughput is lower; the paper found the Always/Default
-gap counterintuitively *smaller* when busy.";
-
-/// Paper landmarks for Figure 7.
-pub const FIG7_REF: &str = "\
-Figure 7 (plot, ide1/UDP/busy): with the NEW nfsheur table, SlowDown
-matches Always-Read-ahead - and so does the Default heuristic; having
-an entry per active file matters more than the entry being accurate.
-Default with the DEFAULT (tiny) table falls far below for >4 readers.";
-
-/// Paper values for Figure 8 / Table 1 (mean MB/s, stddev in parens).
-pub const TABLE1_REF: &str = "\
-Table 1 (exact, 256 MB file, 10 runs, cache flushed per run):
-  ide1   UDP/Default   7.66 (0.02)   7.83 (0.02)   5.26 (0.02)
-  ide1   UDP/Cursor   11.49 (0.29)  14.15 (0.14)  12.66 (0.43)
-  scsi1  UDP/Default   9.49 (0.03)   8.52 (0.04)   8.21 (0.03)
-  scsi1  UDP/Cursor   15.39 (0.20)  15.38 (0.15)  14.12 (0.46)
-Shape: cursors win everywhere - scsi1 60-70% faster; ide1 50% (s=2) up
-to 140% (s=8) faster; ide1/default dips hardest at s=8.";
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn references_mention_their_landmarks() {
-        assert!(TABLE1_REF.contains("7.66"));
-        assert!(FIG3_REF.contains("5.97"));
-        assert!(FIG2_REF.contains("27 MB/s"));
-    }
-
-    #[test]
-    fn quick_scale_is_smaller() {
-        let q = testbed::experiments::Scale::quick();
-        let p = testbed::experiments::Scale::paper();
-        assert!(q.total_mb < p.total_mb);
-        assert!(q.runs < p.runs);
+/// An experiment whose transcript is wholly simulated.
+const fn sim(name: &'static str, run: fn(Level)) -> Experiment {
+    let wall_clock = &[];
+    Experiment {
+        name,
+        run,
+        wall_clock,
     }
 }
+
+/// Every experiment, in the order `nfs-bench all` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    sim("fig1", |l| show(l, ex::fig1_zcav, FIG1_REF)),
+    sim("fig2", |l| show(l, ex::fig2_tagged_queues, FIG2_REF)),
+    sim("fig3", |l| show(l, ex::fig3_fairness, FIG3_REF)),
+    sim("fig4", |l| show(l, ex::fig4_nfs_udp, FIG4_REF)),
+    sim("fig5", |l| show(l, ex::fig5_nfs_tcp, FIG5_REF)),
+    sim("fig6", |l| show(l, ex::fig6_readahead_potential, FIG6_REF)),
+    sim("fig7", |l| show(l, ex::fig7_slowdown_nfsheur, FIG7_REF)),
+    sim("fig8", fig8),
+    sim("ablation_aging", ablations::aging),
+    sim("ablation_cursors", ablations::cursors),
+    sim("ablation_nfsheur", ablations::nfsheur),
+    sim("ablation_schedulers", ablations::schedulers),
+    sim("ablation_shared_pool", ablations::shared_pool),
+    sim("ablation_slowdown_window", ablations::slowdown_window),
+    sim("cluster_grid", cluster_grid::run),
+    sim("degraded_disk", degraded_disk::run),
+    sim("device_grid", device_grid::run),
+    // Loopback latencies and the time-driven gather-flush count.
+    Experiment {
+        name: "endpoint_replay",
+        run: endpoint_replay::run,
+        wall_clock: &["endpoint ", "gather flushes:"],
+    },
+    sim("metadata_grid", metadata_grid::run),
+    sim("mixed_workload", mixed_workload::run),
+    sim("trace_analysis", trace_analysis::run),
+    sim("trace_replay", trace_replay::run),
+    sim("transport_loss", transport_loss::run),
+    sim("wireless_slowdown", wireless_slowdown::run),
+    sim("write_sync_async", write_sync_async::run),
+];

@@ -16,7 +16,7 @@
 //!   vs the paper's enlarged table), since the burst's small-file reads
 //!   are where the read-ahead heuristic still matters.
 
-use nfs_bench::BASE_SEED;
+use crate::{Level, BASE_SEED};
 use nfssim::WorldConfig;
 use nfstrace::tree::{build_tree, build_workload, tree_walk, BuildSpec};
 use nfstrace::Trace;
@@ -49,8 +49,8 @@ fn row(r: &testbed::ReplayResult) -> String {
     )
 }
 
-fn main() {
-    let spec = nfs_bench::by_scale(
+pub fn run(level: Level) {
+    let spec = level.pick(
         BuildSpec {
             depth: 2,
             dirs_per_dir: 3,
@@ -88,23 +88,18 @@ fn main() {
         "{:<14} | {:>8} {:>8} {:>6} | {:>9} {:>9}",
         "attr cache", "gattr", "hits", "hit%", "mean ms", "elapsed s"
     );
-    let mut off_gattr = 0u64;
-    let mut default_gattr = 0u64;
-    for (tname, min_s, max_s) in TIMEOS {
+    let mut gattr = [0u64; TIMEOS.len()];
+    for ((tname, min_s, max_s), g) in TIMEOS.into_iter().zip(&mut gattr) {
         let r = replay(
             Rig::ide(1),
             config(NfsHeurConfig::freebsd_default(), min_s, max_s),
             &walk,
             BASE_SEED,
         );
-        if tname == "off" {
-            off_gattr = r.getattr_rpcs;
-        }
-        if tname == "3s/60s" {
-            default_gattr = r.getattr_rpcs;
-        }
+        *g = r.getattr_rpcs;
         println!("{:<14} | {}", tname, row(&r));
     }
+    let [off_gattr, default_gattr, _] = gattr;
     if default_gattr > 0 {
         println!(
             "attr-cache payoff at default timeouts: {off_gattr} -> {default_gattr} \

@@ -1,12 +1,12 @@
 //! Extension: the §8 mixed read/write/metadata workload.
 
-use nfs_bench::BASE_SEED;
+use crate::{Level, BASE_SEED};
 use nfssim::WorldConfig;
 use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
 use testbed::{run_mixed, MixRatios, Rig};
 
-fn main() {
-    let (ops, file_mb) = nfs_bench::by_scale((300, 8), (2_000, 64));
+pub fn run(level: Level) {
+    let (ops, file_mb) = level.pick((300, 8), (2_000, 64));
     println!("mixed workload (70% read / 10% write / 20% getattr), 8 readers, ide1/UDP");
     println!("{:<12} | {:>10} | {:>12}", "policy", "ops/s", "read MB/s");
     for policy in [

@@ -8,11 +8,22 @@
 //! crate) and each heuristic is scored on the mean seqcount it sustains
 //! and the fraction of reads it grants read-ahead.
 
-use nfstrace::{analyze, synth};
-use readahead_core::NfsHeurConfig;
+use nfstrace::{analyze, synth, HeuristicQuality, Trace};
+use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
 use simcore::SimRng;
 
-fn main() {
+/// The Default, SlowDown and Cursor heuristics' quality on `trace`, with
+/// the improved table and read-ahead from seqcount 2.
+fn score3(trace: &Trace) -> [HeuristicQuality; 3] {
+    [
+        ReadaheadPolicy::Default,
+        ReadaheadPolicy::slowdown(),
+        ReadaheadPolicy::cursor(),
+    ]
+    .map(|p| analyze::score(trace, &p, NfsHeurConfig::improved(), 2))
+}
+
+pub fn run(_: crate::Level) {
     println!("heuristic quality over synthesized traces (improved nfsheur, threshold 2)");
     println!();
 
@@ -37,14 +48,7 @@ fn main() {
             &mut rng,
         );
         let (trace, _) = synth::reorder(base, f64::from(pct) / 100.0, &mut rng);
-        let all = analyze::score_all(&trace, NfsHeurConfig::improved(), 2);
-        let get = |label: &str| {
-            all.iter()
-                .find(|(l, _)| *l == label)
-                .map(|(_, q)| *q)
-                .expect("scored")
-        };
-        let (d, s, c) = (get("default"), get("slowdown"), get("cursor"));
+        let [d, s, c] = score3(&trace);
         println!(
             "{:>7}% | {:>11.1} {:>11.1}% | {:>11.1} {:>11.1}% | {:>11.1} {:>11.1}%",
             pct,
@@ -66,20 +70,8 @@ fn main() {
     for s in [2u64, 4, 8] {
         let mut rng = SimRng::new(s + 200);
         let trace = synth::stride(s, 2_048, 8_192, 300.0, &mut rng);
-        let all = analyze::score_all(&trace, NfsHeurConfig::improved(), 2);
-        let frac = |label: &str| {
-            all.iter()
-                .find(|(l, _)| *l == label)
-                .map(|(_, q)| q.readahead_fraction * 100.0)
-                .expect("scored")
-        };
-        println!(
-            "{:>8} | {:>11.1}% {:>11.1}% {:>11.1}%",
-            s,
-            frac("default"),
-            frac("slowdown"),
-            frac("cursor")
-        );
+        let [d, sd, c] = score3(&trace).map(|q| q.readahead_fraction * 100.0);
+        println!("{s:>8} | {d:>11.1}% {sd:>11.1}% {c:>11.1}%");
     }
 
     println!();
@@ -100,13 +92,13 @@ fn main() {
         );
         let stock = analyze::score(
             &trace,
-            &readahead_core::ReadaheadPolicy::Default,
+            &ReadaheadPolicy::Default,
             NfsHeurConfig::freebsd_default(),
             2,
         );
         let improved = analyze::score(
             &trace,
-            &readahead_core::ReadaheadPolicy::Default,
+            &ReadaheadPolicy::Default,
             NfsHeurConfig::improved(),
             2,
         );

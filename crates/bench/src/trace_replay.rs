@@ -5,7 +5,7 @@
 //! against a production trace. Complements `trace_analysis`, which scores
 //! the heuristics in isolation.
 
-use nfs_bench::BASE_SEED;
+use crate::{Level, BASE_SEED};
 use nfssim::WorldConfig;
 use nfstrace::{synth, Trace};
 use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
@@ -33,8 +33,8 @@ fn traces(scale_blocks: u64) -> Vec<(&'static str, Trace)> {
     ]
 }
 
-fn main() {
-    let blocks = nfs_bench::by_scale(128, 512);
+pub fn run(level: Level) {
+    let blocks = level.pick(128, 512);
     println!("open-loop trace replay: ide1, NFS/UDP, improved nfsheur");
     println!(
         "{:<16} {:<10} | {:>8} | {:>9} {:>9} {:>9}",

@@ -10,8 +10,8 @@
 //! on a clean LAN — the paper's warning — measures the CPU tax and none
 //! of the recovery behaviour.
 
+use crate::{Level, BASE_SEED};
 use netsim::TransportKind;
-use nfs_bench::BASE_SEED;
 use nfssim::WorldConfig;
 use testbed::{render_tcp_line, ClusterBench, ClusterConfig, Rig};
 
@@ -50,8 +50,8 @@ fn run_cell(transport: TransportKind, frame_loss: f64, total_mb: u64) -> Cell {
     }
 }
 
-fn main() {
-    let total_mb = nfs_bench::by_scale(4, 16);
+pub fn run(level: Level) {
+    let total_mb = level.pick(4, 16);
     println!(
         "transport-loss matrix: ide1, {READERS} readers x {} MB each, seed {BASE_SEED}",
         total_mb / READERS as u64

@@ -7,15 +7,15 @@
 //! that belief: reorder rates are cranked up via link jitter and loss, and
 //! SlowDown's margin over Default is measured.
 
+use crate::{Level, BASE_SEED};
 use netsim::LinkProfile;
-use nfs_bench::BASE_SEED;
 use nfssim::WorldConfig;
 use readahead_core::{NfsHeurConfig, ReadaheadPolicy};
 use testbed::{ClusterBench, ClusterConfig, Rig};
 
-fn main() {
+pub fn run(level: Level) {
     let readers = 8;
-    let total_mb = nfs_bench::by_scale(16, 64);
+    let total_mb = level.pick(16, 64);
     println!("lossy-network extension: ide1, NFS/UDP, {readers} readers");
     println!(
         "{:>10} {:>8} | {:>12} {:>12} {:>10} | {:>9}",
@@ -37,9 +37,8 @@ fn main() {
             };
             let cluster = ClusterConfig::uniform(cfg, 1);
             let mut b = ClusterBench::new(Rig::ide(1), &cluster, &[readers], total_mb, BASE_SEED);
-            let t = b.run(readers).throughput_mbs;
-            let reorder = b.world().server_stats().reorder_fraction();
-            (t, reorder)
+            let mbs = b.run(readers).throughput_mbs;
+            (mbs, b.world().server_stats().reorder_fraction())
         };
         let (d, _) = run(ReadaheadPolicy::Default);
         let (s, reorder) = run(ReadaheadPolicy::slowdown());

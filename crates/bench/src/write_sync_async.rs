@@ -17,7 +17,7 @@
 //! mount: longer windows coalesce more UNSTABLE WRITEs per disk flush
 //! (fewer, larger writes), the §4.1 server-side half of the async path.
 
-use nfs_bench::BASE_SEED;
+use crate::{Level, BASE_SEED};
 use nfsproto::StableHow;
 use nfssim::{NfsWorld, OpId, WorldConfig};
 use simcore::{SimDuration, SimTime};
@@ -32,17 +32,6 @@ struct Cell {
     unstable_writes: u64,
     gather_flushes: u64,
     commit_rpcs: u64,
-}
-
-fn drive_next(world: &mut NfsWorld, now: &mut SimTime) -> SimTime {
-    loop {
-        let t = world.next_event().expect("pending op must progress");
-        let done = world.advance(t);
-        *now = (*now).max(t);
-        if let Some(d) = done.first() {
-            return d.done_at;
-        }
-    }
 }
 
 fn drive_op(world: &mut NfsWorld, id: OpId) -> SimTime {
@@ -68,14 +57,12 @@ fn run_cell(stable_how: StableHow, gather_window: SimDuration, blocks: u64) -> C
     let fs = Rig::ide(1).build_fs(BASE_SEED);
     let mut w = NfsWorld::new(cfg, fs, BASE_SEED);
     let fh = w.create_file(blocks * BS);
-    let mut now = SimTime::ZERO;
     let mut last_write = SimTime::ZERO;
     for i in 0..blocks {
-        w.write_from(0, now, fh, i * BS, BS, i);
-        last_write = drive_next(&mut w, &mut now);
-        now = now.max(last_write);
+        let id = w.write_from(0, last_write, fh, i * BS, BS, i);
+        last_write = drive_op(&mut w, id);
     }
-    let id = w.close_from(0, now, fh, blocks);
+    let id = w.close_from(0, last_write, fh, blocks);
     let durable_at = drive_op(&mut w, id);
     let mb = (blocks * BS) as f64 / (1024.0 * 1024.0);
     let c = w.client_stats_for(0);
@@ -103,8 +90,8 @@ fn print_row(label: &str, c: &Cell) {
     );
 }
 
-fn main() {
-    let blocks: u64 = nfs_bench::by_scale(256, 1024); // 2 MB or 8 MB
+pub fn run(level: Level) {
+    let blocks: u64 = level.pick(256, 1024); // 2 MB or 8 MB
     let mb = (blocks * BS) as f64 / (1024.0 * 1024.0);
     println!("sync-vs-async write trap: ide1, {mb:.0} MB sequential 8 KB writes, seed {BASE_SEED}");
     println!(

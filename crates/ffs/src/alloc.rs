@@ -332,12 +332,12 @@ mod tests {
         let mut f = a.create_file(4 * 1024 * 1024, &mut rng).unwrap();
         let g = a.create_file(64 * 1024, &mut rng).unwrap();
         a.extend_file(&mut f, 5 * 1024 * 1024, &mut rng).unwrap();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for lba in layout(&f).into_iter().chain(layout(&g)) {
-            for b in lba.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        }
+        let h = layout(&f)
+            .into_iter()
+            .chain(layout(&g))
+            .fold(simcore::FNV_BASIS, |h, lba| {
+                simcore::fnv1a(h, &lba.to_le_bytes())
+            });
         assert_eq!(h, 0xd1ed_5568_d331_715d);
     }
 

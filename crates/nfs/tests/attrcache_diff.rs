@@ -15,7 +15,7 @@ use ffs::FsConfig;
 use iosched::SchedulerKind;
 use nfsproto::{FileHandle, NfsCall, StableHow};
 use nfssim::{NfsWorld, WorldConfig};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{fnv1a, SimDuration, SimRng, SimTime, FNV_BASIS};
 
 /// Cache-off baseline: the metadata storm below on the default world;
 /// `(seed, FNV over the client + server metadata books and final sim
@@ -25,13 +25,6 @@ const CACHE_OFF_META_STORM: [(u64, u64); 3] = [
     (2, 0x0351_b4c5_f1c2_c92b),
     (3, 0x6b44_91ef_27e9_add8),
 ];
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 fn make_world(config: WorldConfig, seed: u64) -> NfsWorld {
     let disk = DriveModel::WdWd200bbIde.build(SimRng::new(seed));
@@ -125,7 +118,7 @@ fn meta_storm(config: WorldConfig, seed: u64) -> (NfsWorld, Vec<FileHandle>) {
 fn storm_fingerprint(w: &NfsWorld) -> u64 {
     let c = w.client_stats_for(0);
     let s = w.server_stats();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_BASIS;
     for v in [
         c.ops,
         c.cache_hits,
@@ -154,7 +147,7 @@ fn storm_fingerprint(w: &NfsWorld) -> u64 {
         s.replies,
         w.now().as_nanos(),
     ] {
-        fnv(&mut h, v);
+        h = fnv1a(h, &v.to_le_bytes());
     }
     h
 }

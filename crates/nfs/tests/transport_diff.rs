@@ -13,7 +13,7 @@ use iosched::SchedulerKind;
 use netsim::{LinkProfile, OneWayLink, TcpStream, Transport, TransportKind, TxOutcome};
 use nfsproto::FileHandle;
 use nfssim::{NfsWorld, WorldConfig};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{fnv1a, SimDuration, SimRng, SimTime, FNV_BASIS};
 
 /// Pre-PR world-level baseline: zero-loss TCP, 4 MB sequential read,
 /// default config; `(seed, throughput f64 bits, FNV over the client
@@ -27,13 +27,6 @@ const PRE_ENGINE_WORLD: [(u64, u64, u64); 3] = [
 /// Pre-PR stream-level baseline: FNV over 200 zero-loss delivery times on
 /// the standard LAN profile (jitter on, loss zero), fixed send schedule.
 const PRE_ENGINE_STREAM_FP: u64 = 0x23e9_f1a9_15af_78a1;
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 fn make_world(config: WorldConfig, seed: u64) -> NfsWorld {
     let disk = DriveModel::WdWd200bbIde.build(SimRng::new(seed));
@@ -72,7 +65,7 @@ fn world_run(transport: TransportKind, seed: u64) -> (u64, u64) {
     let fh = w.create_file(size);
     let mbs = sequential_read(&mut w, fh, size);
     let s = w.client_stats_for(0);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_BASIS;
     for v in [
         s.ops,
         s.cache_hits,
@@ -87,7 +80,7 @@ fn world_run(transport: TransportKind, seed: u64) -> (u64, u64) {
         s.eio_replies,
         w.now().as_nanos(),
     ] {
-        fnv(&mut h, v);
+        h = fnv1a(h, &v.to_le_bytes());
     }
     (mbs.to_bits(), h)
 }
@@ -118,13 +111,13 @@ fn zero_loss_tcp_stream_delivery_times_match_the_pre_engine_baseline() {
         SimDuration::from_micros(200),
         SimRng::new(42),
     );
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_BASIS;
     for i in 0..200u64 {
         // Mix of small calls and rsize-like replies, some back to back.
         let bytes = if i % 3 == 0 { 8_300 } else { 180 };
         let now = SimTime::from_nanos(i * 250_000);
         match t.send(now, bytes) {
-            TxOutcome::Delivered(at) => fnv(&mut h, at.as_nanos()),
+            TxOutcome::Delivered(at) => h = fnv1a(h, &at.as_nanos().to_le_bytes()),
             other => panic!("send {i}: zero-loss TCP must resolve inline, got {other:?}"),
         }
         assert_eq!(t.next_timer(), None, "send {i}: clean stream armed a timer");

@@ -13,7 +13,7 @@ use ffs::FsConfig;
 use iosched::SchedulerKind;
 use nfsproto::{FileHandle, StableHow};
 use nfssim::{NfsWorld, OpId, WorldConfig};
-use simcore::{SimRng, SimTime};
+use simcore::{fnv1a, SimRng, SimTime, FNV_BASIS};
 
 /// Pre-PR baseline: 2 MB of sequential FILE_SYNC writes + 1 MB read-back
 /// on the default world; `(seed, FNV over the client books + final sim
@@ -23,13 +23,6 @@ const PRE_ASYNC_SYNC_WRITE: [(u64, u64); 3] = [
     (2, 0x14fc_2fe3_cea5_52e7),
     (3, 0xcf59_8a68_aac9_5b10),
 ];
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 fn make_world(config: WorldConfig, seed: u64) -> NfsWorld {
     let disk = DriveModel::WdWd200bbIde.build(SimRng::new(seed));
@@ -76,7 +69,7 @@ fn sync_write_run(seed: u64) -> u64 {
         now = drive_next(&mut w, &mut now);
     }
     let s = w.client_stats_for(0);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_BASIS;
     for v in [
         s.ops,
         s.cache_hits,
@@ -91,7 +84,7 @@ fn sync_write_run(seed: u64) -> u64 {
         s.eio_replies,
         w.now().as_nanos(),
     ] {
-        fnv(&mut h, v);
+        h = fnv1a(h, &v.to_le_bytes());
     }
     h
 }

@@ -26,7 +26,7 @@
 use diskfault::{FaultPlan, FaultState};
 use nfsproto::FileHandle;
 use nfssim::{NfsWorld, OpDone, OpOutcome, WorldConfig};
-use simcore::{LogHist, SimDuration, SimRng, SimTime, Tally};
+use simcore::{fnv1a, LogHist, SimDuration, SimRng, SimTime, Tally, FNV_BASIS};
 use simfleet::{run_sharded, ShardRunStats, ShardWorld};
 use testbed::{ClusterConfig, Rig, PROC_CPU};
 
@@ -45,15 +45,6 @@ fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// FNV-1a fold, the same mixing simtest fingerprints use.
-fn fnv(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Everything tunable about a fleet run. Plain data; a fleet run is a
@@ -380,11 +371,11 @@ impl ShardWorld for FleetGroup {
             self.world.advance_into(t, &mut completed);
             for done in completed.drain(..) {
                 let slot = done.tag as usize;
-                self.fp = fnv(self.fp, u64::from(self.arena.id[slot]));
-                self.fp = fnv(self.fp, done.done_at.as_nanos());
+                self.fp = fnv1a(self.fp, &u64::from(self.arena.id[slot]).to_le_bytes());
+                self.fp = fnv1a(self.fp, &done.done_at.as_nanos().to_le_bytes());
                 match done.outcome {
                     OpOutcome::Ok => {
-                        self.fp = fnv(self.fp, 1);
+                        self.fp = fnv1a(self.fp, &1u64.to_le_bytes());
                         self.books.ok += 1;
                         self.complete(slot, done.done_at);
                     }
@@ -392,14 +383,14 @@ impl ShardWorld for FleetGroup {
                         // Failed read: charge the latency, skip the block,
                         // keep going — a fleet client retries past bad
                         // sectors rather than wedging its slot.
-                        self.fp = fnv(self.fp, 2);
+                        self.fp = fnv1a(self.fp, &2u64.to_le_bytes());
                         self.books.eio += 1;
                         self.complete(slot, done.done_at);
                     }
                     _ => {
                         // RPC timeout: the mount is dead for this client;
                         // retire it so the fleet drains.
-                        self.fp = fnv(self.fp, 3);
+                        self.fp = fnv1a(self.fp, &3u64.to_le_bytes());
                         self.books.timed_out += 1;
                         self.arena.release(slot);
                         self.inflight -= 1;
@@ -587,7 +578,7 @@ impl FleetWorld {
                     shed_max: cfg.shed_max,
                     hist: LogHist::new(),
                     books: GroupBooks::default(),
-                    fp: 0xcbf2_9ce4_8422_2325,
+                    fp: FNV_BASIS,
                     epoch_lat_sum: 0,
                     epoch_lat_n: 0,
                     done: Vec::new(),
@@ -614,7 +605,7 @@ impl FleetWorld {
 
         let mut hist = LogHist::new();
         let mut books = GroupBooks::default();
-        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
+        let mut fingerprint = FNV_BASIS;
         let mut sim_secs = 0.0f64;
         let mut fleet_bytes = 0usize;
         let mut server_bytes = 0usize;
@@ -622,9 +613,9 @@ impl FleetWorld {
         for g in &self.groups {
             hist.merge(&g.hist);
             books.tally(&g.books);
-            fingerprint = fnv(fingerprint, g.gid as u64);
-            fingerprint = fnv(fingerprint, g.fp);
-            fingerprint = fnv(fingerprint, g.hist.fingerprint());
+            fingerprint = fnv1a(fingerprint, &(g.gid as u64).to_le_bytes());
+            fingerprint = fnv1a(fingerprint, &g.fp.to_le_bytes());
+            fingerprint = fnv1a(fingerprint, &g.hist.fingerprint().to_le_bytes());
             sim_secs = sim_secs.max(g.world.now().as_secs_f64());
             fleet_bytes += g.world.client_state_bytes() + g.arena.heap_bytes() + g.hist.bytes();
             server_bytes += g.world.server_state_bytes();

@@ -13,7 +13,8 @@
 //! * [`LogHist`] — a streaming log-bucketed latency histogram with bounded
 //!   memory and exact shard merging, for tail quantiles at fleet scale;
 //! * [`FastMap`] / [`FastSet`] — hash containers with a fixed, fast hasher
-//!   for keys the simulator allocates itself;
+//!   for keys the simulator allocates itself, and [`fnv1a`], the one fold
+//!   behind every fingerprint;
 //! * [`IdWindow`] / [`Waitlist`] — an indexed map for ids issued in
 //!   increasing order, and a wait list whose first entry lives inline;
 //! * [`counters!`] / [`Tally`] — stats structs declared once, with the
@@ -43,7 +44,7 @@ mod time;
 mod window;
 
 pub use event::EventQueue;
-pub use hash::{FastMap, FastSet, FxHasher};
+pub use hash::{fnv1a, FastMap, FastSet, FxHasher, FNV_BASIS};
 pub use rng::{SampleRange, SimRng, UniformSample};
 pub use stats::{quantile, LogHist, OnlineStats, Summary};
 pub use tally::Tally;

@@ -309,18 +309,11 @@ impl LogHist {
     /// Order-stable FNV-1a fingerprint over the non-empty buckets; equal
     /// histograms (however built) fingerprint identically.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        fold(self.total);
+        let fold = |h, x: u64| crate::fnv1a(h, &x.to_le_bytes());
+        let mut h = fold(crate::FNV_BASIS, self.total);
         for (i, &c) in self.counts.iter().enumerate() {
             if c != 0 {
-                fold(i as u64);
-                fold(c);
+                h = fold(fold(h, i as u64), c);
             }
         }
         h

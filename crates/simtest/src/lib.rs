@@ -92,7 +92,7 @@ use ffs::BioStats;
 use netsim::{LinkProfile, LinkStats, TransportKind};
 use nfsproto::{FileHandle, StableHow};
 use nfssim::{BlockState, ClientStats, NfsWorld, OpId, OpOutcome, ServerStats, WorldConfig, NFSDS};
-use simcore::{LogHist, SimDuration, SimRng, SimTime, Tally};
+use simcore::{fnv1a, LogHist, SimDuration, SimRng, SimTime, Tally, FNV_BASIS};
 use testbed::{ClusterConfig, Rig};
 
 /// Batches per run without disk faults: seven fault batches (one per
@@ -552,14 +552,6 @@ struct Books {
     steps: u64,
 }
 
-fn mix(fp: &mut u64, v: u64) {
-    // FNV-1a over the 8 bytes of `v`.
-    for b in v.to_le_bytes() {
-        *fp ^= u64::from(b);
-        *fp = fp.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Drains events, checking the per-event oracles (bounded progress,
 /// monotone time, op accounting) and folding each completion into the
 /// fingerprint. With a `horizon` the drain stops *before* the first event
@@ -648,10 +640,9 @@ where
                     u64::from(xid) << 2 | 2
                 }
             };
-            mix(&mut bk.fp, d.id.0);
-            mix(&mut bk.fp, d.tag);
-            mix(&mut bk.fp, d.done_at.as_nanos());
-            mix(&mut bk.fp, outcome_code);
+            for v in [d.id.0, d.tag, d.done_at.as_nanos(), outcome_code] {
+                bk.fp = fnv1a(bk.fp, &v.to_le_bytes());
+            }
             done.push((d.id, outcome_code == 0));
         }
     }
@@ -884,7 +875,7 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
         timed_out_ops: 0,
         eio_ops: 0,
         next_tag: 0,
-        fp: 0xcbf2_9ce4_8422_2325u64,
+        fp: FNV_BASIS,
         last_now: SimTime::ZERO,
         steps: 0,
     };
@@ -1601,13 +1592,13 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
         s.reordered,
         bk.last_now.as_nanos(),
     ] {
-        mix(&mut bk.fp, v);
+        bk.fp = fnv1a(bk.fp, &v.to_le_bytes());
     }
     if spec.disk_faults {
         // Disk-fault runs fold the error books into the fingerprint too.
         // Conditional so disk-free fingerprints stay pinned.
         for v in [bio.error_completions, bio.retries, bio.eio, s.disk_eios] {
-            mix(&mut bk.fp, v);
+            bk.fp = fnv1a(bk.fp, &v.to_le_bytes());
         }
     }
     if spec.workload == Workload::WriteLoss {
@@ -1627,7 +1618,7 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
             c.verifier_mismatches,
             c.blocks_rewritten,
         ] {
-            mix(&mut bk.fp, v);
+            bk.fp = fnv1a(bk.fp, &v.to_le_bytes());
         }
     }
     if spec.workload == Workload::MetaStorm {
@@ -1647,7 +1638,7 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
             s.lookups,
             s.readdirs,
         ] {
-            mix(&mut bk.fp, v);
+            bk.fp = fnv1a(bk.fp, &v.to_le_bytes());
         }
     }
     if plan.transport == TransportKind::Tcp {
@@ -1665,7 +1656,7 @@ fn execute(spec: &Spec) -> Result<RunReport, OracleFailure> {
             tsum.rto_backoffs,
             tsum.lost_tracked,
         ] {
-            mix(&mut bk.fp, v);
+            bk.fp = fnv1a(bk.fp, &v.to_le_bytes());
         }
     }
 

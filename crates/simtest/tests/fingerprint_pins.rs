@@ -5,19 +5,9 @@
 //! fast path stopped being the old world.
 
 use netsim::TransportKind;
+use simcore::{fnv1a, FNV_BASIS};
 use simtest::{Spec, Workload};
 use testbed::experiments::{fig6_readahead_potential, Scale};
-
-/// FNV-1a of the figure's Debug rendering (f64 Debug round-trips exactly,
-/// so equal hashes mean equal bits in every mean and stddev).
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 const FIG6_QUICK_SEED7: u64 = 0x7f63_4807_1959_5f6f;
 
@@ -89,7 +79,10 @@ fn figure6_bits_are_pinned_at_both_job_widths() {
         let fig = format!("{:?}", fig6_readahead_potential(Scale::quick(), 7));
         simfleet::set_jobs_override(None);
         assert_eq!(
-            fnv(&fig),
+            // FNV-1a of the figure's Debug rendering (f64 Debug round-trips
+            // exactly, so equal hashes mean equal bits in every mean and
+            // stddev).
+            fnv1a(FNV_BASIS, fig.as_bytes()),
             FIG6_QUICK_SEED7,
             "figure 6 (quick, seed 7) bits moved at jobs={jobs}"
         );

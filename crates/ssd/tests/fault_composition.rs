@@ -122,7 +122,7 @@ fn sector_error_plan_composes_on_flash() {
 
 #[test]
 fn flash_reads_are_much_faster_than_a_seeking_disk_would_be() {
-    // Not a comparison against the HDD (that's the grid bin's job) —
+    // Not a comparison against the HDD (that's the `device_grid` experiment's job) —
     // just a sanity bound: 64 scattered 8 KB reads through the full fs
     // stack finish in well under a second of simulated time.
     let mut fs = make_fs(23, SchedulerKind::NCscan);

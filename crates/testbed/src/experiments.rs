@@ -216,18 +216,17 @@ fn nfs_figure(scale: Scale, seed: u64, title: &str, transport: TransportKind) ->
         transport,
         ..WorldConfig::default()
     };
-    let configs: Vec<((Rig, WorldConfig), String)> = [
-        (Rig::ide(1), base, "ide1"),
-        (Rig::ide(4), base, "ide4"),
-        (Rig::scsi(1), base, "scsi1"),
-        (Rig::scsi(4), base, "scsi4"),
-        (Rig::ide(1), base, "ide1 / no tags"), // ide has no tags anyway; kept for parity
-        (Rig::scsi(1).no_tags(), base, "scsi1 / no tags"),
+    let cluster = ClusterConfig::uniform(base, 1);
+    let configs: Vec<(Rig, String)> = [
+        (Rig::ide(1), "ide1"),
+        (Rig::ide(4), "ide4"),
+        (Rig::scsi(1), "scsi1"),
+        (Rig::scsi(4), "scsi4"),
+        (Rig::scsi(1).no_tags(), "scsi1 / no tags"),
     ]
-    .map(|(rig, cfg, l)| ((rig, cfg), l.to_string()))
+    .map(|(rig, l)| (rig, l.to_string()))
     .into();
-    let series = throughput_matrix(scale, &configs, |(rig, cfg), n, r| {
-        let cluster = ClusterConfig::uniform(*cfg, 1);
+    let series = throughput_matrix(scale, &configs, |rig, n, r| {
         let mut b = ClusterBench::new(*rig, &cluster, scale.readers, scale.total_mb, seed + r);
         b.run(n).throughput_mbs
     });

@@ -64,24 +64,6 @@ pub fn score(
     }
 }
 
-/// Convenience: scores the four policies of the paper on one trace,
-/// returning `(label, quality)` pairs in presentation order.
-pub fn score_all(
-    trace: &Trace,
-    table: NfsHeurConfig,
-    threshold: u32,
-) -> Vec<(&'static str, HeuristicQuality)> {
-    [
-        ReadaheadPolicy::Always,
-        ReadaheadPolicy::Default,
-        ReadaheadPolicy::slowdown(),
-        ReadaheadPolicy::cursor(),
-    ]
-    .iter()
-    .map(|p| (p.label(), score(trace, p, table, threshold)))
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,13 +164,16 @@ mod tests {
     #[test]
     fn nobody_enables_readahead_on_random_traces() {
         let t = synth::random(10_000, 2_000, 8_192, &mut SimRng::new(6));
-        for (label, q) in score_all(&t, NfsHeurConfig::improved(), 2) {
-            if label == "always" {
-                continue;
-            }
+        for p in [
+            ReadaheadPolicy::Default,
+            ReadaheadPolicy::slowdown(),
+            ReadaheadPolicy::cursor(),
+        ] {
+            let q = score(&t, &p, NfsHeurConfig::improved(), 2);
             assert!(
                 q.readahead_fraction < 0.1,
-                "{label} wasted read-ahead on randomness: {q:?}"
+                "{} wasted read-ahead on randomness: {q:?}",
+                p.label()
             );
         }
     }

@@ -20,7 +20,7 @@ pub mod tree;
 mod record;
 mod text;
 
-pub use analyze::{score, score_all, HeuristicQuality};
+pub use analyze::{score, HeuristicQuality};
 pub use record::{Trace, TraceOp, TraceRecord};
 pub use text::{from_text, to_text, ParseError};
 pub use tree::{build_tree, build_workload, compile_burst, tree_walk, BuildSpec, Tree};
