@@ -102,14 +102,14 @@ fn tuner_changes_knobs_and_stays_deterministic() {
 /// knob bound or tail scale.
 #[test]
 fn tuned_traces_are_pinned() {
-    assert_eq!(
-        tuned_trace(42),
-        (0x5980_64a8_0da8_4319, 0xbcfe_256a_6f8c_e4d4, 87)
-    );
-    assert_eq!(
-        tuned_trace(43),
-        (0x4cc0_770d_315b_96a2, 0x2ef8_bb36_b8a5_d9b5, 87)
-    );
+    let mut pinned = Vec::new();
+    for seed in [42, 43] {
+        let (world, tuner, decisions) = tuned_trace(seed);
+        pinned.push((format!("seed{seed}.world"), pins::hex(world)));
+        pinned.push((format!("seed{seed}.tuner"), pins::hex(tuner)));
+        pinned.push((format!("seed{seed}.decisions"), decisions.to_string()));
+    }
+    pins::check("autotune_tuned_traces", pinned);
 }
 
 #[test]

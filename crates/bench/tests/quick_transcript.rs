@@ -4,44 +4,15 @@
 //! Each experiment runs as `nfs-bench <name>` with `NFS_BENCH_SCALE=quick`
 //! and whatever `NFS_BENCH_JOBS` the test itself runs under (the output
 //! must not depend on it). Its stdout, less the lines its registry entry
-//! marks as wall-clock, folds into one FNV-1a hash. A change that moves a
-//! printed digit fails here; once the move is meant, the failure's
-//! replacement table is pasted over [`PINS`].
+//! marks as wall-clock, folds into one FNV-1a hash, pinned in `pins.txt`
+//! as `quick_transcript.<name>`. A change that moves a printed digit fails
+//! here; once the move is meant, `cargo run -p pins` re-pins it.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
 use nfs_bench::{Level, EXPERIMENTS};
 use simcore::{fnv1a, FNV_BASIS};
-
-/// Quick transcript hash per experiment.
-const PINS: &[(&str, u64)] = &[
-    ("fig1", 0x7bb0_9771_4ceb_415c),
-    ("fig2", 0x467a_2ce4_d78b_7d6c),
-    ("fig3", 0xbac6_951a_7585_5a97),
-    ("fig4", 0x8c39_36ad_d750_a587),
-    ("fig5", 0x7c8b_08db_ccaa_9e98),
-    ("fig6", 0x6915_3fef_539e_fc8f),
-    ("fig7", 0xfe05_5fab_6479_e07a),
-    ("fig8", 0x93cf_150a_8db1_4ea9),
-    ("ablation_aging", 0xcc96_e31c_bb35_b616),
-    ("ablation_cursors", 0x1ba0_dcf0_51af_76dd),
-    ("ablation_nfsheur", 0xd413_00c2_3e1d_1e67),
-    ("ablation_schedulers", 0x341e_6f0b_a69f_2ca3),
-    ("ablation_shared_pool", 0x9a45_168b_ce87_0cc2),
-    ("ablation_slowdown_window", 0x84c4_7aa8_b959_c459),
-    ("cluster_grid", 0xf715_1c11_b256_7d56),
-    ("degraded_disk", 0x561f_e30c_0fc9_e495),
-    ("device_grid", 0x4415_f047_41d1_400a),
-    ("endpoint_replay", 0x9074_50a6_1b6b_25ea),
-    ("metadata_grid", 0xe594_7bc2_c9e4_387a),
-    ("mixed_workload", 0xa93a_b908_d0ab_3b4a),
-    ("trace_analysis", 0x4b50_0c8c_335f_e90b),
-    ("trace_replay", 0xa825_85ff_1fe0_f0f8),
-    ("transport_loss", 0xbc8c_facc_9747_92b4),
-    ("wireless_slowdown", 0x6618_0560_3d12_790e),
-    ("write_sync_async", 0x6acb_9cd9_025a_73ad),
-];
 
 fn nfs_bench(args: &[&str], scale: Option<&str>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_nfs-bench"));
@@ -53,14 +24,9 @@ fn nfs_bench(args: &[&str], scale: Option<&str>) -> Output {
     cmd.output().expect("spawn nfs-bench")
 }
 
-fn hex(h: u64) -> String {
-    let s = format!("{h:016x}");
-    format!("0x{}_{}_{}_{}", &s[..4], &s[4..8], &s[8..12], &s[12..])
-}
-
 #[test]
 fn every_experiment_prints_its_pinned_quick_transcript() {
-    let (mut report, mut table, mut moved) = (String::new(), String::new(), false);
+    let mut pinned = Vec::new();
     for e in EXPERIMENTS {
         let out = nfs_bench(&[e.name], Some("quick"));
         assert!(
@@ -74,23 +40,9 @@ fn every_experiment_prints_its_pinned_quick_transcript() {
             .split_inclusive(|&b| b == b'\n')
             .filter(|line| !e.wall_clock.iter().any(|p| line.starts_with(p.as_bytes())))
             .fold(FNV_BASIS, fnv1a);
-        let pin = PINS.iter().find(|(name, _)| *name == e.name).map(|p| p.1);
-        let old = pin.map_or("unpinned".to_string(), hex);
-        let mark = if pin == Some(hash) { "" } else { "  MOVED" };
-        moved |= pin != Some(hash);
-        report += &format!("  {:<26} {old} -> {}{mark}\n", e.name, hex(hash));
-        table += &format!("    (\"{}\", {}),\n", e.name, hex(hash));
+        pinned.push((e.name, pins::hex(hash)));
     }
-    let stale: Vec<&str> = PINS
-        .iter()
-        .map(|p| p.0)
-        .filter(|name| !EXPERIMENTS.iter().any(|e| e.name == *name))
-        .collect();
-    assert!(
-        !moved && stale.is_empty(),
-        "quick transcripts (old -> new):\n{report}pins of unregistered experiments: \
-         {stale:?}\nreplacement PINS:\n{table}"
-    );
+    pins::check("quick_transcript", pinned);
 }
 
 #[test]

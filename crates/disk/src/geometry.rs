@@ -224,22 +224,6 @@ impl DiskGeometry {
     pub fn sector_time_secs(&self, cyl: u64) -> f64 {
         self.revolution_secs() / self.sectors_per_track(cyl) as f64
     }
-
-    /// Number of track boundaries crossed by a transfer of `sectors`
-    /// starting at `lba` (each costs a head/cylinder switch).
-    pub fn track_crossings(&self, lba: Lba, sectors: u64) -> u64 {
-        if sectors == 0 {
-            return 0;
-        }
-        let first = self.lba_to_chs(lba);
-        let last = self.lba_to_chs(lba + sectors - 1);
-        let track_index = |c: Chs| {
-            // Tracks are numbered consecutively across zones; approximate by
-            // cylinder * heads + head, which is exact for crossing counts.
-            c.cylinder * self.heads + c.head
-        };
-        track_index(last) - track_index(first)
-    }
 }
 
 #[cfg(test)]
@@ -368,16 +352,6 @@ mod tests {
         let g = tiny();
         assert_eq!(g.angle_of(g.lba_to_chs(0)), 0.0);
         assert!((g.angle_of(g.lba_to_chs(50)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn track_crossings_counts_boundaries() {
-        let g = tiny();
-        assert_eq!(g.track_crossings(0, 50), 0);
-        assert_eq!(g.track_crossings(0, 101), 1);
-        assert_eq!(g.track_crossings(0, 201), 2);
-        assert_eq!(g.track_crossings(95, 10), 1);
-        assert_eq!(g.track_crossings(0, 0), 0);
     }
 
     #[test]

@@ -9,27 +9,19 @@
 //! the cache's hit/miss counters, seeks, media reads and busy time, so it
 //! moves if a hit turns into a miss, if an LRU stamp lands on a different
 //! segment (a later eviction differs), or if any service time changes. The
-//! constants were captured before the drive cached request geometry and
-//! segment reach.
+//! `disk_cache_*` values in `pins.txt` were captured before the drive
+//! cached request geometry and segment reach.
 
 use std::collections::VecDeque;
 
 use diskmodel::{Disk, DiskRequest, DriveModel};
-use simcore::{SimDuration, SimRng, SimTime};
+use pins::fold;
+use simcore::{SimDuration, SimRng, SimTime, FNV_BASIS};
 
 const REQUESTS: u64 = 4_000;
 /// More streams than the SCSI drive's 16 segments (and the IDE drive's 7),
 /// so segments are replaced while streams are still live.
 const STREAMS: u64 = 20;
-
-/// `(seed, fingerprint)` for the SCSI drive at its default tag depth.
-const SCSI: [(u64, u64); 2] = [(1, 0x6401_2eef_8d04_4f05), (2, 0x1f08_90b0_f04f_750b)];
-/// `(seed, fingerprint)` for the IDE drive (one command at a time).
-const IDE: [(u64, u64); 2] = [(1, 0xce55_c30e_51c3_90a5), (2, 0x6d4c_1c8c_1c50_8ba1)];
-
-fn fold(h: u64, x: u64) -> u64 {
-    (h.rotate_left(23) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
 
 /// The host's streams: each one's next LBA, and the stream it is
 /// currently reading (streams run in bursts, so a segment gets hits before
@@ -89,7 +81,7 @@ fn fingerprint(model: DriveModel, seed: u64, mean_gap_s: f64) -> u64 {
     let mut host: VecDeque<DiskRequest> = VecDeque::new();
     let mut issued = 0u64;
     let mut next_arrival = SimTime::ZERO;
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut fp = FNV_BASIS;
     let mut completed = 0u64;
     while completed < REQUESTS {
         let arrival = (issued < REQUESTS).then_some(next_arrival);
@@ -128,18 +120,23 @@ fn fingerprint(model: DriveModel, seed: u64, mean_gap_s: f64) -> u64 {
     fold(fp, stats.busy.as_nanos())
 }
 
-#[test]
-fn scsi_segment_cache_is_pinned() {
-    for (seed, pinned) in SCSI {
-        let fp = fingerprint(DriveModel::IbmDdysScsi, seed, 0.003);
-        assert_eq!(fp, pinned, "seed {seed}: fingerprint {fp:#018x} moved");
-    }
+/// Pins seeds 1 and 2 of `model` as `seed<n>` in `suite`.
+fn check(suite: &str, model: DriveModel, mean_gap_s: f64) {
+    let fps = [1, 2].map(|seed| {
+        let fp = fingerprint(model, seed, mean_gap_s);
+        (format!("seed{seed}"), pins::hex(fp))
+    });
+    pins::check(suite, fps);
 }
 
+/// The SCSI drive at its default tag depth.
+#[test]
+fn scsi_segment_cache_is_pinned() {
+    check("disk_cache_scsi", DriveModel::IbmDdysScsi, 0.003);
+}
+
+/// The IDE drive (one command at a time).
 #[test]
 fn ide_segment_cache_is_pinned() {
-    for (seed, pinned) in IDE {
-        let fp = fingerprint(DriveModel::WdWd200bbIde, seed, 0.006);
-        assert_eq!(fp, pinned, "seed {seed}: fingerprint {fp:#018x} moved");
-    }
+    check("disk_cache_ide", DriveModel::WdWd200bbIde, 0.006);
 }

@@ -3,27 +3,21 @@
 //! streams (cache hits), random reads and random writes faster than it can
 //! serve them, so `choose` picks among a deep queue on most dispatches.
 //!
-//! The `DEPTH_64` constants were captured while `choose` still scored both
-//! candidates of every `min_by` comparison. Scoring each candidate once
-//! must keep every completion's id and time.
+//! The `disk_tcq_depth64` values in `pins.txt` were captured while
+//! `choose` still scored both candidates of every `min_by` comparison.
+//! Scoring each candidate once must keep every completion's id and time.
 
 use std::collections::VecDeque;
 
 use diskmodel::{Disk, DiskRequest, DriveModel};
-use simcore::{SimDuration, SimRng, SimTime};
+use pins::fold;
+use simcore::{SimDuration, SimRng, SimTime, FNV_BASIS};
 
 const REQUESTS: u64 = 4_000;
 const STREAMS: u64 = 8;
 /// Mean gap between arrivals; the drive needs several times longer per
 /// random command, so the host keeps the tag queue full.
 const MEAN_GAP_S: f64 = 0.002;
-
-/// `(seed, fingerprint over every completion's id and time)`.
-const DEPTH_64: [(u64, u64); 2] = [(1, 0xe12b_03a9_41d9_2bc7), (2, 0x8aeb_fc1d_2b54_3ea9)];
-
-fn fold(h: u64, x: u64) -> u64 {
-    (h.rotate_left(23) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
 
 fn request(rng: &mut SimRng, next_lba: &mut [u64], span: u64, tag: u64) -> DiskRequest {
     let roll = rng.uniform01();
@@ -50,7 +44,7 @@ fn depth_64(seed: u64) -> u64 {
     let mut host: VecDeque<DiskRequest> = VecDeque::new();
     let mut issued = 0u64;
     let mut next_arrival = SimTime::ZERO;
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut fp = FNV_BASIS;
     let mut completed = 0u64;
     while completed < REQUESTS {
         let arrival = (issued < REQUESTS).then_some(next_arrival);
@@ -78,10 +72,9 @@ fn depth_64(seed: u64) -> u64 {
     fp
 }
 
+/// Pins each seed's fingerprint over every completion's id and time.
 #[test]
 fn scsi_tag_queue_service_order_is_pinned() {
-    for (seed, pinned) in DEPTH_64 {
-        let fp = depth_64(seed);
-        assert_eq!(fp, pinned, "seed {seed}: fingerprint {fp:#018x} moved");
-    }
+    let fps = [1, 2].map(|seed| (format!("seed{seed}"), pins::hex(depth_64(seed))));
+    pins::check("disk_tcq_depth64", fps);
 }

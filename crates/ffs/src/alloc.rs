@@ -129,9 +129,6 @@ pub struct NoSpace;
 /// run (FreeBSD: 64 KB / 8 KB = 8).
 pub(crate) const CLUSTER_BLOCKS: u64 = 8;
 
-/// Cylinder-group size in bytes (FFS defaults are tens of MB).
-const CG_BYTES: u64 = 32 * 1024 * 1024;
-
 /// Gap (in blocks) inserted when aging displaces a run.
 const AGING_GAP_BLOCKS: u64 = 64;
 
@@ -253,12 +250,6 @@ impl Allocator {
         }
         Ok(())
     }
-
-    /// Cylinder-group index of a partition-relative byte offset
-    /// (diagnostics; layout policy keeps whole files inside few groups).
-    pub fn cg_of(&self, rel_bytes: u64) -> u64 {
-        rel_bytes / CG_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -338,7 +329,7 @@ mod tests {
             .fold(simcore::FNV_BASIS, |h, lba| {
                 simcore::fnv1a(h, &lba.to_le_bytes())
             });
-        assert_eq!(h, 0xd1ed_5568_d331_715d);
+        pins::check("ffs_aged_layout", [("layout", pins::hex(h))]);
     }
 
     #[test]
@@ -470,12 +461,5 @@ mod tests {
             (g.num_blocks(), g.size, b.free_bytes()),
             (0, 0, part.sectors * diskmodel::SECTOR_BYTES)
         );
-    }
-
-    #[test]
-    fn cg_index() {
-        let a = Allocator::new(part(), 0.0);
-        assert_eq!(a.cg_of(0), 0);
-        assert_eq!(a.cg_of(32 * 1024 * 1024), 1);
     }
 }

@@ -5,10 +5,10 @@
 //! when armed, must cut GETATTR wire traffic hard while keeping the
 //! attribute books balanced and staleness bounded by the trust window.
 //!
-//! The `CACHE_OFF_META_STORM` constants were captured from the repo at
-//! the commit that introduced the cache, with both timeouts zero, so
-//! these tests pin every later change to the cache logic: if a disarmed
-//! world ever draws differently, the cache leaked.
+//! The `attrcache_diff_cache_off` values in `pins.txt` were captured from
+//! the repo at the commit that introduced the cache, with both timeouts
+//! zero, so these tests pin every later change to the cache logic: if a
+//! disarmed world ever draws differently, the cache leaked.
 
 use diskmodel::{DriveModel, PartitionTable};
 use ffs::FsConfig;
@@ -16,15 +16,6 @@ use iosched::SchedulerKind;
 use nfsproto::{FileHandle, NfsCall, StableHow};
 use nfssim::{NfsWorld, WorldConfig};
 use simcore::{fnv1a, SimDuration, SimRng, SimTime, FNV_BASIS};
-
-/// Cache-off baseline: the metadata storm below on the default world;
-/// `(seed, FNV over the client + server metadata books and final sim
-/// time)`. Captured with `attr_timeo_min = attr_timeo_max = ZERO`.
-const CACHE_OFF_META_STORM: [(u64, u64); 3] = [
-    (1, 0x787e_2845_3625_0f66),
-    (2, 0x0351_b4c5_f1c2_c92b),
-    (3, 0x6b44_91ef_27e9_add8),
-];
 
 fn make_world(config: WorldConfig, seed: u64) -> NfsWorld {
     let disk = DriveModel::WdWd200bbIde.build(SimRng::new(seed));
@@ -154,17 +145,15 @@ fn storm_fingerprint(w: &NfsWorld) -> u64 {
 
 /// A disarmed world (the default config) runs the metadata storm
 /// bit-identically to the capture taken when the cache landed: same
-/// books, same final simulated time, for every pinned seed.
+/// books, same final simulated time, for every pinned seed. The capture
+/// ran with `attr_timeo_min = attr_timeo_max = ZERO`.
 #[test]
 fn cache_off_metadata_storm_matches_the_baseline() {
-    for (seed, books) in CACHE_OFF_META_STORM {
+    let books = [1u64, 2, 3].map(|seed| {
         let (w, _) = meta_storm(WorldConfig::default(), seed);
-        assert_eq!(
-            storm_fingerprint(&w),
-            books,
-            "seed {seed}: cache-off metadata storm moved (the attribute cache leaked)"
-        );
-    }
+        (format!("seed{seed}"), pins::hex(storm_fingerprint(&w)))
+    });
+    pins::check("attrcache_diff_cache_off", books);
 }
 
 /// With the cache disarmed every attribute-cache counter stays at zero

@@ -4,9 +4,9 @@
 //! server's cache evicts on most fills from the middle of the pass on;
 //! every other world-level suite reads less than the server cache holds.
 //!
-//! The `READ_STREAM_1_16` constants were captured while the buffer cache
-//! still found each victim by scanning its whole map. Exact LRU must keep
-//! every completion's tag and time.
+//! The `eviction_server_cache` values in `pins.txt` were captured while
+//! the buffer cache still found each victim by scanning its whole map.
+//! Exact LRU must keep every completion's tag and time.
 //!
 //! The client-side pins run the same pass through a client cache of 64
 //! blocks with an 8-block read-ahead window. Sixteen sequential readers
@@ -14,7 +14,7 @@
 //! cache both evicts on most fills and overflows with pinned read-ahead.
 //! The write variant rewrites every fourth block right after reading it,
 //! so client (and server) `invalidate` drops blocks that are valid and
-//! recently used. The `CLIENT_*` constants were captured on the
+//! recently used. The `eviction_client_*` values were captured on the
 //! stamp-and-candidate-list cache, before the cache indexed its blocks;
 //! they fold every completion's tag and time plus the client's cache
 //! hits, RPCs and read-ahead RPCs.
@@ -24,7 +24,8 @@ use ffs::FsConfig;
 use iosched::SchedulerKind;
 use nfsproto::FileHandle;
 use nfssim::{NfsWorld, WorldConfig};
-use simcore::{SimDuration, SimRng};
+use pins::fold;
+use simcore::{SimDuration, SimRng, FNV_BASIS};
 
 const READERS: usize = 16;
 const PASS_BYTES: u64 = 16 * 1024 * 1024;
@@ -37,14 +38,6 @@ const PROC_READ_CPU: SimDuration = SimDuration::from_micros(15);
 /// Tags at or above this mark a WRITE, not a reader's READ.
 const WRITE_TAG: u64 = 1 << 32;
 
-/// `(seed, fingerprint over every completion's tag and time)`.
-const READ_STREAM_1_16: [(u64, u64); 2] = [(1, 0xbd12_a420_69b2_5e44), (2, 0xec8a_30ad_cc12_9e91)];
-/// `(seed, fingerprint)` with an evicting, overflowing client cache.
-const CLIENT_EVICTING: [(u64, u64); 2] = [(1, 0xa23f_779c_e57c_253b), (2, 0xadfb_dfbb_a842_827a)];
-/// `(seed, fingerprint)` as above, with every fourth block rewritten.
-const CLIENT_EVICTING_WRITES: [(u64, u64); 2] =
-    [(1, 0xf7a3_d4fc_5db0_a545), (2, 0x3854_8711_17a0_9125)];
-
 /// One world shape of the pinned pass.
 #[derive(Clone, Copy)]
 struct Shape {
@@ -53,10 +46,6 @@ struct Shape {
     client: Option<(usize, u64)>,
     /// Rewrite every fourth block just after reading it.
     writes: bool,
-}
-
-fn fold(h: u64, x: u64) -> u64 {
-    (h.rotate_left(23) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Runs the closed-loop pass and returns its completion fingerprint.
@@ -82,7 +71,7 @@ fn read_stream(seed: u64, shape: Shape) -> u64 {
         world.read_from(0, start, fh, 0, READ_BYTES, i as u64);
     }
     let mut next_offset = [READ_BYTES; READERS];
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut fp = FNV_BASIS;
     let mut completed = 0;
     let mut writes = 0;
     let mut running = READERS;
@@ -130,11 +119,11 @@ fn read_stream(seed: u64, shape: Shape) -> u64 {
     fp
 }
 
-fn check(pins: [(u64, u64); 2], shape: Shape) {
-    for (seed, pinned) in pins {
-        let fp = read_stream(seed, shape);
-        assert_eq!(fp, pinned, "seed {seed}: fingerprint {fp:#018x} moved");
-    }
+/// Pins seeds 1 and 2 of `shape`, each a fingerprint over every
+/// completion's tag and time, as `seed<n>` in `suite`.
+fn check(suite: &str, shape: Shape) {
+    let fps = [1, 2].map(|seed| (format!("seed{seed}"), pins::hex(read_stream(seed, shape))));
+    pins::check(suite, fps);
 }
 
 #[test]
@@ -144,7 +133,7 @@ fn read_stream_over_an_evicting_server_cache_is_pinned() {
         client: None,
         writes: false,
     };
-    check(READ_STREAM_1_16, shape);
+    check("eviction_server_cache", shape);
 }
 
 #[test]
@@ -154,7 +143,7 @@ fn read_stream_over_an_evicting_client_cache_is_pinned() {
         client: Some((CLIENT_CACHE_BLOCKS, CLIENT_READAHEAD_BLOCKS)),
         writes: false,
     };
-    check(CLIENT_EVICTING, shape);
+    check("eviction_client_cache", shape);
 }
 
 #[test]
@@ -163,5 +152,5 @@ fn rewrites_through_an_evicting_client_cache_are_pinned() {
         client: Some((CLIENT_CACHE_BLOCKS, CLIENT_READAHEAD_BLOCKS)),
         writes: true,
     };
-    check(CLIENT_EVICTING_WRITES, shape);
+    check("eviction_client_rewrites", shape);
 }

@@ -3,9 +3,10 @@
 //! and every delivery lands exactly where the pre-PR inline engine (and
 //! plain UDP over the same link) put it.
 //!
-//! The `PRE_ENGINE_*` constants were captured from the repo *before* the
-//! timed engine replaced inline retransmission, so these tests pin the
-//! refactor to the old engine bit-for-bit at zero loss.
+//! The `transport_diff_pre_engine_*` values in `pins.txt` were captured
+//! from the repo *before* the timed engine replaced inline retransmission,
+//! so these tests pin the refactor to the old engine bit-for-bit at zero
+//! loss.
 
 use diskmodel::{DriveModel, PartitionTable};
 use ffs::FsConfig;
@@ -14,19 +15,6 @@ use netsim::{LinkProfile, OneWayLink, TcpStream, Transport, TransportKind, TxOut
 use nfsproto::FileHandle;
 use nfssim::{NfsWorld, WorldConfig};
 use simcore::{fnv1a, SimDuration, SimRng, SimTime, FNV_BASIS};
-
-/// Pre-PR world-level baseline: zero-loss TCP, 4 MB sequential read,
-/// default config; `(seed, throughput f64 bits, FNV over the client
-/// books + final sim time)`.
-const PRE_ENGINE_WORLD: [(u64, u64, u64); 3] = [
-    (1, 0x4029_f176_7b15_64a4, 0x1456_a792_92d8_c16e),
-    (2, 0x4029_f18b_26ab_7967, 0x2b7a_8190_e28d_b0db),
-    (3, 0x4029_f12c_4e78_1c0d, 0x3cb1_2b39_da98_2327),
-];
-
-/// Pre-PR stream-level baseline: FNV over 200 zero-loss delivery times on
-/// the standard LAN profile (jitter on, loss zero), fixed send schedule.
-const PRE_ENGINE_STREAM_FP: u64 = 0x23e9_f1a9_15af_78a1;
 
 fn make_world(config: WorldConfig, seed: u64) -> NfsWorld {
     let disk = DriveModel::WdWd200bbIde.build(SimRng::new(seed));
@@ -87,23 +75,24 @@ fn world_run(transport: TransportKind, seed: u64) -> (u64, u64) {
 
 /// At zero loss the timed engine reproduces the pre-PR inline engine's
 /// world runs bit for bit: same throughput bits, same client books, same
-/// final simulated time.
+/// final simulated time. The baseline is a zero-loss TCP 4 MB sequential
+/// read on the default config, per seed.
 #[test]
 fn zero_loss_tcp_world_matches_the_pre_engine_baseline() {
-    for (seed, mbs_bits, books) in PRE_ENGINE_WORLD {
-        let (m, b) = world_run(TransportKind::Tcp, seed);
-        assert_eq!(
-            m, mbs_bits,
-            "seed {seed}: TCP throughput bits moved (engine became visible at zero loss)"
-        );
-        assert_eq!(b, books, "seed {seed}: TCP client books moved");
+    let mut pinned = Vec::new();
+    for seed in [1u64, 2, 3] {
+        let (mbs_bits, books) = world_run(TransportKind::Tcp, seed);
+        pinned.push((format!("seed{seed}.throughput"), pins::hex(mbs_bits)));
+        pinned.push((format!("seed{seed}.books"), pins::hex(books)));
     }
+    pins::check("transport_diff_pre_engine_world", pinned);
 }
 
 /// The stream-level delivery schedule is also pinned: 200 sends on the
 /// standard LAN profile resolve inline ([`TxOutcome::Delivered`], never
-/// queued), no timer is ever armed, and every delivery time hashes to the
-/// pre-PR constant.
+/// queued), no timer is ever armed, and the delivery times hash to the
+/// pre-PR value (on the standard LAN profile, jitter on, loss zero, fixed
+/// send schedule).
 #[test]
 fn zero_loss_tcp_stream_delivery_times_match_the_pre_engine_baseline() {
     let mut t = TcpStream::new(
@@ -122,7 +111,10 @@ fn zero_loss_tcp_stream_delivery_times_match_the_pre_engine_baseline() {
         }
         assert_eq!(t.next_timer(), None, "send {i}: clean stream armed a timer");
     }
-    assert_eq!(h, PRE_ENGINE_STREAM_FP, "delivery schedule moved");
+    pins::check(
+        "transport_diff_pre_engine_stream",
+        [("delivery", pins::hex(h))],
+    );
     let s = t.tcp_stats();
     assert_eq!(s.retransmits, 0);
     assert_eq!(s.segments_sent, 200);

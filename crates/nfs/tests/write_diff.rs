@@ -4,9 +4,9 @@
 //! bit — and, when enabled, must end in exactly the same durable state
 //! while finishing the workload sooner (the paper's sync-vs-async trap).
 //!
-//! The `PRE_ASYNC_SYNC_WRITE` constants were captured from the repo
-//! *before* the async write path landed, so these tests pin the refactor
-//! to the old write path exactly.
+//! The `write_diff_pre_async` values in `pins.txt` were captured from the
+//! repo *before* the async write path landed, so these tests pin the
+//! refactor to the old write path exactly.
 
 use diskmodel::{DriveModel, PartitionTable};
 use ffs::FsConfig;
@@ -14,15 +14,6 @@ use iosched::SchedulerKind;
 use nfsproto::{FileHandle, StableHow};
 use nfssim::{NfsWorld, OpId, WorldConfig};
 use simcore::{fnv1a, SimRng, SimTime, FNV_BASIS};
-
-/// Pre-PR baseline: 2 MB of sequential FILE_SYNC writes + 1 MB read-back
-/// on the default world; `(seed, FNV over the client books + final sim
-/// time)`. Captured at the commit preceding this suite.
-const PRE_ASYNC_SYNC_WRITE: [(u64, u64); 3] = [
-    (1, 0x1e92_623e_b36f_6d41),
-    (2, 0x14fc_2fe3_cea5_52e7),
-    (3, 0xcf59_8a68_aac9_5b10),
-];
 
 fn make_world(config: WorldConfig, seed: u64) -> NfsWorld {
     let disk = DriveModel::WdWd200bbIde.build(SimRng::new(seed));
@@ -110,16 +101,13 @@ fn async_write_run(seed: u64) -> (NfsWorld, SimTime) {
 
 /// A FILE_SYNC world with the async machinery compiled in runs the write
 /// workload bit-identically to the pre-PR repo: same books, same final
-/// simulated time.
+/// simulated time. The baseline is 2 MB of sequential FILE_SYNC writes and
+/// a 1 MB read-back on the default world, one FNV over the client books and
+/// final sim time per seed, captured at the commit preceding this suite.
 #[test]
 fn file_sync_write_workload_matches_the_pre_async_baseline() {
-    for (seed, books) in PRE_ASYNC_SYNC_WRITE {
-        assert_eq!(
-            sync_write_run(seed),
-            books,
-            "seed {seed}: FILE_SYNC write workload moved (async path became visible)"
-        );
-    }
+    let books = [1u64, 2, 3].map(|seed| (format!("seed{seed}"), pins::hex(sync_write_run(seed))));
+    pins::check("write_diff_pre_async", books);
 }
 
 /// On a FILE_SYNC mount every async-path counter stays at zero on both

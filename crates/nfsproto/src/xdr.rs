@@ -104,12 +104,6 @@ impl XdrEncoder {
         self
     }
 
-    /// Encodes a signed 32-bit integer.
-    pub fn put_i32(&mut self, v: i32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
     /// Encodes an unsigned 64-bit integer (two XDR words).
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
@@ -181,11 +175,6 @@ impl<'a> XdrDecoder<'a> {
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Decodes a signed 32-bit integer.
-    pub fn get_i32(&mut self) -> Result<i32, XdrError> {
-        Ok(self.get_u32()? as i32)
-    }
-
     /// Decodes an unsigned 64-bit integer.
     pub fn get_u64(&mut self) -> Result<u64, XdrError> {
         let b = self.take(8)?;
@@ -246,14 +235,6 @@ mod tests {
         let buf = e.finish();
         assert_eq!(buf.len(), 8);
         assert_eq!(XdrDecoder::new(&buf).get_u64().unwrap(), u64::MAX - 5);
-    }
-
-    #[test]
-    fn i32_negative_roundtrip() {
-        let mut e = XdrEncoder::new();
-        e.put_i32(-7);
-        let buf = e.finish();
-        assert_eq!(XdrDecoder::new(&buf).get_i32().unwrap(), -7);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// An event queued for delivery at a specific simulated instant.
 #[derive(Debug, Clone, Copy)]
@@ -175,7 +175,7 @@ impl Next {
 /// # Examples
 ///
 /// ```
-/// use simcore::{EventQueue, SimDuration, SimTime};
+/// use simcore::{EventQueue, SimTime};
 ///
 /// let mut q: EventQueue<&str> = EventQueue::new();
 /// q.schedule_at(SimTime::from_nanos(20), "late");
@@ -290,11 +290,6 @@ impl<E: Copy> EventQueue<E> {
         }
     }
 
-    /// Schedules `payload` for delivery `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) {
-        self.schedule_at(self.now + delay, payload);
-    }
-
     /// Returns the timestamp of the next pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
@@ -406,7 +401,7 @@ mod tests {
     #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
-        q.schedule_after(SimDuration::from_millis(5), ());
+        q.schedule_at(SimTime::from_nanos(5_000_000), ());
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(5_000_000));
@@ -421,15 +416,6 @@ mod tests {
         let (t, e) = q.pop().unwrap();
         assert_eq!(e, "late");
         assert_eq!(t, SimTime::from_nanos(100));
-    }
-
-    #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_nanos(1_000), ());
-        q.pop();
-        q.schedule_after(SimDuration::from_nanos(500), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1_500)));
     }
 
     #[test]

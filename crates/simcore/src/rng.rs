@@ -219,11 +219,6 @@ impl SimRng {
         mean + stddev * z
     }
 
-    /// Samples a normal value clamped to be non-negative.
-    pub fn normal_pos(&mut self, mean: f64, stddev: f64) -> f64 {
-        self.normal(mean, stddev).max(0.0)
-    }
-
     /// Shuffles a slice in place (Fisher-Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -293,14 +288,6 @@ mod tests {
     fn exponential_zero_mean_is_zero() {
         let mut r = SimRng::new(4);
         assert_eq!(r.exponential(0.0), 0.0);
-    }
-
-    #[test]
-    fn normal_pos_never_negative() {
-        let mut r = SimRng::new(5);
-        for _ in 0..1_000 {
-            assert!(r.normal_pos(0.1, 1.0) >= 0.0);
-        }
     }
 
     #[test]

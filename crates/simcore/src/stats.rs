@@ -105,25 +105,6 @@ impl Summary {
     pub fn of(xs: &[f64]) -> Summary {
         xs.iter().copied().collect::<OnlineStats>().summary()
     }
-
-    /// Half-width of the ~95 % confidence interval of the mean
-    /// (normal approximation; fine for the n >= 10 runs used here).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.stddev / (self.count as f64).sqrt()
-        }
-    }
-
-    /// Coefficient of variation (stddev / mean); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -347,14 +328,6 @@ mod tests {
         let s = Summary::of(&[3.5]);
         assert_eq!(s.stddev, 0.0);
         assert_eq!(s.mean, 3.5);
-        assert_eq!(s.ci95_half_width(), 0.0);
-    }
-
-    #[test]
-    fn ci_narrows_with_sample_size() {
-        let few = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        let many = Summary::of(&[1.0, 2.0, 3.0, 4.0].repeat(25));
-        assert!(many.ci95_half_width() < few.ci95_half_width());
     }
 
     #[test]
@@ -377,12 +350,6 @@ mod tests {
     fn quantile_is_order_insensitive() {
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(quantile(&xs, 0.5), Some(3.0));
-    }
-
-    #[test]
-    fn cv_of_constant_sample_is_zero() {
-        let s = Summary::of(&[4.0; 10]);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl SimDuration {
         SimDuration(round_nanos(s * 1e9))
     }
 
-    /// Creates a duration from fractional milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// Creates a duration from fractional microseconds.
     pub fn from_micros_f64(us: f64) -> Self {
         Self::from_secs_f64(us / 1e6)
@@ -236,7 +231,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimDuration::from_secs(5).as_nanos(), 5_000_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
-        assert_eq!(SimDuration::from_millis_f64(1.5).as_nanos(), 1_500_000);
         assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2_500);
     }
 

@@ -1,107 +1,77 @@
 //! Pinned fingerprints: the cluster refactor of `NfsWorld` (client/server
 //! host split, per-client RNG streams, key-encoded events) must not move
-//! a single bit of the classic single-client world. These constants were
-//! captured from the pre-refactor engine; if one changes, the 1-client
-//! fast path stopped being the old world.
+//! a single bit of the classic single-client world. The `simtest_*`
+//! values in `pins.txt` were captured from the pre-refactor engine; if one
+//! changes, the 1-client fast path stopped being the old world.
 
 use netsim::TransportKind;
 use simcore::{fnv1a, FNV_BASIS};
 use simtest::{Spec, Workload};
 use testbed::experiments::{fig6_readahead_potential, Scale};
 
-const FIG6_QUICK_SEED7: u64 = 0x7f63_4807_1959_5f6f;
+/// Runs `spec(seed)` for seeds `0..n` and returns `seed<s>` cases.
+fn fingerprints(n: u64, spec: impl Fn(u64) -> Spec) -> Vec<(String, String)> {
+    (0..n)
+        .map(|s| {
+            let fp = spec(s)
+                .run_checked()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .fingerprint;
+            (format!("seed{s}"), pins::hex(fp))
+        })
+        .collect()
+}
 
-// All eight re-pinned when `NfsReply::Write`'s wire size stopped eliding
-// the verifier (8 -> 20 bytes, the codec-honesty fix): every workload
-// writes, so every reply's s2c transmit time shifted. The jobs=1 / jobs=4
-// and shards=1 / shards=N identities held across the change.
-const SWEEP_FPS: [u64; 8] = [
-    0x9389_3efa_26a3_993a,
-    0xb8c7_9852_25b0_0f55,
-    0x06d7_2d90_8252_7b20,
-    0xd36b_ac6b_638c_d604,
-    0x27e1_120d_afdb_c27a,
-    0x0064_87db_f131_6a92,
-    0x02c2_be0f_7bce_7f46,
-    0xe48b_576c_c121_3207,
-];
+/// Runs `run` at jobs=1 and jobs=4, asserts the two agree and returns the
+/// result.
+fn at_both_job_widths<T: PartialEq + std::fmt::Debug>(run: impl Fn() -> T) -> T {
+    let [serial, parallel] = [1usize, 4].map(|jobs| {
+        simfleet::set_jobs_override(Some(jobs));
+        let out = run();
+        simfleet::set_jobs_override(None);
+        out
+    });
+    assert_eq!(serial, parallel, "jobs=1 and jobs=4 differ");
+    serial
+}
 
 // The modes whose timers the event queue's lanes carry: `WriteLoss` arms
 // gather windows and retransmits past attempt 0, and forced TCP runs its
 // segment timers beside the queue. Captured from the all-heap queue; the
 // lanes must deliver every event at the same instant in the same order.
-const WRITE_LOSS_FPS: [u64; 4] = [
-    0xe861_aff4_8e2f_b762,
-    0x0a78_1099_35f9_5b8d,
-    0xa315_7431_d31d_490d,
-    0x2567_1b52_62b3_deb3,
-];
-const FORCED_TCP_FPS: [u64; 4] = [
-    0xe257_87ee_9fbc_3140,
-    0x171a_9c6c_3ccd_ae6d,
-    0x53cf_dd64_f0e8_90af,
-    0xa972_dc25_fb67_4d11,
-];
-
-fn fingerprints(spec: impl Fn(u64) -> Spec) -> Vec<u64> {
-    (0..4u64)
-        .map(|s| {
-            spec(s)
-                .run_checked()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .fingerprint
-        })
-        .collect()
-}
-
 #[test]
 fn write_loss_fingerprints_are_pinned() {
-    let fps = fingerprints(|s| Spec {
+    let fps = fingerprints(4, |s| Spec {
         workload: Workload::WriteLoss,
         ..Spec::new(s)
     });
-    assert_eq!(fps, WRITE_LOSS_FPS, "write-loss fingerprints moved");
+    pins::check("simtest_write_loss", fps);
 }
 
 #[test]
 fn forced_tcp_fingerprints_are_pinned() {
-    let fps = fingerprints(|s| Spec {
+    let fps = fingerprints(4, |s| Spec {
         transport: Some(TransportKind::Tcp),
         ..Spec::new(s)
     });
-    assert_eq!(fps, FORCED_TCP_FPS, "forced-TCP fingerprints moved");
+    pins::check("simtest_forced_tcp", fps);
 }
 
 #[test]
 fn figure6_bits_are_pinned_at_both_job_widths() {
-    for jobs in [1usize, 4] {
-        simfleet::set_jobs_override(Some(jobs));
-        let fig = format!("{:?}", fig6_readahead_potential(Scale::quick(), 7));
-        simfleet::set_jobs_override(None);
-        assert_eq!(
-            // FNV-1a of the figure's Debug rendering (f64 Debug round-trips
-            // exactly, so equal hashes mean equal bits in every mean and
-            // stddev).
-            fnv1a(FNV_BASIS, fig.as_bytes()),
-            FIG6_QUICK_SEED7,
-            "figure 6 (quick, seed 7) bits moved at jobs={jobs}"
-        );
-    }
+    let fig = at_both_job_widths(|| format!("{:?}", fig6_readahead_potential(Scale::quick(), 7)));
+    // FNV-1a of the figure's Debug rendering (f64 Debug round-trips
+    // exactly, so equal hashes mean equal bits in every mean and stddev).
+    let hash = fnv1a(FNV_BASIS, fig.as_bytes());
+    pins::check("simtest_fig6_quick", [("seed7", pins::hex(hash))]);
 }
 
+// All eight re-pinned when `NfsReply::Write`'s wire size stopped eliding
+// the verifier (8 -> 20 bytes, the codec-honesty fix): every workload
+// writes, so every reply's s2c transmit time shifted. The jobs=1 / jobs=4
+// and shards=1 / shards=N identities held across the change.
 #[test]
 fn simtest_fingerprints_are_pinned_at_both_job_widths() {
-    for jobs in [1usize, 4] {
-        simfleet::set_jobs_override(Some(jobs));
-        let fps: Vec<u64> = (0..8u64)
-            .map(|s| {
-                Spec::new(s)
-                    .run_checked()
-                    .unwrap_or_else(|e| panic!("{e}"))
-                    .fingerprint
-            })
-            .collect();
-        simfleet::set_jobs_override(None);
-        assert_eq!(fps, SWEEP_FPS, "sweep fingerprints moved at jobs={jobs}");
-    }
+    let fps = at_both_job_widths(|| fingerprints(8, Spec::new));
+    pins::check("simtest_sweep", fps);
 }
