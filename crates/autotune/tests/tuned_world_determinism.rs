@@ -11,15 +11,18 @@ use nfssim::{NfsWorld, WorldConfig};
 use simcore::{fnv1a, SimRng, SimTime, FNV_BASIS};
 use ssd::Ssd;
 
+/// A small, slow SSD: one channel, one die and 400 µs reads make the drive,
+/// not the client, set the pace, so the knobs the tuner turns decide when
+/// reads complete.
 fn small_ssd() -> SsdParams {
     SsdParams {
-        channels: 2,
-        dies_per_channel: 2,
+        channels: 1,
+        dies_per_channel: 1,
         page_sectors: 16,
         pages_per_block: 16,
         total_sectors: 64 * 1024, // 32 MB
         overprovision: 0.25,
-        read_us: 60.0,
+        read_us: 400.0,
         program_us: 600.0,
         erase_ms: 3.0,
         channel_mb_s: 400.0,
@@ -57,27 +60,30 @@ fn tuned_trace(seed: u64) -> (u64, u64, usize) {
     let mut world_fp = FNV_BASIS;
     let mut now = SimTime::ZERO;
     let block = 8_192u64;
-    // Interleave the four streams block-by-block so the nfsheur table and
-    // scheduler both have real work to do.
-    for blk in 0..(size / block) {
-        for (i, fh) in fhs.iter().enumerate() {
-            w.read_from(0, now, *fh, blk * block, block, (i as u64) << 32 | blk);
-            while let Some(t) = w.next_event() {
-                let done = w.advance(t);
-                now = now.max(t);
-                let mut empty = done.is_empty();
-                for d in &done {
-                    tuner.record(d);
-                    world_fp = fnv1a(world_fp, &d.tag.to_le_bytes());
-                    world_fp = fnv1a(world_fp, &d.done_at.as_nanos().to_le_bytes());
-                    empty = false;
-                }
-                tuner.poll(now, &mut w);
-                if !empty {
-                    break;
-                }
+    let blocks = size / block;
+    // The four streams read at once, each issuing its next block when
+    // the last one completes, so read-ahead depth, the scheduler's order
+    // and the nfsheur table all shape the completion stream.
+    let tag = |i: usize, blk: u64| (i as u64) << 32 | blk;
+    for (i, fh) in fhs.iter().enumerate() {
+        w.read_from(0, now, *fh, 0, block, tag(i, 0));
+    }
+    let mut in_flight = fhs.len();
+    while in_flight > 0 {
+        let t = w.next_event().expect("reads in flight");
+        now = now.max(t);
+        for d in &w.advance(t) {
+            in_flight -= 1;
+            tuner.record(d);
+            world_fp = fnv1a(world_fp, &d.tag.to_le_bytes());
+            world_fp = fnv1a(world_fp, &d.done_at.as_nanos().to_le_bytes());
+            let (i, blk) = ((d.tag >> 32) as usize, (d.tag & 0xffff_ffff) + 1);
+            if blk < blocks {
+                w.read_from(0, now, fhs[i], blk * block, block, tag(i, blk));
+                in_flight += 1;
             }
         }
+        tuner.poll(now, &mut w);
     }
     (
         world_fp,
