@@ -209,7 +209,7 @@ impl Endpoint {
                 self.stats.immediate_replies += 1;
                 match self.attr_for(&fh) {
                     Some(a) => Some(wire::access_res(hdr.xid, &a, bits & wire::ACCESS_ALL)),
-                    None => Some(wire::read_res_err(hdr.xid, 70, None)), // same shape as ACCESS3resfail
+                    None => Some(wire::stale_res(hdr.xid)),
                 }
             }
             wire::NFSPROC_FSINFO | wire::NFSPROC_FSSTAT | wire::NFSPROC_PATHCONF => {
@@ -218,7 +218,9 @@ impl Endpoint {
                     Err(_) => return Some(self.garbage(hdr.xid)),
                 };
                 self.stats.immediate_replies += 1;
-                let a = self.attr_for(&fh).unwrap_or_else(|| self.root_attr());
+                let Some(a) = self.attr_for(&fh) else {
+                    return Some(wire::stale_res(hdr.xid));
+                };
                 Some(match hdr.proc_num {
                     wire::NFSPROC_FSINFO => wire::fsinfo_res(hdr.xid, &a, nfssim::RSIZE),
                     wire::NFSPROC_FSSTAT => wire::fsstat_res(hdr.xid, &a),
@@ -467,6 +469,30 @@ mod tests {
         let r = wire::decode_read_reply(&out[0].1).unwrap();
         assert_eq!((r.xid, r.status, r.count), (3, 0, 8_192));
         assert_eq!(ep.world().server_stats().reads, 1);
+    }
+
+    #[test]
+    fn pathconf_says_names_are_case_sensitive_as_lookup_does() {
+        let mut ep = endpoint();
+        let conn = ep.connect();
+        let rec = wire::encode_fh_call(1, wire::NFSPROC_PATHCONF, &ep.root);
+        let reply = ep.handle_record(SimTime::ZERO, conn, &rec).remove(0);
+        let mut d = XdrDecoder::new(&reply);
+        nfsproto::ReplyHeader::decode(&mut d).unwrap();
+        assert_eq!(d.get_u32(), Ok(0), "NFS3_OK");
+        assert_eq!(d.get_bool(), Ok(true), "post-op attributes follow");
+        d.get_opaque_fixed(84).unwrap();
+        let (_linkmax, _name_max) = (d.get_u32().unwrap(), d.get_u32().unwrap());
+        let flags: Vec<bool> = (0..4).map(|_| d.get_bool().unwrap()).collect();
+        // no_trunc, chown_restricted, case_insensitive, case_preserving.
+        assert_eq!(flags, [true, false, false, true]);
+        // LOOKUP agrees: `F1` does not name `f1`.
+        let call = NfsCall::Lookup {
+            dir: ep.root,
+            name: "F1".into(),
+        };
+        let reply = ep.handle_record(SimTime::ZERO, conn, &call.encode(2));
+        assert!(wire::decode_lookup_reply(&reply[0]).is_err(), "NFS3ERR_NOENT");
     }
 
     #[test]

@@ -262,8 +262,16 @@ pub fn pathconf_res(xid: u32, a: &FileAttr) -> Vec<u8> {
         .put_u32(255) // name_max
         .put_bool(true) // no_trunc
         .put_bool(false) // chown_restricted
-        .put_bool(true) // case_insensitive = false? (false: case matters)
+        .put_bool(false) // case_insensitive: LOOKUP matches names exactly
         .put_bool(true); // case_preserving
+    e.finish()
+}
+
+/// NFS3ERR_STALE for ACCESS, FSINFO, FSSTAT or PATHCONF: the status and
+/// an absent `post_op_attr`, the whole failure body of each.
+pub fn stale_res(xid: u32) -> Vec<u8> {
+    let mut e = reply_encoder(xid);
+    e.put_u32(70).put_bool(false);
     e.finish()
 }
 

@@ -3,7 +3,7 @@
 //! assert (or, for a zero-count UNSTABLE WRITE, spinning forever).
 
 use nfsd::{build_world, wire, Endpoint, ExportSpec};
-use nfsproto::{FileHandle, NfsCall, StableHow};
+use nfsproto::{AcceptStat, FileHandle, NfsCall, ReplyHeader, StableHow, XdrDecoder};
 use nfssim::WorldConfig;
 use simcore::SimTime;
 
@@ -69,6 +69,30 @@ fn calls_on_an_unknown_handle_are_stale() {
     let s = ep.world().server_stats();
     assert_eq!((s.unstable_writes, s.dirty_blocks_stashed), (0, 0));
     assert_eq!(s.replies, s.reads + s.other_calls);
+}
+
+#[test]
+fn fsinfo_fsstat_and_pathconf_on_an_unknown_handle_are_stale() {
+    let (mut ep, conn, fh) = endpoint();
+    let bogus = FileHandle {
+        ino: fh.ino + 1_000,
+        ..fh
+    };
+    for proc_num in [
+        wire::NFSPROC_FSINFO,
+        wire::NFSPROC_FSSTAT,
+        wire::NFSPROC_PATHCONF,
+    ] {
+        let rec = wire::encode_fh_call(9, proc_num, &bogus);
+        let replies = ep.handle_record(SimTime::ZERO, conn, &rec);
+        assert_eq!(replies.len(), 1, "answered at the endpoint");
+        let mut d = XdrDecoder::new(&replies[0]);
+        let hdr = ReplyHeader::decode(&mut d).expect("reply header");
+        assert_eq!((hdr.xid, hdr.stat), (9, AcceptStat::Success));
+        // The status, then an absent `post_op_attr`, and nothing else.
+        let body = (d.get_u32(), d.get_bool(), d.remaining());
+        assert_eq!(body, (Ok(NFS3ERR_STALE), Ok(false), 0), "proc {proc_num}");
+    }
 }
 
 #[test]
