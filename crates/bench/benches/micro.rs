@@ -17,7 +17,7 @@ use diskmodel::{
 use ffs::{BufferCache, FileSystem, FsConfig};
 use iosched::{IoScheduler, QueuedRequest, SchedulerKind};
 use nfs_bench::perf::{BenchResult, PerfReport};
-use nfsproto::{FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus, StableHow};
+use nfsproto::{Fattr3, FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus, StableHow};
 use nfssim::{NfsWorld, WorldConfig};
 use readahead_core::{HeurRecord, NfsHeur, NfsHeurConfig, ReadaheadPolicy, SharedCursorPool};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
@@ -197,6 +197,12 @@ fn bench_xdr(out: &mut Vec<BenchResult>, iters: u64) {
     });
     let reply = NfsReply::Read {
         status: NfsStatus::Ok,
+        attrs: Some(Fattr3 {
+            is_dir: false,
+            size: 1 << 30,
+            fileid: fh.ino,
+            fsid: u64::from(fh.fsid),
+        }),
         count: 8_192,
         eof: false,
     };

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use ffs::{BufferCache, FileSystem, LocalFd};
 use netsim::{TcpEvent, TcpStats, Transport, TransportKind, TxOutcome};
-use nfsproto::{write_verf, FileHandle, NfsCall, NfsReply, NfsStatus, StableHow};
+use nfsproto::{write_verf, Fattr3, FileHandle, NfsCall, NfsReply, NfsStatus, StableHow};
 use readahead_core::NfsHeur;
 use simcore::{EventQueue, FastMap, IdWindow, SimDuration, SimRng, SimTime, Waitlist};
 
@@ -174,9 +174,6 @@ pub struct ExtReply {
     pub ext: usize,
     /// RPC transaction id of the call this answers.
     pub xid: u32,
-    /// The file handle of the call this answers, from the server's
-    /// in-service copy (the endpoint encodes its post-op attributes).
-    pub fh: FileHandle,
     /// Simulated instant the reply left the server.
     pub at: SimTime,
     /// The reply body.
@@ -1019,6 +1016,17 @@ impl NfsWorld {
     /// server finished them.
     pub fn take_external_replies(&mut self) -> Vec<ExtReply> {
         std::mem::take(&mut self.ext_outbox)
+    }
+
+    /// The server's attributes for `fh`, as a reply about it carries
+    /// them; `None` for an inode the server does not hold.
+    pub fn file_attrs(&self, fh: FileHandle) -> Option<Fattr3> {
+        self.server.fs.inode(fh.ino).map(|i| Fattr3 {
+            is_dir: false,
+            size: i.size,
+            fileid: fh.ino,
+            fsid: u64::from(fh.fsid),
+        })
     }
 
     /// Turns on the server-side event log ([`ServerEvent`]). Worlds that
@@ -2868,14 +2876,15 @@ impl NfsWorld {
             self.ext_outbox.push(ExtReply {
                 ext: ext_index(key),
                 xid,
-                fh: call.fh(),
                 at: t,
                 reply,
             });
         } else {
             let client = key_client(key);
-            let verf = match &reply {
-                NfsReply::Write { verf, .. } | NfsReply::Commit { verf, .. } => *verf,
+            // A failed WRITE or COMMIT sends no verifier; the simulated
+            // client is handed the server's all the same, as it always was.
+            let verf = match call {
+                NfsCall::Write { .. } | NfsCall::Commit { .. } => self.server.verf,
                 _ => 0,
             };
             match self.clients[client].s2c.send(t, reply.wire_bytes()) {
@@ -2892,60 +2901,72 @@ impl NfsWorld {
         self.release_nfsd(t);
     }
 
-    /// The reply to `call` with `status`, read off the server's state: file
-    /// sizes from its inodes, verifiers from its boot epoch, and a READDIR
-    /// chunk's shape from what a simulated caller declared in its
+    /// The reply to `call` with `status`, read off the server's state:
+    /// attributes from its inodes, verifiers from its boot epoch, and a
+    /// READDIR chunk's shape from what a simulated caller declared in its
     /// [`Rpc::readdir`] (an external caller declares none and gets an empty,
-    /// final chunk — a real server's answer for an empty directory).
+    /// final chunk — a real server's answer for an empty directory). A
+    /// failed reply carries only its status and attributes.
     fn build_reply(&self, key: u64, call: &NfsCall, status: NfsStatus) -> NfsReply {
         let ok = status == NfsStatus::Ok;
-        let size = |ino| self.server.fs.inode(ino).map_or(0, |i| i.size);
+        let attrs = |fh| self.file_attrs(fh);
+        let verf = if ok { self.server.verf } else { 0 };
         match *call {
-            NfsCall::Read { fh, offset, count } => NfsReply::Read {
+            NfsCall::Read { fh, offset, count } => {
+                let attrs = attrs(fh);
+                let size = attrs.map_or(0, |a| a.size);
+                NfsReply::Read {
+                    status,
+                    attrs,
+                    count: if ok { count } else { 0 },
+                    eof: ok && offset + u64::from(count) >= size,
+                }
+            }
+            NfsCall::Write {
+                fh, count, stable, ..
+            } => NfsReply::Write {
                 status,
+                attrs: attrs(fh),
                 count: if ok { count } else { 0 },
-                eof: ok && offset + u64::from(count) >= size(fh.ino),
-            },
-            NfsCall::Write { count, stable, .. } => NfsReply::Write {
-                status,
-                count: if ok { count } else { 0 },
-                committed: if stable == StableHow::Unstable {
+                committed: if ok && stable == StableHow::Unstable {
                     StableHow::Unstable
                 } else {
                     StableHow::FileSync
                 },
-                verf: self.server.verf,
+                verf,
             },
-            NfsCall::Commit { .. } => NfsReply::Commit {
+            NfsCall::Commit { fh, .. } => NfsReply::Commit {
                 status,
-                verf: self.server.verf,
+                attrs: attrs(fh),
+                verf,
             },
             NfsCall::Getattr { fh } => NfsReply::Getattr {
                 status,
-                attrs: ok.then(|| nfsproto::Fattr3 {
-                    size: size(fh.ino),
-                    fileid: fh.ino,
-                }),
+                attrs: attrs(fh).filter(|_| ok),
             },
             NfsCall::Lookup { dir, .. } => NfsReply::Lookup {
                 status,
                 fh: ok.then_some(dir),
+                obj_attrs: attrs(dir).filter(|_| ok),
+                dir_attrs: attrs(dir),
             },
-            NfsCall::Readdir { .. } | NfsCall::Readdirplus { .. } => {
+            NfsCall::Readdir { dir, .. } | NfsCall::Readdirplus { dir, .. } => {
                 let plus = matches!(call, NfsCall::Readdirplus { .. });
                 let pend = (!is_ext(key))
                     .then(|| self.clients[key_client(key)].rpcs.get(key_xid(key)))
                     .flatten()
-                    .and_then(|rpc| rpc.readdir.as_ref());
+                    .and_then(|rpc| rpc.readdir.as_ref())
+                    .filter(|_| ok);
                 let entries = pend.map_or(0, |p| p.entries);
                 let per = READDIR_ENTRY_BYTES + if plus { READDIRPLUS_EXTRA_BYTES } else { 0 };
                 NfsReply::Readdir {
                     status,
+                    dir_attrs: attrs(dir),
                     plus,
-                    cookieverf: self.server.verf,
+                    cookieverf: verf,
                     entries,
                     bytes: entries * per,
-                    eof: pend.is_none_or(|p| p.eof),
+                    eof: ok && pend.is_none_or(|p| p.eof),
                 }
             }
         }
@@ -4083,17 +4104,6 @@ mod tests {
         assert!(w.is_durable(fh, 1));
     }
 
-    fn reply_status(reply: &NfsReply) -> NfsStatus {
-        match *reply {
-            NfsReply::Getattr { status, .. }
-            | NfsReply::Lookup { status, .. }
-            | NfsReply::Read { status, .. }
-            | NfsReply::Write { status, .. }
-            | NfsReply::Readdir { status, .. }
-            | NfsReply::Commit { status, .. } => status,
-        }
-    }
-
     #[test]
     fn unknown_inode_numbers_are_stale_and_grow_no_server_books() {
         let mut w = make_world(WorldConfig::default(), 27);
@@ -4143,7 +4153,7 @@ mod tests {
         let replies = w.take_external_replies();
         assert_eq!(replies.len(), 20);
         for r in &replies {
-            assert_eq!(reply_status(&r.reply), NfsStatus::Stale, "{r:?}");
+            assert_eq!(r.reply.status(), NfsStatus::Stale, "{r:?}");
         }
         assert_eq!(w.server.inodes.len(), files.len());
         assert_eq!(w.server.inodes.len(), w.fs().file_count());

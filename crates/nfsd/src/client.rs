@@ -11,7 +11,7 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use nfsproto::{frame_record, FileHandle, NfsCall, RecordReader, StableHow};
+use nfsproto::{frame_record, Fattr3, FileHandle, NfsCall, RecordReader, StableHow, XdrError};
 use nfstrace::{TraceOp, TraceRecord};
 use simcore::LogHist;
 
@@ -132,44 +132,48 @@ impl NfsClient {
         }
     }
 
-    fn check_xid(&self, sent: u32, got: u32) -> Result<(), ClientError> {
-        if sent == got {
-            Ok(())
-        } else {
-            Err(ClientError::XidMismatch { sent, got })
+    /// Sends the call `encode` builds under a fresh xid and decodes the
+    /// reply with `decode`, which returns the reply's xid beside the value.
+    fn rpc<T>(
+        &mut self,
+        encode: impl FnOnce(u32) -> Vec<u8>,
+        decode: impl FnOnce(&[u8]) -> Result<(u32, T), XdrError>,
+    ) -> Result<T, ClientError> {
+        let sent = self.fresh_xid();
+        let reply = self.call_raw(&encode(sent))?;
+        let (got, value) = decode(&reply)?;
+        if sent != got {
+            return Err(ClientError::XidMismatch { sent, got });
         }
+        Ok(value)
     }
 
     /// MOUNTs the export, returning the root directory handle.
     pub fn mount(&mut self) -> Result<FileHandle, ClientError> {
-        let xid = self.fresh_xid();
-        let reply = self.call_raw(&wire::encode_mnt_call(xid, EXPORT_PATH))?;
-        let (got, fh) = wire::decode_mnt_reply(&reply)?;
-        self.check_xid(xid, got)?;
-        Ok(fh)
+        self.rpc(
+            |xid| wire::encode_mnt_call(xid, EXPORT_PATH),
+            wire::decode_mnt_reply,
+        )
     }
 
     /// LOOKUPs `name` under `dir`.
     pub fn lookup(&mut self, dir: FileHandle, name: &str) -> Result<FileHandle, ClientError> {
-        let xid = self.fresh_xid();
         let call = NfsCall::Lookup {
             dir,
             name: name.to_string(),
         };
-        let reply = self.call_raw(&call.encode(xid))?;
-        let (got, fh, _attr) = wire::decode_lookup_reply(&reply)?;
-        self.check_xid(xid, got)?;
-        Ok(fh)
+        self.rpc(
+            |xid| call.encode(xid),
+            |r| wire::decode_lookup_reply(r).map(|(xid, fh, _)| (xid, fh)),
+        )
     }
 
     /// GETATTR.
-    pub fn getattr(&mut self, fh: FileHandle) -> Result<wire::DecodedAttr, ClientError> {
-        let xid = self.fresh_xid();
-        let call = NfsCall::Getattr { fh };
-        let reply = self.call_raw(&call.encode(xid))?;
-        let (got, attr) = wire::decode_getattr_reply(&reply)?;
-        self.check_xid(xid, got)?;
-        Ok(attr)
+    pub fn getattr(&mut self, fh: FileHandle) -> Result<Fattr3, ClientError> {
+        self.rpc(
+            |xid| NfsCall::Getattr { fh }.encode(xid),
+            wire::decode_getattr_reply,
+        )
     }
 
     /// READ `count` bytes at `offset`.
@@ -179,12 +183,10 @@ impl NfsClient {
         offset: u64,
         count: u32,
     ) -> Result<wire::ReadReply, ClientError> {
-        let xid = self.fresh_xid();
-        let call = NfsCall::Read { fh, offset, count };
-        let reply = self.call_raw(&call.encode(xid))?;
-        let r = wire::decode_read_reply(&reply)?;
-        self.check_xid(xid, r.xid)?;
-        Ok(r)
+        self.rpc(
+            |xid| NfsCall::Read { fh, offset, count }.encode(xid),
+            |r| wire::decode_read_reply(r).map(|r| (r.xid, r)),
+        )
     }
 
     /// WRITE `count` (zero-filled) bytes at `offset` — sent in the full
@@ -196,25 +198,23 @@ impl NfsClient {
         count: u32,
         stable: StableHow,
     ) -> Result<wire::WriteReply, ClientError> {
-        let xid = self.fresh_xid();
-        let reply = self.call_raw(&wire::encode_write_call(xid, &fh, offset, count, stable))?;
-        let r = wire::decode_write_reply(&reply)?;
-        self.check_xid(xid, r.xid)?;
-        Ok(r)
+        self.rpc(
+            |xid| wire::encode_write_call(xid, &fh, offset, count, stable),
+            |r| wire::decode_write_reply(r).map(|r| (r.xid, r)),
+        )
     }
 
-    /// COMMIT the whole file.
+    /// COMMIT the whole file, returning `(status, verf)`.
     pub fn commit(&mut self, fh: FileHandle) -> Result<(u32, u64), ClientError> {
-        let xid = self.fresh_xid();
         let call = NfsCall::Commit {
             fh,
             offset: 0,
             count: 0,
         };
-        let reply = self.call_raw(&call.encode(xid))?;
-        let (got, status, verf) = wire::decode_commit_reply(&reply)?;
-        self.check_xid(xid, got)?;
-        Ok((status, verf))
+        self.rpc(
+            |xid| call.encode(xid),
+            |r| wire::decode_commit_reply(r).map(|(xid, status, verf)| (xid, (status, verf))),
+        )
     }
 
     /// Mounts, resolves every `f{i}` the trace touches, and replays the

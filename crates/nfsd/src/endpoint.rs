@@ -14,7 +14,9 @@
 
 use ffs::{FileSystem, FsConfig};
 use iosched::SchedulerKind;
-use nfsproto::{AcceptStat, CallHeader, FileHandle, NfsCall, NfsReply, NfsStatus, XdrDecoder};
+use nfsproto::{
+    AcceptStat, CallHeader, Fattr3, FileHandle, NfsCall, NfsReply, NfsStatus, XdrDecoder,
+};
 use nfssim::{NfsWorld, WorldConfig};
 use simcore::{SimRng, SimTime};
 
@@ -71,6 +73,14 @@ pub fn build_world(config: WorldConfig, seed: u64) -> NfsWorld {
     let part = diskmodel::PartitionTable::quarters(disk.geometry()).get(1);
     let fs = FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default());
     NfsWorld::new(config, fs, seed)
+}
+
+/// PROG_MISMATCH for a program that serves only version `vers`.
+fn mismatch(vers: u32) -> AcceptStat {
+    AcceptStat::ProgMismatch {
+        low: vers,
+        high: vers,
+    }
 }
 
 /// The record-in, records-out NFSv3 endpoint over a simulated world.
@@ -133,23 +143,13 @@ impl Endpoint {
             nfsproto::NFS_PROGRAM => self
                 .handle_nfs(now, conn, &hdr, &mut d)
                 .map_or_else(Vec::new, |r| vec![r]),
-            _ => {
-                self.stats.rpc_errors += 1;
-                vec![wire::accept_error_res(hdr.xid, AcceptStat::ProgUnavail)]
-            }
+            _ => vec![self.rpc_error(hdr.xid, AcceptStat::ProgUnavail)],
         }
     }
 
     fn handle_mount(&mut self, hdr: &CallHeader, d: &mut XdrDecoder<'_>) -> Vec<u8> {
         if hdr.vers != wire::MOUNT_VERSION {
-            self.stats.rpc_errors += 1;
-            return wire::accept_error_res(
-                hdr.xid,
-                AcceptStat::ProgMismatch {
-                    low: wire::MOUNT_VERSION,
-                    high: wire::MOUNT_VERSION,
-                },
-            );
+            return self.rpc_error(hdr.xid, mismatch(wire::MOUNT_VERSION));
         }
         match hdr.proc_num {
             wire::MOUNTPROC_NULL | wire::MOUNTPROC_UMNT => {
@@ -165,15 +165,9 @@ impl Endpoint {
                     self.stats.immediate_replies += 1;
                     wire::mnt_res_err(hdr.xid, wire::MNT_ERR_NOENT)
                 }
-                Err(_) => {
-                    self.stats.rpc_errors += 1;
-                    wire::accept_error_res(hdr.xid, AcceptStat::GarbageArgs)
-                }
+                Err(_) => self.rpc_error(hdr.xid, AcceptStat::GarbageArgs),
             },
-            _ => {
-                self.stats.rpc_errors += 1;
-                wire::accept_error_res(hdr.xid, AcceptStat::ProcUnavail)
-            }
+            _ => self.rpc_error(hdr.xid, AcceptStat::ProcUnavail),
         }
     }
 
@@ -187,41 +181,32 @@ impl Endpoint {
         d: &mut XdrDecoder<'_>,
     ) -> Option<Vec<u8>> {
         if hdr.vers != nfsproto::NFS_VERSION {
-            self.stats.rpc_errors += 1;
-            return Some(wire::accept_error_res(
-                hdr.xid,
-                AcceptStat::ProgMismatch {
-                    low: nfsproto::NFS_VERSION,
-                    high: nfsproto::NFS_VERSION,
-                },
-            ));
+            return Some(self.rpc_error(hdr.xid, mismatch(nfsproto::NFS_VERSION)));
         }
         match hdr.proc_num {
             wire::NFSPROC_NULL => {
                 self.stats.immediate_replies += 1;
                 Some(wire::void_res(hdr.xid))
             }
-            wire::NFSPROC_ACCESS => {
-                let (fh, bits) = match (FileHandle::decode(d), d.get_u32()) {
-                    (Ok(fh), Ok(bits)) => (fh, bits),
-                    _ => return Some(self.garbage(hdr.xid)),
-                };
-                self.stats.immediate_replies += 1;
-                match self.attr_for(&fh) {
-                    Some(a) => Some(wire::access_res(hdr.xid, &a, bits & wire::ACCESS_ALL)),
-                    None => Some(wire::stale_res(hdr.xid)),
-                }
-            }
-            wire::NFSPROC_FSINFO | wire::NFSPROC_FSSTAT | wire::NFSPROC_PATHCONF => {
-                let fh = match FileHandle::decode(d) {
-                    Ok(fh) => fh,
-                    Err(_) => return Some(self.garbage(hdr.xid)),
+            // One handle each; ACCESS adds the permission bits asked.
+            wire::NFSPROC_ACCESS
+            | wire::NFSPROC_FSINFO
+            | wire::NFSPROC_FSSTAT
+            | wire::NFSPROC_PATHCONF => {
+                let access = hdr.proc_num == wire::NFSPROC_ACCESS;
+                let args = FileHandle::decode(d).and_then(|fh| {
+                    let bits = if access { d.get_u32()? } else { 0 };
+                    Ok((fh, bits))
+                });
+                let Ok((fh, bits)) = args else {
+                    return Some(self.rpc_error(hdr.xid, AcceptStat::GarbageArgs));
                 };
                 self.stats.immediate_replies += 1;
                 let Some(a) = self.attr_for(&fh) else {
                     return Some(wire::stale_res(hdr.xid));
                 };
                 Some(match hdr.proc_num {
+                    wire::NFSPROC_ACCESS => wire::access_res(hdr.xid, &a, bits & wire::ACCESS_ALL),
                     wire::NFSPROC_FSINFO => wire::fsinfo_res(hdr.xid, &a, nfssim::RSIZE),
                     wire::NFSPROC_FSSTAT => wire::fsstat_res(hdr.xid, &a),
                     _ => wire::pathconf_res(hdr.xid, &a),
@@ -230,16 +215,12 @@ impl Endpoint {
             // Procedures the shared codec models.
             1 | 3 | 6 | 7 | 21 => {
                 let proc_ = nfsproto::NfsProc::from_number(hdr.proc_num).expect("modelled proc");
-                let call = match NfsCall::decode_args(proc_, d) {
-                    Ok(c) => c,
-                    Err(_) => return Some(self.garbage(hdr.xid)),
+                let Ok(call) = NfsCall::decode_args(proc_, d) else {
+                    return Some(self.rpc_error(hdr.xid, AcceptStat::GarbageArgs));
                 };
                 self.dispatch_call(now, conn, hdr.xid, call)
             }
-            _ => {
-                self.stats.rpc_errors += 1;
-                Some(wire::accept_error_res(hdr.xid, AcceptStat::ProcUnavail))
-            }
+            _ => Some(self.rpc_error(hdr.xid, AcceptStat::ProcUnavail)),
         }
     }
 
@@ -255,36 +236,39 @@ impl Endpoint {
             // answered here; the simulated world has no directories.
             NfsCall::Lookup { dir, name } => {
                 self.stats.immediate_replies += 1;
-                if dir.ino != ROOT_INO {
-                    return Some(wire::lookup_res_err(xid, 20, None)); // NFS3ERR_NOTDIR
-                }
-                let idx = name
-                    .strip_prefix('f')
-                    .and_then(|n| n.parse::<usize>().ok())
-                    .filter(|&i| i < self.exports.len());
-                match idx {
-                    Some(i) => {
-                        let fh = self.exports[i];
-                        let obj = self.attr_for(&fh).unwrap_or(wire::FileAttr {
-                            fileid: fh.ino,
-                            size: 0,
-                            fsid: u64::from(fh.fsid),
-                            is_dir: false,
-                        });
-                        let dir_attr = self.root_attr();
-                        Some(wire::lookup_res_ok(xid, &fh, &obj, &dir_attr))
+                let reply = if dir.ino == ROOT_INO {
+                    let fh = name
+                        .strip_prefix('f')
+                        .and_then(|n| n.parse::<usize>().ok())
+                        .and_then(|i| self.exports.get(i).copied());
+                    NfsReply::Lookup {
+                        status: if fh.is_some() {
+                            NfsStatus::Ok
+                        } else {
+                            NfsStatus::NoEnt
+                        },
+                        fh,
+                        obj_attrs: fh.and_then(|fh| self.attr_for(&fh)),
+                        dir_attrs: Some(self.root_attr()),
                     }
-                    None => Some(wire::lookup_res_err(
-                        xid,
-                        2, // NFS3ERR_NOENT
-                        Some(&self.root_attr()),
-                    )),
-                }
+                } else {
+                    NfsReply::Lookup {
+                        status: NfsStatus::NotDir,
+                        fh: None,
+                        obj_attrs: None,
+                        dir_attrs: None,
+                    }
+                };
+                Some(reply.encode(xid))
             }
             // GETATTR on the synthetic root is also endpoint business.
             NfsCall::Getattr { fh } if fh.ino == ROOT_INO => {
                 self.stats.immediate_replies += 1;
-                Some(wire::getattr_res(xid, &self.root_attr()))
+                let reply = NfsReply::Getattr {
+                    status: NfsStatus::Ok,
+                    attrs: Some(self.root_attr()),
+                };
+                Some(reply.encode(xid))
             }
             // Everything else is the data path: into the world, sharing
             // nfsds, the heuristic table, and the disk.
@@ -301,8 +285,7 @@ impl Endpoint {
             // over the real socket. Real mounts list via the same error
             // they would get from a pre-READDIR server.
             NfsCall::Readdir { .. } | NfsCall::Readdirplus { .. } => {
-                self.stats.rpc_errors += 1;
-                Some(wire::accept_error_res(xid, AcceptStat::ProcUnavail))
+                Some(self.rpc_error(xid, AcceptStat::ProcUnavail))
             }
         }
     }
@@ -314,7 +297,7 @@ impl Endpoint {
         let replies = self.world.take_external_replies();
         replies
             .into_iter()
-            .map(|r| (r.ext, self.encode_reply(r.xid, r.fh, &r.reply)))
+            .map(|r| (r.ext, r.reply.encode(r.xid)))
             .collect()
     }
 
@@ -324,79 +307,26 @@ impl Endpoint {
         self.world.next_event()
     }
 
-    fn encode_reply(&self, xid: u32, fh: FileHandle, reply: &NfsReply) -> Vec<u8> {
-        let attr = self.attr_for(&fh);
-        match *reply {
-            NfsReply::Getattr { status, attrs } => match (status, attrs) {
-                (NfsStatus::Ok, Some(a)) => {
-                    let full = wire::FileAttr {
-                        fileid: a.fileid,
-                        size: a.size,
-                        fsid: u64::from(fh.fsid),
-                        is_dir: false,
-                    };
-                    wire::getattr_res(xid, &full)
-                }
-                _ => wire::getattr_res_err(xid, status.code()),
-            },
-            NfsReply::Read { status, count, eof } => match (status, &attr) {
-                (NfsStatus::Ok, Some(a)) => wire::read_res_ok(xid, a, count, eof),
-                _ => wire::read_res_err(xid, status.code(), attr.as_ref()),
-            },
-            NfsReply::Write {
-                status,
-                count,
-                committed,
-                verf,
-            } => wire::write_res(xid, status.code(), attr.as_ref(), count, committed, verf),
-            NfsReply::Commit { status, verf } => {
-                wire::commit_res(xid, status.code(), attr.as_ref(), verf)
-            }
-            // The world never answers LOOKUP for external calls (the
-            // endpoint resolves names), but encode it defensively.
-            NfsReply::Lookup { status, fh: obj } => match obj {
-                Some(obj) if status == NfsStatus::Ok => {
-                    let a = self.attr_for(&obj).unwrap_or(wire::FileAttr {
-                        fileid: obj.ino,
-                        size: 0,
-                        fsid: u64::from(obj.fsid),
-                        is_dir: false,
-                    });
-                    wire::lookup_res_ok(xid, &obj, &a, &self.root_attr())
-                }
-                _ => wire::lookup_res_err(xid, status.code(), None),
-            },
-            // Never produced for external calls (READDIR is refused at
-            // dispatch), but encode defensively as the same refusal.
-            NfsReply::Readdir { .. } => wire::accept_error_res(xid, AcceptStat::ProcUnavail),
-        }
-    }
-
-    fn attr_for(&self, fh: &FileHandle) -> Option<wire::FileAttr> {
+    fn attr_for(&self, fh: &FileHandle) -> Option<Fattr3> {
         if fh.ino == ROOT_INO {
             return Some(self.root_attr());
         }
-        let inode = self.world.fs().inode(fh.ino)?;
-        Some(wire::FileAttr {
-            fileid: fh.ino,
-            size: inode.size,
-            fsid: u64::from(fh.fsid),
-            is_dir: false,
-        })
+        self.world.file_attrs(*fh)
     }
 
-    fn root_attr(&self) -> wire::FileAttr {
-        wire::FileAttr {
-            fileid: ROOT_INO,
-            size: 4_096,
-            fsid: u64::from(self.root.fsid),
+    fn root_attr(&self) -> Fattr3 {
+        Fattr3 {
             is_dir: true,
+            size: 4_096,
+            fileid: ROOT_INO,
+            fsid: u64::from(self.root.fsid),
         }
     }
 
-    fn garbage(&mut self, xid: u32) -> Vec<u8> {
+    /// An RPC-level error reply, counted.
+    fn rpc_error(&mut self, xid: u32, stat: AcceptStat) -> Vec<u8> {
         self.stats.rpc_errors += 1;
-        wire::accept_error_res(xid, AcceptStat::GarbageArgs)
+        wire::accept_error_res(xid, stat)
     }
 
     /// Endpoint-level counters.
@@ -492,7 +422,10 @@ mod tests {
             name: "F1".into(),
         };
         let reply = ep.handle_record(SimTime::ZERO, conn, &call.encode(2));
-        assert!(wire::decode_lookup_reply(&reply[0]).is_err(), "NFS3ERR_NOENT");
+        assert!(
+            wire::decode_lookup_reply(&reply[0]).is_err(),
+            "NFS3ERR_NOENT"
+        );
     }
 
     #[test]

@@ -53,7 +53,10 @@ impl Session {
 
     fn write(&mut self, case: &str, fh: FileHandle, offset: u64, count: u32, stable: StableHow) {
         let xid = self.next_xid();
-        self.send(case, &wire::encode_write_call(xid, &fh, offset, count, stable));
+        self.send(
+            case,
+            &wire::encode_write_call(xid, &fh, offset, count, stable),
+        );
     }
 
     /// ACCESS (with every permission bit asked) or an FSINFO, FSSTAT or
@@ -126,7 +129,13 @@ fn endpoint_replies() {
     s.write("write_unstable", fh, FILE_SIZE, 8_192, StableHow::Unstable);
     s.write("write_file_sync", fh, 0, 8_192, StableHow::FileSync);
     s.write("write_zero_count", fh, 0, 0, StableHow::Unstable);
-    s.write("write_inval", fh, u64::MAX - 100, 8_192, StableHow::Unstable);
+    s.write(
+        "write_inval",
+        fh,
+        u64::MAX - 100,
+        8_192,
+        StableHow::Unstable,
+    );
     s.write("write_nospc", fh, 1 << 50, 8_192, StableHow::FileSync);
     s.nfs(
         "commit",

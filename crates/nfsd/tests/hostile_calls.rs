@@ -3,7 +3,10 @@
 //! assert (or, for a zero-count UNSTABLE WRITE, spinning forever).
 
 use nfsd::{build_world, wire, Endpoint, ExportSpec};
-use nfsproto::{AcceptStat, FileHandle, NfsCall, ReplyHeader, StableHow, XdrDecoder};
+use nfsproto::{
+    AcceptStat, Fattr3, FileHandle, NfsCall, NfsReply, NfsStatus, ReplyHeader, StableHow,
+    XdrDecoder,
+};
 use nfssim::WorldConfig;
 use simcore::SimTime;
 
@@ -221,15 +224,20 @@ fn a_reused_xid_is_answered_with_the_first_calls_attributes() {
     let out = ep.pump(SimTime::from_nanos(60_000_000_000));
     assert_eq!(out.len(), 1, "one reply for the one call served");
     assert_eq!(ep.world().server_stats().duplicates_dropped, 1);
-    let attr = wire::FileAttr {
-        fileid: f0.ino,
-        size: FILE_SIZE,
-        fsid: u64::from(f0.fsid),
-        is_dir: false,
+    let f0_read = NfsReply::Read {
+        status: NfsStatus::Ok,
+        attrs: Some(Fattr3 {
+            is_dir: false,
+            size: FILE_SIZE,
+            fileid: f0.ino,
+            fsid: u64::from(f0.fsid),
+        }),
+        count: 8_192,
+        eof: false,
     };
     assert_eq!(out[0].0, conn);
     assert!(
-        out[0].1 == wire::read_res_ok(7, &attr, 8_192, false),
+        out[0].1 == f0_read.encode(7),
         "the reply must carry f0's post-op attributes (fileid {})",
         f0.ino
     );

@@ -2,14 +2,16 @@
 //!
 //! Only what the paper's workloads exercise: READ (the star of the show),
 //! WRITE and GETATTR/LOOKUP (for the mixed-workload extension), and
-//! READDIR/READDIRPLUS (for the metadata-heavy tree-walk workloads). Data
-//! payloads — write bytes, read bytes, directory entry lists — are carried
-//! as *lengths*, not bytes: the simulator transfers time, not content. But
-//! every header field is really encoded and decoded, and
+//! READDIR/READDIRPLUS (for the metadata-heavy tree-walk workloads).
+//! Replies have RFC 1813's shapes, attributes included, so the simulator
+//! and the real-socket endpoint send the same bytes. Data payloads are
+//! carried as *lengths*, not content: the simulator transfers time. READ
+//! data encodes as zeros of its length; a WRITE call's payload and a
+//! READDIR reply's entry list are elided from the encoding.
 //! `wire_bytes() == encode().len() + elided payload` holds for every
-//! variant (a property test pins it), so wire sizes are honest.
+//! message (a property test pins it), so wire sizes are honest.
 
-use crate::rpc::{AcceptStat, CallHeader, ReplyHeader};
+use crate::rpc::{CallHeader, ReplyHeader};
 use crate::xdr::{XdrDecoder, XdrEncoder, XdrError};
 
 /// The NFS program number.
@@ -141,6 +143,11 @@ impl StableHow {
             _ => None,
         }
     }
+
+    fn decode(d: &mut XdrDecoder<'_>, what: &'static str) -> Result<Self, XdrError> {
+        let value = d.get_u32()?;
+        StableHow::from_code(value).ok_or(XdrError::BadEnum { what, value })
+    }
 }
 
 /// Derives a server write verifier (RFC 1813 `writeverf3`) from a server
@@ -172,6 +179,8 @@ pub enum NfsStatus {
     Stale,
     /// I/O error.
     Io,
+    /// Not a directory (a LOOKUP in a file).
+    NotDir,
     /// Invalid argument (a byte range that overflows).
     Inval,
     /// No space left on the device.
@@ -185,6 +194,7 @@ impl NfsStatus {
             NfsStatus::Ok => 0,
             NfsStatus::NoEnt => 2,
             NfsStatus::Io => 5,
+            NfsStatus::NotDir => 20,
             NfsStatus::Inval => 22,
             NfsStatus::NoSpc => 28,
             NfsStatus::Stale => 70,
@@ -196,6 +206,7 @@ impl NfsStatus {
             0 => Some(NfsStatus::Ok),
             2 => Some(NfsStatus::NoEnt),
             5 => Some(NfsStatus::Io),
+            20 => Some(NfsStatus::NotDir),
             22 => Some(NfsStatus::Inval),
             28 => Some(NfsStatus::NoSpc),
             70 => Some(NfsStatus::Stale),
@@ -418,11 +429,7 @@ impl NfsCall {
                 let fh = FileHandle::decode(d)?;
                 let offset = d.get_u64()?;
                 let count = d.get_u32()?;
-                let stable_code = d.get_u32()?;
-                let stable = StableHow::from_code(stable_code).ok_or(XdrError::BadEnum {
-                    what: "stable_how",
-                    value: stable_code,
-                })?;
+                let stable = StableHow::decode(d, "stable_how")?;
                 // Payload: the simulator encodes the length word only; a
                 // real client's WRITE3args carries the bytes too. Accept
                 // both by skipping whatever of the declared payload is
@@ -477,16 +484,108 @@ impl NfsCall {
     }
 }
 
-/// Minimal file attributes (enough for GETATTR and post-op attrs).
+/// File attributes as RFC 1813's 84-byte `fattr3`. The model keeps the
+/// type, size, file id and file-system id; the encoder derives the mode
+/// and `used` from them and sends one link, uid and gid 0, no device and
+/// zero times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fattr3 {
+    /// A directory (`NF3DIR`) rather than a regular file (`NF3REG`).
+    pub is_dir: bool,
     /// File size in bytes.
     pub size: u64,
     /// File id (inode number).
     pub fileid: u64,
+    /// File-system id.
+    pub fsid: u64,
 }
 
-/// An NFS reply (server to client).
+impl Fattr3 {
+    /// Encoded size of a `fattr3`.
+    pub const BYTES: u64 = 84;
+
+    /// Encodes the attributes as a `fattr3`.
+    pub fn encode(&self, e: &mut XdrEncoder) {
+        e.put_u32(if self.is_dir { 2 } else { 1 })
+            .put_u32(if self.is_dir { 0o755 } else { 0o644 })
+            .put_u32(1) // nlink
+            .put_u64(0) // uid, gid
+            .put_u64(self.size)
+            .put_u64(self.size.next_multiple_of(4_096)) // used
+            .put_u64(0) // rdev
+            .put_u64(self.fsid)
+            .put_u64(self.fileid)
+            .put_opaque_fixed(&[0; 24]); // atime, mtime, ctime
+    }
+
+    /// Decodes a `fattr3` encoded by [`Fattr3::encode`].
+    pub fn decode(d: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
+        let is_dir = match d.get_u32()? {
+            1 => false,
+            2 => true,
+            value => {
+                return Err(XdrError::BadEnum {
+                    what: "ftype3",
+                    value,
+                })
+            }
+        };
+        d.get_opaque_fixed(16)?; // mode, nlink, uid, gid
+        let size = d.get_u64()?;
+        d.get_opaque_fixed(16)?; // used, rdev
+        let fsid = d.get_u64()?;
+        let fileid = d.get_u64()?;
+        d.get_opaque_fixed(24)?;
+        Ok(Fattr3 {
+            is_dir,
+            size,
+            fileid,
+            fsid,
+        })
+    }
+
+    /// Encodes a `post_op_attr`: a presence flag, then the attributes.
+    pub fn encode_post_op(attrs: Option<&Fattr3>, e: &mut XdrEncoder) {
+        e.put_bool(attrs.is_some());
+        if let Some(a) = attrs {
+            a.encode(e);
+        }
+    }
+
+    /// Decodes a `post_op_attr`.
+    pub fn decode_post_op(d: &mut XdrDecoder<'_>) -> Result<Option<Self>, XdrError> {
+        if d.get_bool()? {
+            Fattr3::decode(d).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+fn post_op_bytes(attrs: &Option<Fattr3>) -> u64 {
+    4 + attrs.map_or(0, |_| Fattr3::BYTES)
+}
+
+/// Encodes a `wcc_data` whose pre-op attributes were not recorded.
+fn encode_wcc(post: &Option<Fattr3>, e: &mut XdrEncoder) {
+    e.put_bool(false);
+    Fattr3::encode_post_op(post.as_ref(), e);
+}
+
+/// Decodes a `wcc_data`, skipping pre-op attributes (size, mtime and
+/// ctime) if a peer sent them.
+fn decode_wcc(d: &mut XdrDecoder<'_>) -> Result<Option<Fattr3>, XdrError> {
+    if d.get_bool()? {
+        d.get_opaque_fixed(24)?;
+    }
+    Fattr3::decode_post_op(d)
+}
+
+/// An NFS reply (server to client) in its RFC 1813 shape: each variant
+/// carries the attributes its `*3res` carries, and a failed reply sends
+/// only its status and those attributes. Fields a failed reply has no
+/// room for hold zero values (`count` 0, `verf` 0, `eof` false, a WRITE's
+/// `committed` `FileSync`), which is what decoding one yields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NfsReply {
     /// Reply to GETATTR.
@@ -502,11 +601,17 @@ pub enum NfsReply {
         status: NfsStatus,
         /// Resolved handle when `status` is `Ok`.
         fh: Option<FileHandle>,
+        /// The object's post-op attributes, sent only with a handle.
+        obj_attrs: Option<Fattr3>,
+        /// The directory's post-op attributes.
+        dir_attrs: Option<Fattr3>,
     },
-    /// Reply to READ; data carried as a length.
+    /// Reply to READ; the data encodes as zeros of its length.
     Read {
         /// Status.
         status: NfsStatus,
+        /// The file's post-op attributes.
+        attrs: Option<Fattr3>,
         /// Bytes returned.
         count: u32,
         /// Whether EOF was reached.
@@ -516,6 +621,9 @@ pub enum NfsReply {
     Write {
         /// Status.
         status: NfsStatus,
+        /// The file's attributes after the write: the post-op half of
+        /// `wcc_data` (the pre-op half is not recorded).
+        attrs: Option<Fattr3>,
         /// Bytes accepted.
         count: u32,
         /// Stability actually achieved (a server may commit harder than
@@ -526,10 +634,12 @@ pub enum NfsReply {
         verf: u64,
     },
     /// Reply to READDIR or READDIRPLUS; the entry list is carried as a
-    /// count and a byte length, the way READ carries its data.
+    /// count and a byte length, elided from the encoding.
     Readdir {
         /// Status.
         status: NfsStatus,
+        /// The directory's post-op attributes.
+        dir_attrs: Option<Fattr3>,
         /// Whether this reply answers READDIRPLUS (entries carried
         /// attributes and handles) rather than plain READDIR.
         plus: bool,
@@ -547,12 +657,26 @@ pub enum NfsReply {
     Commit {
         /// Status.
         status: NfsStatus,
+        /// The file's post-op attributes, as in [`NfsReply::Write`].
+        attrs: Option<Fattr3>,
         /// Write verifier, compared against the WRITE-time one.
         verf: u64,
     },
 }
 
 impl NfsReply {
+    /// The reply's status.
+    pub fn status(&self) -> NfsStatus {
+        match *self {
+            NfsReply::Getattr { status, .. }
+            | NfsReply::Lookup { status, .. }
+            | NfsReply::Read { status, .. }
+            | NfsReply::Write { status, .. }
+            | NfsReply::Readdir { status, .. }
+            | NfsReply::Commit { status, .. } => status,
+        }
+    }
+
     /// Encodes the reply with its RPC header.
     pub fn encode(&self, xid: u32) -> Vec<u8> {
         self.encode_into(xid, Vec::new())
@@ -565,54 +689,65 @@ impl NfsReply {
         let mut e = XdrEncoder::into_buf(buf);
         ReplyHeader::success(xid).encode(&mut e);
         debug_assert_eq!(e.len() as u64, RPC_REPLY_HEADER_BYTES);
+        let ok = self.status() == NfsStatus::Ok;
+        e.put_u32(self.status().code());
         match self {
-            NfsReply::Getattr { status, attrs } => {
-                e.put_u32(status.code());
+            NfsReply::Getattr { attrs, .. } => {
                 if let Some(a) = attrs {
-                    e.put_u64(a.size);
-                    e.put_u64(a.fileid);
+                    a.encode(&mut e);
                 }
             }
-            NfsReply::Lookup { status, fh } => {
-                e.put_u32(status.code());
+            NfsReply::Lookup {
+                fh,
+                obj_attrs,
+                dir_attrs,
+                ..
+            } => {
                 if let Some(fh) = fh {
                     fh.encode(&mut e);
+                    Fattr3::encode_post_op(obj_attrs.as_ref(), &mut e);
+                }
+                Fattr3::encode_post_op(dir_attrs.as_ref(), &mut e);
+            }
+            NfsReply::Read {
+                attrs, count, eof, ..
+            } => {
+                Fattr3::encode_post_op(attrs.as_ref(), &mut e);
+                if ok {
+                    e.put_u32(*count).put_bool(*eof).put_zero_opaque(*count);
                 }
             }
-            NfsReply::Read { status, count, eof } => {
-                e.put_u32(status.code());
-                e.put_u32(*count);
-                e.put_bool(*eof);
-                e.put_u32(*count); // opaque data length (bytes elided)
-            }
             NfsReply::Write {
-                status,
+                attrs,
                 count,
                 committed,
                 verf,
+                ..
             } => {
-                e.put_u32(status.code());
-                e.put_u32(*count);
-                e.put_u32(committed.code());
-                e.put_u64(*verf);
+                encode_wcc(attrs, &mut e);
+                if ok {
+                    e.put_u32(*count).put_u32(committed.code()).put_u64(*verf);
+                }
             }
             NfsReply::Readdir {
-                status,
-                plus: _, // implied by the procedure, not encoded
+                dir_attrs,
                 cookieverf,
                 entries,
                 bytes,
                 eof,
+                ..
             } => {
-                e.put_u32(status.code());
-                e.put_u64(*cookieverf);
-                e.put_u32(*entries);
-                e.put_bool(*eof);
-                e.put_u32(*bytes); // entry-list length (bytes elided)
+                Fattr3::encode_post_op(dir_attrs.as_ref(), &mut e);
+                if ok {
+                    e.put_u64(*cookieverf).put_u32(*entries).put_bool(*eof);
+                    e.put_u32(*bytes); // entry-list length (bytes elided)
+                }
             }
-            NfsReply::Commit { status, verf } => {
-                e.put_u32(status.code());
-                e.put_u64(*verf);
+            NfsReply::Commit { attrs, verf, .. } => {
+                encode_wcc(attrs, &mut e);
+                if ok {
+                    e.put_u64(*verf);
+                }
             }
         }
         e.finish()
@@ -621,67 +756,80 @@ impl NfsReply {
     /// Decodes a reply to the given procedure, returning `(xid, reply)`.
     pub fn decode(proc_: NfsProc, buf: &[u8]) -> Result<(u32, NfsReply), XdrError> {
         let mut d = XdrDecoder::new(buf);
-        let hdr = ReplyHeader::decode(&mut d)?;
-        if hdr.stat != AcceptStat::Success {
-            return Err(XdrError::BadEnum {
-                what: "accept_stat (expected SUCCESS)",
-                value: hdr.stat.code(),
-            });
-        }
-        let xid = hdr.xid;
+        let xid = ReplyHeader::decode_success(&mut d)?;
         let status_code = d.get_u32()?;
         let status = NfsStatus::from_code(status_code).ok_or(XdrError::BadEnum {
             what: "nfsstat3",
             value: status_code,
         })?;
+        let ok = status == NfsStatus::Ok;
+        let d = &mut d;
         let reply = match proc_ {
             NfsProc::Getattr => NfsReply::Getattr {
                 status,
-                attrs: if status == NfsStatus::Ok {
-                    Some(Fattr3 {
-                        size: d.get_u64()?,
-                        fileid: d.get_u64()?,
-                    })
-                } else {
-                    None
-                },
+                attrs: if ok { Some(Fattr3::decode(d)?) } else { None },
             },
-            NfsProc::Lookup => NfsReply::Lookup {
-                status,
-                fh: if status == NfsStatus::Ok {
-                    Some(FileHandle::decode(&mut d)?)
+            NfsProc::Lookup => {
+                let (fh, obj_attrs) = if ok {
+                    (Some(FileHandle::decode(d)?), Fattr3::decode_post_op(d)?)
                 } else {
-                    None
-                },
-            },
+                    (None, None)
+                };
+                NfsReply::Lookup {
+                    status,
+                    fh,
+                    obj_attrs,
+                    dir_attrs: Fattr3::decode_post_op(d)?,
+                }
+            }
             NfsProc::Read => {
-                let count = d.get_u32()?;
-                let eof = d.get_bool()?;
-                let _len = d.get_u32()?;
-                NfsReply::Read { status, count, eof }
+                let attrs = Fattr3::decode_post_op(d)?;
+                let (count, eof) = if ok {
+                    let (count, eof) = (d.get_u32()?, d.get_bool()?);
+                    // The data: as many bytes as the count, all present.
+                    let len = d.get_u32()?;
+                    if len != count {
+                        return Err(XdrError::BadLength(len));
+                    }
+                    d.get_opaque_fixed(len as usize)?;
+                    (count, eof)
+                } else {
+                    (0, false)
+                };
+                NfsReply::Read {
+                    status,
+                    attrs,
+                    count,
+                    eof,
+                }
             }
             NfsProc::Write => {
-                let count = d.get_u32()?;
-                let committed_code = d.get_u32()?;
-                let committed = StableHow::from_code(committed_code).ok_or(XdrError::BadEnum {
-                    what: "stable_how (committed)",
-                    value: committed_code,
-                })?;
-                let verf = d.get_u64()?;
+                let attrs = decode_wcc(d)?;
+                let (count, committed, verf) = if ok {
+                    let count = d.get_u32()?;
+                    let committed = StableHow::decode(d, "stable_how (committed)")?;
+                    (count, committed, d.get_u64()?)
+                } else {
+                    (0, StableHow::FileSync, 0)
+                };
                 NfsReply::Write {
                     status,
+                    attrs,
                     count,
                     committed,
                     verf,
                 }
             }
             NfsProc::Readdir | NfsProc::Readdirplus => {
-                let cookieverf = d.get_u64()?;
-                let entries = d.get_u32()?;
-                let eof = d.get_bool()?;
-                let bytes = d.get_u32()?;
+                let dir_attrs = Fattr3::decode_post_op(d)?;
+                let (cookieverf, entries, eof, bytes) = if ok {
+                    (d.get_u64()?, d.get_u32()?, d.get_bool()?, d.get_u32()?)
+                } else {
+                    (0, 0, false, 0)
+                };
                 NfsReply::Readdir {
                     status,
+                    dir_attrs,
                     plus: proc_ == NfsProc::Readdirplus,
                     cookieverf,
                     entries,
@@ -691,28 +839,37 @@ impl NfsReply {
             }
             NfsProc::Commit => NfsReply::Commit {
                 status,
-                verf: d.get_u64()?,
+                attrs: decode_wcc(d)?,
+                verf: if ok { d.get_u64()? } else { 0 },
             },
         };
         Ok((xid, reply))
     }
 
-    /// Wire size in bytes, elided payloads included: read data for READ,
-    /// the encoded entry list for READDIR(PLUS). For every variant this
-    /// equals `encode().len()` plus the elided payload — the honesty
-    /// contract the codec property tests pin. (Real replies also carry
-    /// post-op attributes / `wcc_data` this model elides entirely, on
-    /// call and reply alike, so both directions are consistently lean.)
+    /// Wire size in bytes: `encode().len()` for every reply, plus the
+    /// elided entry list for READDIR(PLUS). The codec property tests pin
+    /// it.
     pub fn wire_bytes(&self) -> u64 {
+        let ok = self.status() == NfsStatus::Ok;
         let body = match self {
-            NfsReply::Getattr { attrs, .. } => 4 + if attrs.is_some() { 16 } else { 0 },
-            NfsReply::Lookup { fh, .. } => 4 + if fh.is_some() { 20 } else { 0 },
-            NfsReply::Read { count, .. } => 4 + 12 + u64::from(*count),
-            NfsReply::Write { .. } => 20,
-            NfsReply::Readdir { bytes, .. } => 4 + 20 + u64::from(*bytes),
-            NfsReply::Commit { .. } => 4 + 8,
+            NfsReply::Getattr { attrs, .. } => attrs.map_or(0, |_| Fattr3::BYTES),
+            NfsReply::Lookup {
+                fh,
+                obj_attrs,
+                dir_attrs,
+                ..
+            } => fh.map_or(0, |_| 20 + post_op_bytes(obj_attrs)) + post_op_bytes(dir_attrs),
+            NfsReply::Read { attrs, count, .. } => {
+                let data = 12 + u64::from(*count).next_multiple_of(4);
+                post_op_bytes(attrs) + if ok { data } else { 0 }
+            }
+            NfsReply::Write { attrs, .. } => 4 + post_op_bytes(attrs) + if ok { 16 } else { 0 },
+            NfsReply::Readdir {
+                dir_attrs, bytes, ..
+            } => post_op_bytes(dir_attrs) + if ok { 20 + u64::from(*bytes) } else { 0 },
+            NfsReply::Commit { attrs, .. } => 4 + post_op_bytes(attrs) + if ok { 8 } else { 0 },
         };
-        RPC_REPLY_HEADER_BYTES + body
+        RPC_REPLY_HEADER_BYTES + 4 + body
     }
 }
 
@@ -726,6 +883,15 @@ mod tests {
             ino: 123_456,
             generation: 9,
         }
+    }
+
+    fn attrs() -> Option<Fattr3> {
+        Some(Fattr3 {
+            is_dir: false,
+            size: 268_435_456,
+            fileid: 42,
+            fsid: 7,
+        })
     }
 
     #[test]
@@ -791,13 +957,14 @@ mod tests {
         assert_eq!(dec, call);
         let reply = NfsReply::Commit {
             status: NfsStatus::Ok,
+            attrs: attrs(),
             verf: 0xfeed_f00d_dead_beef,
         };
         let (_, dec) = NfsReply::decode(NfsProc::Commit, &reply.encode(21)).unwrap();
         assert_eq!(dec, reply);
         // COMMIT is a small metadata round trip either way.
         assert!(call.wire_bytes() < 120, "{}", call.wire_bytes());
-        assert!(reply.wire_bytes() < 64, "{}", reply.wire_bytes());
+        assert_eq!(reply.wire_bytes(), 128);
     }
 
     #[test]
@@ -825,10 +992,7 @@ mod tests {
         assert_eq!(dec, call);
         let reply = NfsReply::Getattr {
             status: NfsStatus::Ok,
-            attrs: Some(Fattr3 {
-                size: 268_435_456,
-                fileid: 42,
-            }),
+            attrs: attrs(),
         };
         let (xid, dec) = NfsReply::decode(NfsProc::Getattr, &reply.encode(3)).unwrap();
         assert_eq!(xid, 3);
@@ -839,6 +1003,7 @@ mod tests {
     fn read_reply_roundtrip() {
         let reply = NfsReply::Read {
             status: NfsStatus::Ok,
+            attrs: attrs(),
             count: 8_192,
             eof: false,
         };
@@ -851,6 +1016,8 @@ mod tests {
         let reply = NfsReply::Lookup {
             status: NfsStatus::NoEnt,
             fh: None,
+            obj_attrs: None,
+            dir_attrs: attrs(),
         };
         let (_, dec) = NfsReply::decode(NfsProc::Lookup, &reply.encode(4)).unwrap();
         assert_eq!(dec, reply);
@@ -861,6 +1028,7 @@ mod tests {
         // An 8 KB READ reply should be a little over 8 KB on the wire.
         let reply = NfsReply::Read {
             status: NfsStatus::Ok,
+            attrs: attrs(),
             count: 8_192,
             eof: false,
         };
@@ -903,6 +1071,7 @@ mod tests {
     fn decode_rejects_reply_as_call() {
         let reply = NfsReply::Write {
             status: NfsStatus::Ok,
+            attrs: None,
             count: 1,
             committed: StableHow::FileSync,
             verf: 7,
@@ -930,6 +1099,7 @@ mod tests {
         };
         let reply = NfsReply::Read {
             status: NfsStatus::Ok,
+            attrs: attrs(),
             count: 8_192,
             eof: true,
         };
@@ -944,6 +1114,21 @@ mod tests {
             buf = reply.encode_into(xid, buf);
             assert_eq!(buf, reply.encode(xid));
             assert!(buf.capacity() <= cap.max(buf.len()));
+        }
+    }
+
+    #[test]
+    fn fattr3_is_84_bytes_and_roundtrips() {
+        for is_dir in [false, true] {
+            let a = Fattr3 {
+                is_dir,
+                ..attrs().unwrap()
+            };
+            let mut e = XdrEncoder::new();
+            a.encode(&mut e);
+            let buf = e.finish();
+            assert_eq!(buf.len() as u64, Fattr3::BYTES);
+            assert_eq!(Fattr3::decode(&mut XdrDecoder::new(&buf)), Ok(a));
         }
     }
 
@@ -983,6 +1168,7 @@ mod tests {
         assert_eq!(dec, call);
         let reply = NfsReply::Readdir {
             status: NfsStatus::Ok,
+            dir_attrs: attrs(),
             plus: false,
             cookieverf: 0xabad_cafe,
             entries: 93,
@@ -1008,6 +1194,7 @@ mod tests {
         assert_eq!(dec, call);
         let reply = NfsReply::Readdir {
             status: NfsStatus::Ok,
+            dir_attrs: None,
             plus: true,
             cookieverf: 7,
             entries: 20,
@@ -1024,6 +1211,7 @@ mod tests {
         // wire while encoding 20 (status + count + committed + verf).
         let reply = NfsReply::Write {
             status: NfsStatus::Ok,
+            attrs: attrs(),
             count: 8_192,
             committed: StableHow::FileSync,
             verf: 0xfeed_f00d,

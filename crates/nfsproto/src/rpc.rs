@@ -222,6 +222,18 @@ impl ReplyHeader {
         };
         Ok(ReplyHeader { xid, stat })
     }
+
+    /// Decodes a reply header that must be SUCCESS, returning its xid.
+    pub fn decode_success(d: &mut XdrDecoder<'_>) -> Result<u32, XdrError> {
+        let hdr = ReplyHeader::decode(d)?;
+        if hdr.stat != AcceptStat::Success {
+            return Err(XdrError::BadEnum {
+                what: "accept_stat (expected SUCCESS)",
+                value: hdr.stat.code(),
+            });
+        }
+        Ok(hdr.xid)
+    }
 }
 
 #[cfg(test)]

@@ -128,6 +128,15 @@ impl XdrEncoder {
         self.put_opaque_fixed(data)
     }
 
+    /// Encodes a variable-length opaque of `len` zero bytes: a payload
+    /// whose size is real and whose content the model does not carry.
+    pub fn put_zero_opaque(&mut self, len: u32) -> &mut Self {
+        self.put_u32(len);
+        self.buf.resize(self.buf.len() + len as usize, 0);
+        self.pad();
+        self
+    }
+
     /// Encodes a string.
     pub fn put_string(&mut self, s: &str) -> &mut Self {
         self.put_opaque(s.as_bytes())

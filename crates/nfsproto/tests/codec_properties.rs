@@ -76,9 +76,9 @@ fn arb_calls(rng: &mut SimRng) -> Vec<NfsCall> {
     ]
 }
 
-/// Bytes `wire_bytes()` counts that `encode()` elides: data payloads
-/// travel as lengths, so the wire size exceeds the encoding by exactly
-/// the payload.
+/// Bytes `wire_bytes()` counts that `encode()` elides: a WRITE call's
+/// data travels as a length, so the wire size exceeds the encoding by
+/// exactly the payload.
 fn call_elided_payload(call: &NfsCall) -> u64 {
     match call {
         NfsCall::Write { count, .. } => u64::from(*count),
@@ -86,26 +86,39 @@ fn call_elided_payload(call: &NfsCall) -> u64 {
     }
 }
 
-/// Reply-side elided payload: READ data and READDIR(PLUS) entry lists.
+/// Reply-side elided payload: READDIR(PLUS) entry lists. READ data is
+/// encoded (as zeros), so it is not elided.
 fn reply_elided_payload(reply: &NfsReply) -> u64 {
     match reply {
-        NfsReply::Read { count, .. } => u64::from(*count),
         NfsReply::Readdir { bytes, .. } => u64::from(*bytes),
         _ => 0,
     }
 }
 
-/// One reply of each variant (success and error forms), fields randomized.
+fn arb_fattr(rng: &mut SimRng) -> Fattr3 {
+    Fattr3 {
+        is_dir: rng.chance(0.5),
+        size: rng.next_u64(),
+        fileid: rng.next_u64(),
+        fsid: rng.next_u64(),
+    }
+}
+
+/// A `post_op_attr`: present or absent.
+fn arb_post_op(rng: &mut SimRng) -> Option<Fattr3> {
+    rng.chance(0.75).then(|| arb_fattr(rng))
+}
+
+/// One reply of each variant (success and error forms), fields
+/// randomized. A failed reply holds the zero values its shape has no room
+/// for.
 fn arb_replies(rng: &mut SimRng) -> Vec<(NfsProc, NfsReply)> {
     vec![
         (
             NfsProc::Getattr,
             NfsReply::Getattr {
                 status: NfsStatus::Ok,
-                attrs: Some(Fattr3 {
-                    size: rng.next_u64(),
-                    fileid: rng.next_u64(),
-                }),
+                attrs: Some(arb_fattr(rng)),
             },
         ),
         (
@@ -120,27 +133,44 @@ fn arb_replies(rng: &mut SimRng) -> Vec<(NfsProc, NfsReply)> {
             NfsReply::Lookup {
                 status: NfsStatus::Ok,
                 fh: Some(arb_fh(rng)),
+                obj_attrs: arb_post_op(rng),
+                dir_attrs: arb_post_op(rng),
             },
         ),
         (
             NfsProc::Lookup,
             NfsReply::Lookup {
-                status: NfsStatus::NoEnt,
+                status: *rng
+                    .choose(&[NfsStatus::NoEnt, NfsStatus::NotDir])
+                    .expect("non-empty"),
                 fh: None,
+                obj_attrs: None,
+                dir_attrs: arb_post_op(rng),
             },
         ),
         (
             NfsProc::Read,
             NfsReply::Read {
                 status: NfsStatus::Ok,
+                attrs: arb_post_op(rng),
                 count: rng.gen_range(0u32..1_048_576),
                 eof: rng.chance(0.5),
+            },
+        ),
+        (
+            NfsProc::Read,
+            NfsReply::Read {
+                status: NfsStatus::Stale,
+                attrs: arb_post_op(rng),
+                count: 0,
+                eof: false,
             },
         ),
         (
             NfsProc::Write,
             NfsReply::Write {
                 status: NfsStatus::Ok,
+                attrs: arb_post_op(rng),
                 count: rng.gen_range(0u32..1_048_576),
                 committed: arb_stable(rng),
                 verf: rng.next_u64(),
@@ -149,16 +179,20 @@ fn arb_replies(rng: &mut SimRng) -> Vec<(NfsProc, NfsReply)> {
         (
             NfsProc::Write,
             NfsReply::Write {
-                status: NfsStatus::Io,
+                status: *rng
+                    .choose(&[NfsStatus::Io, NfsStatus::Inval, NfsStatus::NoSpc])
+                    .expect("non-empty"),
+                attrs: arb_post_op(rng),
                 count: 0,
                 committed: StableHow::FileSync,
-                verf: rng.next_u64(),
+                verf: 0,
             },
         ),
         (
             NfsProc::Readdir,
             NfsReply::Readdir {
                 status: NfsStatus::Ok,
+                dir_attrs: arb_post_op(rng),
                 plus: false,
                 cookieverf: rng.next_u64(),
                 entries: rng.gen_range(0u32..512),
@@ -170,6 +204,7 @@ fn arb_replies(rng: &mut SimRng) -> Vec<(NfsProc, NfsReply)> {
             NfsProc::Readdirplus,
             NfsReply::Readdir {
                 status: NfsStatus::Ok,
+                dir_attrs: arb_post_op(rng),
                 plus: true,
                 cookieverf: rng.next_u64(),
                 entries: rng.gen_range(0u32..512),
@@ -178,9 +213,22 @@ fn arb_replies(rng: &mut SimRng) -> Vec<(NfsProc, NfsReply)> {
             },
         ),
         (
+            NfsProc::Readdir,
+            NfsReply::Readdir {
+                status: NfsStatus::Stale,
+                dir_attrs: None,
+                plus: false,
+                cookieverf: 0,
+                entries: 0,
+                bytes: 0,
+                eof: false,
+            },
+        ),
+        (
             NfsProc::Commit,
             NfsReply::Commit {
                 status: NfsStatus::Ok,
+                attrs: arb_post_op(rng),
                 verf: rng.next_u64(),
             },
         ),
@@ -188,16 +236,27 @@ fn arb_replies(rng: &mut SimRng) -> Vec<(NfsProc, NfsReply)> {
             NfsProc::Commit,
             NfsReply::Commit {
                 status: NfsStatus::Io,
-                verf: rng.next_u64(),
+                attrs: arb_post_op(rng),
+                verf: 0,
             },
         ),
     ]
 }
 
+/// Re-encodes a WRITE or COMMIT reply's `wcc_data` with pre-op
+/// attributes present, as a server that records them sends it: the flag
+/// after the status turns on and 24 bytes (size, mtime, ctime) follow.
+fn with_pre_op_attrs(buf: &[u8]) -> Vec<u8> {
+    let mut out = buf.to_vec();
+    out[28..32].copy_from_slice(&1u32.to_be_bytes());
+    out.splice(32..32, [0xa5; 24]);
+    out
+}
+
 /// The wire-size honesty contract: for every call and reply variant,
 /// `wire_bytes()` equals the actual encoded length plus the elided data
-/// payload (zero for everything except WRITE calls, READ replies, and
-/// READDIR(PLUS) replies). This is the estimate the transport timing
+/// payload (zero for everything except WRITE calls and READDIR(PLUS)
+/// replies). This is the estimate the transport timing
 /// model runs on, so a drifting variant silently distorts every figure.
 #[test]
 fn wire_bytes_equal_encoded_length_plus_elided_payload() {
@@ -345,6 +404,7 @@ fn commit_verifier_changes_iff_server_restart() {
         // The cookie travels opaquely through both reply forms.
         let wr = NfsReply::Write {
             status: NfsStatus::Ok,
+            attrs: arb_post_op(&mut rng),
             count: rng.gen_range(0u32..1_048_576),
             committed: arb_stable(&mut rng),
             verf: v,
@@ -353,6 +413,7 @@ fn commit_verifier_changes_iff_server_restart() {
         assert_eq!(dec, wr, "case {case}");
         let cr = NfsReply::Commit {
             status: NfsStatus::Ok,
+            attrs: arb_post_op(&mut rng),
             verf: v,
         };
         let (_, dec) = NfsReply::decode(NfsProc::Commit, &cr.encode(2)).expect("well-formed");
@@ -370,5 +431,90 @@ fn encoded_length_is_word_aligned() {
         for (_, reply) in arb_replies(&mut rng) {
             assert_eq!(reply.encode(1).len() % 4, 0, "case {case}: {reply:?}");
         }
+    }
+}
+
+#[test]
+fn wcc_data_with_pre_op_attributes_decodes() {
+    let mut rng = SimRng::new(0x3CC);
+    for case in 0..CASES {
+        for (proc_, reply) in arb_replies(&mut rng) {
+            if !matches!(proc_, NfsProc::Write | NfsProc::Commit) {
+                continue;
+            }
+            let buf = with_pre_op_attrs(&reply.encode(3));
+            let got = NfsReply::decode(proc_, &buf)
+                .unwrap_or_else(|e| panic!("case {case}: decode {reply:?}: {e}"));
+            assert_eq!(got, (3, reply), "case {case}");
+        }
+    }
+}
+
+/// The RFC 1813 reply sizes with every attribute present, 24-byte RPC
+/// header included.
+#[test]
+fn reply_sizes_are_rfc_1813s() {
+    let mut rng = SimRng::new(0x5125);
+    let a = Some(arb_fattr(&mut rng));
+    let ok = NfsStatus::Ok;
+    let sizes = [
+        (
+            NfsReply::Getattr {
+                status: ok,
+                attrs: a,
+            },
+            112,
+        ),
+        (
+            NfsReply::Lookup {
+                status: ok,
+                fh: Some(arb_fh(&mut rng)),
+                obj_attrs: a,
+                dir_attrs: a,
+            },
+            224,
+        ),
+        (
+            NfsReply::Read {
+                status: ok,
+                attrs: a,
+                count: 8_192,
+                eof: false,
+            },
+            128 + 8_192,
+        ),
+        (
+            NfsReply::Write {
+                status: ok,
+                attrs: a,
+                count: 8_192,
+                committed: StableHow::Unstable,
+                verf: 1,
+            },
+            136,
+        ),
+        (
+            NfsReply::Commit {
+                status: ok,
+                attrs: a,
+                verf: 1,
+            },
+            128,
+        ),
+        (
+            NfsReply::Readdir {
+                status: ok,
+                dir_attrs: a,
+                plus: false,
+                cookieverf: 1,
+                entries: 10,
+                bytes: 400,
+                eof: true,
+            },
+            136 + 400,
+        ),
+    ];
+    for (reply, bytes) in sizes {
+        assert_eq!(reply.wire_bytes(), bytes, "{reply:?}");
     }
 }

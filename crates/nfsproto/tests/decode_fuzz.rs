@@ -8,8 +8,8 @@
 //! reproducible from the case index printed in the panic message.
 
 use nfsproto::{
-    CallHeader, FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus, RecordReader, ReplyHeader,
-    StableHow, XdrDecoder, XdrError,
+    CallHeader, Fattr3, FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus, RecordReader,
+    ReplyHeader, StableHow, XdrDecoder, XdrError,
 };
 use simcore::SimRng;
 
@@ -20,6 +20,24 @@ fn corpus(rng: &mut SimRng) -> Vec<Vec<u8>> {
         generation: rng.next_u64() as u32,
     };
     let xid = rng.next_u64() as u32;
+    let attrs = Fattr3 {
+        is_dir: rng.chance(0.5),
+        size: rng.next_u64(),
+        fileid: rng.next_u64(),
+        fsid: rng.next_u64(),
+    };
+    let write = NfsReply::Write {
+        status: NfsStatus::Ok,
+        attrs: Some(attrs),
+        count: 8192,
+        committed: StableHow::FileSync,
+        verf: rng.next_u64(),
+    };
+    // The same WRITE reply from a server that records pre-op attributes:
+    // the `wcc_data` flag after the status is on, and 24 bytes follow.
+    let mut pre_op = write.encode(xid);
+    pre_op[28..32].copy_from_slice(&1u32.to_be_bytes());
+    pre_op.splice(32..32, [0x5a; 24]);
     vec![
         NfsCall::Getattr { fh }.encode(xid),
         NfsCall::Lookup {
@@ -63,32 +81,41 @@ fn corpus(rng: &mut SimRng) -> Vec<Vec<u8>> {
         .encode(xid),
         NfsReply::Getattr {
             status: NfsStatus::Ok,
-            attrs: Some(nfsproto::Fattr3 {
-                size: rng.next_u64(),
-                fileid: rng.next_u64(),
-            }),
+            attrs: Some(attrs),
+        }
+        .encode(xid),
+        NfsReply::Lookup {
+            status: NfsStatus::Ok,
+            fh: Some(fh),
+            obj_attrs: Some(attrs),
+            dir_attrs: Some(attrs),
+        }
+        .encode(xid),
+        NfsReply::Lookup {
+            status: NfsStatus::NoEnt,
+            fh: None,
+            obj_attrs: None,
+            dir_attrs: Some(attrs),
         }
         .encode(xid),
         NfsReply::Read {
             status: NfsStatus::Ok,
+            attrs: Some(attrs),
             count: 8192,
             eof: false,
         }
         .encode(xid),
-        NfsReply::Write {
-            status: NfsStatus::Ok,
-            count: 8192,
-            committed: StableHow::FileSync,
-            verf: rng.next_u64(),
-        }
-        .encode(xid),
+        write.encode(xid),
+        pre_op,
         NfsReply::Commit {
             status: NfsStatus::Ok,
+            attrs: Some(attrs),
             verf: rng.next_u64(),
         }
         .encode(xid),
         NfsReply::Readdir {
             status: NfsStatus::Ok,
+            dir_attrs: Some(attrs),
             plus: false,
             cookieverf: rng.next_u64(),
             entries: rng.gen_range(0u32..200),
@@ -98,6 +125,7 @@ fn corpus(rng: &mut SimRng) -> Vec<Vec<u8>> {
         .encode(xid),
         NfsReply::Readdir {
             status: NfsStatus::Ok,
+            dir_attrs: None,
             plus: true,
             cookieverf: rng.next_u64(),
             entries: rng.gen_range(0u32..200),

@@ -140,6 +140,7 @@ fn messages_still_roundtrip_through_shared_headers() {
         );
         let reply = NfsReply::Commit {
             status: NfsStatus::Ok,
+            attrs: None,
             verf: rng.next_u64(),
         };
         let buf = reply.encode(xid);
