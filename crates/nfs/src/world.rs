@@ -1020,6 +1020,7 @@ impl NfsWorld {
 
     /// The server's attributes for `fh`, as a reply about it carries
     /// them; `None` for an inode the server does not hold.
+    #[inline]
     pub fn file_attrs(&self, fh: FileHandle) -> Option<Fattr3> {
         self.server.fs.inode(fh.ino).map(|i| Fattr3 {
             is_dir: false,
@@ -2881,8 +2882,9 @@ impl NfsWorld {
             });
         } else {
             let client = key_client(key);
-            // A failed WRITE or COMMIT sends no verifier; the simulated
-            // client is handed the server's all the same, as it always was.
+            // A failed WRITE or COMMIT sends no verifier on the wire; the
+            // event carries the server's for every WRITE and COMMIT, so
+            // the simulated client's books do not depend on reply shapes.
             let verf = match call {
                 NfsCall::Write { .. } | NfsCall::Commit { .. } => self.server.verf,
                 _ => 0,
@@ -2944,12 +2946,17 @@ impl NfsWorld {
                 status,
                 attrs: attrs(fh).filter(|_| ok),
             },
-            NfsCall::Lookup { dir, .. } => NfsReply::Lookup {
-                status,
-                fh: ok.then_some(dir),
-                obj_attrs: attrs(dir).filter(|_| ok),
-                dir_attrs: attrs(dir),
-            },
+            NfsCall::Lookup { dir, .. } => {
+                // The world has no namespace: a LOOKUP resolves to its
+                // directory handle.
+                let dir_attrs = attrs(dir);
+                NfsReply::Lookup {
+                    status,
+                    fh: ok.then_some(dir),
+                    obj_attrs: dir_attrs.filter(|_| ok),
+                    dir_attrs,
+                }
+            }
             NfsCall::Readdir { dir, .. } | NfsCall::Readdirplus { dir, .. } => {
                 let plus = matches!(call, NfsCall::Readdirplus { .. });
                 let pend = (!is_ext(key))

@@ -535,7 +535,7 @@ impl Fattr3 {
         d.get_opaque_fixed(16)?; // used, rdev
         let fsid = d.get_u64()?;
         let fileid = d.get_u64()?;
-        d.get_opaque_fixed(24)?;
+        d.get_opaque_fixed(24)?; // atime, mtime, ctime
         Ok(Fattr3 {
             is_dir,
             size,
