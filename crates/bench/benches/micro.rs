@@ -18,7 +18,7 @@ use ffs::{BufferCache, FileSystem, FsConfig};
 use iosched::{IoScheduler, QueuedRequest, SchedulerKind};
 use nfs_bench::perf::{BenchResult, PerfReport};
 use nfsproto::{Fattr3, FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus, StableHow};
-use nfssim::{NfsWorld, WorldConfig};
+use nfssim::{ClientHostConfig, NfsWorld, WorldConfig};
 use readahead_core::{HeurRecord, NfsHeur, NfsHeurConfig, ReadaheadPolicy, SharedCursorPool};
 use simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use simfleet::{run_sharded, ShardWorld};
@@ -466,12 +466,74 @@ fn bench_world_step_write_commit(out: &mut Vec<BenchResult>, iters: u64) {
     });
 }
 
+fn bench_world_step_metadata(out: &mut Vec<BenchResult>, iters: u64) {
+    // One step of the event loop in a `build_tree`-shaped world: four
+    // hosts on an UNSTABLE mount with the attribute cache on (3 s / 60 s),
+    // each cycling LOOKUP, GETATTR, WRITE and CLOSE over its own six
+    // files, closed loop, so the loop never drains. Each step touches the
+    // client's file table (mount lookup, attribute entry, write-behind
+    // blocks, close), its name buffers and the server's books.
+    const HOSTS: usize = 4;
+    const FILES: usize = 6;
+    const FILE_BLOCKS: u64 = 8;
+    const BLOCK: u64 = 8_192;
+    let disk = DriveModel::WdWd200bbIde.build(SimRng::new(9));
+    let part = PartitionTable::quarters(disk.geometry()).get(1);
+    let fs = FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default());
+    let config = WorldConfig {
+        stable_how: StableHow::Unstable,
+        attr_timeo_min: SimDuration::from_secs(3),
+        attr_timeo_max: SimDuration::from_secs(60),
+        ..WorldConfig::default()
+    };
+    let hosts = vec![ClientHostConfig::from_world(&config); HOSTS];
+    let mut world = NfsWorld::new_cluster(config, &hosts, fs, 9);
+    let files: Vec<Vec<FileHandle>> = (0..HOSTS)
+        .map(|h| {
+            (0..FILES)
+                .map(|_| world.create_file_for(h, FILE_BLOCKS * BLOCK))
+                .collect()
+        })
+        .collect();
+    // Host `h`'s `n`th op: step `n % 4` of the cycle on file
+    // `(n / 4) % FILES`, block `(n / 4) % FILE_BLOCKS`.
+    let mut cursor = [0u64; HOSTS];
+    let mut issue = |w: &mut NfsWorld, h: usize, at| {
+        let n = cursor[h];
+        cursor[h] += 1;
+        let fh = files[h][(n / 4) as usize % FILES];
+        let tag = h as u64;
+        match n % 4 {
+            0 => w.lookup_from(h, at, fh, 12, tag),
+            1 => w.getattr_from(h, at, fh, tag),
+            2 => w.write_from(h, at, fh, (n / 4) % FILE_BLOCKS * BLOCK, BLOCK, tag),
+            _ => w.close_from(h, at, fh, tag),
+        };
+    };
+    for h in 0..HOSTS {
+        issue(&mut world, h, SimTime::ZERO);
+    }
+    let mut done = Vec::new();
+    bench(out, "world_step_metadata", iters, || {
+        let t = world.next_event().expect("the hosts never drain");
+        world.advance_into(t, &mut done);
+        for d in done.drain(..) {
+            issue(
+                &mut world,
+                d.client,
+                d.done_at + SimDuration::from_micros(15),
+            );
+        }
+    });
+}
+
 /// Flags understood by this harness (all optional, combinable):
 ///
 /// * `--bench`  — time the cases (`cargo bench` passes it); without it
 ///   each case runs once (`cargo test` smoke mode);
 /// * `--quick`  — 10x fewer iterations (CI perf-smoke mode), except for
-///   the evicting buffer-cache cases and the world step;
+///   the scheduler cases, the evicting buffer-cache cases and the world
+///   steps;
 /// * `--json P` — write the measurements to `P` as JSON;
 /// * `--baseline P` — copy `ns_per_op` from the report at `P` into this
 ///   run's output as `baseline_ns_per_op` (before/after provenance);
@@ -519,8 +581,10 @@ fn load_report(path: &str) -> PerfReport {
 /// whole-map victim scan ran `buffer_cache_evicting_fill_20k` ~320x
 /// slower, and a per-READ inode copy ran `fs_read_2048_block_file` ~5x.
 /// `world_step` fences the fixed cost of one event-loop step (deadline
-/// polling, completion hand-off, per-id lookups).
+/// polling, completion hand-off, per-id lookups). `iosched_enqueue_dispatch`
+/// fences each kernel disk scheduler's queue (64 requests in, 64 out).
 const GATED_PREFIXES: &[&str] = &[
+    "iosched_enqueue_dispatch",
     "event_queue",
     "nfsheur",
     "buffer_cache_evicting",
@@ -545,7 +609,9 @@ fn main() {
     bench_heuristics(out, fast);
     bench_nfsheur(out, fast);
     bench_shared_pool(out, fast);
-    bench_schedulers(out, slow);
+    // A scheduler case takes 1–10 µs an op; 2,000 ops even in quick mode
+    // (2–20 ms each) keep one preemption from tripling a gated case.
+    bench_schedulers(out, if o.testing { 1 } else { 2_000 });
     bench_event_queue(out, slow);
     bench_xdr(out, fast);
     // The gated evicting cases take 30–45 ns an op, so they run 200,000
@@ -561,6 +627,7 @@ fn main() {
     // mode keep the gated loop far above timer and preemption noise.
     bench_world_step(out, steady);
     bench_world_step_write_commit(out, steady);
+    bench_world_step_metadata(out, steady);
 
     let mut report = PerfReport {
         suite: "micro".to_string(),

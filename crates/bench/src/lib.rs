@@ -51,7 +51,8 @@ pub enum Level {
     /// other experiment at full size.
     Report,
     /// `paper` or unset: the paper's sizes (256 MB per iteration, >= 10
-    /// runs per point; minutes).
+    /// runs per point; about 3.5x report scale's wall time, some 20-30 s
+    /// for `fig1`..`fig8` on two cores).
     Paper,
 }
 

@@ -33,7 +33,8 @@ pub type BlockKey = (u64, u64);
 
 /// No slot: an empty index entry, or the end of a list.
 const NIL: u32 = u32::MAX;
-/// `Slot::prev` of a pending block (pinned, off the LRU list).
+/// `Slot::prev` of a pending block (pinned, off the LRU list; its `next`
+/// holds the caller's tag).
 const PENDING: u32 = u32::MAX - 1;
 /// `Slot::prev` of a free slot; its `next` chains the free list.
 const FREE: u32 = u32::MAX - 2;
@@ -52,7 +53,8 @@ struct Slot {
     blk: u32,
     /// Older neighbour on the LRU list, or [`PENDING`] / [`FREE`].
     prev: u32,
-    /// Newer neighbour on the LRU list, or the next free slot.
+    /// Newer neighbour on the LRU list, the next free slot, or a pending
+    /// block's tag.
     next: u32,
 }
 
@@ -236,6 +238,15 @@ impl BufferCache {
 
     /// Marks a block as having a read in flight (pins it).
     pub fn mark_pending(&mut self, key: BlockKey) {
+        self.mark_pending_tagged(key, NIL);
+    }
+
+    /// Marks a block pending like [`BufferCache::mark_pending`] and keeps
+    /// `tag` with it while it stays pending, for a caller that must find
+    /// what fetches the block (the NFS client stores the fetching RPC's
+    /// xid). A pending slot is off the LRU list, so its `next` link holds
+    /// the tag. A block that is already pending keeps its tag.
+    pub fn mark_pending_tagged(&mut self, key: BlockKey, tag: u32) {
         let (file, blk) = (self.file_of(key.0), slot_blk(key.1));
         // A full cache makes room even when the block is already resident
         // (it may be the victim itself).
@@ -248,7 +259,16 @@ impl BufferCache {
             }
             None => self.insert(file, blk),
         };
-        self.slots[s as usize].prev = PENDING;
+        let slot = &mut self.slots[s as usize];
+        slot.prev = PENDING;
+        slot.next = tag;
+    }
+
+    /// The tag a pending block was marked with (`u32::MAX` from
+    /// [`BufferCache::mark_pending`]); `None` if the block is not pending.
+    pub fn pending_tag(&self, key: BlockKey) -> Option<u32> {
+        let slot = self.slots[self.slot_of(key)? as usize];
+        (slot.prev == PENDING).then_some(slot.next)
     }
 
     /// Completes a pending read: the block becomes valid.
@@ -489,6 +509,27 @@ mod tests {
         c.fill((1, 0));
         assert!(c.lookup((1, 0)));
         assert_eq!(c.hit_miss(), (1, 1));
+    }
+
+    #[test]
+    fn a_pending_tag_lasts_until_the_block_settles() {
+        let mut c = BufferCache::new(8);
+        c.fill((1, 0));
+        c.mark_pending_tagged((1, 1), 7);
+        c.mark_pending_tagged((1, 2), 9);
+        c.mark_pending_tagged((1, 1), 8); // already pending: keeps 7
+        c.mark_pending((1, 3));
+        c.mark_pending_tagged((1, 0), 5); // a valid block turns pending
+        c.check_invariants();
+        let tags: Vec<_> = (0..5).map(|b| c.pending_tag((1, b))).collect();
+        assert_eq!(tags, [Some(5), Some(7), Some(9), Some(u32::MAX), None]);
+        c.fill((1, 1));
+        c.discard((1, 2));
+        c.invalidate((1, 0)); // pending blocks stay pending
+        c.check_invariants();
+        let tags: Vec<_> = (0..4).map(|b| c.pending_tag((1, b))).collect();
+        assert_eq!(tags, [Some(5), None, None, Some(u32::MAX)]);
+        assert_eq!(c.pending_tag((2, 0)), None);
     }
 
     #[test]

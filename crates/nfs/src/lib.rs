@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 mod books;
+mod client_books;
 mod config;
 mod world;
 

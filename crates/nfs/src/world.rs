@@ -25,15 +25,20 @@
 //! bit-identical to the historical single-client world (client 0's RNG
 //! stream label *is* the old world stream).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use ffs::{BufferCache, FileSystem, LocalFd};
 use netsim::{TcpEvent, TcpStats, Transport, TransportKind, TxOutcome};
-use nfsproto::{write_verf, Fattr3, FileHandle, NfsCall, NfsReply, NfsStatus, StableHow};
+use nfsproto::{
+    write_verf, CallHeader, Fattr3, FileHandle, NfsCall, NfsReply, NfsStatus, StableHow, XdrDecoder,
+};
 use readahead_core::NfsHeur;
-use simcore::{EventQueue, FastMap, IdWindow, SimDuration, SimRng, SimTime, Waitlist};
+use simcore::{EventQueue, IdWindow, SimDuration, SimRng, SimTime};
 
 use crate::books::{InService, ServerInodes, ServiceTable};
+use crate::client_books::{
+    AttrEntry, CloseState, FileTable, ReaddirPending, Rpc, RpcBook, WbState, NONE,
+};
 use crate::config::{ClientHostConfig, CpuModel, WorldConfig, NFSDS, RSIZE};
 
 /// RNG stream label of client 0 — the historical single-client world
@@ -419,111 +424,6 @@ enum Ev {
     GatherExpire { ino: u64 },
 }
 
-/// An outstanding RPC, as the client that sent it books it.
-#[derive(Debug)]
-struct Rpc {
-    call: NfsCall,
-    /// Per-file submission sequence, for server-side reorder accounting.
-    submit_seq: u64,
-    attempt: u32,
-    /// The op that completes on this RPC's reply (metadata, sync writes);
-    /// `None` for READs, which settle cache blocks, and write-behind.
-    waiter: Option<OpId>,
-    /// READDIR(PLUS) only: the chunk shape the caller declared.
-    readdir: Option<ReaddirPending>,
-}
-
-/// One client's outstanding RPCs, indexed by xid.
-///
-/// Xids run 1, 2, …, `u32::MAX`, 1, … (0 is never issued), so each RPC
-/// sits in an [`IdWindow`] under a serial that keeps counting across the
-/// wrap. Live RPCs span far less than a lap, so the serial an xid maps
-/// to is exact.
-#[derive(Debug, Default)]
-struct RpcBook {
-    window: IdWindow<Rpc>,
-    /// Serial and xid of the newest RPC booked.
-    newest: u64,
-    newest_xid: u32,
-}
-
-impl RpcBook {
-    /// Books `rpc` under `xid`, the xid issued after the newest one.
-    fn insert(&mut self, xid: u32, rpc: Rpc) {
-        // Counting up across the wrap skips xid 0.
-        let lead = xid.wrapping_sub(self.newest_xid) - u32::from(xid < self.newest_xid);
-        self.newest += u64::from(lead);
-        self.newest_xid = xid;
-        self.window.insert(self.newest, rpc);
-    }
-
-    fn serial(&self, xid: u32) -> Option<u64> {
-        let lag = self.newest_xid.wrapping_sub(xid) - u32::from(xid > self.newest_xid);
-        self.newest.checked_sub(u64::from(lag))
-    }
-
-    fn get(&self, xid: u32) -> Option<&Rpc> {
-        self.window.get(self.serial(xid)?)
-    }
-
-    fn get_mut(&mut self, xid: u32) -> Option<&mut Rpc> {
-        self.window.get_mut(self.serial(xid)?)
-    }
-
-    fn remove(&mut self, xid: u32) -> Option<Rpc> {
-        self.window.remove(self.serial(xid)?)
-    }
-
-    /// The outstanding xids, oldest first.
-    fn xids(&self) -> impl Iterator<Item = u32> + '_ {
-        const LAP: u64 = u32::MAX as u64;
-        self.window.ids().map(move |serial| {
-            let lag = self.newest - serial;
-            ((u64::from(self.newest_xid) + LAP - 1 - lag) % LAP + 1) as u32
-        })
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ClientFile {
-    size: u64,
-    /// The client's own sequentiality count for this file, which sizes
-    /// its read-ahead window.
-    fd: LocalFd,
-    submit_counter: u64,
-}
-
-/// One client-side cached attribute record (NFS `acregmin/acregmax`
-/// model). The entry is trusted until `valid_until`; a getattr after that
-/// revalidates over the wire, and an unchanged answer doubles `timeo`
-/// toward `attr_timeo_max` while a changed one resets it to the floor.
-#[derive(Debug, Clone, Copy)]
-struct AttrEntry {
-    /// Server attribute version (`ServerInode::attr_seq`) the entry was
-    /// fetched under; a mismatch at revalidation is detected staleness.
-    version: u64,
-    /// Trusted strictly before this instant.
-    valid_until: SimTime,
-    /// Current adaptive timeout.
-    timeo: SimDuration,
-}
-
-/// Caller-declared shape of an outstanding READDIR(PLUS) chunk, held in
-/// its [`Rpc`]. The simulated namespace lives in the workload layer (directories
-/// are ordinary handles), so the caller passes the chunk's entry count and
-/// children down and the server's reply builder reads them from here. An
-/// external caller declares no shape and gets an empty, final chunk.
-#[derive(Debug)]
-struct ReaddirPending {
-    /// Directory entries in this chunk.
-    entries: u32,
-    /// Whether this chunk ends the directory.
-    eof: bool,
-    /// READDIRPLUS only: children whose attributes ride in the reply and
-    /// prefill the attribute cache on arrival.
-    children: Vec<FileHandle>,
-}
-
 #[derive(Debug)]
 struct OpState {
     client: usize,
@@ -560,41 +460,6 @@ enum RpcEnd {
     TimedOut,
 }
 
-/// Where a write-behind block stands in the client's dirty cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WbState {
-    /// Modified locally, not yet sent to the server.
-    Dirty,
-    /// An UNSTABLE WRITE carrying it is outstanding.
-    InFlight { xid: u32 },
-    /// The server acked it UNSTABLE under this verifier; it is safe only
-    /// once a COMMIT returns the same verifier.
-    Uncommitted { verf: u64 },
-}
-
-/// Per-file client write-behind state (async write path only).
-#[derive(Debug)]
-struct WbFile {
-    fh: FileHandle,
-    /// Block number → state. Ordered so dirty runs coalesce
-    /// deterministically.
-    blocks: BTreeMap<u64, WbState>,
-    /// Active `close()` flushing this file, if any.
-    close: Option<CloseState>,
-}
-
-#[derive(Debug)]
-struct CloseState {
-    op: OpId,
-    /// COMMIT currently outstanding for this close, if any.
-    commit_xid: Option<u32>,
-    /// `(blk, verf)` pairs the outstanding COMMIT covers. Only these may
-    /// be retired by its reply: a block acked UNSTABLE *after* the COMMIT
-    /// left may not be covered by the server's commit flush, and
-    /// retiring it would fake durability.
-    snapshot: Vec<(u64, u64)>,
-}
-
 /// Hot per-client state, split out of [`ClientHost`] into a packed
 /// parallel array (`NfsWorld::hot`): every RPC issue touches the xid
 /// counter and RNG, and the TCP tick guards are read on every timer, so
@@ -626,22 +491,19 @@ struct ClientHost {
     c2s: Transport,
     s2c: Transport,
     cache: BufferCache,
-    files: FastMap<u64, ClientFile>,
+    /// Mounted files, attribute cache and write-behind cache (the last
+    /// two always empty with the cache off and on FILE_SYNC mounts).
+    files: FileTable,
     rpcs: RpcBook,
     iod_free: Vec<SimTime>,
-    op_waiters: FastMap<(u64, u64), Waitlist<OpId>>,
     stats: ClientStats,
     /// TCP only: queued c2s segment seq → call key, resolved by the
     /// segment engine's deferred [`TcpEvent`]s.
-    c2s_seq: FastMap<u64, u64>,
+    c2s_seq: IdWindow<u64>,
     /// TCP only: queued s2c segment seq → (call key, eio flag, verifier).
-    s2c_seq: FastMap<u64, (u64, bool, u64)>,
-    /// Write-behind dirty cache, by inode (async write path only; always
-    /// empty on FILE_SYNC mounts).
-    wb: FastMap<u64, WbFile>,
-    /// Attribute cache, by inode. Always empty with the cache disabled
-    /// (the default), so the cache-off world carries no new state.
-    attrs: FastMap<u64, AttrEntry>,
+    s2c_seq: IdWindow<(u64, bool, u64)>,
+    /// LOOKUP name buffers whose RPCs retired, for the next LOOKUPs.
+    names: Vec<String>,
 }
 
 impl ClientHost {
@@ -825,15 +687,13 @@ impl NfsWorld {
                 c2s,
                 s2c,
                 cache: BufferCache::new(config.client_cache_blocks),
-                files: FastMap::default(),
+                files: FileTable::default(),
                 rpcs: RpcBook::default(),
                 iod_free: vec![SimTime::ZERO; config.nfsiods],
-                op_waiters: FastMap::default(),
                 stats: ClientStats::default(),
-                c2s_seq: FastMap::default(),
-                s2c_seq: FastMap::default(),
-                wb: FastMap::default(),
-                attrs: FastMap::default(),
+                c2s_seq: IdWindow::default(),
+                s2c_seq: IdWindow::default(),
+                names: Vec::new(),
             });
         }
         // Busy loops stretch the marshalling jitter of every client call.
@@ -888,26 +748,22 @@ impl NfsWorld {
 
     /// Approximate resident bytes of per-client state across the cluster:
     /// each host's fixed-size state, hot and cold, and its heap (block
-    /// cache, RPC books, tracking maps). Hash-map backing stores are
-    /// estimated from `capacity()`, so this is scale accounting, not
-    /// allocator truth.
+    /// cache, RPC books, file table, TCP sequence windows, name
+    /// buffers). Estimated from `capacity()`, so this is scale
+    /// accounting, not allocator truth.
     pub fn client_state_bytes(&self) -> usize {
         use std::mem::size_of;
-        fn map_bytes<K, V>(m: &FastMap<K, V>) -> usize {
-            m.capacity() * (size_of::<K>() + size_of::<V>() + size_of::<u64>())
-        }
         let mut total = self.hot.capacity() * size_of::<ClientHot>()
             + self.clients.capacity() * size_of::<ClientHost>();
         for cl in &self.clients {
             total += cl.cache.approx_heap_bytes()
                 + cl.iod_free.capacity() * size_of::<SimTime>()
-                + cl.rpcs.window.capacity() * size_of::<Option<Rpc>>()
-                + map_bytes(&cl.files)
-                + map_bytes(&cl.op_waiters)
-                + map_bytes(&cl.c2s_seq)
-                + map_bytes(&cl.s2c_seq)
-                + map_bytes(&cl.wb)
-                + map_bytes(&cl.attrs);
+                + cl.rpcs.heap_bytes()
+                + cl.files.heap_bytes()
+                + cl.c2s_seq.capacity() * size_of::<Option<u64>>()
+                + cl.s2c_seq.capacity() * size_of::<Option<(u64, bool, u64)>>()
+                + cl.names.capacity() * size_of::<String>()
+                + cl.names.iter().map(String::capacity).sum::<usize>();
         }
         total
     }
@@ -941,14 +797,7 @@ impl NfsWorld {
             .create_file(size, &mut alloc_rng)
             .expect("the server's partition holds the file");
         self.server.inodes.add_file(ino);
-        self.clients[client].files.insert(
-            ino,
-            ClientFile {
-                size,
-                fd: LocalFd::new(),
-                submit_counter: 0,
-            },
-        );
+        self.clients[client].files.mount(ino, size);
         FileHandle {
             fsid: self.server.fsid,
             ino,
@@ -1087,7 +936,7 @@ impl NfsWorld {
     /// zero with the cache disabled). Oracles use this to prove cache-off
     /// dormancy and to bound cache-on growth.
     pub fn attr_cache_entries(&self, client: usize) -> usize {
-        self.clients[client].attrs.len()
+        self.clients[client].files.attr_entries()
     }
 
     /// The server's attribute version for `ino` (0 if never written).
@@ -1190,7 +1039,7 @@ impl NfsWorld {
     /// `open()`s).
     pub fn reset_client_heuristics(&mut self) {
         for cl in &mut self.clients {
-            for f in cl.files.values_mut() {
+            for f in cl.files.mounted_files() {
                 f.fd = LocalFd::new();
             }
         }
@@ -1368,11 +1217,7 @@ impl NfsWorld {
     /// Blocks in one client's write-behind cache not yet known committed
     /// (dirty, in flight, or acked only UNSTABLE).
     pub fn client_uncommitted_blocks(&self, client: usize) -> u64 {
-        self.clients[client]
-            .wb
-            .values()
-            .map(|f| f.blocks.len() as u64)
-            .sum()
+        self.clients[client].files.uncommitted_blocks()
     }
 
     /// Issues a process-level read of `len` bytes at `offset` on the given
@@ -1396,7 +1241,7 @@ impl NfsWorld {
         let ino = fh.ino;
         let file = *self.clients[client]
             .files
-            .get(&ino)
+            .mounted(ino)
             .expect("read of unmounted file");
         assert!(offset + len <= file.size, "read beyond EOF");
         let id = self.begin_op(client, now, tag, 0);
@@ -1411,23 +1256,24 @@ impl NfsWorld {
                 cl.stats.cache_hits += 1;
                 continue;
             }
-            if cl.cache.is_pending(key) {
-                Waitlist::push_to(&mut cl.op_waiters, key, id);
-                outstanding += 1;
-                continue;
-            }
-            // Demand RPC, marshalled in process context.
-            cl.cache.mark_pending(key);
-            Waitlist::push_to(&mut cl.op_waiters, key, id);
             outstanding += 1;
-            let send_at = now + self.hot[client].marshal_delay(cpu);
-            self.issue_rpc(client, send_at, fh, blk * rsize, RSIZE, false);
+            // A pending block's tag is the xid of the READ fetching it.
+            let xid = match cl.cache.pending_tag(key) {
+                Some(xid) => xid,
+                None => {
+                    // Demand RPC, marshalled in process context.
+                    let send_at = now + self.hot[client].marshal_delay(cpu);
+                    self.issue_read(client, send_at, fh, blk, false)
+                }
+            };
+            let rpc = self.clients[client].rpcs.get_mut(xid);
+            rpc.expect("a pending block's READ is outstanding").wait(id);
         }
 
         // Client-side sequential heuristic drives client read-ahead
         // through the nfsiod pool.
         let cl = &mut self.clients[client];
-        let f = cl.files.get_mut(&ino).expect("checked above");
+        let f = cl.files.mounted(ino).expect("checked above");
         let seqcount = f.fd.observe(offset, len);
         if seqcount >= 2 {
             let window = u64::from(seqcount).min(self.config.client_readahead_blocks);
@@ -1445,8 +1291,7 @@ impl NfsWorld {
                 };
                 let send_at = iod + self.hot[client].marshal_delay(cpu);
                 cl.set_iod_busy_until(send_at);
-                cl.cache.mark_pending(key);
-                self.issue_rpc(client, send_at, fh, blk * rsize, RSIZE, true);
+                self.issue_read(client, send_at, fh, blk, true);
             }
         }
 
@@ -1486,27 +1331,21 @@ impl NfsWorld {
         tag: u64,
     ) -> OpId {
         assert!(len > 0, "zero-length write");
-        let file = self.clients[client]
-            .files
-            .get_mut(&fh.ino)
-            .expect("write to unmounted file");
-        if offset + len > file.size {
-            // Extending write: grow the client's view; the server extends
-            // the inode when the WRITE arrives.
-            file.size = offset + len;
-        }
-        // Either way the written blocks' cached contents are stale, and so
-        // are the cached attributes (size, mtime stand-in): drop them so
-        // the next read and getattr refetch.
-        let rsize = u64::from(RSIZE);
-        let blocks = offset / rsize..=(offset + len - 1) / rsize;
-        let attr_on = self.config.attr_cache_enabled();
         let cl = &mut self.clients[client];
-        for blk in blocks.clone() {
-            cl.cache.invalidate((fh.ino, blk));
-        }
-        if attr_on && cl.attrs.remove(&fh.ino).is_some() {
+        let file = cl.files.mounted(fh.ino).expect("write to unmounted file");
+        // Extending write: grow the client's view; the server extends the
+        // inode when the WRITE arrives.
+        file.size = file.size.max(offset + len);
+        // Either way the cached attributes (size, mtime stand-in) are
+        // stale, and so are the written blocks' cached contents: drop them
+        // so the next getattr and read refetch.
+        if cl.files.drop_attr(fh.ino) {
             cl.stats.attr_invalidations += 1;
+        }
+        let rsize = u64::from(RSIZE);
+        let (first, last) = (offset / rsize, (offset + len - 1) / rsize);
+        for blk in first..=last {
+            cl.cache.invalidate((fh.ino, blk));
         }
         if self.config.stable_how != StableHow::Unstable {
             // FILE_SYNC / DATA_SYNC: one write-through RPC; the op waits
@@ -1531,14 +1370,7 @@ impl NfsWorld {
         // durability waits for close(). A block overwritten while a WRITE
         // for it is in flight drops back to Dirty — the old in-flight ack
         // must not mark the new data clean.
-        let wbf = cl.wb.entry(fh.ino).or_insert_with(|| WbFile {
-            fh,
-            blocks: BTreeMap::new(),
-            close: None,
-        });
-        for blk in blocks {
-            wbf.blocks.insert(blk, WbState::Dirty);
-        }
+        cl.files.write(fh, first, last);
         let id = self.begin_op(client, now, tag, 0);
         self.finish_op(id, self.local_done(now));
         self.wb_push(client, now, fh.ino);
@@ -1562,9 +1394,8 @@ impl NfsWorld {
     ///
     /// Panics on an unknown handle.
     pub fn close_from(&mut self, client: usize, now: SimTime, fh: FileHandle, tag: u64) -> OpId {
-        let attr_on = self.config.attr_cache_enabled();
         assert!(
-            self.clients[client].files.contains_key(&fh.ino),
+            self.clients[client].files.is_mounted(fh.ino),
             "close of unmounted file"
         );
         let id = self.begin_op(client, now, tag, 0);
@@ -1572,25 +1403,24 @@ impl NfsWorld {
         cl.stats.closes += 1;
         // Close-to-open: the closing side discards its attribute trust so
         // the next open revalidates against whatever this close flushed.
-        if attr_on && cl.attrs.remove(&fh.ino).is_some() {
+        if cl.files.drop_attr(fh.ino) {
             cl.stats.attr_invalidations += 1;
         }
-        match cl.wb.get_mut(&fh.ino) {
-            Some(wbf) if !wbf.blocks.is_empty() => {
+        match cl.files.wb_mut(fh.ino) {
+            Some(wb) if wb.len() > 0 => {
                 assert!(
-                    wbf.close.is_none(),
+                    wb.close.is_none(),
                     "two concurrent closes of one file on one client"
                 );
-                wbf.close = Some(CloseState {
+                wb.close = Some(CloseState {
                     op: id,
                     commit_xid: None,
-                    snapshot: Vec::new(),
                 });
                 self.close_step(client, now, fh.ino);
             }
             _ => {
                 // Nothing outstanding: close is a local no-op.
-                cl.wb.remove(&fh.ino);
+                cl.files.release(fh.ino);
                 self.finish_op(id, self.local_done(now));
             }
         }
@@ -1611,19 +1441,18 @@ impl NfsWorld {
     /// Panics on an unknown handle.
     pub fn getattr_from(&mut self, client: usize, now: SimTime, fh: FileHandle, tag: u64) -> OpId {
         let cl = &mut self.clients[client];
-        assert!(cl.files.contains_key(&fh.ino), "getattr on unmounted file");
+        assert!(cl.files.is_mounted(fh.ino), "getattr on unmounted file");
         if self.config.attr_cache_enabled() {
-            if cl.attrs.get(&fh.ino).is_some_and(|e| now < e.valid_until) {
-                // Served from the cache: the op completes locally.
-                cl.stats.attr_cache_hits += 1;
-                let id = self.begin_op(client, now, tag, 0);
-                self.finish_op(id, self.local_done(now));
-                return id;
-            }
-            if cl.attrs.contains_key(&fh.ino) {
-                cl.stats.attr_revalidations += 1;
-            } else {
-                cl.stats.attr_cache_misses += 1;
+            match cl.files.attr(fh.ino) {
+                Some(e) if now < e.valid_until => {
+                    // Served from the cache: the op completes locally.
+                    cl.stats.attr_cache_hits += 1;
+                    let id = self.begin_op(client, now, tag, 0);
+                    self.finish_op(id, self.local_done(now));
+                    return id;
+                }
+                Some(_) => cl.stats.attr_revalidations += 1,
+                None => cl.stats.attr_cache_misses += 1,
             }
         }
         self.getattr_rpc(client, now, fh, tag)
@@ -1642,7 +1471,7 @@ impl NfsWorld {
     /// Panics on an unknown handle.
     pub fn open_from(&mut self, client: usize, now: SimTime, fh: FileHandle, tag: u64) -> OpId {
         let cl = &mut self.clients[client];
-        assert!(cl.files.contains_key(&fh.ino), "open of unmounted file");
+        assert!(cl.files.is_mounted(fh.ino), "open of unmounted file");
         if self.config.attr_cache_enabled() {
             cl.stats.attr_revalidations += 1;
         }
@@ -1674,11 +1503,14 @@ impl NfsWorld {
     ) -> OpId {
         let cl = &mut self.clients[client];
         assert!(
-            cl.files.contains_key(&dir.ino),
+            cl.files.is_mounted(dir.ino),
             "lookup in unmounted directory"
         );
         cl.stats.lookup_rpcs += 1;
-        let name = "x".repeat(name_len.max(1) as usize);
+        // The name is synthetic; its buffer comes back when the RPC retires.
+        let mut name = cl.names.pop().unwrap_or_default();
+        name.clear();
+        name.extend(std::iter::repeat_n('x', name_len.max(1) as usize));
         self.rpc_op(client, now, tag, NfsCall::Lookup { dir, name })
             .0
     }
@@ -1758,17 +1590,17 @@ impl NfsWorld {
     ) -> OpId {
         let cl = &mut self.clients[client];
         assert!(
-            cl.files.contains_key(&call.fh().ino),
+            cl.files.is_mounted(call.fh().ino),
             "readdir on unmounted directory"
         );
         cl.stats.readdir_rpcs += 1;
         let (id, xid) = self.rpc_op(client, now, tag, call);
-        let rpc = self.clients[client].rpcs.get_mut(xid).expect("issued");
-        rpc.readdir = Some(ReaddirPending {
+        let shape = ReaddirPending {
             entries,
             eof,
             children,
-        });
+        };
+        self.clients[client].rpcs.declare_shape(xid, shape);
         id
     }
 
@@ -1876,7 +1708,7 @@ impl NfsWorld {
         let send_at = now + self.hot[client].marshal_delay(self.cpu);
         let xid = self.issue_call(client, send_at, call);
         let rpc = self.clients[client].rpcs.get_mut(xid).expect("issued");
-        rpc.waiter = Some(id);
+        rpc.wait(id);
         (id, xid)
     }
 
@@ -1886,21 +1718,32 @@ impl NfsWorld {
         at + self.cpu.client_complete
     }
 
-    fn issue_rpc(
+    /// Sends a READ of block `blk` of `fh` (a read-ahead if `ra`) and
+    /// marks the block pending, tagged with the READ's xid, which it
+    /// returns.
+    fn issue_read(
         &mut self,
         client: usize,
         send_at: SimTime,
         fh: FileHandle,
-        offset: u64,
-        count: u32,
+        blk: u64,
         ra: bool,
-    ) {
+    ) -> u32 {
         let cl = &mut self.clients[client];
         cl.stats.rpcs += 1;
         if ra {
             cl.stats.readahead_rpcs += 1;
         }
-        self.issue_call(client, send_at, NfsCall::Read { fh, offset, count });
+        let offset = blk * u64::from(RSIZE);
+        let call = NfsCall::Read {
+            fh,
+            offset,
+            count: RSIZE,
+        };
+        let xid = self.issue_call(client, send_at, call);
+        let cache = &mut self.clients[client].cache;
+        cache.mark_pending_tagged((fh.ino, blk), xid);
+        xid
     }
 
     fn issue_call(&mut self, client: usize, send_at: SimTime, call: NfsCall) -> u32 {
@@ -1908,16 +1751,15 @@ impl NfsWorld {
         let xid = hot.next_xid;
         hot.next_xid = hot.next_xid.wrapping_add(1).max(1);
         let cl = &mut self.clients[client];
-        let ino = call.fh().ino;
-        let f = cl.files.get_mut(&ino).expect("mounted");
+        let f = cl.files.mounted(call.fh().ino).expect("mounted");
         f.submit_counter += 1;
         let submit_seq = f.submit_counter;
         let rpc = Rpc {
             call,
             submit_seq,
             attempt: 0,
-            waiter: None,
-            readdir: None,
+            waiters: None,
+            shape: NONE,
         };
         cl.rpcs.insert(xid, rpc);
         self.queue.schedule_at(
@@ -1933,23 +1775,12 @@ impl NfsWorld {
     // Client write-behind (async write path).
     // ------------------------------------------------------------------
 
-    /// First run of consecutive dirty blocks in `wbf`, capped at 8 blocks
-    /// (one 64 KB WRITE), as `(first, last)`.
-    fn first_dirty_run(wbf: &WbFile) -> Option<(u64, u64)> {
-        let (&first, _) = wbf.blocks.iter().find(|(_, s)| **s == WbState::Dirty)?;
-        let mut last = first;
-        while last - first + 1 < 8 && wbf.blocks.get(&(last + 1)) == Some(&WbState::Dirty) {
-            last += 1;
-        }
-        Some((first, last))
-    }
-
     /// Sends one UNSTABLE WRITE covering blocks `first..=last` of `ino`,
     /// marking them in flight. `send_at` already includes marshalling.
     fn wb_issue_write(&mut self, client: usize, send_at: SimTime, ino: u64, first: u64, last: u64) {
         let rsize = u64::from(RSIZE);
         let cl = &mut self.clients[client];
-        let fh = cl.wb.get(&ino).expect("write-behind file present").fh;
+        let fh = cl.files.wb(ino).expect("write-behind file present").fh;
         cl.stats.write_rpcs += 1;
         let count = u32::try_from((last - first + 1) * rsize).expect("run fits u32");
         let xid = self.issue_call(
@@ -1962,13 +1793,7 @@ impl NfsWorld {
                 stable: StableHow::Unstable,
             },
         );
-        let wbf = self.clients[client]
-            .wb
-            .get_mut(&ino)
-            .expect("present above");
-        for blk in first..=last {
-            wbf.blocks.insert(blk, WbState::InFlight { xid });
-        }
+        self.clients[client].files.send(ino, first, last, xid);
     }
 
     /// Pushes dirty runs of `ino` toward the server. Each run rides a
@@ -1979,16 +1804,10 @@ impl NfsWorld {
         let cpu = self.cpu;
         loop {
             let cl = &mut self.clients[client];
-            let dirty_total: usize = cl
-                .wb
-                .values()
-                .map(|f| f.blocks.values().filter(|s| **s == WbState::Dirty).count())
-                .sum();
-            let Some(wbf) = cl.wb.get(&ino) else { return };
-            let Some((first, last)) = Self::first_dirty_run(wbf) else {
+            let pressure = cl.files.dirty_blocks() > CLIENT_DIRTY_MAX_BLOCKS;
+            let Some((first, last)) = cl.files.first_dirty_run(ino) else {
                 return;
             };
-            let pressure = dirty_total > CLIENT_DIRTY_MAX_BLOCKS;
             let base = if pressure {
                 now
             } else if let Some(iod) = cl.acquire_iod(now) {
@@ -2008,54 +1827,33 @@ impl NfsWorld {
     /// Advances an active close: push remaining dirty runs (process
     /// context — close blocks its caller), wait out in-flight WRITEs,
     /// COMMIT once everything is merely uncommitted, and finish when the
-    /// tracking map empties.
+    /// file's write-behind books empty.
     fn close_step(&mut self, client: usize, now: SimTime, ino: u64) {
         let cpu = self.cpu;
-        {
-            let cl = &mut self.clients[client];
-            let Some(wbf) = cl.wb.get(&ino) else { return };
-            let Some(close) = wbf.close.as_ref() else {
-                return;
-            };
-            if close.commit_xid.is_some() {
-                return; // The COMMIT reply re-enters here.
-            }
-            if wbf.blocks.is_empty() {
-                let op = close.op;
-                cl.wb.remove(&ino);
-                self.finish_op(op, self.local_done(now));
-                return;
-            }
+        let cl = &mut self.clients[client];
+        let Some(wb) = cl.files.wb(ino) else { return };
+        let Some(close) = wb.close else { return };
+        if close.commit_xid.is_some() {
+            return; // The COMMIT reply re-enters here.
         }
-        loop {
-            let cl = &mut self.clients[client];
-            let wbf = cl.wb.get(&ino).expect("checked above");
-            let Some((first, last)) = Self::first_dirty_run(wbf) else {
-                break;
-            };
+        if wb.len() == 0 {
+            cl.files.release(ino);
+            self.finish_op(close.op, self.local_done(now));
+            return;
+        }
+        while let Some((first, last)) = self.clients[client].files.first_dirty_run(ino) {
             let send_at = now + self.hot[client].marshal_delay(cpu);
             self.wb_issue_write(client, send_at, ino, first, last);
         }
         let cl = &mut self.clients[client];
-        let wbf = cl.wb.get_mut(&ino).expect("checked above");
-        if wbf
-            .blocks
-            .values()
-            .any(|s| matches!(s, WbState::InFlight { .. }))
-        {
+        let wb = cl.files.wb(ino).expect("checked above");
+        if wb.in_flight() {
             return; // WRITE replies drive the next step.
         }
         // Everything acked UNSTABLE: commit, remembering exactly which
         // (block, verifier) pairs this COMMIT may retire.
-        let fh = wbf.fh;
-        let snapshot: Vec<(u64, u64)> = wbf
-            .blocks
-            .iter()
-            .map(|(&b, s)| match s {
-                WbState::Uncommitted { verf } => (b, *verf),
-                _ => unreachable!("no dirty or in-flight blocks remain"),
-            })
-            .collect();
+        let fh = wb.fh;
+        cl.files.take_snapshot(ino);
         let send_at = now + self.hot[client].marshal_delay(cpu);
         cl.stats.commit_rpcs += 1;
         let xid = self.issue_call(
@@ -2067,24 +1865,19 @@ impl NfsWorld {
                 count: 0,
             },
         );
-        let close = self.clients[client]
-            .wb
-            .get_mut(&ino)
-            .expect("checked above")
-            .close
-            .as_mut()
-            .expect("active close");
-        close.commit_xid = Some(xid);
-        close.snapshot = snapshot;
+        let wb = self.clients[client]
+            .files
+            .wb_mut(ino)
+            .expect("checked above");
+        wb.close.as_mut().expect("active close").commit_xid = Some(xid);
     }
 
     /// Fails an active close (soft-mount semantics) and drops the file's
-    /// write-behind tracking.
+    /// write-behind books.
     fn fail_close(&mut self, client: usize, at: SimTime, ino: u64, xid: u32, end: RpcEnd) {
-        let Some(wbf) = self.clients[client].wb.remove(&ino) else {
+        let Some(Some(close)) = self.clients[client].files.release(ino) else {
             return;
         };
-        let Some(close) = wbf.close else { return };
         if let Some(op) = self.ops.get_mut(close.op.0) {
             op.fail(xid, end);
             self.finish_op(close.op, self.local_done(at));
@@ -2108,63 +1901,45 @@ impl NfsWorld {
         end: RpcEnd,
     ) {
         let rsize = u64::from(RSIZE);
-        let Some(wbf) = self.clients[client].wb.get_mut(&ino) else {
+        let files = &mut self.clients[client].files;
+        let Some(wb) = files.wb(ino) else {
             return;
         };
+        let closing = wb.close.is_some();
         let next = match end {
             RpcEnd::Reply { verf } => WbState::Uncommitted { verf },
-            _ if wbf.close.is_some() => {
+            _ if closing => {
                 self.fail_close(client, at, ino, xid, end);
                 return;
             }
             _ => WbState::Dirty,
         };
-        for blk in offset / rsize..=(offset + u64::from(count) - 1) / rsize {
-            if wbf.blocks.get(&blk) == Some(&WbState::InFlight { xid }) {
-                wbf.blocks.insert(blk, next);
-            }
-        }
-        if wbf.close.is_some() {
+        let (first, last) = (offset / rsize, (offset + u64::from(count) - 1) / rsize);
+        files.write_ended(ino, first, last, xid, next);
+        if closing {
             self.close_step(client, at, ino);
         }
     }
 
     /// A COMMIT ended. A failure fails the close it served. On a reply,
     /// snapshot blocks whose ack verifier matches the server's are durable
-    /// and leave the tracking map; a mismatch means the server rebooted
-    /// with the data in its dirty pool — those blocks re-dirty, count as
-    /// rewrites, and the close loops.
+    /// and leave the write-behind books; a mismatch means the server
+    /// rebooted with the data in its dirty pool — those blocks re-dirty,
+    /// count as rewrites, and the close loops.
     fn wb_commit_done(&mut self, at: SimTime, client: usize, xid: u32, ino: u64, end: RpcEnd) {
         let cl = &mut self.clients[client];
-        let Some(wbf) = cl.wb.get_mut(&ino) else {
+        let Some(close) = cl.files.wb_mut(ino).and_then(|wb| wb.close.as_mut()) else {
             return;
         };
-        let snapshot = {
-            let Some(close) = wbf.close.as_mut() else {
-                return;
-            };
-            if close.commit_xid != Some(xid) {
-                return;
-            }
-            close.commit_xid = None;
-            std::mem::take(&mut close.snapshot)
-        };
+        if close.commit_xid != Some(xid) {
+            return;
+        }
+        close.commit_xid = None;
         let RpcEnd::Reply { verf } = end else {
             self.fail_close(client, at, ino, xid, end);
             return;
         };
-        let mut rewrites = 0u64;
-        for (blk, v) in snapshot {
-            if wbf.blocks.get(&blk) != Some(&WbState::Uncommitted { verf: v }) {
-                continue; // Re-dirtied since the COMMIT left; handled anew.
-            }
-            if v == verf {
-                wbf.blocks.remove(&blk);
-            } else {
-                wbf.blocks.insert(blk, WbState::Dirty);
-                rewrites += 1;
-            }
-        }
+        let rewrites = cl.files.commit(ino, verf);
         if rewrites > 0 {
             cl.stats.verifier_mismatches += 1;
             cl.stats.blocks_rewritten += rewrites;
@@ -2222,10 +1997,10 @@ impl NfsWorld {
             match ev {
                 TcpEvent::Delivered { seq, at: t } => {
                     if c2s {
-                        let key = cl.c2s_seq.remove(&seq).expect("queued seq mapped");
+                        let key = cl.c2s_seq.remove(seq).expect("queued seq mapped");
                         self.queue.schedule_at(t, Ev::CallArrive { key });
                     } else {
-                        let (key, eio, verf) = cl.s2c_seq.remove(&seq).expect("queued seq mapped");
+                        let (key, eio, verf) = cl.s2c_seq.remove(seq).expect("queued seq mapped");
                         self.queue
                             .schedule_at(t, Ev::ReplyArrive { key, eio, verf });
                     }
@@ -2237,9 +2012,9 @@ impl NfsWorld {
                     // progress: fail it like an exhausted UDP retry
                     // ladder, if the client still has it outstanding.
                     let key = if c2s {
-                        cl.c2s_seq.remove(&seq).expect("queued seq mapped")
+                        cl.c2s_seq.remove(seq).expect("queued seq mapped")
                     } else {
-                        cl.s2c_seq.remove(&seq).expect("queued seq mapped").0
+                        cl.s2c_seq.remove(seq).expect("queued seq mapped").0
                     };
                     if cl.rpcs.get(key_xid(key)).is_some() {
                         self.rpc_timed_out(at, key);
@@ -2333,25 +2108,21 @@ impl NfsWorld {
 
     /// The one client-side path that retires an outstanding RPC, however
     /// it ended, and settles what waited on it: the op awaiting it
-    /// directly, the write-behind state it carried, or the cache blocks
+    /// directly, the write-behind state it carried, or the cache block
     /// it fetched (filled on a reply; released on a failure, so a later
-    /// read can retry them) and every op waiting on those blocks.
+    /// read can retry it) and every read blocked on that block.
     fn rpc_done(&mut self, at: SimTime, key: u64, end: RpcEnd) {
         let client = key_client(key);
         let xid = key_xid(key);
         let done = self.local_done(at);
         let cl = &mut self.clients[client];
-        let rpc = cl.rpcs.remove(xid).expect("outstanding rpc");
-        if let Some(id) = rpc.waiter {
-            // A non-READ operation (or a directly-awaited RPC) completes.
-            match end {
-                RpcEnd::Reply { .. } => self.attr_reply_install(client, at, rpc),
-                _ => self.ops.get_mut(id.0).expect("awaited op").fail(xid, end),
-            }
-            self.finish_op(id, done);
-            return;
+        let (mut rpc, shape) = cl.rpcs.remove(xid).expect("outstanding rpc");
+        if let NfsCall::Lookup { name, .. } = &mut rpc.call {
+            cl.names.push(std::mem::take(name));
         }
+        let waiters = rpc.waiters.take();
         let (fh, offset, count) = match rpc.call {
+            NfsCall::Read { fh, offset, count } => (fh, offset, count),
             NfsCall::Write {
                 fh,
                 offset,
@@ -2359,8 +2130,20 @@ impl NfsWorld {
                 stable: StableHow::Unstable,
             } => return self.wb_write_done(at, client, xid, fh.ino, offset, count, end),
             NfsCall::Commit { fh, .. } => return self.wb_commit_done(at, client, xid, fh.ino, end),
-            NfsCall::Read { fh, offset, count } => (fh, offset, count),
-            _ => return,
+            _ => {
+                // A metadata call or a sync WRITE: its one op completes.
+                let id = waiters
+                    .into_iter()
+                    .flatten()
+                    .next()
+                    .expect("an op awaits it");
+                match end {
+                    RpcEnd::Reply { .. } => self.attr_reply_install(client, at, &rpc.call, shape),
+                    _ => self.ops.get_mut(id.0).expect("awaited op").fail(xid, end),
+                }
+                self.finish_op(id, done);
+                return;
+            }
         };
         let ok = matches!(end, RpcEnd::Reply { .. });
         let hot = &mut self.hot[client];
@@ -2371,26 +2154,22 @@ impl NfsWorld {
             SimDuration::ZERO
         };
         let rsize = u64::from(RSIZE);
+        let cache = &mut self.clients[client].cache;
         for blk in offset / rsize..=(offset + u64::from(count) - 1) / rsize {
-            let bkey = (fh.ino, blk);
-            let cl = &mut self.clients[client];
             if ok {
-                cl.cache.fill(bkey);
+                cache.fill((fh.ino, blk));
             } else {
-                cl.cache.discard(bkey);
+                cache.discard((fh.ino, blk));
             }
-            let Some(waiting) = cl.op_waiters.remove(&bkey) else {
+        }
+        for id in waiters.into_iter().flatten() {
+            let Some(op) = self.ops.get_mut(id.0) else {
                 continue;
             };
-            for id in waiting {
-                let Some(op) = self.ops.get_mut(id.0) else {
-                    continue;
-                };
-                op.fail(xid, end);
-                op.outstanding_blocks = op.outstanding_blocks.saturating_sub(1);
-                if op.outstanding_blocks == 0 {
-                    self.finish_op(id, done + wake_jitter);
-                }
+            op.fail(xid, end);
+            op.outstanding_blocks = op.outstanding_blocks.saturating_sub(1);
+            if op.outstanding_blocks == 0 {
+                self.finish_op(id, done + wake_jitter);
             }
         }
     }
@@ -2403,24 +2182,34 @@ impl NfsWorld {
     /// The server's attribute version is peeked at reply-arrival time
     /// (the sim owns both ends, so this is the value the reply carried);
     /// `Ev::ReplyArrive` stays layout-compatible with the pre-cache world.
-    fn attr_reply_install(&mut self, client: usize, at: SimTime, rpc: Rpc) {
+    fn attr_reply_install(
+        &mut self,
+        client: usize,
+        at: SimTime,
+        call: &NfsCall,
+        shape: Option<ReaddirPending>,
+    ) {
         if !self.config.attr_cache_enabled() {
             return;
         }
-        match rpc.call {
+        match *call {
             NfsCall::Getattr { fh } => self.attr_refresh(client, at, fh.ino),
             NfsCall::Readdirplus { .. } => {
-                let children = rpc.readdir.map(|p| p.children).unwrap_or_default();
+                let children = shape.map(|p| p.children).unwrap_or_default();
                 let min = self.config.attr_timeo_min;
                 for FileHandle { ino, .. } in children {
                     let version = self.server_attr_version(ino);
                     // Prefill only: an existing entry (live or mid-decay)
                     // keeps its adaptive state.
-                    self.clients[client].attrs.entry(ino).or_insert(AttrEntry {
-                        version,
-                        valid_until: at + min,
-                        timeo: min,
-                    });
+                    let files = &mut self.clients[client].files;
+                    if files.attr(ino).is_none() {
+                        let entry = AttrEntry {
+                            version,
+                            valid_until: at + min,
+                            timeo: min,
+                        };
+                        files.set_attr(ino, entry);
+                    }
                 }
             }
             _ => {}
@@ -2433,7 +2222,7 @@ impl NfsWorld {
     fn attr_refresh(&mut self, client: usize, at: SimTime, ino: u64) {
         let version = self.server_attr_version(ino);
         let cl = &mut self.clients[client];
-        let timeo = match cl.attrs.get(&ino) {
+        let timeo = match cl.files.attr(ino) {
             Some(e) if e.version == version => {
                 e.timeo.saturating_mul(2).min(self.config.attr_timeo_max)
             }
@@ -2443,14 +2232,12 @@ impl NfsWorld {
             }
             None => self.config.attr_timeo_min,
         };
-        cl.attrs.insert(
-            ino,
-            AttrEntry {
-                version,
-                valid_until: at + timeo,
-                timeo,
-            },
-        );
+        let entry = AttrEntry {
+            version,
+            valid_until: at + timeo,
+            timeo,
+        };
+        cl.files.set_attr(ino, entry);
     }
 
     fn finish_op(&mut self, id: OpId, done_at: SimTime) {
@@ -2477,11 +2264,11 @@ impl NfsWorld {
     // Server internals.
     // ------------------------------------------------------------------
 
-    /// A simulated call reached the server: admit the server's own copy.
-    /// Release builds clone the client's call. Debug builds encode it to
-    /// XDR in `wire_scratch`, decode it, check that xid and call survive
-    /// the round trip and admit the decoded copy, so every debug test and
-    /// simtest sweep checks the codec on every simulated call.
+    /// A simulated call reached the server: admit the server's own copy
+    /// ([`server_copy`]). Debug builds first encode the call to XDR in
+    /// `wire_scratch` and check that it decodes to the same xid and call,
+    /// so every debug test and simtest sweep checks the codec on every
+    /// simulated call.
     fn server_call_arrive(&mut self, at: SimTime, key: u64) {
         let xid = key_xid(key);
         let Some(rpc) = self.clients[key_client(key)].rpcs.get(xid) else {
@@ -2490,16 +2277,13 @@ impl NfsWorld {
             self.server.stats.orphan_calls += 1;
             return;
         };
-        let call = if cfg!(debug_assertions) {
+        if cfg!(debug_assertions) {
             let scratch = std::mem::take(&mut self.server.wire_scratch);
             let wire = rpc.call.encode_into(xid, scratch);
-            let (wire_xid, decoded) = NfsCall::decode(&wire).expect("well-formed call");
-            assert_eq!((wire_xid, &decoded), (xid, &rpc.call));
+            check_call_decodes(&wire, xid, &rpc.call);
             self.server.wire_scratch = wire;
-            decoded
-        } else {
-            rpc.call.clone()
-        };
+        }
+        let call = server_copy(&rpc.call);
         let submit_seq = rpc.submit_seq;
         self.admit(at, key, call, Some(submit_seq));
     }
@@ -2905,10 +2689,10 @@ impl NfsWorld {
 
     /// The reply to `call` with `status`, read off the server's state:
     /// attributes from its inodes, verifiers from its boot epoch, and a
-    /// READDIR chunk's shape from what a simulated caller declared in its
-    /// [`Rpc::readdir`] (an external caller declares none and gets an empty,
-    /// final chunk — a real server's answer for an empty directory). A
-    /// failed reply carries only its status and attributes.
+    /// READDIR chunk's shape from what a simulated caller declared
+    /// ([`RpcBook::shape`]; an external caller declares none and gets an
+    /// empty, final chunk — a real server's answer for an empty
+    /// directory). A failed reply carries only its status and attributes.
     fn build_reply(&self, key: u64, call: &NfsCall, status: NfsStatus) -> NfsReply {
         let ok = status == NfsStatus::Ok;
         let attrs = |fh| self.file_attrs(fh);
@@ -2960,9 +2744,8 @@ impl NfsWorld {
             NfsCall::Readdir { dir, .. } | NfsCall::Readdirplus { dir, .. } => {
                 let plus = matches!(call, NfsCall::Readdirplus { .. });
                 let pend = (!is_ext(key))
-                    .then(|| self.clients[key_client(key)].rpcs.get(key_xid(key)))
+                    .then(|| self.clients[key_client(key)].rpcs.shape(key_xid(key)))
                     .flatten()
-                    .and_then(|rpc| rpc.readdir.as_ref())
                     .filter(|_| ok);
                 let entries = pend.map_or(0, |p| p.entries);
                 let per = READDIR_ENTRY_BYTES + if plus { READDIRPLUS_EXTRA_BYTES } else { 0 };
@@ -2999,6 +2782,35 @@ impl NfsWorld {
             self.server.nfsd_busy += 1;
             self.nfsd_process(at.max(arrived), slot);
         }
+    }
+}
+
+/// The server's copy of a simulated call: the call itself, except that a
+/// LOOKUP's copy carries no name. The server never reads the name (the
+/// world has no namespace), and copying it would allocate.
+fn server_copy(call: &NfsCall) -> NfsCall {
+    match *call {
+        NfsCall::Lookup { dir, .. } => NfsCall::Lookup {
+            dir,
+            name: String::new(),
+        },
+        ref other => other.clone(),
+    }
+}
+
+/// Checks that `wire` decodes to `call` under `xid`. A LOOKUP's name is
+/// compared where it lies in `wire`, so the check allocates nothing for
+/// it.
+fn check_call_decodes(wire: &[u8], xid: u32, call: &NfsCall) {
+    let mut d = XdrDecoder::new(wire);
+    let header = CallHeader::decode(&mut d).expect("well-formed call header");
+    assert_eq!((header.xid, header.proc_num), (xid, call.proc().number()));
+    if let NfsCall::Lookup { dir, name } = call {
+        assert_eq!(FileHandle::decode(&mut d).as_ref(), Ok(dir));
+        assert_eq!(d.get_string(), Ok(name.as_str()));
+    } else {
+        let decoded = NfsCall::decode_args(call.proc(), &mut d).expect("well-formed call");
+        assert_eq!(&decoded, call);
     }
 }
 

@@ -237,10 +237,7 @@ impl Endpoint {
             NfsCall::Lookup { dir, name } => {
                 self.stats.immediate_replies += 1;
                 let reply = if dir.ino == ROOT_INO {
-                    let fh = name
-                        .strip_prefix('f')
-                        .and_then(|n| n.parse::<usize>().ok())
-                        .and_then(|i| self.exports.get(i).copied());
+                    let fh = export_index(&name).and_then(|i| self.exports.get(i).copied());
                     NfsReply::Lookup {
                         status: if fh.is_some() {
                             NfsStatus::Ok
@@ -349,6 +346,17 @@ impl Endpoint {
     pub fn world_mut(&mut self) -> &mut NfsWorld {
         &mut self.world
     }
+}
+
+/// The export index a LOOKUP name spells. Only the canonical `f{i}`
+/// spelling counts (decimal digits, no sign, no leading zero), so each
+/// file answers to exactly one name, as PATHCONF's exact-match claim
+/// says: `f01` and `f+1` are not `f1`.
+fn export_index(name: &str) -> Option<usize> {
+    let digits = name.strip_prefix('f')?;
+    let canonical =
+        digits.bytes().all(|b| b.is_ascii_digit()) && (digits == "0" || !digits.starts_with('0'));
+    digits.parse().ok().filter(|_| canonical)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use nfsd::{build_world, wire, Endpoint, ExportSpec};
 use nfsproto::{
-    AcceptStat, Fattr3, FileHandle, NfsCall, NfsReply, NfsStatus, ReplyHeader, StableHow,
+    AcceptStat, Fattr3, FileHandle, NfsCall, NfsProc, NfsReply, NfsStatus, ReplyHeader, StableHow,
     XdrDecoder,
 };
 use nfssim::WorldConfig;
@@ -256,4 +256,46 @@ fn connects_share_the_export_and_allocate_no_disk() {
         ep.connect();
     }
     assert_eq!(ep.world().fs().free_bytes(), free);
+}
+
+#[test]
+fn only_the_canonical_name_looks_up_a_file() {
+    // Each export answers to one name: `f1`, not `f01`, `f0001` or `f+1`
+    // (a `usize` parse accepts all three).
+    let mut ep = Endpoint::new(
+        build_world(WorldConfig::default(), 3),
+        ExportSpec {
+            files: 12,
+            file_size: FILE_SIZE,
+        },
+    );
+    let conn = ep.connect();
+    let exports = ep.exports().to_vec();
+    let mnt = ep.handle_record(
+        SimTime::ZERO,
+        conn,
+        &wire::encode_mnt_call(1, nfsd::EXPORT_PATH),
+    );
+    let (_, root) = wire::decode_mnt_reply(&mnt[0]).expect("MNT3res");
+    let mut lookup = |name: &str| {
+        let call = NfsCall::Lookup {
+            dir: root,
+            name: name.to_string(),
+        };
+        let replies = ep.handle_record(SimTime::ZERO, conn, &call.encode(2));
+        assert_eq!(replies.len(), 1, "the endpoint answers LOOKUP itself");
+        let (_, reply) = NfsReply::decode(NfsProc::Lookup, &replies[0]).expect("LOOKUP3res");
+        let NfsReply::Lookup { status, fh, .. } = reply else {
+            panic!("not a LOOKUP reply: {reply:?}");
+        };
+        (status, fh)
+    };
+    for (name, want) in [("f0", 0), ("f1", 1), ("f10", 10), ("f11", 11)] {
+        assert_eq!(lookup(name), (NfsStatus::Ok, Some(exports[want])), "{name}");
+    }
+    for name in [
+        "f01", "f0001", "f+1", "f-1", "f00", "f", "f 1", "f1 ", "F1", "f12",
+    ] {
+        assert_eq!(lookup(name), (NfsStatus::NoEnt, None), "{name}");
+    }
 }

@@ -86,8 +86,9 @@ impl Rig {
 
     /// Builds a freshly formatted file system on this rig.
     ///
-    /// The server machine has 256 MB of RAM, most of it buffer cache —
-    /// which the benchmark's 1.5 GB working set defeats by design.
+    /// The server machine has 256 MB of RAM, most of it buffer cache
+    /// (20,000 8 KB blocks, about 160 MB), which the benchmark's 256 MB
+    /// pass defeats by design.
     pub fn build_fs(&self, seed: u64) -> FileSystem {
         let rng = SimRng::from_seed_and_stream(seed, 0xD15C);
         if let Some(params) = self.drive.ssd_params() {
