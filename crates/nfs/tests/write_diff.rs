@@ -12,7 +12,7 @@ use diskmodel::{DriveModel, PartitionTable};
 use ffs::FsConfig;
 use iosched::SchedulerKind;
 use nfsproto::{FileHandle, StableHow};
-use nfssim::{NfsWorld, OpId, WorldConfig};
+use nfssim::{ClientHostConfig, NfsWorld, OpId, WorldConfig};
 use simcore::{fnv1a, SimRng, SimTime, FNV_BASIS};
 
 fn make_world(config: WorldConfig, seed: u64) -> NfsWorld {
@@ -184,4 +184,74 @@ fn async_run_reaches_the_same_durable_state_faster() {
             "seed {seed}: async {async_done:?} must beat sync {sync_done:?}"
         );
     }
+}
+
+/// Four hosts with one nfsiod each write 160 blocks apiece, 16 KB per host
+/// every 5 µs, then close. A host dirties blocks faster than its lone
+/// nfsiod (busy ~43 µs marshalling each 8-block WRITE) pushes them, so
+/// its dirty total climbs past the client ceiling (64 blocks) and runs go
+/// out in process context; together the hosts stash 640 blocks inside
+/// one gather window, past the server's dirty ceiling (512), so the pool
+/// flushes files early. Returns the fold of every completion's
+/// `(tag, done_at)` and the server's gather flushes.
+fn dirty_ceiling_burst(seed: u64) -> (u64, u64) {
+    const HOSTS: usize = 4;
+    const BLOCKS: u64 = 160;
+    const WRITE: u64 = 2 * 8_192;
+    let cfg = WorldConfig {
+        stable_how: StableHow::Unstable,
+        nfsiods: 1,
+        ..WorldConfig::default()
+    };
+    let disk = DriveModel::WdWd200bbIde.build(SimRng::new(seed));
+    let part = PartitionTable::quarters(disk.geometry()).get(1);
+    let fs = ffs::FileSystem::format(disk, part, SchedulerKind::Elevator, FsConfig::default());
+    let hosts = [ClientHostConfig::from_world(&cfg); HOSTS];
+    let mut w = NfsWorld::new_cluster(cfg, &hosts, fs, seed);
+    let fhs: Vec<FileHandle> = (0..HOSTS)
+        .map(|c| w.create_file_for(c, BLOCKS * 8_192))
+        .collect();
+    let (mut h, mut ops, mut done) = (FNV_BASIS, 0, 0);
+    let mut run_to = |w: &mut NfsWorld, until: Option<SimTime>| {
+        while let Some(t) = w.next_event().filter(|&t| until.is_none_or(|u| t <= u)) {
+            for d in w.advance(t) {
+                assert!(d.outcome.is_ok(), "seed {seed}: {d:?}");
+                h = pins::fold(pins::fold(h, d.tag), d.done_at.as_nanos());
+                done += 1;
+            }
+        }
+    };
+    let mut now = SimTime::ZERO;
+    for step in 0..BLOCKS * 8_192 / WRITE {
+        now = SimTime::from_nanos(step * 5_000);
+        run_to(&mut w, Some(now));
+        for (c, &fh) in fhs.iter().enumerate() {
+            w.write_from(c, now, fh, step * WRITE, WRITE, c as u64 * 1_000 + step);
+            ops += 1;
+        }
+    }
+    for (c, &fh) in fhs.iter().enumerate() {
+        w.close_from(c, now, fh, 9_000 + c as u64);
+        ops += 1;
+    }
+    run_to(&mut w, None);
+    assert_eq!(done, ops, "seed {seed}: every op completes");
+    for (c, &fh) in fhs.iter().enumerate() {
+        assert_eq!(w.client_uncommitted_blocks(c), 0, "seed {seed}");
+        assert!((0..BLOCKS).all(|b| w.is_durable(fh, b)), "seed {seed}");
+    }
+    (h, w.server_stats().gather_flushes)
+}
+
+/// Pins a write burst in which both dirty ceilings bind, so a change to
+/// either ceiling (or to what happens past it) moves a pin.
+#[test]
+fn a_write_burst_past_both_dirty_ceilings_is_pinned() {
+    let mut pinned = Vec::new();
+    for seed in [1u64, 2] {
+        let (completions, flushes) = dirty_ceiling_burst(seed);
+        pinned.push((format!("seed{seed}.completions"), pins::hex(completions)));
+        pinned.push((format!("seed{seed}.gather_flushes"), flushes.to_string()));
+    }
+    pins::check("write_burst", pinned);
 }

@@ -9,9 +9,13 @@ use simcore::{fnv1a, FNV_BASIS};
 use simtest::{Spec, Workload};
 use testbed::experiments::{fig6_readahead_potential, Scale};
 
-/// Runs `spec(seed)` for seeds `0..n` and returns `seed<s>` cases.
-fn fingerprints(n: u64, spec: impl Fn(u64) -> Spec) -> Vec<(String, String)> {
-    (0..n)
+/// Runs `spec(seed)` for each of `seeds` and returns `seed<s>` cases.
+fn fingerprints(
+    seeds: impl IntoIterator<Item = u64>,
+    spec: impl Fn(u64) -> Spec,
+) -> Vec<(String, String)> {
+    seeds
+        .into_iter()
         .map(|s| {
             let fp = spec(s)
                 .run_checked()
@@ -41,16 +45,30 @@ fn at_both_job_widths<T: PartialEq + std::fmt::Debug>(run: impl Fn() -> T) -> T 
 // lanes must deliver every event at the same instant in the same order.
 #[test]
 fn write_loss_fingerprints_are_pinned() {
-    let fps = fingerprints(4, |s| Spec {
+    let fps = fingerprints(0..4, |s| Spec {
         workload: Workload::WriteLoss,
         ..Spec::new(s)
     });
     pins::check("simtest_write_loss", fps);
 }
 
+// The disk-fault kinds drive the bio layer's retry ladder and hold file
+// system I/Os in flight (stuck tags, firmware stalls). Seeds 0..4 are the
+// sweep's first four. Seed 178 is the only seed below 400 whose
+// fingerprint moves when `ffs::MAX_IO_RETRIES` goes from 3 to 4: the one
+// that sees the ladder's length.
+#[test]
+fn disk_fault_fingerprints_are_pinned() {
+    let fps = fingerprints((0..4).chain([178]), |s| Spec {
+        disk_faults: true,
+        ..Spec::new(s)
+    });
+    pins::check("simtest_disk_faults", fps);
+}
+
 #[test]
 fn forced_tcp_fingerprints_are_pinned() {
-    let fps = fingerprints(4, |s| Spec {
+    let fps = fingerprints(0..4, |s| Spec {
         transport: Some(TransportKind::Tcp),
         ..Spec::new(s)
     });
@@ -72,6 +90,6 @@ fn figure6_bits_are_pinned_at_both_job_widths() {
 // and shards=1 / shards=N identities held across the change.
 #[test]
 fn simtest_fingerprints_are_pinned_at_both_job_widths() {
-    let fps = at_both_job_widths(|| fingerprints(8, Spec::new));
+    let fps = at_both_job_widths(|| fingerprints(0..8, Spec::new));
     pins::check("simtest_sweep", fps);
 }
