@@ -252,7 +252,7 @@ fn bench_buffer_cache(out: &mut Vec<BenchResult>, iters: u64, evict_iters: u64) 
     let mut reader = 0;
     let mut churn = || {
         let key = (reader as u64 + 1, next[reader]);
-        bc.mark_pending(key);
+        bc.mark_pending(key, 0);
         bc.fill(key);
         black_box(bc.lookup(key));
         next[reader] = (next[reader] + 1) % 2_048;
@@ -360,6 +360,50 @@ fn bench_fs_read(out: &mut Vec<BenchResult>, iters: u64) {
     // map) must cost the same per call as the one-run fresh file.
     fs_read_case(out, "fs_read_2048_block_file", 0.0, iters);
     fs_read_case(out, "fs_read_aged_2048_block_file", 0.5, iters);
+    fs_read_cold_case(out, iters);
+}
+
+/// A sequential 8 KB pass over an uncached aged 2,048-block file, each
+/// read advanced through bio and the drive until it completes (which
+/// costs simulated time only), with the caches flushed between passes so
+/// that every pass is cold. This times the miss path the cached cases
+/// skip: `cluster_run`, `lba_of`/`run_end`, issuing I/O, read-ahead, and
+/// reads joining I/O in flight.
+fn fs_read_cold_case(out: &mut Vec<BenchResult>, iters: u64) {
+    let disk = DriveModel::WdWd200bbIde.build(SimRng::new(11));
+    let part = PartitionTable::quarters(disk.geometry()).get(1);
+    let config = FsConfig {
+        aging: 0.5,
+        ..FsConfig::default()
+    };
+    let mut fs = FileSystem::format(disk, part, SchedulerKind::Elevator, config);
+    let blocks = 2_048u64;
+    let ino = fs
+        .create_file(blocks * 8_192, &mut SimRng::new(1))
+        .expect("the partition holds every file");
+    let (mut now, mut blk, mut seqcount) = (SimTime::ZERO, 0u64, 1u32);
+    let mut done = Vec::new();
+    bench(out, "fs_read_cold_aged_2048_block_file", iters, || {
+        if blk == blocks {
+            // Let read-ahead past the end land, then start a cold pass.
+            while let Some(t) = fs.next_event() {
+                now = now.max(t);
+                fs.advance_into(t, &mut done);
+            }
+            fs.flush_caches();
+            (blk, seqcount) = (0, 1);
+        }
+        fs.read(now, ino, blk * 8_192, 8_192, seqcount, blk);
+        done.clear();
+        while done.is_empty() {
+            let t = fs.next_event().expect("the read completes");
+            now = now.max(t);
+            fs.advance_into(t, &mut done);
+        }
+        black_box(&done);
+        blk += 1;
+        seqcount = (seqcount + 1).min(ffs::SEQCOUNT_MAX);
+    });
 }
 
 fn fs_read_case(out: &mut Vec<BenchResult>, name: &str, aging: f64, iters: u64) {

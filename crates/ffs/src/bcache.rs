@@ -3,9 +3,13 @@
 //! An LRU cache of (inode, file-block) entries with a *pending* state:
 //! a block whose disk read is in flight is pinned in the cache so
 //! concurrent readers of the same block share one I/O instead of
-//! duplicating it. Capacity is counted in blocks, sized from the machine's
-//! RAM (the paper's server has 256 MB, which is why its 1.5 GB benchmark
-//! working set defeats caching, §4.3.1).
+//! duplicating it. A pending block carries a caller's tag naming what
+//! fetches it (the file system's I/O span, the NFS client's READ), so a
+//! reader that finds it pending joins that fetch. Capacity is counted in
+//! blocks, sized from the machine's RAM: the server's default 20,000
+//! blocks (about 164 MB) are smaller than the 256 MB pass of
+//! `read_stream` and Figure 7, so that pass cannot run from the cache
+//! (the paper's first trap, §4.3.1).
 //!
 //! # Layout
 //!
@@ -236,17 +240,12 @@ impl BufferCache {
         self.slot_of(key).is_some()
     }
 
-    /// Marks a block as having a read in flight (pins it).
-    pub fn mark_pending(&mut self, key: BlockKey) {
-        self.mark_pending_tagged(key, NIL);
-    }
-
-    /// Marks a block pending like [`BufferCache::mark_pending`] and keeps
-    /// `tag` with it while it stays pending, for a caller that must find
-    /// what fetches the block (the NFS client stores the fetching RPC's
-    /// xid). A pending slot is off the LRU list, so its `next` link holds
-    /// the tag. A block that is already pending keeps its tag.
-    pub fn mark_pending_tagged(&mut self, key: BlockKey, tag: u32) {
+    /// Marks a block as having a read in flight (pins it) and keeps `tag`
+    /// with it while it stays pending, naming what fetches the block (the
+    /// file system's span slot, the NFS client's READ xid). A pending slot
+    /// is off the LRU list, so its `next` link holds the tag. A block that
+    /// is already pending keeps its tag.
+    pub fn mark_pending(&mut self, key: BlockKey, tag: u32) {
         let (file, blk) = (self.file_of(key.0), slot_blk(key.1));
         // A full cache makes room even when the block is already resident
         // (it may be the victim itself).
@@ -264,8 +263,8 @@ impl BufferCache {
         slot.next = tag;
     }
 
-    /// The tag a pending block was marked with (`u32::MAX` from
-    /// [`BufferCache::mark_pending`]); `None` if the block is not pending.
+    /// The tag a pending block was marked with; `None` if the block is not
+    /// pending.
     pub fn pending_tag(&self, key: BlockKey) -> Option<u32> {
         let slot = self.slots[self.slot_of(key)? as usize];
         (slot.prev == PENDING).then_some(slot.next)
@@ -515,11 +514,11 @@ mod tests {
     fn a_pending_tag_lasts_until_the_block_settles() {
         let mut c = BufferCache::new(8);
         c.fill((1, 0));
-        c.mark_pending_tagged((1, 1), 7);
-        c.mark_pending_tagged((1, 2), 9);
-        c.mark_pending_tagged((1, 1), 8); // already pending: keeps 7
-        c.mark_pending((1, 3));
-        c.mark_pending_tagged((1, 0), 5); // a valid block turns pending
+        c.mark_pending((1, 1), 7);
+        c.mark_pending((1, 2), 9);
+        c.mark_pending((1, 1), 8); // already pending: keeps 7
+        c.mark_pending((1, 3), u32::MAX);
+        c.mark_pending((1, 0), 5); // a valid block turns pending
         c.check_invariants();
         let tags: Vec<_> = (0..5).map(|b| c.pending_tag((1, b))).collect();
         assert_eq!(tags, [Some(5), Some(7), Some(9), Some(u32::MAX), None]);
@@ -535,7 +534,7 @@ mod tests {
     #[test]
     fn pending_blocks_are_not_valid_yet() {
         let mut c = BufferCache::new(8);
-        c.mark_pending((1, 0));
+        c.mark_pending((1, 0), 0);
         assert!(!c.lookup((1, 0)));
         assert!(c.is_pending((1, 0)));
         c.fill((1, 0));
@@ -558,8 +557,8 @@ mod tests {
     #[test]
     fn pending_blocks_are_pinned() {
         let mut c = BufferCache::new(2);
-        c.mark_pending((1, 0));
-        c.mark_pending((1, 1));
+        c.mark_pending((1, 0), 0);
+        c.mark_pending((1, 1), 0);
         // Cache is full of pending blocks; a new fill overflows rather than
         // dropping in-flight state.
         c.fill((1, 2));
@@ -573,7 +572,7 @@ mod tests {
     fn flush_keeps_pending() {
         let mut c = BufferCache::new(8);
         c.fill((1, 0));
-        c.mark_pending((1, 1));
+        c.mark_pending((1, 1), 0);
         c.flush();
         assert!(!c.peek((1, 0)));
         assert!(c.is_pending((1, 1)));
@@ -583,7 +582,7 @@ mod tests {
     fn invalidate_removes_valid_only() {
         let mut c = BufferCache::new(8);
         c.fill((1, 0));
-        c.mark_pending((1, 1));
+        c.mark_pending((1, 1), 0);
         c.invalidate((1, 0));
         c.invalidate((1, 1));
         assert!(!c.peek((1, 0)));
@@ -616,7 +615,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "inode number exceeds 32 bits")]
     fn an_inode_number_past_32_bits_is_rejected() {
-        BufferCache::new(8).mark_pending((1 << 32, 0));
+        BufferCache::new(8).mark_pending((1 << 32, 0), 0);
     }
 
     #[test]
@@ -682,7 +681,7 @@ mod tests {
                         c.lookup(k);
                     }
                     30..=54 => c.fill(k),
-                    55..=79 => c.mark_pending(k),
+                    55..=79 => c.mark_pending(k, 0),
                     80..=89 => c.invalidate(k),
                     90..=98 => c.discard(k),
                     _ => c.flush(),

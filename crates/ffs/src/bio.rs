@@ -29,7 +29,7 @@ use diskmodel::{
     Completion, DeviceModel, Disk, DiskErrorKind, DiskOutcome, DiskRequest, Lba, TcqConfig,
 };
 use iosched::{AnyScheduler, IoScheduler, QueuedRequest, SchedulerKind};
-use simcore::{FastMap, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
 /// Most host-level retries of a transient media error before giving up
 /// with EIO.
@@ -71,8 +71,9 @@ pub struct BioLayer {
     head: Lba,
     next_seq: u64,
     dispatched: u64,
-    /// Retry counts per in-error request tag (absent = no error yet).
-    attempts: FastMap<u64, u32>,
+    /// `(tag, retries)` of each request that has failed at least once
+    /// and not finished yet; empty on a fault-free drive.
+    attempts: Vec<(u64, u32)>,
     /// Retries waiting out their backoff: `(due, request)`.
     deferred: Vec<(SimTime, DiskRequest)>,
     /// Scratch for the drive's completions in `advance_into`.
@@ -94,7 +95,7 @@ impl BioLayer {
             head: 0,
             next_seq: 0,
             dispatched: 0,
-            attempts: FastMap::default(),
+            attempts: Vec::new(),
             deferred: Vec::new(),
             drive_done: Vec::new(),
             stats: BioStats::default(),
@@ -250,18 +251,18 @@ impl BioLayer {
     fn retire(&mut self, c: Completion, out: &mut Vec<Completion>) {
         match c.outcome {
             DiskOutcome::Ok => {
-                if self.attempts.remove(&c.request.tag).is_some() {
+                if self.take_attempts(c.request.tag).is_some() {
                     self.stats.recovered += 1;
                 }
                 out.push(c);
             }
             DiskOutcome::Error(e) => {
                 self.stats.error_completions += 1;
-                let attempts = self.attempts.entry(c.request.tag).or_insert(0);
+                let retried = self.take_attempts(c.request.tag).unwrap_or(0);
                 match e.kind {
-                    DiskErrorKind::TransientMedia if *attempts < MAX_IO_RETRIES => {
-                        *attempts += 1;
-                        let n = *attempts;
+                    DiskErrorKind::TransientMedia if retried < MAX_IO_RETRIES => {
+                        let n = retried + 1;
+                        self.attempts.push((c.request.tag, n));
                         self.stats.max_attempts = self.stats.max_attempts.max(n);
                         self.stats.retries += 1;
                         self.deferred
@@ -270,7 +271,6 @@ impl BioLayer {
                     DiskErrorKind::TransientMedia => {
                         self.stats.transient_exhausted += 1;
                         self.stats.eio += 1;
-                        self.attempts.remove(&c.request.tag);
                         out.push(c);
                     }
                     DiskErrorKind::HardMedia => {
@@ -281,12 +281,22 @@ impl BioLayer {
                         self.stats.eio += 1;
                         self.stats.remaps += 1;
                         self.device.remap(c.request.lba, c.request.sectors);
-                        self.attempts.remove(&c.request.tag);
                         out.push(c);
                     }
                 }
             }
         }
+    }
+
+    /// Removes and returns the retries booked for `tag`, if it has failed
+    /// before. A fault-free completion finds the list empty and searches
+    /// nothing.
+    fn take_attempts(&mut self, tag: u64) -> Option<u32> {
+        if self.attempts.is_empty() {
+            return None;
+        }
+        let i = self.attempts.iter().position(|&(t, _)| t == tag)?;
+        Some(self.attempts.swap_remove(i).1)
     }
 
     fn kick(&mut self, now: SimTime) {

@@ -13,6 +13,13 @@
 //! All operations are asynchronous: [`FileSystem::read`] returns a
 //! [`ReadId`]; completions surface from [`FileSystem::advance_into`].
 //!
+//! A read that finds a block busy waits on the I/O fetching it, as a
+//! FreeBSD reader sleeps on a busy buffer: each disk I/O in flight holds
+//! a slot in a slab, its slot is its bio tag, and the blocks it fetches
+//! are pending in the buffer cache under that slot, so a read that finds
+//! one pending joins that I/O's waiters. The I/O's completion fills its
+//! blocks and then settles every waiter.
+//!
 //! The file system reports its next deadline rather than being polled for
 //! it: every `&mut self` method that can move the deadline (`read`,
 //! `write`, `advance_into`, `flush_caches`, `set_scheduler`, `set_tcq`,
@@ -23,12 +30,12 @@
 
 use diskmodel::{Completion, DeviceModel, Disk, DiskRequest, FaultModel, TcqConfig};
 use iosched::SchedulerKind;
-use simcore::{FastMap, IdWindow, SimRng, SimTime, Waitlist};
+use simcore::{IdWindow, SimRng, SimTime, Slab};
 
 use crate::alloc::{
     Allocator, Inode, NoSpace, BLOCK_BYTES, BLOCK_SECTORS, CLUSTER_BLOCKS, FIRST_INO,
 };
-use crate::bcache::{BlockKey, BufferCache};
+use crate::bcache::BufferCache;
 use crate::bio::BioLayer;
 
 /// The ceiling the OS imposes on sequentiality counts (the paper: "seqCount
@@ -115,14 +122,18 @@ pub struct FsStats {
     pub io_errors: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// One disk I/O in flight. Its slot in [`FileSystem::io_spans`] is its
+/// bio tag, and a read span's blocks are marked pending under that slot,
+/// so a read that finds a block pending joins the span fetching it.
+#[derive(Debug)]
 struct IoSpan {
     ino: u64,
     first_blk: u64,
     nblocks: u64,
-    /// The write operation this span belongs to; `None` for reads, whose
-    /// waiters sit on each block in `waiters`.
-    writer: Option<ReadId>,
+    /// The operations that complete when this I/O does, each once: a
+    /// write span's one writer, or every read blocked on a block the span
+    /// fetches. The buffer stays with the slot when the span retires.
+    waiters: Vec<ReadId>,
 }
 
 #[derive(Debug)]
@@ -151,10 +162,9 @@ pub struct FileSystem {
     /// Inode `ino` at index `ino - FIRST_INO` (numbers are dense).
     inodes: Vec<Inode>,
     cache: BufferCache,
-    /// Disk I/Os in flight, by io tag.
-    io_spans: IdWindow<IoSpan>,
-    next_io_tag: u64,
-    waiters: FastMap<BlockKey, Waitlist<ReadId>>,
+    /// Disk I/Os in flight; a span's slot is its bio tag. Slots are
+    /// reused, so tags stay below the most I/Os ever in flight at once.
+    io_spans: Slab<IoSpan>,
     /// Unfinished operations, by `ReadId`.
     tickets: IdWindow<Ticket>,
     ready: Vec<OpDone>,
@@ -194,9 +204,7 @@ impl FileSystem {
             alloc: Allocator::new(partition, config.aging),
             inodes: Vec::new(),
             cache: BufferCache::new(config.cache_blocks),
-            io_spans: IdWindow::default(),
-            next_io_tag: 0,
-            waiters: FastMap::default(),
+            io_spans: Slab::default(),
             tickets: IdWindow::default(),
             ready: Vec::new(),
             next_read_id: 0,
@@ -393,10 +401,9 @@ impl FileSystem {
                 blk += 1;
                 continue;
             }
-            if self.cache.is_pending(key) {
+            if let Some(span) = self.cache.pending_tag(key) {
                 self.stats.miss_blocks += 1;
-                Waitlist::push_to(&mut self.waiters, key, id);
-                outstanding += 1;
+                outstanding += self.join(span, id);
                 blk += 1;
                 continue;
             }
@@ -416,19 +423,10 @@ impl FileSystem {
                     self.cluster_run(ino, blk, last_blk - blk + 1)
                         .min(last_blk - blk + 1),
                 );
-            for b in blk..blk + run {
-                self.cache.mark_pending((ino, b));
-            }
-            self.stats.miss_blocks += 1;
-            Waitlist::push_to(&mut self.waiters, key, id);
-            outstanding += 1;
-            // Blocks of this cluster that the read also needs get waiters.
-            for b in (blk + 1)..(blk + run).min(last_blk + 1) {
-                self.stats.miss_blocks += 1;
-                Waitlist::push_to(&mut self.waiters, (ino, b), id);
-                outstanding += 1;
-            }
-            self.submit_io(now, ino, blk, run, false);
+            let span = self.submit_io(now, ino, blk, run, false);
+            // The read waits on every block of the cluster it needs.
+            self.stats.miss_blocks += run.min(last_blk - blk + 1);
+            outstanding += self.join(span, id);
             blk += run;
         }
 
@@ -482,21 +480,12 @@ impl FileSystem {
             let run = (inode.run_end(blk) - blk)
                 .min(last_blk - blk + 1)
                 .min(CLUSTER_BLOCKS);
-            let io_tag = self.next_io_tag;
-            self.next_io_tag += 1;
-            self.io_spans.insert(
-                io_tag,
-                IoSpan {
-                    ino,
-                    first_blk: blk,
-                    nblocks: run,
-                    writer: Some(id),
-                },
-            );
+            let span = Self::new_span(&mut self.io_spans, ino, blk, run);
+            self.io_spans[span].waiters.push(id);
             outstanding += 1;
             self.bio.submit(
                 now,
-                DiskRequest::write(inode.lba_of(blk), run * BLOCK_SECTORS, io_tag),
+                DiskRequest::write(inode.lba_of(blk), run * BLOCK_SECTORS, u64::from(span)),
             );
             self.stats.writes += 1;
             blk += run;
@@ -559,38 +548,58 @@ impl FileSystem {
         self.refresh_deadline();
     }
 
-    /// Routes one finished disk I/O to the operations waiting on it.
+    /// Settles one finished disk I/O: a read's blocks become valid (or,
+    /// failed, re-readable), then every operation waiting on it learns.
     fn io_done(&mut self, c: Completion) {
-        let span = self
-            .io_spans
-            .remove(c.request.tag)
-            .expect("completion for unknown io tag");
+        let slot = u32::try_from(c.request.tag).expect("a span slot is a bio tag");
         let failed = !c.is_ok();
-        match c.request.op {
-            diskmodel::DiskOp::Read => {
-                for b in span.first_blk..span.first_blk + span.nblocks {
-                    let key = (span.ino, b);
-                    if failed {
-                        // No data arrived: release the pending marks so a
-                        // later read can retry the disk (which now succeeds
-                        // if the range was remapped).
-                        self.cache.discard(key);
-                    } else {
-                        self.cache.fill(key);
-                    }
-                    if let Some(waiting) = self.waiters.remove(&key) {
-                        for id in waiting {
-                            self.block_arrived(id, c.completed_at, failed);
-                        }
-                    }
-                }
-            }
-            diskmodel::DiskOp::Write => {
-                if let Some(id) = span.writer {
-                    self.block_arrived(id, c.completed_at, failed);
+        let span = &mut self.io_spans[slot];
+        if c.request.op == diskmodel::DiskOp::Read {
+            for b in span.first_blk..span.first_blk + span.nblocks {
+                let key = (span.ino, b);
+                if failed {
+                    // No data arrived: release the pending marks so a
+                    // later read can retry the disk (which now succeeds
+                    // if the range was remapped).
+                    self.cache.discard(key);
+                } else {
+                    self.cache.fill(key);
                 }
             }
         }
+        let mut waiters = std::mem::take(&mut span.waiters);
+        for &id in &waiters {
+            self.span_done(id, c.completed_at, failed);
+        }
+        waiters.clear();
+        self.io_spans[slot].waiters = waiters;
+        self.io_spans.release(slot);
+    }
+
+    /// Makes read `id` wait on the span in `slot`, once: returns 1, or 0
+    /// if it waits on it already. A read scans its blocks in order and a
+    /// span's blocks are consecutive, so a repeat join is the latest one.
+    fn join(&mut self, slot: u32, id: ReadId) -> usize {
+        let waiters = &mut self.io_spans[slot].waiters;
+        if waiters.last() == Some(&id) {
+            return 0;
+        }
+        waiters.push(id);
+        1
+    }
+
+    /// A span slot for `nblocks` blocks of `ino` from `first_blk`, with no
+    /// waiters; a reused slot keeps its waiter buffer.
+    fn new_span(spans: &mut Slab<IoSpan>, ino: u64, first_blk: u64, nblocks: u64) -> u32 {
+        spans.take(
+            |s| (s.ino, s.first_blk, s.nblocks) = (ino, first_blk, nblocks),
+            || IoSpan {
+                ino,
+                first_blk,
+                nblocks,
+                waiters: Vec::new(),
+            },
+        )
     }
 
     /// Length of the physically contiguous, uncached, unpending run starting
@@ -623,37 +632,33 @@ impl FileSystem {
                 continue;
             }
             let run = self.cluster_run(ino, blk, cluster);
-            for b in blk..blk + run {
-                self.cache.mark_pending((ino, b));
-            }
             self.submit_io(now, ino, blk, run, true);
             blk += cluster;
         }
     }
 
-    fn submit_io(&mut self, now: SimTime, ino: u64, first_blk: u64, nblocks: u64, ra: bool) {
+    /// Issues a disk read of `nblocks` blocks of `ino` from `first_blk`,
+    /// marking them pending under the new span's slot, and returns it.
+    fn submit_io(&mut self, now: SimTime, ino: u64, first_blk: u64, nblocks: u64, ra: bool) -> u32 {
         let lba = self.inode(ino).expect("known inode").lba_of(first_blk);
-        let io_tag = self.next_io_tag;
-        self.next_io_tag += 1;
-        self.io_spans.insert(
-            io_tag,
-            IoSpan {
-                ino,
-                first_blk,
-                nblocks,
-                writer: None,
-            },
-        );
+        let span = Self::new_span(&mut self.io_spans, ino, first_blk, nblocks);
+        for b in first_blk..first_blk + nblocks {
+            self.cache.mark_pending((ino, b), span);
+        }
         if ra {
             self.stats.readahead_reads += 1;
         } else {
             self.stats.sync_reads += 1;
         }
-        self.bio
-            .submit(now, DiskRequest::read(lba, nblocks * BLOCK_SECTORS, io_tag));
+        self.bio.submit(
+            now,
+            DiskRequest::read(lba, nblocks * BLOCK_SECTORS, u64::from(span)),
+        );
+        span
     }
 
-    fn block_arrived(&mut self, id: ReadId, at: SimTime, failed: bool) {
+    /// One of the spans `id` waits on finished.
+    fn span_done(&mut self, id: ReadId, at: SimTime, failed: bool) {
         let Some(t) = self.tickets.get_mut(id.0) else {
             return;
         };
@@ -970,6 +975,178 @@ mod tests {
         let mut rng = SimRng::new(1);
         let ino = fs.create_file(8192, &mut rng).unwrap();
         fs.read(SimTime::ZERO, ino, 16_384, 8192, 0, 0);
+    }
+
+    #[test]
+    fn a_read_joins_the_read_ahead_in_flight_and_completes_with_it() {
+        let mut fs = make_fs();
+        let mut rng = SimRng::new(1);
+        let ino = fs.create_file(4 * 1024 * 1024, &mut rng).unwrap();
+        fs.read(SimTime::ZERO, ino, 0, 8192, 127, 0);
+        let key = (ino, 16);
+        let span = fs
+            .cache
+            .pending_tag(key)
+            .expect("read-ahead fetches block 16");
+        let before = fs.stats();
+        // Blocks 16 and 17 sit in one read-ahead cluster: one join.
+        fs.read(SimTime::ZERO, ino, 16 * 8192, 2 * 8192, 0, 1);
+        let after = fs.stats();
+        assert_eq!(after.miss_blocks - before.miss_blocks, 2);
+        assert_eq!(
+            (after.sync_reads, after.readahead_reads),
+            (before.sync_reads, before.readahead_reads),
+            "the joining read issues no disk I/O"
+        );
+        assert_eq!(fs.io_spans[span].waiters, [ReadId(1)]);
+        // Step until the read completes, noting when its span's blocks
+        // arrived.
+        let (mut done, mut arrived) = (Vec::new(), None);
+        let d = loop {
+            let t = fs.next_event().expect("the read is pending");
+            fs.advance_into(t, &mut done);
+            if arrived.is_none() && fs.cache.peek(key) {
+                arrived = Some(t);
+            }
+            if let Some(&d) = done.iter().find(|d| d.tag == 1) {
+                break d;
+            }
+        };
+        assert_eq!((Some(d.done_at), d.status), (arrived, IoStatus::Ok));
+    }
+
+    #[test]
+    fn a_failed_span_fails_every_waiter_and_its_blocks_read_again() {
+        let mut fs = make_fs();
+        let mut rng = SimRng::new(1);
+        let ino = fs.create_file(1024 * 1024, &mut rng).unwrap();
+        // The cluster read fails transiently until the retries run out.
+        fs.set_fault_model(Some(Box::new(FailNext(crate::MAX_IO_RETRIES + 1))));
+        fs.read(SimTime::ZERO, ino, 0, 8192, 2, 0);
+        fs.read(SimTime::ZERO, ino, 3 * 8192, 8192, 0, 1);
+        fs.read(SimTime::ZERO, ino, 5 * 8192, 3 * 8192, 0, 2);
+        assert_eq!(
+            fs.stats().sync_reads,
+            1,
+            "both later reads join the cluster"
+        );
+        let done = run_until(&mut fs, 3);
+        assert!(done.iter().all(|d| d.status == IoStatus::Eio), "{done:?}");
+        assert!(done.iter().all(|d| d.done_at == done[0].done_at));
+        assert_eq!(fs.stats().io_errors, 3);
+        assert!(
+            (0..8).all(|b| !fs.cache.holds((ino, b))),
+            "no block stays pending"
+        );
+        assert_eq!(fs.io_spans.live(), 0);
+        fs.read(done[0].done_at, ino, 3 * 8192, 8192, 0, 3);
+        let again = run_until(&mut fs, 1);
+        assert_eq!(again[0].status, IoStatus::Ok);
+        assert_eq!(
+            fs.stats().sync_reads,
+            2,
+            "the block is read from disk again"
+        );
+    }
+
+    /// A device that runs every command in parallel and finishes it
+    /// 100 µs after submission, except the first, which it holds for an
+    /// hour.
+    #[derive(Debug, Default)]
+    struct HoldFirst {
+        queue: Vec<(SimTime, DiskRequest)>,
+        submitted: u64,
+        total_sectors: u64,
+    }
+
+    impl DeviceModel for HoldFirst {
+        fn submit(&mut self, now: SimTime, req: DiskRequest) -> diskmodel::RequestId {
+            let hold = if self.submitted == 0 {
+                simcore::SimDuration::from_secs(3_600)
+            } else {
+                simcore::SimDuration::from_micros(100)
+            };
+            self.submitted += 1;
+            self.queue.push((now + hold, req));
+            diskmodel::RequestId(self.submitted)
+        }
+
+        fn next_completion(&self) -> Option<SimTime> {
+            self.queue.iter().map(|&(t, _)| t).min()
+        }
+
+        fn advance_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
+            for (t, request) in self.queue.extract_if(.., |(t, _)| *t <= now) {
+                out.push(Completion {
+                    id: diskmodel::RequestId(request.tag),
+                    request,
+                    submitted_at: t,
+                    completed_at: t,
+                    cache_hit: false,
+                    outcome: diskmodel::DiskOutcome::Ok,
+                });
+            }
+        }
+
+        fn can_accept(&self) -> bool {
+            true
+        }
+
+        fn outstanding(&self) -> usize {
+            self.queue.len()
+        }
+
+        fn total_sectors(&self) -> u64 {
+            self.total_sectors
+        }
+
+        fn flush_cache(&mut self) {}
+
+        fn set_fault_model(&mut self, _model: Option<Box<dyn FaultModel>>) {}
+
+        fn fault_model_active(&self) -> bool {
+            false
+        }
+
+        fn remap(&mut self, _lba: diskmodel::Lba, _sectors: u64) {}
+
+        fn report(&self) -> diskmodel::DeviceReport {
+            diskmodel::DeviceReport::default()
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn one_span_held_in_flight_keeps_the_span_slab_at_the_in_flight_peak() {
+        let disk = DriveModel::WdWd200bbIde.build(SimRng::new(11));
+        let part = PartitionTable::quarters(disk.geometry()).get(1);
+        let device = HoldFirst {
+            total_sectors: disk.geometry().total_sectors(),
+            ..HoldFirst::default()
+        };
+        let config = FsConfig::default();
+        let mut fs = FileSystem::format_on(Box::new(device), part, SchedulerKind::Fcfs, config);
+        let ino = fs.create_file(4_096 * 8192, &mut SimRng::new(1)).unwrap();
+        fs.read(SimTime::ZERO, ino, 0, 8192, 0, 0);
+        let mut now = SimTime::ZERO;
+        for blk in 1..4_096u64 {
+            fs.read(now, ino, blk * 8192, 8192, 0, blk);
+            let done = run_until(&mut fs, 1);
+            assert_eq!(done[0].tag, blk);
+            now = done[0].done_at;
+        }
+        assert_eq!(fs.stats().sync_reads, 4_096);
+        assert_eq!((fs.io_spans.live(), fs.io_spans.peak()), (1, 2));
+        let held = run_until(&mut fs, 1);
+        assert_eq!(held[0].tag, 0);
+        assert_eq!(fs.io_spans.live(), 0);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! inserted (an unknown inode, a block past any file, a block past 32
 //! bits); it must change nothing, and `approx_heap_bytes` must not move.
 //! After every op both caches must agree on `len`, `hit_miss`, and
-//! `peek`/`is_pending`/`holds` for every key. Two mutant models (evict
+//! `peek`/`is_pending`/`holds`/`pending_tag` for every key (each
+//! `mark_pending` tags its block with the step number; a block already
+//! pending keeps its first tag). Two mutant models (evict
 //! the newest valid entry; evict pending entries too) show that the
 //! sequences catch a wrong victim. The cache's own structural invariants are walked after
 //! every op by a unit test in `src/bcache.rs`.
@@ -103,7 +105,8 @@ enum Op {
 }
 
 struct Entry {
-    pending: bool,
+    /// The tag of a pending entry; `None` once valid.
+    pending: Option<u32>,
     stamp: u64,
 }
 
@@ -133,7 +136,7 @@ impl Model {
     fn lookup(&mut self, key: BlockKey) -> bool {
         self.clock += 1;
         match self.map.get_mut(&key) {
-            Some(e) if !e.pending => {
+            Some(e) if e.pending.is_none() => {
                 e.stamp = self.clock;
                 self.hits += 1;
                 true
@@ -146,22 +149,27 @@ impl Model {
     }
 
     fn peek(&self, key: BlockKey) -> bool {
-        matches!(self.map.get(&key), Some(e) if !e.pending)
+        matches!(self.map.get(&key), Some(e) if e.pending.is_none())
+    }
+
+    fn pending_tag(&self, key: BlockKey) -> Option<u32> {
+        self.map.get(&key)?.pending
     }
 
     fn is_pending(&self, key: BlockKey) -> bool {
-        matches!(self.map.get(&key), Some(e) if e.pending)
+        self.pending_tag(key).is_some()
     }
 
-    fn insert(&mut self, key: BlockKey, pending: bool) {
+    fn insert(&mut self, key: BlockKey, pending: Option<u32>) {
         let stamp = self.clock;
         self.map.insert(key, Entry { pending, stamp });
     }
 
-    fn mark_pending(&mut self, key: BlockKey) {
+    fn mark_pending(&mut self, key: BlockKey, tag: u32) {
         self.clock += 1;
         self.evict_if_needed();
-        self.insert(key, true);
+        let tag = self.pending_tag(key).unwrap_or(tag);
+        self.insert(key, Some(tag));
     }
 
     fn fill(&mut self, key: BlockKey) {
@@ -169,7 +177,7 @@ impl Model {
         if !self.map.contains_key(&key) {
             self.evict_if_needed();
         }
-        self.insert(key, false);
+        self.insert(key, None);
     }
 
     fn invalidate(&mut self, key: BlockKey) {
@@ -183,7 +191,7 @@ impl Model {
     }
 
     fn flush(&mut self) {
-        self.map.retain(|_, e| e.pending);
+        self.map.retain(|_, e| e.pending.is_some());
     }
 
     fn evict_if_needed(&mut self) {
@@ -192,7 +200,7 @@ impl Model {
             let candidates = self
                 .map
                 .iter()
-                .filter(|(_, e)| mutant == Mutant::EvictPending || !e.pending);
+                .filter(|(_, e)| mutant == Mutant::EvictPending || e.pending.is_none());
             let victim = if mutant == Mutant::EvictNewest {
                 candidates.max_by_key(|(_, e)| e.stamp)
             } else {
@@ -230,6 +238,10 @@ fn compare(real: &BufferCache, model: &Model, keys: &[BlockKey]) -> Result<(), S
         }
         if real.holds(k) != (mp || mq) {
             return Err(format!("key {k:?}: holds disagrees with the model"));
+        }
+        let (rt, mt) = (real.pending_tag(k), model.pending_tag(k));
+        if rt != mt {
+            return Err(format!("key {k:?}: pending_tag {rt:?} vs model {mt:?}"));
         }
     }
     Ok(())
@@ -349,8 +361,9 @@ fn first_divergence(shape: Shape, capacity: usize, seed: u64, mutant: Mutant) ->
                 model.fill(k);
             }
             Op::MarkPending => {
-                real.mark_pending(k);
-                model.mark_pending(k);
+                let tag = u32::try_from(step).expect("fewer than 2^32 steps");
+                real.mark_pending(k, tag);
+                model.mark_pending(k, tag);
             }
             Op::Invalidate => {
                 real.invalidate(k);

@@ -15,6 +15,7 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::mem::size_of;
 
 use nfsproto::NfsCall;
+use simcore::Slab;
 
 /// A call the server admitted and has not answered yet.
 #[derive(Debug)]
@@ -68,12 +69,10 @@ impl Hasher for StoredHash {
 /// call gets never reaches an output.
 #[derive(Debug, Default)]
 pub(crate) struct ServiceTable {
-    slots: Vec<Option<InService>>,
-    /// Slots free for reuse.
-    free: Vec<u32>,
+    slots: Slab<Option<InService>>,
     /// Routing key → slot of every call in service. External keys carry
-    /// a peer's xid, so a key's bucket comes from std's keyed hasher (not
-    /// `FastMap`), hashed once, when the call is admitted.
+    /// a peer's xid, so a key's bucket comes from std's keyed hasher,
+    /// hashed once, when the call is admitted.
     by_key: HashMap<HashedKey, u32, BuildHasherDefault<StoredHash>>,
     keyed: RandomState,
 }
@@ -86,17 +85,7 @@ impl ServiceTable {
         let Entry::Vacant(entry) = self.by_key.entry(HashedKey { key, hash }) else {
             return None;
         };
-        let held = Some(InService { key, call, hash });
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = held;
-                slot
-            }
-            None => {
-                self.slots.push(held);
-                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 calls in service")
-            }
-        };
+        let slot = self.slots.insert(Some(InService { key, call, hash }));
         entry.insert(slot);
         Some(slot)
     }
@@ -107,7 +96,7 @@ impl ServiceTable {
     ///
     /// Panics if `slot` holds no call.
     pub(crate) fn get(&self, slot: u32) -> &InService {
-        self.slots[slot as usize].as_ref().expect("slot in service")
+        self.slots[slot].as_ref().expect("slot in service")
     }
 
     /// Mutable access to the call in `slot`.
@@ -116,7 +105,7 @@ impl ServiceTable {
     ///
     /// Panics if `slot` holds no call.
     pub(crate) fn get_mut(&mut self, slot: u32) -> &mut InService {
-        self.slots[slot as usize].as_mut().expect("slot in service")
+        self.slots[slot].as_mut().expect("slot in service")
     }
 
     /// Takes the call out of `slot`, freeing the slot and its key.
@@ -125,12 +114,12 @@ impl ServiceTable {
     ///
     /// Panics if `slot` holds no call.
     pub(crate) fn remove(&mut self, slot: u32) -> InService {
-        let held = self.slots[slot as usize].take().expect("slot in service");
+        let held = self.slots[slot].take().expect("slot in service");
         self.by_key.remove(&HashedKey {
             key: held.key,
             hash: held.hash,
         });
-        self.free.push(slot);
+        self.slots.release(slot);
         held
     }
 
@@ -141,12 +130,10 @@ impl ServiceTable {
     }
 
     /// Approximate heap bytes: slots, free list and the duplicate check,
-    /// from capacities. The check is counted at one entry per slot: its
-    /// own `capacity()` moves with its keyed hashes from run to run.
+    /// from capacities. The check is counted at one entry per slot made:
+    /// its own `capacity()` moves with its keyed hashes from run to run.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.slots.capacity()
-            * (size_of::<Option<InService>>() + size_of::<HashedKey>() + size_of::<u32>())
-            + self.free.capacity() * size_of::<u32>()
+        self.slots.heap_bytes() + self.slots.peak() * (size_of::<HashedKey>() + size_of::<u32>())
     }
 }
 
@@ -414,7 +401,7 @@ mod tests {
                 // Slots are reused: the slab never outgrows the most
                 // calls ever in service at once.
                 peak = peak.max(model.len());
-                assert_eq!(table.slots.len(), peak, "seed {seed} step {step}");
+                assert_eq!(table.slots.peak(), peak, "seed {seed} step {step}");
             }
             // Everything drains; the freed slots are all reusable.
             for slot in queued.drain(..).chain(running.drain(..)) {
@@ -422,7 +409,7 @@ mod tests {
                 assert_eq!(model.remove(&held.key), Some(held.call));
             }
             assert_eq!(table.len(), 0);
-            assert_eq!(table.free.len(), table.slots.len());
+            assert_eq!(table.slots.live(), 0);
         }
     }
 

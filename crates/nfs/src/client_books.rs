@@ -12,7 +12,7 @@ use std::mem::size_of;
 
 use ffs::LocalFd;
 use nfsproto::{FileHandle, NfsCall};
-use simcore::{IdWindow, SimDuration, SimTime, Waitlist};
+use simcore::{IdWindow, SimDuration, SimTime, Slab, Waitlist};
 
 use crate::world::OpId;
 
@@ -105,8 +105,8 @@ impl RpcBook {
     pub(crate) fn remove(&mut self, xid: u32) -> Option<(Rpc, Option<ReaddirPending>)> {
         let rpc = self.window.remove(self.serial(xid)?)?;
         let shape = (rpc.shape != NONE).then(|| {
-            self.shapes.free.push(rpc.shape);
-            std::mem::take(&mut self.shapes.slots[rpc.shape as usize])
+            self.shapes.release(rpc.shape);
+            std::mem::take(&mut self.shapes[rpc.shape])
         });
         Some((rpc, shape))
     }
@@ -125,7 +125,7 @@ impl RpcBook {
     /// READDIR(PLUS).
     pub(crate) fn shape(&self, xid: u32) -> Option<&ReaddirPending> {
         let slot = self.get(xid)?.shape;
-        (slot != NONE).then(|| &self.shapes.slots[slot as usize])
+        (slot != NONE).then(|| &self.shapes[slot])
     }
 
     /// The outstanding xids, oldest first.
@@ -385,60 +385,6 @@ pub(crate) struct ClientFile {
     wb: u32,
 }
 
-/// A slab: entries by slot, and the slots free for reuse.
-#[derive(Debug)]
-struct Slab<T> {
-    slots: Vec<T>,
-    free: Vec<u32>,
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-}
-
-impl<T> Slab<T> {
-    /// A free slot, reset by `reuse`, or a new one holding `fresh()`.
-    fn take(&mut self, reuse: impl FnOnce(&mut T), fresh: impl FnOnce() -> T) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                reuse(&mut self.slots[slot as usize]);
-                slot
-            }
-            None => {
-                self.slots.push(fresh());
-                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 slots")
-            }
-        }
-    }
-
-    /// Stores `value` in a free slot or a new one.
-    fn insert(&mut self, value: T) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = value;
-                slot
-            }
-            None => {
-                self.slots.push(value);
-                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 slots")
-            }
-        }
-    }
-
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * size_of::<T>() + self.free.capacity() * size_of::<u32>()
-    }
-}
-
 /// One client host's files, by inode number: the mount table, the
 /// attribute cache, and the write-behind cache with its running dirty
 /// count.
@@ -539,7 +485,7 @@ impl FileTable {
     /// `ino`'s attribute entry, if it has one.
     pub(crate) fn attr(&self, ino: u64) -> Option<AttrEntry> {
         let slot = self.get(ino)?.attr;
-        (slot != NONE).then(|| self.attrs.slots[slot as usize])
+        (slot != NONE).then(|| self.attrs[slot])
     }
 
     /// Installs `entry` as `ino`'s attribute entry, creating an unmounted
@@ -547,7 +493,7 @@ impl FileTable {
     pub(crate) fn set_attr(&mut self, ino: u64, entry: AttrEntry) {
         let slot = self.record(ino).attr;
         if slot != NONE {
-            self.attrs.slots[slot as usize] = entry;
+            self.attrs[slot] = entry;
             return;
         }
         let slot = self.attrs.insert(entry);
@@ -561,7 +507,7 @@ impl FileTable {
         };
         let slot = std::mem::replace(&mut self.files[p].attr, NONE);
         if slot != NONE {
-            self.attrs.free.push(slot);
+            self.attrs.release(slot);
         }
         slot != NONE
     }
@@ -581,30 +527,30 @@ impl FileTable {
         self.files
             .iter()
             .filter(|f| f.wb < UNMOUNTED)
-            .map(|f| self.wbs.slots[f.wb as usize].len() as u64)
+            .map(|f| self.wbs[f.wb].len() as u64)
             .sum()
     }
 
-    fn wb_slot(&self, ino: u64) -> Option<usize> {
+    fn wb_slot(&self, ino: u64) -> Option<u32> {
         let wb = self.get(ino)?.wb;
-        (wb < UNMOUNTED).then_some(wb as usize)
+        (wb < UNMOUNTED).then_some(wb)
     }
 
     /// `ino`'s write-behind books, if it has any.
     pub(crate) fn wb(&self, ino: u64) -> Option<&WriteBehind> {
-        self.wb_slot(ino).map(|s| &self.wbs.slots[s])
+        self.wb_slot(ino).map(|s| &self.wbs[s])
     }
 
     /// Mutable access to `ino`'s write-behind books, if it has any.
     pub(crate) fn wb_mut(&mut self, ino: u64) -> Option<&mut WriteBehind> {
-        self.wb_slot(ino).map(|s| &mut self.wbs.slots[s])
+        self.wb_slot(ino).map(|s| &mut self.wbs[s])
     }
 
     /// Runs `f` on `ino`'s write-behind books, if it has any, and keeps
     /// the running dirty count.
     fn with_wb<R>(&mut self, ino: u64, f: impl FnOnce(&mut WriteBehind) -> R) -> Option<R> {
         let slot = self.wb_slot(ino)?;
-        let wb = &mut self.wbs.slots[slot];
+        let wb = &mut self.wbs[slot];
         let before = wb.dirty;
         let r = f(wb);
         self.dirty = self.dirty + wb.dirty - before;
@@ -659,11 +605,11 @@ impl FileTable {
     /// returning the close they held. `None` if it had none.
     pub(crate) fn release(&mut self, ino: u64) -> Option<Option<CloseState>> {
         let slot = self.wb_slot(ino)?;
-        let wb = &mut self.wbs.slots[slot];
+        let wb = &mut self.wbs[slot];
         self.dirty -= wb.dirty;
         let close = wb.close;
         wb.clear();
-        self.wbs.free.push(slot as u32);
+        self.wbs.release(slot);
         let p = self.position(ino).expect("a file with books has a record");
         self.files[p].wb = NONE;
         Some(close)
@@ -675,12 +621,7 @@ impl FileTable {
             + self.files.capacity() * size_of::<ClientFile>()
             + self.attrs.heap_bytes()
             + self.wbs.heap_bytes()
-            + self
-                .wbs
-                .slots
-                .iter()
-                .map(WriteBehind::heap_bytes)
-                .sum::<usize>()
+            + self.wbs.iter().map(WriteBehind::heap_bytes).sum::<usize>()
     }
 }
 
@@ -945,8 +886,8 @@ mod tests {
             }
             // Released slots are reused: the slabs never hold more than
             // the most books live at once.
-            assert!(table.wbs.slots.len() <= inos.len());
-            assert!(table.attrs.slots.len() <= inos.len());
+            assert!(table.wbs.peak() <= inos.len());
+            assert!(table.attrs.peak() <= inos.len());
         }
     }
 

@@ -1742,7 +1742,7 @@ impl NfsWorld {
         };
         let xid = self.issue_call(client, send_at, call);
         let cache = &mut self.clients[client].cache;
-        cache.mark_pending_tagged((fh.ino, blk), xid);
+        cache.mark_pending((fh.ino, blk), xid);
         xid
     }
 

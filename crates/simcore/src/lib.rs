@@ -12,11 +12,12 @@
 //!   with standard deviation);
 //! * [`LogHist`] — a streaming log-bucketed latency histogram with bounded
 //!   memory and exact shard merging, for tail quantiles at fleet scale;
-//! * [`FastMap`] / [`FastSet`] — hash containers with a fixed, fast hasher
-//!   for keys the simulator allocates itself, and [`fnv1a`], the one fold
-//!   behind every fingerprint;
-//! * [`IdWindow`] / [`Waitlist`] — an indexed map for ids issued in
-//!   increasing order, and a wait list whose first entry lives inline;
+//! * [`fnv1a`] — the one fold behind every fingerprint;
+//! * [`IdWindow`] / [`Slab`] / [`Waitlist`] — an indexed map for ids
+//!   issued in increasing order, slot-numbered entries whose freed slots
+//!   are reused (with their buffers), and a wait list whose first entry
+//!   lives inline. The simulator's own state is indexed by numbers it
+//!   hands out, so nothing on the simulated path hashes;
 //! * [`counters!`] / [`Tally`] — stats structs declared once, with the
 //!   per-host difference and the cluster sum derived from their fields.
 //!
@@ -44,9 +45,9 @@ mod time;
 mod window;
 
 pub use event::EventQueue;
-pub use hash::{fnv1a, FastMap, FastSet, FxHasher, FNV_BASIS};
+pub use hash::{fnv1a, FNV_BASIS};
 pub use rng::{SampleRange, SimRng, UniformSample};
 pub use stats::{quantile, LogHist, OnlineStats, Summary};
 pub use tally::Tally;
 pub use time::{SimDuration, SimTime};
-pub use window::{IdWindow, Waitlist};
+pub use window::{IdWindow, Slab, Waitlist};

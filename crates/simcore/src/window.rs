@@ -6,12 +6,18 @@
 //! flight, so a deque indexed by `id - base` replaces a hash map: a
 //! lookup is one subtraction and one bounds check.
 //!
+//! [`Slab`] hands out small slot numbers for entries that come and go
+//! in any order (calls in service, disk I/Os in flight, per-file books)
+//! and reuses a freed slot before it makes a new one, so its slot
+//! numbers stay below the most entries ever live at once.
+//!
 //! [`Waitlist`] is a list of waiters that holds its first entry inline.
-//! A block almost always has exactly one waiter, so a wait list that
+//! An RPC almost always has exactly one waiter, so a wait list that
 //! stays at one entry never touches the heap.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, Hash};
+use std::collections::VecDeque;
+use std::mem::size_of;
+use std::ops::{Index, IndexMut};
 
 /// A map from ids issued in increasing order to their state.
 ///
@@ -99,6 +105,113 @@ impl<T> IdWindow<T> {
     }
 }
 
+/// Entries by slot number; released slots are reused before new ones.
+///
+/// A slot names its entry from `take` or `insert` until `release`. A
+/// released entry stays where it is until its slot is handed out again,
+/// so a `take` that reuses it can keep its buffers.
+#[derive(Debug, Clone)]
+pub struct Slab<T> {
+    slots: Vec<T>,
+    /// Released slots, reused last-released first.
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    /// Takes a slot: a released one, handed to `reuse` to reset, or a new
+    /// one holding `fresh()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if 2³² slots would be live at once.
+    pub fn take(&mut self, reuse: impl FnOnce(&mut T), fresh: impl FnOnce() -> T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                reuse(&mut self.slots[slot as usize]);
+                slot
+            }
+            None => self.push(fresh()),
+        }
+    }
+
+    /// Stores `value` in a released slot or a new one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if 2³² slots would be live at once.
+    pub fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = value;
+                slot
+            }
+            None => self.push(value),
+        }
+    }
+
+    fn push(&mut self, value: T) -> u32 {
+        let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 slots");
+        self.slots.push(value);
+        slot
+    }
+
+    /// Releases `slot` for reuse; its entry stays in place until then.
+    pub fn release(&mut self, slot: u32) {
+        debug_assert!(
+            (slot as usize) < self.slots.len(),
+            "slot {slot} was never taken"
+        );
+        self.free.push(slot);
+    }
+
+    /// Live entries.
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Slots made so far, live or released: the most entries ever live
+    /// at once.
+    pub fn peak(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Every entry, released ones included, in slot order.
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.slots.iter()
+    }
+
+    /// Heap bytes of the entries and the free list, from capacities (not
+    /// counting what the entries themselves own).
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<T>() + self.free.capacity() * size_of::<u32>()
+    }
+}
+
+impl<T> Index<u32> for Slab<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, slot: u32) -> &T {
+        &self.slots[slot as usize]
+    }
+}
+
+impl<T> IndexMut<u32> for Slab<T> {
+    #[inline]
+    fn index_mut(&mut self, slot: u32) -> &mut T {
+        &mut self.slots[slot as usize]
+    }
+}
+
 /// A list of waiters whose first entry lives inline: a list of one does
 /// not allocate. Iteration yields the entries in the order pushed.
 #[derive(Debug, Clone)]
@@ -121,21 +234,6 @@ impl<T> Waitlist<T> {
     #[inline]
     pub fn push(&mut self, waiter: T) {
         self.rest.push(waiter);
-    }
-
-    /// Appends `waiter` to the list under `key`, starting the list if
-    /// there is none.
-    #[inline]
-    pub fn push_to<K: Hash + Eq, S: BuildHasher>(
-        map: &mut HashMap<K, Waitlist<T>, S>,
-        key: K,
-        waiter: T,
-    ) where
-        T: Copy,
-    {
-        map.entry(key)
-            .and_modify(|l| l.push(waiter))
-            .or_insert_with(|| Waitlist::new(waiter));
     }
 }
 
@@ -224,10 +322,21 @@ mod tests {
         l.push(2);
         l.push(3);
         assert_eq!(l.into_iter().collect::<Vec<_>>(), [1, 2, 3]);
-        let mut map = HashMap::new();
-        Waitlist::push_to(&mut map, 'k', 1);
-        Waitlist::push_to(&mut map, 'k', 2);
-        let l = map.remove(&'k').unwrap();
-        assert_eq!(l.into_iter().collect::<Vec<_>>(), [1, 2]);
+    }
+
+    #[test]
+    fn a_released_slot_is_reused_with_its_buffers() {
+        let mut s: Slab<Vec<u32>> = Slab::default();
+        let a = s.take(Vec::clear, || vec![1, 2, 3]);
+        let b = s.insert(vec![4]);
+        assert_eq!((a, b, s.live(), s.peak()), (0, 1, 2, 2));
+        s.release(a);
+        assert_eq!(s.live(), 1);
+        let c = s.take(Vec::clear, Vec::new);
+        assert_eq!(c, a, "the freed slot comes back first");
+        assert!(s[c].is_empty() && s[c].capacity() >= 3, "its buffer stays");
+        s[c].push(9);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [&vec![9], &vec![4]]);
+        assert_eq!(s.peak(), 2, "no new slot while one was free");
     }
 }
