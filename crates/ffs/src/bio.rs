@@ -289,12 +289,9 @@ impl BioLayer {
     }
 
     /// Removes and returns the retries booked for `tag`, if it has failed
-    /// before. A fault-free completion finds the list empty and searches
-    /// nothing.
+    /// before. On a fault-free drive the list is empty, so the search
+    /// costs nothing.
     fn take_attempts(&mut self, tag: u64) -> Option<u32> {
-        if self.attempts.is_empty() {
-            return None;
-        }
         let i = self.attempts.iter().position(|&(t, _)| t == tag)?;
         Some(self.attempts.swap_remove(i).1)
     }

@@ -6,9 +6,9 @@
 //! paper's 8-host testbed and hopeless for a fleet: 100 000 hosts of
 //! per-host state is gigabytes before the first RPC moves.
 //!
-//! This module flips the representation. A **fleet client** is ~24 bytes
-//! of struct-of-arrays hot state (cursor, remaining ops, host binding,
-//! issue stamp) in a per-group arena; the expensive machinery — caches,
+//! This module flips the representation. A **fleet client** is 24 bytes
+//! of hot state (cursor, remaining ops, host binding, issue stamp) in a
+//! per-group slab; the expensive machinery — caches,
 //! transports, `nfsiod` pools — exists only per *host*, and a bounded set
 //! of hosts per group multiplexes the fleet the way a load balancer
 //! multiplexes tenants onto backends. Latency samples stream into a
@@ -26,7 +26,7 @@
 use diskfault::{FaultPlan, FaultState};
 use nfsproto::FileHandle;
 use nfssim::{NfsWorld, OpDone, OpOutcome, WorldConfig};
-use simcore::{fnv1a, LogHist, SimDuration, SimRng, SimTime, Tally, FNV_BASIS};
+use simcore::{fnv1a, LogHist, SimDuration, SimRng, SimTime, Slab, Tally, FNV_BASIS};
 use simfleet::{run_sharded, ShardRunStats, ShardWorld};
 use testbed::{ClusterConfig, Rig, PROC_CPU};
 
@@ -136,49 +136,17 @@ pub struct Migrant {
     pub arrive_at: SimTime,
 }
 
-/// Struct-of-arrays arena of resident fleet clients. Parallel vectors
-/// indexed by slot; freed slots are recycled in completion order (which
-/// is deterministic, so slot assignment is too). ~24 bytes per client.
-#[derive(Debug, Default)]
-struct ClientArena {
-    id: Vec<u32>,
-    host: Vec<u16>,
-    file: Vec<u16>,
-    next_blk: Vec<u32>,
-    remaining: Vec<u32>,
-    issued_at: Vec<SimTime>,
-    free: Vec<u32>,
-}
-
-impl ClientArena {
-    fn alloc(&mut self) -> usize {
-        if let Some(slot) = self.free.pop() {
-            slot as usize
-        } else {
-            self.id.push(0);
-            self.host.push(0);
-            self.file.push(0);
-            self.next_blk.push(0);
-            self.remaining.push(0);
-            self.issued_at.push(SimTime::ZERO);
-            self.id.len() - 1
-        }
-    }
-
-    fn release(&mut self, slot: usize) {
-        self.free.push(slot as u32);
-    }
-
-    fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.id.capacity() * size_of::<u32>()
-            + self.host.capacity() * size_of::<u16>()
-            + self.file.capacity() * size_of::<u16>()
-            + self.next_blk.capacity() * size_of::<u32>()
-            + self.remaining.capacity() * size_of::<u32>()
-            + self.issued_at.capacity() * size_of::<SimTime>()
-            + self.free.capacity() * size_of::<u32>()
-    }
+/// A resident fleet client, in a slot of its group's [`Slab`]: 24 bytes.
+/// Freed slots are reused in completion order (which is deterministic, so
+/// slot assignment is too), and a client's slot is its read's tag.
+#[derive(Debug, Clone, Copy)]
+struct FleetClient {
+    id: u32,
+    host: u16,
+    file: u16,
+    next_blk: u32,
+    remaining: u32,
+    issued_at: SimTime,
 }
 
 simcore::counters! {
@@ -197,13 +165,13 @@ simcore::counters! {
 }
 
 /// One group of the fleet: a full [`NfsWorld`] (hosts + server + disk)
-/// plus the SoA arena of fleet clients multiplexed onto it.
+/// plus the slab of fleet clients multiplexed onto it.
 struct FleetGroup {
     gid: usize,
     groups: usize,
     world: NfsWorld,
     files: Vec<Vec<FileHandle>>,
-    arena: ClientArena,
+    clients: Slab<FleetClient>,
     /// Not-yet-arrived clients, ascending by arrival time; `sched_next`
     /// is the cursor, entries past it can still be shed.
     schedule: Vec<(SimTime, u32, u32)>,
@@ -229,20 +197,21 @@ struct FleetGroup {
 
 impl FleetGroup {
     /// Binds a client to a host and file by resident serial number and
-    /// seats it in the arena.
-    fn admit(&mut self, id: u32, remaining: u32) -> usize {
+    /// seats it in the slab.
+    fn admit(&mut self, id: u32, remaining: u32) -> u32 {
         let serial = self.next_serial;
         self.next_serial += 1;
         let host = (serial as usize) % HOSTS_PER_GROUP;
         let file = (serial as usize / HOSTS_PER_GROUP) % self.files_per_host;
         let start_blk = (mix64(u64::from(id) ^ 0x5EED) % self.file_blocks) as u32;
-        let slot = self.arena.alloc();
-        self.arena.id[slot] = id;
-        self.arena.host[slot] = host as u16;
-        self.arena.file[slot] = file as u16;
-        self.arena.next_blk[slot] = start_blk;
-        self.arena.remaining[slot] = remaining;
-        slot
+        self.clients.insert(FleetClient {
+            id,
+            host: host as u16,
+            file: file as u16,
+            next_blk: start_blk,
+            remaining,
+            issued_at: SimTime::ZERO,
+        })
     }
 
     /// Issues the next op for the client in `slot` at `now`: an 8 KB
@@ -250,19 +219,16 @@ impl FleetGroup {
     /// LOOKUP, or READDIR probe. The choice is a pure function of the
     /// client id and op cursor (no RNG draw), so a zero ratio issues the
     /// exact pre-mix read stream.
-    fn issue(&mut self, slot: usize, now: SimTime) {
-        let host = self.arena.host[slot] as usize;
-        let fh = self.files[host][self.arena.file[slot] as usize];
-        let blk = u64::from(self.arena.next_blk[slot]) % self.file_blocks;
-        self.arena.issued_at[slot] = now;
+    fn issue(&mut self, slot: u32, now: SimTime) {
+        let client = &mut self.clients[slot];
+        client.issued_at = now;
+        let host = usize::from(client.host);
+        let fh = self.files[host][usize::from(client.file)];
+        let blk = u64::from(client.next_blk) % self.file_blocks;
         self.books.issued += 1;
-        let tag = slot as u64;
+        let tag = u64::from(slot);
         if self.meta_ratio_pct > 0 {
-            let h = mix64(
-                (u64::from(self.arena.id[slot]) << 32)
-                    ^ u64::from(self.arena.next_blk[slot])
-                    ^ 0x4D45_7441,
-            );
+            let h = mix64((u64::from(client.id) << 32) ^ u64::from(client.next_blk) ^ 0x4D45_7441);
             if h % 100 < u64::from(self.meta_ratio_pct) {
                 self.books.meta += 1;
                 match (h / 100) % 3 {
@@ -285,21 +251,21 @@ impl FleetGroup {
 
     /// Handles one completed read: sample latency, advance or retire the
     /// client.
-    fn complete(&mut self, slot: usize, done_at: SimTime) {
+    fn complete(&mut self, slot: u32, done_at: SimTime) {
         // `saturating_since`: a reissue 15 µs after a completion can be
         // overtaken by a read-ahead fill already scheduled inside that
         // window; the op then finishes "instantly" and rounding can land
         // a hair before the issue stamp.
-        let lat = done_at
-            .saturating_since(self.arena.issued_at[slot])
-            .as_nanos();
+        let client = &mut self.clients[slot];
+        let lat = done_at.saturating_since(client.issued_at).as_nanos();
+        client.next_blk = client.next_blk.wrapping_add(1);
+        client.remaining -= 1;
+        let retired = client.remaining == 0;
         self.hist.add(lat);
         self.epoch_lat_sum += u128::from(lat);
         self.epoch_lat_n += 1;
-        self.arena.next_blk[slot] = self.arena.next_blk[slot].wrapping_add(1);
-        self.arena.remaining[slot] -= 1;
-        if self.arena.remaining[slot] == 0 {
-            self.arena.release(slot);
+        if retired {
+            self.clients.release(slot);
             self.inflight -= 1;
         } else {
             self.issue(slot, done_at + PROC_CPU);
@@ -370,8 +336,8 @@ impl ShardWorld for FleetGroup {
             let mut completed = std::mem::take(&mut self.done);
             self.world.advance_into(t, &mut completed);
             for done in completed.drain(..) {
-                let slot = done.tag as usize;
-                self.fp = fnv1a(self.fp, &u64::from(self.arena.id[slot]).to_le_bytes());
+                let slot = u32::try_from(done.tag).expect("a fleet client's slot");
+                self.fp = fnv1a(self.fp, &u64::from(self.clients[slot].id).to_le_bytes());
                 self.fp = fnv1a(self.fp, &done.done_at.as_nanos().to_le_bytes());
                 match done.outcome {
                     OpOutcome::Ok => {
@@ -392,7 +358,7 @@ impl ShardWorld for FleetGroup {
                         // retire it so the fleet drains.
                         self.fp = fnv1a(self.fp, &3u64.to_le_bytes());
                         self.books.timed_out += 1;
-                        self.arena.release(slot);
+                        self.clients.release(slot);
                         self.inflight -= 1;
                     }
                 }
@@ -439,7 +405,7 @@ impl ShardWorld for FleetGroup {
 #[derive(Debug, Clone, Copy)]
 pub struct FleetMem {
     /// Resident bytes of the whole fleet's client-facing state: every
-    /// group's world client state, SoA arenas, and histograms.
+    /// group's world client state, fleet-client slabs, and histograms.
     pub fleet_bytes: usize,
     /// `fleet_bytes / clients`.
     pub per_client_bytes: usize,
@@ -448,7 +414,7 @@ pub struct FleetMem {
     /// client figures above leave out.
     pub server_bytes: usize,
     /// Measured bytes of one full client host in this fleet's worlds —
-    /// what the pre-SoA representation would charge *each* client.
+    /// what a host per client would charge *each* client.
     pub full_host_bytes: usize,
     /// `full_host_bytes / per_client_bytes`: the headline reduction.
     pub reduction: f64,
@@ -565,7 +531,7 @@ impl FleetWorld {
                     groups: cfg.groups,
                     world,
                     files,
-                    arena: ClientArena::default(),
+                    clients: Slab::default(),
                     schedule,
                     sched_next: 0,
                     inflight: 0,
@@ -617,7 +583,7 @@ impl FleetWorld {
             fingerprint = fnv1a(fingerprint, &g.fp.to_le_bytes());
             fingerprint = fnv1a(fingerprint, &g.hist.fingerprint().to_le_bytes());
             sim_secs = sim_secs.max(g.world.now().as_secs_f64());
-            fleet_bytes += g.world.client_state_bytes() + g.arena.heap_bytes() + g.hist.bytes();
+            fleet_bytes += g.world.client_state_bytes() + g.clients.heap_bytes() + g.hist.bytes();
             server_bytes += g.world.server_state_bytes();
             let d = g.world.disk_stats();
             drive.commands += d.reads + d.writes;

@@ -18,7 +18,7 @@
 //! - [`experiments`]: the client-count × table-size grid behind the
 //!   `EXPERIMENTS.md` contention table.
 //! - [`fleet`]: [`FleetWorld`] — the 100k-client scale tier: fleet
-//!   clients as ~24-byte struct-of-arrays arena entries multiplexed onto
+//!   clients as 24-byte slab entries multiplexed onto
 //!   a bounded host set per group, groups sharded under
 //!   [`simfleet::run_sharded`] with barrier-synchronized load-shed
 //!   migration and streaming [`simcore::LogHist`] tail latencies.

@@ -1,10 +1,12 @@
 //! Containers for ids the simulator issues itself.
 //!
 //! [`IdWindow`] maps ids handed out in increasing order (op ids, read ids,
-//! I/O tags) to their state. Such ids retire in any order, but the live
-//! ones always sit in a narrow band above the oldest one still in
+//! flush tags) to their state. Such ids retire in any order, but the live
+//! ones usually sit in a narrow band above the oldest one still in
 //! flight, so a deque indexed by `id - base` replaces a hash map: a
-//! lookup is one subtraction and one bounds check.
+//! lookup is one subtraction and one bounds check. One id held for long
+//! keeps the band open behind it; state that can be held that way (a disk
+//! I/O stuck in the drive) belongs in a [`Slab`].
 //!
 //! [`Slab`] hands out small slot numbers for entries that come and go
 //! in any order (calls in service, disk I/Os in flight, per-file books)
